@@ -194,6 +194,34 @@ func TestQueryBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestQueryBadColumnSharded: a predicate over a column that does not exist is
+// a per-query 500 carrying the engine's error, the same on a sharded daemon
+// as on an unsharded one — as a residual at a co-partitioned join and as a
+// pushed-down selection — and the failed request gives its admission slot
+// back (the sharded daemon has exactly one).
+func TestQueryBadColumnSharded(t *testing.T) {
+	sharded, err := New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 1, Shards: 4,
+		DefaultTimeout: 5 * time.Minute})
+	if err != nil {
+		t.Fatalf("building sharded daemon: %v", err)
+	}
+	for _, where := range []string{"l.nosuch = o.nosuch2", "l.nosuch = 1"} {
+		body := fmt.Sprintf(`{"sql": "SELECT COUNT(*) FROM orders o, lineitem l WHERE l.l_orderkey = o.o_orderkey AND %s"}`, where)
+		want, wantQR := doJSON(t, testServer(t).Handler(), "POST", "/query", body)
+		if want.Code != http.StatusInternalServerError || wantQR.Error == "" {
+			t.Fatalf("%s unsharded: status %d error %q, want 500 with an error", where, want.Code, wantQR.Error)
+		}
+		rec, qr := doJSON(t, sharded.Handler(), "POST", "/query", body)
+		if rec.Code != want.Code || qr.Error != wantQR.Error {
+			t.Errorf("%s sharded: status %d error %q, unsharded answers %d %q",
+				where, rec.Code, qr.Error, want.Code, wantQR.Error)
+		}
+		if rec, _ := doJSON(t, sharded.Handler(), "GET", "/query?query=tpch-q3", ""); rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d on the request after the failure, want 200", where, rec.Code)
+		}
+	}
+}
+
 // TestQueryAdmissionFull: with every admission slot held, a valid request is
 // refused with 429 + Retry-After instead of queueing, and the slots'
 // release restores service.

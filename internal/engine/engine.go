@@ -22,11 +22,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
-	"monsoon/internal/sketch"
 	"monsoon/internal/stats"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
@@ -105,31 +103,31 @@ type ExecResult struct {
 	// SigmaTime is the portion of wall time spent in the Σ pass.
 	SigmaTime time.Duration
 	// PeakBytes is the peak heap allocation observed while the tree
-	// drained, sampled every few batches. Zero unless Engine.Metrics is
-	// set (sampling stops the world briefly, so it is strictly opt-in).
+	// drained, sampled every few batches. Zero unless ExecConfig.Metrics
+	// is set (sampling stops the world briefly, so it is strictly opt-in).
 	PeakBytes float64
 }
 
-// ExecConfig is the per-execution observation and tuning state. It used to
-// live as mutable fields on Engine, which made two concurrent Sessions on one
-// shared engine clobber each other's tracer and knobs; now every Session (and
-// every daemon request) carries its own copy inside an Exec scope, and the
-// engine's immutable parts (catalog, HLL precision) stay shared.
+// ExecConfig is the per-execution observation and tuning state. Every Session
+// (and every daemon request) carries its own copy inside an Exec scope, so
+// concurrent Sessions on one shared engine cannot clobber each other's tracer
+// and knobs; the engine's immutable parts (catalog, HLL precision) stay shared.
 type ExecConfig struct {
 	// Obs, when non-nil, receives one span per operator (scan, reuse,
 	// hash-build/probe, nested loop, Σ pass) with rows-in/rows-out and wall
 	// time. Nil (the default) costs nothing: every tracer call no-ops.
 	Obs *obs.Tracer
 	// Parallelism caps the worker count of the partitionable operators
-	// (filter scans, hash-join probe, Σ pass): 0 means
-	// runtime.GOMAXPROCS(0), 1 forces the exact serial legacy path. Every
-	// setting produces bit-identical results — same row order, same Σ
-	// estimates, same budget totals — so the knob trades wall time only.
+	// (filter scans, hash build and probe, nested loop, Σ pass): 0 means
+	// runtime.GOMAXPROCS(0), 1 runs every operator on the calling
+	// goroutine. Every setting produces bit-identical results — same row
+	// order, same Σ estimates, same budget totals — so the knob trades wall
+	// time only.
 	Parallelism int
 	// BatchSize caps the rows one pipeline batch carries between streaming
 	// operators: 0 means DefaultBatchSize, negative disables batching (each
-	// operator emits its whole output at once — the materialized legacy
-	// memory profile). Results, row order, budget totals, and span
+	// operator emits its whole output at once — the materialized memory
+	// profile). Results, row order, budget totals, and span
 	// accounting are bit-identical at every setting; only peak memory and
 	// wall time change.
 	BatchSize int
@@ -257,7 +255,7 @@ func (e *Engine) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.
 func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Relation, *ExecResult, error) {
 	res := &ExecResult{Counts: make(map[string]float64), Times: make(map[string]time.Duration)}
 	msp := e.Obs.Start(obs.KMaterialize, n.String()).SetStr("expr", n.Key())
-	it, schema, err := e.open(q, n, budget, res, nil)
+	it, schema, err := e.open(q, n, budget, res, nil, nil)
 	if err != nil {
 		msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
 		return nil, res, err
@@ -295,19 +293,6 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 	return rel, res, nil
 }
 
-// boundSel is one pushed-down selection bound to a concrete schema.
-type boundSel struct {
-	b *expr.Binding
-	k value.Value
-}
-
-// residual is a predicate evaluated per joined row pair.
-type residual struct {
-	lb, rb *expr.Binding // join predicate sides (nil for selections)
-	sb     *expr.Binding // selection term
-	k      value.Value   // selection constant
-}
-
 // bucket chains the build rows of one join-key value; hashTable maps key
 // hashes to their (collision-chained) buckets. After the build phase the
 // table is read-only, so probe workers share it without locks.
@@ -318,17 +303,11 @@ type bucket struct {
 
 type hashTable map[uint64][]bucket
 
-// insert chains build-row index i under key k: the key's bucket if one
-// exists in the hash's collision chain, a fresh bucket appended otherwise.
-// Inserting rows in ascending index order yields chains in first-occurrence
-// order with ascending row lists — the invariant the partitioned parallel
-// build reproduces by merging per-worker sub-tables in worker order.
-func (ht hashTable) insert(k value.Value, i int) {
-	ht.insertHash(k.Hash(), k, i)
-}
-
-// insertHash is insert with the key hash already computed; the sharded
-// table computes it once for routing and reuses it for the chain lookup.
+// insertHash chains build-row index i under key k, whose hash is h: the
+// key's bucket if one exists in the hash's collision chain, a fresh bucket
+// appended otherwise. Inserting rows in ascending index order yields chains
+// in first-occurrence order with ascending row lists — the invariant the
+// chunked build reproduces by merging per-worker tables in worker order.
 func (ht hashTable) insertHash(h uint64, k value.Value, i int) {
 	bs := ht[h]
 	for bi := range bs {
@@ -343,10 +322,10 @@ func (ht hashTable) insertHash(h uint64, k value.Value, i int) {
 // shardedTable splits a hash-join build across S sub-tables routed by the
 // full key hash (subs[h%S]). Equal hashes always land in the same sub-table
 // and routing never reorders the insertion stream within a sub-table, so
-// collision chains keep the serial first-occurrence order with ascending
-// row lists; the probe side streams in its original order and routes each
-// key the same way, which makes join output bit-identical to the unsharded
-// build for any S. S == 1 is the legacy layout: subs[0] is the one table.
+// collision chains keep first-occurrence order with ascending row lists; the
+// probe side streams in its original order and routes each key the same way,
+// which makes join output bit-identical for any S. An unsharded catalog is
+// S == 1: subs[0] is the one table.
 type shardedTable struct {
 	subs []hashTable
 }
@@ -359,115 +338,78 @@ func newShardedTable(s, sizeHint int) *shardedTable {
 	return t
 }
 
-func (t *shardedTable) insert(k value.Value, i int) {
-	h := k.Hash()
-	t.subs[h%uint64(len(t.subs))].insertHash(h, k, i)
-}
-
 // chains returns the collision chain for a probe key's hash.
 func (t *shardedTable) chains(h uint64) []bucket {
 	return t.subs[h%uint64(len(t.subs))][h]
 }
 
-// shardCount reports the catalog's shard layout width (1 = unsharded); the
-// exchange paths below key every behavior change off it so an unsharded
-// catalog takes exactly the legacy code paths.
+// shardCount reports the catalog's shard layout width (1 = unsharded).
 func (e *Exec) shardCount() int { return e.eng.Cat.ShardCount() }
-
-func passResiduals(row table.Row, residuals []residual) bool {
-	for _, r := range residuals {
-		if r.sb != nil {
-			if !r.sb.Eval(row).Equal(r.k) {
-				return false
-			}
-			continue
-		}
-		if !r.lb.Eval(row).Equal(r.rb.Eval(row)) {
-			return false
-		}
-	}
-	return true
-}
 
 // collectSigma runs the Σ pass: one more scan of the materialized result,
 // feeding every evaluable UDF term through an HLL sketch. Identity terms are
 // included — they are just another opaque function to the optimizer.
+//
+// On a sharded catalog the pass is a partial-Σ exchange: the result is
+// partitioned by its first column's hash — the storage layer's routing — and
+// every shard runs under its own KShard span. Every row is charged exactly
+// once whichever shard or worker visits it, and the per-worker sketches merge
+// register-wise (a per-register max), so budget totals and estimates are the
+// same for any partitioning.
 func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, budget *Budget, res *ExecResult) error {
 	p := e.eng.HLLPrecision
 	if p == 0 {
 		p = 14
 	}
-	type tracked struct {
-		term *query.Term
-		b    *expr.Binding
-		h    *sketch.HLL
-	}
-	var ts []tracked
+	var terms []*query.Term
 	for _, t := range q.Terms() {
-		if !t.Aliases.SubsetOf(n.Aliases()) {
-			continue
+		if t.Aliases.SubsetOf(n.Aliases()) && t.Fn.Evaluable(rel.Schema) {
+			terms = append(terms, t)
 		}
-		b, ok := t.Fn.Bind(rel.Schema)
-		if !ok {
-			continue
-		}
-		ts = append(ts, tracked{term: t, b: b, h: sketch.NewHLL(p)})
 	}
-	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(ts)))
-	if s := e.shardCount(); s > 1 && len(ts) > 0 {
-		// Partial-Σ exchange: one HLL pass per storage shard, merged
-		// register-wise. The register merge is a per-register max, so the
-		// merged estimates equal the single-sketch estimates for any S.
+	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(terms)))
+	parts := [][]table.Row{rel.Rows}
+	if s := e.shardCount(); s > 1 && len(terms) > 0 {
 		sp.SetNum("shards", float64(s))
-		terms := make([]*query.Term, len(ts))
-		for i, t := range ts {
-			terms[i] = t.term
-		}
-		merged, err := e.shardedSigma(sp, rel, terms, p, s, budget)
-		if err != nil {
-			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-			return err
-		}
-		if e.Metrics != nil {
-			e.Metrics.Counter("monsoon.exchange.sigma.partials").Add(int64(s))
-		}
-		for i := range ts {
-			ts[i].h = merged[i]
-		}
-	} else if w := e.workers(rel.Count()); w > 1 && len(ts) > 0 {
-		sp.SetNum("workers", float64(w))
-		terms := make([]*query.Term, len(ts))
-		for i, t := range ts {
-			terms[i] = t.term
-		}
-		merged, err := parallelSigma(rel, terms, p, budget, w, e.tracedRunner(sp))
-		if err != nil {
-			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-			return err
-		}
-		for i := range ts {
-			ts[i].h = merged[i]
-		}
-	} else {
+		parts = make([][]table.Row, s)
 		for _, row := range rel.Rows {
-			if err := budget.Charge(1); err != nil {
-				sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-				return err
-			}
-			for _, t := range ts {
-				v := t.b.Eval(row)
-				if v.IsNull() {
-					continue
-				}
-				t.h.Add(v.Hash())
-			}
+			h := row[0].Hash() % uint64(s)
+			parts[h] = append(parts[h], row)
 		}
+	}
+	sharded := len(parts) > 1
+	states, _ := newPool(e, func() (*sigmaState, error) { return newSigmaState(terms, rel.Schema, p), nil })
+	for si, part := range parts {
+		op := sp
+		if sharded {
+			op = e.Obs.StartChild(sp, obs.KShard, fmt.Sprintf("s%d", si)).SetRows(len(part), len(terms))
+		}
+		err := states.run(op, len(part), e.workers(len(part)), func(st *sigmaState, lo, hi int) error {
+			return st.sigmaRows(part[lo:hi], budget)
+		})
+		if err != nil {
+			if sharded {
+				op.SetStr("err", err.Error()).End()
+			}
+			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
+			return err
+		}
+		if sharded {
+			op.End()
+		}
+	}
+	if sharded && e.Metrics != nil {
+		e.Metrics.Counter("monsoon.exchange.sigma.partials").Add(int64(len(parts)))
 	}
 	res.Produced += float64(rel.Count()) // the extra pass, §4.4
-	for _, t := range ts {
-		res.Sigma = append(res.Sigma, SigmaObs{Term: t.term.ID, Expr: n.Key(), D: t.h.Estimate()})
+	for i, t := range terms {
+		h := states.states[0].hs[i]
+		for _, st := range states.states[1:] {
+			h.Merge(st.hs[i])
+		}
+		res.Sigma = append(res.Sigma, SigmaObs{Term: t.ID, Expr: n.Key(), D: h.Estimate()})
 	}
-	sp.SetRows(rel.Count(), len(ts)).SetProduced(float64(rel.Count())).End()
+	sp.SetRows(rel.Count(), len(terms)).SetProduced(float64(rel.Count())).End()
 	return nil
 }
 

@@ -1,0 +1,308 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"monsoon/internal/expr"
+	"monsoon/internal/obs"
+	"monsoon/internal/plan"
+	"monsoon/internal/query"
+	"monsoon/internal/table"
+	"monsoon/internal/value"
+)
+
+var (
+	matrixSeeds   = []int64{1, 42}
+	matrixBatches = []int{1, 7, 4096, -1}
+	matrixWorkers = []int{1, 2, 7}
+	matrixShards  = []int{1, 2, 4, 16}
+)
+
+// matrixCatalog generates four tables whose first column is a join key drawn
+// from a shared domain, with NULLs and duplicates: A is large enough
+// (≥ 8,192 rows) that scans, probes and Σ passes over it fan out at w > 1 —
+// and a build over it does even after the selection f = 0, which keeps seven
+// rows in ten — B large enough that a build over it does, C and D small
+// enough to cross.
+func matrixCatalog(seed int64, shards int) *table.Catalog {
+	rng := rand.New(rand.NewSource(seed))
+	cat := table.NewCatalog()
+	for _, spec := range []struct {
+		name string
+		rows int
+	}{
+		{"A", 8192 + rng.Intn(1000)},
+		{"B", 4500 + rng.Intn(600)},
+		{"C", 40 + rng.Intn(30)},
+		{"D", 300 + rng.Intn(200)},
+	} {
+		b := table.NewBuilder(spec.name, table.NewSchema(
+			table.Column{Table: spec.name, Name: "k", Kind: value.KindInt},
+			table.Column{Table: spec.name, Name: "v", Kind: value.KindInt},
+			table.Column{Table: spec.name, Name: "f", Kind: value.KindInt},
+		))
+		for i := 0; i < spec.rows; i++ {
+			k := value.Int(int64(rng.Intn(2400)))
+			if rng.Intn(20) == 0 {
+				k = value.Null()
+			}
+			f := 0
+			if rng.Intn(10) >= 7 {
+				f = 1 + rng.Intn(9)
+			}
+			b.Add(k, value.Int(int64(rng.Intn(50))), value.Int(int64(f)))
+		}
+		cat.Put(b.Build())
+	}
+	cat.Shard(shards)
+	return cat
+}
+
+// matrixCase is a sequence of trees run on one Exec scope, so a later tree
+// can reuse what an earlier one materialized.
+type matrixCase struct {
+	name  string
+	q     *query.Query
+	trees []*plan.Node
+}
+
+func matrixCases() []matrixCase {
+	ab := query.NewBuilder("ab").Rel("a", "A").Rel("b", "B").
+		Join(expr.Identity("a.k"), expr.Identity("b.k")).
+		Join(expr.HashMod("a.v", 3), expr.HashMod("b.v", 3)).
+		MustBuild()
+	baSel := query.NewBuilder("basel").Rel("a", "A").Rel("b", "B").
+		Join(expr.Identity("b.k"), expr.Identity("a.k")).
+		Select(expr.Identity("a.f"), value.Int(0)).
+		MustBuild()
+	dc := query.NewBuilder("dc").Rel("d", "D").Rel("c", "C").
+		Select(expr.SumMod("d.v", "c.v", 7), value.Int(3)).
+		MustBuild()
+	abc := query.NewBuilder("abc").Rel("a", "A").Rel("b", "B").Rel("c", "C").
+		Join(expr.Identity("a.k"), expr.Identity("b.k")).
+		Join(expr.Identity("c.k"), expr.Identity("a.k")).
+		MustBuild()
+	return []matrixCase{
+		// Hash join with a residual under a Σ root; b is an unfiltered
+		// co-partitioned build leaf, handed over without a drain at S > 1.
+		{"residual-sigma", ab, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b")).WithSigma()}},
+		// A pushed-down selection on the co-partitioned build leaf.
+		{"filtered-build", baSel, []*plan.Node{plan.NewJoin(leaf("b"), leaf("a"))}},
+		// No predicate separates d and c: a nested loop with a residual.
+		{"nested-loop", dc, []*plan.Node{plan.NewJoin(leaf("d"), leaf("c"))}},
+		// b is materialized first and then reused as the build side, which
+		// the storage layout no longer serves: a reshuffle at S > 1.
+		{"reuse", ab, []*plan.Node{leaf("b"), plan.NewJoin(leaf("a"), leaf("b"))}},
+		// The build side is itself a join, probed by a small table.
+		{"right-deep", abc, []*plan.Node{plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))}},
+		// A Σ pass over enough rows to fan out.
+		{"sigma-leaf", ab, []*plan.Node{leaf("a").WithSigma()}},
+	}
+}
+
+// spanSig is what the matrix pins of one span. IDs are compared as ranks
+// among the retained spans, since the dropped kinds consume IDs too.
+type spanSig struct {
+	Kind, Name      string
+	ID, Parent      int
+	RowsIn, RowsOut int
+	Produced        float64
+	Num             map[string]float64
+	Str             map[string]string
+}
+
+// configAttrs are the span attributes that describe how an operator's loop
+// was spread over workers and shards, not what it computed.
+var configAttrs = map[string]bool{
+	"workers": true, "worker_spans": true, "shards": true, "local": true, "exchange_rows": true,
+}
+
+// spanSigs reduces a span stream, in emission order, to the part that must
+// not depend on batch size, worker count or shard layout: everything but the
+// KWorker and KShard spans and the configAttrs.
+func spanSigs(spans []*obs.Span) []spanSig {
+	var ids []int
+	for _, sp := range spans {
+		if sp.Kind != obs.KWorker && sp.Kind != obs.KShard {
+			ids = append(ids, sp.ID)
+		}
+	}
+	sort.Ints(ids)
+	rank := make(map[int]int, len(ids))
+	for i, id := range ids {
+		rank[id] = i + 1
+	}
+	var out []spanSig
+	for _, sp := range spans {
+		if rank[sp.ID] == 0 {
+			continue
+		}
+		sig := spanSig{Kind: sp.Kind, Name: sp.Name, ID: rank[sp.ID], Parent: rank[sp.Parent],
+			RowsIn: sp.RowsIn, RowsOut: sp.RowsOut, Produced: sp.Produced,
+			Num: map[string]float64{}, Str: sp.Str}
+		for k, v := range sp.Num {
+			if !configAttrs[k] {
+				sig.Num[k] = v
+			}
+		}
+		out = append(out, sig)
+	}
+	return out
+}
+
+// matrixRun is everything one cell observed.
+type matrixRun struct {
+	Rows     [][]table.Row
+	Produced []float64
+	Counts   []map[string]float64
+	Sigma    [][]SigmaObs
+	Budget   float64
+	Spans    []spanSig
+}
+
+// runMatrixCase runs one cell and also reports whether any operator in it
+// fanned out over more than one worker.
+func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par int) (run matrixRun, fanned bool) {
+	t.Helper()
+	col := &obs.Collector{}
+	ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), BatchSize: batch, Parallelism: par})
+	budget := &Budget{}
+	for _, tree := range mc.trees {
+		rel, res, err := ex.ExecTree(mc.q, tree, budget)
+		if err != nil {
+			t.Fatalf("%s %s: %v", mc.name, tree, err)
+		}
+		run.Rows = append(run.Rows, rel.Rows)
+		run.Produced = append(run.Produced, res.Produced)
+		run.Counts = append(run.Counts, res.Counts)
+		run.Sigma = append(run.Sigma, res.Sigma)
+	}
+	run.Budget = budget.Produced()
+	run.Spans = spanSigs(col.Spans)
+	return run, len(col.SpansOf(obs.KWorker)) > 0
+}
+
+// TestEngineConfigMatrix is the engine's one-path guarantee: how an
+// operator's loop is spread over batches, workers and shard layouts changes
+// nothing an optimizer or a client can observe. Every cell of BatchSize ×
+// Parallelism × shard count must equal the (-1, 1, 1) reference in rows and
+// their order, Produced, Counts, Σ observations, the budget total and the
+// span stream (less the configuration-dependent spans and attributes), and a
+// tuple budget that trips mid-tree must abort every cell the same way.
+func TestEngineConfigMatrix(t *testing.T) {
+	t.Run("bad-column", matrixBadColumn)
+	seeds := matrixSeeds
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	fanned := false
+	for _, seed := range seeds {
+		cats := make(map[int]*table.Catalog)
+		for _, s := range matrixShards {
+			cats[s] = matrixCatalog(seed, s)
+		}
+		for _, mc := range matrixCases() {
+			ref, _ := runMatrixCase(t, cats[1], mc, -1, 1)
+			if n := len(ref.Rows[len(ref.Rows)-1]); n == 0 {
+				t.Fatalf("seed %d %s: empty reference answer proves nothing", seed, mc.name)
+			}
+			for _, s := range matrixShards {
+				for _, batch := range matrixBatches {
+					for _, par := range matrixWorkers {
+						cell := fmt.Sprintf("seed %d %s S=%d batch=%d par=%d", seed, mc.name, s, batch, par)
+						got, wide := runMatrixCase(t, cats[s], mc, batch, par)
+						fanned = fanned || wide
+						if !reflect.DeepEqual(got.Spans, ref.Spans) {
+							t.Errorf("%s: span stream differs from the reference\n got %+v\nwant %+v", cell, got.Spans, ref.Spans)
+							got.Spans = ref.Spans
+						}
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("%s: rows, Produced, Counts, Σ or budget total differ from the reference", cell)
+						}
+						checkBudgetAbort(t, cell, cats[s], mc, batch, par, ref)
+					}
+				}
+			}
+		}
+	}
+	if !fanned {
+		t.Error("no cell fanned out: the matrix never ran an operator at w > 1")
+	}
+}
+
+// checkBudgetAbort caps the tuple budget at half of what the case's last
+// tree needs, which falls inside one of its operators: the run must fail with
+// ErrBudget, record no cardinality for the aborted root, and record only
+// complete cardinalities below it.
+func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCase, batch, par int, ref matrixRun) {
+	t.Helper()
+	last := len(mc.trees) - 1
+	tree := mc.trees[last].WithoutSigma()
+	need := ref.Produced[last]
+	if mc.trees[last].Sigma {
+		need -= float64(len(ref.Rows[last]))
+	}
+	ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+	for _, earlier := range mc.trees[:last] {
+		if _, _, err := ex.ExecTree(mc.q, earlier, &Budget{}); err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+	}
+	_, res, err := ex.ExecTree(mc.q, tree, &Budget{MaxTuples: need / 2})
+	if !errors.Is(err, ErrBudget) {
+		t.Errorf("%s capped: err = %v, want ErrBudget", cell, err)
+		return
+	}
+	if _, ok := res.Counts[tree.Key()]; ok {
+		t.Errorf("%s capped: aborted root recorded a cardinality", cell)
+	}
+	for key, n := range res.Counts {
+		if n != ref.Counts[last][key] {
+			t.Errorf("%s capped: truncated cardinality %v for %s, complete is %v", cell, n, key, ref.Counts[last][key])
+		}
+	}
+}
+
+// matrixBadColumn: a predicate over a column that does not exist is a
+// per-query error, the same one on every shard layout — whether it is a
+// residual at the join (where the co-partitioned build leaf has already
+// opened) or a selection pushed down to that leaf.
+func matrixBadColumn(t *testing.T) {
+	queries := map[string]*query.Query{
+		"residual": query.NewBuilder("badres").Rel("a", "A").Rel("b", "B").
+			Join(expr.Identity("a.k"), expr.Identity("b.k")).
+			Join(expr.Identity("b.nosuch"), expr.Identity("a.nosuch2")).
+			MustBuild(),
+		"selection": query.NewBuilder("badsel").Rel("a", "A").Rel("b", "B").
+			Join(expr.Identity("a.k"), expr.Identity("b.k")).
+			Select(expr.Identity("b.nosuch"), value.Int(1)).
+			MustBuild(),
+	}
+	tree := plan.NewJoin(leaf("a"), leaf("b"))
+	for name, q := range queries {
+		var want string
+		for _, s := range []int{1, 4} {
+			for _, par := range matrixWorkers {
+				ex := New(matrixCatalog(1, s)).NewExec(ExecConfig{Parallelism: par})
+				_, res, err := ex.ExecTree(q, tree, &Budget{})
+				if err == nil {
+					t.Fatalf("%s S=%d par=%d: no error", name, s, par)
+				}
+				if want == "" {
+					want = err.Error()
+				}
+				if err.Error() != want {
+					t.Errorf("%s S=%d par=%d: error %q, want %q", name, s, par, err, want)
+				}
+				if len(res.Counts) != 0 {
+					t.Errorf("%s S=%d par=%d: failed open recorded cardinalities %v", name, s, par, res.Counts)
+				}
+			}
+		}
+	}
+}

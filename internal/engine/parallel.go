@@ -1,12 +1,14 @@
-// Parallel execution paths for the engine's partitionable operators: filter
-// scans, both sides of hash joins (partitioned build, partitioned probe),
-// the nested-loop/cross-product fallback, and the Σ statistics pass. All
-// follow the same recipe — split the input into contiguous chunks, give
-// every worker its own bindings, scratch row, and output buffer, and stitch
-// (or merge) the buffers back together in input order — so a parallel run is
-// bit-identical to the serial one: same row order, same hash-table chain
-// order, same Σ sketch estimates (HLL register merge is order-independent),
-// same budget totals. Only wall time changes.
+// Row kernels and the one fan-out that spreads them over workers. Every
+// partitionable operator — filter scan, hash build, hash probe, nested loop,
+// Σ pass — is written once as a kernel over a contiguous range of its input
+// plus a per-worker state (bindings, scratch row, output buffer, sketches),
+// and runs through fanOut: the input splits into w contiguous chunks, each
+// worker fills its own state, and the states are stitched (or merged) back in
+// chunk order. That order is exactly what a single pass would have produced,
+// so a run is bit-identical at every worker count: same row order, same
+// hash-table chain order, same Σ estimates (the HLL register merge is
+// order-independent), same budget totals. Only wall time changes. One worker
+// is not a separate path — it is the same kernel called inline.
 package engine
 
 import (
@@ -17,9 +19,11 @@ import (
 
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
+	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/sketch"
 	"monsoon/internal/table"
+	"monsoon/internal/value"
 )
 
 const (
@@ -31,10 +35,9 @@ const (
 	parallelMinChunk = 1024
 )
 
-// workers resolves the engine's Parallelism knob for an operator over n input
-// rows: 0 means runtime.GOMAXPROCS(0), 1 forces the serial legacy path, and
-// any setting degrades to 1 when the input is too small to be worth
-// splitting.
+// workers resolves the Parallelism knob for an operator over n input rows:
+// 0 means runtime.GOMAXPROCS(0), and any setting degrades to 1 when the input
+// is too small to be worth splitting.
 func (e *Exec) workers(n int) int {
 	w := e.Parallelism
 	if w <= 0 {
@@ -66,26 +69,55 @@ func splitRows(n, w int) [][2]int {
 	return out
 }
 
-// workerRunner fans a partitioned loop body out over w workers over n rows.
-// runWorkers is the plain implementation; Exec.tracedRunner layers
-// per-worker spans on top of the same fan-out.
-type workerRunner func(n, w int, fn func(worker, lo, hi int) error) error
-
-// runWorkers fans fn out over w contiguous partitions of n rows and returns
-// the error of the lowest-numbered failing partition (deterministic even when
-// several workers trip the budget at once).
-func runWorkers(n, w int, fn func(worker, lo, hi int) error) error {
+// fanOut runs fn over w contiguous partitions of n rows and returns the error
+// of the lowest-numbered failing partition (deterministic even when several
+// workers trip the budget at once). One worker runs inline on the caller's
+// goroutine and leaves no trace. Wider fan-outs record, when tracing is on,
+// one KWorker span per partition under op, the first fan-out's width as op's
+// "workers" attribute and the running span total as "worker_spans" (streaming
+// operators fan out once per large-enough batch). Span IDs stay deterministic
+// because the coordinator creates every worker span before the goroutines
+// launch and ends them in index order after the barrier; each span's duration
+// is the worker's own measured busy time, not the coordinator's wall clock.
+// Worker counts follow GOMAXPROCS, which is why KWorker is the one
+// machine-dependent span kind.
+func (e *Exec) fanOut(op *obs.Span, n, w int, fn func(worker, lo, hi int) error) error {
+	if w <= 1 {
+		return fn(0, 0, n)
+	}
 	parts := splitRows(n, w)
+	var spans []*obs.Span
+	if op != nil {
+		// Only this coordinating goroutine ever annotates an operator span,
+		// so reading the attribute map back needs no lock.
+		if _, seen := op.Num["workers"]; !seen {
+			op.SetNum("workers", float64(w))
+		}
+		op.AddNum("worker_spans", float64(w))
+		spans = make([]*obs.Span, w)
+		for i, p := range parts {
+			spans[i] = e.Obs.StartChild(op, obs.KWorker, fmt.Sprintf("w%d", i)).SetRows(p[1]-p[0], 0)
+		}
+	}
+	elapsed := make([]time.Duration, w)
 	errs := make([]error, w)
 	var wg sync.WaitGroup
 	for i, p := range parts {
 		wg.Add(1)
-		go func(i, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i, lo, hi)
-		}(i, p[0], p[1])
+			t0 := time.Now()
+			errs[i] = fn(i, p[0], p[1])
+			elapsed[i] = time.Since(t0)
+		}()
 	}
 	wg.Wait()
+	for i, sp := range spans {
+		if errs[i] != nil {
+			sp.SetStr("err", errs[i].Error())
+		}
+		sp.EndIn(elapsed[i])
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -94,229 +126,430 @@ func runWorkers(n, w int, fn func(worker, lo, hi int) error) error {
 	return nil
 }
 
-// tracedRunner returns the worker runner for one parallel operator: plain
-// runWorkers when tracing is off, otherwise a fan-out that records one
-// KWorker span per partition under the operator's span. Span IDs stay
-// deterministic because the coordinator pre-creates every worker span before
-// the goroutines launch and ends them in index order after the barrier; each
-// span's duration is the worker's own measured busy time (EndIn), not the
-// coordinator's wall clock. Worker *counts* still follow GOMAXPROCS, which is
-// why KWorker is the one machine-dependent span kind.
-func (e *Exec) tracedRunner(op *obs.Span) workerRunner {
-	if op == nil || !e.Obs.Active() {
-		return runWorkers
-	}
-	return func(n, w int, fn func(worker, lo, hi int) error) error {
-		parts := splitRows(n, w)
-		// Streaming operators fan out once per large-enough batch, so the
-		// operator span accumulates its total worker-span count here (the
-		// "workers" attribute records only the first fan-out's width).
-		op.AddNum("worker_spans", float64(len(parts)))
-		spans := make([]*obs.Span, len(parts))
-		for i, p := range parts {
-			spans[i] = e.Obs.StartChild(op, obs.KWorker, fmt.Sprintf("w%d", i)).
-				SetRows(p[1]-p[0], 0)
-		}
-		elapsed := make([]time.Duration, len(parts))
-		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
-		for i, p := range parts {
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				t0 := time.Now()
-				errs[i] = fn(i, lo, hi)
-				elapsed[i] = time.Since(t0)
-			}(i, p[0], p[1])
-		}
-		wg.Wait()
-		for i, sp := range spans {
-			if errs[i] != nil {
-				sp.SetStr("err", errs[i].Error())
-			}
-			sp.EndIn(elapsed[i])
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// pool holds one operator's per-worker states. Bindings carry evaluation
+// scratch and must not be shared, so every worker index owns a state; it is
+// made at first use and kept for the operator's lifetime, however many
+// batches fan out through it. State 0 is made when the operator opens, which
+// is where an unbindable predicate is reported.
+type pool[S any] struct {
+	e      *Exec
+	mk     func() (*S, error)
+	states []*S
 }
 
-// stitch concatenates per-worker output buffers in partition order, which is
-// exactly the order the serial loop would have produced.
-func stitch(bufs [][]table.Row) []table.Row {
+func newPool[S any](e *Exec, mk func() (*S, error)) (*pool[S], error) {
+	st, err := mk()
+	if err != nil {
+		return nil, err
+	}
+	return &pool[S]{e: e, mk: mk, states: []*S{st}}, nil
+}
+
+// run spreads kernel over n rows on w workers, each with its own state; the
+// caller reads the results back from states[:w].
+func (p *pool[S]) run(op *obs.Span, n, w int, kernel func(st *S, lo, hi int) error) error {
+	for len(p.states) < w {
+		st, _ := p.mk() // state 0 proved every binding resolves
+		p.states = append(p.states, st)
+	}
+	return p.e.fanOut(op, n, w, func(worker, lo, hi int) error {
+		return kernel(p.states[worker], lo, hi)
+	})
+}
+
+// stitch concatenates w per-worker output buffers in partition order, which
+// is exactly the order a single pass would have produced. One buffer is
+// returned as is: it stays valid until its worker's next run, which is as
+// long as the rowIter contract lets a consumer hold a batch.
+func stitch(w int, buf func(worker int) []table.Row) []table.Row {
+	if w == 1 {
+		return buf(0)
+	}
 	total := 0
-	for _, b := range bufs {
-		total += len(b)
+	for i := 0; i < w; i++ {
+		total += len(buf(i))
 	}
 	out := make([]table.Row, 0, total)
-	for _, b := range bufs {
-		out = append(out, b...)
+	for i := 0; i < w; i++ {
+		out = append(out, buf(i)...)
 	}
 	return out
 }
 
-// bindSels resolves every pushed-down selection against a schema. Bindings
-// hold per-evaluation scratch, so each worker binds its own set.
-func bindSels(sels []*query.SelPred, s *table.Schema) ([]boundSel, bool) {
-	bound := make([]boundSel, 0, len(sels))
+// boundSel is one pushed-down selection bound to a concrete schema.
+type boundSel struct {
+	b *expr.Binding
+	k value.Value
+}
+
+// filterState is one worker's side of a filter scan.
+type filterState struct {
+	bound []boundSel
+	out   []table.Row
+}
+
+func newFilterState(sels []*query.SelPred, s *table.Schema) (*filterState, error) {
+	st := &filterState{bound: make([]boundSel, 0, len(sels))}
 	for _, sel := range sels {
 		b, ok := sel.T.Fn.Bind(s)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("engine: selections not bindable on %s", s)
 		}
-		bound = append(bound, boundSel{b: b, k: sel.Const})
+		st.bound = append(st.bound, boundSel{b: b, k: sel.Const})
 	}
-	return bound, true
+	return st, nil
 }
 
-// rebindResiduals gives a worker its own residual bindings over the output
-// schema (the shared ones carry scratch buffers and must not be shared).
-func rebindResiduals(residuals []residual, s *table.Schema) []residual {
-	if len(residuals) == 0 {
-		return nil
+func (st *filterState) keep(row table.Row) bool {
+	for _, s := range st.bound {
+		if !s.b.Eval(row).Equal(s.k) {
+			return false
+		}
 	}
-	out := make([]residual, len(residuals))
-	for i, r := range residuals {
-		if r.sb != nil {
-			sb, _ := r.sb.UDF().Bind(s)
-			out[i] = residual{sb: sb, k: r.k}
+	return true
+}
+
+// filterRows leaves in st.out the rows that pass every selection, charging
+// one tuple per kept row. On a budget error st.out holds what was kept so
+// far, the row that tripped the budget included.
+func (st *filterState) filterRows(rows []table.Row, budget *Budget) error {
+	if st.out == nil {
+		st.out = make([]table.Row, 0, len(rows)/4+1)
+	}
+	out := st.out[:0]
+	var err error
+	for _, row := range rows {
+		if !st.keep(row) {
 			continue
 		}
-		lb, _ := r.lb.UDF().Bind(s)
-		rb, _ := r.rb.UDF().Bind(s)
-		out[i] = residual{lb: lb, rb: rb}
+		out = append(out, row)
+		if err = budget.Charge(1); err != nil {
+			break
+		}
 	}
-	return out
+	st.out = out
+	return err
 }
 
-// parallelFilter is the fan-out version of execLeaf's selection scan: chunked
-// input, per-worker bindings and buffers, outputs stitched in input order.
-// Every binding was validated by the caller, so worker rebinds cannot fail.
-func parallelFilter(base *table.Relation, sels []*query.SelPred, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
-	bufs := make([][]table.Row, w)
-	err := run(base.Count(), w, func(worker, lo, hi int) error {
-		bound, _ := bindSels(sels, base.Schema)
-		out := make([]table.Row, 0, (hi-lo)/4+1)
-		for _, row := range base.Rows[lo:hi] {
-			keep := true
-			for _, s := range bound {
-				if !s.b.Eval(row).Equal(s.k) {
-					keep = false
-					break
-				}
+// residual is a predicate evaluated per joined row pair.
+type residual struct {
+	lb, rb *expr.Binding // join predicate sides (nil for selections)
+	sb     *expr.Binding // selection term
+	k      value.Value   // selection constant
+}
+
+func passResiduals(row table.Row, residuals []residual) bool {
+	for _, r := range residuals {
+		if r.sb != nil {
+			if !r.sb.Eval(row).Equal(r.k) {
+				return false
 			}
-			if keep {
-				out = append(out, row)
-				if err := budget.Charge(1); err != nil {
-					bufs[worker] = out
+			continue
+		}
+		if !r.lb.Eval(row).Equal(r.rb.Eval(row)) {
+			return false
+		}
+	}
+	return true
+}
+
+// joinSpec is what a join node resolves when it opens and what every worker
+// state of its iterator binds against: the hash predicate's two terms (nil
+// for a nested loop), the residual predicates, and the schemas they bind on.
+type joinSpec struct {
+	node                 *plan.Node
+	probeTerm, buildTerm *query.Term
+	preds                []*query.JoinPred // residual join predicates
+	sels                 []*query.SelPred  // residual selections
+	left, right, out     *table.Schema
+}
+
+// pickHash chooses the hash predicate among the join's new predicates — the
+// first whose sides bind to opposite children — and leaves the others as
+// residuals, evaluated over the concatenated row. The build side is always
+// the right child: the left side streams, so its cardinality is unknown until
+// drained and building on the smaller side is not an option.
+func (j *joinSpec) pickHash(preds []*query.JoinPred) {
+	l, r := j.node.Left.Aliases(), j.node.Right.Aliases()
+	j.preds = preds
+	for i, p := range preds {
+		switch {
+		case p.L.Aliases.SubsetOf(l) && p.R.Aliases.SubsetOf(r):
+			j.probeTerm, j.buildTerm = p.L, p.R
+		case p.L.Aliases.SubsetOf(r) && p.R.Aliases.SubsetOf(l):
+			j.probeTerm, j.buildTerm = p.R, p.L
+		default:
+			continue
+		}
+		j.preds = append(append([]*query.JoinPred(nil), preds[:i]...), preds[i+1:]...)
+		return
+	}
+}
+
+// joinState is one worker's side of a hash probe or nested loop.
+type joinState struct {
+	pb        *expr.Binding // probe key over the left schema; nil in a nested loop
+	residuals []residual
+	scratch   table.Row
+	out       []table.Row
+	in        int // left rows probed, or row pairs scanned, over the state's lifetime
+}
+
+// newJoinState binds one worker's predicates; the first call per join is
+// where an unbindable predicate or hash term is reported.
+func newJoinState(j *joinSpec) (*joinState, error) {
+	st := &joinState{scratch: make(table.Row, len(j.out.Cols))}
+	for _, p := range j.preds {
+		lb, ok1 := p.L.Fn.Bind(j.out)
+		rb, ok2 := p.R.Fn.Bind(j.out)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("engine: predicate %s not bindable at %s", p, j.node)
+		}
+		st.residuals = append(st.residuals, residual{lb: lb, rb: rb})
+	}
+	for _, s := range j.sels {
+		sb, ok := s.T.Fn.Bind(j.out)
+		if !ok {
+			return nil, fmt.Errorf("engine: selection %s not bindable at %s", s, j.node)
+		}
+		st.residuals = append(st.residuals, residual{sb: sb, k: s.Const})
+	}
+	if j.probeTerm == nil {
+		return st, nil
+	}
+	if !j.buildTerm.Fn.Evaluable(j.right) {
+		return nil, fmt.Errorf("engine: term %s not bindable on build side", j.buildTerm)
+	}
+	pb, ok := j.probeTerm.Fn.Bind(j.left)
+	if !ok {
+		return nil, fmt.Errorf("engine: term %s not bindable on probe side", j.probeTerm)
+	}
+	st.pb = pb
+	return st, nil
+}
+
+// emit appends a copy of the scratch row to the output and charges it.
+func (st *joinState) emit(budget *Budget) error {
+	joined := make(table.Row, len(st.scratch))
+	copy(joined, st.scratch)
+	st.out = append(st.out, joined)
+	return budget.Charge(1)
+}
+
+// probeRows joins each probe row with its matches in the hash table, in
+// probe order. NULL keys never match.
+func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budget *Budget) error {
+	st.out = st.out[:0]
+	for _, prow := range probe {
+		st.in++
+		// Matchless probes produce nothing; poll the deadline anyway.
+		if err := budget.Charge(0); err != nil {
+			return err
+		}
+		k := st.pb.Eval(prow)
+		if k.IsNull() {
+			continue
+		}
+		for _, b := range ht.chains(k.Hash()) {
+			if !b.key.Equal(k) {
+				continue
+			}
+			for _, bi := range b.rows {
+				copy(st.scratch, prow)
+				copy(st.scratch[len(prow):], build[bi])
+				if !passResiduals(st.scratch, st.residuals) {
+					continue
+				}
+				if err := st.emit(budget); err != nil {
 					return err
 				}
 			}
 		}
-		bufs[worker] = out
-		return nil
-	})
-	return stitch(bufs), err
+	}
+	return nil
 }
 
-// parallelProbe is the fan-out version of the hash-join probe loop: the hash
-// table is shared read-only, the probe side is chunked, and per-worker output
-// buffers are stitched back in probe order.
-func parallelProbe(buildRel, probeRel *table.Relation, ht *shardedTable, pTerm *query.Term,
-	residuals []residual, outSchema *table.Schema, leftIsBuild bool, budget *Budget, w int, run workerRunner) ([]table.Row, error) {
-	bufs := make([][]table.Row, w)
-	err := run(probeRel.Count(), w, func(worker, lo, hi int) error {
-		pb, _ := pTerm.Fn.Bind(probeRel.Schema)
-		res := rebindResiduals(residuals, outSchema)
-		scratch := make(table.Row, len(outSchema.Cols))
-		var out []table.Row
-		for _, prow := range probeRel.Rows[lo:hi] {
-			// Matchless probes produce nothing; poll the deadline anyway.
-			if err := budget.Charge(0); err != nil {
-				bufs[worker] = out
-				return err
-			}
-			k := pb.Eval(prow)
-			if k.IsNull() {
+// loopRows computes the filtered product of the outer rows with the whole
+// inner side, outer-major.
+func (st *joinState) loopRows(outer, inner []table.Row, budget *Budget) error {
+	st.out = st.out[:0]
+	for _, lrow := range outer {
+		copy(st.scratch, lrow)
+		for _, rrow := range inner {
+			st.in++
+			copy(st.scratch[len(lrow):], rrow)
+			if !passResiduals(st.scratch, st.residuals) {
+				// Even rejected pairs consume work; poll the deadline with a
+				// zero charge.
+				if err := budget.Charge(0); err != nil {
+					return err
+				}
 				continue
 			}
-			for _, b := range ht.chains(k.Hash()) {
-				if !b.key.Equal(k) {
-					continue
-				}
-				for _, bi := range b.rows {
-					brow := buildRel.Rows[bi]
-					var lrow, rrow table.Row
-					if leftIsBuild {
-						lrow, rrow = brow, prow
-					} else {
-						lrow, rrow = prow, brow
-					}
-					copy(scratch, lrow)
-					copy(scratch[len(lrow):], rrow)
-					if !passResiduals(scratch, res) {
-						continue
-					}
-					joined := make(table.Row, len(scratch))
-					copy(joined, scratch)
-					out = append(out, joined)
-					if err := budget.Charge(1); err != nil {
-						bufs[worker] = out
-						return err
-					}
-				}
-			}
-		}
-		bufs[worker] = out
-		return nil
-	})
-	return stitch(bufs), err
-}
-
-// parallelBuild is the partitioned hash-join build: each worker hashes a
-// contiguous chunk of the build side (global row indices) into a private
-// sub-table, and the sub-tables are merged bucket-wise in worker order.
-// Because chunks are contiguous and ascending, worker-order merging restores
-// both serial invariants exactly — collision chains in global
-// first-occurrence order, per-bucket row lists ascending — so the merged
-// table is identical to the one the serial loop builds. Returns the table
-// and the number of non-NULL keys inserted.
-func parallelBuild(buildRel *table.Relation, bTerm *query.Term, budget *Budget, w int, run workerRunner) (hashTable, int, error) {
-	subs := make([]hashTable, w)
-	ins := make([]int, w)
-	err := run(buildRel.Count(), w, func(worker, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		ht := make(hashTable, hi-lo)
-		for j, row := range buildRel.Rows[lo:hi] {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				subs[worker] = ht
+			if err := st.emit(budget); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// sigmaState is one worker's side of the Σ pass: a binding and a sketch per
+// tracked term, in the pass's term order.
+type sigmaState struct {
+	bs []*expr.Binding
+	hs []*sketch.HLL
+}
+
+func newSigmaState(terms []*query.Term, s *table.Schema, p uint8) *sigmaState {
+	st := &sigmaState{bs: make([]*expr.Binding, len(terms)), hs: make([]*sketch.HLL, len(terms))}
+	for i, t := range terms {
+		st.bs[i], _ = t.Fn.Bind(s) // the pass tracks only terms that bind
+		st.hs[i] = sketch.NewHLL(p)
+	}
+	return st
+}
+
+// sigmaRows charges every row (the extra pass, §4.4) and feeds each term's
+// non-NULL value to its sketch.
+func (st *sigmaState) sigmaRows(rows []table.Row, budget *Budget) error {
+	for _, row := range rows {
+		if err := budget.Charge(1); err != nil {
+			return err
+		}
+		for i, b := range st.bs {
+			v := b.Eval(row)
+			if v.IsNull() {
+				continue
+			}
+			st.hs[i].Add(v.Hash())
+		}
+	}
+	return nil
+}
+
+// keyFn yields build row i's join key and the key's full hash.
+type keyFn func(i int, row table.Row) (value.Value, uint64)
+
+// evalKey is the general key source: evaluate the build term, hash the value.
+// Each worker binds its own copy.
+func evalKey(term *query.Term, s *table.Schema) func() keyFn {
+	return func() keyFn {
+		bb, _ := term.Fn.Bind(s) // the join's first state proved it resolves
+		return func(_ int, row table.Row) (value.Value, uint64) {
 			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			ins[worker]++
-			ht.insert(k, lo+j)
+			return k, k.Hash()
 		}
-		subs[worker] = ht
-		return nil
+	}
+}
+
+// storedKey is the key source of a handed-over co-partitioned table: the
+// build term is the identity of the shard column, so row i's key is its first
+// column and the layout already cached its hash.
+func storedKey(sh *table.Sharded) func() keyFn {
+	return func() keyFn {
+		return func(i int, row table.Row) (value.Value, uint64) { return row[0], sh.RowHash[i] }
+	}
+}
+
+// buildSide is a join's collected right side. When it came from a
+// shard-major scan, bounds[si] is where storage shard si's rows end in the
+// shard-major sequence: the rows themselves, or — for a stored table handed
+// over in place — perm, the layout's permutation of indices into rows.
+type buildSide struct {
+	rows   []table.Row
+	bounds []int
+	perm   []int32
+}
+
+// buildState is one worker's side of a hash build: its own key source and
+// the table it inserts into.
+type buildState struct {
+	key      keyFn
+	t        *shardedTable
+	inserted int
+}
+
+// buildRows routes positions [lo,hi) of the build side into the state's
+// table under their row indices, skipping NULL keys. A position is a row
+// index, or an index into perm when one is given.
+func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budget *Budget) error {
+	s := uint64(len(st.t.subs))
+	for i := lo; i < hi; i++ {
+		// Building produces nothing but must still honor the deadline.
+		if err := budget.Charge(0); err != nil {
+			return err
+		}
+		ri := i
+		if perm != nil {
+			ri = int(perm[i])
+		}
+		k, h := st.key(ri, rows[ri])
+		if k.IsNull() {
+			continue
+		}
+		st.inserted++
+		st.t.subs[h%s].insertHash(h, k, ri)
+	}
+	return nil
+}
+
+// build hashes the build side into s sub-tables routed by the full key hash.
+// Each worker routes a contiguous chunk of the rows (global row indices) into
+// a private table, and the tables merge bucket-wise, sub-table by sub-table,
+// in worker order. Because chunks are contiguous and ascending, that merge
+// restores both invariants of a single pass exactly — collision chains in
+// global first-occurrence order, per-bucket row lists ascending — so the
+// table is the same at every w, and it probes the same at every s. One worker
+// is one sequential pass over the rows with nothing to merge; it does not
+// walk a co-partitioned side shard by shard, because the sequential pass is
+// the prefetchable one and measured faster than the strided shard-major walk
+// (EXPERIMENTS, PR 10).
+//
+// Several workers over a co-partitioned side (bounds set) split at storage
+// shard boundaries instead: every row of storage shard si routes to sub-table
+// si, so workers that own whole shards insert into one shared table without
+// meeting, and there is nothing to merge — the merge is what the chunked
+// split pays for, and on a side where every key recurs in every chunk it
+// costs a third of the build (EXPERIMENTS, PR 14). Within a shard, positions
+// ascend in row order, so chains and row lists come out the same again.
+// Returns the table and the number of non-NULL keys inserted.
+func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, s, w int, budget *Budget) (*shardedTable, int, error) {
+	owned := w > 1 && side.bounds != nil
+	units := len(side.rows)
+	var shared *shardedTable
+	if owned {
+		units, w = s, min(w, s)
+		shared = newShardedTable(s, len(side.rows))
+	}
+	parts := make([]*buildState, w)
+	err := e.fanOut(op, units, w, func(worker, lo, hi int) error {
+		st := &buildState{key: keyOf(), t: shared}
+		parts[worker] = st
+		if !owned {
+			st.t = newShardedTable(s, hi-lo)
+			return st.buildRows(side.rows, nil, lo, hi, budget)
+		}
+		from := 0
+		if lo > 0 {
+			from = side.bounds[lo-1]
+		}
+		return st.buildRows(side.rows, side.perm, from, side.bounds[hi-1], budget)
 	})
 	inserted := 0
-	for _, n := range ins {
-		inserted += n
+	for _, p := range parts {
+		inserted += p.inserted
 	}
 	if err != nil {
 		return nil, inserted, err
 	}
-	merged := subs[0]
-	for wi := 1; wi < w; wi++ {
-		mergeHashTables(merged, subs[wi])
+	merged := parts[0].t
+	if !owned {
+		for _, p := range parts[1:] {
+			for si, sub := range p.t.subs {
+				mergeHashTables(merged.subs[si], sub)
+			}
+		}
 	}
 	return merged, inserted, nil
 }
@@ -324,7 +557,7 @@ func parallelBuild(buildRel *table.Relation, bTerm *query.Term, budget *Budget, 
 // mergeHashTables folds src's chains into dst: row lists concatenate and
 // unseen buckets append after dst's. Correct only when every row index in
 // src exceeds every index in dst — contiguous ascending worker chunks —
-// which is how both parallel builds call it, worker by worker in order.
+// which is how the chunked build calls it, worker by worker in order.
 func mergeHashTables(dst, src hashTable) {
 	for h, chain := range src {
 		d := dst[h]
@@ -343,334 +576,4 @@ func mergeHashTables(dst, src hashTable) {
 		}
 		dst[h] = d
 	}
-}
-
-// parallelShardedBuild is the exchange-routed parallelBuild: each worker
-// hashes its contiguous chunk into a private shardedTable (routing every
-// key by its full hash), and the per-worker tables merge shard by shard in
-// worker order — the same ascending-chunk merge parallelBuild uses, applied
-// within each sub-table, so the result is identical to a serial routed
-// build, which in turn probes identically to the unsharded table.
-func parallelShardedBuild(buildRel *table.Relation, bTerm *query.Term, s int, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	subs := make([]*shardedTable, w)
-	ins := make([]int, w)
-	err := run(buildRel.Count(), w, func(worker, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		st := newShardedTable(s, hi-lo)
-		subs[worker] = st
-		for j, row := range buildRel.Rows[lo:hi] {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				return err
-			}
-			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			ins[worker]++
-			st.insert(k, lo+j)
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	merged := subs[0]
-	for wi := 1; wi < w; wi++ {
-		for si, sub := range subs[wi].subs {
-			mergeHashTables(merged.subs[si], sub)
-		}
-	}
-	return merged, inserted, nil
-}
-
-// shardLocalBuild is the zero-exchange build of a co-partitioned hash join.
-// The build rows arrived shard-major from the storage layout — bounds[si] is
-// the cumulative end of storage shard si's rows in buildRel — and within
-// storage shard si every key hashes to si mod S by construction (the shard
-// column IS the build key and storage routes by the same value hash). Each
-// sub-table therefore builds directly from its contiguous row range: no
-// per-row routing and, unlike the chunk-partitioned builds, no cross-worker
-// merge — workers own whole sub-tables, partitioned contiguously by shard
-// index. Insertion order within a sub-table is the global (ascending) row
-// order, so chains come out in first-occurrence order with ascending row
-// lists — identical to the serial routed build, which probes identically to
-// the unsharded table. Returns the table and the non-NULL insert count.
-func shardLocalBuild(buildRel *table.Relation, bounds []int, bTerm *query.Term, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	s := len(bounds)
-	if w > s {
-		w = s
-	}
-	if w < 1 {
-		w = 1
-	}
-	t := &shardedTable{subs: make([]hashTable, s)}
-	ins := make([]int, s)
-	err := run(s, w, func(_, lo, hi int) error {
-		bb, _ := bTerm.Fn.Bind(buildRel.Schema)
-		for si := lo; si < hi; si++ {
-			start := 0
-			if si > 0 {
-				start = bounds[si-1]
-			}
-			rows := buildRel.Rows[start:bounds[si]]
-			ht := make(hashTable, len(rows))
-			t.subs[si] = ht
-			for j, row := range rows {
-				// Building produces nothing but must still honor the deadline.
-				if err := budget.Charge(0); err != nil {
-					return err
-				}
-				k := bb.Eval(row)
-				if k.IsNull() {
-					continue
-				}
-				ins[si]++
-				ht.insertHash(k.Hash(), k, start+j)
-			}
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	return t, inserted, nil
-}
-
-// shardLocalBuildPerm is shardLocalBuild without the drain: when the
-// co-partitioned build leaf has no pushed-down selections, every stored row
-// survives the scan, so sub-tables build in place off the base relation,
-// inserting global row indices. The bit-identity argument is the same — all
-// rows of one key live in one shard and in-shard indices ascend, so every
-// bucket's chain and row list matches the serial unsharded build's — but no
-// row header is ever copied.
-//
-// coPartitioned guarantees the build term is the identity of the shard
-// column, so the key of row i is Rows[i][0] and its hash is the layout's
-// cached RowHash[i]; the build never re-runs the binding or FNV. Serially
-// it routes a single sequential pass over the stored rows (the prefetchable
-// access pattern the unsharded build enjoys); with workers each owns whole
-// sub-tables and walks its shards' permutation slices instead, trading
-// strided row reads for merge-free parallelism.
-func shardLocalBuildPerm(buildRel *table.Relation, sh *table.Sharded, budget *Budget, w int, run workerRunner) (*shardedTable, int, error) {
-	s := sh.NumShards()
-	if w > s {
-		w = s
-	}
-	if w < 1 {
-		w = 1
-	}
-	t := &shardedTable{subs: make([]hashTable, s)}
-	for si := 0; si < s; si++ {
-		t.subs[si] = make(hashTable, len(sh.Shard(si)))
-	}
-	if w == 1 {
-		inserted := 0
-		for i, row := range buildRel.Rows {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				return nil, inserted, err
-			}
-			k := row[0]
-			if k.IsNull() {
-				continue
-			}
-			inserted++
-			h := sh.RowHash[i]
-			t.subs[h%uint64(s)].insertHash(h, k, i)
-		}
-		return t, inserted, nil
-	}
-	ins := make([]int, s)
-	err := run(s, w, func(_, lo, hi int) error {
-		for si := lo; si < hi; si++ {
-			ht := t.subs[si]
-			for _, id := range sh.Shard(si) {
-				if err := budget.Charge(0); err != nil {
-					return err
-				}
-				row := buildRel.Rows[id]
-				k := row[0]
-				if k.IsNull() {
-					continue
-				}
-				ins[si]++
-				ht.insertHash(sh.RowHash[id], k, int(id))
-			}
-		}
-		return nil
-	})
-	inserted := 0
-	for _, n := range ins {
-		inserted += n
-	}
-	if err != nil {
-		return nil, inserted, err
-	}
-	return t, inserted, nil
-}
-
-// parallelNestedLoop fans the filtered-product scan out over contiguous
-// chunks of the outer (left) rows: per-worker residual bindings, scratch row,
-// and output buffer, stitched back in outer order — exactly the serial loop's
-// lrow-major output order. Returns the joined rows and the number of row
-// pairs scanned.
-func parallelNestedLoop(left, right *table.Relation, residuals []residual,
-	outSchema *table.Schema, budget *Budget, w int, run workerRunner) ([]table.Row, int, error) {
-	bufs := make([][]table.Row, w)
-	pairsBy := make([]int, w)
-	err := run(left.Count(), w, func(worker, lo, hi int) error {
-		res := rebindResiduals(residuals, outSchema)
-		scratch := make(table.Row, len(outSchema.Cols))
-		var out []table.Row
-		for _, lrow := range left.Rows[lo:hi] {
-			copy(scratch, lrow)
-			for _, rrow := range right.Rows {
-				pairsBy[worker]++
-				copy(scratch[len(lrow):], rrow)
-				if !passResiduals(scratch, res) {
-					// Even rejected pairs consume work; poll the deadline
-					// with a zero charge, as the serial loop does.
-					if err := budget.Charge(0); err != nil {
-						bufs[worker] = out
-						return err
-					}
-					continue
-				}
-				joined := make(table.Row, len(scratch))
-				copy(joined, scratch)
-				out = append(out, joined)
-				if err := budget.Charge(1); err != nil {
-					bufs[worker] = out
-					return err
-				}
-			}
-		}
-		bufs[worker] = out
-		return nil
-	})
-	pairs := 0
-	for _, p := range pairsBy {
-		pairs += p
-	}
-	return stitch(bufs), pairs, err
-}
-
-// sigmaSketches holds one worker's (or the merged) HLL per tracked term, in
-// the caller's term order.
-type sigmaSketches []*sketch.HLL
-
-// parallelSigma runs the Σ pass fan-out: each worker clones one HLL per term,
-// scans its chunk, and the clones are merged register-wise afterwards — the
-// merge is a per-register max, so the merged estimate is identical to the
-// serial single-sketch estimate regardless of partitioning.
-func parallelSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Budget, w int, run workerRunner) (sigmaSketches, error) {
-	clones := make([]sigmaSketches, w)
-	err := run(rel.Count(), w, func(worker, lo, hi int) error {
-		bs := make([]*expr.Binding, len(terms))
-		hs := make(sigmaSketches, len(terms))
-		for i, t := range terms {
-			bs[i], _ = t.Fn.Bind(rel.Schema)
-			hs[i] = sketch.NewHLL(p)
-		}
-		clones[worker] = hs
-		for _, row := range rel.Rows[lo:hi] {
-			if err := budget.Charge(1); err != nil {
-				return err
-			}
-			for i, b := range bs {
-				v := b.Eval(row)
-				if v.IsNull() {
-					continue
-				}
-				hs[i].Add(v.Hash())
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := make(sigmaSketches, len(terms))
-	for i := range terms {
-		merged[i] = sketch.NewHLL(p)
-		for _, hs := range clones {
-			merged[i].Merge(hs[i])
-		}
-	}
-	return merged, nil
-}
-
-// serialSigma runs one relation's Σ pass inline — the per-shard fallback
-// when a shard is too small to fan out. Charging and estimates match the
-// parallel path exactly.
-func serialSigma(rel *table.Relation, terms []*query.Term, p uint8, budget *Budget) (sigmaSketches, error) {
-	bs := make([]*expr.Binding, len(terms))
-	hs := make(sigmaSketches, len(terms))
-	for i, t := range terms {
-		bs[i], _ = t.Fn.Bind(rel.Schema)
-		hs[i] = sketch.NewHLL(p)
-	}
-	for _, row := range rel.Rows {
-		if err := budget.Charge(1); err != nil {
-			return nil, err
-		}
-		for i, b := range bs {
-			v := b.Eval(row)
-			if v.IsNull() {
-				continue
-			}
-			hs[i].Add(v.Hash())
-		}
-	}
-	return hs, nil
-}
-
-// shardedSigma is the partial-Σ exchange: the materialized result is
-// partitioned by its first column's hash — the storage layer's routing —
-// and every shard runs its own HLL pass under a per-shard KShard span,
-// fanning out within the shard when it is large enough. The partials merge
-// register-wise in shard index order; the merge is a per-register max, so
-// estimates are identical to the single-pass sketch for any partitioning,
-// and budget totals are identical because every row is charged exactly once
-// regardless of which shard visits it.
-func (e *Exec) shardedSigma(op *obs.Span, rel *table.Relation, terms []*query.Term, p uint8, s int, budget *Budget) (sigmaSketches, error) {
-	parts := make([][]table.Row, s)
-	for _, row := range rel.Rows {
-		h := row[0].Hash() % uint64(s)
-		parts[h] = append(parts[h], row)
-	}
-	merged := make(sigmaSketches, len(terms))
-	for i := range terms {
-		merged[i] = sketch.NewHLL(p)
-	}
-	for si, part := range parts {
-		ssp := e.Obs.StartChild(op, obs.KShard, fmt.Sprintf("s%d", si)).SetRows(len(part), len(terms))
-		shard := table.NewRelation(rel.Name, rel.Schema, part)
-		var partials sigmaSketches
-		var err error
-		if w := e.workers(len(part)); w > 1 {
-			ssp.SetNum("workers", float64(w))
-			partials, err = parallelSigma(shard, terms, p, budget, w, e.tracedRunner(ssp))
-		} else {
-			partials, err = serialSigma(shard, terms, p, budget)
-		}
-		if err != nil {
-			ssp.SetStr("err", err.Error()).End()
-			return nil, err
-		}
-		for i := range terms {
-			merged[i].Merge(partials[i])
-		}
-		ssp.End()
-	}
-	return merged, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -256,9 +257,10 @@ func TestNestedLoopSpanReportsPairs(t *testing.T) {
 	}
 }
 
-// buildFixture returns a relation with interleaved NULL keys and the join
-// term that binds its key column, for driving parallelBuild directly.
-func buildFixture(rows int) (*table.Relation, *query.Term) {
+// buildFixture returns a relation with interleaved NULL keys and the key
+// source of the join term that binds its key column, for driving build
+// directly.
+func buildFixture(rows int) (*table.Relation, func() keyFn) {
 	ns := table.NewSchema(table.Column{Table: "N", Name: "x", Kind: value.KindInt})
 	nb := table.NewBuilder("N", ns)
 	for i := 0; i < rows; i++ {
@@ -278,43 +280,77 @@ func buildFixture(rows int) (*table.Relation, *query.Term) {
 		Rel("N", "N").Rel("M", "M").
 		Join(expr.Identity("N.x"), expr.Identity("M.y")).
 		MustBuild()
-	return nb.Build(), q.Joins[0].L
+	rel := nb.Build()
+	return rel, evalKey(q.Joins[0].L, rel.Schema)
 }
 
-// serialBuild replicates the engine's serial build loop, as the reference
-// the partitioned build must reproduce exactly.
-func serialBuild(rel *table.Relation, term *query.Term) (hashTable, int) {
-	bb, _ := term.Fn.Bind(rel.Schema)
-	ht := make(hashTable, rel.Count())
+// referenceBuild is the trivially-auditable build the engine's one routine
+// must reproduce exactly: one pass in row order, routed into s sub-tables.
+func referenceBuild(rows []table.Row, keyOf func() keyFn, s int) (*shardedTable, int) {
+	key := keyOf()
+	t := newShardedTable(s, len(rows))
 	inserted := 0
-	for i, row := range rel.Rows {
-		k := bb.Eval(row)
+	for i, row := range rows {
+		k, h := key(i, row)
 		if k.IsNull() {
 			continue
 		}
 		inserted++
-		ht.insert(k, i)
+		t.subs[h%uint64(s)].insertHash(h, k, i)
 	}
-	return ht, inserted
+	return t, inserted
 }
 
-// TestParallelBuildIdenticalTable: the partitioned build merges to a table
-// deep-equal to the serial one — chain order, row order, NULL skipping — for
-// worker counts below, at, and far above the row count.
+// buildShape is one way a join hands rel to the build: the side and the key
+// source that goes with it.
+type buildShape struct {
+	name  string
+	side  buildSide
+	keyOf func() keyFn
+}
+
+// buildShapes lists the shapes of rel for s sub-tables: rows in stored order
+// and, at s > 1, the two co-partitioned ones — the stored table handed over
+// with its layout, and a shard-major drain with per-shard bounds.
+func buildShapes(rel *table.Relation, keyOf func() keyFn, s int) []buildShape {
+	shapes := []buildShape{{"rows", buildSide{rows: rel.Rows}, keyOf}}
+	if s > 1 {
+		cat := table.NewCatalog()
+		cat.Put(rel)
+		cat.Shard(s)
+		sh, _ := cat.ShardsOf(rel.Name)
+		drained, bounds := shardMajor(rel, s)
+		shapes = append(shapes,
+			buildShape{"stored", buildSide{rows: rel.Rows, bounds: sh.Bounds, perm: sh.Perm}, storedKey(sh)},
+			buildShape{"drained", buildSide{rows: drained.Rows, bounds: bounds}, keyOf})
+	}
+	return shapes
+}
+
+// TestParallelBuildIdenticalTable: the build yields a table deep-equal to
+// the single-pass one — chain order, row order, NULL skipping — for worker
+// counts below, at, and far above the row count, at every sub-table count,
+// whether it splits the side into chunks and merges or at shard boundaries.
 func TestParallelBuildIdenticalTable(t *testing.T) {
+	e := New(table.NewCatalog()).exec()
 	for _, rows := range []int{5000, 17} {
-		rel, term := buildFixture(rows)
-		want, wantIns := serialBuild(rel, term)
-		for _, w := range []int{1, 2, 7, 64} {
-			ht, ins, err := parallelBuild(rel, term, &Budget{}, w, runWorkers)
-			if err != nil {
-				t.Fatalf("rows=%d w=%d: %v", rows, w, err)
-			}
-			if ins != wantIns {
-				t.Errorf("rows=%d w=%d: inserted %d, want %d", rows, w, ins, wantIns)
-			}
-			if !reflect.DeepEqual(ht, want) {
-				t.Errorf("rows=%d w=%d: merged table differs from serial build", rows, w)
+		rel, keyOf := buildFixture(rows)
+		for _, s := range []int{1, 4} {
+			for _, shape := range buildShapes(rel, keyOf, s) {
+				want, wantIns := referenceBuild(shape.side.rows, keyOf, s)
+				for _, w := range []int{1, 2, 7, 64} {
+					at := fmt.Sprintf("rows=%d S=%d %s w=%d", rows, s, shape.name, w)
+					ht, ins, err := e.build(nil, shape.side, shape.keyOf, s, w, &Budget{})
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if ins != wantIns {
+						t.Errorf("%s: inserted %d, want %d", at, ins, wantIns)
+					}
+					if !reflect.DeepEqual(ht, want) {
+						t.Errorf("%s: table differs from the single-pass build", at)
+					}
+				}
 			}
 		}
 	}
@@ -323,26 +359,30 @@ func TestParallelBuildIdenticalTable(t *testing.T) {
 // TestParallelBuildEmptySide: an empty build side merges to an empty table
 // with zero insertions for any worker count.
 func TestParallelBuildEmptySide(t *testing.T) {
-	rel, term := buildFixture(0)
+	e := New(table.NewCatalog()).exec()
+	rel, keyOf := buildFixture(0)
 	for _, w := range []int{1, 2, 7, 64} {
-		ht, ins, err := parallelBuild(rel, term, &Budget{}, w, runWorkers)
+		ht, ins, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, 1, w, &Budget{})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		if ins != 0 || len(ht) != 0 {
-			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht))
+		if ins != 0 || len(ht.subs[0]) != 0 {
+			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.subs[0]))
 		}
 	}
 }
 
 // TestParallelBuildBudgetAbort: a tripped budget surfaces ErrBudget from the
-// partitioned build just as the serial loop does.
+// build at one worker and at several.
 func TestParallelBuildBudgetAbort(t *testing.T) {
-	rel, term := buildFixture(5000)
-	b := &Budget{}
-	b.Deadline = time.Now().Add(-time.Second)
-	if _, _, err := parallelBuild(rel, term, b, 4, runWorkers); !errors.Is(err, ErrBudget) {
-		t.Errorf("err = %v, want ErrBudget", err)
+	e := New(table.NewCatalog()).exec()
+	rel, keyOf := buildFixture(5000)
+	for _, w := range []int{1, 4} {
+		b := &Budget{}
+		b.Deadline = time.Now().Add(-time.Second)
+		if _, _, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, 1, w, b); !errors.Is(err, ErrBudget) {
+			t.Errorf("w=%d: err = %v, want ErrBudget", w, err)
+		}
 	}
 }
 

@@ -66,48 +66,34 @@ func BenchmarkCopartHashJoin(b *testing.B) {
 	cat.Shard(1)
 }
 
-// BenchmarkShardedBuildOnly isolates the hash-build strategies the join
-// chooses from: the chunk-partitioned flat build plus merge (the S=1 path),
-// the hash-routed sharded build plus merge (the reshuffle path), and the
-// zero-exchange shard-local build (the co-partitioned path).
+// BenchmarkShardedBuildOnly isolates the hash build across the shapes the
+// join hands it: rows in stored order into one sub-table or sixteen (chunks
+// plus merge at w > 1), and the two co-partitioned shapes, which at w > 1
+// split at shard boundaries and merge nothing.
 func BenchmarkShardedBuildOnly(b *testing.B) {
 	const rows, keys, shards, workers = 600_000, 150_000, 16, 8
-	cat := benchCatalog(1, rows, keys)
-	buildRel := cat.MustGet("B")
+	buildRel := benchCatalog(1, rows, keys).MustGet("B")
 	bTerm := &query.Term{Aliases: query.NewAliasSet("B"), Fn: expr.Identity("B.k")}
-
-	b.Run("flat+merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := parallelBuild(buildRel, bTerm, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
+	e := New(table.NewCatalog()).exec()
+	for _, s := range []int{1, shards} {
+		for _, shape := range buildShapes(buildRel, evalKey(bTerm, buildRel.Schema), s) {
+			for _, w := range []int{1, workers} {
+				b.Run(fmt.Sprintf("S=%d/%s/w=%d", s, shape.name, w), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := e.build(nil, shape.side, shape.keyOf, s, w, &Budget{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		}
-	})
-	b.Run("routed+merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := parallelShardedBuild(buildRel, bTerm, shards, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shard-local", func(b *testing.B) {
-		// Shard-major row order with per-shard bounds, as the shard-local
-		// scan would deliver them.
-		rel, bounds := shardMajor(buildRel, shards)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := shardLocalBuild(rel, bounds, bTerm, &Budget{}, workers, runWorkers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // shardMajor reorders a relation shard-major by its first column's hash,
 // returning the reordered relation and the cumulative per-shard bounds —
-// the exact input shape shardLocalBuild consumes.
+// what a complete shard-major drain delivers.
 func shardMajor(rel *table.Relation, s int) (*table.Relation, []int) {
 	parts := make([][]table.Row, s)
 	for _, row := range rel.Rows {

@@ -6,19 +6,18 @@
 // hash-join build side (the hash table needs every build row before the first
 // probe) and the tree root's final materialize (the MDP's Re store and the
 // plan cache key the full relation). The Σ pass runs over that materialized
-// root, as before.
+// root.
 //
-// Determinism contract: a streaming run is bit-identical to the materialized
-// one — same output rows in the same order, same budget totals, same span
-// kinds with the same ids and the same rows/produced accounting — at every
-// batch size and worker count. Batches preserve input order (each output
-// batch is the join of one input batch, emitted in input order; parallel
-// fan-outs stitch per-worker buffers in partition order as they always did),
-// and operator spans are opened in the exact order the materialized engine
-// opened them, accumulating rows across batches instead of setting them once.
-// The only telemetry that legitimately varies with batch size is the number
-// of KWorker spans (one fan-out per large-enough batch instead of one per
-// operator), which is already the one machine-dependent span kind.
+// Determinism contract: a run is bit-identical at every batch size, worker
+// count and shard layout — same output rows in the same order, same budget
+// totals, same span kinds with the same rows/produced accounting. Batches
+// preserve input order (each output batch is the join of one input batch,
+// emitted in input order; fan-outs stitch per-worker buffers in partition
+// order), and operator spans open in one fixed order — a join's umbrella, its
+// left subtree, its right subtree, then its build and probe — accumulating
+// rows across batches. The only telemetry that varies is the number of
+// KWorker spans (one fan-out per large-enough batch) and of KShard spans (one
+// per storage shard), the two configuration-dependent span kinds.
 package engine
 
 import (
@@ -27,24 +26,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
 )
 
-// DefaultBatchSize is the pipeline batch size when Engine.BatchSize is 0.
+// DefaultBatchSize is the pipeline batch size when ExecConfig.BatchSize is 0.
 const DefaultBatchSize = 4096
 
 // unboundedBatch stands in for "one batch holds everything" when
-// Engine.BatchSize < 0 (materialized mode). Kept far from MaxInt so
+// ExecConfig.BatchSize < 0 (materialized mode). Kept far from MaxInt so
 // lo+slab arithmetic cannot overflow.
 const unboundedBatch = int(^uint(0) >> 2)
 
-// batch resolves the engine's BatchSize knob: 0 = DefaultBatchSize,
-// negative = unbounded (each operator emits its whole output as one batch,
-// reproducing the materialized engine's memory profile exactly).
+// batch resolves the BatchSize knob: 0 = DefaultBatchSize, negative =
+// unbounded (each operator emits its whole output as one batch).
 func (e *Exec) batch() int {
 	switch {
 	case e.BatchSize < 0:
@@ -57,9 +54,8 @@ func (e *Exec) batch() int {
 
 // scanSlab sizes the chunk a leaf scan examines per pull. It is at least the
 // batch size, but also at least workers × parallelMinChunk so that a filter
-// scan over a large base table fans out with the same worker count the
-// materialized engine used (a bare batch of 4096 rows would cap the fan-out
-// at 4 workers regardless of Parallelism).
+// scan over a large base table fans out at the configured width (a bare batch
+// of 4096 rows would cap the fan-out at 4 workers regardless of Parallelism).
 func (e *Exec) scanSlab() int {
 	slab := e.batch()
 	w := e.Parallelism
@@ -74,9 +70,10 @@ func (e *Exec) scanSlab() int {
 
 // rowIter is the pull-based batch iterator every streaming operator
 // implements. Next returns the next non-empty batch of rows, nil when
-// exhausted; returned batches must not be retained past the next Next call
-// by operators that reuse buffers (none currently do — batches alias either
-// base-table rows or freshly allocated join outputs). Close must be called
+// exhausted; a returned batch must not be retained past the next Next call
+// (scans and joins reuse their gather and output buffers; the rows a batch
+// points at are never rewritten, so copying the row headers out is enough).
+// Close must be called
 // exactly once, with the error that stopped the drain (nil on a clean run);
 // it ends the iterator's spans and cascades to children.
 type rowIter interface {
@@ -86,9 +83,9 @@ type rowIter interface {
 
 // nodeIter wraps a plan node's operator iterator with the per-node
 // accounting ExecResult carries: inclusive wall time (children are pulled
-// inside the parent's Next, so accumulated pull time is inclusive, matching
-// the materialized engine), the hardened cardinality on clean exhaustion,
-// and the §4.4 Produced charge per emitted batch.
+// inside the parent's Next, so accumulated pull time is inclusive), the
+// hardened cardinality on clean exhaustion, and the §4.4 Produced charge per
+// emitted batch.
 type nodeIter struct {
 	inner rowIter
 	key   string
@@ -121,12 +118,50 @@ func (t *nodeIter) Next() ([]table.Row, error) {
 
 func (t *nodeIter) Close(err error) { t.inner.Close(err) }
 
+// collect gathers the node's whole output for a pipeline breaker and closes
+// the node. A scan that can hand its stored rows over does that instead of
+// being drained, with the accounting of a complete drain.
+func (t *nodeIter) collect() (buildSide, error) {
+	sc, _ := t.inner.(*scanIter)
+	if sc != nil && sc.sh != nil && sc.filter == nil {
+		t0 := time.Now()
+		err := sc.handoff()
+		t.res.Times[t.key] += time.Since(t0)
+		if err != nil {
+			return buildSide{}, err
+		}
+		t.res.Produced += float64(sc.base.Count())
+		t.res.Counts[t.key] = float64(sc.base.Count())
+		return buildSide{rows: sc.base.Rows, bounds: sc.sh.Bounds, perm: sc.sh.Perm}, nil
+	}
+	var side buildSide
+	for {
+		b, err := t.Next()
+		if err != nil {
+			t.Close(err)
+			return buildSide{}, err
+		}
+		if b == nil {
+			break
+		}
+		side.rows = append(side.rows, b...)
+	}
+	t.Close(nil)
+	if sc != nil {
+		side.bounds = sc.bounds
+	}
+	return side, nil
+}
+
 // open builds the iterator pipeline for a plan node and wraps it with
 // accounting. parent is the enclosing join's umbrella span, nil at the tree
 // root (where the ambient tracer stack — holding the KMaterialize span —
-// supplies the parent). Open time is charged to the node's inclusive time,
-// like the materialized engine's single timestamp around the whole node.
-func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *table.Schema, error) {
+// supplies the parent). Below the root the parent must be explicit: a sibling
+// subtree's spans stay open on the ambient stack while this one opens, so
+// ambient parenting would splice unrelated operators together. layout, when
+// non-nil, is the storage layout a leaf scan walks shard-major. Open time is
+// charged to the node's inclusive time.
+func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, layout *table.Sharded) (*nodeIter, *table.Schema, error) {
 	t0 := time.Now()
 	var (
 		it     rowIter
@@ -134,7 +169,7 @@ func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResul
 		err    error
 	)
 	if n.IsLeaf() {
-		it, schema, err = e.openLeaf(q, n, budget, parent)
+		it, schema, err = e.openLeaf(q, n, budget, parent, layout)
 	} else {
 		it, schema, err = e.openJoin(q, n, budget, res, parent)
 	}
@@ -145,28 +180,15 @@ func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResul
 	return &nodeIter{inner: it, key: n.Key(), res: res}, schema, nil
 }
 
-// opSpan starts an operator span in the position the materialized engine
-// started it: under the ambient stack at the tree root (parenting to the
-// KMaterialize span), explicitly under the enclosing join's umbrella
-// otherwise. The explicit parent matters under streaming: a sibling
-// subtree's spans stay open on the ambient stack while this one opens, so
-// ambient parenting would splice unrelated operators together.
-func (e *Exec) opSpan(parent *obs.Span, kind, name string) *obs.Span {
-	if parent != nil {
-		return e.Obs.StartChild(parent, kind, name)
-	}
-	return e.Obs.Start(kind, name)
-}
-
 // openLeaf resolves a leaf into an iterator: a previously materialized
 // expression if one exists under the leaf's key, otherwise a scan of the
 // stored base table with every single-alias selection pushed down.
-func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span) (rowIter, *table.Schema, error) {
+func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span, layout *table.Sharded) (rowIter, *table.Schema, error) {
 	key := n.Key()
 	if m, ok := e.mats[key]; ok {
 		// Reusing a materialized expression still costs one pass over it
 		// (cost(r) = c(r) for r in Re, §4.4), charged slab by slab.
-		sp := e.opSpan(parent, obs.KReuse, key).SetStr("expr", key).SetRows(m.Count(), m.Count())
+		sp := e.Obs.StartChild(parent, obs.KReuse, key).SetStr("expr", key).SetRows(m.Count(), m.Count())
 		return &reuseIter{sp: sp, m: m, budget: budget, slab: e.batch()}, m.Schema, nil
 	}
 	if n.Leaf.Size() != 1 {
@@ -179,15 +201,18 @@ func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *ob
 	}
 	base := e.eng.Cat.MustGet(tbl).Renamed(alias)
 	sels := q.SelsAt(n.Leaf)
-	sp := e.opSpan(parent, obs.KScan, alias).SetStr("expr", key).SetNum("selections", float64(len(sels)))
-	it := &scanIter{e: e, sp: sp, key: key, base: base, sels: sels, budget: budget, slab: e.scanSlab()}
+	sp := e.Obs.StartChild(parent, obs.KScan, alias).SetStr("expr", key).SetNum("selections", float64(len(sels)))
+	it := &scanIter{e: e, sp: sp, base: base, sh: layout, budget: budget, slab: e.scanSlab()}
+	if layout != nil {
+		sp.SetNum("shards", float64(layout.NumShards()))
+	}
 	if len(sels) > 0 {
-		bound, ok := bindSels(sels, base.Schema)
-		if !ok {
+		var err error
+		it.filter, err = newPool(e, func() (*filterState, error) { return newFilterState(sels, base.Schema) })
+		if err != nil {
 			sp.End()
-			return nil, nil, fmt.Errorf("engine: selections not bindable on %s", base.Schema)
+			return nil, nil, err
 		}
-		it.bound = bound
 	}
 	return it, base.Schema, nil
 }
@@ -209,10 +234,7 @@ func (r *reuseIter) Next() ([]table.Row, error) {
 		return nil, nil
 	}
 	lo := r.pos
-	hi := lo + r.slab
-	if hi > r.m.Count() {
-		hi = r.m.Count()
-	}
+	hi := min(lo+r.slab, r.m.Count())
 	r.pos = hi
 	if err := r.budget.Charge(hi - lo); err != nil {
 		r.fail = err
@@ -232,788 +254,152 @@ func (r *reuseIter) Close(error) {
 	r.sp.End()
 }
 
-// scanIter streams a base table, applying pushed-down selections slab by
-// slab. Large slabs fan out through parallelFilter with per-slab worker
-// counts; the span's "workers" attribute records the first fan-out (the
-// same count the materialized engine reported for the whole scan).
+// scanIter streams a base table slab by slab, applying pushed-down
+// selections. Its row source is the table in stored order, or — for the
+// build side of a co-partitioned join (sh non-nil) — a shard-major walk of
+// the storage layout's permutation, one KShard span per storage shard.
+// Budget charges are the same either way: per slab without selections, per
+// kept row with. Shard-major order is safe only because the consumer is a
+// hash build, whose per-key layout does not depend on the order shards
+// arrive in; a streaming probe side never scans this way.
 type scanIter struct {
 	e      *Exec
 	sp     *obs.Span
-	key    string
-	base   *table.Relation
-	sels   []*query.SelPred
-	bound  []boundSel
+	base   *table.Relation // renamed view: schema under the query alias
+	sh     *table.Sharded
+	filter *pool[filterState] // nil without selections: slabs pass through
 	budget *Budget
 	slab   int
-	pos    int
+	seg    int         // current segment: a storage shard, or the whole table
+	pos    int         // position within the segment
+	cur    *obs.Span   // current shard's KShard span
+	buf    []table.Row // gather buffer of the shard-major walk
+	bounds []int       // shard-major walk: rows kept by the end of each finished shard
+	segOut int         // rows kept from the current segment
 	kept   int
-	fanned bool
 	fail   error
 	closed bool
 }
 
-func (s *scanIter) Next() ([]table.Row, error) {
-	for s.pos < s.base.Count() {
-		lo := s.pos
-		hi := lo + s.slab
-		if hi > s.base.Count() {
-			hi = s.base.Count()
+// segment returns the current segment's length and whether one is left.
+func (s *scanIter) segment() (n int, ok bool) {
+	if s.sh == nil {
+		return s.base.Count(), s.seg == 0
+	}
+	if s.seg >= s.sh.NumShards() {
+		return 0, false
+	}
+	return len(s.sh.Shard(s.seg)), true
+}
+
+// advance steps to the next slab and returns its bounds within the current
+// segment, opening and closing KShard spans at shard boundaries.
+func (s *scanIter) advance() (lo, hi int, ok bool) {
+	for {
+		n, more := s.segment()
+		if !more {
+			return 0, 0, false
 		}
-		s.pos = hi
-		rows := s.base.Rows[lo:hi]
-		if s.bound == nil {
-			s.kept += len(rows)
-			if err := s.budget.Charge(len(rows)); err != nil {
-				s.fail = err
+		if s.sh != nil && s.cur == nil {
+			s.cur = s.e.Obs.StartChild(s.sp, obs.KShard, fmt.Sprintf("s%d", s.seg))
+		}
+		if s.pos < n {
+			lo, hi = s.pos, min(s.pos+s.slab, n)
+			s.pos = hi
+			return lo, hi, true
+		}
+		s.cur.SetRows(n, s.segOut).End()
+		s.cur, s.segOut, s.pos = nil, 0, 0
+		if s.sh != nil {
+			s.bounds = append(s.bounds, s.kept)
+		}
+		s.seg++
+	}
+}
+
+// pass charges and counts n rows that reach the output unfiltered.
+func (s *scanIter) pass(n int) error {
+	s.kept += n
+	s.segOut += n
+	if err := s.budget.Charge(n); err != nil {
+		s.fail = err
+		return err
+	}
+	return nil
+}
+
+// slabRows returns the rows of one slab of the current segment: a slice of
+// the stored rows, or a gather through the layout's permutation.
+func (s *scanIter) slabRows(lo, hi int) []table.Row {
+	if s.sh == nil {
+		return s.base.Rows[lo:hi]
+	}
+	ids := s.sh.Shard(s.seg)[lo:hi]
+	if cap(s.buf) < len(ids) {
+		s.buf = make([]table.Row, len(ids))
+	}
+	rows := s.buf[:len(ids)]
+	for j, id := range ids {
+		rows[j] = s.base.Rows[id]
+	}
+	return rows
+}
+
+func (s *scanIter) Next() ([]table.Row, error) {
+	for {
+		lo, hi, ok := s.advance()
+		if !ok {
+			return nil, nil
+		}
+		rows := s.slabRows(lo, hi)
+		if s.filter == nil {
+			if err := s.pass(len(rows)); err != nil {
 				return nil, err
 			}
 			return rows, nil
 		}
-		var out []table.Row
-		if w := s.e.workers(len(rows)); w > 1 {
-			if !s.fanned {
-				s.fanned = true
-				s.sp.SetNum("workers", float64(w))
-			}
-			chunk := table.NewRelation(s.key, s.base.Schema, rows)
-			pout, err := parallelFilter(chunk, s.sels, s.budget, w, s.e.tracedRunner(s.sp))
-			s.kept += len(pout)
-			if err != nil {
-				s.fail = err
-				return nil, err
-			}
-			out = pout
-		} else {
-			out = make([]table.Row, 0, len(rows)/4+1)
-			for _, row := range rows {
-				keep := true
-				for _, b := range s.bound {
-					if !b.b.Eval(row).Equal(b.k) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out = append(out, row)
-					s.kept++
-					if err := s.budget.Charge(1); err != nil {
-						s.fail = err
-						return nil, err
-					}
-				}
-			}
+		op := s.sp
+		if s.cur != nil {
+			op = s.cur
+		}
+		w := s.e.workers(len(rows))
+		err := s.filter.run(op, len(rows), w, func(st *filterState, lo, hi int) error {
+			return st.filterRows(rows[lo:hi], s.budget)
+		})
+		out := stitch(w, func(i int) []table.Row { return s.filter.states[i].out })
+		s.kept += len(out)
+		s.segOut += len(out)
+		if err != nil {
+			s.fail = err
+			return nil, err
 		}
 		if len(out) > 0 {
 			return out, nil
 		}
 	}
-	return nil, nil
+}
+
+// handoff is the no-drain form of an unfiltered shard-major scan, for a
+// build that reads the stored rows in place (base.Rows): every stored row
+// survives such a scan, so there is nothing to gather. It emits the spans and
+// slab-granular charges of a full drain — the trace and the budget cannot
+// tell the two apart — and ends the scan; only the per-row-header copies of
+// gather-then-drain disappear.
+func (s *scanIter) handoff() error {
+	for {
+		lo, hi, ok := s.advance()
+		if !ok {
+			s.Close(nil)
+			return nil
+		}
+		if err := s.pass(hi - lo); err != nil {
+			s.Close(err)
+			return err
+		}
+	}
 }
 
 func (s *scanIter) Close(error) {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.fail != nil {
-		s.sp.SetRows(s.base.Count(), s.kept).SetStr("err", s.fail.Error()).End()
-		return
-	}
-	s.sp.SetRows(s.base.Count(), s.kept).SetProduced(float64(s.kept)).End()
-}
-
-// openJoin builds one join node's pipeline under a KJoin umbrella span. The
-// left child streams; the right child is a pipeline-breaker, drained in full
-// at open time to build the hash table (or to serve as the nested loop's
-// inner side). Spans open in the materialized engine's order — KJoin, left
-// subtree, right subtree, then KHashBuild/KNestedLoop — so span ids are
-// identical between streaming and materialized runs.
-func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *table.Schema, error) {
-	jsp := e.opSpan(parent, obs.KJoin, n.Key()).SetStr("expr", n.Key())
-	fail := func(err error, closers ...rowIter) (rowIter, *table.Schema, error) {
-		for _, c := range closers {
-			c.Close(err)
-		}
-		jsp.SetStr("err", err.Error()).End()
-		return nil, nil, err
-	}
-	newPreds := q.PredsNewAt(n.Left.Aliases(), n.Right.Aliases())
-	newSels := q.SelsNewAt(n.Left.Aliases(), n.Right.Aliases())
-
-	// Choose a hash predicate: one whose sides bind to opposite children.
-	// The build side is always the right child — under streaming the left
-	// side's cardinality is unknown until drained, so the materialized
-	// engine's build-on-the-smaller-side swap is no longer possible — and
-	// the probe term binds the (streaming) left child. Chosen before the
-	// children open (it is pure) so the exchange decision below can steer
-	// how the build child is scanned.
-	var hashPred *query.JoinPred
-	var buildTerm, probeTerm *query.Term
-	for _, p := range newPreds {
-		lInL := p.L.Aliases.SubsetOf(n.Left.Aliases())
-		rInR := p.R.Aliases.SubsetOf(n.Right.Aliases())
-		lInR := p.L.Aliases.SubsetOf(n.Right.Aliases())
-		rInL := p.R.Aliases.SubsetOf(n.Left.Aliases())
-		if lInL && rInR {
-			hashPred, probeTerm, buildTerm = p, p.L, p.R
-			break
-		}
-		if lInR && rInL {
-			hashPred, probeTerm, buildTerm = p, p.R, p.L
-			break
-		}
-	}
-
-	// Exchange decision: a build child served directly by the storage
-	// layer's shard layout on the join key scans shard-local (shard-major,
-	// zero moved rows); any other hash build at S > 1 is a reshuffle —
-	// every row is hash-routed into the sharded table it belongs to.
-	shards := e.shardCount()
-	localBuild := shards > 1 && hashPred != nil && e.coPartitioned(q, n.Right, buildTerm)
-
-	left, lschema, err := e.open(q, n.Left, budget, res, jsp)
-	if err != nil {
-		return fail(err)
-	}
-	var right rowIter
-	var rschema *table.Schema
-	var shardScan *shardScanIter
-	var zeroRel *table.Relation // in-place build input (no drain) when set
-	var zeroSh *table.Sharded
-	if localBuild && len(q.SelsAt(n.Right.Leaf)) == 0 {
-		zeroRel, zeroSh, rschema, err = e.openShardZero(q, n.Right, budget, res, jsp)
-	} else if localBuild {
-		right, shardScan, rschema, err = e.openShard(q, n.Right, budget, res, jsp)
-	} else {
-		right, rschema, err = e.open(q, n.Right, budget, res, jsp)
-	}
-	if err != nil {
-		return fail(err, left)
-	}
-	outSchema := lschema.Concat(rschema)
-
-	// Everything else is residual, evaluated over the concatenated row.
-	var residuals []residual
-	for _, p := range newPreds {
-		if p == hashPred {
-			continue
-		}
-		lb, ok1 := p.L.Fn.Bind(outSchema)
-		rb, ok2 := p.R.Fn.Bind(outSchema)
-		if !ok1 || !ok2 {
-			return fail(fmt.Errorf("engine: predicate %s not bindable at %s", p, n), left, right)
-		}
-		residuals = append(residuals, residual{lb: lb, rb: rb})
-	}
-	for _, s := range newSels {
-		sb, ok := s.T.Fn.Bind(outSchema)
-		if !ok {
-			return fail(fmt.Errorf("engine: selection %s not bindable at %s", s, n), left, right)
-		}
-		residuals = append(residuals, residual{sb: sb, k: s.Const})
-	}
-
-	// Pipeline breaker: drain the right child in full. Hash builds need
-	// every build row before the first probe, and the nested loop re-scans
-	// its inner side once per outer row. The zero-copy shard path already
-	// holds its full input (the stored rows themselves) and skips the drain.
-	var buildRel *table.Relation
-	if zeroRel != nil {
-		buildRel = zeroRel
-	} else {
-		var rrows []table.Row
-		for {
-			b, err := right.Next()
-			if err != nil {
-				right.Close(err)
-				return fail(err, left)
-			}
-			if b == nil {
-				break
-			}
-			rrows = append(rrows, b...)
-		}
-		right.Close(nil)
-		buildRel = table.NewRelation(n.Right.Key(), rschema, rrows)
-	}
-
-	if hashPred == nil {
-		sp := e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", float64(len(residuals)))
-		return &nestedLoopIter{
-			e: e, jsp: jsp, sp: sp, left: left, inner: buildRel, name: n.Key(),
-			outerSchema: lschema, residuals: residuals, outSchema: outSchema, budget: budget,
-		}, outSchema, nil
-	}
-
-	bb, ok := buildTerm.Fn.Bind(buildRel.Schema)
-	if !ok {
-		return fail(fmt.Errorf("engine: term %s not bindable on build side", buildTerm), left)
-	}
-	pb, ok := probeTerm.Fn.Bind(lschema)
-	if !ok {
-		return fail(fmt.Errorf("engine: term %s not bindable on probe side", probeTerm), left)
-	}
-	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key())
-	var ht *shardedTable
-	inserted := 0
-	if zeroSh != nil {
-		// Zero-exchange, zero-copy build: sub-tables build in place off the
-		// stored rows through the layout's permutation, inserting global row
-		// indices. Within a storage shard indices ascend and every key's rows
-		// live in one shard, so chains and row lists come out exactly as the
-		// serial unsharded build orders them.
-		w := e.workers(buildRel.Count())
-		if w > shards {
-			w = shards
-		}
-		run := workerRunner(runWorkers)
-		if w > 1 {
-			bsp.SetNum("workers", float64(w))
-			run = e.tracedRunner(bsp)
-		}
-		ht, inserted, err = shardLocalBuildPerm(buildRel, zeroSh, budget, w, run)
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else if localBuild && len(shardScan.bounds) == shards {
-		// Zero-exchange build over a filtered shard-local drain: the drained
-		// rows are shard-major and within a storage shard every key already
-		// hashes to that shard, so each sub-table builds directly from its
-		// contiguous row range — no routing and, unlike the chunk-partitioned
-		// builds below, no cross-worker merge. Workers own whole sub-tables.
-		w := e.workers(buildRel.Count())
-		if w > shards {
-			w = shards
-		}
-		run := workerRunner(runWorkers)
-		if w > 1 {
-			bsp.SetNum("workers", float64(w))
-			run = e.tracedRunner(bsp)
-		}
-		ht, inserted, err = shardLocalBuild(buildRel, shardScan.bounds, buildTerm, budget, w, run)
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else if w := e.workers(buildRel.Count()); w > 1 {
-		bsp.SetNum("workers", float64(w))
-		if shards > 1 {
-			ht, inserted, err = parallelShardedBuild(buildRel, buildTerm, shards, budget, w, e.tracedRunner(bsp))
-		} else {
-			var flat hashTable
-			flat, inserted, err = parallelBuild(buildRel, buildTerm, budget, w, e.tracedRunner(bsp))
-			ht = &shardedTable{subs: []hashTable{flat}}
-		}
-		if err != nil {
-			bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-			return fail(err, left)
-		}
-	} else {
-		ht = newShardedTable(shards, buildRel.Count())
-		for i, row := range buildRel.Rows {
-			// Building produces nothing but must still honor the deadline.
-			if err := budget.Charge(0); err != nil {
-				bsp.SetRows(buildRel.Count(), inserted).SetStr("err", err.Error()).End()
-				return fail(err, left)
-			}
-			k := bb.Eval(row)
-			if k.IsNull() {
-				continue
-			}
-			inserted++
-			ht.insert(k, i)
-		}
-	}
-	if shards > 1 {
-		bsp.SetNum("shards", float64(shards))
-		if localBuild {
-			bsp.SetNum("local", 1)
-		} else {
-			// Reshuffle: every inserted row was hash-routed across the
-			// exchange, so the whole build side counts as moved.
-			bsp.SetNum("local", 0).SetNum("exchange_rows", float64(inserted))
-		}
-		if e.Metrics != nil {
-			if localBuild {
-				e.Metrics.Counter("monsoon.exchange.joins.local").Inc()
-			} else {
-				e.Metrics.Counter("monsoon.exchange.joins.reshuffle").Inc()
-				e.Metrics.Counter("monsoon.exchange.rows").Add(int64(inserted))
-			}
-		}
-	}
-	bsp.SetRows(buildRel.Count(), inserted).SetNum("residuals", float64(len(residuals))).End()
-	psp := e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
-	return &hashJoinIter{
-		e: e, jsp: jsp, psp: psp, left: left, buildRel: buildRel, ht: ht,
-		pb: pb, probeTerm: probeTerm, probeSchema: lschema, residuals: residuals,
-		outSchema: outSchema, budget: budget, name: n.Key(),
-	}, outSchema, nil
-}
-
-// hashJoinIter probes the prebuilt hash table with each batch pulled from
-// the left child. Output order is probe-major over the stream, identical at
-// every batch size because each output batch is the probe of exactly one
-// input batch, in input order. NULL keys never match.
-type hashJoinIter struct {
-	e           *Exec
-	jsp, psp    *obs.Span
-	left        rowIter
-	buildRel    *table.Relation
-	ht          *shardedTable
-	pb          *expr.Binding
-	probeTerm   *query.Term
-	probeSchema *table.Schema
-	residuals   []residual
-	outSchema   *table.Schema
-	budget      *Budget
-	name        string
-	scratch     table.Row
-	probed      int
-	emitted     int
-	fanned      bool
-	fail        error
-	closed      bool
-}
-
-func (h *hashJoinIter) Next() ([]table.Row, error) {
-	for {
-		batch, err := h.left.Next()
-		if err != nil {
-			h.fail = err
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		h.probed += len(batch)
-		var out []table.Row
-		if w := h.e.workers(len(batch)); w > 1 {
-			if !h.fanned {
-				h.fanned = true
-				h.psp.SetNum("workers", float64(w))
-			}
-			probeRel := table.NewRelation(h.name, h.probeSchema, batch)
-			pout, perr := parallelProbe(h.buildRel, probeRel, h.ht, h.probeTerm,
-				h.residuals, h.outSchema, false, h.budget, w, h.e.tracedRunner(h.psp))
-			h.emitted += len(pout)
-			if perr != nil {
-				h.fail = perr
-				return nil, perr
-			}
-			out = pout
-		} else {
-			if h.scratch == nil {
-				h.scratch = make(table.Row, len(h.outSchema.Cols))
-			}
-			for _, prow := range batch {
-				// Matchless probes produce nothing; poll the deadline anyway.
-				if err := h.budget.Charge(0); err != nil {
-					h.fail = err
-					return nil, err
-				}
-				k := h.pb.Eval(prow)
-				if k.IsNull() {
-					continue
-				}
-				for _, b := range h.ht.chains(k.Hash()) {
-					if !b.key.Equal(k) {
-						continue
-					}
-					for _, bi := range b.rows {
-						brow := h.buildRel.Rows[bi]
-						copy(h.scratch, prow)
-						copy(h.scratch[len(prow):], brow)
-						if !passResiduals(h.scratch, h.residuals) {
-							continue
-						}
-						joined := make(table.Row, len(h.scratch))
-						copy(joined, h.scratch)
-						out = append(out, joined)
-						h.emitted++
-						if err := h.budget.Charge(1); err != nil {
-							h.fail = err
-							return nil, err
-						}
-					}
-				}
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (h *hashJoinIter) Close(err error) {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	h.left.Close(err)
-	if h.fail != nil {
-		h.psp.SetRows(h.probed, h.emitted).SetStr("err", h.fail.Error()).End()
-		h.jsp.SetStr("err", h.fail.Error()).End()
-		return
-	}
-	h.psp.SetRows(h.probed, h.emitted).SetProduced(float64(h.emitted)).End()
-	h.jsp.SetRows(0, h.emitted).End()
-}
-
-// nestedLoopIter computes the filtered product of each left batch with the
-// fully drained inner side; it is the only strategy when no predicate
-// separates the children. Its span reports rows-in as the number of row
-// pairs scanned, accumulated across batches. Worker sizing mirrors the
-// materialized operator — pairs scanned, capped by the outer rows available
-// in the batch.
-type nestedLoopIter struct {
-	e           *Exec
-	jsp, sp     *obs.Span
-	left        rowIter
-	inner       *table.Relation
-	name        string
-	outerSchema *table.Schema
-	residuals   []residual
-	outSchema   *table.Schema
-	budget      *Budget
-	scratch     table.Row
-	pairs       int
-	emitted     int
-	fanned      bool
-	fail        error
-	closed      bool
-}
-
-func (nl *nestedLoopIter) Next() ([]table.Row, error) {
-	for {
-		batch, err := nl.left.Next()
-		if err != nil {
-			nl.fail = err
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		var out []table.Row
-		w := nl.e.workers(len(batch) * nl.inner.Count())
-		if w > len(batch) {
-			w = len(batch)
-		}
-		if w > 1 {
-			if !nl.fanned {
-				nl.fanned = true
-				nl.sp.SetNum("workers", float64(w))
-			}
-			outer := table.NewRelation(nl.name, nl.outerSchema, batch)
-			pout, pairs, perr := parallelNestedLoop(outer, nl.inner, nl.residuals,
-				nl.outSchema, nl.budget, w, nl.e.tracedRunner(nl.sp))
-			nl.pairs += pairs
-			nl.emitted += len(pout)
-			if perr != nil {
-				nl.fail = perr
-				return nil, perr
-			}
-			out = pout
-		} else {
-			if nl.scratch == nil {
-				nl.scratch = make(table.Row, len(nl.outSchema.Cols))
-			}
-			for _, lrow := range batch {
-				copy(nl.scratch, lrow)
-				for _, rrow := range nl.inner.Rows {
-					nl.pairs++
-					copy(nl.scratch[len(lrow):], rrow)
-					if !passResiduals(nl.scratch, nl.residuals) {
-						// Even rejected pairs consume work; poll the deadline
-						// occasionally via a zero charge.
-						if err := nl.budget.Charge(0); err != nil {
-							nl.fail = err
-							return nil, err
-						}
-						continue
-					}
-					joined := make(table.Row, len(nl.scratch))
-					copy(joined, nl.scratch)
-					out = append(out, joined)
-					nl.emitted++
-					if err := nl.budget.Charge(1); err != nil {
-						nl.fail = err
-						return nil, err
-					}
-				}
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (nl *nestedLoopIter) Close(err error) {
-	if nl.closed {
-		return
-	}
-	nl.closed = true
-	nl.left.Close(err)
-	if nl.fail != nil {
-		nl.sp.SetRows(nl.pairs, nl.emitted).SetStr("err", nl.fail.Error()).End()
-		nl.jsp.SetStr("err", nl.fail.Error()).End()
-		return
-	}
-	nl.sp.SetRows(nl.pairs, nl.emitted).SetProduced(float64(nl.emitted)).End()
-	nl.jsp.SetRows(0, nl.emitted).End()
-}
-
-// coPartitioned reports whether a join's build child is served directly by
-// the storage layer's shard layout: an unmaterialized single-alias leaf
-// whose build term is the identity of the table's shard column. Equal join
-// keys then never span storage shards (the shard column IS the join key and
-// routing is by its hash), so the build can scan shard-major with zero row
-// movement and still yield the serial hash-table layout — within a storage
-// shard rows keep their original relative order, and all rows of one key
-// live in one shard, so every chain's row list matches the serial build's.
-func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) bool {
-	if buildTerm == nil || !n.IsLeaf() || n.Leaf.Size() != 1 {
-		return false
-	}
-	if _, mat := e.mats[n.Key()]; mat {
-		// A materialized intermediate is reused from the Re store, not the
-		// storage layer; its rows are not shard-partitioned.
-		return false
-	}
-	alias := n.Leaf.Names()[0]
-	tbl, ok := q.TableOf(alias)
-	if !ok {
-		return false
-	}
-	sh, ok := e.eng.Cat.ShardsOf(tbl)
-	if !ok || sh.Col == "" {
-		return false
-	}
-	base := e.eng.Cat.MustGet(tbl)
-	fn := buildTerm.Fn
-	return fn.Name == "id" && len(fn.Args) == 1 &&
-		fn.Args[0] == alias+"."+base.Schema.Cols[0].Name
-}
-
-// openShard opens a co-partitioned build leaf as a shard-local scan,
-// mirroring open's accounting (inclusive open time, nodeIter wrapping). The
-// concrete scan iterator is returned alongside so the enclosing join can read
-// its shard boundaries after the drain.
-func (e *Exec) openShard(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *shardScanIter, *table.Schema, error) {
-	t0 := time.Now()
-	it, schema, err := e.openShardLeaf(q, n, budget, parent)
-	res.Times[n.Key()] += time.Since(t0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &nodeIter{inner: it, key: n.Key(), res: res}, it, schema, nil
-}
-
-// openShardZero is the zero-copy variant of the shard-local build scan for
-// leaves with no pushed-down selections: every stored row survives the
-// "scan", so there is nothing to gather or drain — the build can read the
-// base relation in place through the layout's permutation. The trace and
-// budget are indistinguishable from a full shard-local drain (same KScan
-// span, one KShard child per storage shard, slab-granular tuple charges);
-// only the 2× per-row-header copy of gather-then-drain disappears.
-func (e *Exec) openShardZero(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (*table.Relation, *table.Sharded, *table.Schema, error) {
-	t0 := time.Now()
-	defer func() { res.Times[n.Key()] += time.Since(t0) }()
-	key := n.Key()
-	alias := n.Leaf.Names()[0]
-	tbl, ok := q.TableOf(alias)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("engine: alias %q not in query", alias)
-	}
-	sh, ok := e.eng.Cat.ShardsOf(tbl)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("engine: table %q lost its shard layout", tbl)
-	}
-	base := e.eng.Cat.MustGet(tbl).Renamed(alias)
-	slab := e.scanSlab()
-	sp := e.opSpan(parent, obs.KScan, alias).SetStr("expr", key).
-		SetNum("selections", 0).SetNum("shards", float64(sh.NumShards()))
-	total := 0
-	for h := 0; h < sh.NumShards(); h++ {
-		cnt := len(sh.Shard(h))
-		ssp := e.Obs.StartChild(sp, obs.KShard, fmt.Sprintf("s%d", h))
-		charged := 0
-		for lo := 0; lo < cnt; lo += slab {
-			chunk := slab
-			if cnt-lo < chunk {
-				chunk = cnt - lo
-			}
-			if err := budget.Charge(chunk); err != nil {
-				ssp.SetStr("err", err.Error()).SetRows(cnt, charged).End()
-				sp.SetRows(total+charged, total+charged).SetStr("err", err.Error()).End()
-				return nil, nil, nil, err
-			}
-			charged += chunk
-		}
-		ssp.SetRows(cnt, cnt).End()
-		total += cnt
-	}
-	sp.SetRows(total, total).SetProduced(float64(total)).End()
-	// A drained node would charge Produced per batch and record its hardened
-	// cardinality through nodeIter; mirror both so the zero-copy handoff is
-	// indistinguishable from a complete drain.
-	res.Produced += float64(total)
-	res.Counts[key] = float64(total)
-	return table.NewRelation(key, base.Schema, base.Rows), sh, base.Schema, nil
-}
-
-// openShardLeaf is openLeaf's base-table branch over the table's shard
-// layout: the same KScan span (plus a "shards" attribute), the same
-// pushed-down selections, but the rows drain shard-major with one KShard
-// child span per storage shard.
-func (e *Exec) openShardLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span) (*shardScanIter, *table.Schema, error) {
-	key := n.Key()
-	alias := n.Leaf.Names()[0]
-	tbl, ok := q.TableOf(alias)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: alias %q not in query", alias)
-	}
-	sh, ok := e.eng.Cat.ShardsOf(tbl)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: table %q lost its shard layout", tbl)
-	}
-	base := e.eng.Cat.MustGet(tbl).Renamed(alias)
-	sels := q.SelsAt(n.Leaf)
-	sp := e.opSpan(parent, obs.KScan, alias).SetStr("expr", key).
-		SetNum("selections", float64(len(sels))).SetNum("shards", float64(sh.NumShards()))
-	it := &shardScanIter{e: e, sp: sp, key: key, base: base, sh: sh, sels: sels, budget: budget, slab: e.scanSlab()}
-	if len(sels) > 0 {
-		bound, ok := bindSels(sels, base.Schema)
-		if !ok {
-			sp.End()
-			return nil, nil, fmt.Errorf("engine: selections not bindable on %s", base.Schema)
-		}
-		it.bound = bound
-	}
-	return it, base.Schema, nil
-}
-
-// shardScanIter is the shard-local scan of a co-partitioned build side: it
-// drains the table's storage shards in shard-index order, applying
-// pushed-down selections slab by slab exactly like scanIter (same budget
-// charges — per-slab counts without selections, per-kept-row with — so
-// totals are identical to the unsharded scan). Shard-major output order is
-// safe only because the consumer is a hash-routed build whose per-key
-// layout is shard-order-independent; it is never a streaming probe side.
-type shardScanIter struct {
-	e      *Exec
-	sp     *obs.Span
-	key    string
-	base   *table.Relation // renamed view: schema under the query alias
-	sh     *table.Sharded
-	sels   []*query.SelPred
-	bound  []boundSel
-	budget *Budget
-	slab   int
-	si     int       // current shard index
-	pos    int       // position within the current shard
-	cur    *obs.Span // current shard's KShard span
-	// bounds records the cumulative kept-row count at each shard's end. A
-	// complete drain leaves one entry per storage shard, so the consumer
-	// knows which contiguous range of the (shard-major) drained rows came
-	// from which shard — what shardLocalBuild needs to build sub-tables
-	// without re-routing.
-	bounds  []int
-	buf     []table.Row // reusable gather buffer (batches are not retained)
-	curKept int
-	total   int
-	kept    int
-	fanned  bool
-	fail    error
-	closed  bool
-}
-
-func (s *shardScanIter) Next() ([]table.Row, error) {
-	for s.si < s.sh.NumShards() {
-		idx := s.sh.Shard(s.si)
-		if s.cur == nil {
-			s.cur = s.e.Obs.StartChild(s.sp, obs.KShard, fmt.Sprintf("s%d", s.si))
-		}
-		if s.pos >= len(idx) {
-			s.cur.SetRows(len(idx), s.curKept).End()
-			s.cur, s.curKept, s.pos = nil, 0, 0
-			s.bounds = append(s.bounds, s.kept)
-			s.si++
-			continue
-		}
-		lo := s.pos
-		hi := lo + s.slab
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		s.pos = hi
-		// Gather the shard's rows through the layout's permutation into a
-		// reusable buffer; consumers copy what they keep before the next
-		// pull, per the rowIter contract.
-		ids := idx[lo:hi]
-		if cap(s.buf) < len(ids) {
-			s.buf = make([]table.Row, len(ids))
-		}
-		rows := s.buf[:len(ids)]
-		for j, id := range ids {
-			rows[j] = s.base.Rows[id]
-		}
-		s.total += len(rows)
-		if s.bound == nil {
-			s.kept += len(rows)
-			s.curKept += len(rows)
-			if err := s.budget.Charge(len(rows)); err != nil {
-				s.fail = err
-				return nil, err
-			}
-			return rows, nil
-		}
-		var out []table.Row
-		if w := s.e.workers(len(rows)); w > 1 {
-			if !s.fanned {
-				s.fanned = true
-				s.sp.SetNum("workers", float64(w))
-			}
-			chunk := table.NewRelation(s.key, s.base.Schema, rows)
-			pout, err := parallelFilter(chunk, s.sels, s.budget, w, s.e.tracedRunner(s.cur))
-			s.kept += len(pout)
-			s.curKept += len(pout)
-			if err != nil {
-				s.fail = err
-				return nil, err
-			}
-			out = pout
-		} else {
-			out = make([]table.Row, 0, len(rows)/4+1)
-			for _, row := range rows {
-				keep := true
-				for _, b := range s.bound {
-					if !b.b.Eval(row).Equal(b.k) {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out = append(out, row)
-					s.kept++
-					s.curKept++
-					if err := s.budget.Charge(1); err != nil {
-						s.fail = err
-						return nil, err
-					}
-				}
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-	return nil, nil
-}
-
-func (s *shardScanIter) Close(error) {
 	if s.closed {
 		return
 	}
@@ -1022,13 +408,209 @@ func (s *shardScanIter) Close(error) {
 		if s.fail != nil {
 			s.cur.SetStr("err", s.fail.Error())
 		}
-		s.cur.SetRows(len(s.sh.Shard(s.si)), s.curKept).End()
+		s.cur.SetRows(len(s.sh.Shard(s.seg)), s.segOut).End()
 	}
+	s.sp.SetRows(s.base.Count(), s.kept)
 	if s.fail != nil {
-		s.sp.SetRows(s.total, s.kept).SetStr("err", s.fail.Error()).End()
+		s.sp.SetStr("err", s.fail.Error()).End()
 		return
 	}
-	s.sp.SetRows(s.total, s.kept).SetProduced(float64(s.kept)).End()
+	s.sp.SetProduced(float64(s.kept)).End()
+}
+
+// openJoin builds one join node's pipeline under a KJoin umbrella span. The
+// left child streams; the right child is a pipeline-breaker, collected in
+// full at open time to build the hash table (or to serve as the nested
+// loop's inner side, re-scanned once per outer row).
+func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *table.Schema, error) {
+	jsp := e.Obs.StartChild(parent, obs.KJoin, n.Key()).SetStr("expr", n.Key())
+	fail := func(err error, open ...rowIter) (rowIter, *table.Schema, error) {
+		for _, it := range open {
+			it.Close(err)
+		}
+		jsp.SetStr("err", err.Error()).End()
+		return nil, nil, err
+	}
+	// The hash predicate is chosen before the children open (it is pure) so
+	// the exchange decision can steer how the build child is scanned: a
+	// build child served directly by the storage layout on the join key
+	// scans shard-major and builds with zero moved rows; any other hash
+	// build on a sharded catalog is a reshuffle.
+	spec := &joinSpec{node: n, sels: q.SelsNewAt(n.Left.Aliases(), n.Right.Aliases())}
+	spec.pickHash(q.PredsNewAt(n.Left.Aliases(), n.Right.Aliases()))
+	layout := e.coPartitioned(q, n.Right, spec.buildTerm)
+
+	left, lschema, err := e.open(q, n.Left, budget, res, jsp, nil)
+	if err != nil {
+		return fail(err)
+	}
+	right, rschema, err := e.open(q, n.Right, budget, res, jsp, layout)
+	if err != nil {
+		return fail(err, left)
+	}
+	spec.left, spec.right, spec.out = lschema, rschema, lschema.Concat(rschema)
+	states, err := newPool(e, func() (*joinState, error) { return newJoinState(spec) })
+	if err != nil {
+		return fail(err, left, right)
+	}
+	side, err := right.collect()
+	if err != nil {
+		return fail(err, left)
+	}
+	it := &joinIter{e: e, jsp: jsp, left: left, build: side.rows, states: states, budget: budget}
+	residuals := float64(len(spec.preds) + len(spec.sels))
+	if spec.buildTerm == nil {
+		it.sp = e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", residuals)
+		return it, spec.out, nil
+	}
+	keyOf := evalKey(spec.buildTerm, rschema)
+	if side.perm != nil {
+		keyOf = storedKey(layout)
+	}
+	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key())
+	ht, inserted, err := e.build(bsp, side, keyOf, e.shardCount(), e.workers(len(side.rows)), budget)
+	bsp.SetRows(len(side.rows), inserted)
+	if err != nil {
+		bsp.SetStr("err", err.Error()).End()
+		return fail(err, left)
+	}
+	e.noteExchange(bsp, layout != nil, inserted)
+	bsp.SetNum("residuals", residuals).End()
+	it.ht = ht
+	it.sp = e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
+	return it, spec.out, nil
+}
+
+// noteExchange records what a hash build on a sharded catalog moved: nothing
+// when the build side was co-partitioned (local), otherwise every inserted
+// row, hash-routed across the exchange.
+func (e *Exec) noteExchange(bsp *obs.Span, local bool, inserted int) {
+	shards := e.shardCount()
+	if shards == 1 {
+		return
+	}
+	bsp.SetNum("shards", float64(shards))
+	if local {
+		bsp.SetNum("local", 1)
+	} else {
+		bsp.SetNum("local", 0).SetNum("exchange_rows", float64(inserted))
+	}
+	if e.Metrics == nil {
+		return
+	}
+	if local {
+		e.Metrics.Counter("monsoon.exchange.joins.local").Inc()
+	} else {
+		e.Metrics.Counter("monsoon.exchange.joins.reshuffle").Inc()
+		e.Metrics.Counter("monsoon.exchange.rows").Add(int64(inserted))
+	}
+}
+
+// joinIter joins each batch pulled from the left child with the collected
+// right side: a probe of the prebuilt hash table, or — when no predicate
+// separates the children (ht nil) — the filtered product, whose span reports
+// rows-in as the number of row pairs scanned. Output order is left-major
+// over the stream, identical at every batch size because each output batch
+// is the join of exactly one input batch, in input order.
+type joinIter struct {
+	e       *Exec
+	jsp, sp *obs.Span // the KJoin umbrella; the KHashProbe or KNestedLoop operator
+	left    rowIter
+	build   []table.Row
+	ht      *shardedTable
+	states  *pool[joinState]
+	budget  *Budget
+	emitted int
+	fail    error
+	closed  bool
+}
+
+func (j *joinIter) Next() ([]table.Row, error) {
+	for {
+		batch, err := j.left.Next()
+		if err != nil {
+			j.fail = err
+			return nil, err
+		}
+		if batch == nil {
+			return nil, nil
+		}
+		w := j.e.workers(len(batch))
+		kernel := func(st *joinState, lo, hi int) error {
+			return st.probeRows(batch[lo:hi], j.build, j.ht, j.budget)
+		}
+		if j.ht == nil {
+			// Sized by the pairs to scan, capped by the outer rows to split.
+			w = min(j.e.workers(len(batch)*len(j.build)), len(batch))
+			kernel = func(st *joinState, lo, hi int) error {
+				return st.loopRows(batch[lo:hi], j.build, j.budget)
+			}
+		}
+		err = j.states.run(j.sp, len(batch), w, kernel)
+		out := stitch(w, func(i int) []table.Row { return j.states.states[i].out })
+		j.emitted += len(out)
+		if err != nil {
+			j.fail = err
+			return nil, err
+		}
+		if len(out) > 0 {
+			return out, nil
+		}
+	}
+}
+
+func (j *joinIter) Close(err error) {
+	if j.closed {
+		return
+	}
+	j.closed = true
+	j.left.Close(err)
+	in := 0
+	for _, st := range j.states.states {
+		in += st.in
+	}
+	j.sp.SetRows(in, j.emitted)
+	if j.fail != nil {
+		j.sp.SetStr("err", j.fail.Error()).End()
+		j.jsp.SetStr("err", j.fail.Error()).End()
+		return
+	}
+	j.sp.SetProduced(float64(j.emitted)).End()
+	j.jsp.SetRows(0, j.emitted).End()
+}
+
+// coPartitioned returns the storage layout that serves a join's build child
+// directly, or nil: the child must be an unmaterialized single-alias leaf
+// whose build term is the identity of the table's shard column. Equal join
+// keys then never span storage shards (the shard column IS the join key and
+// routing is by its hash), so the build can scan shard-major with zero row
+// movement and still yield the hash-table layout of a scan in stored order —
+// within a storage shard rows keep their original relative order, and all
+// rows of one key live in one shard, so every chain's row list comes out the
+// same.
+func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) *table.Sharded {
+	if buildTerm == nil || !n.IsLeaf() || n.Leaf.Size() != 1 {
+		return nil
+	}
+	if _, mat := e.mats[n.Key()]; mat {
+		// A materialized intermediate is reused from the Re store, not the
+		// storage layer; its rows are not shard-partitioned.
+		return nil
+	}
+	alias := n.Leaf.Names()[0]
+	tbl, ok := q.TableOf(alias)
+	if !ok {
+		return nil
+	}
+	sh, ok := e.eng.Cat.ShardsOf(tbl)
+	if !ok || sh.Col == "" {
+		return nil
+	}
+	fn := buildTerm.Fn
+	if fn.Name != "id" || len(fn.Args) != 1 || fn.Args[0] != alias+"."+e.eng.Cat.MustGet(tbl).Schema.Cols[0].Name {
+		return nil
+	}
+	return sh
 }
 
 // peakSampleStride spaces the runtime.ReadMemStats calls of the peak-memory
