@@ -231,6 +231,7 @@ func benchPlanPhase(b *testing.B, planWorkers int) {
 	sc := harness.Small()
 	cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
 	queries := tpch.Queries()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {

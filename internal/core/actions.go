@@ -151,18 +151,26 @@ func usefulSigmaCount(s *State, q *query.Query, cover query.AliasSet, key string
 	return true
 }
 
-// legalActions enumerates A_s for the state (§4.2 with the pruning rules of
-// DESIGN.md §3): joins must enable a predicate or make a term evaluable,
-// non-Σ-copy planned trees stay pairwise alias-disjoint, Σ targets must be
-// useful, and cross products open up only when nothing connected remains.
-func legalActions(s *State, q *query.Query) []Action {
-	if s.Terminal() {
-		return nil
-	}
-	var acts []Action
+// joinPair is one candidate join: its action kind and the two operand trees —
+// a leaf over a free materialized expression or an open planned tree — in the
+// order the action names them.
+type joinPair struct {
+	kind ActionKind
+	l, r *plan.Node
+}
 
+func (p joinPair) action() Action { return Action{Kind: p.kind, A: p.l.Key(), B: p.r.Key()} }
+
+// joinPairs enumerates the join actions of §4.2 under the pruning rules of
+// DESIGN.md §3 — a join must enable a predicate or make a term evaluable,
+// non-Σ-copy planned trees stay pairwise alias-disjoint, and cross products
+// open up only when nothing connected remains — together with the open
+// (Σ-free, non-Σ-copy) planned trees it drew operands from. Both the legal
+// action list and the rollout policy read their joins from here, so they
+// agree on the set and on its order.
+func joinPairs(s *State, q *query.Query) (pairs []joinPair, openPlanned []*plan.Node) {
 	// Materialized entries not consumed by a pending (non-Σ-copy) plan.
-	var freeMats []query.AliasSet
+	freeMats := make([]*plan.Node, 0, len(s.Active))
 	for _, a := range s.Active {
 		used := false
 		for _, t := range s.Planned {
@@ -172,46 +180,58 @@ func legalActions(s *State, q *query.Query) []Action {
 			}
 		}
 		if !used {
-			freeMats = append(freeMats, a)
+			freeMats = append(freeMats, plan.NewLeaf(a))
 		}
 	}
-	var openPlanned []PlannedTree
 	for _, t := range s.Planned {
 		if !t.SigmaCopy && !t.Tree.Sigma {
-			openPlanned = append(openPlanned, t)
+			openPlanned = append(openPlanned, t.Tree)
 		}
 	}
 
-	joinStart := len(acts)
-	for i := 0; i < len(freeMats); i++ {
-		for j := i + 1; j < len(freeMats); j++ {
-			if q.Connected(freeMats[i], freeMats[j]) {
-				acts = append(acts, Action{Kind: ActJoinMats, A: freeMats[i].Key(), B: freeMats[j].Key()})
+	connected := func(l, r *plan.Node) bool { return q.Connected(l.Aliases(), r.Aliases()) }
+	for i, l := range freeMats {
+		for _, r := range freeMats[i+1:] {
+			if connected(l, r) {
+				pairs = append(pairs, joinPair{ActJoinMats, l, r})
 			}
 		}
 	}
-	for i := 0; i < len(openPlanned); i++ {
-		for j := i + 1; j < len(openPlanned); j++ {
-			if q.Connected(openPlanned[i].Tree.Aliases(), openPlanned[j].Tree.Aliases()) {
-				acts = append(acts, Action{Kind: ActJoinPlanned,
-					A: openPlanned[i].Tree.Key(), B: openPlanned[j].Tree.Key()})
+	for i, l := range openPlanned {
+		for _, r := range openPlanned[i+1:] {
+			if connected(l, r) {
+				pairs = append(pairs, joinPair{ActJoinPlanned, l, r})
 			}
 		}
 	}
-	for _, m := range freeMats {
-		for _, t := range openPlanned {
-			if q.Connected(m, t.Tree.Aliases()) {
-				acts = append(acts, Action{Kind: ActJoinMatPlanned, A: m.Key(), B: t.Tree.Key()})
+	for _, l := range freeMats {
+		for _, r := range openPlanned {
+			if connected(l, r) {
+				pairs = append(pairs, joinPair{ActJoinMatPlanned, l, r})
 			}
 		}
 	}
 	// Cross-product fallback: only when no connected join exists anywhere.
-	if len(acts) == joinStart && len(openPlanned) == 0 {
-		for i := 0; i < len(freeMats); i++ {
-			for j := i + 1; j < len(freeMats); j++ {
-				acts = append(acts, Action{Kind: ActJoinMats, A: freeMats[i].Key(), B: freeMats[j].Key()})
+	if len(pairs) == 0 && len(openPlanned) == 0 {
+		for i, l := range freeMats {
+			for _, r := range freeMats[i+1:] {
+				pairs = append(pairs, joinPair{ActJoinMats, l, r})
 			}
 		}
+	}
+	return pairs, openPlanned
+}
+
+// legalActions enumerates A_s for the state (§4.2): the joins of joinPairs,
+// Σ actions whose target is useful, and EXECUTE once anything is planned.
+func legalActions(s *State, q *query.Query) []Action {
+	if s.Terminal() {
+		return nil
+	}
+	pairs, openPlanned := joinPairs(s, q)
+	acts := make([]Action, 0, len(pairs)+len(s.Active)+len(openPlanned)+2)
+	for _, p := range pairs {
+		acts = append(acts, p.action())
 	}
 
 	// Σ-copy from Re (allowed even for entries consumed by pending plans —
@@ -227,16 +247,15 @@ func legalActions(s *State, q *query.Query) []Action {
 	}
 	// Σ-wrap a planned tree.
 	for _, t := range openPlanned {
-		if usefulSigmaTerm(s, q, t.Tree.Aliases(), t.Tree.Key()) {
-			acts = append(acts, Action{Kind: ActSigmaWrap, A: t.Tree.Key()})
+		if usefulSigmaTerm(s, q, t.Aliases(), t.Key()) {
+			acts = append(acts, Action{Kind: ActSigmaWrap, A: t.Key()})
 		}
 	}
 
 	// Single-relation queries: the only way to terminate is to materialize
 	// the filtered scan itself.
-	full := q.Aliases()
-	if full.Size() == 1 && s.findPlanned(full.Key()) < 0 {
-		acts = append(acts, Action{Kind: ActMaterialize, A: full.Key()})
+	if s.full.Size() == 1 && s.findPlanned(s.full.Key()) < 0 {
+		acts = append(acts, Action{Kind: ActMaterialize, A: s.full.Key()})
 	}
 
 	if len(s.Planned) > 0 {
@@ -246,7 +265,7 @@ func legalActions(s *State, q *query.Query) []Action {
 }
 
 // applyPlanEdit applies a deterministic (non-Execute) action, returning a new
-// state that shares the statistics store.
+// state that shares the frontier and the statistics store.
 func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 	n := s.clone(false)
 	switch a.Kind {
@@ -255,7 +274,7 @@ func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("core: Σ-copy target %q not active", a.A)
 		}
-		n.addPlanned(PlannedTree{
+		n.Planned = append(n.Planned, PlannedTree{
 			Tree:      plan.NewLeaf(n.Active[i]).WithSigma(),
 			SigmaCopy: true,
 		})
@@ -270,7 +289,7 @@ func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 		if i < 0 || j < 0 {
 			return nil, fmt.Errorf("core: join-mats operands %q, %q not active", a.A, a.B)
 		}
-		n.addPlanned(PlannedTree{
+		n.Planned = append(n.Planned, PlannedTree{
 			Tree: plan.NewJoin(plan.NewLeaf(n.Active[i]), plan.NewLeaf(n.Active[j])),
 		})
 	case ActJoinPlanned:
@@ -286,13 +305,12 @@ func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 			}
 		}
 		n.Planned = append(keep, PlannedTree{Tree: joined})
-		n.reindexPlanned()
 	case ActMaterialize:
 		i := n.findActive(a.A)
 		if i < 0 {
 			return nil, fmt.Errorf("core: materialize target %q not active", a.A)
 		}
-		n.addPlanned(PlannedTree{Tree: plan.NewLeaf(n.Active[i])})
+		n.Planned = append(n.Planned, PlannedTree{Tree: plan.NewLeaf(n.Active[i])})
 	case ActJoinMatPlanned:
 		i := n.findActive(a.A)
 		j := n.findPlanned(a.B)
@@ -300,8 +318,6 @@ func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 			return nil, fmt.Errorf("core: join-mat-planned operands %q, %q missing", a.A, a.B)
 		}
 		n.Planned[j] = PlannedTree{Tree: plan.NewJoin(plan.NewLeaf(n.Active[i]), n.Planned[j].Tree)}
-		delete(n.plannedIdx, a.B)
-		n.plannedIdx[n.Planned[j].Tree.Key()] = j
 	default:
 		return nil, fmt.Errorf("core: applyPlanEdit on %v", a)
 	}
@@ -311,6 +327,8 @@ func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 // settleExecution updates the Re frontier after all of Rp has been
 // materialized: every non-Σ-copy tree replaces the active entries it
 // consumed; Σ-copies leave the frontier unchanged. Planned becomes empty.
+// The frontier is rebuilt in a slice of its own — the state s was cloned
+// from still reads the old one — and each new cover is inserted in key order.
 func settleExecution(s *State) {
 	for _, t := range s.Planned {
 		if t.Tree.Aliases().Equal(s.full) {
@@ -319,16 +337,23 @@ func settleExecution(s *State) {
 		if t.SigmaCopy {
 			continue
 		}
-		cover := t.Tree.Aliases()
-		kept := s.Active[:0]
+		cover, key := t.Tree.Aliases(), t.Tree.Key()
+		next := make([]query.AliasSet, 0, len(s.Active)+1)
+		placed := false
 		for _, a := range s.Active {
-			if !a.SubsetOf(cover) {
-				kept = append(kept, a)
+			if a.SubsetOf(cover) {
+				continue
 			}
+			if !placed && key < a.Key() {
+				next = append(next, cover)
+				placed = true
+			}
+			next = append(next, a)
 		}
-		s.Active = append(kept, cover)
+		if !placed {
+			next = append(next, cover)
+		}
+		s.Active = next
 	}
 	s.Planned = nil
-	s.plannedIdx = nil
-	s.sortActive()
 }

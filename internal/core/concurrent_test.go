@@ -199,6 +199,58 @@ func TestConcurrentSessionsSpanStreamsIdentical(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsHardenedSeedWriteBack is the race proof for the
+// search's lock-free statistics reads, on the daemon's -harden-stats shape:
+// N sessions share ONE seed store, each clones it, plans with several search
+// shards in flight (every shard reading the session's frozen layers through
+// its own overlay, no mutex), and merges what it hardened back into the seed
+// while the others are still cloning, planning and merging. With write-back
+// the plans depend on who finished first — that is the documented trade — so
+// only the answer is pinned; the race detector is the oracle for the rest.
+func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
+	cat, q := fixture()
+	want, err := Run(q, engine.New(cat), &engine.Budget{}, Config{Seed: 1, Iterations: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := engine.New(cat)
+	seedStats := stats.New()
+	const sessions, rounds = 6, 3
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				st := seedStats.Clone()
+				res, err := Run(q, eng, &engine.Budget{}, Config{
+					Seed: int64(10*i + r), Iterations: 300, Stats: st, PlanParallelism: 4,
+				})
+				if err == nil && (res.Value != want.Value || res.Rows != want.Rows) {
+					err = fmt.Errorf("value/rows %g/%d, want %g/%d", res.Value, res.Rows, want.Value, want.Rows)
+				}
+				if err != nil {
+					errs[i] = fmt.Errorf("session %d round %d: %w", i, r, err)
+					return
+				}
+				seedStats.MergeFrom(st)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if seedStats.CountEntries() == 0 || seedStats.AssumedEntries() != 0 {
+		t.Errorf("seed store after write-back: %d counts, %d assumed; want hardened counts and no assumed",
+			seedStats.CountEntries(), seedStats.AssumedEntries())
+	}
+}
+
 // TestPartialWarmCacheMatchesColdRun pins the replay/planner RNG alignment:
 // a session that hits the cache for its first round but must plan later
 // rounds itself (the normal state when concurrent sessions race to populate

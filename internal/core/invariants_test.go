@@ -5,6 +5,7 @@ import (
 
 	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
+	"monsoon/internal/plan"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
@@ -99,10 +100,7 @@ func TestSimCountsMatchRealCounts(t *testing.T) {
 	s2, _, _ := m.Step(s1, Action{Kind: ActExecute})
 	simRS, _ := s2.(*State).St.Count("R+S")
 	// Real execution.
-	tree, err := joinCandidate(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := plan.NewJoin(plan.NewLeaf(s.Active[s.findActive("R")]), plan.NewLeaf(s.Active[s.findActive("S")]))
 	rel, _, err := eng.ExecTree(q, tree, nil)
 	if err != nil {
 		t.Fatal(err)

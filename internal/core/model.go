@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -11,6 +10,7 @@ import (
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
+	"monsoon/internal/stats"
 )
 
 // Model is the MDP simulator MCTS plans against (§4.3). Plan edits transition
@@ -36,6 +36,11 @@ type Model struct {
 	// the reshuffle-vs-local choice becomes a real action trade-off. Nil (or
 	// an unsharded layout) keeps simulation bit-identical to pre-sharding.
 	Shards cost.ShardLayout
+
+	// scratch is the overlay RolloutAction prices joins on, rebased onto the
+	// state's statistics at every call instead of being made anew. Like Rng it
+	// makes the model single-goroutine; search shards work on forks.
+	scratch *stats.Store
 }
 
 var (
@@ -65,8 +70,11 @@ func (m *Model) Legal(s mcts.State) []mcts.Action {
 }
 
 // Step implements mcts.Model. It never mutates the input state: plan edits
-// clone the structure (sharing statistics), EXECUTE clones the statistics
-// too before hardening them with sampled values.
+// copy the structure (sharing statistics), EXECUTE also lays a copy-on-write
+// overlay over the statistics and hardens the sampled values into that. The
+// returned state's store is written for the last time here — every later
+// transition or rollout step out of it works on an overlay of its own — which
+// is what makes it safe to freeze and share beneath them.
 func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 	st := s.(*State)
 	act := a.(Action)
@@ -150,8 +158,8 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 		return c
 	}
 	prod := 1.0
-	for _, name := range aliases.Names() {
-		prod *= dv.NodeCount(plan.NewLeaf(query.NewAliasSet(name)))
+	for _, one := range aliases.Singletons() {
+		prod *= dv.NodeCount(plan.NewLeaf(one))
 	}
 	return prod
 }
@@ -166,81 +174,39 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 // statistic, a subtree that guessed completes blind.
 func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
 	st := s.(*State)
+	if st.Terminal() {
+		return nil
+	}
+	if !m.UniformRollout {
+		// The greedy policy only ever picks a join or EXECUTE, so it prices
+		// the joins directly and skips the Σ-usefulness half of legalActions.
+		pairs, _ := joinPairs(st, m.Q)
+		if len(pairs) > 0 {
+			// Priced on an overlay: the derived counts and mean-resolved
+			// misses must not leak into the state's statistics.
+			if m.scratch == nil {
+				m.scratch = st.St.Overlay()
+			} else {
+				m.scratch.Rebase(st.St)
+			}
+			dv := &cost.Deriver{Q: m.Q, St: m.scratch, Miss: m.meanMiss()}
+			best, bestCount := 0, math.Inf(1)
+			for i, p := range pairs {
+				if c := dv.NodeCount(plan.NewJoin(p.l, p.r)); c < bestCount {
+					best, bestCount = i, c
+				}
+			}
+			if !math.IsInf(bestCount, 1) {
+				return pairs[best].action()
+			}
+		}
+		if len(st.Planned) > 0 {
+			return Action{Kind: ActExecute}
+		}
+	}
 	acts := legalActions(st, m.Q)
 	if len(acts) == 0 {
 		return nil
 	}
-	if m.UniformRollout {
-		return acts[rng.Intn(len(acts))]
-	}
-	var dv *cost.Deriver // lazily built: most states have join candidates
-	bestJoin := -1
-	bestCount := math.Inf(1)
-	execIdx := -1
-	for i, a := range acts {
-		switch a.Kind {
-		case ActExecute:
-			execIdx = i
-		case ActJoinMats, ActJoinPlanned, ActJoinMatPlanned:
-			if dv == nil {
-				dv = &cost.Deriver{Q: m.Q, St: st.St.Clone(), Miss: m.meanMiss()}
-			}
-			node, err := joinCandidate(st, a)
-			if err != nil {
-				continue
-			}
-			if c := dv.NodeCount(node); c < bestCount {
-				bestCount = c
-				bestJoin = i
-			}
-		}
-	}
-	if bestJoin >= 0 {
-		return acts[bestJoin]
-	}
-	if execIdx >= 0 {
-		return acts[execIdx]
-	}
 	return acts[rng.Intn(len(acts))]
-}
-
-// joinCandidate builds the plan node a join action would create, for costing.
-func joinCandidate(s *State, a Action) (*plan.Node, error) {
-	pick := func(kind ActionKind, key string) (*plan.Node, error) {
-		if kind == ActJoinPlanned {
-			if i := s.findPlanned(key); i >= 0 {
-				return s.Planned[i].Tree, nil
-			}
-			return nil, fmt.Errorf("core: planned %q missing", key)
-		}
-		if i := s.findActive(key); i >= 0 {
-			return plan.NewLeaf(s.Active[i]), nil
-		}
-		return nil, fmt.Errorf("core: active %q missing", key)
-	}
-	var l, r *plan.Node
-	var err error
-	switch a.Kind {
-	case ActJoinMats:
-		if l, err = pick(ActJoinMats, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinMats, a.B)
-	case ActJoinPlanned:
-		if l, err = pick(ActJoinPlanned, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinPlanned, a.B)
-	case ActJoinMatPlanned:
-		if l, err = pick(ActJoinMats, a.A); err != nil {
-			return nil, err
-		}
-		r, err = pick(ActJoinPlanned, a.B)
-	default:
-		return nil, fmt.Errorf("core: %v is not a join action", a)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return plan.NewJoin(l.WithoutSigma(), r.WithoutSigma()), nil
 }

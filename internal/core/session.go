@@ -379,12 +379,12 @@ func (s *Session) ExecuteRound() error {
 	round := s.res.Executes + 1
 	// What the optimizer believes each intermediate will produce, under
 	// the prior's expectation, frozen before the world answers. Derived
-	// on a cloned store (and through Mean, not Sample) so recording the
-	// predictions perturbs neither the statistics set nor the RNG
+	// on an overlay of the store (and through Mean, not Sample) so recording
+	// the predictions perturbs neither the statistics set nor the RNG
 	// stream — traced and untraced runs stay bit-identical.
 	var ests map[string]float64
 	if s.tr.Active() || s.cfg.Metrics != nil || s.cfg.ReplanThreshold > 0 {
-		dv := &cost.Deriver{Q: s.q, St: ns.St.Clone(), Miss: s.model.meanMiss()}
+		dv := &cost.Deriver{Q: s.q, St: ns.St.Overlay(), Miss: s.model.meanMiss()}
 		ests = make(map[string]float64)
 		for _, t := range ns.Planned {
 			estimateTree(dv, t.Tree, ests)

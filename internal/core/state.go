@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"monsoon/internal/mcts"
@@ -30,8 +29,9 @@ type PlannedTree struct {
 	SigmaCopy bool
 }
 
-// State is the MDP state (§4.1). Plan-edit transitions share the statistics
-// store; only EXECUTE transitions clone it.
+// State is the MDP state (§4.1). A state is never edited once a transition
+// has returned it: plan edits copy Planned and share Active and the
+// statistics store; EXECUTE transitions replace Active and overlay the store.
 type State struct {
 	// Planned is Rp, in insertion order.
 	Planned []PlannedTree
@@ -42,14 +42,6 @@ type State struct {
 	// St is the statistics set S.
 	St *stats.Store
 
-	// plannedIdx and activeIdx map expression key → slice index so the
-	// find* lookups hit in every MCTS rollout stay O(1). They are
-	// maintained on clone and on every mutation of Planned/Active; keys
-	// are unique within each slice (the legality rules never plan or
-	// activate the same expression twice).
-	plannedIdx map[string]int
-	activeIdx  map[string]int
-
 	full query.AliasSet // alias set of the whole query
 	done bool           // a materialization covering the full set has run
 }
@@ -58,42 +50,9 @@ type State struct {
 // active, and whatever statistics st already holds (raw input sizes at
 // minimum; callers with partial knowledge may pre-seed more, §3.1).
 func NewInitialState(q *query.Query, st *stats.Store) *State {
-	s := &State{St: st, full: q.Aliases()}
-	for _, name := range s.full.Names() {
-		s.Active = append(s.Active, query.NewAliasSet(name))
-	}
-	s.sortActive()
-	return s
-}
-
-func (s *State) sortActive() {
-	sort.Slice(s.Active, func(i, j int) bool { return s.Active[i].Key() < s.Active[j].Key() })
-	s.reindexActive()
-}
-
-// reindexActive rebuilds activeIdx from the Active slice.
-func (s *State) reindexActive() {
-	s.activeIdx = make(map[string]int, len(s.Active))
-	for i, a := range s.Active {
-		s.activeIdx[a.Key()] = i
-	}
-}
-
-// reindexPlanned rebuilds plannedIdx from the Planned slice.
-func (s *State) reindexPlanned() {
-	s.plannedIdx = make(map[string]int, len(s.Planned))
-	for i, t := range s.Planned {
-		s.plannedIdx[t.Tree.Key()] = i
-	}
-}
-
-// addPlanned appends a tree to Rp and indexes it.
-func (s *State) addPlanned(t PlannedTree) {
-	if s.plannedIdx == nil {
-		s.plannedIdx = make(map[string]int, 1)
-	}
-	s.Planned = append(s.Planned, t)
-	s.plannedIdx[t.Tree.Key()] = len(s.Planned) - 1
+	full := q.Aliases()
+	// Singletons come in name order, which is key order for single aliases.
+	return &State{St: st, full: full, Active: full.Singletons()}
 }
 
 // Terminal reports whether the full query result has been materialized. A
@@ -102,50 +61,45 @@ func (s *State) addPlanned(t PlannedTree) {
 // "active" from the start, yet its filtered result still has to be computed.
 func (s *State) Terminal() bool { return s.done }
 
-// clone copies the mutable structure; the statistics store is shared unless
-// withStats is set.
+// clone copies the state for a transition to edit. Planned gets room for
+// one more tree; Active is shared (only settleExecution changes it, by
+// replacement); the statistics store is shared unless withStats asks for a
+// copy-on-write overlay.
 func (s *State) clone(withStats bool) *State {
-	c := &State{full: s.full, St: s.St, done: s.done}
-	c.Planned = append([]PlannedTree(nil), s.Planned...)
-	c.Active = append([]query.AliasSet(nil), s.Active...)
-	c.plannedIdx = cloneIndex(s.plannedIdx)
-	c.activeIdx = cloneIndex(s.activeIdx)
+	c := *s
+	c.Planned = make([]PlannedTree, len(s.Planned), len(s.Planned)+1)
+	copy(c.Planned, s.Planned)
 	if withStats {
-		c.St = s.St.Clone()
+		c.St = s.St.Overlay()
 	}
-	return c
-}
-
-func cloneIndex(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]int, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	return &c
 }
 
 // CloneForSearch implements mcts.Cloner: each root-parallel search shard
-// plans from its own copy of the root state. The structure (and the index
-// maps the rollout-hot lookups use) is copied; the statistics store is
-// shared read-only — simulated EXECUTE transitions clone it before
-// hardening, exactly as in serial search.
-func (s *State) CloneForSearch() mcts.State { return s.clone(false) }
+// plans from its own copy of the root state, over an overlay of the
+// statistics store — so everything a shard reads during its search sits in
+// frozen layers or in overlays of its own, and no shard takes the session
+// store's lock.
+func (s *State) CloneForSearch() mcts.State { return s.clone(true) }
 
-// findPlanned locates a planned tree by its root key; -1 when absent.
+// findPlanned locates a planned tree by its root key; -1 when absent. Rp and
+// the frontier hold a dozen entries at most and every key is precomputed, so
+// a scan beats an index that every transition would have to copy.
 func (s *State) findPlanned(key string) int {
-	if i, ok := s.plannedIdx[key]; ok {
-		return i
+	for i, t := range s.Planned {
+		if t.Tree.Key() == key {
+			return i
+		}
 	}
 	return -1
 }
 
 // findActive locates an active entry by key; -1 when absent.
 func (s *State) findActive(key string) int {
-	if i, ok := s.activeIdx[key]; ok {
-		return i
+	for i, a := range s.Active {
+		if a.Key() == key {
+			return i
+		}
 	}
 	return -1
 }

@@ -47,7 +47,7 @@ type MissFn func(t *query.Term, exprKey, partnerKey string, cExpr, cPartner floa
 
 // Deriver derives counts and costs for plan trees over a statistics store.
 // The store is mutated (counts recorded, misses recorded as assumed), so
-// callers that must not pollute shared state pass a clone.
+// callers that must not pollute shared state pass an overlay of it.
 type Deriver struct {
 	Q    *query.Query
 	St   *stats.Store

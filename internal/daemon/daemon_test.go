@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"monsoon/internal/query"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
 )
@@ -344,5 +345,58 @@ func TestHashRelation(t *testing.T) {
 	}
 	if hashRelation(a) != hashRelation(rel(table.Row{value.Int(1), value.Int(2)})) {
 		t.Error("equal relations hash differently")
+	}
+}
+
+// wideSQL joins n copies of nation in a chain on the nation key; every
+// intermediate has nation's 25 rows, so only the planner feels the width.
+func wideSQL(n int) string {
+	var from, where []string
+	for i := 0; i < n; i++ {
+		from = append(from, fmt.Sprintf("nation n%02d", i))
+		if i > 0 {
+			where = append(where, fmt.Sprintf("n%02d.n_nationkey = n%02d.n_nationkey", i-1, i))
+		}
+	}
+	return "SELECT COUNT(*) FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+}
+
+// TestQueryRelationLimit walks an ad-hoc query across the alias-set limit:
+// query.MaxAliases relations plan and answer, one more is the client's
+// mistake — 400 with the typed error's message in the body, refused before
+// admission, so the daemon's single slot is free for the next request.
+func TestQueryRelationLimit(t *testing.T) {
+	s, err := New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 1, MCTSIterations: 1,
+		DefaultTimeout: 5 * time.Minute})
+	if err != nil {
+		t.Fatalf("building daemon: %v", err)
+	}
+	h := s.Handler()
+	post := func(n int) (*httptest.ResponseRecorder, QueryResponse) {
+		body, _ := json.Marshal(QueryRequest{SQL: wideSQL(n), Name: fmt.Sprintf("wide%d", n)})
+		return doJSON(t, h, "POST", "/query", string(body))
+	}
+
+	rec, qr := post(query.MaxAliases)
+	if rec.Code != http.StatusOK || qr.Aggregate != 25 {
+		t.Fatalf("%d relations: status %d aggregate %v, want 200 and nation's 25 rows (%s)",
+			query.MaxAliases, rec.Code, qr.Aggregate, rec.Body.String())
+	}
+
+	rec, _ = post(query.MaxAliases + 1)
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("%d relations: body is not JSON: %s", query.MaxAliases+1, rec.Body.String())
+	}
+	if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, "65 relations, the limit is 64") {
+		t.Fatalf("%d relations: status %d error %q, want 400 naming the limit", query.MaxAliases+1, rec.Code, e.Error)
+	}
+	if len(s.sem) != 0 {
+		t.Errorf("%d admission slots held after the refusal, want 0", len(s.sem))
+	}
+	if rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", ""); rec.Code != http.StatusOK {
+		t.Errorf("status %d on the request after the refusal, want 200", rec.Code)
 	}
 }

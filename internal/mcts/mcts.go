@@ -35,7 +35,9 @@ type Model interface {
 	// stuck (treated as terminal).
 	Legal(s State) []Action
 	// Step simulates taking a in s. It must not mutate s. stochastic
-	// reports whether the transition sampled randomness (a chance node).
+	// reports whether the transition sampled randomness (a chance node);
+	// false promises the same successor and reward on every call, and the
+	// search then steps such an edge once and keeps what it got.
 	Step(s State, a Action) (next State, reward float64, stochastic bool)
 }
 
@@ -133,7 +135,13 @@ type edge struct {
 	action Action
 	visits int
 	total  float64
-	kids   map[string]*node // outcome key → successor decision node
+	// A deterministic edge keeps its one successor, and the reward of
+	// reaching it, here: a revisit costs neither a Step nor an OutcomeKey.
+	only   *node
+	reward float64
+	// kids is the chance layer of a stochastic edge: outcome key → successor
+	// decision node.
+	kids map[string]*node
 }
 
 type node struct {
@@ -219,7 +227,7 @@ func principalVariation(n *node, maxDepth int) []string {
 		}
 		e := n.edges[i]
 		line = append(line, e.action.Key())
-		var next *node
+		next := e.only
 		bestVisits, bestKey := -1, ""
 		for key, child := range e.kids {
 			if child.visits > bestVisits || (child.visits == bestVisits && key < bestKey) {
@@ -241,22 +249,33 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 		return 0
 	}
 	idx := p.selectEdge(n, iter)
-	freshlyExpanded := false
-	if n.edges[idx] == nil {
-		n.edges[idx] = &edge{action: n.actions[idx], kids: make(map[string]*node)}
-		freshlyExpanded = true
-	}
 	e := n.edges[idx]
-	next, reward, _ := m.Step(n.state, e.action)
-	key := next.OutcomeKey()
-	child, ok := e.kids[key]
-	if !ok {
-		child = p.newNode(m, next)
-		e.kids[key] = child
+	freshlyExpanded := e == nil
+	if freshlyExpanded {
+		e = &edge{action: n.actions[idx]}
+		n.edges[idx] = e
+	}
+	child, reward := e.only, e.reward
+	if child == nil {
+		next, r, stochastic := m.Step(n.state, e.action)
+		reward = r
+		if !stochastic {
+			child = p.newNode(m, next)
+			e.only, e.reward = child, r
+		} else {
+			key := next.OutcomeKey()
+			if child = e.kids[key]; child == nil {
+				child = p.newNode(m, next)
+				if e.kids == nil {
+					e.kids = make(map[string]*node)
+				}
+				e.kids[key] = child
+			}
+		}
 	}
 	var ret float64
 	if freshlyExpanded {
-		ret = reward + p.rollout(m, next, depth+1)
+		ret = reward + p.rollout(m, child.state, depth+1)
 	} else {
 		ret = reward + p.simulate(m, child, depth+1, iter)
 	}

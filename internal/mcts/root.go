@@ -33,8 +33,10 @@ type Forker interface {
 }
 
 // Cloner is implemented by states that want each search shard to work from
-// its own copy of the root (states carrying lookup caches or other shared
-// scratch). Optional: states without it are shared read-only across shards.
+// its own copy of the root (core's State gives every shard a private overlay
+// of its statistics store). The copies are made on the calling goroutine
+// before any shard runs. Optional: states without it are shared read-only
+// across shards.
 type Cloner interface {
 	CloneForSearch() State
 }
@@ -192,6 +194,13 @@ func (p *RootPlanner) Plan(m Model, root State) Action {
 	}
 	elapsed := make([]time.Duration, len(quotas))
 
+	shardRoots := make([]State, len(quotas))
+	for i := range shardRoots {
+		shardRoots[i] = root
+		if c, ok := root.(Cloner); ok {
+			shardRoots[i] = c.CloneForSearch()
+		}
+	}
 	roots := make([]*node, len(quotas))
 	stats := make([]PlanStats, len(quotas))
 	runShard := func(i int) {
@@ -201,14 +210,10 @@ func (p *RootPlanner) Plan(m Model, root State) Action {
 		if forkable {
 			sm = forker.Fork(shardSeed(p.seed, p.calls, i, "model"))
 		}
-		sr := root
-		if c, ok := root.(Cloner); ok {
-			sr = c.CloneForSearch()
-		}
 		cfg := p.cfg.Config
 		cfg.Iterations = quotas[i]
 		sp := New(cfg, randx.New(shardSeed(p.seed, p.calls, i, "rng")))
-		rootNode := sp.newNode(sm, sr)
+		rootNode := sp.newNode(sm, shardRoots[i])
 		if quotas[i] > 0 {
 			sp.search(sm, rootNode)
 		}
@@ -284,6 +289,9 @@ func mergeNode(dst, src *node) {
 		}
 		de.visits += se.visits
 		de.total += se.total
+		if de.only != nil && se.only != nil {
+			mergeNode(de.only, se.only)
+		}
 		for key, sk := range se.kids {
 			if dk, ok := de.kids[key]; ok {
 				mergeNode(dk, sk)

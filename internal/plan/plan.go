@@ -23,11 +23,12 @@ type Node struct {
 	Sigma bool
 
 	aliases query.AliasSet // cached union
+	key     string         // aliases.Key(), read on every statistics lookup
 }
 
 // NewLeaf returns a leaf referencing the materialized expression covering s.
 func NewLeaf(s query.AliasSet) *Node {
-	return &Node{Leaf: s, aliases: s}
+	return &Node{Leaf: s, aliases: s, key: s.Key()}
 }
 
 // NewJoin returns an inner node joining two subtrees. The children's alias
@@ -37,7 +38,8 @@ func NewJoin(l, r *Node) *Node {
 	if l.Aliases().Intersects(r.Aliases()) {
 		panic("plan: joining overlapping alias sets " + l.Aliases().String() + " and " + r.Aliases().String())
 	}
-	return &Node{Left: l, Right: r, aliases: l.Aliases().Union(r.Aliases())}
+	s := l.Aliases().Union(r.Aliases())
+	return &Node{Left: l, Right: r, aliases: s, key: s.Key()}
 }
 
 // WithSigma returns a copy of the root with the Σ marker set.
@@ -62,7 +64,7 @@ func (n *Node) Aliases() query.AliasSet { return n.aliases }
 
 // Key returns the canonical identity of the node's *result*: the alias-set
 // key (see the query package for why order does not matter for identity).
-func (n *Node) Key() string { return n.aliases.Key() }
+func (n *Node) Key() string { return n.key }
 
 // String renders the tree structurally, e.g. "Σ((R⋈S)⋈T)"; leaf references to
 // materialized intermediates render as their alias-set key in brackets.

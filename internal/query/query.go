@@ -31,6 +31,12 @@ type JoinPred struct {
 // Aliases returns the union of both sides' aliases.
 func (p *JoinPred) Aliases() AliasSet { return p.L.Aliases.Union(p.R.Aliases) }
 
+// newAt reports whether the predicate becomes applicable exactly at the join
+// of left and right: over their union but over neither side alone.
+func (p *JoinPred) newAt(left, right, union AliasSet) bool {
+	return p.ApplicableAt(union) && !p.ApplicableAt(left) && !p.ApplicableAt(right)
+}
+
 // ApplicableAt reports whether the predicate can be evaluated over an
 // expression covering the given alias set.
 func (p *JoinPred) ApplicableAt(s AliasSet) bool {
@@ -84,15 +90,49 @@ type Query struct {
 	Out   Agg
 
 	terms []*Term
+	// u is the alias universe every set of a built query indexes into; nil
+	// for a Query assembled by hand, whose sets then each carry their own.
+	u *universe
 }
 
 // Aliases returns the set of all aliases in the query.
 func (q *Query) Aliases() AliasSet {
+	u := q.u
+	if u == nil {
+		u = q.relUniverse()
+	}
+	return AliasSet{u: u, bits: u.full()}
+}
+
+// relUniverse builds the universe of the mounted relations' aliases. The
+// caller has checked the width.
+func (q *Query) relUniverse() *universe {
 	names := make([]string, len(q.Rels))
 	for i, r := range q.Rels {
 		names[i] = r.Alias
 	}
-	return NewAliasSet(names...)
+	return newUniverse(names)
+}
+
+// tooWide reports a query with more relations than one universe holds.
+func (q *Query) tooWide() error {
+	if len(q.Rels) > MaxAliases {
+		return &TooManyRelationsError{Query: q.Name, Relations: len(q.Rels)}
+	}
+	return nil
+}
+
+// own re-expresses a caller's set over the query's universe, so the
+// predicate loops below compare words even when the set was built with
+// NewAliasSet. A set naming an alias the query lacks is returned as it came.
+func (q *Query) own(s AliasSet) AliasSet {
+	if q.u == nil {
+		return s
+	}
+	if b, all := s.bitsIn(q.u); all {
+		return AliasSet{u: q.u, bits: b}
+	}
+	return s
 }
 
 // Terms returns every term in the query (join sides and selection terms),
@@ -117,6 +157,7 @@ func (q *Query) TableOf(alias string) (string, bool) {
 // and the cost model both use PredsAppliedAt instead; this helper serves the
 // planners.
 func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
+	s = q.own(s)
 	var out []*JoinPred
 	for _, p := range q.Joins {
 		if p.ApplicableAt(s) {
@@ -130,10 +171,11 @@ func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
 // of two alias sets but not over either side alone — exactly the predicates a
 // join of the two sides must evaluate.
 func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
+	left, right = q.own(left), q.own(right)
 	union := left.Union(right)
 	var out []*JoinPred
 	for _, p := range q.Joins {
-		if p.ApplicableAt(union) && !p.ApplicableAt(left) && !p.ApplicableAt(right) {
+		if p.newAt(left, right, union) {
 			out = append(out, p)
 		}
 	}
@@ -143,6 +185,7 @@ func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
 // SelsNewAt returns the selection predicates applicable at the union but not
 // within either side.
 func (q *Query) SelsNewAt(left, right AliasSet) []*SelPred {
+	left, right = q.own(left), q.own(right)
 	union := left.Union(right)
 	var out []*SelPred
 	for _, p := range q.Sels {
@@ -156,6 +199,7 @@ func (q *Query) SelsNewAt(left, right AliasSet) []*SelPred {
 
 // SelsAt returns the selection predicates fully contained in the alias set.
 func (q *Query) SelsAt(s AliasSet) []*SelPred {
+	s = q.own(s)
 	var out []*SelPred
 	for _, p := range q.Sels {
 		if p.T.Aliases.SubsetOf(s) {
@@ -174,25 +218,44 @@ func TermEvaluableAt(t *Term, s AliasSet) bool { return t.Aliases.SubsetOf(s) }
 // predicate side evaluable (the multi-table-UDF case that can force a cross
 // product, e.g. F1(R,S) = F2(T) forces R×S before the predicate exists).
 func (q *Query) Connected(left, right AliasSet) bool {
-	if len(q.PredsNewAt(left, right)) > 0 {
-		return true
-	}
+	left, right = q.own(left), q.own(right)
 	union := left.Union(right)
 	for _, p := range q.Joins {
-		for _, t := range []*Term{p.L, p.R} {
-			if t.Aliases.Size() > 1 &&
-				t.Aliases.SubsetOf(union) &&
-				!t.Aliases.SubsetOf(left) && !t.Aliases.SubsetOf(right) {
-				return true
-			}
+		if p.newAt(left, right, union) {
+			return true
+		}
+	}
+	newlyEvaluable := func(t *Term) bool {
+		return t.Aliases.Size() > 1 && t.Aliases.SubsetOf(union) &&
+			!t.Aliases.SubsetOf(left) && !t.Aliases.SubsetOf(right)
+	}
+	for _, p := range q.Joins {
+		if newlyEvaluable(p.L) || newlyEvaluable(p.R) {
+			return true
 		}
 	}
 	return false
 }
 
-// Validate checks structural invariants: aliases resolve, join sides are
-// disjoint and non-empty, term IDs are dense. Builders call it; tests can too.
+// TooManyRelationsError reports a query that mounts more relations than an
+// AliasSet can index. Build and Validate return it (sqlish.Parse passes it
+// through unwrapped), so a server can answer the client instead of planning.
+type TooManyRelationsError struct {
+	Query     string
+	Relations int
+}
+
+func (e *TooManyRelationsError) Error() string {
+	return fmt.Sprintf("query %s: %d relations, the limit is %d", e.Query, e.Relations, MaxAliases)
+}
+
+// Validate checks structural invariants: the relations fit one alias
+// universe, aliases resolve, join sides are disjoint and non-empty, term IDs
+// are dense. Builders call it; tests can too.
 func (q *Query) Validate() error {
+	if err := q.tooWide(); err != nil {
+		return err
+	}
 	all := q.Aliases()
 	if all.Size() != len(q.Rels) {
 		return fmt.Errorf("query %s: duplicate aliases", q.Name)
@@ -237,8 +300,10 @@ func (b *Builder) Rel(alias, tableName string) *Builder {
 	return b
 }
 
+// term registers fn as a term; its alias set is resolved by Build, once the
+// relations — and with them the universe — are all known.
 func (b *Builder) term(fn *expr.UDF) *Term {
-	t := &Term{ID: len(b.q.terms), Fn: fn, Aliases: NewAliasSet(fn.Aliases()...)}
+	t := &Term{ID: len(b.q.terms), Fn: fn}
 	b.q.terms = append(b.q.terms, t)
 	return t
 }
@@ -263,12 +328,28 @@ func (b *Builder) Sum(attr string) *Builder {
 	return b
 }
 
-// Build validates and returns the query.
+// Build fixes the query's alias universe from its relations, resolves every
+// term's aliases against it, validates, and returns the query.
 func (b *Builder) Build() (*Query, error) {
-	if err := b.q.Validate(); err != nil {
+	q := b.q
+	if err := q.tooWide(); err != nil {
 		return nil, err
 	}
-	return b.q, nil
+	q.u = q.relUniverse()
+	for _, t := range q.terms {
+		t.Aliases = AliasSet{u: q.u}
+		for _, a := range t.Fn.Aliases() {
+			i := q.u.index(a)
+			if i < 0 {
+				return nil, fmt.Errorf("query %s: term %s references unknown alias %q", q.Name, t, a)
+			}
+			t.Aliases.bits |= 1 << uint(i)
+		}
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // MustBuild builds or panics; benchmark suites use it since their queries are

@@ -1,6 +1,8 @@
 package sqlish
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,5 +176,32 @@ func TestParsedQueryValidates(t *testing.T) {
 	}
 	if !q.Connected(query.NewAliasSet("a"), query.NewAliasSet("b")) {
 		t.Error("parsed join graph wrong")
+	}
+}
+
+// TestParseTooManyRelations: a FROM list wider than an alias set holds comes
+// back as the query package's typed error, unwrapped, so a server can tell
+// the client's mistake from a syntax error — and not as a panic.
+func TestParseTooManyRelations(t *testing.T) {
+	from := func(n int) string {
+		rels := make([]string, n)
+		for i := range rels {
+			rels[i] = fmt.Sprintf("t r%02d", i)
+		}
+		return "SELECT COUNT(*) FROM " + strings.Join(rels, ", ")
+	}
+	if _, err := Parse("wide", from(query.MaxAliases), nil); err != nil {
+		t.Fatalf("%d relations must parse: %v", query.MaxAliases, err)
+	}
+	_, err := Parse("wide", from(query.MaxAliases+1), nil)
+	var tooMany *query.TooManyRelationsError
+	if !errors.As(err, &tooMany) || tooMany.Relations != query.MaxAliases+1 {
+		t.Fatalf("%d relations: err = %v, want a *query.TooManyRelationsError", query.MaxAliases+1, err)
+	}
+	// A single term naming more aliases than exist is an unknown-alias error
+	// at Build, long before any set could overflow.
+	if _, err := Parse("ghost", "SELECT COUNT(*) FROM t a WHERE a.x = zz.y", nil); err == nil ||
+		!strings.Contains(err.Error(), "unknown alias") {
+		t.Fatalf("unknown alias: err = %v", err)
 	}
 }

@@ -1,0 +1,231 @@
+package stats
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// refStore is the flat three-map store the layered one replaced, kept here —
+// deep clone, fmt-built signature and all — as the reference the replacement
+// is pinned to.
+type refStore struct {
+	counts   map[string]float64
+	measured map[DKey]float64
+	assumed  map[CKey]float64
+}
+
+func newRef() *refStore {
+	return &refStore{counts: map[string]float64{}, measured: map[DKey]float64{}, assumed: map[CKey]float64{}}
+}
+
+func (r *refStore) clone() *refStore {
+	c := newRef()
+	for k, v := range r.counts {
+		c.counts[k] = v
+	}
+	for k, v := range r.measured {
+		c.measured[k] = v
+	}
+	for k, v := range r.assumed {
+		c.assumed[k] = v
+	}
+	return c
+}
+
+func (r *refStore) mergeFrom(src *refStore) {
+	for k, v := range src.counts {
+		r.counts[k] = v
+	}
+	for k, v := range src.measured {
+		r.measured[k] = v
+	}
+}
+
+func (r *refStore) distinct(term int, expr, partner string) (float64, bool) {
+	if d, ok := r.measured[DKey{term, expr}]; ok {
+		return d, true
+	}
+	d, ok := r.assumed[CKey{term, expr, partner}]
+	return d, ok
+}
+
+func (r *refStore) signature() string {
+	var lines []string
+	for k, v := range r.counts {
+		lines = append(lines, fmt.Sprintf("c:%q:%d", k, logBucket(v)))
+	}
+	for k, v := range r.measured {
+		lines = append(lines, fmt.Sprintf("m:%d:%q:%d", k.Term, k.Expr, logBucket(v)))
+	}
+	for k, v := range r.assumed {
+		lines = append(lines, fmt.Sprintf("a:%d:%q:%q:%d", k.Term, k.Expr, k.Partner, logBucket(v)))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, ",")
+}
+
+func (r *refStore) String() string {
+	var lines []string
+	for k, v := range r.counts {
+		lines = append(lines, fmt.Sprintf("c(%s)=%.6g", k, v))
+	}
+	for k, v := range r.measured {
+		lines = append(lines, fmt.Sprintf("d[t%d](%s)=%.6g", k.Term, k.Expr, v))
+	}
+	for k, v := range r.assumed {
+		lines = append(lines, fmt.Sprintf("d~[t%d](%s|%s)=%.6g", k.Term, k.Expr, k.Partner, v))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// The key space is tiny on purpose: layers shadow each other constantly, and
+// the keys carry the characters the signature has to quote.
+var (
+	propExprs = []string{"R", "S", "R+S", `q"uote`, "x,c:y", "raw:R"}
+	propTerms = []int{0, 1, 7}
+)
+
+func propValue(rng *rand.Rand) float64 {
+	switch rng.Intn(5) {
+	case 0:
+		return 0
+	case 1:
+		return float64(rng.Intn(4))
+	default:
+		return float64(int64(1) << uint(rng.Intn(40)))
+	}
+}
+
+// checkAgainst compares every observer of a store with the reference.
+func checkAgainst(t *testing.T, label string, s *Store, r *refStore) {
+	t.Helper()
+	for _, e := range propExprs {
+		gc, gok := s.Count(e)
+		wc, wok := r.counts[e]
+		if gc != wc || gok != wok {
+			t.Fatalf("%s: Count(%q) = %v,%v want %v,%v", label, e, gc, gok, wc, wok)
+		}
+		for _, term := range propTerms {
+			gm, gok := s.Measured(term, e)
+			wm, wok := r.measured[DKey{term, e}]
+			if gm != wm || gok != wok || s.HasMeasured(term, e) != wok {
+				t.Fatalf("%s: Measured(%d,%q) = %v,%v want %v,%v", label, term, e, gm, gok, wm, wok)
+			}
+			for _, p := range propExprs {
+				gd, gok := s.Distinct(term, e, p)
+				wd, wok := r.distinct(term, e, p)
+				if gd != wd || gok != wok {
+					t.Fatalf("%s: Distinct(%d,%q|%q) = %v,%v want %v,%v", label, term, e, p, gd, gok, wd, wok)
+				}
+			}
+		}
+	}
+	if s.CountEntries() != len(r.counts) || s.MeasuredEntries() != len(r.measured) || s.AssumedEntries() != len(r.assumed) {
+		t.Fatalf("%s: entries %d/%d/%d want %d/%d/%d", label,
+			s.CountEntries(), s.MeasuredEntries(), s.AssumedEntries(), len(r.counts), len(r.measured), len(r.assumed))
+	}
+	if got, want := s.BucketSignature(), r.signature(); got != want {
+		t.Fatalf("%s: BucketSignature\n got %s\nwant %s", label, got, want)
+	}
+	if got, want := s.String(), r.String(); got != want {
+		t.Fatalf("%s: String\n got %s\nwant %s", label, got, want)
+	}
+}
+
+// TestLayeredStoreMatchesDeepClone grows a family of stores by random
+// writes, overlays, rebases, deep clones, merges and assumed-drops, mirroring
+// each on a flat reference whose every fork is a deep copy, and after every
+// step requires every store of the family — the one written and all its
+// relatives above and below — to read exactly like its reference. That is
+// the whole contract of the copy-on-write layers: indistinguishable from
+// cloning, including measured-beats-assumed across layers and the signature
+// byte for byte.
+func TestLayeredStoreMatchesDeepClone(t *testing.T) {
+	type pair struct {
+		s       *Store
+		r       *refStore
+		overlay bool
+	}
+	for seed := int64(0); seed < 15; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		family := []*pair{{s: New(), r: newRef()}}
+		pick := func() *pair { return family[rng.Intn(len(family))] }
+		for step := 0; step < 80; step++ {
+			p := pick()
+			e, term := propExprs[rng.Intn(len(propExprs))], propTerms[rng.Intn(len(propTerms))]
+			partner, v := propExprs[rng.Intn(len(propExprs))], propValue(rng)
+			var op string
+			switch rng.Intn(12) {
+			case 0, 1, 2:
+				op = "SetCount"
+				p.s.SetCount(e, v)
+				p.r.counts[e] = v
+			case 3, 4:
+				op = "SetMeasured"
+				p.s.SetMeasured(term, e, v)
+				p.r.measured[DKey{term, e}] = v
+			case 5, 6:
+				op = "SetAssumed"
+				p.s.SetAssumed(term, e, partner, v)
+				p.r.assumed[CKey{term, e, partner}] = v
+			case 7, 8:
+				op = "Overlay"
+				if rng.Intn(2) == 0 {
+					p.s.BucketSignature() // freeze a layer that already knows its lines
+				}
+				family = append(family, &pair{s: p.s.Overlay(), r: p.r.clone(), overlay: true})
+			case 9:
+				op = "Clone"
+				family = append(family, &pair{s: p.s.Clone(), r: p.r.clone()})
+			case 10:
+				op = "MergeFrom"
+				src := pick()
+				if src == p {
+					continue
+				}
+				p.s.MergeFrom(src.s)
+				p.r.mergeFrom(src.r)
+			case 11:
+				if base := pick(); p.overlay && base != p && rng.Intn(2) == 0 {
+					op = "Rebase"
+					p.s.Rebase(base.s)
+					p.r = base.r.clone()
+				} else {
+					op = "DropAssumed"
+					p.s.DropAssumed()
+					p.r.assumed = map[CKey]float64{}
+				}
+			}
+			for i, m := range family {
+				checkAgainst(t, fmt.Sprintf("seed %d step %d after %s, store %d of %d", seed, step, op, i, len(family)), m.s, m.r)
+			}
+		}
+	}
+}
+
+// TestOverlayAllocatesNoMaps is the point of the layers: forking a store for
+// one sampled world costs one small object however many statistics it holds,
+// and a rebased overlay costs none.
+func TestOverlayAllocatesNoMaps(t *testing.T) {
+	s := New()
+	for i := 0; i < 200; i++ {
+		s.SetCount(fmt.Sprintf("e%d", i), float64(i))
+		s.SetMeasured(i, "e", float64(i))
+	}
+	s.Overlay() // freezes the head once; later overlays find it empty
+	if n := testing.AllocsPerRun(100, func() { s.Overlay() }); n > 1 {
+		t.Errorf("Overlay of a 400-entry store allocates %v objects, want ≤ 1", n)
+	}
+	o := s.Overlay()
+	o.SetCount("mine", 1)
+	if n := testing.AllocsPerRun(100, func() {
+		o.Rebase(s)
+		o.SetCount("mine", 1)
+	}); n > 0 {
+		t.Errorf("Rebase + one write on a warmed overlay allocates %v objects, want 0", n)
+	}
+}

@@ -7,9 +7,10 @@ import (
 )
 
 // TestStoreConcurrentAccess hammers one Store from many goroutines across
-// every public method — writers, readers, cloners, signature renderers, and
-// cross-store merges — so `go test -race` proves the locking covers the whole
-// surface. The assertions are deliberately weak (no torn values, clones
+// every public method — writers, readers, cloners, overlays, signature
+// renderers, and cross-store merges — so `go test -race` proves the locking
+// covers the whole surface, and that an overlay's lock-free reads of the
+// layers frozen beneath it never meet a write. The assertions are deliberately weak (no torn values, clones
 // usable); the race detector is the real oracle.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := New()
@@ -28,7 +29,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			other.SetMeasured(g, "m", float64(g))
 			for i := 0; i < rounds; i++ {
 				expr := fmt.Sprintf("e%d", i%16)
-				switch i % 8 {
+				switch i % 9 {
 				case 0:
 					s.SetCount(expr, float64(i))
 				case 1:
@@ -66,6 +67,24 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					other.MergeFrom(s) // reversed order: snapshotting precludes deadlock
 				case 7:
 					s.DropAssumed()
+				case 8:
+					// The overlay is this goroutine's own; what it reads
+					// through is frozen, whatever the others do to s meanwhile.
+					o := s.Overlay()
+					o.SetCount("overlay-local", 1)
+					if _, ok := o.Count("seed0"); !ok {
+						t.Error("seed0 missing beneath an overlay")
+						return
+					}
+					o.Distinct(g, expr, "p")
+					if sig := o.BucketSignature(); sig == "" {
+						t.Error("empty signature from an overlay of a non-empty store")
+						return
+					}
+					if _, leaked := s.Count("overlay-local"); leaked {
+						t.Error("overlay write reached the store beneath it")
+						return
+					}
 				}
 			}
 		}(g)

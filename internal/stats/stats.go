@@ -10,9 +10,12 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // RawKey returns the statistics key under which the *unfiltered* stored base
@@ -36,49 +39,190 @@ type CKey struct {
 	Partner string
 }
 
-// Store holds the statistics set S. It is a value-semantics-friendly
-// container: Clone produces an independent copy for MCTS rollouts.
-//
-// Every method is safe for concurrent use: a daemon shares one seed store
-// across sessions (each clones it, some merge hardened facts back), so all
-// map access goes through an RWMutex. The lock is uncontended in the
-// single-threaded paths MCTS rollouts take, so cloning-heavy planning keeps
-// its performance profile.
-type Store struct {
-	mu       sync.RWMutex
+// layer is one generation of a store's entries. A store writes only to its
+// head layer; every layer below the head is frozen — nothing writes to it
+// again — so any number of stores and goroutines read it unsynchronized. A
+// lookup walks from the head down and the first layer holding the key wins.
+type layer struct {
+	parent   *layer
 	counts   map[string]float64
 	measured map[DKey]float64
 	assumed  map[CKey]float64
+	// lines memoises, on a frozen layer, the sorted signature lines of the
+	// chain ending here. Racing fillers store equal values.
+	lines atomic.Pointer[[]string]
+}
+
+func (l *layer) empty() bool {
+	return len(l.counts) == 0 && len(l.measured) == 0 && len(l.assumed) == 0
+}
+
+func (l *layer) count(k string) (float64, bool) {
+	for ; l != nil; l = l.parent {
+		if v, ok := l.counts[k]; ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+func (l *layer) measuredAt(k DKey) (float64, bool) {
+	for ; l != nil; l = l.parent {
+		if v, ok := l.measured[k]; ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+func (l *layer) assumedAt(k CKey) (float64, bool) {
+	for ; l != nil; l = l.parent {
+		if v, ok := l.assumed[k]; ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// flatInto fills the empty layer out with what a lookup can find in the
+// chain ending at l — oldest layer first, so newer entries overwrite the ones
+// they shadow; assumed entries only on request.
+func (l *layer) flatInto(out *layer, withAssumed bool) {
+	var buf [8]*layer // deeper chains spill to the heap
+	chain := buf[:0]
+	var counts, measured, assumed int
+	for c := l; c != nil; c = c.parent {
+		chain = append(chain, c)
+		counts += len(c.counts)
+		measured += len(c.measured)
+		assumed += len(c.assumed)
+	}
+	out.counts = make(map[string]float64, counts)
+	out.measured = make(map[DKey]float64, measured)
+	if withAssumed {
+		out.assumed = make(map[CKey]float64, assumed)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		for k, v := range chain[i].counts {
+			out.counts[k] = v
+		}
+		for k, v := range chain[i].measured {
+			out.measured[k] = v
+		}
+		if withAssumed {
+			for k, v := range chain[i].assumed {
+				out.assumed[k] = v
+			}
+		}
+	}
+}
+
+// flattened returns the chain as one layer to range or count over: the head
+// itself when nothing lies beneath it, a flat copy otherwise.
+func (l *layer) flattened() *layer {
+	if l.parent == nil {
+		return l
+	}
+	var out layer
+	l.flatInto(&out, true)
+	return &out
+}
+
+// Store holds the statistics set S as a head layer of its own writes over a
+// chain of frozen layers it may share with other stores.
+//
+// A store from New or Clone is safe for concurrent use: a daemon shares one
+// seed store across sessions (each clones it, some merge hardened facts
+// back), so every method takes its RWMutex. A store from Overlay belongs to
+// the one goroutine that made it and never locks — which is what lets an
+// MCTS search, whose every simulated world is an overlay, read statistics
+// without touching a mutex: its reads end in frozen layers, and its writes
+// stay in heads no other goroutine can see.
+type Store struct {
+	mu      sync.RWMutex
+	overlay bool // owned by one goroutine: mu is never taken
+	head    *layer
+	first   layer // the head a store starts with, allocated with it
+	// sigLines and sig memoise BucketSignature until the next write.
+	sigLines []string
+	sig      string
+	sigOK    bool
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		counts:   make(map[string]float64),
-		measured: make(map[DKey]float64),
-		assumed:  make(map[CKey]float64),
+	s := &Store{}
+	s.head = &s.first
+	return s
+}
+
+func (s *Store) rlock() {
+	if !s.overlay {
+		s.mu.RLock()
 	}
 }
 
-// Clone returns a deep copy.
+func (s *Store) runlock() {
+	if !s.overlay {
+		s.mu.RUnlock()
+	}
+}
+
+func (s *Store) lock() {
+	if !s.overlay {
+		s.mu.Lock()
+	}
+}
+
+func (s *Store) unlock() {
+	if !s.overlay {
+		s.mu.Unlock()
+	}
+}
+
+// Clone returns a deep, flat, independently locked copy.
 func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := &Store{
-		counts:   make(map[string]float64, len(s.counts)),
-		measured: make(map[DKey]float64, len(s.measured)),
-		assumed:  make(map[CKey]float64, len(s.assumed)),
-	}
-	for k, v := range s.counts {
-		c.counts[k] = v
-	}
-	for k, v := range s.measured {
-		c.measured[k] = v
-	}
-	for k, v := range s.assumed {
-		c.assumed[k] = v
-	}
+	s.rlock()
+	defer s.runlock()
+	c := New()
+	s.head.flatInto(c.head, true)
 	return c
+}
+
+// Overlay returns a copy-on-write view: a store that reads what s holds at
+// this moment and keeps its own writes to itself, at the cost of one small
+// allocation instead of a copy of three maps. s stays writable too — what it
+// held so far is frozen beneath both, and neither sees the other's later
+// writes. The overlay is not safe for concurrent use; the simulator makes one
+// per sampled world, each used by a single search shard.
+func (s *Store) Overlay() *Store {
+	o := New()
+	o.overlay = true
+	o.Rebase(s)
+	return o
+}
+
+// Rebase empties the overlay o and lays it over what parent holds at this
+// moment, exactly as parent.Overlay() would, but keeping o's maps: a caller
+// that throws one overlay away per step reuses a single one instead.
+func (o *Store) Rebase(parent *Store) {
+	parent.lock()
+	if !parent.head.empty() {
+		if parent.sigOK {
+			lines := parent.sigLines
+			parent.head.lines.Store(&lines)
+		}
+		parent.head = &layer{parent: parent.head}
+	}
+	base := parent.head.parent
+	o.sigLines, o.sig, o.sigOK = parent.sigLines, parent.sig, parent.sigOK
+	parent.unlock()
+	// o's head is never shared: had o been overlaid while it held entries,
+	// those went to a frozen layer and o got a new head.
+	clear(o.head.counts)
+	clear(o.head.measured)
+	clear(o.head.assumed)
+	o.head.parent = base
 }
 
 // MergeFrom copies src's hardened facts — expression counts and measured
@@ -89,141 +233,263 @@ func (s *Store) Clone() *Store {
 // under its read lock before s takes its write lock, so no lock ordering
 // between two stores is ever needed.
 func (s *Store) MergeFrom(src *Store) {
-	src.mu.RLock()
-	counts := make(map[string]float64, len(src.counts))
-	for k, v := range src.counts {
-		counts[k] = v
+	src.rlock()
+	var facts layer
+	src.head.flatInto(&facts, false)
+	src.runlock()
+	s.lock()
+	w := s.write()
+	for k, v := range facts.counts {
+		w.setCount(k, v)
 	}
-	measured := make(map[DKey]float64, len(src.measured))
-	for k, v := range src.measured {
-		measured[k] = v
+	for k, v := range facts.measured {
+		w.setMeasured(k, v)
 	}
-	src.mu.RUnlock()
-	s.mu.Lock()
-	for k, v := range counts {
-		s.counts[k] = v
+	s.unlock()
+}
+
+// write returns the head layer for a mutation, dropping the signature memo.
+// The caller holds the write lock.
+func (s *Store) write() *layer {
+	s.sigLines, s.sig, s.sigOK = nil, "", false
+	return s.head
+}
+
+func (l *layer) setCount(k string, v float64) {
+	if l.counts == nil {
+		l.counts = make(map[string]float64)
 	}
-	for k, v := range measured {
-		s.measured[k] = v
+	l.counts[k] = v
+}
+
+func (l *layer) setMeasured(k DKey, v float64) {
+	if l.measured == nil {
+		l.measured = make(map[DKey]float64)
 	}
-	s.mu.Unlock()
+	l.measured[k] = v
+}
+
+func (l *layer) setAssumed(k CKey, v float64) {
+	if l.assumed == nil {
+		l.assumed = make(map[CKey]float64)
+	}
+	l.assumed[k] = v
 }
 
 // SetCount records c(expr).
 func (s *Store) SetCount(expr string, c float64) {
-	s.mu.Lock()
-	s.counts[expr] = c
-	s.mu.Unlock()
+	s.lock()
+	s.write().setCount(expr, c)
+	s.unlock()
 }
 
 // Count looks up c(expr).
 func (s *Store) Count(expr string) (float64, bool) {
-	s.mu.RLock()
-	c, ok := s.counts[expr]
-	s.mu.RUnlock()
+	s.rlock()
+	c, ok := s.head.count(expr)
+	s.runlock()
 	return c, ok
 }
 
 // SetMeasured records a hardened distinct count for (term, expr), valid for
 // any partner.
 func (s *Store) SetMeasured(term int, expr string, d float64) {
-	s.mu.Lock()
-	s.measured[DKey{Term: term, Expr: expr}] = d
-	s.mu.Unlock()
+	s.lock()
+	s.write().setMeasured(DKey{Term: term, Expr: expr}, d)
+	s.unlock()
 }
 
 // Measured looks up a hardened distinct count.
 func (s *Store) Measured(term int, expr string) (float64, bool) {
-	s.mu.RLock()
-	d, ok := s.measured[DKey{Term: term, Expr: expr}]
-	s.mu.RUnlock()
+	s.rlock()
+	d, ok := s.head.measuredAt(DKey{Term: term, Expr: expr})
+	s.runlock()
 	return d, ok
 }
 
 // SetAssumed records a prior-sampled distinct count for (term, expr) with
 // respect to a partner expression.
 func (s *Store) SetAssumed(term int, expr, partner string, d float64) {
-	s.mu.Lock()
-	s.assumed[CKey{Term: term, Expr: expr, Partner: partner}] = d
-	s.mu.Unlock()
+	s.lock()
+	s.write().setAssumed(CKey{Term: term, Expr: expr, Partner: partner}, d)
+	s.unlock()
 }
 
-// Distinct resolves d(term, expr | partner): a measured value wins; otherwise
-// an assumed value for this exact partner; otherwise a miss.
+// Distinct resolves d(term, expr | partner): a measured value wins, whichever
+// layer holds it; otherwise an assumed value for this exact partner;
+// otherwise a miss.
 func (s *Store) Distinct(term int, expr, partner string) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if d, ok := s.measured[DKey{Term: term, Expr: expr}]; ok {
+	s.rlock()
+	defer s.runlock()
+	if d, ok := s.head.measuredAt(DKey{Term: term, Expr: expr}); ok {
 		return d, true
 	}
-	if d, ok := s.assumed[CKey{Term: term, Expr: expr, Partner: partner}]; ok {
-		return d, true
-	}
-	return 0, false
+	return s.head.assumedAt(CKey{Term: term, Expr: expr, Partner: partner})
 }
 
 // HasMeasured reports whether a hardened distinct count exists for the term
 // over the expression; Σ-usefulness checks rely on it.
 func (s *Store) HasMeasured(term int, expr string) bool {
-	s.mu.RLock()
-	_, ok := s.measured[DKey{Term: term, Expr: expr}]
-	s.mu.RUnlock()
+	_, ok := s.Measured(term, expr)
 	return ok
 }
 
 // CountEntries reports how many expression cardinalities are known.
 func (s *Store) CountEntries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.counts)
+	s.rlock()
+	defer s.runlock()
+	return len(s.head.flattened().counts)
 }
 
 // MeasuredEntries reports how many hardened distinct counts are known.
 func (s *Store) MeasuredEntries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.measured)
+	s.rlock()
+	defer s.runlock()
+	return len(s.head.flattened().measured)
 }
 
 // AssumedEntries reports how many prior-sampled distinct counts are held.
 func (s *Store) AssumedEntries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.assumed)
+	s.rlock()
+	defer s.runlock()
+	return len(s.head.flattened().assumed)
 }
 
 // DropAssumed clears every prior-sampled entry. The Monsoon driver calls it
 // after each real EXECUTE so the next planning round starts from hardened
-// facts only.
+// facts only. Frozen layers cannot lose entries, so the store is flattened
+// into a fresh head — which also keeps a session's chain from growing by a
+// layer per round.
 func (s *Store) DropAssumed() {
-	s.mu.Lock()
-	s.assumed = make(map[CKey]float64)
-	s.mu.Unlock()
+	s.lock()
+	flat := &layer{}
+	s.write().flatInto(flat, false)
+	s.head = flat
+	s.unlock()
 }
 
 // BucketSignature renders the store with every value bucketed by log2,
 // deterministically ordered. MCTS uses it to key chance-node outcomes:
 // sampled worlds with materially different statistics split into different
 // subtrees, while near-identical ones (e.g. recurring spike-and-slab atoms)
-// share one. Expression keys are %q-quoted: they are comma-joined alias sets,
-// so raw interpolation would let two materially different stores collide on
-// the line and field delimiters (e.g. a key containing ",c:" splicing into a
-// neighboring line) and wrongly merge distinct chance-node outcomes.
+// share one. Expression keys are quoted as %q would: they are comma-joined
+// alias sets, so raw interpolation would let two materially different stores
+// collide on the line and field delimiters (e.g. a key containing ",c:"
+// splicing into a neighboring line) and wrongly merge distinct chance-node
+// outcomes.
+//
+// The string is also the plan-cache key, so its bytes are pinned. It is
+// remembered until the store is next written, and a layered store only
+// renders its head's entries: the frozen chain below keeps its sorted lines.
 func (s *Store) BucketSignature() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lines := make([]string, 0, len(s.counts)+len(s.measured)+len(s.assumed))
-	for k, v := range s.counts {
-		lines = append(lines, fmt.Sprintf("c:%q:%d", k, logBucket(v)))
+	s.lock() // fills the memo
+	defer s.unlock()
+	if !s.sigOK {
+		s.sigLines = s.head.signatureLines()
+		s.sig = strings.Join(s.sigLines, ",")
+		s.sigOK = true
 	}
-	for k, v := range s.measured {
-		lines = append(lines, fmt.Sprintf("m:%d:%q:%d", k.Term, k.Expr, logBucket(v)))
+	return s.sig
+}
+
+// frozenLines is signatureLines memoised on a frozen layer.
+func (l *layer) frozenLines() []string {
+	if l == nil {
+		return nil
 	}
-	for k, v := range s.assumed {
-		lines = append(lines, fmt.Sprintf("a:%d:%q:%q:%d", k.Term, k.Expr, k.Partner, logBucket(v)))
+	if p := l.lines.Load(); p != nil {
+		return *p
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, ",")
+	lines := l.signatureLines()
+	l.lines.Store(&lines)
+	return lines
+}
+
+// signatureLines returns the sorted signature lines of the chain ending at l:
+// the parent chain's lines, minus those l shadows, merged with l's own.
+func (l *layer) signatureLines() []string {
+	var own, shadowed []string
+	var buf []byte
+	line := func(under bool) {
+		if s := string(buf); under {
+			shadowed = append(shadowed, s)
+		} else {
+			own = append(own, s)
+		}
+	}
+	for k, v := range l.counts {
+		buf = countLine(buf[:0], k, v)
+		line(false)
+		if old, ok := l.parent.count(k); ok {
+			buf = countLine(buf[:0], k, old)
+			line(true)
+		}
+	}
+	for k, v := range l.measured {
+		buf = measuredLine(buf[:0], k, v)
+		line(false)
+		if old, ok := l.parent.measuredAt(k); ok {
+			buf = measuredLine(buf[:0], k, old)
+			line(true)
+		}
+	}
+	for k, v := range l.assumed {
+		buf = assumedLine(buf[:0], k, v)
+		line(false)
+		if old, ok := l.parent.assumedAt(k); ok {
+			buf = assumedLine(buf[:0], k, old)
+			line(true)
+		}
+	}
+	sort.Strings(own)
+	base := l.parent.frozenLines()
+	if len(base) == 0 {
+		return own
+	}
+	merged := make([]string, 0, len(base)+len(own))
+	for _, b := range base {
+		if slices.Contains(shadowed, b) {
+			continue
+		}
+		for len(own) > 0 && own[0] < b {
+			merged = append(merged, own[0])
+			own = own[1:]
+		}
+		merged = append(merged, b)
+	}
+	return append(merged, own...)
+}
+
+// The three line formats are fmt's "c:%q:%d", "m:%d:%q:%d" and
+// "a:%d:%q:%q:%d" spelled with strconv.
+
+func countLine(b []byte, k string, v float64) []byte {
+	b = append(b, "c:"...)
+	b = strconv.AppendQuote(b, k)
+	return appendBucket(b, v)
+}
+
+func measuredLine(b []byte, k DKey, v float64) []byte {
+	b = append(b, "m:"...)
+	b = strconv.AppendInt(b, int64(k.Term), 10)
+	b = append(b, ':')
+	b = strconv.AppendQuote(b, k.Expr)
+	return appendBucket(b, v)
+}
+
+func assumedLine(b []byte, k CKey, v float64) []byte {
+	b = append(b, "a:"...)
+	b = strconv.AppendInt(b, int64(k.Term), 10)
+	b = append(b, ':')
+	b = strconv.AppendQuote(b, k.Expr)
+	b = append(b, ':')
+	b = strconv.AppendQuote(b, k.Partner)
+	return appendBucket(b, v)
+}
+
+func appendBucket(b []byte, v float64) []byte {
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(logBucket(v)), 10)
 }
 
 func logBucket(x float64) int {
@@ -236,16 +502,17 @@ func logBucket(x float64) int {
 // String renders the store content deterministically (sorted) for debugging
 // and golden tests.
 func (s *Store) String() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.rlock()
+	defer s.runlock()
 	var lines []string
-	for k, v := range s.counts {
+	flat := s.head.flattened()
+	for k, v := range flat.counts {
 		lines = append(lines, fmt.Sprintf("c(%s)=%.6g", k, v))
 	}
-	for k, v := range s.measured {
+	for k, v := range flat.measured {
 		lines = append(lines, fmt.Sprintf("d[t%d](%s)=%.6g", k.Term, k.Expr, v))
 	}
-	for k, v := range s.assumed {
+	for k, v := range flat.assumed {
 		lines = append(lines, fmt.Sprintf("d~[t%d](%s|%s)=%.6g", k.Term, k.Expr, k.Partner, v))
 	}
 	sort.Strings(lines)
