@@ -191,6 +191,7 @@ func benchLargeJoinAt(b *testing.B, parallelism, batchSize int) {
 	eng := engine.New(cat)
 	eng.Parallelism = parallelism
 	eng.BatchSize = batchSize
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})

@@ -1,0 +1,227 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"monsoon/internal/expr"
+	"monsoon/internal/plan"
+	"monsoon/internal/query"
+	"monsoon/internal/table"
+	"monsoon/internal/value"
+)
+
+// cloneRows copies rows value by value, so that a later write into the
+// memory the originals share shows up as a difference.
+func cloneRows(rows []table.Row) []table.Row {
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		out[i] = append(table.Row(nil), r...)
+	}
+	return out
+}
+
+func checkTightRows(t *testing.T, at string, rows []table.Row) {
+	t.Helper()
+	for i, r := range rows {
+		if cap(r) != len(r) {
+			t.Fatalf("%s: row %d has len %d, cap %d: an append could reach the next row", at, i, len(r), cap(r))
+		}
+	}
+}
+
+// TestRowLifetime pins who may keep a joined row: the rows of a root relation
+// and of a collected build side come out of slabs the join never writes
+// again, so they read the same after the pipeline has pulled every further
+// batch and after later trees have run on the same Exec — at every batch size
+// and worker count — and no row has room for an append to reach a neighbour.
+func TestRowLifetime(t *testing.T) {
+	cat := matrixCatalog(1, 1)
+	q := query.NewBuilder("abc").Rel("a", "A").Rel("b", "B").Rel("c", "C").
+		Join(expr.Identity("a.k"), expr.Identity("b.k")).
+		Join(expr.Identity("c.k"), expr.Identity("a.k")).
+		MustBuild()
+	rightDeep := plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))
+	leftDeep := plan.NewJoin(plan.NewJoin(leaf("a"), leaf("b")), leaf("c"))
+	for _, batch := range []int{0, 1, 7, -1} {
+		for _, par := range []int{1, 4} {
+			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
+			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+
+			// Drain the right-deep tree by hand, keeping every row header the
+			// way the root materialize does, beside a copy taken on arrival.
+			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
+			it, _, err := ex.open(q, rightDeep, &Budget{}, res, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			build := it.inner.(*joinIter).build // a⋈b's output, collected
+			buildWas := cloneRows(build)
+			var held, heldWas []table.Row
+			for {
+				b, err := it.Next()
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if b == nil {
+					break
+				}
+				held = append(held, b...)
+				heldWas = append(heldWas, cloneRows(b)...)
+			}
+			it.Close(nil)
+			if len(build) == 0 || len(held) == 0 {
+				t.Fatalf("%s: %d build rows, %d output rows: nothing to pin", at, len(build), len(held))
+			}
+
+			rel, _, err := ex.ExecTree(q, leftDeep, &Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			relWas := cloneRows(rel.Rows)
+			rel2, _, err := ex.ExecTree(q, rightDeep, &Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+
+			for _, c := range []struct {
+				what      string
+				rows, was []table.Row
+			}{
+				{"collected build side", build, buildWas},
+				{"rows kept from drained batches", held, heldWas},
+				{"root relation after a second ExecTree", rel.Rows, relWas},
+				{"second run of the same tree", rel2.Rows, heldWas},
+			} {
+				if !reflect.DeepEqual(c.rows, c.was) {
+					t.Errorf("%s: %s changed after it was handed out", at, c.what)
+				}
+				checkTightRows(t, at+": "+c.what, c.rows)
+			}
+		}
+	}
+}
+
+// TestMaxTuplesTripsOnTheSameTuple: with one worker a tuple budget stops
+// every operator on exactly the charge that exceeds it, so Budget.Produced()
+// after the abort is a fixed number — the ones below were read off the engine
+// before Charge became a single atomic add. Operators that charge a row at a
+// time stop at MaxTuples + 1; an unfiltered scan charges a slab at once.
+func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
+	cross := query.NewBuilder("cross").Rel("R", "R").Rel("T", "T").
+		Select(expr.SumMod("R.b", "T.k", 97), value.Int(5)).
+		MustBuild()
+	sel := query.NewBuilder("sel").Rel("R", "R").
+		Select(expr.Identity("R.b"), value.Int(3)).
+		MustBuild()
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		tree *plan.Node
+		max  float64
+		want float64
+	}{
+		{"filter scan", sel, leaf("R"), 40, 41},
+		{"unfiltered scan", rstQuery(), leaf("R"), 10, 1000},
+		{"hash probe", rstQuery(), plan.NewJoin(leaf("R"), leaf("S")), 1200, 1201},
+		{"hash probe under a join", rstQuery(), plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T")), 1400, 1401},
+		{"nested loop", cross, plan.NewJoin(leaf("R"), leaf("T")), 1100, 1101},
+		{"sigma pass", rstQuery(), leaf("S").WithSigma(), 70, 71},
+	} {
+		for _, batch := range []int{0, 7} {
+			e := New(fixture())
+			e.Parallelism, e.BatchSize = 1, batch
+			b := &Budget{MaxTuples: tc.max}
+			_, _, err := e.ExecTree(tc.q, tc.tree, b)
+			if !errors.Is(err, ErrBudget) {
+				t.Errorf("%s BatchSize %d: err = %v, want ErrBudget", tc.name, batch, err)
+			}
+			if got := b.Produced(); got != tc.want {
+				t.Errorf("%s BatchSize %d: stopped at Produced() = %v, want %v", tc.name, batch, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestDeadlineStopsUnproductiveKernels: the three kernels that can run long
+// without charging a tuple — a probe that matches nothing, a build over NULL
+// keys, a nested loop that rejects every pair — see an expired deadline
+// within one polling quantum plus one stride of rows.
+func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
+	const rows, limit = 20000, 1<<pollQuantum + pollStride
+	expired := func() *Budget { return &Budget{Deadline: time.Now().Add(-time.Second)} }
+	seq := make([]value.Value, rows)
+	nulls := make([]value.Value, rows)
+	for i := range seq {
+		seq[i] = value.Int(int64(i))
+	}
+	probe, build := keyedRows("P", seq), keyedRows("B", []value.Value{value.Int(-1)})
+	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
+	e := New(table.NewCatalog()).exec()
+
+	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, 1, 1, &Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &joinState{pb: pb, width: 4}
+	if err := st.probeRows(probe.Rows, build.Rows, ht, expired()); !errors.Is(err, ErrBudget) || st.in > limit {
+		t.Errorf("matchless probe: err = %v after %d rows, want ErrBudget within %d", err, st.in, limit)
+	}
+
+	seen := 0
+	_, ins, err := e.build(nil, buildSide{rows: keyedRows("N", nulls).Rows}, func() keyFn {
+		return func(_ int, row table.Row) (value.Value, uint64) { seen++; return row[0], 0 }
+	}, 1, 1, expired())
+	if !errors.Is(err, ErrBudget) || seen > limit || ins != 0 {
+		t.Errorf("all-NULL build: err = %v after %d rows (%d inserted), want ErrBudget within %d", err, seen, ins, limit)
+	}
+
+	never, _ := expr.Identity("B.k").Bind(probe.Schema.Concat(build.Schema))
+	st = &joinState{residuals: []residual{{sb: never, k: value.Int(-2)}}, width: 4}
+	if err := st.loopRows(probe.Rows, build.Rows, expired()); !errors.Is(err, ErrBudget) || st.in > limit {
+		t.Errorf("all-rejecting nested loop: err = %v after %d pairs, want ErrBudget within %d", err, st.in, limit)
+	}
+
+	// Without a deadline the same kernels run to the end and charge nothing.
+	b := &Budget{}
+	st = &joinState{pb: pb, width: 4}
+	if err := st.probeRows(probe.Rows, build.Rows, ht, b); err != nil || st.in != rows || b.Produced() != 0 {
+		t.Errorf("matchless probe without a deadline: err = %v, %d rows, produced %v", err, st.in, b.Produced())
+	}
+}
+
+// TestProbeAllocationCeiling is the gate on the join's emit path: rows are
+// carved off slabs, so a probe that emits 10,000 rows may allocate at most
+// once per hundred of them (it does once per 256, plus nothing once the
+// output buffer has grown).
+func TestProbeAllocationCeiling(t *testing.T) {
+	keys := make([]value.Value, 1000)
+	for i := range keys {
+		keys[i] = value.Int(int64(i % 100))
+	}
+	probe, build := keyedRows("P", keys), keyedRows("B", keys)
+	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
+	e := New(table.NewCatalog()).exec()
+	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, 1, 1, &Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &joinState{pb: pb, width: 4}
+	budget := &Budget{}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := st.probeRows(probe.Rows, build.Rows, ht, budget); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const matches = 10000
+	if len(st.out) != matches {
+		t.Fatalf("probe emitted %d rows, want %d", len(st.out), matches)
+	}
+	t.Logf("%v allocations for %d emitted rows", allocs, matches)
+	if allocs > matches/100 {
+		t.Errorf("probe allocated %v times for %d emitted rows, ceiling %d", allocs, matches, matches/100)
+	}
+}

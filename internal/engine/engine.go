@@ -44,13 +44,26 @@ type Budget struct {
 	MaxTuples float64
 
 	produced atomic.Int64
-	checkCtr atomic.Int64
+	// work counts rows that were examined and produced nothing (poll); it
+	// exists only to pace the deadline check on paths that never charge.
+	work atomic.Int64
 }
 
+// pollQuantum is how many units — tuples charged, or rows polled — pass
+// between two looks at the clock, as a shift: the deadline is read when a
+// counter crosses a multiple of 1<<pollQuantum.
+const pollQuantum = 10
+
+// pollStride is how many unproductive rows a kernel lets pass between two
+// calls of poll; see pacer.
+const pollStride = 64
+
 // Charge accounts n produced tuples and reports ErrBudget when a bound is
-// exceeded. Safe for concurrent use. The deadline is polled roughly every
-// thousand tuples to keep it off the per-tuple path; a concurrent reset may
-// occasionally stretch the polling interval, never the tuple bound.
+// exceeded. Safe for concurrent use. It is one atomic add: the tuple bound is
+// checked against the sum the add returns, so it trips on exactly the tuple
+// that exceeds it, and the deadline is read only when that sum crosses a
+// multiple of 1,024 — on every 1,024th charge of a single row, and on every
+// charge of a slab that large.
 func (b *Budget) Charge(n int) error {
 	if b == nil {
 		return nil
@@ -59,18 +72,55 @@ func (b *Budget) Charge(n int) error {
 	if b.MaxTuples > 0 && float64(p) > b.MaxTuples {
 		return ErrBudget
 	}
-	inc := int64(n)
-	if inc < 1 {
-		inc = 1
-	}
-	if b.checkCtr.Add(inc) >= 1024 {
-		b.checkCtr.Store(0)
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			return ErrBudget
-		}
+	if crossed(p, n) && b.expired() {
+		return ErrBudget
 	}
 	return nil
 }
+
+// poll accounts n rows of work that produced nothing — probe rows without a
+// match, build rows, rejected nested-loop pairs — so that a kernel which
+// never charges still sees the deadline, and a tuple bound another worker
+// has already exceeded. The clock is read when the polled total crosses a
+// multiple of 1,024.
+func (b *Budget) poll(n int) error {
+	if b == nil {
+		return nil
+	}
+	if b.MaxTuples > 0 && float64(b.produced.Load()) > b.MaxTuples {
+		return ErrBudget
+	}
+	if crossed(b.work.Add(int64(n)), n) && b.expired() {
+		return ErrBudget
+	}
+	return nil
+}
+
+// crossed reports whether a counter that has just reached total by adding n
+// passed a polling boundary on the way.
+func crossed(total int64, n int) bool {
+	return total>>pollQuantum != (total-int64(n))>>pollQuantum
+}
+
+func (b *Budget) expired() bool {
+	return !b.Deadline.IsZero() && time.Now().After(b.Deadline)
+}
+
+// pacer keeps a kernel's polling off its per-row path: tick counts one
+// unproductive row and polls the budget once per pollStride of them, done
+// polls the remainder when the kernel returns. That is one atomic add per 64
+// rows, and a deadline is noticed within 1,024 + 64 rows of unproductive work.
+type pacer struct{ n int }
+
+func (p *pacer) tick(b *Budget) error {
+	if p.n++; p.n < pollStride {
+		return nil
+	}
+	p.n = 0
+	return b.poll(pollStride)
+}
+
+func (p *pacer) done(b *Budget) error { return b.poll(p.n) }
 
 // Produced reports the tuples charged so far.
 func (b *Budget) Produced() float64 {
@@ -293,30 +343,88 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 	return rel, res, nil
 }
 
-// bucket chains the build rows of one join-key value; hashTable maps key
-// hashes to their (collision-chained) buckets. After the build phase the
-// table is read-only, so probe workers share it without locks.
-type bucket struct {
-	key  value.Value
-	rows []int
+// entry is one distinct join key of a hash table: the key, its full hash, and
+// the first and last build row that carry it. The rows between them are
+// linked through the table's next slice, in ascending row order.
+type entry struct {
+	hash       uint64
+	key        value.Value
+	head, tail int32
 }
 
-type hashTable map[uint64][]bucket
+// hashTable is one open-addressing sub-table of a hash-join build. entries
+// holds the distinct keys in first-occurrence order; slots maps a position to
+// an entry (index + 1, 0 = empty) and is probed linearly from the key's home
+// slot. A key is never removed and a new entry takes the first empty slot
+// after its home, so entries that share a hash — they share a home — are met
+// in the order they were inserted, from insert and from a probe alike: the
+// collision-chain order a probe's output order depends on. After the build
+// phase the table is read-only, so probe workers share it without locks.
+type hashTable struct {
+	slots   []int32
+	shift   uint // 64 − log2(len(slots))
+	entries []entry
+}
 
-// insertHash chains build-row index i under key k, whose hash is h: the
-// key's bucket if one exists in the hash's collision chain, a fresh bucket
-// appended otherwise. Inserting rows in ascending index order yields chains
-// in first-occurrence order with ascending row lists — the invariant the
-// chunked build reproduces by merging per-worker tables in worker order.
-func (ht hashTable) insertHash(h uint64, k value.Value, i int) {
-	bs := ht[h]
-	for bi := range bs {
-		if bs[bi].key.Equal(k) {
-			bs[bi].rows = append(bs[bi].rows, i)
+// newHashTable makes a table for hint build rows: slots for a load of at most
+// one half and room for as many entries, should every row carry a key of its
+// own, so a build within its hint never moves an entry. Rows that share keys
+// leave the rest of that room untouched.
+func newHashTable(hint int) hashTable {
+	bits := uint(3)
+	for 1<<bits < 2*hint {
+		bits++
+	}
+	return hashTable{slots: make([]int32, 1<<bits), shift: 64 - bits, entries: make([]entry, 0, hint)}
+}
+
+// home is where the probe sequence of hash h starts. The multiplication mixes
+// every bit of h into the top ones, which are the ones kept: the hashes that
+// meet in one sub-table already agree modulo the sub-table count, and taking
+// their low bits would pile them onto a fraction of the slots.
+func (t *hashTable) home(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// add chains the build rows head..tail (already linked through next, in
+// ascending order) under key k, whose hash is h: appended to the key's entry
+// if one exists among the entries of that hash, under a fresh entry
+// otherwise. A build adds one row at a time; a merge adds another table's
+// whole chain at once. Adding rows in ascending order yields entries in
+// first-occurrence order, each with an ascending row list.
+func (t *hashTable) add(h uint64, k value.Value, head, tail int32, next []int32) {
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for s := t.home(h); ; s = (s + 1) & mask {
+		ei := t.slots[s]
+		if ei == 0 {
+			t.entries = append(t.entries, entry{hash: h, key: k, head: head, tail: tail})
+			t.slots[s] = int32(len(t.entries))
+			return
+		}
+		if e := &t.entries[ei-1]; e.hash == h && e.key.Equal(k) {
+			next[e.tail] = head
+			e.tail = tail
 			return
 		}
 	}
-	ht[h] = append(bs, bucket{key: k, rows: []int{i}})
+}
+
+// grow doubles the slots and re-inserts the entries in order, which keeps
+// entries of one hash in insertion order along their probe sequence.
+func (t *hashTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	mask := len(t.slots) - 1
+	for i := range t.entries {
+		s := t.home(t.entries[i].hash)
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(i + 1)
+	}
 }
 
 // shardedTable splits a hash-join build across S sub-tables routed by the
@@ -326,21 +434,32 @@ func (ht hashTable) insertHash(h uint64, k value.Value, i int) {
 // probe side streams in its original order and routes each key the same way,
 // which makes join output bit-identical for any S. An unsharded catalog is
 // S == 1: subs[0] is the one table.
+//
+// next links the build rows of one key: next[i] is the build-row index that
+// follows row i under its key, −1 at the end of a chain. There is one per
+// build side, shared by every sub-table and — while building — every worker:
+// a row belongs to one key and is inserted by one worker, so they write
+// disjoint indices. Rows with a NULL key are in no chain; their slots are
+// never read.
 type shardedTable struct {
 	subs []hashTable
+	next []int32
 }
 
-func newShardedTable(s, sizeHint int) *shardedTable {
-	t := &shardedTable{subs: make([]hashTable, s)}
+func newShardedTable(s, sizeHint int, next []int32) *shardedTable {
+	t := &shardedTable{subs: make([]hashTable, s), next: next}
 	for i := range t.subs {
-		t.subs[i] = make(hashTable, sizeHint/s+1)
+		t.subs[i] = newHashTable(sizeHint/s + 1)
 	}
 	return t
 }
 
-// chains returns the collision chain for a probe key's hash.
-func (t *shardedTable) chains(h uint64) []bucket {
-	return t.subs[h%uint64(len(t.subs))][h]
+// sub returns the sub-table that hash h routes to.
+func (t *shardedTable) sub(h uint64) *hashTable {
+	if len(t.subs) == 1 {
+		return &t.subs[0]
+	}
+	return &t.subs[h%uint64(len(t.subs))]
 }
 
 // shardCount reports the catalog's shard layout width (1 = unsharded).

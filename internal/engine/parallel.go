@@ -1,7 +1,7 @@
 // Row kernels and the one fan-out that spreads them over workers. Every
 // partitionable operator — filter scan, hash build, hash probe, nested loop,
 // Σ pass — is written once as a kernel over a contiguous range of its input
-// plus a per-worker state (bindings, scratch row, output buffer, sketches),
+// plus a per-worker state (bindings, row slab, output buffer, sketches),
 // and runs through fanOut: the input splits into w contiguous chunks, each
 // worker fills its own state, and the states are stitched (or merged) back in
 // chunk order. That order is exactly what a single pass would have produced,
@@ -286,11 +286,23 @@ func (j *joinSpec) pickHash(preds []*query.JoinPred) {
 	}
 }
 
-// joinState is one worker's side of a hash probe or nested loop.
+// slabRows caps the joined rows one slab holds. A state's first slab holds
+// slabRows/16 and each further one twice its predecessor up to the cap, so a
+// join that emits three rows does not clear the memory of 256.
+const slabRows = 256
+
+// joinState is one worker's side of a hash probe or nested loop. Joined rows
+// are written in place into slab, a run of width-sized slots carved off the
+// front as rows are emitted; a slot whose row fails a residual is simply
+// written again. A slab is never written once its slots are carved off, so
+// whoever holds an emitted row may keep it: the slab lives as long as any of
+// its rows does.
 type joinState struct {
 	pb        *expr.Binding // probe key over the left schema; nil in a nested loop
 	residuals []residual
-	scratch   table.Row
+	width     int           // columns of a joined row
+	slab      []value.Value // uncarved rest of the current slab
+	grown     int           // rows the current slab was made for
 	out       []table.Row
 	in        int // left rows probed, or row pairs scanned, over the state's lifetime
 }
@@ -298,7 +310,7 @@ type joinState struct {
 // newJoinState binds one worker's predicates; the first call per join is
 // where an unbindable predicate or hash term is reported.
 func newJoinState(j *joinSpec) (*joinState, error) {
-	st := &joinState{scratch: make(table.Row, len(j.out.Cols))}
+	st := &joinState{width: len(j.out.Cols)}
 	for _, p := range j.preds {
 		lb, ok1 := p.L.Fn.Bind(j.out)
 		rb, ok2 := p.R.Fn.Bind(j.out)
@@ -328,70 +340,97 @@ func newJoinState(j *joinSpec) (*joinState, error) {
 	return st, nil
 }
 
-// emit appends a copy of the scratch row to the output and charges it.
-func (st *joinState) emit(budget *Budget) error {
-	joined := make(table.Row, len(st.scratch))
-	copy(joined, st.scratch)
-	st.out = append(st.out, joined)
+// slot returns the next free slot of the slab, making a new slab when the
+// current one is used up. Its capacity equals its length, so an append to an
+// emitted row reallocates instead of reaching the neighbouring slot.
+func (st *joinState) slot() table.Row {
+	w := st.width
+	if len(st.slab) < w {
+		st.grown = max(slabRows/16, min(2*st.grown, slabRows))
+		st.slab = make([]value.Value, st.grown*w)
+	}
+	return st.slab[:w:w]
+}
+
+// emit commits the slot just written as the next output row and charges it.
+func (st *joinState) emit(row table.Row, budget *Budget) error {
+	st.slab = st.slab[st.width:]
+	st.out = append(st.out, row)
 	return budget.Charge(1)
 }
 
 // probeRows joins each probe row with its matches in the hash table, in
-// probe order. NULL keys never match.
+// probe order: entries of the key's hash in insertion order, build rows
+// ascending within each. NULL keys never match.
 func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budget *Budget) error {
 	st.out = st.out[:0]
+	var pace pacer
 	for _, prow := range probe {
 		st.in++
-		// Matchless probes produce nothing; poll the deadline anyway.
-		if err := budget.Charge(0); err != nil {
+		// Matchless probes charge nothing; poll the deadline anyway.
+		if err := pace.tick(budget); err != nil {
 			return err
 		}
 		k := st.pb.Eval(prow)
 		if k.IsNull() {
 			continue
 		}
-		for _, b := range ht.chains(k.Hash()) {
-			if !b.key.Equal(k) {
+		h := k.Hash()
+		sub := ht.sub(h)
+		mask := len(sub.slots) - 1
+		var row table.Row // the open slot, its probe half written; nil after an emit
+		for s := sub.home(h); sub.slots[s] != 0; s = (s + 1) & mask {
+			e := &sub.entries[sub.slots[s]-1]
+			if e.hash != h || !e.key.Equal(k) {
 				continue
 			}
-			for _, bi := range b.rows {
-				copy(st.scratch, prow)
-				copy(st.scratch[len(prow):], build[bi])
-				if !passResiduals(st.scratch, st.residuals) {
+			for bi := e.head; bi >= 0; bi = ht.next[bi] {
+				if row == nil {
+					row = st.slot()
+					copy(row, prow)
+				}
+				copy(row[len(prow):], build[bi])
+				if !passResiduals(row, st.residuals) {
 					continue
 				}
-				if err := st.emit(budget); err != nil {
+				if err := st.emit(row, budget); err != nil {
 					return err
 				}
+				row = nil
 			}
 		}
 	}
-	return nil
+	return pace.done(budget)
 }
 
 // loopRows computes the filtered product of the outer rows with the whole
 // inner side, outer-major.
 func (st *joinState) loopRows(outer, inner []table.Row, budget *Budget) error {
 	st.out = st.out[:0]
+	var pace pacer
 	for _, lrow := range outer {
-		copy(st.scratch, lrow)
+		var row table.Row // the open slot, its outer half written; nil after an emit
 		for _, rrow := range inner {
 			st.in++
-			copy(st.scratch[len(lrow):], rrow)
-			if !passResiduals(st.scratch, st.residuals) {
-				// Even rejected pairs consume work; poll the deadline with a
-				// zero charge.
-				if err := budget.Charge(0); err != nil {
+			if row == nil {
+				row = st.slot()
+				copy(row, lrow)
+			}
+			copy(row[len(lrow):], rrow)
+			if passResiduals(row, st.residuals) {
+				if err := st.emit(row, budget); err != nil {
 					return err
 				}
+				row = nil
 				continue
 			}
-			if err := st.emit(budget); err != nil {
+			// Even rejected pairs consume work; poll the deadline.
+			if err := pace.tick(budget); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return pace.done(budget)
 }
 
 // sigmaState is one worker's side of the Σ pass: a binding and a sketch per
@@ -474,60 +513,62 @@ type buildState struct {
 // table under their row indices, skipping NULL keys. A position is a row
 // index, or an index into perm when one is given.
 func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budget *Budget) error {
-	s := uint64(len(st.t.subs))
+	var pace pacer
 	for i := lo; i < hi; i++ {
 		// Building produces nothing but must still honor the deadline.
-		if err := budget.Charge(0); err != nil {
+		if err := pace.tick(budget); err != nil {
 			return err
 		}
-		ri := i
+		ri := int32(i)
 		if perm != nil {
-			ri = int(perm[i])
+			ri = perm[i]
 		}
-		k, h := st.key(ri, rows[ri])
+		k, h := st.key(int(ri), rows[ri])
 		if k.IsNull() {
 			continue
 		}
 		st.inserted++
-		st.t.subs[h%s].insertHash(h, k, ri)
+		st.t.next[ri] = -1
+		st.t.sub(h).add(h, k, ri, ri, st.t.next)
 	}
-	return nil
+	return pace.done(budget)
 }
 
 // build hashes the build side into s sub-tables routed by the full key hash.
 // Each worker routes a contiguous chunk of the rows (global row indices) into
-// a private table, and the tables merge bucket-wise, sub-table by sub-table,
-// in worker order. Because chunks are contiguous and ascending, that merge
-// restores both invariants of a single pass exactly — collision chains in
-// global first-occurrence order, per-bucket row lists ascending — so the
-// table is the same at every w, and it probes the same at every s. One worker
-// is one sequential pass over the rows with nothing to merge; it does not
-// walk a co-partitioned side shard by shard, because the sequential pass is
-// the prefetchable one and measured faster than the strided shard-major walk
-// (EXPERIMENTS, PR 10).
+// a private table, and the tables merge sub-table by sub-table in worker
+// order: every entry of a later worker's table is added to the first's as one
+// chain, a splice of two links, so a merge costs the distinct keys of a
+// chunk, not its rows. Because chunks are contiguous and ascending, that
+// merge restores both invariants of a single pass exactly — entries in global
+// first-occurrence order, per-key row lists ascending — so the table is the
+// same at every w, and it probes the same at every s. All of them link their
+// rows through one next slice, made here. One worker is one sequential pass
+// over the rows with nothing to merge; it does not walk a co-partitioned side
+// shard by shard, because the sequential pass is the prefetchable one and
+// measured faster than the strided shard-major walk (EXPERIMENTS, PR 10).
 //
 // Several workers over a co-partitioned side (bounds set) split at storage
 // shard boundaries instead: every row of storage shard si routes to sub-table
 // si, so workers that own whole shards insert into one shared table without
-// meeting, and there is nothing to merge — the merge is what the chunked
-// split pays for, and on a side where every key recurs in every chunk it
-// costs a third of the build (EXPERIMENTS, PR 14). Within a shard, positions
-// ascend in row order, so chains and row lists come out the same again.
+// meeting, and there is nothing to merge. Within a shard, positions ascend in
+// row order, so entries and row lists come out the same again.
 // Returns the table and the number of non-NULL keys inserted.
 func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, s, w int, budget *Budget) (*shardedTable, int, error) {
 	owned := w > 1 && side.bounds != nil
 	units := len(side.rows)
+	next := make([]int32, len(side.rows))
 	var shared *shardedTable
 	if owned {
 		units, w = s, min(w, s)
-		shared = newShardedTable(s, len(side.rows))
+		shared = newShardedTable(s, len(side.rows), next)
 	}
 	parts := make([]*buildState, w)
 	err := e.fanOut(op, units, w, func(worker, lo, hi int) error {
 		st := &buildState{key: keyOf(), t: shared}
 		parts[worker] = st
 		if !owned {
-			st.t = newShardedTable(s, hi-lo)
+			st.t = newShardedTable(s, hi-lo, next)
 			return st.buildRows(side.rows, nil, lo, hi, budget)
 		}
 		from := 0
@@ -546,34 +587,13 @@ func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, s, w int,
 	merged := parts[0].t
 	if !owned {
 		for _, p := range parts[1:] {
-			for si, sub := range p.t.subs {
-				mergeHashTables(merged.subs[si], sub)
+			for si := range p.t.subs {
+				src := p.t.subs[si].entries
+				for i := range src {
+					merged.subs[si].add(src[i].hash, src[i].key, src[i].head, src[i].tail, next)
+				}
 			}
 		}
 	}
 	return merged, inserted, nil
-}
-
-// mergeHashTables folds src's chains into dst: row lists concatenate and
-// unseen buckets append after dst's. Correct only when every row index in
-// src exceeds every index in dst — contiguous ascending worker chunks —
-// which is how the chunked build calls it, worker by worker in order.
-func mergeHashTables(dst, src hashTable) {
-	for h, chain := range src {
-		d := dst[h]
-		for _, b := range chain {
-			found := false
-			for di := range d {
-				if d[di].key.Equal(b.key) {
-					d[di].rows = append(d[di].rows, b.rows...)
-					found = true
-					break
-				}
-			}
-			if !found {
-				d = append(d, b)
-			}
-		}
-		dst[h] = d
-	}
 }

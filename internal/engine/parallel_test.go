@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
+	"monsoon/internal/randx"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
 )
@@ -284,21 +286,115 @@ func buildFixture(rows int) (*table.Relation, func() keyFn) {
 	return rel, evalKey(q.Joins[0].L, rel.Schema)
 }
 
-// referenceBuild is the trivially-auditable build the engine's one routine
-// must reproduce exactly: one pass in row order, routed into s sub-tables.
-func referenceBuild(rows []table.Row, keyOf func() keyFn, s int) (*shardedTable, int) {
+// refBucket and refTable are the join table as it was before the flat
+// open-addressing one: a Go map from key hash to a collision chain of
+// buckets, each with its own row list. Kept as the trivially-auditable
+// reference the engine's table must reproduce.
+type refBucket struct {
+	key  value.Value
+	rows []int
+}
+
+type refTable []map[uint64][]refBucket
+
+// referenceBuild is one pass in row order, routed into s sub-tables: a row
+// joins the first bucket of its hash's chain whose key equals its own, or
+// opens a new bucket at the chain's end.
+func referenceBuild(rows []table.Row, keyOf func() keyFn, s int) (refTable, int) {
 	key := keyOf()
-	t := newShardedTable(s, len(rows))
+	t := make(refTable, s)
+	for i := range t {
+		t[i] = make(map[uint64][]refBucket)
+	}
 	inserted := 0
+rows:
 	for i, row := range rows {
 		k, h := key(i, row)
 		if k.IsNull() {
 			continue
 		}
 		inserted++
-		t.subs[h%uint64(s)].insertHash(h, k, i)
+		sub := t[h%uint64(s)]
+		for bi := range sub[h] {
+			if sub[h][bi].key.Equal(k) {
+				sub[h][bi].rows = append(sub[h][bi].rows, i)
+				continue rows
+			}
+		}
+		sub[h] = append(sub[h], refBucket{key: k, rows: []int{i}})
 	}
 	return t, inserted
+}
+
+// tableDump is a join table in canonical form: per sub-table, the distinct
+// keys in first-occurrence order, each with its hash and ascending row list.
+type tableDump [][]dumpEntry
+
+type dumpEntry struct {
+	hash uint64
+	key  value.Value
+	rows []int
+}
+
+// dump renders the reference. Buckets open in row order, so first-occurrence
+// order is ascending first row — across hashes and within a chain alike.
+func (t refTable) dump() tableDump {
+	d := make(tableDump, len(t))
+	for si, sub := range t {
+		d[si] = []dumpEntry{}
+		for h, chain := range sub {
+			for _, b := range chain {
+				d[si] = append(d[si], dumpEntry{h, b.key, b.rows})
+			}
+		}
+		sort.Slice(d[si], func(a, b int) bool { return d[si][a].rows[0] < d[si][b].rows[0] })
+	}
+	return d
+}
+
+// dump renders the engine's table as stored: entries in slice order, rows by
+// following next from head, which must end at tail. It also checks that every
+// entry is reachable from its home slot, behind the earlier entries of its
+// hash only.
+func (t *shardedTable) dump(tb testing.TB) tableDump {
+	d := make(tableDump, len(t.subs))
+	for si := range t.subs {
+		sub := &t.subs[si]
+		d[si] = []dumpEntry{}
+		for ei, e := range sub.entries {
+			de := dumpEntry{hash: e.hash, key: e.key}
+			last := int32(-1)
+			for bi := e.head; bi >= 0; bi = t.next[bi] {
+				de.rows = append(de.rows, int(bi))
+				last = bi
+			}
+			if last != e.tail {
+				tb.Errorf("sub-table %d entry %d: chain ends at row %d, tail says %d", si, ei, last, e.tail)
+			}
+			d[si] = append(d[si], de)
+			prev := 0
+			for s := sub.home(e.hash); ; s = (s + 1) & (len(sub.slots) - 1) {
+				at := int(sub.slots[s])
+				if at == 0 {
+					tb.Errorf("sub-table %d entry %d: not reachable from its home slot", si, ei)
+					break
+				}
+				if at == ei+1 {
+					break
+				}
+				if sub.entries[at-1].hash == e.hash {
+					if at < prev || at > ei {
+						tb.Errorf("sub-table %d entry %d: same-hash entries out of insertion order along the probe sequence", si, ei)
+					}
+					prev = at
+				}
+			}
+		}
+		if 2*len(sub.entries) > len(sub.slots) {
+			tb.Errorf("sub-table %d: %d entries in %d slots, load above one half", si, len(sub.entries), len(sub.slots))
+		}
+	}
+	return d
 }
 
 // buildShape is one way a join hands rel to the build: the side and the key
@@ -327,8 +423,9 @@ func buildShapes(rel *table.Relation, keyOf func() keyFn, s int) []buildShape {
 	return shapes
 }
 
-// TestParallelBuildIdenticalTable: the build yields a table deep-equal to
-// the single-pass one — chain order, row order, NULL skipping — for worker
+// TestParallelBuildIdenticalTable: the build yields the table of the
+// single-pass map-of-slices reference — the same keys in first-occurrence
+// order, the same ascending row lists, NULLs skipped — for worker
 // counts below, at, and far above the row count, at every sub-table count,
 // whether it splits the side into chunks and merges or at shard boundaries.
 func TestParallelBuildIdenticalTable(t *testing.T) {
@@ -347,8 +444,158 @@ func TestParallelBuildIdenticalTable(t *testing.T) {
 					if ins != wantIns {
 						t.Errorf("%s: inserted %d, want %d", at, ins, wantIns)
 					}
-					if !reflect.DeepEqual(ht, want) {
-						t.Errorf("%s: table differs from the single-pass build", at)
+					if !reflect.DeepEqual(ht.dump(t), want.dump()) {
+						t.Errorf("%s: table differs from the single-pass reference", at)
+					}
+				}
+			}
+		}
+	}
+}
+
+// keyedRows makes a two-column relation over the given keys: the key and the
+// row's position, which tells rows of one key apart in a joined row.
+func keyedRows(name string, keys []value.Value) *table.Relation {
+	sc := table.NewSchema(
+		table.Column{Table: name, Name: "k", Kind: value.KindInt},
+		table.Column{Table: name, Name: "i", Kind: value.KindInt},
+	)
+	rows := make([]table.Row, len(keys))
+	for i, k := range keys {
+		rows[i] = table.Row{k, value.Int(int64(i))}
+	}
+	return table.NewRelation(name, sc, rows)
+}
+
+// firstColKey is the key source of keyedRows: the first column, hashed.
+func firstColKey() keyFn {
+	return func(_ int, row table.Row) (value.Value, uint64) { return row[0], row[0].Hash() }
+}
+
+// referenceProbe joins probe rows against the reference table the way the
+// engine always has: every bucket of the key's hash chain whose key equals
+// the probe key, in chain order, its rows ascending.
+func referenceProbe(probe, build []table.Row, ref refTable) []table.Row {
+	var out []table.Row
+	for _, prow := range probe {
+		k := prow[0]
+		if k.IsNull() {
+			continue
+		}
+		h := k.Hash()
+		for _, b := range ref[h%uint64(len(ref))][h] {
+			if !b.key.Equal(k) {
+				continue
+			}
+			for _, bi := range b.rows {
+				out = append(out, append(append(table.Row{}, prow...), build[bi]...))
+			}
+		}
+	}
+	return out
+}
+
+// TestJoinTableProbesLikeReference drives build and probeRows over the key
+// populations that stress an open-addressing table — distinct keys forced
+// onto one hash or a few, int and float keys that compare equal, keys that
+// equal a probe key without equalling each other, NULLs, an empty side, every
+// key routed to one sub-table so that it outgrows its size hint mid-build —
+// and demands the map-of-slices reference's table and, row for row, its probe
+// output.
+func TestJoinTableProbesLikeReference(t *testing.T) {
+	ints := func(n int, f func(i int) int64) []value.Value {
+		out := make([]value.Value, n)
+		for i := range out {
+			out[i] = value.Int(f(i))
+		}
+		return out
+	}
+	// hashOf(g) forces the hash of key group g(k) onto key k: keys of one
+	// group collide in full, and the group's own key keeps its real hash, so
+	// a probe finds it behind the others' entries.
+	hashOf := func(g func(k int64) int64) func() keyFn {
+		return func() keyFn {
+			return func(_ int, row table.Row) (value.Value, uint64) {
+				if row[0].IsNull() {
+					return row[0], 0
+				}
+				return row[0], value.Int(g(row[0].AsInt())).Hash()
+			}
+		}
+	}
+	var oneSub []value.Value // 3,000 rows whose keys all route to sub-table 0 of 4
+	for k := int64(0); len(oneSub) < 3000; k++ {
+		if v := value.Int(k); v.Hash()%4 == 0 {
+			oneSub = append(oneSub, v, v, v)
+		}
+	}
+	const big = int64(1) << 53
+	mixed := []value.Value{
+		value.Int(1), value.Float(1), value.Float(2.5), value.Null(), value.Int(2), value.Float(2),
+		value.Bool(true), value.Float(2.5), value.String("1"), value.Int(1), value.Null(), value.Float(-0.5),
+	}
+	rng := randx.New(5)
+	random := make([]value.Value, 6000)
+	for i := range random {
+		switch k := int64(rng.Intn(900)); rng.Intn(6) {
+		case 0:
+			random[i] = value.Null()
+		case 1:
+			random[i] = value.Float(float64(k))
+		case 2:
+			random[i] = value.Float(float64(k) + 0.5)
+		default:
+			random[i] = value.Int(k)
+		}
+	}
+	cases := []struct {
+		name         string
+		build, probe []value.Value
+		keyOf        func() keyFn
+	}{
+		{"one hash for 700 distinct keys", ints(5000, func(i int) int64 { return int64(i % 700) }),
+			ints(40, func(i int) int64 { return int64(i % 20) }), hashOf(func(int64) int64 { return 0 })},
+		{"eight hashes", ints(5000, func(i int) int64 { return int64(i*7) % 1000 }),
+			ints(64, func(i int) int64 { return int64(i % 16) }), hashOf(func(k int64) int64 { return k % 8 })},
+		{"int and float keys that compare equal", mixed, mixed, firstColKey},
+		// Float(2^53) equals Int(2^53) and, after rounding, Int(2^53+1), which
+		// do not equal each other: two entries of one hash answer one probe.
+		{"keys equal to the probe but not to each other", []value.Value{value.Int(big), value.Int(big + 1), value.Int(big), value.Int(big + 1)},
+			[]value.Value{value.Float(float64(big)), value.Int(big + 1)}, hashOf(func(int64) int64 { return big })},
+		{"all NULL", []value.Value{value.Null(), value.Null(), value.Null()}, mixed, firstColKey},
+		{"empty build side", nil, mixed, firstColKey},
+		{"one sub-table takes every key", oneSub, oneSub[:600], firstColKey},
+		{"random ints, floats and NULLs", random, random[:2000], firstColKey},
+	}
+	e := New(table.NewCatalog()).exec()
+	for _, tc := range cases {
+		build, probe := keyedRows("B", tc.build), keyedRows("P", tc.probe)
+		pb, _ := expr.Identity("P.k").Bind(probe.Schema)
+		for _, s := range []int{1, 4} {
+			ref, refIns := referenceBuild(build.Rows, tc.keyOf, s)
+			want := referenceProbe(probe.Rows, build.Rows, ref)
+			for _, w := range []int{1, 3} {
+				at := fmt.Sprintf("%s S=%d w=%d", tc.name, s, w)
+				ht, ins, err := e.build(nil, buildSide{rows: build.Rows}, tc.keyOf, s, w, &Budget{})
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if ins != refIns {
+					t.Errorf("%s: inserted %d, want %d", at, ins, refIns)
+				}
+				if !reflect.DeepEqual(ht.dump(t), ref.dump()) {
+					t.Errorf("%s: table differs from the reference", at)
+				}
+				st := &joinState{pb: pb, width: 4}
+				if err := st.probeRows(probe.Rows, build.Rows, ht, &Budget{}); err != nil {
+					t.Fatalf("%s: probe: %v", at, err)
+				}
+				if len(st.out) != len(want) {
+					t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(st.out[i], want[i]) {
+						t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
 					}
 				}
 			}
@@ -366,8 +613,8 @@ func TestParallelBuildEmptySide(t *testing.T) {
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		if ins != 0 || len(ht.subs[0]) != 0 {
-			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.subs[0]))
+		if ins != 0 || len(ht.subs[0].entries) != 0 {
+			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.subs[0].entries))
 		}
 	}
 }

@@ -70,12 +70,24 @@ func (e *Exec) scanSlab() int {
 
 // rowIter is the pull-based batch iterator every streaming operator
 // implements. Next returns the next non-empty batch of rows, nil when
-// exhausted; a returned batch must not be retained past the next Next call
-// (scans and joins reuse their gather and output buffers; the rows a batch
-// points at are never rewritten, so copying the row headers out is enough).
-// Close must be called
-// exactly once, with the error that stopped the drain (nil on a clean run);
-// it ends the iterator's spans and cascades to children.
+// exhausted.
+//
+// Two lifetimes are in play. The batch — the slice of row headers — belongs
+// to the iterator and is valid only until the next Next call: scans and joins
+// reuse their gather and output buffers. The rows it points at belong to
+// whoever holds them, for as long as they hold them: a scan's rows are the
+// stored table's, and a join writes each output row once, into a slot of a
+// slab it never writes again and never reuses, so the slab lives exactly as
+// long as one of its rows is referenced. A consumer that keeps rows — the
+// root materialize, a join's collected build side — therefore copies the row
+// headers out of the batch and nothing more; a consumer that keeps none (a
+// parent join's probe side copies what it reads into rows of its own) just
+// lets them go. Rows are tight (cap == len): appending to one reallocates
+// rather than reaching into the next slot. No operator may write into a row
+// it was handed.
+//
+// Close must be called exactly once, with the error that stopped the drain
+// (nil on a clean run); it ends the iterator's spans and cascades to children.
 type rowIter interface {
 	Next() ([]table.Row, error)
 	Close(err error)
@@ -135,6 +147,10 @@ func (t *nodeIter) collect() (buildSide, error) {
 		return buildSide{rows: sc.base.Rows, bounds: sc.sh.Bounds, perm: sc.sh.Perm}, nil
 	}
 	var side buildSide
+	if sc != nil && sc.filter == nil {
+		// An unfiltered scan yields every stored row: size the copy once.
+		side.rows = make([]table.Row, 0, sc.base.Count())
+	}
 	for {
 		b, err := t.Next()
 		if err != nil {

@@ -7,7 +7,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -261,51 +260,53 @@ func (v Value) Less(o Value) bool {
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat || k == KindBool }
 
+// FNV-1a, 64 bit: the parameters of hash/fnv's New64a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash returns a 64-bit hash of the value, suitable for hash joins and
-// sketches. Numerically equal ints and floats hash identically.
+// sketches. Numerically equal ints and floats hash identically. It is FNV-1a
+// over a kind tag followed by the payload's little-endian bytes, written out
+// as a loop so that hashing allocates nothing; the values are those hash/fnv
+// yields over the same bytes, which Σ estimates, shard routing and every
+// golden depend on.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
 	switch v.kind {
-	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
 	case KindBool, KindInt:
-		buf[0] = 2
-		putU64(buf[1:], uint64(v.i))
-		h.Write(buf[:9])
+		return fnvU64(fnvByte(fnvOffset64, 2), uint64(v.i))
 	case KindFloat:
 		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			buf[0] = 2
-			putU64(buf[1:], uint64(int64(v.f)))
-		} else {
-			buf[0] = 3
-			putU64(buf[1:], math.Float64bits(v.f))
+			return fnvU64(fnvByte(fnvOffset64, 2), uint64(int64(v.f)))
 		}
-		h.Write(buf[:9])
+		return fnvU64(fnvByte(fnvOffset64, 3), math.Float64bits(v.f))
 	case KindString:
-		buf[0] = 4
-		h.Write(buf[:1])
-		h.Write([]byte(v.s))
-	case KindIntList:
-		buf[0] = 5
-		h.Write(buf[:1])
-		for _, x := range v.l {
-			putU64(buf[:8], uint64(x))
-			h.Write(buf[:8])
+		h := fnvByte(fnvOffset64, 4)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
 		}
+		return h
+	case KindIntList:
+		h := fnvByte(fnvOffset64, 5)
+		for _, x := range v.l {
+			h = fnvU64(h, uint64(x))
+		}
+		return h
+	case KindNull:
+		return fnvByte(fnvOffset64, 0)
+	default: // a kind no constructor makes: no bytes written
+		return fnvOffset64
 	}
-	return h.Sum64()
 }
 
-func putU64(b []byte, x uint64) {
-	_ = b[7]
-	b[0] = byte(x)
-	b[1] = byte(x >> 8)
-	b[2] = byte(x >> 16)
-	b[3] = byte(x >> 24)
-	b[4] = byte(x >> 32)
-	b[5] = byte(x >> 40)
-	b[6] = byte(x >> 48)
-	b[7] = byte(x >> 56)
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvU64 folds x into h least-significant byte first.
+func fnvU64(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(x))
+		x >>= 8
+	}
+	return h
 }

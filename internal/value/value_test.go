@@ -1,9 +1,13 @@
 package value
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -213,5 +217,87 @@ func TestAsIntListNonList(t *testing.T) {
 	}
 	if !reflect.DeepEqual(IntList(nil).AsIntList(), []int64{}) {
 		t.Error("empty list roundtrip failed")
+	}
+}
+
+// refHash is Hash as it was written before the FNV-1a loop was inlined:
+// hash/fnv's New64a over a kind tag and the payload bytes. Σ/HLL estimates,
+// shard routing and every golden depend on these exact values.
+func refHash(v Value) uint64 {
+	h := fnv.New64a()
+	var buf [9]byte
+	switch v.kind {
+	case KindNull:
+		h.Write(buf[:1])
+	case KindBool, KindInt:
+		buf[0] = 2
+		binary.LittleEndian.PutUint64(buf[1:], uint64(v.i))
+		h.Write(buf[:9])
+	case KindFloat:
+		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+			buf[0] = 2
+			binary.LittleEndian.PutUint64(buf[1:], uint64(int64(v.f)))
+		} else {
+			buf[0] = 3
+			binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v.f))
+		}
+		h.Write(buf[:9])
+	case KindString:
+		buf[0] = 4
+		h.Write(buf[:1])
+		h.Write([]byte(v.s))
+	case KindIntList:
+		buf[0] = 5
+		h.Write(buf[:1])
+		for _, x := range v.l {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(x))
+			h.Write(buf[:8])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestHashMatchesFNV pins the inlined hash bit for bit to hash/fnv, kind by
+// kind, and checks that hashing allocates nothing.
+func TestHashMatchesFNV(t *testing.T) {
+	vals := []Value{
+		Null(), Bool(false), Bool(true),
+		Int(0), Int(1), Int(-1), Int(math.MaxInt64), Int(math.MinInt64), Int(1 << 53),
+		Float(0), Float(1), Float(-1), Float(1 << 53), Float(-0.0),
+		Float(0.5), Float(-2.75), Float(1e300), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+		Float(math.MaxInt64), Float(math.MinInt64), Float(math.SmallestNonzeroFloat64),
+		String(""), String("a"), String("héllo, wörld"), String(strings.Repeat("monsoon ", 1000)),
+		IntList(nil), IntList([]int64{7}), IntList([]int64{3, -1, 2, 1 << 40, math.MinInt64}),
+		{kind: Kind(99)},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		x := int64(rng.Uint64())
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		vals = append(vals, Int(x), Float(math.Float64frombits(uint64(x))), Float(float64(x>>20)),
+			String(string(b)), IntList([]int64{x, x >> 7, int64(i)}))
+	}
+	for _, v := range vals {
+		if got, want := v.Hash(), refHash(v); got != want {
+			t.Errorf("%s %v: Hash = %#x, hash/fnv gives %#x", v.Kind(), v, got, want)
+		}
+	}
+	if Int(1).Hash() != Float(1).Hash() || Bool(true).Hash() != Int(1).Hash() {
+		t.Error("numerically equal values must hash equal")
+	}
+	long := String(strings.Repeat("x", 4096))
+	if n := testing.AllocsPerRun(100, func() { sinkHash += long.Hash() + Int(5).Hash() }); n != 0 {
+		t.Errorf("Hash allocates %v times per call, want 0", n)
+	}
+}
+
+var sinkHash uint64
+
+func BenchmarkHash(b *testing.B) {
+	vals := []Value{Int(123456789), Float(2.5), String("Customer#000001234"), IntList([]int64{1, 2, 3})}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkHash += vals[i&3].Hash()
 	}
 }
