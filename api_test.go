@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"monsoon/internal/table"
 )
 
 // buildWorld creates a small two-table catalog through the public API only.
@@ -107,7 +109,7 @@ func TestWithBatchSizeIdentical(t *testing.T) {
 			t.Errorf("batch %d: rows/value/produced %d/%g/%g, materialized %d/%g/%g",
 				batch, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
 		}
-		if !reflect.DeepEqual(rep.Output.Rows, ref.Output.Rows) {
+		if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
 			t.Errorf("batch %d: output rows differ from materialized", batch)
 		}
 	}
@@ -138,7 +140,7 @@ func TestWithShardsDeterministic(t *testing.T) {
 				t.Errorf("shards %d batch %d: rows/value/produced %d/%g/%g, want %d/%g/%g",
 					s, batch, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
 			}
-			if !reflect.DeepEqual(rep.Output.Rows, ref.Output.Rows) {
+			if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
 				t.Errorf("shards %d batch %d: output rows differ within the same layout", s, batch)
 			}
 		}
@@ -340,7 +342,7 @@ func TestWithParallelismDeterministic(t *testing.T) {
 			t.Errorf("parallel run diverged: rows/value/produced %d/%v/%v, serial %d/%v/%v",
 				rep.Rows, rep.Value, rep.Produced, serial.Rows, serial.Value, serial.Produced)
 		}
-		if !reflect.DeepEqual(rep.Output.Rows, serial.Output.Rows) {
+		if !table.IdenticalRows(rep.Output.Rows, serial.Output.Rows) {
 			t.Error("parallel output relation differs from serial (content or order)")
 		}
 	}
@@ -371,7 +373,7 @@ func TestWithPlanParallelismDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(lines, serialLines) {
 			t.Errorf("plan parallelism %d trace:\n%q\nserial:\n%q", w, lines, serialLines)
 		}
-		if !reflect.DeepEqual(rep.Output.Rows, serial.Output.Rows) {
+		if !table.IdenticalRows(rep.Output.Rows, serial.Output.Rows) {
 			t.Errorf("plan parallelism %d output relation differs from serial", w)
 		}
 	}

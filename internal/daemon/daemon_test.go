@@ -183,10 +183,13 @@ func TestQueryAdhocSQL(t *testing.T) {
 }
 
 // TestQueryBudgetExceeded: a request-tightened deadline that cannot possibly
-// be met maps to 504 with the budget error in the body.
+// be met maps to 504 with the budget error in the body. The request carries a
+// seed of its own so that it misses the plan cache and has to plan: replaying
+// a plan an earlier test cached, tpch-q3 at this scale executes in under the
+// millisecond.
 func TestQueryBudgetExceeded(t *testing.T) {
 	h := testServer(t).Handler()
-	rec, qr := doJSON(t, h, "POST", "/query", `{"query": "tpch-q3", "timeout_ms": 1}`)
+	rec, qr := doJSON(t, h, "POST", "/query", `{"query": "tpch-q3", "timeout_ms": 1, "seed": 504}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", rec.Code, rec.Body.String())
 	}

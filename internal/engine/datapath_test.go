@@ -3,9 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"monsoon/internal/expr"
 	"monsoon/internal/plan"
@@ -13,6 +13,15 @@ import (
 	"monsoon/internal/table"
 	"monsoon/internal/value"
 )
+
+// TestJoinTableEntrySize pins the bytes a join table spends per distinct key:
+// a hash, a 24-byte key and two row indices. A field added to entry or to
+// value.Value shows up here before it shows up as build-side memory.
+func TestJoinTableEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 40", got)
+	}
+}
 
 // cloneRows copies rows value by value, so that a later write into the
 // memory the originals share shows up as a difference.
@@ -96,7 +105,7 @@ func TestRowLifetime(t *testing.T) {
 				{"root relation after a second ExecTree", rel.Rows, relWas},
 				{"second run of the same tree", rel2.Rows, heldWas},
 			} {
-				if !reflect.DeepEqual(c.rows, c.was) {
+				if !table.IdenticalRows(c.rows, c.was) {
 					t.Errorf("%s: %s changed after it was handed out", at, c.what)
 				}
 				checkTightRows(t, at+": "+c.what, c.rows)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 		if prel.Count() != srel.Count() {
 			t.Fatalf("parallelism %d: %d rows, serial %d", par, prel.Count(), srel.Count())
 		}
-		if !reflect.DeepEqual(prel.Rows, srel.Rows) {
+		if !table.IdenticalRows(prel.Rows, srel.Rows) {
 			t.Fatalf("parallelism %d: row content or order differs from serial", par)
 		}
 		if !reflect.DeepEqual(pres.Counts, sres.Counts) {
@@ -336,6 +337,15 @@ type dumpEntry struct {
 	rows []int
 }
 
+// same compares two dumps entry by entry, keys by value.Identical.
+func (d tableDump) same(o tableDump) bool {
+	return slices.EqualFunc(d, o, func(a, b []dumpEntry) bool {
+		return slices.EqualFunc(a, b, func(x, y dumpEntry) bool {
+			return x.hash == y.hash && value.Identical(x.key, y.key) && slices.Equal(x.rows, y.rows)
+		})
+	})
+}
+
 // dump renders the reference. Buckets open in row order, so first-occurrence
 // order is ascending first row — across hashes and within a chain alike.
 func (t refTable) dump() tableDump {
@@ -444,7 +454,7 @@ func TestParallelBuildIdenticalTable(t *testing.T) {
 					if ins != wantIns {
 						t.Errorf("%s: inserted %d, want %d", at, ins, wantIns)
 					}
-					if !reflect.DeepEqual(ht.dump(t), want.dump()) {
+					if !ht.dump(t).same(want.dump()) {
 						t.Errorf("%s: table differs from the single-pass reference", at)
 					}
 				}
@@ -583,7 +593,7 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 				if ins != refIns {
 					t.Errorf("%s: inserted %d, want %d", at, ins, refIns)
 				}
-				if !reflect.DeepEqual(ht.dump(t), ref.dump()) {
+				if !ht.dump(t).same(ref.dump()) {
 					t.Errorf("%s: table differs from the reference", at)
 				}
 				st := &joinState{pb: pb, width: 4}
@@ -594,7 +604,7 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 					t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
 				}
 				for i := range want {
-					if !reflect.DeepEqual(st.out[i], want[i]) {
+					if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
 						t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
 					}
 				}
@@ -690,7 +700,7 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 		srel, sprod, ssp := run(1)
 		for _, par := range []int{0, 2, 7, 64} {
 			prel, pprod, psp := run(par)
-			if !reflect.DeepEqual(prel.Rows, srel.Rows) {
+			if !table.IdenticalRows(prel.Rows, srel.Rows) {
 				t.Errorf("%s parallelism %d: rows differ from serial", tc.name, par)
 			}
 			if pprod != sprod {
@@ -724,7 +734,7 @@ func TestNestedLoopTinyInputs(t *testing.T) {
 		t.Fatalf("cross product produced %d rows, want 6000", ref.Count())
 	}
 	for _, par := range []int{2, 7, 64} {
-		if got := run(par); !reflect.DeepEqual(got.Rows, ref.Rows) {
+		if got := run(par); !table.IdenticalRows(got.Rows, ref.Rows) {
 			t.Errorf("parallelism %d: rows differ from serial", par)
 		}
 	}

@@ -41,7 +41,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					cat := fixture()
 					cat.Shard(s)
 					rel, res, produced := execAt(t, cat, q, tree, batch, par)
-					if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+					if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 						t.Errorf("%s S=%d batch=%d par=%d: rows differ from unsharded (%d vs %d)",
 							name, s, batch, par, rel.Count(), refRel.Count())
 					}
@@ -75,7 +75,7 @@ func TestShardedLargeParallel(t *testing.T) {
 			cat := bigFixture()
 			cat.Shard(s)
 			rel, res, produced := execAt(t, cat, q, tree, 4096, par)
-			if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 				t.Errorf("S=%d par=%d: rows differ from unsharded", s, par)
 			}
 			if res.Produced != refRes.Produced || produced != refProduced {
@@ -105,7 +105,7 @@ func TestShardedBuildSideSelections(t *testing.T) {
 			cat := bigFixture()
 			cat.Shard(s)
 			rel, res, _ := execAt(t, cat, q, tree, 4096, par)
-			if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 				t.Errorf("S=%d par=%d: filtered build rows differ", s, par)
 			}
 			if res.Produced != refRes.Produced {
@@ -242,7 +242,7 @@ func TestShardedMaterializedReuseNotLocal(t *testing.T) {
 	cat.Shard(4)
 	reg := obs.NewRegistry()
 	rel := twoStep(cat, reg)
-	if !reflect.DeepEqual(rel.Rows, ref.Rows) {
+	if !table.IdenticalRows(rel.Rows, ref.Rows) {
 		t.Error("sharded two-step run diverged from unsharded")
 	}
 	if got := reg.Counter("monsoon.exchange.joins.local").Value(); got != 0 {

@@ -49,7 +49,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, -1, 1)
 		for _, batch := range streamBatchSizes {
 			rel, res, produced := execAt(t, fixture(), q, tree, batch, 1)
-			if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 				t.Errorf("%s batch %d: rows differ from materialized (%d vs %d)",
 					name, batch, rel.Count(), refRel.Count())
 			}
@@ -78,7 +78,7 @@ func TestStreamingParallelMatchesSerial(t *testing.T) {
 	for _, batch := range streamBatchSizes {
 		for _, par := range []int{0, 2, 4} {
 			rel, res, _ := execAt(t, fixture(), q, tree, batch, par)
-			if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 				t.Errorf("batch %d par %d: rows differ from serial materialized", batch, par)
 			}
 			if res.Produced != refRes.Produced || !reflect.DeepEqual(res.Counts, refRes.Counts) {
@@ -105,7 +105,7 @@ func TestStreamingResidualsAcrossBatches(t *testing.T) {
 		refRel, refRes, _ := execAt(t, fixture(), q, tree, -1, 1)
 		for _, batch := range streamBatchSizes {
 			rel, res, _ := execAt(t, fixture(), q, tree, batch, 1)
-			if !reflect.DeepEqual(rel.Rows, refRel.Rows) {
+			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
 				t.Errorf("%s batch %d: residual rows differ from materialized", name, batch)
 			}
 			if res.Produced != refRes.Produced {

@@ -6,6 +6,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"monsoon/internal/value"
@@ -89,6 +90,17 @@ func (s *Schema) String() string {
 
 // Row is one tuple; its arity matches the owning relation's schema.
 type Row []value.Value
+
+// IdenticalRows reports whether a and b hold the same rows in the same order:
+// the same arities and value.Identical values throughout. It is how two runs'
+// outputs are compared; reflect.DeepEqual is not, because it compares the
+// data pointer inside a value.Value and equal strings built by separate runs
+// do not share one.
+func IdenticalRows(a, b []Row) bool {
+	return slices.EqualFunc(a, b, func(x, y Row) bool {
+		return slices.EqualFunc(x, y, value.Identical)
+	})
+}
 
 // Relation is a named bag of rows with a schema. After construction via
 // Builder or the helper constructors, a Relation is treated as immutable by

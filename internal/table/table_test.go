@@ -1,6 +1,9 @@
 package table
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"monsoon/internal/randx"
@@ -73,6 +76,39 @@ func TestBuilderAndRelation(t *testing.T) {
 	}
 	if rel.Rows[1][0].AsInt() != 3 {
 		t.Error("row content wrong")
+	}
+}
+
+// TestIdenticalRows: rows are compared by value, not by where their strings'
+// bytes live — which is what reflect.DeepEqual compares, and why tests that
+// compare two runs' rows call IdenticalRows instead.
+func TestIdenticalRows(t *testing.T) {
+	build := func(key string) []Row {
+		return []Row{
+			{value.Int(1), value.String(strings.Repeat(key, 2)), value.Null()},
+			{value.Float(math.NaN()), value.IntList([]int64{2, 1}), value.Bool(true)},
+		}
+	}
+	a, b := build("ab"), build("ab")
+	if !IdenticalRows(a, b) {
+		t.Error("separately built equal rows must be identical")
+	}
+	if reflect.DeepEqual(a, b) {
+		t.Error("reflect.DeepEqual no longer sees the strings' data pointers: IdenticalRows has lost its reason")
+	}
+	if !IdenticalRows(nil, []Row{}) {
+		t.Error("no rows are identical to no rows")
+	}
+	for what, other := range map[string][]Row{
+		"a different string":  build("ac"),
+		"a missing row":       b[:1],
+		"a shorter row":       {b[0][:2], b[1]},
+		"rows in other order": {b[1], b[0]},
+		"int against float":   {{value.Float(1), b[0][1], b[0][2]}, b[1]},
+	} {
+		if IdenticalRows(a, other) {
+			t.Errorf("%s must not be identical", what)
+		}
 	}
 }
 

@@ -1,16 +1,24 @@
 // Package value defines the scalar value model shared by the storage layer,
-// the expression evaluator, and the statistics subsystem. A Value is a small
-// tagged union; it is passed by value everywhere and never aliases mutable
-// state, except for list values whose backing slice must not be mutated after
-// construction.
+// the expression evaluator, and the statistics subsystem. A Value is a
+// 24-byte tagged union — a kind, one payload word and one data pointer — that
+// is passed by value everywhere and never aliases mutable state: strings are
+// immutable, and an int-list's backing array is private to the Value that
+// IntList made.
+//
+// Every row the engine scans, joins and materializes is a run of Values, so
+// the size of one is what the kernels clear and copy and what the collector
+// re-scans per produced object; that is why the layout is packed by hand
+// behind the accessors instead of being the obvious struct of five fields.
+// This file is the one non-test file in the module that imports unsafe.
 package value
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -48,12 +56,46 @@ func (k Kind) String() string {
 
 // Value is a tagged union of the scalar types understood by the engine.
 // The zero Value is SQL NULL.
+//
+// Layout (24 bytes, one pointer word):
+//
+//	kind  which of the payloads below is live
+//	n     bool: 0 or 1; int: the int64's bits; float: math.Float64bits;
+//	      string: length in bytes; int-list: length in elements
+//	p     string: unsafe.StringData; int-list: unsafe.SliceData; nil otherwise
+//
+// Scalars keep p nil so the collector skips them the way it skips a nil
+// string or slice word: a row of ints costs it one nil check per value and no
+// object lookup. That is also why the value is not 16 bytes: a pointer-free
+// Value needs strings interned in a table that outlives them — the UDFs mint
+// strings per row, so the table would be process-global, locked on every
+// evaluation and unbounded under ad-hoc query text — and a tagged word that
+// holds either an int or a pointer hands the collector a non-nil word per int.
+//
+// The unsafe invariants, which the four call sites below (String and IntList
+// pack, s and l unpack) are the only code to rely on:
+//
+//   - p always comes from unsafe.StringData or unsafe.SliceData of a live Go
+//     string or slice and is never offset, so it is an ordinary (possibly
+//     interior) Go pointer the collector understands; a Value made from a
+//     substring keeps its parent's bytes alive exactly as the substring does.
+//   - n for a string or list is the length that string or slice had, so
+//     unsafe.String/unsafe.Slice rebuild exactly what was packed; a list is
+//     rebuilt with cap == len, so an append by a caller can never write into
+//     the shared backing array.
+//   - nothing writes through p: strings are immutable and IntList packs a
+//     private copy.
+//
+// == on a Value does not compile (the leading zero-size field holds a func,
+// and being first it adds no padding), and reflect.DeepEqual on Values is not
+// value equality: both would compare p, and two equal strings built
+// separately have different data pointers. Use Equal for SQL equality and
+// Identical (table.IdenticalRows for rows) for "the same value".
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	l    []int64
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Null returns the NULL value.
@@ -61,21 +103,23 @@ func Null() Value { return Value{} }
 
 // Bool wraps a bool.
 func Bool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float wraps a float64.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // String wraps a string.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+func String(s string) Value {
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // IntList wraps a list of int64s as an immutable set value. The input slice is
 // copied, sorted, and deduplicated so that two lists with the same members
@@ -83,15 +127,20 @@ func String(s string) Value { return Value{kind: KindString, s: s} }
 func IntList(xs []int64) Value {
 	cp := make([]int64, len(xs))
 	copy(cp, xs)
-	sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
-	out := cp[:0]
-	for i, x := range cp {
-		if i == 0 || x != cp[i-1] {
-			out = append(out, x)
-		}
-	}
-	return Value{kind: KindIntList, l: out}
+	slices.Sort(cp)
+	cp = slices.Compact(cp)
+	return Value{kind: KindIntList, n: uint64(len(cp)), p: unsafe.Pointer(unsafe.SliceData(cp))}
 }
+
+// s unpacks the string payload; v.kind must be KindString.
+func (v Value) s() string { return unsafe.String((*byte)(v.p), int(v.n)) }
+
+// l unpacks the int-list payload; v.kind must be KindIntList. The slice is
+// non-nil (IntList always packs a made slice) and has cap == len.
+func (v Value) l() []int64 { return unsafe.Slice((*int64)(v.p), int(v.n)) }
+
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
 
 // Kind reports the runtime kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -100,18 +149,18 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; it is false for non-bool values.
-func (v Value) AsBool() bool { return v.kind == KindBool && v.i != 0 }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
 
 // AsInt returns the integer payload, coercing floats by truncation and
 // parsing numeric strings; non-numeric values yield 0.
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt, KindBool:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.f())
 	case KindString:
-		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(v.s()), 10, 64)
 		if err != nil {
 			return 0
 		}
@@ -125,11 +174,11 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt, KindBool:
-		return float64(v.i)
+		return float64(v.i())
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.s()), 64)
 		if err != nil {
 			return 0
 		}
@@ -143,7 +192,7 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsString() string {
 	switch v.kind {
 	case KindString:
-		return v.s
+		return v.s()
 	default:
 		return v.String()
 	}
@@ -154,7 +203,7 @@ func (v Value) AsIntList() []int64 {
 	if v.kind != KindIntList {
 		return nil
 	}
-	return v.l
+	return v.l()
 }
 
 // String renders the value for display and for use as a grouping key.
@@ -163,20 +212,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.s()
 	case KindIntList:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i, x := range v.l {
+		for i, x := range v.l() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -204,23 +253,34 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindBool, KindInt:
-		return v.i == o.i
+		return v.i() == o.i()
 	case KindFloat:
-		return v.f == o.f
+		return v.f() == o.f()
 	case KindString:
-		return v.s == o.s
+		return v.s() == o.s()
 	case KindIntList:
-		if len(v.l) != len(o.l) {
-			return false
-		}
-		for i := range v.l {
-			if v.l[i] != o.l[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.l(), o.l())
 	default:
 		return false
+	}
+}
+
+// Identical reports whether two values are the same value: the same kind and
+// the same payload. Unlike Equal it is an equivalence — NULL is identical to
+// NULL, a NaN to a NaN of the same bits — and it does not coerce: Int(1) is
+// not identical to Float(1), nor Float(0) to Float(-0). It is what tests that
+// compare two runs' rows mean; reflect.DeepEqual is not (see Value).
+func Identical(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindString:
+		return a.s() == b.s()
+	case KindIntList:
+		return slices.Equal(a.l(), b.l())
+	default:
+		return a.n == b.n
 	}
 }
 
@@ -237,22 +297,13 @@ func (v Value) Less(o Value) bool {
 	case KindNull:
 		return false
 	case KindBool, KindInt:
-		return v.i < o.i
+		return v.i() < o.i()
 	case KindFloat:
-		return v.f < o.f
+		return v.f() < o.f()
 	case KindString:
-		return v.s < o.s
+		return v.s() < o.s()
 	case KindIntList:
-		n := len(v.l)
-		if len(o.l) < n {
-			n = len(o.l)
-		}
-		for i := 0; i < n; i++ {
-			if v.l[i] != o.l[i] {
-				return v.l[i] < o.l[i]
-			}
-		}
-		return len(v.l) < len(o.l)
+		return slices.Compare(v.l(), o.l()) < 0
 	default:
 		return false
 	}
@@ -275,21 +326,22 @@ const (
 func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindBool, KindInt:
-		return fnvU64(fnvByte(fnvOffset64, 2), uint64(v.i))
+		return fnvU64(fnvByte(fnvOffset64, 2), v.n)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			return fnvU64(fnvByte(fnvOffset64, 2), uint64(int64(v.f)))
+		if f := v.f(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			return fnvU64(fnvByte(fnvOffset64, 2), uint64(int64(f)))
 		}
-		return fnvU64(fnvByte(fnvOffset64, 3), math.Float64bits(v.f))
+		return fnvU64(fnvByte(fnvOffset64, 3), v.n)
 	case KindString:
 		h := fnvByte(fnvOffset64, 4)
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+		s := v.s()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
 		}
 		return h
 	case KindIntList:
 		h := fnvByte(fnvOffset64, 5)
-		for _, x := range v.l {
+		for _, x := range v.l() {
 			h = fnvU64(h, uint64(x))
 		}
 		return h
