@@ -219,12 +219,22 @@ func (dv *Deriver) exchangeObjects(n *plan.Node) float64 {
 func (dv *Deriver) buildTermAt(n *plan.Node) *query.Term {
 	xs, ys := n.Left.Aliases(), n.Right.Aliases()
 	for _, p := range dv.Q.PredsNewAt(xs, ys) {
-		if p.L.Aliases.SubsetOf(xs) && p.R.Aliases.SubsetOf(ys) {
-			return p.R
+		if bt := buildSideOf(p, xs, ys); bt != nil {
+			return bt
 		}
-		if p.R.Aliases.SubsetOf(xs) && p.L.Aliases.SubsetOf(ys) {
-			return p.L
-		}
+	}
+	return nil
+}
+
+// buildSideOf returns the term of p that binds wholly on the right child ys
+// when the other binds wholly on the left child xs — the engine's test for a
+// key predicate — and nil when p does not separate the children.
+func buildSideOf(p *query.JoinPred, xs, ys query.AliasSet) *query.Term {
+	if p.L.Aliases.SubsetOf(xs) && p.R.Aliases.SubsetOf(ys) {
+		return p.R
+	}
+	if p.R.Aliases.SubsetOf(xs) && p.L.Aliases.SubsetOf(ys) {
+		return p.L
 	}
 	return nil
 }

@@ -84,10 +84,14 @@ func explainNode(b *strings.Builder, dv *Deriver, n *plan.Node, actuals map[stri
 // engine reported per-node timings — the inclusive wall time of each operator.
 // When a self-time map is supplied too (derived from the run's span tree via
 // obs.OperatorTimes), each node also shows the time spent in the operator
-// itself, net of its children:
+// itself, net of its children. A join line also says how the engine ran its
+// predicates: key_terms, the predicates that separate the children — the
+// first keys the hash table, the others filter its chains — which is absent
+// on a nested loop, and residuals, the predicates evaluated on joined rows
+// (every key predicate but the first among them):
 //
-//	⋈ [R+S+T] preds{F3(R.b)=id(T.k)} est=1e+06 actual=964412 q=1.04 time=12.3ms self=2.5ms
-//	  ⋈ [R+S] preds{F1(R.a)=id(S.k)} est=1e+07 actual=1.2e+07 q=1.20 time=9.8ms self=7.6ms
+//	⋈ [R+S+T] preds{F3(R.b)=id(T.k)} key_terms=1 residuals=0 est=1e+06 actual=964412 q=1.04 time=12.3ms self=2.5ms
+//	  ⋈ [R+S] preds{F1(R.a)=id(S.k)} key_terms=1 residuals=0 est=1e+07 actual=1.2e+07 q=1.20 time=9.8ms self=7.6ms
 //	    scan R est=1e+06 actual=1e+06 q=1.00 time=1.1ms self=1.1ms
 //
 // Unlike Explain it does not need a Deriver: estimates and actuals both come
@@ -101,9 +105,31 @@ func ExplainAnalyze(q *query.Query, tree *plan.Node, ests, actuals map[string]fl
 	return b.String()
 }
 
+// joinShape counts, the way the engine's joinSpec.pickHash sorts them, the
+// key predicates among those new at a join (buildSideOf) and the residuals:
+// every new predicate and selection but the first key predicate. They are
+// the key_terms and residuals attributes of the engine's hash-build span.
+func joinShape(q *query.Query, n *plan.Node) (keyTerms, residuals int) {
+	xs, ys := n.Left.Aliases(), n.Right.Aliases()
+	preds := q.PredsNewAt(xs, ys)
+	for _, p := range preds {
+		if buildSideOf(p, xs, ys) != nil {
+			keyTerms++
+		}
+	}
+	return keyTerms, len(preds) + len(q.SelsNewAt(xs, ys)) - min(keyTerms, 1)
+}
+
 func analyzeNode(b *strings.Builder, q *query.Query, n *plan.Node, ests, actuals map[string]float64, times, selfs map[string]time.Duration, depth int, root bool) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(nodeLabel(q, n, root))
+	if !n.IsLeaf() {
+		keyTerms, residuals := joinShape(q, n)
+		if keyTerms > 0 {
+			fmt.Fprintf(b, " key_terms=%d", keyTerms)
+		}
+		fmt.Fprintf(b, " residuals=%d", residuals)
+	}
 	key := n.Key()
 	est, haveEst := ests[key]
 	actual, haveActual := actuals[key]

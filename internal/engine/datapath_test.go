@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"monsoon/internal/expr"
+	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
@@ -171,7 +173,7 @@ func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
 	e := New(table.NewCatalog()).exec()
 
-	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, 1, 1, &Budget{})
+	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
 	seen := 0
 	_, ins, err := e.build(nil, buildSide{rows: keyedRows("N", nulls).Rows}, func() keyFn {
 		return func(_ int, row table.Row) (value.Value, uint64) { seen++; return row[0], 0 }
-	}, 1, 1, expired())
+	}, nil, 1, 1, expired())
 	if !errors.Is(err, ErrBudget) || seen > limit || ins != 0 {
 		t.Errorf("all-NULL build: err = %v after %d rows (%d inserted), want ErrBudget within %d", err, seen, ins, limit)
 	}
@@ -214,7 +216,7 @@ func TestProbeAllocationCeiling(t *testing.T) {
 	probe, build := keyedRows("P", keys), keyedRows("B", keys)
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
 	e := New(table.NewCatalog()).exec()
-	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, 1, 1, &Budget{})
+	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +234,142 @@ func TestProbeAllocationCeiling(t *testing.T) {
 	t.Logf("%v allocations for %d emitted rows", allocs, matches)
 	if allocs > matches/100 {
 		t.Errorf("probe allocated %v times for %d emitted rows, ceiling %d", allocs, matches, matches/100)
+	}
+}
+
+// lpsCatalog is tpch-q9's l ⋈ ps in miniature: PS holds 800 parts with four
+// suppliers each out of 40, so a supplier's chain is 80 rows long and a
+// (part, supplier) pair is one row; L holds 6,000 lines of which nine in ten
+// name a pair PS has, and a few have no part at all.
+func lpsCatalog() *table.Catalog {
+	cat := table.NewCatalog()
+	pb := table.NewBuilder("PS", table.NewSchema(
+		table.Column{Table: "PS", Name: "part", Kind: value.KindInt},
+		table.Column{Table: "PS", Name: "supp", Kind: value.KindInt},
+	))
+	for p := 0; p < 800; p++ {
+		for c := 0; c < 4; c++ {
+			pb.Add(value.Int(int64(p)), value.Int(int64((p+10*c)%40)))
+		}
+	}
+	cat.Put(pb.Build())
+	lb := table.NewBuilder("L", table.NewSchema(
+		table.Column{Table: "L", Name: "part", Kind: value.KindInt},
+		table.Column{Table: "L", Name: "supp", Kind: value.KindInt},
+	))
+	for i := 0; i < 6000; i++ {
+		p := i * 7 % 800
+		part, supp := value.Int(int64(p)), (p+10*(i%4))%40
+		switch {
+		case i%10 == 9:
+			supp = (supp + 1) % 40 // a supplier that does not carry the part
+		case i%97 == 0:
+			part = value.Null()
+		}
+		lb.Add(part, value.Int(int64(supp)))
+	}
+	cat.Put(lb.Build())
+	return cat
+}
+
+// lpsRun joins L with PS on both columns, the two predicates in the given
+// order, through identity terms that count their evaluations: evals[0..3] are
+// those of L.supp, PS.supp, L.part and PS.part.
+func lpsRun(t *testing.T, cat *table.Catalog, partFirst bool) (rows []table.Row, evals [4]int64) {
+	t.Helper()
+	var n [4]atomic.Int64
+	counted := func(i int, attr string) *expr.UDF {
+		return &expr.UDF{Name: "counted", Args: []string{attr}, Fn: func(args []value.Value) value.Value {
+			n[i].Add(1)
+			return args[0]
+		}}
+	}
+	b := query.NewBuilder("lps").Rel("l", "L").Rel("ps", "PS")
+	if partFirst {
+		b = b.Join(counted(2, "l.part"), counted(3, "ps.part")).Join(counted(0, "l.supp"), counted(1, "ps.supp"))
+	} else {
+		b = b.Join(counted(0, "l.supp"), counted(1, "ps.supp")).Join(counted(2, "l.part"), counted(3, "ps.part"))
+	}
+	rel, _, err := New(cat).NewExec(ExecConfig{Parallelism: 1}).ExecTree(b.MustBuild(), plan.NewJoin(leaf("l"), leaf("ps")), &Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		evals[i] = n[i].Load()
+	}
+	return rel.Rows, evals
+}
+
+// TestMultiKeyJoinWorkCount is the deterministic form of what the second key
+// predicate saves. The table is keyed on the supplier, whose chains are 80
+// rows long; the part predicate's build term is evaluated once per build row
+// for the filter hash and then only on pairs whose filter hashes agree, which
+// are the pairs the join emits — not once per probe and chain row, which
+// was 80 times as many.
+func TestMultiKeyJoinWorkCount(t *testing.T) {
+	cat := lpsCatalog()
+	rows, evals := lpsRun(t, cat, false)
+	build, emitted := int64(cat.MustGet("PS").Count()), int64(len(rows))
+	if emitted < 5000 {
+		t.Fatalf("the join emitted %d rows, the fixture promises more than 5,000", emitted)
+	}
+	residual := evals[3] - build
+	t.Logf("%d rows emitted, PS.part evaluated %d times: %d build rows + %d pairs put to the residual", emitted, evals[3], build, residual)
+	if residual < emitted || residual > emitted+emitted/100 {
+		t.Errorf("the part predicate was evaluated on %d pairs for %d emitted rows, want the emitted rows and at most 1 %% more", residual, emitted)
+	}
+}
+
+// TestJoinPredicateOrderIndependence: which of two key predicates a query
+// names first decides what the table is keyed on and nothing a client sees —
+// the same rows in the same order — nor, within a factor of two, how many
+// term evaluations the join costs.
+func TestJoinPredicateOrderIndependence(t *testing.T) {
+	cat := lpsCatalog()
+	suppRows, suppEvals := lpsRun(t, cat, false)
+	partRows, partEvals := lpsRun(t, cat, true)
+	if !table.IdenticalRows(suppRows, partRows) {
+		t.Errorf("the join returns different rows, or another order, with its predicates swapped (%d and %d rows)", len(suppRows), len(partRows))
+	}
+	total := func(e [4]int64) (n int64) {
+		for _, x := range e {
+			n += x
+		}
+		return n
+	}
+	a, b := total(suppEvals), total(partEvals)
+	t.Logf("term evaluations: %d keyed on the supplier %v, %d keyed on the part %v", a, suppEvals, b, partEvals)
+	if a > 2*b || b > 2*a {
+		t.Errorf("%d term evaluations keyed on the supplier, %d keyed on the part: more than a factor of two apart", a, b)
+	}
+}
+
+// TestHashBuildSpanKeyTerms: the build span says how many of the join's
+// predicates are key predicates, once per join; the further ones count among
+// the residuals as well, which is where they are decided.
+func TestHashBuildSpanKeyTerms(t *testing.T) {
+	id := expr.Identity
+	one := query.NewBuilder("one").Rel("l", "L").Rel("ps", "PS").
+		Join(id("l.supp"), id("ps.supp")).MustBuild()
+	two := query.NewBuilder("two").Rel("l", "L").Rel("ps", "PS").
+		Join(id("l.supp"), id("ps.supp")).Join(id("ps.part"), id("l.part")).
+		Select(expr.SumMod("l.part", "ps.supp", 2), value.Int(0)).MustBuild()
+	for _, tc := range []struct {
+		q                   *query.Query
+		keyTerms, residuals float64
+	}{{one, 1, 0}, {two, 2, 2}} {
+		col := &obs.Collector{}
+		ex := New(lpsCatalog()).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
+		if _, _, err := ex.ExecTree(tc.q, plan.NewJoin(leaf("l"), leaf("ps")), &Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		builds := col.SpansOf(obs.KHashBuild)
+		if len(builds) != 1 {
+			t.Fatalf("%s: %d hash-build spans, want 1", tc.q.Name, len(builds))
+		}
+		if got := builds[0].Num; got["key_terms"] != tc.keyTerms || got["residuals"] != tc.residuals {
+			t.Errorf("%s: build span says key_terms=%v residuals=%v, want %v and %v",
+				tc.q.Name, got["key_terms"], got["residuals"], tc.keyTerms, tc.residuals)
+		}
 	}
 }

@@ -441,13 +441,20 @@ func (t *hashTable) grow() {
 // a row belongs to one key and is inserted by one worker, so they write
 // disjoint indices. Rows with a NULL key are in no chain; their slots are
 // never read.
+//
+// filter, nil unless the join has key predicates beyond the one the table is
+// keyed on, holds per build row one hash of those predicates' build terms
+// (filterFn), indexed and shared exactly as next is. It is no part of the
+// table: entries, slots and chains are those of a single-key join, and a
+// probe only consults it to pass over chain rows it need not copy.
 type shardedTable struct {
-	subs []hashTable
-	next []int32
+	subs   []hashTable
+	next   []int32
+	filter []uint64
 }
 
-func newShardedTable(s, sizeHint int, next []int32) *shardedTable {
-	t := &shardedTable{subs: make([]hashTable, s), next: next}
+func newShardedTable(s, sizeHint int, next []int32, filter []uint64) *shardedTable {
+	t := &shardedTable{subs: make([]hashTable, s), next: next, filter: filter}
 	for i := range t.subs {
 		t.subs[i] = newHashTable(sizeHint/s + 1)
 	}

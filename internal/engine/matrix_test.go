@@ -77,6 +77,10 @@ func matrixCases() []matrixCase {
 		Join(expr.Identity("a.k"), expr.Identity("b.k")).
 		Join(expr.HashMod("a.v", 3), expr.HashMod("b.v", 3)).
 		MustBuild()
+	abLong := query.NewBuilder("ablong").Rel("a", "A").Rel("b", "B").
+		Join(expr.HashMod("a.v", 50), expr.HashMod("b.v", 50)).
+		Join(expr.Identity("b.k"), expr.Identity("a.k")).
+		MustBuild()
 	baSel := query.NewBuilder("basel").Rel("a", "A").Rel("b", "B").
 		Join(expr.Identity("b.k"), expr.Identity("a.k")).
 		Select(expr.Identity("a.f"), value.Int(0)).
@@ -89,9 +93,15 @@ func matrixCases() []matrixCase {
 		Join(expr.Identity("c.k"), expr.Identity("a.k")).
 		MustBuild()
 	return []matrixCase{
-		// Hash join with a residual under a Σ root; b is an unfiltered
-		// co-partitioned build leaf, handed over without a drain at S > 1.
+		// Hash join with a second key predicate under a Σ root; b is an
+		// unfiltered co-partitioned build leaf, handed over without a drain
+		// at S > 1.
 		{"residual-sigma", ab, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b")).WithSigma()}},
+		// Two key predicates with the table keyed on the one whose chains are
+		// some 90 rows long: the probe passes over nearly all of each chain
+		// on the other's filter hash (key_terms = 2 in every cell), and the
+		// build, keyed on a UDF, is a reshuffle at S > 1.
+		{"long-chains", abLong, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b"))}},
 		// A pushed-down selection on the co-partitioned build leaf.
 		{"filtered-build", baSel, []*plan.Node{plan.NewJoin(leaf("b"), leaf("a"))}},
 		// No predicate separates d and c: a nested loop with a residual.

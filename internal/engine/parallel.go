@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -254,35 +255,51 @@ func passResiduals(row table.Row, residuals []residual) bool {
 }
 
 // joinSpec is what a join node resolves when it opens and what every worker
-// state of its iterator binds against: the hash predicate's two terms (nil
+// state of its iterator binds against: the terms of the key predicates (none
 // for a nested loop), the residual predicates, and the schemas they bind on.
 type joinSpec struct {
-	node                 *plan.Node
+	node *plan.Node
+	// probeTerm = buildTerm is the first key predicate, the one the table is
+	// keyed, routed and co-partitioned on. probeRest[i] = buildRest[i] are the
+	// further key predicates, which only filter a chain walk.
 	probeTerm, buildTerm *query.Term
+	probeRest, buildRest []*query.Term
 	preds                []*query.JoinPred // residual join predicates
 	sels                 []*query.SelPred  // residual selections
 	left, right, out     *table.Schema
 }
 
-// pickHash chooses the hash predicate among the join's new predicates — the
-// first whose sides bind to opposite children — and leaves the others as
-// residuals, evaluated over the concatenated row. The build side is always
-// the right child: the left side streams, so its cardinality is unknown until
-// drained and building on the smaller side is not an option.
+// pickHash sorts the join's new predicates into key predicates — every one
+// whose two terms bind wholly on opposite children — and the rest, plain
+// residuals evaluated over the concatenated row. The first key predicate is
+// the hash predicate: the table holds one entry per distinct value of its
+// build term, and that term alone decides sub-table routing and whether the
+// storage layout serves the build (cost.buildTermAt mirrors this choice). The
+// further key predicates stay in the residual list as well, so they are still
+// decided by Equal on the joined row; what being a key predicate adds is one
+// hash per build row and per probe row (keyFilter) that lets the chain walk
+// pass over a pair the residual was going to reject, before it is copied.
+// The build side is always the right child: the left side streams, so its
+// cardinality is unknown until drained and building on the smaller side is
+// not an option.
 func (j *joinSpec) pickHash(preds []*query.JoinPred) {
 	l, r := j.node.Left.Aliases(), j.node.Right.Aliases()
 	j.preds = preds
 	for i, p := range preds {
+		probe, build := p.L, p.R
 		switch {
 		case p.L.Aliases.SubsetOf(l) && p.R.Aliases.SubsetOf(r):
-			j.probeTerm, j.buildTerm = p.L, p.R
 		case p.L.Aliases.SubsetOf(r) && p.R.Aliases.SubsetOf(l):
-			j.probeTerm, j.buildTerm = p.R, p.L
+			probe, build = p.R, p.L
 		default:
 			continue
 		}
-		j.preds = append(append([]*query.JoinPred(nil), preds[:i]...), preds[i+1:]...)
-		return
+		if j.buildTerm == nil {
+			j.probeTerm, j.buildTerm = probe, build
+			j.preds = append(append([]*query.JoinPred(nil), preds[:i]...), preds[i+1:]...)
+			continue
+		}
+		j.probeRest, j.buildRest = append(j.probeRest, probe), append(j.buildRest, build)
 	}
 }
 
@@ -299,6 +316,7 @@ const slabRows = 256
 // its rows does.
 type joinState struct {
 	pb        *expr.Binding // probe key over the left schema; nil in a nested loop
+	pf        filterFn      // further probe key terms over the left schema; nil without any
 	residuals []residual
 	width     int           // columns of a joined row
 	slab      []value.Value // uncarved rest of the current slab
@@ -337,6 +355,14 @@ func newJoinState(j *joinSpec) (*joinState, error) {
 		return nil, fmt.Errorf("engine: term %s not bindable on probe side", j.probeTerm)
 	}
 	st.pb = pb
+	for i, t := range j.buildRest {
+		if p := j.probeRest[i]; !t.Fn.Evaluable(j.right) || !p.Fn.Evaluable(j.left) {
+			return nil, fmt.Errorf("engine: key predicate %s = %s not bindable on the children of %s", p, t, j.node)
+		}
+	}
+	if len(j.probeRest) > 0 {
+		st.pf = keyFilter(j.probeRest, j.left)()
+	}
 	return st, nil
 }
 
@@ -361,10 +387,16 @@ func (st *joinState) emit(row table.Row, budget *Budget) error {
 
 // probeRows joins each probe row with its matches in the hash table, in
 // probe order: entries of the key's hash in insertion order, build rows
-// ascending within each. NULL keys never match.
+// ascending within each. NULL keys never match. With further key predicates
+// (ht.filter set), the probe row's further key terms are hashed once, and a
+// build row whose filter hash differs is passed over before it is copied: it
+// differs in a term the residuals demand equal, so they would have rejected
+// the pair. The pairs that survive are still put to every residual, so the
+// output is that of walking the whole chain.
 func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budget *Budget) error {
 	st.out = st.out[:0]
 	var pace pacer
+	filter := ht.filter
 	for _, prow := range probe {
 		st.in++
 		// Matchless probes charge nothing; poll the deadline anyway.
@@ -374,6 +406,12 @@ func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budge
 		k := st.pb.Eval(prow)
 		if k.IsNull() {
 			continue
+		}
+		var fh uint64
+		if filter != nil {
+			if fh = st.pf(prow); fh == 0 {
+				continue
+			}
 		}
 		h := k.Hash()
 		sub := ht.sub(h)
@@ -385,6 +423,9 @@ func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budge
 				continue
 			}
 			for bi := e.head; bi >= 0; bi = ht.next[bi] {
+				if filter != nil && filter[bi] != fh {
+					continue
+				}
 				if row == nil {
 					row = st.slot()
 					copy(row, prow)
@@ -491,6 +532,62 @@ func storedKey(sh *table.Sharded) func() keyFn {
 	}
 }
 
+// filterFn hashes a row's further key terms — those of the key predicates
+// after the first — into one word that two rows share whenever every term of
+// the one Equals its counterpart of the other. 0 says a term is NULL, which
+// equals nothing: such a row can never match.
+type filterFn func(row table.Row) uint64
+
+// keyFilter is the filter hash over terms bound on s; each worker binds its
+// own copy. The join's first state proved that every term resolves.
+func keyFilter(terms []*query.Term, s *table.Schema) func() filterFn {
+	return func() filterFn {
+		bs := make([]*expr.Binding, len(terms))
+		for i, t := range terms {
+			bs[i], _ = t.Fn.Bind(s)
+		}
+		return func(row table.Row) uint64 {
+			h := uint64(filterMix)
+			for _, b := range bs {
+				v := b.Eval(row)
+				if v.IsNull() {
+					return 0
+				}
+				h = (h ^ equalHash(v)) * filterMix
+			}
+			if h == 0 {
+				return 1
+			}
+			return h
+		}
+	}
+}
+
+// filterMix seeds the filter hash and, being odd, folds each term's hash into
+// it invertibly. The filter hash is only ever compared, never reduced to a
+// slot, so the terms need no better mixing than that.
+const filterMix = 0x9E3779B97F4A7C15
+
+// equalHash is a hash under which a.Equal(b) implies equal hashes, which
+// Value.Hash is not: Equal compares an int with a float by their float64
+// images, so Int(1<<53+1) equals Float(1<<53) while hashing as the integer it
+// is, and two ints may both equal one float without equalling each other. The
+// first key predicate has always missed such pairs (it finds entries by Hash);
+// a residual never has, so the filter must not. Numerics therefore hash as
+// their float64 image, -0 as 0; the other kinds equal only their own kind, by
+// payload, which is what Hash covers.
+func equalHash(v value.Value) uint64 {
+	switch v.Kind() {
+	case value.KindBool, value.KindInt, value.KindFloat:
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // -0 == 0: one image for both
+		}
+		return math.Float64bits(f)
+	}
+	return v.Hash()
+}
+
 // buildSide is a join's collected right side. When it came from a
 // shard-major scan, bounds[si] is where storage shard si's rows end in the
 // shard-major sequence: the rows themselves, or — for a stored table handed
@@ -501,17 +598,20 @@ type buildSide struct {
 	perm   []int32
 }
 
-// buildState is one worker's side of a hash build: its own key source and
-// the table it inserts into.
+// buildState is one worker's side of a hash build: its own key source, its
+// own filter hash (nil without further key predicates) and the table it
+// inserts into.
 type buildState struct {
 	key      keyFn
+	filter   filterFn
 	t        *shardedTable
 	inserted int
 }
 
 // buildRows routes positions [lo,hi) of the build side into the state's
-// table under their row indices, skipping NULL keys. A position is a row
-// index, or an index into perm when one is given.
+// table under their row indices, skipping NULL keys, and records each
+// inserted row's filter hash. A position is a row index, or an index into
+// perm when one is given.
 func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budget *Budget) error {
 	var pace pacer
 	for i := lo; i < hi; i++ {
@@ -529,6 +629,9 @@ func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budg
 		}
 		st.inserted++
 		st.t.next[ri] = -1
+		if st.filter != nil {
+			st.t.filter[ri] = st.filter(rows[ri])
+		}
 		st.t.sub(h).add(h, k, ri, ri, st.t.next)
 	}
 	return pace.done(budget)
@@ -543,10 +646,13 @@ func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budg
 // merge restores both invariants of a single pass exactly — entries in global
 // first-occurrence order, per-key row lists ascending — so the table is the
 // same at every w, and it probes the same at every s. All of them link their
-// rows through one next slice, made here. One worker is one sequential pass
-// over the rows with nothing to merge; it does not walk a co-partitioned side
-// shard by shard, because the sequential pass is the prefetchable one and
-// measured faster than the strided shard-major walk (EXPERIMENTS, PR 10).
+// rows through one next slice, made here — as is, when the join has further
+// key predicates (filterOf non-nil), the slice of per-row filter hashes, which
+// is indexed and shared the same way and which no merge touches. One worker
+// is one sequential pass over the rows with nothing to merge; it does not walk
+// a co-partitioned side shard by shard, because the sequential pass is the
+// prefetchable one and measured faster than the strided shard-major walk
+// (EXPERIMENTS, PR 10).
 //
 // Several workers over a co-partitioned side (bounds set) split at storage
 // shard boundaries instead: every row of storage shard si routes to sub-table
@@ -554,21 +660,28 @@ func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budg
 // meeting, and there is nothing to merge. Within a shard, positions ascend in
 // row order, so entries and row lists come out the same again.
 // Returns the table and the number of non-NULL keys inserted.
-func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, s, w int, budget *Budget) (*shardedTable, int, error) {
+func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, filterOf func() filterFn, s, w int, budget *Budget) (*shardedTable, int, error) {
 	owned := w > 1 && side.bounds != nil
 	units := len(side.rows)
 	next := make([]int32, len(side.rows))
+	var filter []uint64
+	if filterOf != nil {
+		filter = make([]uint64, len(side.rows))
+	}
 	var shared *shardedTable
 	if owned {
 		units, w = s, min(w, s)
-		shared = newShardedTable(s, len(side.rows), next)
+		shared = newShardedTable(s, len(side.rows), next, filter)
 	}
 	parts := make([]*buildState, w)
 	err := e.fanOut(op, units, w, func(worker, lo, hi int) error {
 		st := &buildState{key: keyOf(), t: shared}
+		if filterOf != nil {
+			st.filter = filterOf()
+		}
 		parts[worker] = st
 		if !owned {
-			st.t = newShardedTable(s, hi-lo, next)
+			st.t = newShardedTable(s, hi-lo, next, filter)
 			return st.buildRows(side.rows, nil, lo, hi, budget)
 		}
 		from := 0

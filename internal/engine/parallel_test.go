@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -447,7 +449,7 @@ func TestParallelBuildIdenticalTable(t *testing.T) {
 				want, wantIns := referenceBuild(shape.side.rows, keyOf, s)
 				for _, w := range []int{1, 2, 7, 64} {
 					at := fmt.Sprintf("rows=%d S=%d %s w=%d", rows, s, shape.name, w)
-					ht, ins, err := e.build(nil, shape.side, shape.keyOf, s, w, &Budget{})
+					ht, ins, err := e.build(nil, shape.side, shape.keyOf, nil, s, w, &Budget{})
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}
@@ -484,8 +486,9 @@ func firstColKey() keyFn {
 
 // referenceProbe joins probe rows against the reference table the way the
 // engine always has: every bucket of the key's hash chain whose key equals
-// the probe key, in chain order, its rows ascending.
-func referenceProbe(probe, build []table.Row, ref refTable) []table.Row {
+// the probe key, in chain order, its rows ascending — the whole chain walked,
+// every pair joined and put to the residuals, whatever they are.
+func referenceProbe(probe, build []table.Row, ref refTable, residuals ...residual) []table.Row {
 	var out []table.Row
 	for _, prow := range probe {
 		k := prow[0]
@@ -498,7 +501,9 @@ func referenceProbe(probe, build []table.Row, ref refTable) []table.Row {
 				continue
 			}
 			for _, bi := range b.rows {
-				out = append(out, append(append(table.Row{}, prow...), build[bi]...))
+				if row := append(append(table.Row{}, prow...), build[bi]...); passResiduals(row, residuals) {
+					out = append(out, row)
+				}
 			}
 		}
 	}
@@ -586,7 +591,7 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 			want := referenceProbe(probe.Rows, build.Rows, ref)
 			for _, w := range []int{1, 3} {
 				at := fmt.Sprintf("%s S=%d w=%d", tc.name, s, w)
-				ht, ins, err := e.build(nil, buildSide{rows: build.Rows}, tc.keyOf, s, w, &Budget{})
+				ht, ins, err := e.build(nil, buildSide{rows: build.Rows}, tc.keyOf, nil, s, w, &Budget{})
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
@@ -613,13 +618,241 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 	}
 }
 
+// keyRow is one row of a multi-key fixture: the first key and two columns for
+// further key predicates to read.
+type keyRow struct{ k, x, y value.Value }
+
+// multiKeyRows makes a relation (k, i, x, y) over rows, i the row's position.
+// The y column belongs to alias yOf: name itself, or a second alias when the
+// relation stands for a materialized join of the two.
+func multiKeyRows(name, yOf string, rows []keyRow) *table.Relation {
+	sc := table.NewSchema(
+		table.Column{Table: name, Name: "k", Kind: value.KindInt},
+		table.Column{Table: name, Name: "i", Kind: value.KindInt},
+		table.Column{Table: name, Name: "x", Kind: value.KindInt},
+		table.Column{Table: yOf, Name: "y", Kind: value.KindInt},
+	)
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		out[i] = table.Row{r.k, value.Int(int64(i)), r.x, r.y}
+	}
+	return table.NewRelation(name, sc, out)
+}
+
+// TestMultiKeyProbesLikeReference pins a join with several key predicates to
+// the reference that knows of one: the table is the single-key table, and the
+// probe's output is, row for row, that of walking every chain in full and
+// putting every pair to every further predicate as a residual. The further
+// key terms cover what Equal does that Hash does not promise — an int against
+// the float it equals, NULLs on either side, an int beyond 2⁵³ against the
+// float it rounds to — strings, a term over two columns, three key
+// predicates, a filter hash on which every row collides, and a second
+// predicate that separates nothing and so stays a plain residual; at every
+// sub-table and worker count, over a drained side and over the stored table
+// handed over with its layout.
+func TestMultiKeyProbesLikeReference(t *testing.T) {
+	id := expr.Identity
+	const big = int64(1) << 53
+	mixed := []value.Value{
+		value.Int(1), value.Int(2), value.Float(2), value.Null(), value.Float(2.5), value.Int(3),
+		value.Bool(true), value.Float(math.Copysign(0, -1)), value.Int(0), value.Float(math.NaN()),
+	}
+	// gen draws n rows: first keys from a domain of keys (so chains are long),
+	// x from xs, y from a small int domain.
+	gen := func(seed int64, n, keys int, xs []value.Value) []keyRow {
+		rng := randx.New(seed)
+		out := make([]keyRow, n)
+		for i := range out {
+			out[i] = keyRow{value.Int(int64(rng.Intn(keys))), xs[rng.Intn(len(xs))], value.Int(int64(rng.Intn(4)))}
+			if rng.Intn(25) == 0 {
+				out[i].k = value.Null()
+			}
+		}
+		return out
+	}
+	words := []value.Value{value.String("a"), value.String("b"), value.String(""), value.String("a\x00"), value.Null(), value.String("żółć")}
+	small := []value.Value{value.Int(0), value.Int(1), value.Int(2), value.Int(3), value.Int(4), value.Null()}
+	one := value.Int(1)
+	cases := []struct {
+		name         string
+		build, probe []keyRow
+		rest         func(b *query.Builder) *query.Builder // the predicates after P.k = B.k
+		keyTerms     int                                   // key predicates pickHash must find
+		collide      bool                                  // force one filter hash on every row
+		reuse        bool                                  // the build child is a materialized B+C, y being C's
+	}{
+		{"ints, floats, NULLs and duplicates", gen(1, 900, 12, mixed), gen(2, 300, 12, mixed),
+			func(b *query.Builder) *query.Builder { return b.Join(id("P.x"), id("B.x")) }, 2, false, false},
+		{"second key written build side first", gen(1, 900, 12, mixed), gen(2, 300, 12, mixed),
+			func(b *query.Builder) *query.Builder { return b.Join(id("B.x"), id("P.x")) }, 2, false, false},
+		// Int(2^53+1) and Int(2^53) both equal Float(2^53) as a residual compares
+		// them, and hash differently: both build rows must join both probes.
+		{"ints beyond 2^53 against the float they round to",
+			[]keyRow{{one, value.Int(big + 1), one}, {one, value.Int(big), one}, {one, value.Int(big + 2), one}, {one, value.Float(float64(big)), one}},
+			[]keyRow{{one, value.Float(float64(big)), one}, {one, value.Int(big + 1), one}},
+			func(b *query.Builder) *query.Builder { return b.Join(id("P.x"), id("B.x")) }, 2, false, false},
+		{"strings", gen(3, 900, 12, words), gen(4, 300, 12, words),
+			func(b *query.Builder) *query.Builder { return b.Join(expr.Lower("P.x"), id("B.x")) }, 2, false, false},
+		{"a term over two columns", gen(5, 900, 12, small), gen(6, 300, 12, small),
+			func(b *query.Builder) *query.Builder { return b.Join(id("P.x"), expr.SumMod("B.x", "B.y", 5)) }, 2, false, false},
+		{"every filter hash collides", gen(1, 900, 12, mixed), gen(2, 300, 12, mixed),
+			func(b *query.Builder) *query.Builder { return b.Join(id("P.x"), id("B.x")) }, 2, true, false},
+		{"three key predicates", gen(7, 1500, 6, small), gen(8, 300, 6, small),
+			func(b *query.Builder) *query.Builder {
+				return b.Join(id("P.x"), id("B.x")).Join(id("B.y"), id("P.y"))
+			}, 3, false, false},
+		// SumMod(P.x, B.x) reads both children: the predicate is new at this
+		// join and no key predicate, before a third that is one.
+		{"a second predicate with a term that binds on neither child", gen(9, 900, 12, small), gen(10, 300, 12, small),
+			func(b *query.Builder) *query.Builder {
+				return b.Join(expr.SumMod("P.x", "B.x", 3), id("C.y")).Join(id("P.x"), id("B.x"))
+			}, 2, false, true},
+		{"no further key predicate, one plain residual", gen(9, 900, 12, small), gen(10, 300, 12, small),
+			func(b *query.Builder) *query.Builder { return b.Join(expr.SumMod("P.x", "B.x", 3), id("C.y")) }, 1, false, true},
+	}
+	e := New(table.NewCatalog()).exec()
+	for _, tc := range cases {
+		b, right, yOf := query.NewBuilder("mk").Rel("P", "P").Rel("B", "B"), leaf("B"), "B"
+		if tc.reuse {
+			b, right, yOf = b.Rel("C", "C"), leaf("B", "C"), "C"
+		}
+		build, probe := multiKeyRows("B", yOf, tc.build), multiKeyRows("P", "P", tc.probe)
+		q := tc.rest(b.Join(id("P.k"), id("B.k"))).MustBuild()
+		tree := plan.NewJoin(leaf("P"), right)
+		spec := &joinSpec{node: tree, left: probe.Schema, right: build.Schema, out: probe.Schema.Concat(build.Schema)}
+		spec.pickHash(q.PredsNewAt(tree.Left.Aliases(), tree.Right.Aliases()))
+		if got := 1 + len(spec.buildRest); got != tc.keyTerms || len(spec.probeRest) != len(spec.buildRest) {
+			t.Fatalf("%s: pickHash found %d key predicates, want %d", tc.name, got, tc.keyTerms)
+		}
+		// The reference knows one key and treats everything else as a residual.
+		var residuals []residual
+		for _, p := range q.Joins[1:] {
+			lb, ok1 := p.L.Fn.Bind(spec.out)
+			rb, ok2 := p.R.Fn.Bind(spec.out)
+			if !ok1 || !ok2 {
+				t.Fatalf("%s: %s does not bind", tc.name, p)
+			}
+			residuals = append(residuals, residual{lb: lb, rb: rb})
+		}
+		var filterOf func() filterFn
+		if tc.keyTerms > 1 {
+			filterOf = keyFilter(spec.buildRest, build.Schema)
+		}
+		collide := func(table.Row) uint64 { return 7 }
+		if tc.collide {
+			filterOf = func() filterFn { return collide }
+		}
+		keyOf := evalKey(spec.buildTerm, build.Schema)
+		emitted := 0
+		for _, s := range []int{1, 4} {
+			for _, shape := range buildShapes(build, keyOf, s) {
+				ref, _ := referenceBuild(shape.side.rows, keyOf, s)
+				want := referenceProbe(probe.Rows, shape.side.rows, ref, residuals...)
+				emitted += len(want)
+				for _, w := range []int{1, 2, 7} {
+					at := fmt.Sprintf("%s S=%d %s w=%d", tc.name, s, shape.name, w)
+					ht, _, err := e.build(nil, shape.side, shape.keyOf, filterOf, s, w, &Budget{})
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if !ht.dump(t).same(ref.dump()) {
+						t.Errorf("%s: table differs from the single-key reference", at)
+					}
+					if (ht.filter != nil) != (tc.keyTerms > 1) {
+						t.Errorf("%s: filter slice present = %v with %d key predicates", at, ht.filter != nil, tc.keyTerms)
+					}
+					st, err := newJoinState(spec)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if tc.collide {
+						st.pf = collide
+					}
+					if err := st.probeRows(probe.Rows, shape.side.rows, ht, &Budget{}); err != nil {
+						t.Fatalf("%s: probe: %v", at, err)
+					}
+					if len(st.out) != len(want) {
+						t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
+					}
+					for i := range want {
+						if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
+							t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		if emitted == 0 {
+			t.Errorf("%s: the reference joins nothing, which proves nothing", tc.name)
+		}
+	}
+}
+
+// TestEqualHashFollowsEqual: whenever two values are Equal their filter
+// hashes agree — the property that makes passing over a chain row on a hash
+// mismatch exact — over every pair of an edge-case mix (value_test.go's,
+// less the kind no constructor makes), where Value.Hash itself does not have
+// it: Int(2^53+1) equals Float(2^53) and hashes as the integer it is.
+func TestEqualHashFollowsEqual(t *testing.T) {
+	parent := "  42 \x00 monsoon żółć 3.5e2  "
+	vals := []value.Value{
+		value.Null(), value.Bool(false), value.Bool(true),
+		value.Int(0), value.Int(1), value.Int(-1), value.Int(math.MinInt64), value.Int(math.MaxInt64),
+		value.Int(1<<53 - 1), value.Int(1 << 53), value.Int(1<<53 + 1),
+		value.Float(1<<53 - 1), value.Float(1 << 53), value.Float(1<<53 + 2),
+		value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.Inf(1)), value.Float(math.Inf(-1)), value.Float(math.NaN()),
+		value.Float(1), value.Float(-7), value.Float(0.5), value.Float(-2.75), value.Float(3.9), value.Float(1e300),
+		value.Float(math.MaxInt64), value.Float(math.MinInt64), value.Float(math.SmallestNonzeroFloat64),
+		value.String(""), value.String("a"), value.String("b"), value.String("a\x00"), value.String("\x00"), value.String("żółć"),
+		value.String(parent), value.String(parent[2:4]), value.String(parent[:6]), value.String(parent[len(parent):]),
+		value.String(" 42 "), value.String("42"), value.String("1"), value.String("NULL"), value.String("true"),
+		value.IntList(nil), value.IntList([]int64{}), value.IntList([]int64{7}), value.IntList([]int64{1, 2}), value.IntList([]int64{1, 3}),
+		value.IntList([]int64{3, 1, 2, 3, 1}), value.IntList([]int64{5, 5, 5, 5}),
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 40; i++ {
+		x := int64(rng.Uint64())
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		vals = append(vals, value.Int(x), value.Float(math.Float64frombits(uint64(x))), value.Float(float64(x>>20)),
+			value.Int(x>>20), value.String(string(b)), value.IntList([]int64{x, x >> 7, int64(i)}))
+	}
+	equal, hashDiffers := 0, 0
+	for _, a := range vals {
+		for _, b := range vals {
+			if !a.Equal(b) {
+				continue
+			}
+			equal++
+			if equalHash(a) != equalHash(b) {
+				t.Errorf("%v (%s) Equal %v (%s), filter hashes %#x and %#x", a, a.Kind(), b, b.Kind(), equalHash(a), equalHash(b))
+			}
+			if a.Hash() != b.Hash() {
+				hashDiffers++
+			}
+		}
+	}
+	if equal < len(vals)/2 || hashDiffers == 0 {
+		t.Errorf("%d Equal pairs, %d of them with different Value.Hash: the mix misses the case the filter hash exists for", equal, hashDiffers)
+	}
+	// One term's hash carries over to the row's: a NULL term is 0, nothing else is.
+	sc := table.NewSchema(table.Column{Table: "T", Name: "x", Kind: value.KindInt})
+	q := query.NewBuilder("t").Rel("T", "T").Rel("U", "U").Join(expr.Identity("T.x"), expr.Identity("U.x")).MustBuild()
+	f := keyFilter([]*query.Term{q.Joins[0].L}, sc)()
+	for _, v := range vals {
+		if got := f(table.Row{v}); (got == 0) != v.IsNull() {
+			t.Errorf("filter hash of a row holding %v is %#x", v, got)
+		}
+	}
+}
+
 // TestParallelBuildEmptySide: an empty build side merges to an empty table
 // with zero insertions for any worker count.
 func TestParallelBuildEmptySide(t *testing.T) {
 	e := New(table.NewCatalog()).exec()
 	rel, keyOf := buildFixture(0)
 	for _, w := range []int{1, 2, 7, 64} {
-		ht, ins, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, 1, w, &Budget{})
+		ht, ins, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, nil, 1, w, &Budget{})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
@@ -637,7 +870,7 @@ func TestParallelBuildBudgetAbort(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		b := &Budget{}
 		b.Deadline = time.Now().Add(-time.Second)
-		if _, _, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, 1, w, b); !errors.Is(err, ErrBudget) {
+		if _, _, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, nil, 1, w, b); !errors.Is(err, ErrBudget) {
 			t.Errorf("w=%d: err = %v, want ErrBudget", w, err)
 		}
 	}

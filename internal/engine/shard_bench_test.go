@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"monsoon/internal/bench/tpch"
 	"monsoon/internal/expr"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
@@ -81,13 +82,45 @@ func BenchmarkShardedBuildOnly(b *testing.B) {
 				b.Run(fmt.Sprintf("S=%d/%s/w=%d", s, shape.name, w), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := e.build(nil, shape.side, shape.keyOf, s, w, &Budget{}); err != nil {
+						if _, _, err := e.build(nil, shape.side, shape.keyOf, nil, s, w, &Budget{}); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkMultiKeyJoin times tpch-q9's l ⋈ ps, the join with two key
+// predicates whose first — the supplier, as the suite writes the query — has
+// chains of 80 build rows of which the second keeps one: at the scale factor
+// monsoond serves (24 k lines against 3,200 partsupp rows) and at
+// engine_scan's (ten times both). Allocations are the gate on the filter
+// slice: one per build beyond a single-key join's.
+func BenchmarkMultiKeyJoin(b *testing.B) {
+	q := query.NewBuilder("l-ps").
+		Rel("l", "lineitem").Rel("ps", "partsupp").
+		Join(expr.Identity("ps.ps_suppkey"), expr.Identity("l.l_suppkey")).
+		Join(expr.Identity("ps.ps_partkey"), expr.Identity("l.l_partkey")).
+		MustBuild()
+	tree := plan.NewJoin(leaf("l"), leaf("ps"))
+	for _, sf := range []float64{0.004, 0.04} {
+		b.Run(fmt.Sprintf("sf=%v", sf), func(b *testing.B) {
+			e := New(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 1}))
+			e.Parallelism = 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rel, _, err := e.ExecTree(q, tree, &Budget{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rel.Count() == 0 {
+					b.Fatal("l ⋈ ps is empty")
+				}
+			}
+		})
 	}
 }
 

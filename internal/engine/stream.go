@@ -483,8 +483,12 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	if side.perm != nil {
 		keyOf = storedKey(layout)
 	}
-	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key())
-	ht, inserted, err := e.build(bsp, side, keyOf, e.shardCount(), e.workers(len(side.rows)), budget)
+	var filterOf func() filterFn
+	if len(spec.buildRest) > 0 {
+		filterOf = keyFilter(spec.buildRest, rschema)
+	}
+	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key()).SetNum("key_terms", float64(1+len(spec.buildRest)))
+	ht, inserted, err := e.build(bsp, side, keyOf, filterOf, e.shardCount(), e.workers(len(side.rows)), budget)
 	bsp.SetRows(len(side.rows), inserted)
 	if err != nil {
 		bsp.SetStr("err", err.Error()).End()
