@@ -247,6 +247,7 @@ type RunOption func(*runConfig)
 
 type runConfig struct {
 	core     core.Config
+	trace    func(string)
 	timeout  time.Duration
 	maxTuple float64
 	shards   int
@@ -276,7 +277,7 @@ func WithTimeout(d time.Duration) RunOption { return func(c *runConfig) { c.time
 func WithMaxTuples(n float64) RunOption { return func(c *runConfig) { c.maxTuple = n } }
 
 // WithTrace streams one line per real-world optimizer action.
-func WithTrace(fn func(string)) RunOption { return func(c *runConfig) { c.core.Trace = fn } }
+func WithTrace(fn func(string)) RunOption { return func(c *runConfig) { c.trace = fn } }
 
 // WithEventSink streams the run's structured observability events (spans for
 // every MDP action and engine operator, trace messages, estimate-vs-actual
@@ -410,8 +411,8 @@ func Run(q *Query, cat *Catalog, opts ...RunOption) (*Report, error) {
 	if cfg.shards > 0 && cat.ShardCount() != cfg.shards {
 		cat.Shard(cfg.shards)
 	}
-	eng := engine.New(cat)
-	res, err := core.Run(q, eng, budget, cfg.core)
+	cfg.core.Sink = obs.Multi(cfg.core.Sink, obs.MessageSink(cfg.trace))
+	res, err := core.Run(q, engine.New(cat), budget, cfg.core)
 	if err != nil {
 		return &Report{Result: *res}, err
 	}

@@ -75,6 +75,25 @@ func TestRunThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestWithTraceAndEventSink: a line callback and an event sink on one run,
+// given in either order, both receive every trace line of the run.
+func TestWithTraceAndEventSink(t *testing.T) {
+	for _, traceFirst := range []bool{true, false} {
+		var lines []string
+		col := &TraceCollector{}
+		opts := []RunOption{WithTrace(func(s string) { lines = append(lines, s) }), WithEventSink(col)}
+		if !traceFirst {
+			opts[0], opts[1] = opts[1], opts[0]
+		}
+		if _, err := Run(buildQuery(), buildWorld(), append(opts, WithSeed(5), WithIterations(150))...); err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) == 0 || !reflect.DeepEqual(lines, col.Messages) {
+			t.Errorf("trace first %v: callback got %q, sink got %q", traceFirst, lines, col.Messages)
+		}
+	}
+}
+
 func TestRunStrategiesAgree(t *testing.T) {
 	cat := buildWorld()
 	a, err := Run(buildQuery(), cat, WithSeed(1), WithIterations(100))

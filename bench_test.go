@@ -188,13 +188,11 @@ func benchLargeJoin(b *testing.B, parallelism int) {
 
 func benchLargeJoinAt(b *testing.B, parallelism, batchSize int) {
 	cat, q, tree := largeJoinFixture()
-	eng := engine.New(cat)
-	eng.Parallelism = parallelism
-	eng.BatchSize = batchSize
+	ex := engine.New(cat).NewExec(engine.ExecConfig{Parallelism: parallelism, BatchSize: batchSize})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
+		rel, _, err := ex.ExecTree(q, tree, &engine.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}

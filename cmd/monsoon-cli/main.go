@@ -17,10 +17,6 @@ import (
 	"os"
 	"time"
 
-	"monsoon/internal/bench/imdb"
-	"monsoon/internal/bench/ott"
-	"monsoon/internal/bench/tpch"
-	"monsoon/internal/bench/udf"
 	"monsoon/internal/core"
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
@@ -32,7 +28,6 @@ import (
 	"monsoon/internal/plancache"
 	"monsoon/internal/prior"
 	"monsoon/internal/stats"
-	"monsoon/internal/table"
 )
 
 func main() {
@@ -73,7 +68,10 @@ func main() {
 	sc.PlanParallelism = *planPar
 	sc.Shards = *shards
 
-	specs := loadSpecs(*benchName, sc)
+	specs, err := harness.Specs(*benchName, sc)
+	if err != nil {
+		fail("%v", err)
+	}
 	if *queryName == "" {
 		fmt.Printf("queries in %s:\n", *benchName)
 		for _, s := range specs {
@@ -134,85 +132,34 @@ func main() {
 		runMonsoonTraced(*spec, sc, *priorName, sink, reg, *planCache, *repeat, profile, *replanThr)
 		return
 	}
+	ec := engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
 	if *explain {
-		runExplained(*spec, sc, *optName, sink)
+		runExplained(*spec, sc, ec, *optName, sink)
 		return
 	}
-	o := pickOption(*optName, sc, sink)
-	out := o.Run(*spec, sc.Timeout, sc.MaxTuples, sc.Seed)
+	o := pickOption(*optName, sink)
+	out := o.Run(*spec, ec, sc.Timeout, sc.MaxTuples, sc.Seed)
 	report(o.Name(), out)
 }
 
-func loadSpecs(bench string, sc harness.Scale) []harness.QuerySpec {
-	specs := rawSpecs(bench, sc)
-	if sc.Shards > 1 {
-		// Specs of one benchmark may share a catalog object (tpch/imdb/ott
-		// do); shard each distinct catalog once.
-		done := map[*table.Catalog]bool{}
-		for _, s := range specs {
-			if !done[s.Cat] {
-				s.Cat.Shard(sc.Shards)
-				done[s.Cat] = true
-			}
-		}
-	}
-	return specs
-}
-
-func rawSpecs(bench string, sc harness.Scale) []harness.QuerySpec {
-	switch bench {
-	case "tpch":
-		cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
-		var out []harness.QuerySpec
-		for _, q := range tpch.Queries() {
-			out = append(out, harness.QuerySpec{Q: q, Cat: cat})
-		}
-		return out
-	case "imdb":
-		cat := imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed})
-		var out []harness.QuerySpec
-		for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-			out = append(out, harness.QuerySpec{Q: q, Cat: cat})
-		}
-		return out
-	case "ott":
-		cat := ott.Generate(ott.Config{ScaleFactor: sc.OTTSF, Seed: sc.Seed})
-		var out []harness.QuerySpec
-		for _, c := range ott.Queries() {
-			out = append(out, harness.QuerySpec{Q: c.Query, Cat: cat, Hand: c.Best})
-		}
-		return out
-	case "udf":
-		suite := udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed})
-		var out []harness.QuerySpec
-		for _, qc := range suite.All() {
-			out = append(out, harness.QuerySpec{Q: qc.Query, Cat: qc.Cat})
-		}
-		return out
-	default:
-		fail("unknown benchmark %q", bench)
-		return nil
-	}
-}
-
-func pickOption(name string, sc harness.Scale, sink obs.EventSink) harness.Option {
+func pickOption(name string, sink obs.EventSink) harness.Option {
 	switch name {
 	case "postgres":
-		return harness.Postgres{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.Postgres{}
 	case "defaults":
-		return harness.Defaults{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.Defaults{}
 	case "greedy":
-		return harness.Greedy{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.Greedy{}
 	case "ondemand":
-		return harness.OnDemand{Sink: sink, Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.OnDemand{Sink: sink}
 	case "sampling":
-		return harness.Sampling{Sink: sink, Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.Sampling{Sink: sink}
 	case "skinner":
-		return harness.Skinner{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.Skinner{}
 	case "lec":
-		return harness.LEC{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.LEC{}
 	case "handwritten":
-		return harness.HandWritten{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+		return harness.HandWritten{}
 	default:
 		fail("unknown option %q", name)
 		return nil
@@ -239,9 +186,6 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string
 	// plan cache, when enabled — carries over; the full trace and EXPLAIN
 	// ANALYZE come from the first run.
 	for i := 0; i < repeat; i++ {
-		eng := engine.New(spec.Cat)
-		eng.Parallelism = sc.Parallelism
-		eng.BatchSize = sc.BatchSize
 		budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
 		cfg := core.Config{
 			Prior:           p,
@@ -257,11 +201,10 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string
 		}
 		if i == 0 {
 			col = &obs.Collector{}
-			cfg.Trace = func(s string) { fmt.Println("  " + s) }
-			cfg.Sink = obs.Multi(col, sink)
+			cfg.Sink = obs.Multi(col, sink, obs.MessageSink(func(s string) { fmt.Println("  " + s) }))
 		}
 		start := time.Now()
-		r, err := core.Run(spec.Q, eng, budget, cfg)
+		r, err := core.Run(spec.Q, engine.New(spec.Cat), budget, cfg)
 		if err != nil {
 			fail("run %d failed after %v: %v", i+1, time.Since(start), err)
 		}
@@ -335,22 +278,20 @@ func fail(format string, args ...any) {
 
 // runExplained plans with the named classical option, prints the EXPLAIN
 // tree (estimates first, then actuals after execution), and reports the run.
-func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, sink obs.EventSink) {
-	eng := engine.New(spec.Cat)
-	eng.Parallelism = sc.Parallelism
-	eng.BatchSize = sc.BatchSize
-	eng.Obs = obs.NewTracer(sink)
+func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig, optName string, sink obs.EventSink) {
+	ec.Obs = obs.NewTracer(sink)
+	ex := engine.New(spec.Cat).NewExec(ec)
 	var st *stats.Store
 	switch optName {
 	case "postgres":
 		st = opt.CollectFullStats(spec.Q, spec.Cat)
 	case "defaults", "greedy":
 		st = stats.New()
-		eng.SeedBaseStats(spec.Q, st)
+		ex.Engine().SeedBaseStats(spec.Q, st)
 	default:
 		fail("-explain supports postgres, defaults, and greedy (got %q)", optName)
 	}
-	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: eng.Obs}
+	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
 	var tree *plan.Node
 	var err error
 	if optName == "greedy" {
@@ -362,7 +303,7 @@ func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, sink
 		fail("planning failed: %v", err)
 	}
 	budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
-	rel, er, execErr := eng.ExecTree(spec.Q, tree, budget)
+	rel, er, execErr := ex.ExecTree(spec.Q, tree, budget)
 	fmt.Printf("%s plan for %s:\n%s", optName, spec.Q.Name, cost.Explain(dv, tree, er.Counts))
 	if execErr != nil {
 		fail("execution aborted: %v", execErr)

@@ -77,6 +77,14 @@ func main() {
 	default:
 		fail("unknown scale %q", *scaleName)
 	}
+	sc.Seed = *seed
+	sc.Parallelism = *par
+	sc.BatchSize = *batchSize
+	sc.Shards = *shards
+	sc.PlanParallelism = *planPar
+	if *iterations != 0 {
+		sc.MCTSIterations = *iterations
+	}
 
 	var profile *cost.CostProfile
 	if *calibFile != "" {
@@ -89,12 +97,6 @@ func main() {
 	srv, err := daemon.New(daemon.Config{
 		Bench:            *benchName,
 		Scale:            sc,
-		Seed:             *seed,
-		Parallelism:      *par,
-		BatchSize:        *batchSize,
-		Shards:           *shards,
-		PlanParallelism:  *planPar,
-		MCTSIterations:   *iterations,
 		MaxConcurrent:    *maxConc,
 		DefaultTimeout:   *timeout,
 		DefaultMaxTuples: *maxTuples,

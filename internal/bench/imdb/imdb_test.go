@@ -137,7 +137,7 @@ func TestQueriesExecutable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		if _, _, err := eng.ExecTree(q, tree, &engine.Budget{MaxTuples: 1e6}); err != nil {
+		if _, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{MaxTuples: 1e6}); err != nil {
 			if errors.Is(err, engine.ErrBudget) {
 				aborted++
 				continue

@@ -40,8 +40,8 @@ func TestQueriesAreEmptyUnderBestPlan(t *testing.T) {
 		if err := c.Query.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.Query.Name, err)
 		}
-		eng := engine.New(cat)
-		rel, _, err := eng.ExecTree(c.Query, c.Best, &engine.Budget{MaxTuples: 5e6})
+		ex := engine.New(cat).NewExec(engine.ExecConfig{})
+		rel, _, err := ex.ExecTree(c.Query, c.Best, &engine.Budget{MaxTuples: 5e6})
 		if err != nil {
 			t.Fatalf("%s: best plan aborted: %v", c.Query.Name, err)
 		}
@@ -56,8 +56,8 @@ func TestBadOrderExplodes(t *testing.T) {
 	// joins must then blow past a budget the good order fits in easily.
 	cat := Generate(Config{ScaleFactor: 0.002, Seed: 3})
 	c := Queries()[0] // orders–lineitem–customer
-	eng := engine.New(cat)
-	_, er, err := eng.ExecTree(c.Query, c.Best, &engine.Budget{})
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
+	_, er, err := ex.ExecTree(c.Query, c.Best, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestBadOrderExplodes(t *testing.T) {
 	bad := plan.LeftDeep([]query.AliasSet{
 		query.NewAliasSet("l"), query.NewAliasSet("c"), query.NewAliasSet("o"),
 	})
-	eng2 := engine.New(cat)
-	_, er2, err2 := eng2.ExecTree(c.Query, bad, &engine.Budget{MaxTuples: 50 * goodCost})
+	ex2 := engine.New(cat).NewExec(engine.ExecConfig{})
+	_, er2, err2 := ex2.ExecTree(c.Query, bad, &engine.Budget{MaxTuples: 50 * goodCost})
 	if err2 == nil && er2.Produced < 10*goodCost {
 		t.Errorf("bad order too cheap: %v vs good %v", er2.Produced, goodCost)
 	}

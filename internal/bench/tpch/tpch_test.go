@@ -102,7 +102,7 @@ func TestQueriesExecutable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
-		if _, _, err := eng.ExecTree(q, tree, &engine.Budget{MaxTuples: 5e7}); err != nil {
+		if _, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{MaxTuples: 5e7}); err != nil {
 			t.Errorf("%s: exec: %v", q.Name, err)
 		}
 	}

@@ -58,7 +58,7 @@ func TestQueriesProduceResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plan: %v", qc.Query.Name, err)
 		}
-		rel, _, err := eng.ExecTree(qc.Query, tree, &engine.Budget{MaxTuples: 3e6})
+		rel, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(qc.Query, tree, &engine.Budget{MaxTuples: 3e6})
 		if err != nil {
 			if errors.Is(err, engine.ErrBudget) {
 				aborted++

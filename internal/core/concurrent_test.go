@@ -81,7 +81,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
 			Seed: seed, Iterations: 300, Stats: seedStats.Clone(),
-			Trace: func(s string) { lines = append(lines, s) },
+			Sink: obs.MessageSink(func(s string) { lines = append(lines, s) }),
 		})
 		if err != nil {
 			t.Fatalf("solo seed %d: %v", seed, err)
@@ -110,7 +110,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 			var lines []string
 			res, err := Run(q, eng, &engine.Budget{}, Config{
 				Seed: sl.seed, Iterations: 300, Stats: seedStats.Clone(),
-				Cache: cache, Trace: func(s string) { lines = append(lines, s) },
+				Cache: cache, Sink: obs.MessageSink(func(s string) { lines = append(lines, s) }),
 			})
 			sl.cap, sl.err = capture{res: res, lines: lines}, err
 		}(&slots[i])
@@ -265,7 +265,7 @@ func TestPartialWarmCacheMatchesColdRun(t *testing.T) {
 	var baseLines []string
 	base, err := Run(q, engine.New(cat), &engine.Budget{}, Config{
 		Seed: seed, Iterations: iterations,
-		Trace: func(s string) { baseLines = append(baseLines, s) },
+		Sink: obs.MessageSink(func(s string) { baseLines = append(baseLines, s) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestPartialWarmCacheMatchesColdRun(t *testing.T) {
 	var warmLines []string
 	warm, err := Run(q3, engine.New(cat3), &engine.Budget{}, Config{
 		Seed: seed, Iterations: iterations, Cache: cache,
-		Trace: func(s string) { warmLines = append(warmLines, s) },
+		Sink: obs.MessageSink(func(s string) { warmLines = append(warmLines, s) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"monsoon/internal/engine"
 	"monsoon/internal/expr"
 	"monsoon/internal/mcts"
+	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
@@ -318,7 +319,7 @@ func referenceCount(t *testing.T) int {
 	tree := plan.NewJoin(plan.NewJoin(
 		plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet("T"))),
 		plan.NewLeaf(query.NewAliasSet("S")))
-	rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
+	rel, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestDriverTrace(t *testing.T) {
 	var lines []string
 	_, err := Run(q, eng, &engine.Budget{}, Config{
 		Seed: 9, Iterations: 200,
-		Trace: func(s string) { lines = append(lines, s) },
+		Sink: obs.MessageSink(func(s string) { lines = append(lines, s) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +414,7 @@ func TestMonsoonAvoidsTheTrap(t *testing.T) {
 		tree := plan.NewJoin(plan.NewJoin(
 			plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet(first))),
 			plan.NewLeaf(query.NewAliasSet(map[string]string{"S": "T", "T": "S"}[first])))
-		_, er, err := eng.ExecTree(q, tree, &engine.Budget{})
+		_, er, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,34 +35,24 @@ type Config struct {
 	// Raw base-table counts are always added. The store is used directly
 	// and mutated by the run.
 	Stats *stats.Store
-	// Trace, when non-nil, receives one line per real-world action — the
-	// legacy textual trace. It is implemented as an obs.MessageSink layered
-	// over the structured event stream, so it composes freely with Sink and
-	// its lines stay byte-identical to the pre-instrumentation output.
-	Trace func(string)
 	// Sink, when non-nil, receives the structured observability stream:
-	// spans for every MDP action and engine operator, the legacy trace
-	// lines as message events, and one estimate-vs-actual cardinality
-	// record per executed plan node. Nil keeps the run trace-free at
-	// (almost) zero cost.
+	// spans for every MDP action and engine operator, one trace line per
+	// real-world action as a message event (obs.MessageSink turns those back
+	// into a line callback), and one estimate-vs-actual cardinality record
+	// per executed plan node. Nil keeps the run trace-free at (almost) zero
+	// cost.
 	Sink obs.EventSink
 	// Metrics, when non-nil, accumulates counters and histograms
 	// (actions, executes, Σ ops, planning latency, per-join q-error)
 	// across runs sharing the registry.
 	Metrics *obs.Registry
-	// Parallelism, when non-zero, overrides the engine's worker count for
-	// this run's EXECUTE steps: 1 forces the exact serial path, N > 1 caps
-	// the partitioned operators at N workers. Serial and parallel runs are
-	// bit-identical — same result rows, Σ estimates, and plan choices —
-	// so the knob trades wall time only.
+	// Parallelism and BatchSize are this run's engine knobs, passed to its
+	// execution scope as they are (see engine.ExecConfig): 0 is machine
+	// width and the default batch. Every setting is bit-identical — same
+	// result rows, Σ estimates, and plan choices — so they trade wall time
+	// and peak memory only.
 	Parallelism int
-	// BatchSize, when non-zero, overrides the engine's streaming pipeline
-	// batch size for this run's EXECUTE steps: negative disables batching
-	// (full materialization between operators, the legacy memory profile),
-	// positive caps each pipeline batch at that many rows. Results are
-	// bit-identical at every setting; only peak memory and wall time
-	// change.
-	BatchSize int
+	BatchSize   int
 	// PlanParallelism caps the OS threads the root-parallel MCTS planner
 	// runs search shards on: 0 means all cores, 1 forces serial execution.
 	// The search's logical decomposition — shard quotas, per-shard RNG

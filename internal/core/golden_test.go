@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"monsoon/internal/engine"
+	"monsoon/internal/obs"
 )
 
 // goldenRun is one pinned (fixture, seed) trajectory of the driver: the
@@ -99,7 +100,7 @@ func TestGoldenTraceLines(t *testing.T) {
 	eng := engine.New(cat)
 	var lines []string
 	_, err := Run(q, eng, &engine.Budget{}, Config{Seed: 11, Iterations: 300,
-		Trace: func(s string) { lines = append(lines, s) }})
+		Sink: obs.MessageSink(func(s string) { lines = append(lines, s) })})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestSimCountsMatchRealCounts(t *testing.T) {
 	simRS, _ := s2.(*State).St.Count("R+S")
 	// Real execution.
 	tree := plan.NewJoin(plan.NewLeaf(s.Active[s.findActive("R")]), plan.NewLeaf(s.Active[s.findActive("S")]))
-	rel, _, err := eng.ExecTree(q, tree, nil)
+	rel, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

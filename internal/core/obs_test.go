@@ -11,8 +11,8 @@ import (
 	"monsoon/internal/obs"
 )
 
-// TestTraceShimByteIdentical locks the legacy Config.Trace contract: the
-// lines delivered through the obs.MessageSink shim must be byte-identical
+// TestTraceShimByteIdentical locks the trace-line contract: the lines
+// delivered through an obs.MessageSink must be byte-identical
 // whether or not a structured sink rides alongside, and must keep the exact
 // action-string and "  materialized ..." formats callers grew to parse.
 func TestTraceShimByteIdentical(t *testing.T) {
@@ -20,13 +20,11 @@ func TestTraceShimByteIdentical(t *testing.T) {
 		cat, q := fixture()
 		eng := engine.New(cat)
 		var lines []string
-		cfg := Config{
-			Seed: 9, Iterations: 200,
-			Trace: func(s string) { lines = append(lines, s) },
-		}
+		trace := obs.MessageSink(func(s string) { lines = append(lines, s) })
+		cfg := Config{Seed: 9, Iterations: 200, Sink: trace}
 		col := &obs.Collector{}
 		if withSink {
-			cfg.Sink = col
+			cfg.Sink = obs.Multi(col, trace)
 		}
 		if _, err := Run(q, eng, &engine.Budget{}, cfg); err != nil {
 			t.Fatal(err)
@@ -39,7 +37,7 @@ func TestTraceShimByteIdentical(t *testing.T) {
 		t.Fatalf("trace lines changed when a structured sink was attached:\nplain: %q\nboth:  %q", plain, both)
 	}
 	if !reflect.DeepEqual(plain, col.Messages) {
-		t.Fatalf("sink messages diverge from the Trace callback:\ncallback: %q\nsink:     %q", plain, col.Messages)
+		t.Fatalf("sink messages diverge from the line callback:\ncallback: %q\nsink:     %q", plain, col.Messages)
 	}
 	sawExec, sawMat := false, false
 	for _, l := range plain {

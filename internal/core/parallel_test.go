@@ -97,7 +97,7 @@ func TestPlanParallelismGolden(t *testing.T) {
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
 			Seed: 11, Iterations: 300, PlanParallelism: workers,
-			Sink: col, Trace: func(s string) { lines = append(lines, s) },
+			Sink: obs.Multi(col, obs.MessageSink(func(s string) { lines = append(lines, s) })),
 		})
 		if err != nil {
 			t.Fatalf("plan parallelism %d: %v", workers, err)

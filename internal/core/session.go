@@ -103,10 +103,9 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s := &Session{q: q, eng: eng, budget: budget, cfg: cfg, st: st, res: &Result{}}
 	s.state = NewInitialState(q, st)
 
-	s.tr = obs.NewTracer(obs.Multi(cfg.Sink, obs.MessageSink(cfg.Trace)))
+	s.tr = obs.NewTracer(cfg.Sink)
 	// Attaching cfg.Metrics also switches on the engine's peak-memory
 	// sampling (Result.PeakBytes, the monsoon.exec.peak_bytes gauge).
-	// Zero-valued knobs fall back to the engine's defaults inside NewExec.
 	s.ex = eng.NewExec(engine.ExecConfig{
 		Obs:         s.tr,
 		Parallelism: cfg.Parallelism,

@@ -71,7 +71,7 @@ func TestCachedWarmTraceIdentical(t *testing.T) {
 		eng := engine.New(cat)
 		var lines []string
 		_, err := Run(q, eng, &engine.Budget{}, Config{Seed: 11, Iterations: 300,
-			Cache: cache, Trace: func(s string) { lines = append(lines, s) }})
+			Cache: cache, Sink: obs.MessageSink(func(s string) { lines = append(lines, s) })})
 		if err != nil {
 			t.Fatal(err)
 		}

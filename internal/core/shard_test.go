@@ -69,8 +69,7 @@ func TestShardedRunDeterminism(t *testing.T) {
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
 			Seed: 7, Iterations: 300, BatchSize: batch, Parallelism: par,
-			Trace: func(l string) { lines = append(lines, l) },
-			Sink:  col,
+			Sink: obs.Multi(col, obs.MessageSink(func(l string) { lines = append(lines, l) })),
 		})
 		if err != nil {
 			t.Fatalf("S=%d batch=%d par=%d: %v", s, batch, par, err)

@@ -33,10 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"monsoon/internal/bench/imdb"
-	"monsoon/internal/bench/ott"
-	"monsoon/internal/bench/tpch"
-	"monsoon/internal/bench/udf"
 	"monsoon/internal/core"
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
@@ -57,23 +53,16 @@ type Config struct {
 	// Bench names the benchmark whose data and named queries the daemon
 	// serves: tpch, imdb, ott, or udf.
 	Bench string
-	// Scale sizes the generated data; zero value defaults to harness.Tiny().
+	// Scale sizes the generated data and carries every knob applied to
+	// every query alike; its zero value defaults to harness.Tiny(). Seed is
+	// the base seed — per-query seeds derive from it by query name, so a
+	// query's result is identical no matter which client asks or when.
+	// Parallelism, BatchSize and PlanParallelism are the engine and planner
+	// knobs (pure wall-time knobs under the determinism contracts). Shards
+	// partitions every served catalog for exchange-style execution (answers
+	// are identical at any count). MCTSIterations is the per-planning-call
+	// rollout budget.
 	Scale harness.Scale
-	// Seed is the base seed; per-query seeds derive from it by query name,
-	// so a query's result is identical no matter which client asks or when.
-	Seed int64
-	// Parallelism/BatchSize/PlanParallelism are the engine and planner knobs
-	// applied to every query (request-independent: determinism contracts
-	// make them pure wall-time knobs).
-	Parallelism, BatchSize, PlanParallelism int
-	// Shards partitions every served catalog into this many hash shards for
-	// exchange-style execution; 0 or 1 serves unsharded. Query answers are
-	// identical at any count (the shard layout steers plan choice and wall
-	// time, never results).
-	Shards int
-	// MCTSIterations is the per-planning-call rollout budget; 0 uses the
-	// scale's setting.
-	MCTSIterations int
 	// MaxConcurrent bounds admitted queries; further requests get 429.
 	// 0 defaults to 8.
 	MaxConcurrent int
@@ -152,9 +141,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 8
 	}
-	if cfg.MCTSIterations == 0 {
-		cfg.MCTSIterations = cfg.Scale.MCTSIterations
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = cfg.Scale.Timeout
 	}
@@ -187,46 +173,25 @@ func New(cfg Config) (*Server, error) {
 // per distinct catalog (tpch/imdb/ott share one; udf generates per-query
 // catalogs) so every request for the same data hits the same shared engine.
 func (s *Server) load() error {
-	sc := s.cfg.Scale
-	sc.Seed = s.cfg.Seed
-	add := func(q *query.Query, cat *table.Catalog, engines map[*table.Catalog]*engine.Engine) {
-		eng, ok := engines[cat]
+	bench := s.cfg.Bench
+	if bench == "" {
+		bench = "tpch"
+	}
+	specs, err := harness.Specs(bench, s.cfg.Scale)
+	if err != nil {
+		return fmt.Errorf("daemon: %w", err)
+	}
+	engines := make(map[*table.Catalog]*engine.Engine)
+	for _, spec := range specs {
+		eng, ok := engines[spec.Cat]
 		if !ok {
-			if s.cfg.Shards > 1 {
-				cat.Shard(s.cfg.Shards)
-			}
-			eng = engine.New(cat)
-			engines[cat] = eng
+			eng = engine.New(spec.Cat)
+			engines[spec.Cat] = eng
 		}
-		s.queries[q.Name] = &namedQuery{q: q, eng: eng}
+		s.queries[spec.Q.Name] = &namedQuery{q: spec.Q, eng: eng}
 		if s.adhoc == nil {
 			s.adhoc = eng
 		}
-	}
-	engines := make(map[*table.Catalog]*engine.Engine)
-	switch s.cfg.Bench {
-	case "", "tpch":
-		cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
-		for _, q := range tpch.Queries() {
-			add(q, cat, engines)
-		}
-	case "imdb":
-		cat := imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed})
-		for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-			add(q, cat, engines)
-		}
-	case "ott":
-		cat := ott.Generate(ott.Config{ScaleFactor: sc.OTTSF, Seed: sc.Seed})
-		for _, c := range ott.Queries() {
-			add(c.Query, cat, engines)
-		}
-	case "udf":
-		suite := udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed})
-		for _, qc := range suite.All() {
-			add(qc.Query, qc.Cat, engines)
-		}
-	default:
-		return fmt.Errorf("daemon: unknown benchmark %q", s.cfg.Bench)
 	}
 	return nil
 }
@@ -245,7 +210,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/queries", s.handleQueries)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		shards := s.cfg.Shards
+		shards := s.cfg.Scale.Shards
 		if shards < 1 {
 			shards = 1
 		}
@@ -432,7 +397,8 @@ func (s *Server) budgetFor(req QueryRequest) *engine.Budget {
 // run executes one admitted query through a fresh Session against the shared
 // engine, cache, and cloned seed statistics.
 func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*QueryResponse, int) {
-	seed := randx.Derive(s.cfg.Seed, "monsoond/"+q.Name)
+	sc := s.cfg.Scale
+	seed := randx.Derive(sc.Seed, "monsoond/"+q.Name)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
@@ -440,14 +406,14 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	budget := s.budgetFor(req)
 	cfg := core.Config{
 		Prior:           prior.Default(),
-		Iterations:      s.cfg.MCTSIterations,
+		Iterations:      sc.MCTSIterations,
 		Seed:            seed,
 		Stats:           st,
 		Sink:            s.ring,
 		Metrics:         s.reg,
-		Parallelism:     s.cfg.Parallelism,
-		BatchSize:       s.cfg.BatchSize,
-		PlanParallelism: s.cfg.PlanParallelism,
+		Parallelism:     sc.Parallelism,
+		BatchSize:       sc.BatchSize,
+		PlanParallelism: sc.PlanParallelism,
 		Cache:           s.cache,
 		Profile:         s.currentProfile(),
 		ReplanThreshold: s.cfg.ReplanThreshold,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"monsoon/internal/harness"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
@@ -33,7 +34,7 @@ func testServer(t *testing.T) *Server {
 		// The generous deadline ceiling keeps slow -race runs from tripping
 		// the scale's default budget; TestQueryBudgetExceeded tightens its
 		// own request instead.
-		tsSrv, tsErr = New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 16,
+		tsSrv, tsErr = New(Config{Bench: "tpch", MaxConcurrent: 16,
 			DefaultTimeout: 5 * time.Minute})
 	})
 	if tsErr != nil {
@@ -204,7 +205,9 @@ func TestQueryBudgetExceeded(t *testing.T) {
 // pushed-down selection — and the failed request gives its admission slot
 // back (the sharded daemon has exactly one).
 func TestQueryBadColumnSharded(t *testing.T) {
-	sharded, err := New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 1, Shards: 4,
+	sc := harness.Tiny()
+	sc.Shards = 4
+	sharded, err := New(Config{Bench: "tpch", Scale: sc, MaxConcurrent: 1,
 		DefaultTimeout: 5 * time.Minute})
 	if err != nil {
 		t.Fatalf("building sharded daemon: %v", err)
@@ -292,7 +295,7 @@ func TestQueriesAndHealthRoutes(t *testing.T) {
 // response JSON. Uses its own server — the shared one must stay on the
 // deterministic (calibration-off) path.
 func TestHardenStatsSelfCalibration(t *testing.T) {
-	srv, err := New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 4,
+	srv, err := New(Config{Bench: "tpch", MaxConcurrent: 4,
 		DefaultTimeout: 5 * time.Minute, HardenStats: true, ReplanThreshold: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +372,9 @@ func wideSQL(n int) string {
 // mistake — 400 with the typed error's message in the body, refused before
 // admission, so the daemon's single slot is free for the next request.
 func TestQueryRelationLimit(t *testing.T) {
-	s, err := New(Config{Bench: "tpch", Seed: 1, MaxConcurrent: 1, MCTSIterations: 1,
+	sc := harness.Tiny()
+	sc.MCTSIterations = 1
+	s, err := New(Config{Bench: "tpch", Scale: sc, MaxConcurrent: 1,
 		DefaultTimeout: 5 * time.Minute})
 	if err != nil {
 		t.Fatalf("building daemon: %v", err)

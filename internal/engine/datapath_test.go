@@ -143,8 +143,7 @@ func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
 		{"sigma pass", rstQuery(), leaf("S").WithSigma(), 70, 71},
 	} {
 		for _, batch := range []int{0, 7} {
-			e := New(fixture())
-			e.Parallelism, e.BatchSize = 1, batch
+			e := New(fixture()).NewExec(ExecConfig{Parallelism: 1, BatchSize: batch})
 			b := &Budget{MaxTuples: tc.max}
 			_, _, err := e.ExecTree(tc.q, tc.tree, b)
 			if !errors.Is(err, ErrBudget) {
@@ -171,7 +170,7 @@ func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
 	}
 	probe, build := keyedRows("P", seq), keyedRows("B", []value.Value{value.Int(-1)})
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 
 	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
 	if err != nil {
@@ -215,7 +214,7 @@ func TestProbeAllocationCeiling(t *testing.T) {
 	}
 	probe, build := keyedRows("P", keys), keyedRows("B", keys)
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
 	if err != nil {
 		t.Fatal(err)

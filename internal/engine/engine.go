@@ -199,61 +199,22 @@ type Exec struct {
 	mats map[string]*table.Relation
 }
 
-// Engine executes plans for one dataset. The catalog and HLL precision are
-// shared, read-only state; Obs/Parallelism/BatchSize/Metrics are convenience
-// defaults for the single-tenant calls below (ExecTree and friends on Engine
-// itself), re-read on every call. Concurrent users must instead carve out
-// isolated scopes with NewExec.
+// Engine executes plans for one dataset: the catalog and the HLL precision,
+// shared and read-only. Nothing on it is mutable; every execution runs in a
+// scope of its own made by NewExec.
 type Engine struct {
 	Cat *table.Catalog
 	// HLLPrecision configures Σ sketches; 0 means the default (14).
 	HLLPrecision uint8
-	// Obs, Parallelism, BatchSize, Metrics configure the engine's default
-	// execution scope; see ExecConfig for their semantics. Mutating them
-	// between single-tenant queries is fine; mutating them while another
-	// goroutine executes through the same Engine is not — use NewExec.
-	Obs         *obs.Tracer
-	Parallelism int
-	BatchSize   int
-	Metrics     *obs.Registry
-
-	def *Exec
 }
 
 // New creates an engine over a catalog of stored base tables.
-func New(cat *table.Catalog) *Engine {
-	e := &Engine{Cat: cat}
-	e.def = &Exec{eng: e, mats: make(map[string]*table.Relation)}
-	return e
-}
+func New(cat *table.Catalog) *Engine { return &Engine{Cat: cat} }
 
-// NewExec creates an isolated execution scope: the given config plus a fresh
-// materialization store. Zero-valued config fields fall back to the engine's
-// defaults (matching the old Session behavior of only overriding fields the
-// caller set); note that this means an Exec cannot select "0 = machine width"
-// parallelism when the engine default is nonzero — pass the explicit width
-// instead.
+// NewExec creates an isolated execution scope: the given config, used as is,
+// plus a fresh materialization store.
 func (e *Engine) NewExec(cfg ExecConfig) *Exec {
-	if cfg.Obs == nil {
-		cfg.Obs = e.Obs
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = e.Parallelism
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = e.BatchSize
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = e.Metrics
-	}
 	return &Exec{ExecConfig: cfg, eng: e, mats: make(map[string]*table.Relation)}
-}
-
-// exec syncs the default scope's config from the engine's public fields and
-// returns it — the single-tenant compatibility path behind Engine.ExecTree.
-func (e *Engine) exec() *Exec {
-	e.def.ExecConfig = ExecConfig{Obs: e.Obs, Parallelism: e.Parallelism, BatchSize: e.BatchSize, Metrics: e.Metrics}
-	return e.def
 }
 
 // Engine returns the shared engine this scope executes against.
@@ -265,21 +226,8 @@ func (e *Exec) Materialized(key string) (*table.Relation, bool) {
 	return r, ok
 }
 
-// Register stores a materialized relation under an expression key. ExecTree
-// registers roots automatically; tests and the baselines use this directly.
-func (e *Exec) Register(key string, r *table.Relation) { e.mats[key] = r }
-
 // Reset drops all materialized intermediates (between queries).
 func (e *Exec) Reset() { e.mats = make(map[string]*table.Relation) }
-
-// Materialized reads the default scope's store (single-tenant path).
-func (e *Engine) Materialized(key string) (*table.Relation, bool) { return e.def.Materialized(key) }
-
-// Register writes into the default scope's store (single-tenant path).
-func (e *Engine) Register(key string, r *table.Relation) { e.def.Register(key, r) }
-
-// Reset clears the default scope's store (single-tenant path).
-func (e *Engine) Reset() { e.def.Reset() }
 
 // SeedBaseStats records the raw cardinality of every base table referenced
 // by q into st — the statistics assumed known at the start (§4.1).
@@ -287,13 +235,6 @@ func (e *Engine) SeedBaseStats(q *query.Query, st *stats.Store) {
 	for _, r := range q.Rels {
 		st.SetCount(stats.RawKey(r.Alias), float64(e.Cat.MustGet(r.Table).Count()))
 	}
-}
-
-// ExecTree executes one plan tree through the default scope, re-reading the
-// engine's Obs/Parallelism/BatchSize/Metrics fields — the single-tenant path
-// the CLIs and tests use. Concurrent callers must use NewExec scopes instead.
-func (e *Engine) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Relation, *ExecResult, error) {
-	return e.exec().ExecTree(q, n, budget)
 }
 
 // ExecTree executes one plan tree through the streaming batch pipeline

@@ -24,7 +24,7 @@ func TestSelfJoinAliases(t *testing.T) {
 		Rel("o1", "ord").Rel("o2", "ord").
 		Join(expr.Identity("o1.cid"), expr.Identity("o2.cid")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	rel, _, err := e.ExecTree(q,
 		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("o1")), plan.NewLeaf(query.NewAliasSet("o2"))),
 		&Budget{})
@@ -66,7 +66,7 @@ func TestMultiplePredicatesAtOneJoin(t *testing.T) {
 		Join(expr.Identity("A.x"), expr.Identity("B.x")).
 		Join(expr.Identity("A.y"), expr.Identity("B.y")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	rel, _, err := e.ExecTree(qAB,
 		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("A")), plan.NewLeaf(query.NewAliasSet("B"))), &Budget{})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestSigmaOverJoinedExpression(t *testing.T) {
 		Join(expr.Identity("A.k"), expr.Identity("B.k")).
 		Join(expr.Identity("A.v"), expr.Identity("C.v")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	tree := plan.NewJoin(plan.NewLeaf(query.NewAliasSet("A")), plan.NewLeaf(query.NewAliasSet("B"))).WithSigma()
 	_, res, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestSigmaOverJoinedExpression(t *testing.T) {
 func TestBudgetSharedAcrossTrees(t *testing.T) {
 	cat := fixture()
 	q := rstQuery()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	b := &Budget{MaxTuples: 1600}
 	// First tree: R filtered-free scan (1000) + S (50) + join (500) = 1550.
 	if _, _, err := e.ExecTree(q, plan.NewJoin(
@@ -170,7 +170,7 @@ func TestEmptyInputsPropagate(t *testing.T) {
 		Rel("E", "E").Rel("F", "F").
 		Join(expr.Identity("E.k"), expr.Identity("F.k")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	tree := plan.NewJoin(plan.NewLeaf(query.NewAliasSet("E")), plan.NewLeaf(query.NewAliasSet("F"))).WithSigma()
 	rel, res, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {

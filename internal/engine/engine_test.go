@@ -57,7 +57,7 @@ func rstQuery() *query.Query {
 func leaf(names ...string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(names...)) }
 
 func TestHashJoinCorrectness(t *testing.T) {
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	q := rstQuery()
 	// R ⋈ S on a=k: R.a in 0..99 uniform (10 each); S.k in 0..49 one each.
 	// Matches: for each of S's 50 keys, 10 R rows → 500 rows.
@@ -87,7 +87,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 
 func TestJoinCommutativity(t *testing.T) {
 	q := rstQuery()
-	e1, e2 := New(fixture()), New(fixture())
+	e1, e2 := New(fixture()).NewExec(ExecConfig{}), New(fixture()).NewExec(ExecConfig{})
 	a, _, err := e1.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestThreeWayJoinOrderInvariance(t *testing.T) {
 		plan.NewJoin(plan.NewJoin(leaf("R"), leaf("T")), leaf("S")),
 		plan.NewJoin(leaf("T"), plan.NewJoin(leaf("S"), leaf("R"))),
 	} {
-		e := New(fixture())
+		e := New(fixture()).NewExec(ExecConfig{})
 		rel, _, err := e.ExecTree(q, tree, &Budget{})
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestCrossProductViaNestedLoop(t *testing.T) {
 	// S × T has no connecting predicate: the engine must fall back to a
 	// nested loop producing |S|·|T| rows.
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("S"), leaf("T")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestSelectionPushdown(t *testing.T) {
 		Join(expr.Identity("R.a"), expr.Identity("S.k")).
 		Select(expr.Identity("R.b"), value.Int(3)).
 		MustBuild()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	rel, res, err := e.ExecTree(q, leaf("R"), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestSelectionPushdown(t *testing.T) {
 
 func TestMaterializedReuse(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMaterializedReuse(t *testing.T) {
 
 func TestUnmaterializedLeafFails(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	_, _, err := e.ExecTree(q, leaf("R", "S"), &Budget{})
 	if err == nil {
 		t.Error("unmaterialized multi-alias leaf must error")
@@ -205,7 +205,7 @@ func TestUnmaterializedLeafFails(t *testing.T) {
 
 func TestSigmaCollection(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	rel, res, err := e.ExecTree(q, leaf("R").WithSigma(), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestSigmaSkipsNulls(t *testing.T) {
 		Rel("D", "D").Rel("E", "E").
 		Join(expr.Between("D.txt", `id="`, `" end`), expr.Identity("E.n")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	_, res, err := e.ExecTree(q, leaf("D").WithSigma(), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestNullKeysNeverJoin(t *testing.T) {
 		Rel("D", "D").Rel("E", "E").
 		Join(expr.City("D.txt"), expr.City("E.c")).
 		MustBuild()
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("D"), leaf("E")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestMultiTableUDFResidual(t *testing.T) {
 		Rel("s", "S").Rel("t1", "T").Rel("t2", "T").
 		Join(expr.SumMod("s.k", "t1.k", 7), expr.Identity("t2.k")).
 		MustBuild()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	tree := plan.NewJoin(plan.NewJoin(leaf("s"), leaf("t1")), leaf("t2"))
 	rel, _, err := e.ExecTree(q, tree, &Budget{})
 	if err != nil {
@@ -324,7 +324,7 @@ func TestMultiTableUDFResidual(t *testing.T) {
 	// The same result must arrive when the crossing term is a pure residual:
 	// join s with (t1⋈t2)? t1-t2 have no predicate either; use the flipped
 	// shape (s×t1) built right-deep instead.
-	e2 := New(fixture())
+	e2 := New(fixture()).NewExec(ExecConfig{})
 	tree2 := plan.NewJoin(leaf("t2"), plan.NewJoin(leaf("s"), leaf("t1")))
 	rel2, _, err := e2.ExecTree(q, tree2, &Budget{})
 	if err != nil {
@@ -337,7 +337,7 @@ func TestMultiTableUDFResidual(t *testing.T) {
 
 func TestBudgetTupleCap(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	b := &Budget{MaxTuples: 100}
 	_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), b)
 	if !errors.Is(err, ErrBudget) {
@@ -347,7 +347,7 @@ func TestBudgetTupleCap(t *testing.T) {
 
 func TestBudgetDeadline(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	b := &Budget{Deadline: time.Now().Add(-time.Second)}
 	// The deadline is polled every 4096 charges; a 500-output join fits under
 	// one poll, so use the bigger three-way join.
@@ -360,7 +360,7 @@ func TestBudgetDeadline(t *testing.T) {
 
 func TestBudgetProducedTracksResult(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	b := &Budget{}
 	_, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), b)
 	if err != nil {
@@ -389,7 +389,7 @@ func TestSeedBaseStats(t *testing.T) {
 
 func TestFinalAggregate(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestFinalAggregate(t *testing.T) {
 
 func TestResetDropsMaterialized(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
+	e := New(fixture()).NewExec(ExecConfig{})
 	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestHashJoinAgainstBruteForce(t *testing.T) {
 			Rel("A", "A").Rel("B", "B").
 			Join(expr.Identity("A.k"), expr.Identity("B.k")).
 			MustBuild()
-		e := New(cat)
+		e := New(cat).NewExec(ExecConfig{})
 		rel, _, err := e.ExecTree(q, plan.NewJoin(leaf("A"), leaf("B")), &Budget{})
 		if err != nil {
 			t.Fatal(err)

@@ -63,8 +63,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
 
 	run := func(par int) (*table.Relation, *ExecResult, float64) {
-		e := New(cat)
-		e.Parallelism = par
+		e := New(cat).NewExec(ExecConfig{Parallelism: par})
 		b := &Budget{}
 		rel, res, err := e.ExecTree(q, tree, b)
 		if err != nil {
@@ -105,9 +104,7 @@ func TestParallelSpansCarryWorkers(t *testing.T) {
 
 	trace := func(par int) *obs.Collector {
 		col := &obs.Collector{}
-		e := New(cat)
-		e.Parallelism = par
-		e.Obs = obs.NewTracer(col)
+		e := New(cat).NewExec(ExecConfig{Parallelism: par, Obs: obs.NewTracer(col)})
 		if _, _, err := e.ExecTree(q, tree, &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +182,7 @@ func TestParallelBudgetAbort(t *testing.T) {
 	q := bigQuery()
 	tree := plan.NewJoin(leaf("BR"), leaf("BS"))
 	for _, par := range []int{1, 4} {
-		e := New(cat)
-		e.Parallelism = par
+		e := New(cat).NewExec(ExecConfig{Parallelism: par})
 		_, _, err := e.ExecTree(q, tree, &Budget{MaxTuples: 1000})
 		if !errors.Is(err, ErrBudget) {
 			t.Errorf("parallelism %d: err = %v, want ErrBudget", par, err)
@@ -217,20 +213,19 @@ func TestSplitRows(t *testing.T) {
 // TestWorkersKnob pins the knob semantics: 1 is serial, 0 defaults to the
 // machine width, small inputs never fan out, and chunks stay meaningful.
 func TestWorkersKnob(t *testing.T) {
-	e := New(table.NewCatalog())
-	e.Parallelism = 1
-	if w := e.exec().workers(1 << 20); w != 1 {
+	e := New(table.NewCatalog()).NewExec(ExecConfig{Parallelism: 1})
+	if w := e.workers(1 << 20); w != 1 {
 		t.Errorf("Parallelism 1: workers = %d", w)
 	}
 	e.Parallelism = 8
-	if w := e.exec().workers(100); w != 1 {
+	if w := e.workers(100); w != 1 {
 		t.Errorf("tiny input: workers = %d, want 1", w)
 	}
-	if w := e.exec().workers(parallelMinRows); w < 2 || w > parallelMinRows/parallelMinChunk {
+	if w := e.workers(parallelMinRows); w < 2 || w > parallelMinRows/parallelMinChunk {
 		t.Errorf("threshold input: workers = %d", w)
 	}
 	e.Parallelism = 0
-	if w := e.exec().workers(1 << 20); w < 1 {
+	if w := e.workers(1 << 20); w < 1 {
 		t.Errorf("default parallelism: workers = %d", w)
 	}
 }
@@ -248,8 +243,7 @@ func TestNestedLoopSpanReportsPairs(t *testing.T) {
 		Select(expr.SumMod("R.b", "T.k", 97), value.Int(5)).
 		MustBuild()
 	col := &obs.Collector{}
-	e := New(cat)
-	e.Obs = obs.NewTracer(col)
+	e := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
 	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("T")), &Budget{}); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +435,7 @@ func buildShapes(rel *table.Relation, keyOf func() keyFn, s int) []buildShape {
 // counts below, at, and far above the row count, at every sub-table count,
 // whether it splits the side into chunks and merges or at shard boundaries.
 func TestParallelBuildIdenticalTable(t *testing.T) {
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, rows := range []int{5000, 17} {
 		rel, keyOf := buildFixture(rows)
 		for _, s := range []int{1, 4} {
@@ -582,7 +576,7 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 		{"one sub-table takes every key", oneSub, oneSub[:600], firstColKey},
 		{"random ints, floats and NULLs", random, random[:2000], firstColKey},
 	}
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, tc := range cases {
 		build, probe := keyedRows("B", tc.build), keyedRows("P", tc.probe)
 		pb, _ := expr.Identity("P.k").Bind(probe.Schema)
@@ -710,7 +704,7 @@ func TestMultiKeyProbesLikeReference(t *testing.T) {
 		{"no further key predicate, one plain residual", gen(9, 900, 12, small), gen(10, 300, 12, small),
 			func(b *query.Builder) *query.Builder { return b.Join(expr.SumMod("P.x", "B.x", 3), id("C.y")) }, 1, false, true},
 	}
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, tc := range cases {
 		b, right, yOf := query.NewBuilder("mk").Rel("P", "P").Rel("B", "B"), leaf("B"), "B"
 		if tc.reuse {
@@ -849,7 +843,7 @@ func TestEqualHashFollowsEqual(t *testing.T) {
 // TestParallelBuildEmptySide: an empty build side merges to an empty table
 // with zero insertions for any worker count.
 func TestParallelBuildEmptySide(t *testing.T) {
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	rel, keyOf := buildFixture(0)
 	for _, w := range []int{1, 2, 7, 64} {
 		ht, ins, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, nil, 1, w, &Budget{})
@@ -865,7 +859,7 @@ func TestParallelBuildEmptySide(t *testing.T) {
 // TestParallelBuildBudgetAbort: a tripped budget surfaces ErrBudget from the
 // build at one worker and at several.
 func TestParallelBuildBudgetAbort(t *testing.T) {
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	rel, keyOf := buildFixture(5000)
 	for _, w := range []int{1, 4} {
 		b := &Budget{}
@@ -916,9 +910,7 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 	for _, tc := range cases {
 		run := func(par int) (*table.Relation, float64, *obs.Span) {
 			col := &obs.Collector{}
-			e := New(cat)
-			e.Parallelism = par
-			e.Obs = obs.NewTracer(col)
+			e := New(cat).NewExec(ExecConfig{Parallelism: par, Obs: obs.NewTracer(col)})
 			b := &Budget{}
 			rel, _, err := e.ExecTree(tc.q, tree, b)
 			if err != nil {
@@ -954,8 +946,7 @@ func TestNestedLoopTinyInputs(t *testing.T) {
 	q := query.NewBuilder("tiny").Rel("CL", "CL").Rel("CR", "CR").MustBuild()
 	tree := plan.NewJoin(leaf("CL"), leaf("CR"))
 	run := func(par int) *table.Relation {
-		e := New(cat)
-		e.Parallelism = par
+		e := New(cat).NewExec(ExecConfig{Parallelism: par})
 		rel, _, err := e.ExecTree(q, tree, &Budget{})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)

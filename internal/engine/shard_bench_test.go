@@ -57,7 +57,7 @@ func BenchmarkCopartHashJoin(b *testing.B) {
 			cat.Shard(s)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := New(cat)
+				e := New(cat).NewExec(ExecConfig{})
 				if _, _, err := e.ExecTree(q, tree, &Budget{}); err != nil {
 					b.Fatal(err)
 				}
@@ -75,7 +75,7 @@ func BenchmarkShardedBuildOnly(b *testing.B) {
 	const rows, keys, shards, workers = 600_000, 150_000, 16, 8
 	buildRel := benchCatalog(1, rows, keys).MustGet("B")
 	bTerm := &query.Term{Aliases: query.NewAliasSet("B"), Fn: expr.Identity("B.k")}
-	e := New(table.NewCatalog()).exec()
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, s := range []int{1, shards} {
 		for _, shape := range buildShapes(buildRel, evalKey(bTerm, buildRel.Schema), s) {
 			for _, w := range []int{1, workers} {
@@ -107,8 +107,7 @@ func BenchmarkMultiKeyJoin(b *testing.B) {
 	tree := plan.NewJoin(leaf("l"), leaf("ps"))
 	for _, sf := range []float64{0.004, 0.04} {
 		b.Run(fmt.Sprintf("sf=%v", sf), func(b *testing.B) {
-			e := New(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 1}))
-			e.Parallelism = 1
+			e := New(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 1})).NewExec(ExecConfig{Parallelism: 1})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

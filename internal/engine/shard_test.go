@@ -125,9 +125,7 @@ func TestShardedSpansAndCounters(t *testing.T) {
 		cat.Shard(s)
 		col := &obs.Collector{}
 		reg := obs.NewRegistry()
-		e := New(cat)
-		e.Obs = obs.NewTracer(col)
-		e.Metrics = reg
+		e := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), Metrics: reg})
 		if _, _, err := e.ExecTree(rstQuery(), tree, &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -226,8 +224,7 @@ func TestShardedSpansAndCounters(t *testing.T) {
 func TestShardedMaterializedReuseNotLocal(t *testing.T) {
 	q := rstQuery()
 	twoStep := func(cat *table.Catalog, reg *obs.Registry) *table.Relation {
-		e := New(cat)
-		e.Metrics = reg
+		e := New(cat).NewExec(ExecConfig{Metrics: reg})
 		if _, _, err := e.ExecTree(q, leaf("S"), &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +255,7 @@ func TestShardedMaterializedReuseNotLocal(t *testing.T) {
 func TestShardedBudgetAbort(t *testing.T) {
 	cat := bigFixture()
 	cat.Shard(4)
-	e := New(cat)
+	e := New(cat).NewExec(ExecConfig{})
 	_, _, err := e.ExecTree(bigQuery(), plan.NewJoin(leaf("BR"), leaf("BS")), &Budget{MaxTuples: 100})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)

@@ -16,9 +16,7 @@ import (
 // count and returns everything a determinism check cares about.
 func execAt(t *testing.T, cat *table.Catalog, q *query.Query, tree *plan.Node, batch, par int) (*table.Relation, *ExecResult, float64) {
 	t.Helper()
-	e := New(cat)
-	e.BatchSize = batch
-	e.Parallelism = par
+	e := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
 	b := &Budget{}
 	rel, res, err := e.ExecTree(q, tree, b)
 	if err != nil {
@@ -132,8 +130,7 @@ func TestStreamingEmptyInputs(t *testing.T) {
 		"empty-leaf":  leaf("E"),
 	} {
 		for _, batch := range streamBatchSizes {
-			e := New(cat)
-			e.BatchSize = batch
+			e := New(cat).NewExec(ExecConfig{BatchSize: batch})
 			rel, res, err := e.ExecTree(q, tree, &Budget{})
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", name, batch, err)
@@ -155,8 +152,7 @@ func TestStreamingReuseAcrossBatchSizes(t *testing.T) {
 	q := rstQuery()
 	ref := -1.0
 	for _, batch := range streamBatchSizes {
-		e := New(fixture())
-		e.BatchSize = batch
+		e := New(fixture()).NewExec(ExecConfig{BatchSize: batch})
 		if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +177,7 @@ func TestStreamingReuseAcrossBatchSizes(t *testing.T) {
 func TestStreamingBudgetCharges(t *testing.T) {
 	q := rstQuery()
 	for _, batch := range streamBatchSizes {
-		e := New(fixture())
-		e.BatchSize = batch
+		e := New(fixture()).NewExec(ExecConfig{BatchSize: batch})
 		_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{MaxTuples: 100})
 		if err == nil {
 			t.Errorf("batch %d: tuple cap must trip", batch)
@@ -194,8 +189,7 @@ func TestStreamingBudgetCharges(t *testing.T) {
 // loop samples heap usage; the result and the gauge must both carry it.
 func TestStreamingPeakBytesSampled(t *testing.T) {
 	q := rstQuery()
-	e := New(fixture())
-	e.Metrics = obs.NewRegistry()
+	e := New(fixture()).NewExec(ExecConfig{Metrics: obs.NewRegistry()})
 	_, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +202,7 @@ func TestStreamingPeakBytesSampled(t *testing.T) {
 	}
 	// Without a registry the sampler stays off: no MemStats reads on the hot
 	// path, and PeakBytes stays zero.
-	e2 := New(fixture())
+	e2 := New(fixture()).NewExec(ExecConfig{})
 	_, res2, err := e2.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,14 +5,11 @@ import (
 	"io"
 	"time"
 
-	"monsoon/internal/bench/udf"
-	"monsoon/internal/core"
 	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
 	"monsoon/internal/opt"
 	"monsoon/internal/prior"
 	"monsoon/internal/randx"
-	"monsoon/internal/stats"
 )
 
 // LEC is the least-expected-cost ablation: the same prior Monsoon uses, but
@@ -21,18 +18,13 @@ import (
 type LEC struct {
 	Prior  prior.Prior
 	Worlds int
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded/materialized).
-	BatchSize int
 }
 
 // Name implements Option.
 func (LEC) Name() string { return "LEC" }
 
 // Run implements Option.
-func (l LEC) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (l LEC) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	p := l.Prior
 	if p == nil {
 		p = prior.Default()
@@ -43,57 +35,11 @@ func (l LEC) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed 
 	}
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, l.Parallelism, l.BatchSize)
-	st := stats.New()
-	eng.SeedBaseStats(spec.Q, st)
-	tree, err := opt.LECPlan(spec.Q, st, p, worlds, randx.New(randx.Derive(seed, "lec")))
+	tree, err := opt.LECPlan(spec.Q, baseStats(spec), p, worlds, randx.New(randx.Derive(seed, "lec")))
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	rel, _, err := eng.ExecTree(spec.Q, tree, b)
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	v, err := engine.FinalAggregate(spec.Q, rel)
-	return finish(start, b, err, Outcome{Rows: rel.Count(), Value: v})
-}
-
-// MonsoonVariant runs Monsoon with ablation knobs exposed.
-type MonsoonVariant struct {
-	Label          string
-	Prior          prior.Prior
-	Strategy       mcts.Strategy
-	Iterations     int
-	UniformRollout bool
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded/materialized).
-	BatchSize int
-}
-
-// Name implements Option.
-func (m MonsoonVariant) Name() string { return m.Label }
-
-// Run implements Option.
-func (m MonsoonVariant) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, m.Parallelism, m.BatchSize)
-	res, err := core.Run(spec.Q, eng, b, core.Config{
-		Prior:          m.Prior,
-		Strategy:       m.Strategy,
-		Iterations:     m.Iterations,
-		UniformRollout: m.UniformRollout,
-		Seed:           seed,
-		Parallelism:    m.Parallelism,
-		BatchSize:      m.BatchSize,
-	})
-	out := Outcome{
-		Rows: res.Rows, Value: res.Value,
-		MCTSTime: res.PlanTime, SigmaTime: res.SigmaTime, ExecTime: res.ExecTime,
-	}
-	return finish(start, b, err, out)
+	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), tree, start, b)
 }
 
 // Ablation runs the design-choice study DESIGN.md calls out, on the UDF
@@ -107,20 +53,19 @@ func (m MonsoonVariant) Run(spec QuerySpec, timeout time.Duration, maxTuples flo
 func (r *Runner) Ablation(w io.Writer) error {
 	sc := r.Scale
 	r.log("Ablation: generating UDF suite (titles %d, SF %.4g)...", sc.UDFTitles, sc.UDFSF)
-	suite := udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed})
-	var specs []QuerySpec
-	for _, qc := range suite.All() {
-		specs = append(specs, QuerySpec{Q: qc.Query, Cat: sc.shardCat(qc.Cat)})
+	specs, err := Specs("udf", sc)
+	if err != nil {
+		return err
 	}
-	bs := sc.BatchSize
+	it, pp := sc.MCTSIterations, sc.PlanParallelism
 	options := []Option{
-		MonsoonVariant{Label: "Monsoon (UCT+greedy)", Iterations: sc.MCTSIterations, BatchSize: bs},
-		MonsoonVariant{Label: "Monsoon (ε-greedy)", Strategy: mcts.EpsGreedy, Iterations: sc.MCTSIterations, BatchSize: bs},
-		MonsoonVariant{Label: "Monsoon (uniform rollout)", UniformRollout: true, Iterations: sc.MCTSIterations, BatchSize: bs},
-		LEC{BatchSize: bs},
-		Defaults{BatchSize: bs},
+		Monsoon{Label: "Monsoon (UCT+greedy)", Iterations: it, PlanParallelism: pp},
+		Monsoon{Label: "Monsoon (ε-greedy)", Strategy: mcts.EpsGreedy, Iterations: it, PlanParallelism: pp},
+		Monsoon{Label: "Monsoon (uniform rollout)", UniformRollout: true, Iterations: it, PlanParallelism: pp},
+		LEC{},
+		Defaults{},
 	}
-	br, err := RunBenchmark(specs, options, sc.Timeout, sc.MaxTuples, sc.Seed, r.Progress)
+	br, err := RunBenchmark(specs, options, sc, r.Progress)
 	if err != nil {
 		return err
 	}

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"monsoon/internal/bench/tpch"
+	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
 )
 
 func TestLECOptionRuns(t *testing.T) {
 	specs := tinySpecs(t)
-	br, err := RunBenchmark(specs, []Option{LEC{Worlds: 8}, Defaults{}}, 5*time.Second, 5e6, 1, nil)
+	br, err := RunBenchmark(specs, []Option{LEC{Worlds: 8}, Defaults{}}, Scale{Timeout: 5 * time.Second, MaxTuples: 5e6, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +35,12 @@ func TestLECOptionRuns(t *testing.T) {
 func TestMonsoonVariantKnobs(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 1})
 	spec := QuerySpec{Q: tpch.Queries()[7], Cat: cat} // q11: 3 tables
-	for _, v := range []MonsoonVariant{
+	for _, v := range []Monsoon{
 		{Label: "uct", Iterations: 60},
 		{Label: "eps", Strategy: mcts.EpsGreedy, Iterations: 60},
 		{Label: "uniform", UniformRollout: true, Iterations: 60},
 	} {
-		out := v.Run(spec, 5*time.Second, 5e6, 3)
+		out := v.Run(spec, engine.ExecConfig{}, 5*time.Second, 5e6, 3)
 		if out.Err != nil {
 			t.Fatalf("%s: %v", v.Label, out.Err)
 		}

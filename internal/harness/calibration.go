@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"monsoon/internal/bench/tpch"
 	"monsoon/internal/cost"
 	"monsoon/internal/obs"
 	"monsoon/internal/plancache"
@@ -38,17 +37,17 @@ const CalibrationReplanThreshold = 8
 func (r *Runner) CalibrationStudy(w io.Writer) error {
 	sc := r.Scale
 	r.log("CalibrationStudy: generating TPC-H (sf %g)...", sc.TPCHSF)
-	cat := sc.shardCat(tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed}))
-	var specs []QuerySpec
-	for _, q := range tpch.Queries() {
-		specs = append(specs, QuerySpec{Q: q, Cat: cat})
+	specs, err := Specs("tpch", sc)
+	if err != nil {
+		return err
 	}
+	sc.Timeout = 0 // both passes run without a deadline
 
 	col := &obs.Collector{}
-	ref := Monsoon{Iterations: sc.MCTSIterations, Parallelism: sc.Parallelism,
-		BatchSize: sc.BatchSize, Metrics: r.Metrics, Sink: obs.Multi(col, r.Sink)}
+	ref := Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism,
+		Metrics: r.Metrics, Sink: obs.Multi(col, r.Sink)}
 	r.log("CalibrationStudy: pass 1 (uncalibrated, recording spans)...")
-	refBR, err := RunBenchmark(specs, []Option{ref}, 0, sc.MaxTuples, sc.Seed, r.Progress)
+	refBR, err := RunBenchmark(specs, []Option{ref}, sc, r.Progress)
 	if err != nil {
 		return err
 	}
@@ -63,11 +62,11 @@ func (r *Runner) CalibrationStudy(w io.Writer) error {
 	fmt.Fprint(w, profile.Table())
 
 	cache := plancache.New(0)
-	calOpt := Monsoon{Iterations: sc.MCTSIterations, Parallelism: sc.Parallelism,
-		BatchSize: sc.BatchSize, Metrics: r.Metrics, Sink: r.Sink,
+	calOpt := Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism,
+		Metrics: r.Metrics, Sink: r.Sink,
 		Cache: cache, Profile: profile, ReplanThreshold: CalibrationReplanThreshold}
 	r.log("CalibrationStudy: pass 2 (calibrated, replan threshold %g)...", float64(CalibrationReplanThreshold))
-	calBR, err := RunBenchmark(specs, []Option{calOpt}, 0, sc.MaxTuples, sc.Seed, r.Progress)
+	calBR, err := RunBenchmark(specs, []Option{calOpt}, sc, r.Progress)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			Postgres{}, Defaults{}, Greedy{}, Monsoon{Iterations: 120},
 			OnDemand{}, Sampling{}, Skinner{}, LEC{Worlds: 8},
 		}
-		br, err := RunBenchmark(specs, options, time.Minute, 2e6, 77, nil)
+		br, err := RunBenchmark(specs, options, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestCampaignCachedVsUncached(t *testing.T) {
 	specs := tinySpecs(t)
 	run := func(c *plancache.Cache) []QueryResult {
 		opt := Monsoon{Iterations: 120, Cache: c}
-		br, err := RunBenchmark(specs, []Option{opt}, time.Minute, 2e6, 77, nil)
+		br, err := RunBenchmark(specs, []Option{opt}, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,12 +6,10 @@ import (
 	"math"
 	"sort"
 
-	"monsoon/internal/bench/imdb"
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/opt"
 	"monsoon/internal/plan"
-	"monsoon/internal/query"
 	"monsoon/internal/randx"
 	"monsoon/internal/stats"
 )
@@ -27,47 +25,47 @@ import (
 func (r *Runner) Estimates(w io.Writer) error {
 	sc := r.Scale
 	r.log("Estimates: generating IMDB (titles %d, bootstrap %d)...", sc.IMDBTitles, sc.IMDBBootstrap)
-	cat := sc.shardCat(imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed}))
-	queries := imdb.Queries(sc.IMDBQueryCount, sc.Seed)
+	specs, err := Specs("imdb", sc)
+	if err != nil {
+		return err
+	}
 
 	type source struct {
 		name string
-		mk   func(q *query.Query, eng *engine.Engine) (*stats.Store, error)
+		mk   func(spec QuerySpec, ex *engine.Exec) (*stats.Store, error)
 	}
 	sources := []source{
-		{"Full stats", func(q *query.Query, _ *engine.Engine) (*stats.Store, error) {
-			return opt.CollectFullStats(q, cat), nil
+		{"Full stats", func(spec QuerySpec, _ *engine.Exec) (*stats.Store, error) {
+			return opt.CollectFullStats(spec.Q, spec.Cat), nil
 		}},
-		{"On Demand", func(q *query.Query, eng *engine.Engine) (*stats.Store, error) {
-			return opt.CollectOnDemand(q, eng, &engine.Budget{})
+		{"On Demand", func(spec QuerySpec, ex *engine.Exec) (*stats.Store, error) {
+			return opt.CollectOnDemand(spec.Q, ex, &engine.Budget{})
 		}},
-		{"Sampling", func(q *query.Query, eng *engine.Engine) (*stats.Store, error) {
-			return opt.CollectSampling(q, eng, &engine.Budget{}, opt.SamplingConfig{},
+		{"Sampling", func(spec QuerySpec, ex *engine.Exec) (*stats.Store, error) {
+			return opt.CollectSampling(spec.Q, ex, &engine.Budget{}, opt.SamplingConfig{},
 				randx.New(randx.Derive(sc.Seed, "est-sampling")))
 		}},
-		{"Defaults", func(q *query.Query, eng *engine.Engine) (*stats.Store, error) {
-			st := stats.New()
-			eng.SeedBaseStats(q, st)
-			return st, nil
+		{"Defaults", func(spec QuerySpec, _ *engine.Exec) (*stats.Store, error) {
+			return baseStats(spec), nil
 		}},
 	}
 
 	qerrs := map[string][]float64{}
-	for _, q := range queries {
-		eng := engine.New(cat)
-		fullSt := opt.CollectFullStats(q, cat)
+	for _, spec := range specs {
+		q := spec.Q
+		fullSt := opt.CollectFullStats(q, spec.Cat)
 		dv := &cost.Deriver{Q: q, St: fullSt.Clone(), Miss: cost.DefaultMiss(0.1)}
 		tree, err := opt.BestPlan(q, dv)
 		if err != nil {
 			return err
 		}
-		_, er, err := eng.ExecTree(q, tree, &engine.Budget{MaxTuples: sc.MaxTuples})
+		_, er, err := engine.New(spec.Cat).NewExec(sc.exec()).ExecTree(q, tree, &engine.Budget{MaxTuples: sc.MaxTuples})
 		if err != nil {
 			continue // a genuinely huge query: skip, we need truths
 		}
 		truths := er.Counts
 		for _, src := range sources {
-			st, err := src.mk(q, engine.New(cat))
+			st, err := src.mk(spec, engine.New(spec.Cat).NewExec(sc.exec()))
 			if err != nil {
 				return err
 			}

@@ -44,15 +44,14 @@ type Scale struct {
 	MaxTuples      float64
 	MCTSIterations int
 	Seed           int64
-	// Parallelism caps the engine worker count for every option's runs:
-	// 0 = runtime.GOMAXPROCS(0), 1 = the exact serial path. Results are
-	// bit-identical at every setting; only wall times change.
+	// Parallelism and BatchSize are the engine knobs every execution of the
+	// campaign runs with (see engine.ExecConfig): 0 = runtime.GOMAXPROCS(0)
+	// workers and the default 4096-row batch, Parallelism 1 = the exact
+	// serial path, negative BatchSize = full materialization between
+	// operators. Results are bit-identical at every setting; only wall
+	// times and peak memory change.
 	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch for every
-	// option's runs: 0 = the default 4096, negative = unbounded (full
-	// materialization between operators). Results are bit-identical at
-	// every setting; only peak memory and wall times change.
-	BatchSize int
+	BatchSize   int
 	// PlanParallelism caps the OS threads Monsoon's root-parallel MCTS
 	// planner runs its search shards on: 0 = runtime.GOMAXPROCS(0), 1 =
 	// serial planning. The shard decomposition is fixed by the planner
@@ -80,6 +79,50 @@ func (sc Scale) shardCat(cat *table.Catalog) *table.Catalog {
 		cat.Shard(sc.Shards)
 	}
 	return cat
+}
+
+// exec is the engine configuration every execution of the campaign runs with.
+func (sc Scale) exec() engine.ExecConfig {
+	return engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+}
+
+// Specs generates one benchmark's data — tpch, imdb, ott or udf — from the
+// scale's generator settings and seed, binds the benchmark's queries to it,
+// and applies the scale's shard layout once per distinct catalog.
+func Specs(bench string, sc Scale) ([]QuerySpec, error) {
+	var specs []QuerySpec
+	switch bench {
+	case "tpch":
+		cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
+		for _, q := range tpch.Queries() {
+			specs = append(specs, QuerySpec{Q: q, Cat: cat})
+		}
+	case "imdb":
+		cat := imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed})
+		for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
+			specs = append(specs, QuerySpec{Q: q, Cat: cat})
+		}
+	case "ott":
+		cat := ott.Generate(ott.Config{ScaleFactor: sc.OTTSF, Seed: sc.Seed})
+		for _, c := range ott.Queries() {
+			specs = append(specs, QuerySpec{Q: c.Query, Cat: cat, Hand: c.Best})
+		}
+	case "udf":
+		suite := udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed})
+		for _, qc := range suite.All() {
+			specs = append(specs, QuerySpec{Q: qc.Query, Cat: qc.Cat})
+		}
+	default:
+		return nil, fmt.Errorf("unknown benchmark %q", bench)
+	}
+	sharded := map[*table.Catalog]bool{}
+	for _, s := range specs {
+		if !sharded[s.Cat] {
+			sc.shardCat(s.Cat)
+			sharded[s.Cat] = true
+		}
+	}
+	return specs, nil
 }
 
 // Tiny is the scale unit tests and testing.B benchmarks use.
@@ -142,7 +185,6 @@ type Runner struct {
 
 func (r *Runner) monsoon() Monsoon {
 	return Monsoon{Iterations: r.Scale.MCTSIterations, Metrics: r.Metrics, Sink: r.Sink,
-		Parallelism: r.Scale.Parallelism, BatchSize: r.Scale.BatchSize,
 		PlanParallelism: r.Scale.PlanParallelism,
 		Cache:           r.planCache(),
 		Profile:         r.Profile,
@@ -163,12 +205,7 @@ func (r *Runner) planCache() *plancache.Cache {
 
 // standardOptions is the Table 3/5 lineup.
 func (r *Runner) standardOptions() []Option {
-	p, bs := r.Scale.Parallelism, r.Scale.BatchSize
-	return []Option{
-		Postgres{Parallelism: p, BatchSize: bs}, Defaults{Parallelism: p, BatchSize: bs},
-		Greedy{Parallelism: p, BatchSize: bs}, r.monsoon(), OnDemand{Parallelism: p, BatchSize: bs},
-		Sampling{Parallelism: p, BatchSize: bs}, Skinner{Parallelism: p, BatchSize: bs},
-	}
+	return []Option{Postgres{}, Defaults{}, Greedy{}, r.monsoon(), OnDemand{}, Sampling{}, Skinner{}}
 }
 
 func (r *Runner) log(format string, args ...any) {
@@ -269,7 +306,7 @@ func (r *Runner) Table2(w io.Writer) error {
 			// compares priors, not configurations.
 			opt := r.monsoon()
 			opt.Prior = p
-			br, err := RunBenchmark(specs, []Option{opt}, sc.Timeout, sc.MaxTuples, sc.Seed, nil)
+			br, err := RunBenchmark(specs, []Option{opt}, sc, nil)
 			if err != nil {
 				return err
 			}
@@ -299,12 +336,11 @@ func (r *Runner) imdbBench() (*BenchResult, error) {
 	}
 	sc := r.Scale
 	r.log("IMDB: generating %d titles (bootstrap %dx)...", sc.IMDBTitles, sc.IMDBBootstrap)
-	cat := sc.shardCat(imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed}))
-	var specs []QuerySpec
-	for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-		specs = append(specs, QuerySpec{Q: q, Cat: cat})
+	specs, err := Specs("imdb", sc)
+	if err != nil {
+		return nil, err
 	}
-	br, err := RunBenchmark(specs, r.standardOptions(), sc.Timeout, sc.MaxTuples, sc.Seed, r.Progress)
+	br, err := RunBenchmark(specs, r.standardOptions(), sc, r.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -404,18 +440,12 @@ func (r *Runner) Table6(w io.Writer) error {
 	if r.ottRes == nil {
 		sc := r.Scale
 		r.log("OTT: generating (SF %.4g)...", sc.OTTSF)
-		cat := sc.shardCat(ott.Generate(ott.Config{ScaleFactor: sc.OTTSF, Seed: sc.Seed}))
-		var specs []QuerySpec
-		for _, c := range ott.Queries() {
-			specs = append(specs, QuerySpec{Q: c.Query, Cat: cat, Hand: c.Best})
+		specs, err := Specs("ott", sc)
+		if err != nil {
+			return err
 		}
-		par, bs := sc.Parallelism, sc.BatchSize
-		options := []Option{
-			HandWritten{Parallelism: par, BatchSize: bs}, Postgres{Parallelism: par, BatchSize: bs},
-			Defaults{Parallelism: par, BatchSize: bs}, Greedy{Parallelism: par, BatchSize: bs},
-			r.monsoon(), OnDemand{Parallelism: par, BatchSize: bs}, Sampling{Parallelism: par, BatchSize: bs},
-		}
-		br, err := RunBenchmark(specs, options, sc.Timeout, sc.MaxTuples, sc.Seed, r.Progress)
+		options := []Option{HandWritten{}, Postgres{}, Defaults{}, Greedy{}, r.monsoon(), OnDemand{}, Sampling{}}
+		br, err := RunBenchmark(specs, options, sc, r.Progress)
 		if err != nil {
 			return err
 		}
@@ -433,15 +463,12 @@ func (r *Runner) udfBench() (*BenchResult, error) {
 	}
 	sc := r.Scale
 	r.log("UDF: generating (titles %d, SF %.4g)...", sc.UDFTitles, sc.UDFSF)
-	suite := udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed})
-	var specs []QuerySpec
-	for _, qc := range suite.All() {
-		specs = append(specs, QuerySpec{Q: qc.Query, Cat: sc.shardCat(qc.Cat)})
+	specs, err := Specs("udf", sc)
+	if err != nil {
+		return nil, err
 	}
-	par, bs := sc.Parallelism, sc.BatchSize
-	options := []Option{Defaults{Parallelism: par, BatchSize: bs}, Greedy{Parallelism: par, BatchSize: bs},
-		r.monsoon(), Sampling{Parallelism: par, BatchSize: bs}, Skinner{Parallelism: par, BatchSize: bs}}
-	br, err := RunBenchmark(specs, options, sc.Timeout, sc.MaxTuples, sc.Seed, r.Progress)
+	options := []Option{Defaults{}, Greedy{}, r.monsoon(), Sampling{}, Skinner{}}
+	br, err := RunBenchmark(specs, options, sc, r.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -569,29 +596,25 @@ func (r *Runner) Table8(w io.Writer) error {
 func (r *Runner) PlanCacheStudy(w io.Writer) error {
 	sc := r.Scale
 	r.log("PlanCacheStudy: generating IMDB (%d titles)...", sc.IMDBTitles)
-	cat := sc.shardCat(imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed}))
-	var specs []QuerySpec
-	for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-		specs = append(specs, QuerySpec{Q: q, Cat: cat})
+	specs, err := Specs("imdb", sc)
+	if err != nil {
+		return err
 	}
 	cache := plancache.New(0)
+	through := func(c *plancache.Cache) Monsoon {
+		return Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism,
+			Cache: c, Metrics: r.Metrics, Sink: r.Sink}
+	}
 	passes := []struct {
 		label string
 		opt   Monsoon
-	}{
-		{"uncached", Monsoon{Iterations: sc.MCTSIterations, Parallelism: sc.Parallelism,
-			BatchSize: sc.BatchSize, Metrics: r.Metrics, Sink: r.Sink}},
-		{"cold", Monsoon{Iterations: sc.MCTSIterations, Parallelism: sc.Parallelism,
-			BatchSize: sc.BatchSize, Cache: cache, Metrics: r.Metrics, Sink: r.Sink}},
-		{"warm", Monsoon{Iterations: sc.MCTSIterations, Parallelism: sc.Parallelism,
-			BatchSize: sc.BatchSize, Cache: cache, Metrics: r.Metrics, Sink: r.Sink}},
-	}
+	}{{"uncached", through(nil)}, {"cold", through(cache)}, {"warm", through(cache)}}
 	fmt.Fprintln(w, "Plan cache study: repeated IMDB campaign through one shared cache")
 	fmt.Fprintf(w, "%-10s %-12s %-12s %-8s %-8s %-8s\n", "Pass", "MCTS", "Total", "Hits", "Misses", "HitRate")
 	results := make([]*BenchResult, len(passes))
 	planTimes := make([]time.Duration, len(passes))
 	for i, p := range passes {
-		br, err := RunBenchmark(specs, []Option{p.opt}, sc.Timeout, sc.MaxTuples, sc.Seed, r.Progress)
+		br, err := RunBenchmark(specs, []Option{p.opt}, sc, r.Progress)
 		if err != nil {
 			return err
 		}
@@ -733,10 +756,9 @@ func (r *Runner) MemoryStudy(w io.Writer) error {
 				// from inflating the next one's observed peak.
 				runtime.GC()
 				start := time.Now()
-				eng := newEngine(j.cat, 1, batch)
-				eng.Metrics = obs.NewRegistry()
+				ex := engine.New(j.cat).NewExec(engine.ExecConfig{Parallelism: 1, BatchSize: batch, Metrics: obs.NewRegistry()})
 				b := &engine.Budget{MaxTuples: 4 * sc.MaxTuples, Deadline: start.Add(10 * sc.Timeout)}
-				rel, res, err := eng.ExecTree(j.q, j.tree, b)
+				rel, res, err := ex.ExecTree(j.q, j.tree, b)
 				out := Outcome{PeakBytes: res.PeakBytes}
 				if err == nil {
 					out.Rows = rel.Count()

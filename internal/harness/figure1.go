@@ -7,6 +7,7 @@ import (
 	"monsoon/internal/core"
 	"monsoon/internal/engine"
 	"monsoon/internal/expr"
+	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
@@ -72,12 +73,12 @@ func Figure1(w io.Writer, seed int64) error {
 
 	refCost := func(first string) float64 {
 		cat, q, _ := fig1World()
-		eng := engine.New(cat)
+		ex := engine.New(cat).NewExec(engine.ExecConfig{})
 		second := map[string]string{"S": "T", "T": "S"}[first]
 		tree := plan.NewJoin(plan.NewJoin(
 			plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet(first))),
 			plan.NewLeaf(query.NewAliasSet(second)))
-		_, er, err := eng.ExecTree(q, tree, &engine.Budget{})
+		_, er, err := ex.ExecTree(q, tree, &engine.Budget{})
 		if err != nil {
 			return -1
 		}
@@ -91,12 +92,11 @@ func Figure1(w io.Writer, seed int64) error {
 	fmt.Fprintln(w, "start state: Rp={}, Re={R,S,T}, S={c(R),c(S),c(T),d(F1,R),d(F3,R)}")
 	fmt.Fprintln(w, "actions taken in the real world:")
 	cat, q, st := fig1World()
-	eng := engine.New(cat)
-	res, err := core.Run(q, eng, &engine.Budget{}, core.Config{
+	res, err := core.Run(q, engine.New(cat), &engine.Budget{}, core.Config{
 		Seed:       randx.Derive(seed, "figure1"),
 		Iterations: 2000,
 		Stats:      st,
-		Trace:      func(s string) { fmt.Fprintln(w, "  "+s) },
+		Sink:       obs.MessageSink(func(s string) { fmt.Fprintln(w, "  "+s) }),
 	})
 	if err != nil {
 		return err

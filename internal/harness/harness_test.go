@@ -27,7 +27,7 @@ func TestRunBenchmarkAllOptions(t *testing.T) {
 		Postgres{}, Defaults{}, Greedy{}, OnDemand{}, Sampling{},
 		Monsoon{Iterations: 100}, Skinner{},
 	}
-	br, err := RunBenchmark(specs, options, 5*time.Second, 5e6, 1, nil)
+	br, err := RunBenchmark(specs, options, Scale{Timeout: 5 * time.Second, MaxTuples: 5e6, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

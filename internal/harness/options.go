@@ -77,9 +77,9 @@ type Outcome struct {
 // Option is one §6.2.2 optimization strategy.
 type Option interface {
 	Name() string
-	// Run optimizes and executes the query, honoring timeout and maxTuples
-	// (0 disables either bound).
-	Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome
+	// Run optimizes and executes the query with the engine configured by ec,
+	// honoring timeout and maxTuples (0 disables either bound).
+	Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome
 }
 
 // newBudget starts the measured window.
@@ -89,17 +89,6 @@ func newBudget(timeout time.Duration, maxTuples float64) *engine.Budget {
 		b.Deadline = time.Now().Add(timeout)
 	}
 	return b
-}
-
-// newEngine creates an option's engine with the configured worker count
-// (0 = GOMAXPROCS, 1 = serial) and streaming batch size (0 = default 4096,
-// negative = unbounded/materialized); results are bit-identical at every
-// combination.
-func newEngine(cat *table.Catalog, parallelism, batchSize int) *engine.Engine {
-	eng := engine.New(cat)
-	eng.Parallelism = parallelism
-	eng.BatchSize = batchSize
-	return eng
 }
 
 func finish(start time.Time, b *engine.Budget, err error, out Outcome) Outcome {
@@ -115,17 +104,29 @@ func finish(start time.Time, b *engine.Budget, err error, out Outcome) Outcome {
 	return out
 }
 
-// planAndExec is the shared tail of every single-plan option. It plans and
-// executes on the caller's engine, so any tracer installed there covers both
-// the optimize span and the execution operators.
-func planAndExec(spec QuerySpec, eng *engine.Engine, st *stats.Store, miss cost.MissFn,
-	start time.Time, b *engine.Budget) Outcome {
-	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: miss, Obs: eng.Obs}
+// baseStats is the statistics every option starts from: the raw base-table
+// counts (§4.1).
+func baseStats(spec QuerySpec) *stats.Store {
+	st := stats.New()
+	engine.New(spec.Cat).SeedBaseStats(spec.Q, st)
+	return st
+}
+
+// planAndExec is the shared tail of the cost-based options. It plans and
+// executes in ex, so ex's tracer covers both the optimize span and the
+// execution operators.
+func planAndExec(spec QuerySpec, ex *engine.Exec, st *stats.Store, start time.Time, b *engine.Budget) Outcome {
+	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
 	tree, err := opt.BestPlan(spec.Q, dv)
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	rel, _, err := eng.ExecTree(spec.Q, tree, b)
+	return execPlan(spec, ex, tree, start, b)
+}
+
+// execPlan executes one fixed plan in ex and aggregates its result.
+func execPlan(spec QuerySpec, ex *engine.Exec, tree *plan.Node, start time.Time, b *engine.Budget) Outcome {
+	rel, _, err := ex.ExecTree(spec.Q, tree, b)
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
@@ -135,163 +136,113 @@ func planAndExec(spec QuerySpec, eng *engine.Engine, st *stats.Store, miss cost.
 
 // Postgres is the full-statistics baseline (option 7): exact statistics
 // collected offline and not counted toward the measured time.
-type Postgres struct {
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
-}
+type Postgres struct{}
 
 // Name implements Option.
 func (Postgres) Name() string { return "Postgres" }
 
 // Run implements Option.
-func (o Postgres) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Postgres) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	st := opt.CollectFullStats(spec.Q, spec.Cat) // offline, untimed
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	return planAndExec(spec, newEngine(spec.Cat, o.Parallelism, o.BatchSize), st, cost.DefaultMiss(0.1), start, b)
+	return planAndExec(spec, engine.New(spec.Cat).NewExec(ec), st, start, b)
 }
 
 // Defaults optimizes with the magic constant d = 0.1·c (option 4).
-type Defaults struct {
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
-}
+type Defaults struct{}
 
 // Name implements Option.
 func (Defaults) Name() string { return "Defaults" }
 
 // Run implements Option.
-func (o Defaults) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Defaults) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	st := stats.New()
-	eng := newEngine(spec.Cat, o.Parallelism, o.BatchSize)
-	eng.SeedBaseStats(spec.Q, st)
-	return planAndExec(spec, eng, st, cost.DefaultMiss(0.1), start, b)
+	return planAndExec(spec, engine.New(spec.Cat).NewExec(ec), baseStats(spec), start, b)
 }
 
 // Greedy is the size-only left-deep heuristic (option 3).
-type Greedy struct {
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
-}
+type Greedy struct{}
 
 // Name implements Option.
 func (Greedy) Name() string { return "Greedy" }
 
 // Run implements Option.
-func (o Greedy) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Greedy) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	st := stats.New()
-	eng := newEngine(spec.Cat, o.Parallelism, o.BatchSize)
-	eng.SeedBaseStats(spec.Q, st)
-	tree, err := opt.GreedyPlan(spec.Q, st)
+	tree, err := opt.GreedyPlan(spec.Q, baseStats(spec))
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	rel, _, err := eng.ExecTree(spec.Q, tree, b)
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	v, err := engine.FinalAggregate(spec.Q, rel)
-	return finish(start, b, err, Outcome{Rows: rel.Count(), Value: v})
+	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), tree, start, b)
 }
 
 // OnDemand computes HLL statistics after the query is issued (option 1),
 // paying the scan before optimizing.
 type OnDemand struct {
-	// Sink, when non-nil, receives the collection pass's spans.
+	// Sink, when non-nil, receives the run's spans: the collection pass, the
+	// optimize call and the engine operators.
 	Sink obs.EventSink
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
 }
 
 // Name implements Option.
 func (OnDemand) Name() string { return "On Demand" }
 
 // Run implements Option.
-func (o OnDemand) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (o OnDemand) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, o.Parallelism, o.BatchSize)
-	eng.Obs = obs.NewTracer(o.Sink)
-	st, err := opt.CollectOnDemand(spec.Q, eng, b)
+	ec.Obs = obs.NewTracer(o.Sink)
+	ex := engine.New(spec.Cat).NewExec(ec)
+	st, err := opt.CollectOnDemand(spec.Q, ex, b)
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	return planAndExec(spec, eng, st, cost.DefaultMiss(0.1), start, b)
+	return planAndExec(spec, ex, st, start, b)
 }
 
 // Sampling is the block-sampling + GEE option (option 2).
 type Sampling struct {
 	Cfg opt.SamplingConfig
-	// Sink, when non-nil, receives the sampling pass's spans.
+	// Sink, when non-nil, receives the run's spans: the sampling pass, the
+	// optimize call and the engine operators.
 	Sink obs.EventSink
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
 }
 
 // Name implements Option.
 func (Sampling) Name() string { return "Sampling" }
 
 // Run implements Option.
-func (s Sampling) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (s Sampling) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, s.Parallelism, s.BatchSize)
-	eng.Obs = obs.NewTracer(s.Sink)
-	st, err := opt.CollectSampling(spec.Q, eng, b, s.Cfg, randx.New(randx.Derive(seed, "sampling")))
+	ec.Obs = obs.NewTracer(s.Sink)
+	ex := engine.New(spec.Cat).NewExec(ec)
+	st, err := opt.CollectSampling(spec.Q, ex, b, s.Cfg, randx.New(randx.Derive(seed, "sampling")))
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	return planAndExec(spec, eng, st, cost.DefaultMiss(0.1), start, b)
+	return planAndExec(spec, ex, st, start, b)
 }
 
 // Skinner is the Skinner-G stand-in (option 5).
 type Skinner struct {
 	Cfg skinner.Config
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
 }
 
 // Name implements Option.
 func (Skinner) Name() string { return "SkinnerDB" }
 
 // Run implements Option.
-func (s Skinner) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (s Skinner) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	cfg := s.Cfg
 	cfg.Seed = seed
-	eng := newEngine(spec.Cat, s.Parallelism, s.BatchSize)
-	res, err := skinner.Run(spec.Q, eng, b, cfg)
-	out := Outcome{Rows: res.Rows, Value: res.Value}
-	return finish(start, b, err, out)
+	res, err := skinner.Run(spec.Q, engine.New(spec.Cat).NewExec(ec), b, cfg)
+	return finish(start, b, err, Outcome{Rows: res.Rows, Value: res.Value})
 }
 
 // qerrSink accumulates join q-errors from the driver's estimate events; it
@@ -331,23 +282,22 @@ func (qs *qerrSink) geo() float64 {
 	return math.Exp(qs.logSum / float64(fin))
 }
 
-// Monsoon is the paper's optimizer (option 6).
+// Monsoon is the paper's optimizer (option 6), and with Label set one of the
+// ablation's variants of it.
 type Monsoon struct {
+	// Label, when set, is the option's name.
+	Label      string
 	Prior      prior.Prior
 	Strategy   mcts.Strategy
 	Iterations int
+	// UniformRollout disables the greedy rollout policy (ablation knob).
+	UniformRollout bool
 	// Sink, when non-nil, receives the run's structured event stream (the
 	// q-error summary in the Outcome is collected regardless).
 	Sink obs.EventSink
 	// Metrics, when non-nil, accumulates counters and histograms across the
 	// campaign's runs.
 	Metrics *obs.Registry
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
 	// PlanParallelism caps the OS threads the root-parallel MCTS planner
 	// runs its search shards on (0 = GOMAXPROCS, 1 = serial planning).
 	// Plans are bit-identical at every setting.
@@ -368,27 +318,32 @@ type Monsoon struct {
 
 // Name implements Option.
 func (m Monsoon) Name() string {
-	if m.Prior != nil && m.Prior.Name() != prior.Default().Name() {
+	switch {
+	case m.Label != "":
+		return m.Label
+	case m.Prior != nil && m.Prior.Name() != prior.Default().Name():
 		return "Monsoon(" + m.Prior.Name() + ")"
 	}
 	return "Monsoon"
 }
 
-// Run implements Option.
-func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+// Run implements Option. Each session opens its own execution scopes, so of
+// ec only the engine knobs apply; the tracer and registry are Sink's and
+// Metrics'.
+func (m Monsoon) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, m.Parallelism, m.BatchSize)
 	qs := &qerrSink{}
-	res, err := core.Run(spec.Q, eng, b, core.Config{
+	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, core.Config{
 		Prior:           m.Prior,
 		Strategy:        m.Strategy,
 		Iterations:      m.Iterations,
+		UniformRollout:  m.UniformRollout,
 		Seed:            seed,
 		Sink:            obs.Multi(m.Sink, qs),
 		Metrics:         m.Metrics,
-		Parallelism:     m.Parallelism,
-		BatchSize:       m.BatchSize,
+		Parallelism:     ec.Parallelism,
+		BatchSize:       ec.BatchSize,
 		PlanParallelism: m.PlanParallelism,
 		Cache:           m.Cache,
 		Profile:         m.Profile,
@@ -405,27 +360,14 @@ func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, s
 }
 
 // HandWritten executes the spec's hand-written plan (the OTT baseline row).
-type HandWritten struct {
-	// Parallelism caps the engine worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// BatchSize caps the engine's streaming pipeline batch (0 = the default
-	// 4096, negative = unbounded, i.e. full materialization between
-	// operators). Results are bit-identical at every setting.
-	BatchSize int
-}
+type HandWritten struct{}
 
 // Name implements Option.
 func (HandWritten) Name() string { return "Hand-written" }
 
 // Run implements Option.
-func (o HandWritten) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (HandWritten) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	eng := newEngine(spec.Cat, o.Parallelism, o.BatchSize)
-	rel, _, err := eng.ExecTree(spec.Q, spec.Hand, b)
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	v, err := engine.FinalAggregate(spec.Q, rel)
-	return finish(start, b, err, Outcome{Rows: rel.Count(), Value: v})
+	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), spec.Hand, start, b)
 }

@@ -24,17 +24,18 @@ type BenchResult struct {
 	Timeout time.Duration
 }
 
-// RunBenchmark executes every option over every query. Queries run
-// sequentially and deterministically: each (option, query) pair derives its
-// own seed. Errors that are not budget overruns propagate — they indicate
-// bugs, not slow queries.
-func RunBenchmark(specs []QuerySpec, options []Option, timeout time.Duration,
-	maxTuples float64, seed int64, progress io.Writer) (*BenchResult, error) {
-	br := &BenchResult{Options: options, Results: map[string][]QueryResult{}, Timeout: timeout}
+// RunBenchmark executes every option over every query under the scale's
+// budget (Timeout, MaxTuples; 0 disables either), seed, and engine knobs
+// (Parallelism, BatchSize). Queries run sequentially and deterministically:
+// each (option, query) pair derives its own seed. Errors that are not budget
+// overruns propagate — they indicate bugs, not slow queries.
+func RunBenchmark(specs []QuerySpec, options []Option, sc Scale, progress io.Writer) (*BenchResult, error) {
+	br := &BenchResult{Options: options, Results: map[string][]QueryResult{}, Timeout: sc.Timeout}
+	ec := sc.exec()
 	for _, o := range options {
 		for qi, spec := range specs {
-			qseed := randx.Derive(seed, o.Name()+"/"+spec.Q.Name)
-			out := o.Run(spec, timeout, maxTuples, qseed)
+			qseed := randx.Derive(sc.Seed, o.Name()+"/"+spec.Q.Name)
+			out := o.Run(spec, ec, sc.Timeout, sc.MaxTuples, qseed)
 			if out.Err != nil {
 				return br, fmt.Errorf("harness: %s on %s: %w", o.Name(), spec.Q.Name, out.Err)
 			}

@@ -111,11 +111,12 @@ func (r *Runner) ShardingStudy(w io.Writer) error {
 			for rep := 0; rep < reps; rep++ {
 				runtime.GC()
 				reg := obs.NewRegistry()
-				eng := newEngine(cat, sc.Parallelism, sc.BatchSize)
-				eng.Metrics = reg
+				ec := sc.exec()
+				ec.Metrics = reg
+				ex := engine.New(cat).NewExec(ec)
 				start := time.Now()
 				b := &engine.Budget{MaxTuples: 4 * sc.MaxTuples, Deadline: start.Add(10 * sc.Timeout)}
-				rel, _, err := eng.ExecTree(sh.q, sh.tree, b)
+				rel, _, err := ex.ExecTree(sh.q, sh.tree, b)
 				secs := time.Since(start).Seconds()
 				if err != nil {
 					return fmt.Errorf("sharding study: %s S=%d: %w", sh.name, s, err)

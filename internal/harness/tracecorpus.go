@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-
-	"monsoon/internal/bench/tpch"
 )
 
 // TraceCorpus runs the span-count reference workload: the scale's TPC-H
@@ -20,20 +18,21 @@ import (
 // tracefile.Diff logic.
 func (r *Runner) TraceCorpus(w io.Writer) error {
 	sc := r.Scale
-	cat := sc.shardCat(tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed}))
-	n := 0
-	for _, q := range tpch.Queries() {
-		opt := Monsoon{Iterations: sc.MCTSIterations, Metrics: r.Metrics, Sink: r.Sink}
-		out := opt.Run(QuerySpec{Q: q, Cat: cat}, 0, sc.MaxTuples, sc.Seed)
+	specs, err := Specs("tpch", sc)
+	if err != nil {
+		return err
+	}
+	opt := Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism, Metrics: r.Metrics, Sink: r.Sink}
+	for _, spec := range specs {
+		out := opt.Run(spec, sc.exec(), 0, sc.MaxTuples, sc.Seed)
 		if out.Err != nil {
-			return fmt.Errorf("%s: %w", q.Name, out.Err)
+			return fmt.Errorf("%s: %w", spec.Q.Name, out.Err)
 		}
 		if out.TimedOut {
-			return fmt.Errorf("%s: tuple budget tripped; the corpus workload must complete", q.Name)
+			return fmt.Errorf("%s: tuple budget tripped; the corpus workload must complete", spec.Q.Name)
 		}
-		n++
 	}
 	fmt.Fprintf(w, "trace corpus: %d TPC-H queries through Monsoon (no deadline, budget %g, seed %d)\n",
-		n, sc.MaxTuples, sc.Seed)
+		len(specs), sc.MaxTuples, sc.Seed)
 	return nil
 }

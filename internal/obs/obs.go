@@ -14,8 +14,8 @@
 //	defer sp.End()
 //
 // Events flow to an EventSink. The package ships four: Collector (retains
-// everything in memory), NewJSONL (streams JSON lines), MessageSink (adapts
-// the legacy func(string) trace callback), and Multi (fan-out).
+// everything in memory), NewJSONL (streams JSON lines), MessageSink (hands
+// trace lines to a func(string) callback), and Multi (fan-out).
 package obs
 
 import (
@@ -299,8 +299,8 @@ type EventType uint8
 const (
 	// EvSpan carries a completed Span.
 	EvSpan EventType = iota
-	// EvMessage carries a human-readable trace line (the strings the legacy
-	// core.Config.Trace callback received, byte-identical).
+	// EvMessage carries a human-readable trace line, one per real-world MDP
+	// action (MessageSink hands them to a line callback).
 	EvMessage
 	// EvEstimate carries one Estimate record.
 	EvEstimate
@@ -465,8 +465,8 @@ func (f messageSink) Emit(ev Event) {
 	}
 }
 
-// MessageSink wraps a line callback as an EventSink — the compatibility shim
-// behind core.Config.Trace. Returns nil for a nil callback.
+// MessageSink wraps a line callback as an EventSink that receives the trace
+// lines and nothing else. Returns nil for a nil callback.
 func MessageSink(fn func(string)) EventSink {
 	if fn == nil {
 		return nil

@@ -51,10 +51,11 @@ func CollectFullStats(q *query.Query, cat *table.Catalog) *stats.Store {
 // table that participates in a predicate, estimating distinct counts for all
 // its single-alias terms with HyperLogLog sketches. The scan is charged to
 // the budget — this is precisely the overhead the option pays.
-func CollectOnDemand(q *query.Query, eng *engine.Engine, budget *engine.Budget) (*stats.Store, error) {
+func CollectOnDemand(q *query.Query, ex *engine.Exec, budget *engine.Budget) (*stats.Store, error) {
 	st := stats.New()
+	eng := ex.Engine()
 	eng.SeedBaseStats(q, st)
-	csp := eng.Obs.Start(obs.KCollect, "on-demand")
+	csp := ex.Obs.Start(obs.KCollect, "on-demand")
 	scanned, measured := 0, 0
 	defer func() {
 		csp.SetRows(scanned, 0).SetNum("terms", float64(measured)).End()
@@ -134,12 +135,13 @@ func (c SamplingConfig) withDefaults() SamplingConfig {
 // distinct counts with the Charikar et al. GEE estimator, and for multi-table
 // UDFs materialize a capped product of the subsamples and estimate from that.
 // Sampled and materialized tuples are charged to the budget.
-func CollectSampling(q *query.Query, eng *engine.Engine, budget *engine.Budget,
+func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget,
 	cfg SamplingConfig, rng *rand.Rand) (*stats.Store, error) {
 	cfg = cfg.withDefaults()
 	st := stats.New()
+	eng := ex.Engine()
 	eng.SeedBaseStats(q, st)
-	csp := eng.Obs.Start(obs.KCollect, "sampling")
+	csp := ex.Obs.Start(obs.KCollect, "sampling")
 	sampled, crossed := 0, 0
 	defer func() {
 		csp.SetRows(sampled+crossed, 0).SetNum("sampled", float64(sampled)).

@@ -22,7 +22,7 @@ func TestLECProducesValidPlan(t *testing.T) {
 		t.Errorf("LEC plan incomplete: %v", tree)
 	}
 	// The plan must execute correctly.
-	rel, _, err := eng.ExecTree(q, tree, &engine.Budget{MaxTuples: 1e7})
+	rel, _, err := eng.NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{MaxTuples: 1e7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,9 +198,9 @@ func TestCollectFullStatsExact(t *testing.T) {
 
 func TestCollectOnDemand(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{}
-	st, err := CollectOnDemand(q, eng, b)
+	st, err := CollectOnDemand(q, ex, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +222,17 @@ func TestCollectOnDemand(t *testing.T) {
 
 func TestCollectOnDemandBudgetAbort(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{MaxTuples: 10}
-	if _, err := CollectOnDemand(q, eng, b); err == nil {
+	if _, err := CollectOnDemand(q, ex, b); err == nil {
 		t.Error("tiny budget must abort the stats pass")
 	}
 }
 
 func TestCollectSamplingSingleTable(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
-	st, err := CollectSampling(q, eng, &engine.Budget{},
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
+	st, err := CollectSampling(q, ex, &engine.Budget{},
 		SamplingConfig{Fraction: 0.2}, randx.New(21))
 	if err != nil {
 		t.Fatal(err)
@@ -254,9 +254,9 @@ func TestCollectSamplingMultiTable(t *testing.T) {
 		Rel("s", "S").Rel("t1", "T").Rel("t2", "T").
 		Join(expr.SumMod("s.k", "t1.k", 13), expr.Identity("t2.k")).
 		MustBuild()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{}
-	st, err := CollectSampling(q, eng, b,
+	st, err := CollectSampling(q, ex, b,
 		SamplingConfig{Fraction: 0.5, CrossCap: 500}, randx.New(23))
 	if err != nil {
 		t.Fatal(err)
@@ -278,9 +278,9 @@ func TestCollectSamplingMultiTable(t *testing.T) {
 
 func TestCollectSamplingBudgetAbort(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{MaxTuples: 3}
-	if _, err := CollectSampling(q, eng, b, SamplingConfig{}, randx.New(1)); err == nil {
+	if _, err := CollectSampling(q, ex, b, SamplingConfig{}, randx.New(1)); err == nil {
 		t.Error("tiny budget must abort sampling")
 	}
 }
@@ -299,12 +299,12 @@ func TestEndToEndPlansExecuteCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	eng1 := engine.New(cat)
+	eng1 := engine.New(cat).NewExec(engine.ExecConfig{})
 	rel1, _, err := eng1.ExecTree(q, dpTree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := engine.New(cat)
+	eng2 := engine.New(cat).NewExec(engine.ExecConfig{})
 	rel2, _, err := eng2.ExecTree(q, gTree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ type uctStats struct {
 
 // Run learns a join order online and executes q. The overall budget bounds
 // the whole run (its deadline and tuple cap include discarded episode work).
-func Run(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) (*Result, error) {
+func Run(q *query.Query, ex *engine.Exec, budget *engine.Budget, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	rng := randx.New(randx.Derive(cfg.Seed, "skinner"))
 	res := &Result{}
@@ -107,7 +107,7 @@ func Run(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) 
 			}
 		}
 		t0 := time.Now()
-		rel, er, err := eng.ExecTree(q, tree, eb)
+		rel, er, err := ex.ExecTree(q, tree, eb)
 		res.ExecTime += time.Since(t0)
 		res.Episodes++
 		res.Produced += er.Produced

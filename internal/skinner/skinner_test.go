@@ -47,11 +47,11 @@ func fixture() (*table.Catalog, *query.Query) {
 func referenceRows(t *testing.T) int {
 	t.Helper()
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	tree := plan.NewJoin(plan.NewJoin(
 		plan.NewLeaf(query.NewAliasSet("R")), plan.NewLeaf(query.NewAliasSet("T"))),
 		plan.NewLeaf(query.NewAliasSet("S")))
-	rel, _, err := eng.ExecTree(q, tree, &engine.Budget{})
+	rel, _, err := ex.ExecTree(q, tree, &engine.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func referenceRows(t *testing.T) int {
 func TestSkinnerCompletes(t *testing.T) {
 	want := referenceRows(t)
 	cat, q := fixture()
-	eng := engine.New(cat)
-	res, err := Run(q, eng, &engine.Budget{}, Config{Seed: 1})
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
+	res, err := Run(q, ex, &engine.Budget{}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestSkinnerWastesWorkAcrossEpisodes(t *testing.T) {
 	// at small budgets plus discarded bad-order work should cost strictly
 	// more than one clean run unless it got lucky on the first draw.
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	multi := 0
 	for seed := int64(0); seed < 6; seed++ {
-		eng.Reset()
-		res, err := Run(q, eng, &engine.Budget{}, Config{Seed: seed, InitialBudget: 500})
+		ex.Reset()
+		res, err := Run(q, ex, &engine.Budget{}, Config{Seed: seed, InitialBudget: 500})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -98,9 +98,9 @@ func TestSkinnerWastesWorkAcrossEpisodes(t *testing.T) {
 
 func TestSkinnerRespectsDeadline(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{Deadline: time.Now().Add(-time.Second)}
-	_, err := Run(q, eng, b, Config{Seed: 2})
+	_, err := Run(q, ex, b, Config{Seed: 2})
 	if !errors.Is(err, engine.ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -108,9 +108,9 @@ func TestSkinnerRespectsDeadline(t *testing.T) {
 
 func TestSkinnerRespectsGlobalTupleCap(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{MaxTuples: 300}
-	_, err := Run(q, eng, b, Config{Seed: 3, InitialBudget: 100})
+	_, err := Run(q, ex, b, Config{Seed: 3, InitialBudget: 100})
 	if !errors.Is(err, engine.ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -119,8 +119,8 @@ func TestSkinnerRespectsGlobalTupleCap(t *testing.T) {
 func TestSkinnerBudgetGrowth(t *testing.T) {
 	// With a tiny initial budget the run must still finish by growing it.
 	cat, q := fixture()
-	eng := engine.New(cat)
-	res, err := Run(q, eng, &engine.Budget{}, Config{
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
+	res, err := Run(q, ex, &engine.Budget{}, Config{
 		Seed: 4, InitialBudget: 10, Growth: 4, EpisodesPerBudget: 2,
 	})
 	if err != nil {
@@ -136,11 +136,11 @@ func TestSkinnerBudgetGrowth(t *testing.T) {
 // run completes instead of looping forever on bad orders.
 func TestSkinnerLearnsAcrossEpisodes(t *testing.T) {
 	cat, q := fixture()
-	eng := engine.New(cat)
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	// The good order (T first: R⋈T empty) costs ~2.2k; R⋈S-first costs 202k.
 	// Freeze the budget below the bad orders' cost so only learning finishes
 	// the query (no growth).
-	res, err := Run(q, eng, &engine.Budget{}, Config{
+	res, err := Run(q, ex, &engine.Budget{}, Config{
 		Seed: 5, InitialBudget: 5000, Growth: 1.0001, EpisodesPerBudget: 1000,
 	})
 	if err != nil {
