@@ -29,16 +29,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "small":
-		sc = harness.Small()
-	case "medium":
-		sc = harness.Medium()
-	default:
-		fail("unknown scale %q", *scaleName)
+	sc, err := harness.ScaleNamed(*scaleName)
+	if err != nil {
+		fail("%v", err)
 	}
 	sc.Seed = *seed
 

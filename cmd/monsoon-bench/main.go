@@ -117,16 +117,9 @@ func main() {
 		}()
 	}
 
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "small":
-		sc = harness.Small()
-	case "medium":
-		sc = harness.Medium()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+	sc, err := harness.ScaleNamed(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	sc.Seed = *seed

@@ -51,16 +51,9 @@ func main() {
 	replanThr := flag.Float64("replan-threshold", 0, "q-error at which an EXECUTE round forces a mid-query replan with hardened statistics (0 disables; monsoon only)")
 	flag.Parse()
 
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "small":
-		sc = harness.Small()
-	case "medium":
-		sc = harness.Medium()
-	default:
-		fail("unknown scale %q", *scaleName)
+	sc, err := harness.ScaleNamed(*scaleName)
+	if err != nil {
+		fail("%v", err)
 	}
 	sc.Seed = *seed
 	sc.Parallelism = *par

@@ -66,16 +66,9 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
 	flag.Parse()
 
-	var sc harness.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = harness.Tiny()
-	case "small":
-		sc = harness.Small()
-	case "medium":
-		sc = harness.Medium()
-	default:
-		fail("unknown scale %q", *scaleName)
+	sc, err := harness.ScaleNamed(*scaleName)
+	if err != nil {
+		fail("%v", err)
 	}
 	sc.Seed = *seed
 	sc.Parallelism = *par

@@ -6,6 +6,10 @@
 //   - plan cost   cost(leaf) = c(leaf); cost(j) = c(j) + cost(children);
 //     cost(Σ(r)) = c(r) + cost(r)  (statistics collection is one more pass)
 //
+// PlanCost weights each of these counts by the rate of the physical operator
+// the engine runs on it (a CostProfile); nil = the unit profile, which is the
+// flat count above.
+//
 // The Deriver walks a plan tree over a statistics store, deriving every
 // missing count exactly like the recursive generation algorithm of §4.3:
 // known statistics are used as-is, missing distinct counts are delegated to a
@@ -18,7 +22,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
@@ -55,17 +58,17 @@ type Deriver struct {
 	// Obs, when set, lets optimizers walking this deriver (e.g. opt.BestPlan)
 	// record spans; a nil tracer keeps derivation free of any overhead.
 	Obs *obs.Tracer
-	// Profile, when set, converts the §4.4 object counts into estimated
-	// seconds with calibrated per-operator-kind rates (PlanCost/BatchCost
-	// return seconds instead of objects). Nil keeps the historical flat
+	// Profile holds the per-operator-kind rates PlanCost weights the §4.4
+	// object counts by; a calibrated profile makes PlanCost/BatchCost return
+	// estimated seconds. Nil = the unit profile: the historical flat
 	// object-count model, bit-identical to every pinned golden.
 	Profile *CostProfile
 	// Layout, when set to a sharded layout (ShardCount > 1), adds the
 	// exchange movement term: a hash build whose child is not co-partitioned
-	// with the storage layout reshuffles every build row. The flat model
-	// charges the moved objects; a calibrated profile prices them at the
-	// Exchange rate. A nil or unsharded layout changes nothing, so every
-	// pre-sharding cost stays bit-identical.
+	// with the storage layout reshuffles every build row, priced at the
+	// Exchange rate (1 per moved object under the unit profile). A nil or
+	// unsharded layout changes nothing, so every pre-sharding cost stays
+	// bit-identical.
 	Layout ShardLayout
 }
 
@@ -75,8 +78,8 @@ type Deriver struct {
 type ShardLayout interface {
 	// ShardCount reports the layout width; 1 (or less) means unsharded.
 	ShardCount() int
-	// ShardKey reports the qualified column a stored table is partitioned
-	// on, or false when the layout does not cover the table.
+	// ShardKey reports the bare column a stored table is partitioned on, or
+	// false when the layout does not cover the table.
 	ShardKey(table string) (string, bool)
 }
 
@@ -168,105 +171,84 @@ func (dv *Deriver) leafCount(n *plan.Node, key string) float64 {
 	return c
 }
 
-// PlanCost implements the §4.4 recursion for one tree: every node contributes
-// the number of objects it produces, and a Σ top contributes one extra pass
-// over the materialized result. With a Profile attached the same recursion
-// runs weighted by calibrated per-operator-kind seconds-per-object rates and
-// the result is estimated seconds (see profile.go).
+// PlanCost implements the §4.4 recursion for one tree: every node's objects
+// weighted by the Profile rate of the physical operator the engine will run
+// on it — scan or reuse at a leaf; at a join, a hash probe plus the build of
+// the right child when plan.Node.LeadKey finds a key predicate, else a nested
+// loop, plus the build rows an exchange moves — then the Σ extra pass and the
+// root materialization. The unit profile (a nil Profile) makes this the flat
+// object count: each node's count, plus the moved rows, plus one more pass of
+// the root under Σ.
 func (dv *Deriver) PlanCost(n *plan.Node) float64 {
-	if dv.Profile != nil {
-		return dv.profiledPlanCost(n)
+	p := dv.Profile
+	if p == nil {
+		p = unitProfile
 	}
-	c := dv.nodeCost(n)
+	c := dv.nodeCost(p, n)
 	if n.Sigma {
-		c += dv.NodeCount(n)
+		c += p.Sigma.of(dv.NodeCount(n))
 	}
-	return c
+	return c + p.Materialize.of(dv.NodeCount(n))
 }
 
-func (dv *Deriver) nodeCost(n *plan.Node) float64 {
-	c := dv.NodeCount(n)
+// nodeCost adds a node's own terms before its children's, which keeps the
+// unit profile's sums in the order of the historical flat model, so its costs
+// stay bit-identical. Counts are derived in that model's order too (a child's
+// count can be missing under a hardened parent, and each Miss draw advances
+// the prior): the node, the rows an exchange moves, then the children. The
+// build count a calibrated profile prices is read after the right subtree,
+// which has derived it.
+func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
+	cnt := dv.NodeCount(n)
 	if n.IsLeaf() {
-		return c
-	}
-	c += dv.exchangeObjects(n)
-	return c + dv.nodeCost(n.Left) + dv.nodeCost(n.Right)
-}
-
-// exchangeObjects estimates the rows a join must move across shard
-// boundaries under the current layout: a hash build whose child is not
-// co-partitioned with the storage shards reshuffles its entire build input.
-// Zero when the layout is unsharded, the join degenerates to a nested loop,
-// or the build side is a shard-local scan. One known imprecision: the model
-// cannot see the engine's materialized-intermediate store, so a single-alias
-// leaf that will actually be served from the reuse path (and therefore
-// reshuffled) is still priced shard-local here.
-func (dv *Deriver) exchangeObjects(n *plan.Node) float64 {
-	if dv.Layout == nil || dv.Layout.ShardCount() <= 1 || n.IsLeaf() {
-		return 0
-	}
-	bt := dv.buildTermAt(n)
-	if bt == nil || dv.coPartitioned(n.Right, bt) {
-		return 0
-	}
-	return dv.NodeCount(n.Right)
-}
-
-// buildTermAt mirrors the engine's join strategy choice: the first predicate
-// that splits the children drives a hash join with the right child as the
-// build side; with no such predicate the join is a nested loop. Returns the
-// right-side term of that predicate, or nil for a nested loop.
-func (dv *Deriver) buildTermAt(n *plan.Node) *query.Term {
-	xs, ys := n.Left.Aliases(), n.Right.Aliases()
-	for _, p := range dv.Q.PredsNewAt(xs, ys) {
-		if bt := buildSideOf(p, xs, ys); bt != nil {
-			return bt
+		if n.Leaf.Size() != 1 {
+			return p.Reuse.of(cnt)
 		}
+		return p.Scan.of(cnt)
 	}
-	return nil
+	bt := dv.leadKey(p, n)
+	var moved float64
+	if bt != nil && dv.reshuffles(n.Right, bt) {
+		moved = dv.NodeCount(n.Right)
+	}
+	left, right := dv.nodeCost(p, n.Left), dv.nodeCost(p, n.Right)
+	var c float64
+	if bt != nil {
+		c = p.HashProbe.of(cnt) + p.HashBuild.of(dv.NodeCount(n.Right)) + p.Exchange.of(moved)
+	} else {
+		c = p.NestedLoop.of(cnt)
+	}
+	return c + left + right
 }
 
-// buildSideOf returns the term of p that binds wholly on the right child ys
-// when the other binds wholly on the left child xs — the engine's test for a
-// key predicate — and nil when p does not separate the children.
-func buildSideOf(p *query.JoinPred, xs, ys query.AliasSet) *query.Term {
-	if p.L.Aliases.SubsetOf(xs) && p.R.Aliases.SubsetOf(ys) {
-		return p.R
+// leadKey is plan.Node.LeadKey's build term where the answer is priced: the
+// profile rates a hash join apart from a nested loop, or a sharded layout may
+// move the build. Otherwise both joins cost the same (the unit profile over an
+// unsharded layout) and the walk over the query's predicates is skipped.
+func (dv *Deriver) leadKey(p *CostProfile, n *plan.Node) *query.Term {
+	if p.HashProbe.SecondsPerObject == p.NestedLoop.SecondsPerObject && p.HashBuild.SecondsPerObject == 0 && !dv.sharded() {
+		return nil
 	}
-	if p.R.Aliases.SubsetOf(xs) && p.L.Aliases.SubsetOf(ys) {
-		return p.L
-	}
-	return nil
+	bt, _ := n.LeadKey(dv.Q)
+	return bt
 }
 
-// coPartitioned reports whether a build child's rows already arrive grouped
-// by the join key's storage shard: the child is an unmaterialized single
-// base table and the build term is the identity of the column the layout
-// shards that table on.
-func (dv *Deriver) coPartitioned(n *plan.Node, bt *query.Term) bool {
-	if !n.IsLeaf() || n.Leaf.Size() != 1 {
-		return false
-	}
-	alias := n.Leaf.Names()[0]
-	tbl, ok := dv.Q.TableOf(alias)
-	if !ok {
-		return false
-	}
-	key, ok := dv.Layout.ShardKey(tbl)
-	if !ok {
-		return false
-	}
-	fn := bt.Fn
-	return fn.Name == "id" && len(fn.Args) == 1 && fn.Args[0] == alias+colSuffix(key)
+func (dv *Deriver) sharded() bool {
+	return dv.Layout != nil && dv.Layout.ShardCount() > 1
 }
 
-// colSuffix turns the layout's base-qualified shard key ("lineitem.l_orderkey")
-// into the ".column" suffix an alias-qualified term argument would end with.
-func colSuffix(key string) string {
-	if i := strings.IndexByte(key, '.'); i >= 0 {
-		return key[i:]
+// reshuffles reports whether a hash build over child b moves its rows across
+// shard boundaries: the layout is sharded and does not serve b on the build
+// term (plan.Node.ShardLocal). One known imprecision: the model cannot see
+// the engine's materialized-intermediate store, so a single-alias leaf the
+// engine will serve from the reuse path (and therefore reshuffle) is still
+// priced shard-local here.
+func (dv *Deriver) reshuffles(b *plan.Node, bt *query.Term) bool {
+	if !dv.sharded() {
+		return false
 	}
-	return "." + key
+	_, local := b.ShardLocal(dv.Q, bt, dv.Layout)
+	return !local
 }
 
 // BatchCost sums PlanCost over a set of trees (one EXECUTE transition, §4.4's

@@ -105,19 +105,14 @@ func ExplainAnalyze(q *query.Query, tree *plan.Node, ests, actuals map[string]fl
 	return b.String()
 }
 
-// joinShape counts, the way the engine's joinSpec.pickHash sorts them, the
-// key predicates among those new at a join (buildSideOf) and the residuals:
-// every new predicate and selection but the first key predicate. They are
-// the key_terms and residuals attributes of the engine's hash-build span.
+// joinShape counts the key predicates of a join (plan.Node.LeadKey, the rule
+// the engine keys its hash table by) and its residuals: every new predicate
+// and selection but the first key predicate. They are the key_terms and
+// residuals attributes of the engine's hash-build span.
 func joinShape(q *query.Query, n *plan.Node) (keyTerms, residuals int) {
 	xs, ys := n.Left.Aliases(), n.Right.Aliases()
-	preds := q.PredsNewAt(xs, ys)
-	for _, p := range preds {
-		if buildSideOf(p, xs, ys) != nil {
-			keyTerms++
-		}
-	}
-	return keyTerms, len(preds) + len(q.SelsNewAt(xs, ys)) - min(keyTerms, 1)
+	_, keyTerms = n.LeadKey(q)
+	return keyTerms, len(q.PredsNewAt(xs, ys)) + len(q.SelsNewAt(xs, ys)) - min(keyTerms, 1)
 }
 
 func analyzeNode(b *strings.Builder, q *query.Query, n *plan.Node, ests, actuals map[string]float64, times, selfs map[string]time.Duration, depth int, root bool) {

@@ -5,10 +5,10 @@
 // corpus, an obs.Collector, or the daemon's TraceRing span trees — into
 // running per-kind (seconds, objects) sums and renders them as a profile.
 //
-// The uncalibrated model stays the deterministic default: a Deriver with a
-// nil Profile computes exactly the flat §4.4 object counts it always has, so
-// every golden (results, trace lines, span baseline) is bit-identical until a
-// profile is explicitly loaded.
+// The uncalibrated model stays the deterministic default: a Deriver's nil
+// Profile is the unit profile, which prices exactly the flat §4.4 object
+// counts, so every golden (results, trace lines, span baseline) is
+// bit-identical until a profile is explicitly loaded.
 //
 // One honesty note on the input data: streaming operator spans measure
 // open-to-close wall time, and a pull-based pipeline keeps its scan and probe
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"monsoon/internal/obs"
-	"monsoon/internal/plan"
 )
 
 // Rate is one operator kind's calibrated conversion factor plus the evidence
@@ -43,6 +42,16 @@ type Rate struct {
 	Objects float64 `json:"objects"`
 	// Spans counts the spans folded into this kind.
 	Spans int `json:"spans"`
+}
+
+// of prices objects at the rate. A zero rate contributes exactly 0, never
+// 0 × +Inf = NaN: a wide cross product can overflow a count, and a profile
+// written before sharding carries a zero Exchange rate.
+func (r Rate) of(objects float64) float64 {
+	if r.SecondsPerObject == 0 {
+		return 0
+	}
+	return r.SecondsPerObject * objects
 }
 
 // CostProfile maps every physical operator kind the engine executes to a
@@ -64,6 +73,16 @@ type CostProfile struct {
 	// when unobserved; profile JSONs written before sharding deserialize to a
 	// zero rate, making movement free until recalibrated.
 	Exchange Rate `json:"exchange"`
+}
+
+// unitProfile is what a Deriver with a nil Profile prices with: every object
+// a scan, reuse, probe, nested loop, Σ pass or exchange produces counts 1,
+// and a build or the root materialization adds nothing — the flat §4.4
+// object count.
+var unitProfile = &CostProfile{
+	Scan: Rate{SecondsPerObject: 1}, Reuse: Rate{SecondsPerObject: 1},
+	HashProbe: Rate{SecondsPerObject: 1}, NestedLoop: Rate{SecondsPerObject: 1},
+	Sigma: Rate{SecondsPerObject: 1}, Exchange: Rate{SecondsPerObject: 1},
 }
 
 // profileKinds orders the profile's fields for deterministic rendering; the
@@ -260,47 +279,4 @@ func (p *CostProfile) Table() string {
 			k.Kind, k.R.SecondsPerObject, k.R.Seconds, k.R.Objects, k.R.Spans)
 	}
 	return out
-}
-
-// profiledPlanCost is PlanCost under a calibration: the same §4.4 object
-// recursion, with each node's objects weighted by the rate of the physical
-// operator the engine will actually run — scan or reuse at leaves, hash
-// build+probe when a predicate binds opposite children (the build side is
-// always the right child, mirroring the streaming engine), nested loop
-// otherwise, plus the Σ extra pass and the root materialization pass.
-func (dv *Deriver) profiledPlanCost(n *plan.Node) float64 {
-	p := dv.Profile
-	c := dv.profiledNodeCost(n)
-	if n.Sigma {
-		c += p.Sigma.SecondsPerObject * dv.NodeCount(n)
-	}
-	return c + p.Materialize.SecondsPerObject*dv.NodeCount(n)
-}
-
-func (dv *Deriver) profiledNodeCost(n *plan.Node) float64 {
-	p := dv.Profile
-	cnt := dv.NodeCount(n)
-	if n.IsLeaf() {
-		if n.Leaf.Size() != 1 {
-			return p.Reuse.SecondsPerObject * cnt
-		}
-		return p.Scan.SecondsPerObject * cnt
-	}
-	c := dv.profiledNodeCost(n.Left) + dv.profiledNodeCost(n.Right)
-	if dv.hashJoinAt(n) {
-		c += p.HashProbe.SecondsPerObject*cnt + p.HashBuild.SecondsPerObject*dv.NodeCount(n.Right)
-		if mv := dv.exchangeObjects(n); mv > 0 {
-			c += p.Exchange.SecondsPerObject * mv
-		}
-		return c
-	}
-	return c + p.NestedLoop.SecondsPerObject*cnt
-}
-
-// hashJoinAt reports whether the engine would run this join as a hash join:
-// some predicate new at the join binds one term wholly inside the left child
-// and the other wholly inside the right (engine.openJoin's exact rule, which
-// buildTermAt mirrors).
-func (dv *Deriver) hashJoinAt(n *plan.Node) bool {
-	return dv.buildTermAt(n) != nil
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"monsoon/internal/plan"
@@ -23,7 +24,7 @@ func (l fakeLayout) ShardKey(t string) (string, bool) {
 // query probes it with (co-partitioned) and T on an unrelated column (so any
 // build over T must reshuffle).
 func sec23Layout(s int) fakeLayout {
-	return fakeLayout{s: s, keys: map[string]string{"R": "R.a", "S": "S.k", "T": "T.x"}}
+	return fakeLayout{s: s, keys: map[string]string{"R": "a", "S": "k", "T": "x"}}
 }
 
 // TestFlatCostExchangeTerm: under a sharded layout the flat §4.4 model adds
@@ -130,12 +131,20 @@ func TestCalibratorExchangeFallback(t *testing.T) {
 	}
 }
 
-// TestColSuffix covers both base-qualified and bare layout keys.
-func TestColSuffix(t *testing.T) {
-	if got := colSuffix("lineitem.l_orderkey"); got != ".l_orderkey" {
-		t.Errorf("colSuffix = %q", got)
+// TestZeroRateInfiniteCountIsNotNaN: a profile written before sharding
+// carries a zero Exchange rate, and a wide cross product can overflow a count
+// to +Inf. A zero rate must contribute exactly 0, not 0 × +Inf = NaN, which
+// would poison every average the planner takes over the cost.
+func TestZeroRateInfiniteCountIsNotNaN(t *testing.T) {
+	q, st := sec23(t, 10000, 10000)
+	st.SetCount("T", math.Inf(1))
+	p := testProfile() // Exchange 0
+	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: p, Layout: sec23Layout(4)}
+	got := dv.PlanCost(plan.NewJoin(leaf("R"), leaf("T"))) // reshuffled build over T
+	if math.IsNaN(got) {
+		t.Fatalf("PlanCost = NaN, want +Inf")
 	}
-	if got := colSuffix("k"); got != ".k" {
-		t.Errorf("bare colSuffix = %q", got)
+	if !math.IsInf(got, 1) {
+		t.Errorf("PlanCost = %v, want +Inf", got)
 	}
 }

@@ -269,29 +269,21 @@ type joinSpec struct {
 	left, right, out     *table.Schema
 }
 
-// pickHash sorts the join's new predicates into key predicates — every one
-// whose two terms bind wholly on opposite children — and the rest, plain
+// pickHash sorts the join's new predicates by plan.Node.KeyTerms, the join
+// rule the cost model prices too, into key predicates and the rest, plain
 // residuals evaluated over the concatenated row. The first key predicate is
 // the hash predicate: the table holds one entry per distinct value of its
 // build term, and that term alone decides sub-table routing and whether the
-// storage layout serves the build (cost.buildTermAt mirrors this choice). The
-// further key predicates stay in the residual list as well, so they are still
-// decided by Equal on the joined row; what being a key predicate adds is one
-// hash per build row and per probe row (keyFilter) that lets the chain walk
-// pass over a pair the residual was going to reject, before it is copied.
-// The build side is always the right child: the left side streams, so its
-// cardinality is unknown until drained and building on the smaller side is
-// not an option.
+// storage layout serves the build. The further key predicates stay in the
+// residual list as well, so they are still decided by Equal on the joined
+// row; what being a key predicate adds is one hash per build row and per
+// probe row (keyFilter) that lets the chain walk pass over a pair the
+// residual was going to reject, before it is copied.
 func (j *joinSpec) pickHash(preds []*query.JoinPred) {
-	l, r := j.node.Left.Aliases(), j.node.Right.Aliases()
 	j.preds = preds
 	for i, p := range preds {
-		probe, build := p.L, p.R
-		switch {
-		case p.L.Aliases.SubsetOf(l) && p.R.Aliases.SubsetOf(r):
-		case p.L.Aliases.SubsetOf(r) && p.R.Aliases.SubsetOf(l):
-			probe, build = p.R, p.L
-		default:
+		probe, build, ok := j.node.KeyTerms(p)
+		if !ok {
 			continue
 		}
 		if j.buildTerm == nil {

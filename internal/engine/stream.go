@@ -600,16 +600,15 @@ func (j *joinIter) Close(err error) {
 }
 
 // coPartitioned returns the storage layout that serves a join's build child
-// directly, or nil: the child must be an unmaterialized single-alias leaf
-// whose build term is the identity of the table's shard column. Equal join
-// keys then never span storage shards (the shard column IS the join key and
-// routing is by its hash), so the build can scan shard-major with zero row
-// movement and still yield the hash-table layout of a scan in stored order —
-// within a storage shard rows keep their original relative order, and all
-// rows of one key live in one shard, so every chain's row list comes out the
-// same.
+// directly, or nil: the child must be a leaf plan.Node.ShardLocal accepts,
+// not reused from a materialized intermediate. Equal join keys then never
+// span storage shards (the shard column IS the join key and routing is by its
+// hash), so the build can scan shard-major with zero row movement and still
+// yield the hash-table layout of a scan in stored order — within a storage
+// shard rows keep their original relative order, and all rows of one key live
+// in one shard, so every chain's row list comes out the same.
 func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) *table.Sharded {
-	if buildTerm == nil || !n.IsLeaf() || n.Leaf.Size() != 1 {
+	if buildTerm == nil {
 		return nil
 	}
 	if _, mat := e.mats[n.Key()]; mat {
@@ -617,19 +616,11 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 		// storage layer; its rows are not shard-partitioned.
 		return nil
 	}
-	alias := n.Leaf.Names()[0]
-	tbl, ok := q.TableOf(alias)
+	tbl, ok := n.ShardLocal(q, buildTerm, e.eng.Cat)
 	if !ok {
 		return nil
 	}
-	sh, ok := e.eng.Cat.ShardsOf(tbl)
-	if !ok || sh.Col == "" {
-		return nil
-	}
-	fn := buildTerm.Fn
-	if fn.Name != "id" || len(fn.Args) != 1 || fn.Args[0] != alias+"."+e.eng.Cat.MustGet(tbl).Schema.Cols[0].Name {
-		return nil
-	}
+	sh, _ := e.eng.Cat.ShardsOf(tbl)
 	return sh
 }
 

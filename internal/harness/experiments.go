@@ -125,6 +125,19 @@ func Specs(bench string, sc Scale) ([]QuerySpec, error) {
 	return specs, nil
 }
 
+// ScaleNamed returns the scale a -scale flag names: tiny, small or medium.
+func ScaleNamed(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return Tiny(), nil
+	case "small":
+		return Small(), nil
+	case "medium":
+		return Medium(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
+}
+
 // Tiny is the scale unit tests and testing.B benchmarks use.
 func Tiny() Scale {
 	return Scale{

@@ -123,6 +123,70 @@ func LeftDeep(leaves []query.AliasSet) *Node {
 	return cur
 }
 
+// KeyTerms is the physical-join rule the engine runs and the cost model
+// prices, for one predicate p new at join n: p is a key predicate when its two
+// terms bind wholly on opposite children. The right child builds the hash
+// table, so build is the term over it and probe the term over the left child,
+// which streams: its cardinality is unknown until drained. A predicate that
+// does not separate the children reports false; it is a residual, decided on
+// the joined row. Of the key predicates new at a join, the first in query
+// order leads: the table is keyed, routed and co-partitioned on it (LeadKey).
+// With none the join is a nested loop.
+func (n *Node) KeyTerms(p *query.JoinPred) (probe, build *query.Term, ok bool) {
+	l, r := n.Left.Aliases(), n.Right.Aliases()
+	switch {
+	case p.L.Aliases.SubsetOf(l) && p.R.Aliases.SubsetOf(r):
+		return p.L, p.R, true
+	case p.L.Aliases.SubsetOf(r) && p.R.Aliases.SubsetOf(l):
+		return p.R, p.L, true
+	}
+	return nil, nil, false
+}
+
+// LeadKey applies KeyTerms to q's join predicates in query order: build is the
+// leading key predicate's build term, nil for a nested loop, and keys counts
+// the key predicates at n. A key predicate is always new at its join (both
+// sides are non-empty and the children disjoint), so the walk reads q.Joins
+// directly and allocates nothing.
+func (n *Node) LeadKey(q *query.Query) (build *query.Term, keys int) {
+	for _, p := range q.Joins {
+		if _, b, ok := n.KeyTerms(p); ok {
+			if keys == 0 {
+				build = b
+			}
+			keys++
+		}
+	}
+	return build, keys
+}
+
+// ShardKeys is the storage layout as the join rule reads it: the bare column
+// (no table qualifier) a stored table is hash-sharded on, or false when the
+// layout does not cover the table.
+type ShardKeys interface {
+	ShardKey(table string) (col string, ok bool)
+}
+
+// ShardLocal is the join rule for a hash build's exchange: build leaf n is
+// served by the storage layout, and builds shard-local with no row moved,
+// when it is a single-alias leaf whose build term is id(alias.col) for the
+// column its table is sharded on. It returns the leaf's table. Whether the
+// leaf is really scanned from storage, rather than reused from a
+// materialized intermediate, is for the caller to know.
+func (n *Node) ShardLocal(q *query.Query, build *query.Term, layout ShardKeys) (string, bool) {
+	if !n.IsLeaf() || n.Leaf.Size() != 1 {
+		return "", false
+	}
+	alias := n.Leaf.Names()[0]
+	tbl, ok := q.TableOf(alias)
+	if !ok {
+		return "", false
+	}
+	col, ok := layout.ShardKey(tbl)
+	fn := build.Fn
+	return tbl, ok && fn.Name == "id" && len(fn.Args) == 1 && fn.Args[0] == alias+"."+col
+}
+
 // Equal reports structural equality, including Σ markers.
 func (n *Node) Equal(o *Node) bool {
 	if n == nil || o == nil {

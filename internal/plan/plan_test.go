@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"monsoon/internal/expr"
 	"monsoon/internal/query"
 )
 
@@ -117,5 +118,55 @@ func TestEqual(t *testing.T) {
 	}
 	if a.Equal(l("R")) {
 		t.Error("join != leaf")
+	}
+}
+
+type shardCols map[string]string
+
+func (s shardCols) ShardKey(table string) (string, bool) {
+	c, ok := s[table]
+	return c, ok
+}
+
+// TestKeyTermsRule pins the physical-join rule: a predicate whose terms bind
+// on opposite children is a key predicate, probed from the left and built on
+// the right whichever way it is written; the first leads; and a build leaf is
+// shard-local only on the identity of its table's shard column.
+func TestKeyTermsRule(t *testing.T) {
+	q := query.NewBuilder("rule").Rel("r", "R").Rel("s", "S").Rel("u", "U").
+		Join(expr.SumMod("r.a", "u.a", 3), expr.Identity("s.a")). // reads both children of (r ⋈ s) ⋈ u
+		Join(expr.Identity("s.k"), expr.Identity("r.k")).
+		Join(expr.HashMod("r.b", 7), expr.Identity("s.b")).
+		MustBuild()
+	rs := NewJoin(l("r"), l("s"))
+	probe, build, ok := rs.KeyTerms(q.Joins[1])
+	if !ok || probe != q.Joins[1].R || build != q.Joins[1].L {
+		t.Errorf("s.k = r.k at r ⋈ s: probe %v build %v ok %v, want r.k probes and s.k builds", probe, build, ok)
+	}
+	if _, _, ok := NewJoin(NewJoin(l("r"), l("s")), l("u")).KeyTerms(q.Joins[0]); ok {
+		t.Error("a predicate with a term over both children is no key predicate")
+	}
+	if b, keys := rs.LeadKey(q); b != q.Joins[1].L || keys != 2 {
+		t.Errorf("LeadKey(r ⋈ s) = %v, %d; want s.k, 2", b, keys)
+	}
+	if b, keys := NewJoin(l("s"), l("u")).LeadKey(q); b != nil || keys != 0 {
+		t.Errorf("LeadKey(s ⋈ u) = %v, %d; want a nested loop", b, keys)
+	}
+	layout := shardCols{"S": "k", "R": "k"}
+	if tbl, ok := l("s").ShardLocal(q, q.Joins[1].L, layout); !ok || tbl != "S" {
+		t.Errorf("id(s.k) over s sharded on k: %q, %v; want S, local", tbl, ok)
+	}
+	for _, c := range []struct {
+		leaf  *Node
+		build *query.Term
+	}{
+		{l("s"), q.Joins[2].R},      // id(s.b), not the shard column
+		{l("r"), q.Joins[2].L},      // a UDF of the shard table, not its identity
+		{l("r", "s"), q.Joins[1].L}, // a multi-alias leaf is materialized
+		{l("u"), q.Joins[0].R},      // U is not in the layout
+	} {
+		if _, ok := c.leaf.ShardLocal(q, c.build, layout); ok {
+			t.Errorf("%s on %s: shard-local, want a reshuffle", c.build, c.leaf)
+		}
 	}
 }

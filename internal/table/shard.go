@@ -102,14 +102,18 @@ func (c *Catalog) ShardCount() int {
 	return c.shardCount
 }
 
-// ShardKey reports the column a stored table is partitioned on, or false
-// when the catalog is unsharded or the table unknown.
+// ShardKey reports the bare name of the column a stored table is partitioned
+// on (its first), or false when the catalog is unsharded, the table unknown
+// or without columns.
 func (c *Catalog) ShardKey(name string) (string, bool) {
-	sh, ok := c.shards[name]
-	if !ok {
+	if _, ok := c.shards[name]; !ok {
 		return "", false
 	}
-	return sh.Col, true
+	cols := c.tables[name].Schema.Cols
+	if len(cols) == 0 {
+		return "", false
+	}
+	return cols[0].Name, true
 }
 
 // ShardsOf fetches the partitioned view of a stored table, or false when

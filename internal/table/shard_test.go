@@ -51,7 +51,7 @@ func TestShardPartitionsByFirstColumnHash(t *testing.T) {
 		if total != 100 {
 			t.Errorf("shards hold %d rows, want 100", total)
 		}
-		if key, ok := c.ShardKey("r"); !ok || key != "r.k" {
+		if key, ok := c.ShardKey("r"); !ok || key != "k" {
 			t.Errorf("ShardKey(r) = %q,%v", key, ok)
 		}
 	}
