@@ -413,13 +413,15 @@ func Run(q *Query, cat *Catalog, opts ...RunOption) (*Report, error) {
 	}
 	cfg.core.Sink = obs.Multi(cfg.core.Sink, obs.MessageSink(cfg.trace))
 	res, err := core.Run(q, engine.New(cat), budget, cfg.core)
+	rep := &Report{Result: core.Detached(res)}
 	if err != nil {
-		return &Report{Result: *res}, err
+		return rep, err
 	}
 	if res.Output == nil {
-		return &Report{Result: *res}, fmt.Errorf("monsoon: result not materialized")
+		return rep, fmt.Errorf("monsoon: result not materialized")
 	}
-	return &Report{Result: *res, Output: res.Output}, nil
+	rep.Output = res.Output
+	return rep, nil
 }
 
 // Session is the serving-path entry point: a handle over one catalog that

@@ -109,6 +109,36 @@ func TestRunStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestReportOutputOutlivesRelease: a Report keeps its Output and nothing else
+// of its run's execution scope, so the Release it inherits from Result gives
+// no memory back to the engine — its rows read the same after it and after
+// later runs of the same join have taken whatever the engine had to reuse.
+func TestReportOutputOutlivesRelease(t *testing.T) {
+	cat := buildWorld()
+	rep, err := Run(buildQuery(), cat, WithSeed(5), WithIterations(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := rep.Output
+	want := make([]table.Row, len(out.Rows))
+	for i, r := range out.Rows {
+		want[i] = append(table.Row(nil), r...)
+	}
+	rep.Release()
+	all := NewQuery("api-test-all").
+		Rel("e", "events").Rel("u", "users").
+		Join(Identity("e.user_id"), Identity("u.id")).
+		MustBuild()
+	for seed := int64(1); seed <= 3; seed++ {
+		if _, err := Run(all, cat, WithSeed(seed), WithIterations(50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !table.IdenticalRows(out.Rows, want) {
+		t.Error("a Report's rows changed after its Release and later runs")
+	}
+}
+
 // TestWithBatchSizeIdentical pins the streaming≡materialized guarantee at
 // the public API: WithBatchSize only bounds pipeline memory, so every
 // setting — row-at-a-time, an awkward prime, the default, and the negative

@@ -223,14 +223,14 @@ func TestModelStepDeterministicVsStochastic(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
 	m := &Model{Q: q, Prior: prior.Default(), Rng: randx.New(1)}
-	ns, r, stoch := m.Step(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
+	ns, r, stoch := m.Step(s, &Action{Kind: ActJoinMats, A: "R", B: "S"})
 	if stoch || r != 0 {
 		t.Errorf("plan edit must be deterministic zero-reward, got r=%v stoch=%v", r, stoch)
 	}
 	if ns.(*State).St != s.St {
 		t.Error("plan edits must share the statistics store")
 	}
-	ns2, r2, stoch2 := m.Step(ns, Action{Kind: ActExecute})
+	ns2, r2, stoch2 := m.Step(ns, &Action{Kind: ActExecute})
 	if !stoch2 {
 		t.Error("EXECUTE must be stochastic")
 	}
@@ -256,8 +256,8 @@ func TestModelSimSigmaHardens(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
 	m := &Model{Q: q, Prior: prior.Default(), Rng: randx.New(2)}
-	s1, _, _ := m.Step(s, Action{Kind: ActSigmaCopy, A: "S"})
-	s2, r, _ := m.Step(s1, Action{Kind: ActExecute})
+	s1, _, _ := m.Step(s, &Action{Kind: ActSigmaCopy, A: "S"})
+	s2, r, _ := m.Step(s1, &Action{Kind: ActExecute})
 	st2 := s2.(*State)
 	if !st2.St.HasMeasured(q.Joins[0].R.ID, "S") {
 		t.Error("simulated Σ(S) must harden d(F2, S)")

@@ -117,12 +117,40 @@ type Result struct {
 	Replans, ReplanInvalidations int
 	// PeakBytes is the largest peak heap allocation any EXECUTE round's
 	// tree drain observed. Zero unless Config.Metrics is set (the engine
-	// samples runtime.MemStats only when a registry is attached).
+	// samples the heap only when a registry is attached).
 	PeakBytes float64
 	// Output is the materialized full join result, set by Finalize. Each
 	// session materializes into its own scope (never the shared engine), so
-	// callers that need the result rows read them here.
+	// callers that need the result rows read them here, until Release.
 	Output *table.Relation
+
+	ex *engine.Exec
+}
+
+// Release declares the run's rows dead: the session's execution scope gives
+// the memory its rounds materialized into back to the engine's free lists,
+// and Output becomes nil. A caller that is done with the result — a server
+// that has encoded its reply — calls it so the next query reuses that memory
+// instead of leaving it to the collector; one that never calls it keeps
+// Output for as long as it likes — and, while it holds the Result, the scope
+// with every buffer the rounds took (see Detached). Idempotent; valid after
+// an error too.
+func (r *Result) Release() {
+	if r.ex != nil {
+		r.ex.Release()
+		r.ex = nil
+	}
+	r.Output = nil
+}
+
+// Detached returns a copy of r without the session's execution scope, for a
+// caller that hands the result on and never releases it: once r is dropped,
+// Output's rows are all the copy keeps reachable, as before results could be
+// released, and the copy's Release has nothing to give back.
+func Detached(r *Result) Result {
+	c := *r
+	c.ex = nil
+	return c
 }
 
 // Run optimizes and executes q on eng with interleaved MCTS planning and

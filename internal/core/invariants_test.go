@@ -39,7 +39,7 @@ func TestMDPInvariantsUnderRandomWalks(t *testing.T) {
 				t.Fatalf("seed %d: dead end in non-terminal state %s", seed, s)
 			}
 			a := acts[rng.Intn(len(acts))]
-			next, _, _ := m.Step(cur, a)
+			next, _, _ := m.Step(cur, &a)
 			cur = next
 			steps++
 			if steps > 150 {
@@ -96,8 +96,8 @@ func TestSimCountsMatchRealCounts(t *testing.T) {
 	s.St.SetMeasured(q.Joins[1].L.ID, "R", 40)  // d(R.b) = 40
 	s.St.SetMeasured(q.Joins[1].R.ID, "T", 100) // d(T.k) = 100
 	m := &Model{Q: q, Prior: prior.Uniform{}, Rng: randx.New(1)}
-	s1, _, _ := m.Step(s, Action{Kind: ActJoinMats, A: "R", B: "S"})
-	s2, _, _ := m.Step(s1, Action{Kind: ActExecute})
+	s1, _, _ := m.Step(s, &Action{Kind: ActJoinMats, A: "R", B: "S"})
+	s2, _, _ := m.Step(s1, &Action{Kind: ActExecute})
 	simRS, _ := s2.(*State).St.Count("R+S")
 	// Real execution.
 	tree := plan.NewJoin(plan.NewLeaf(s.Active[s.findActive("R")]), plan.NewLeaf(s.Active[s.findActive("S")]))

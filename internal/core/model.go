@@ -41,6 +41,9 @@ type Model struct {
 	// state's statistics at every call instead of being made anew. Like Rng it
 	// makes the model single-goroutine; search shards work on forks.
 	scratch *stats.Store
+	// sample and mean are the model's two cost.MissFns, made at first use:
+	// see priorMiss and meanMiss.
+	sample, mean cost.MissFn
 }
 
 var (
@@ -59,12 +62,14 @@ func (m *Model) Fork(seed int64) mcts.Model {
 		UniformRollout: m.UniformRollout, Profile: m.Profile, Shards: m.Shards}
 }
 
-// Legal implements mcts.Model.
+// Legal implements mcts.Model. The actions are handed out as pointers into
+// one backing array, so listing them boxes none; the model's actions are
+// *Action throughout.
 func (m *Model) Legal(s mcts.State) []mcts.Action {
 	acts := legalActions(s.(*State), m.Q)
 	out := make([]mcts.Action, len(acts))
-	for i, a := range acts {
-		out[i] = a
+	for i := range acts {
+		out[i] = &acts[i]
 	}
 	return out
 }
@@ -77,7 +82,7 @@ func (m *Model) Legal(s mcts.State) []mcts.Action {
 // is what makes it safe to freeze and share beneath them.
 func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 	st := s.(*State)
-	act := a.(Action)
+	act := *a.(*Action)
 	if act.Kind != ActExecute {
 		ns, err := applyPlanEdit(st, m.Q, act)
 		if err != nil {
@@ -101,9 +106,12 @@ func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 // priorMiss adapts the prior to the Deriver's MissFn: the stochastic
 // transition samples the hidden world.
 func (m *Model) priorMiss() cost.MissFn {
-	return func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
-		return m.Prior.Sample(m.Rng, cExpr, cPartner)
+	if m.sample == nil {
+		m.sample = func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
+			return m.Prior.Sample(m.Rng, cExpr, cPartner)
+		}
 	}
+	return m.sample
 }
 
 // meanMiss resolves missing statistics with the prior's expectation. The
@@ -112,9 +120,12 @@ func (m *Model) priorMiss() cost.MissFn {
 // reveal at execution, otherwise simulation systematically undervalues Σ
 // probes (the policy would be an oracle and information would be worthless).
 func (m *Model) meanMiss() cost.MissFn {
-	return func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
-		return m.Prior.Mean(cExpr, cPartner)
+	if m.mean == nil {
+		m.mean = func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
+			return m.Prior.Mean(cExpr, cPartner)
+		}
 	}
+	return m.mean
 }
 
 // simSigma simulates the Σ operator: every open join term evaluable over the
@@ -197,16 +208,17 @@ func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
 				}
 			}
 			if !math.IsInf(bestCount, 1) {
-				return pairs[best].action()
+				a := pairs[best].action()
+				return &a
 			}
 		}
 		if len(st.Planned) > 0 {
-			return Action{Kind: ActExecute}
+			return &Action{Kind: ActExecute}
 		}
 	}
 	acts := legalActions(st, m.Q)
 	if len(acts) == 0 {
 		return nil
 	}
-	return acts[rng.Intn(len(acts))]
+	return &acts[rng.Intn(len(acts))]
 }

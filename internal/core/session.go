@@ -112,6 +112,7 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 		BatchSize:   cfg.BatchSize,
 		Metrics:     cfg.Metrics,
 	})
+	s.res.ex = s.ex
 
 	s.model = &Model{
 		Q: q, Prior: cfg.Prior,
@@ -270,7 +271,7 @@ func (s *Session) PlanRound() (bool, error) {
 		if picked == nil {
 			return false, fmt.Errorf("core: no legal action in non-terminal state %s", s.state)
 		}
-		act := picked.(Action)
+		act := *picked.(*Action)
 		if s.cfg.Cache != nil {
 			s.pendingKeys = append(s.pendingKeys, key)
 			s.pendingActs = append(s.pendingActs, act)

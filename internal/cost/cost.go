@@ -107,7 +107,11 @@ func (dv *Deriver) Distinct(t *query.Term, exprKey, partnerKey string, cExpr, cP
 }
 
 // NodeCount estimates (or retrieves) the cardinality of a plan node's result,
-// following the §4.3 recursion, and records it in the store.
+// following the §4.3 recursion, and records it in the store. It walks the
+// query's predicates in place, in query order, which is the order the §4.3
+// factors — and the Miss draws behind them — have always come in, over the
+// children's alias sets re-expressed in the query's universe (a plan built
+// from NewAliasSet leaves would otherwise pay a universe merge per predicate).
 func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 	key := n.Key()
 	if c, ok := dv.St.Count(key); ok {
@@ -118,16 +122,22 @@ func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 	}
 	cX := dv.NodeCount(n.Left)
 	cY := dv.NodeCount(n.Right)
-	xs, ys := n.Left.Aliases(), n.Right.Aliases()
+	xs, ys := dv.Q.Own(n.Left.Aliases()), dv.Q.Own(n.Right.Aliases())
 	c := cX * cY
-	for _, p := range dv.Q.PredsNewAt(xs, ys) {
+	for _, p := range dv.Q.Joins {
+		if !p.NewAt(xs, ys) {
+			continue
+		}
 		lKey, lC := dv.container(p.L, xs, ys, cX, cY, key, c)
 		rKey, rC := dv.container(p.R, xs, ys, cX, cY, key, c)
 		dL := dv.Distinct(p.L, lKey, rKey, lC, rC)
 		dR := dv.Distinct(p.R, rKey, lKey, rC, lC)
 		c /= math.Max(math.Max(dL, dR), 1)
 	}
-	for _, s := range dv.Q.SelsNewAt(xs, ys) {
+	for _, s := range dv.Q.Sels {
+		if !s.NewAt(xs, ys) {
+			continue
+		}
 		d := dv.Distinct(s.T, key, key, cX*cY, cX*cY)
 		c /= math.Max(d, 1)
 	}
@@ -162,8 +172,11 @@ func (dv *Deriver) leafCount(n *plan.Node, key string) float64 {
 	if !ok {
 		panic(fmt.Sprintf("cost: no raw count for base table %q", alias))
 	}
-	c := craw
-	for _, s := range dv.Q.SelsAt(n.Leaf) {
+	c, leaf := craw, dv.Q.Own(n.Leaf)
+	for _, s := range dv.Q.Sels {
+		if !s.T.Aliases.SubsetOf(leaf) {
+			continue
+		}
 		d := dv.Distinct(s.T, key, key, craw, craw)
 		c /= math.Max(d, 1)
 	}

@@ -11,8 +11,9 @@
 //     which request warmed an entry), the metrics registry, the trace ring,
 //     and the statistics seed store.
 //   - Per-request: an engine.Exec scope (tracer, parallelism/batch knobs,
-//     materialization store) created inside core.NewSession, a clone of the
-//     statistics seed store, a Budget, and a deterministically derived seed.
+//     materialization store) created inside core.NewSession and released once
+//     the reply is hashed, a clone of the statistics seed store, a Budget, and
+//     a deterministically derived seed.
 //
 // Each query's statistics store is a Clone of the shared seed store, so two
 // concurrent runs of the same query are bit-identical to each other and to a
@@ -420,6 +421,10 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	}
 	start := time.Now()
 	res, err := core.Run(q, eng, budget, cfg)
+	// Once the reply is built — its result hash is the last thing that reads
+	// the rows — the query's engine memory goes back to the free lists for the
+	// next request, on the error path too.
+	defer res.Release()
 	elapsed := time.Since(start)
 	s.reg.Histogram("monsoond.query.time").ObserveDuration(elapsed)
 	resp := &QueryResponse{

@@ -10,8 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"monsoon/internal/core"
+	"monsoon/internal/engine"
 	"monsoon/internal/harness"
+	"monsoon/internal/prior"
 	"monsoon/internal/query"
+	"monsoon/internal/randx"
+	"monsoon/internal/stats"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
 )
@@ -25,7 +30,7 @@ var (
 	tsErr  error
 )
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	tsOnce.Do(func() {
 		// MaxConcurrent must exceed the concurrency test's 9 racing clients
@@ -134,6 +139,48 @@ func TestQueryConcurrentClientsIdenticalHashes(t *testing.T) {
 		if len(hs) != 1 {
 			t.Errorf("%s: %d distinct hashes across concurrent clients: %v", q, len(hs), hs)
 		}
+	}
+}
+
+// TestReleasedRepliesMatchUnreleasedRuns: the daemon gives each query's
+// engine memory back once it has hashed the reply, and the queries after it
+// write their rows into that memory. Eight clients run the TPC-H mix and the
+// UDF mix at once — under the race detector the engine poisons every slab it
+// gets back — and every result_hash must equal the hash of the same query run
+// in-process and never released.
+func TestReleasedRepliesMatchUnreleasedRuns(t *testing.T) {
+	udf, err := New(Config{Bench: "udf", MaxConcurrent: 8, DefaultTimeout: 5 * time.Minute})
+	if err != nil {
+		t.Fatalf("building udf daemon: %v", err)
+	}
+	for _, s := range []*Server{testServer(t), udf} {
+		names := s.QueryNames()
+		want := make(map[string]string, len(names))
+		for _, name := range names {
+			nq, sc := s.queries[name], s.cfg.Scale
+			res, err := core.Run(nq.q, nq.eng, &engine.Budget{}, core.Config{Prior: prior.Default(),
+				Iterations: sc.MCTSIterations, Seed: randx.Derive(sc.Seed, "monsoond/"+name), Stats: stats.New()})
+			if err != nil {
+				t.Fatalf("%s in-process: %v", name, err)
+			}
+			want[name] = hashRelation(res.Output)
+		}
+		h := s.Handler()
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range names {
+					name := names[(i+3*c)%len(names)]
+					rec, qr := doJSON(t, h, "GET", "/query?query="+name, "")
+					if rec.Code != http.StatusOK || qr.ResultHash != want[name] {
+						t.Errorf("client %d %s: status %d hash %s, the unreleased run hashes %s", c, name, rec.Code, qr.ResultHash, want[name])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -406,5 +453,30 @@ func TestQueryRelationLimit(t *testing.T) {
 	}
 	if rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", ""); rec.Code != http.StatusOK {
 		t.Errorf("status %d on the request after the refusal, want 200", rec.Code)
+	}
+}
+
+// BenchmarkDaemonWarm serves the TPC-H mix through the handler, one named
+// query per op in name order, after a pass that fills the plan cache: every
+// timed request is a cache hit, so B/op is what the engine and the serving
+// path allocate per warm request (run with -benchmem).
+func BenchmarkDaemonWarm(b *testing.B) {
+	s := testServer(b)
+	h := s.Handler()
+	names := s.QueryNames()
+	serve := func(name string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/query?query="+name, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+	}
+	for _, name := range names {
+		serve(name)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(names[i%len(names)])
 	}
 }

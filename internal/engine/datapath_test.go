@@ -46,10 +46,14 @@ func checkTightRows(t *testing.T, at string, rows []table.Row) {
 
 // TestRowLifetime pins who may keep a joined row: the rows of a root relation
 // and of a collected build side come out of slabs the join never writes
-// again, so they read the same after the pipeline has pulled every further
-// batch and after later trees have run on the same Exec — at every batch size
-// and worker count — and no row has room for an append to reach a neighbour.
+// again before Release, so they read the same after the pipeline has pulled
+// every further batch and after later trees have run on the same Exec — at
+// every batch size and worker count — and no row has room for an append to
+// reach a neighbour. Release then ends all of them: with the poison hook on,
+// every one reads the sentinel, so every slab behind them went back.
 func TestRowLifetime(t *testing.T) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = true
 	cat := matrixCatalog(1, 1)
 	q := query.NewBuilder("abc").Rel("a", "A").Rel("b", "B").Rel("c", "C").
 		Join(expr.Identity("a.k"), expr.Identity("b.k")).
@@ -65,7 +69,7 @@ func TestRowLifetime(t *testing.T) {
 			// Drain the right-deep tree by hand, keeping every row header the
 			// way the root materialize does, beside a copy taken on arrival.
 			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
-			it, _, err := ex.open(q, rightDeep, &Budget{}, res, nil, nil)
+			it, _, err := ex.open(q, rightDeep, &Budget{}, res, nil, nil, true)
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
@@ -111,6 +115,15 @@ func TestRowLifetime(t *testing.T) {
 					t.Errorf("%s: %s changed after it was handed out", at, c.what)
 				}
 				checkTightRows(t, at+": "+c.what, c.rows)
+			}
+
+			ex.Release()
+			for what, rows := range map[string][]table.Row{"build side": build, "kept rows": held, "root relation": rel.Rows, "second run": rel2.Rows} {
+				for i, r := range rows {
+					if !value.Identical(r[0], poisonValue) {
+						t.Fatalf("%s: %s row %d reads %v after Release, not the poison: its slab was not given back", at, what, i, r)
+					}
+				}
 			}
 		}
 	}

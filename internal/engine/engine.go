@@ -154,7 +154,7 @@ type ExecResult struct {
 	SigmaTime time.Duration
 	// PeakBytes is the peak heap allocation observed while the tree
 	// drained, sampled every few batches. Zero unless ExecConfig.Metrics
-	// is set (sampling stops the world briefly, so it is strictly opt-in).
+	// is set.
 	PeakBytes float64
 }
 
@@ -183,8 +183,8 @@ type ExecConfig struct {
 	BatchSize int
 	// Metrics, when non-nil, receives the engine's execution gauges —
 	// currently monsoon.exec.peak_bytes, the peak heap observed while a
-	// tree drains, sampled every few batches via runtime.ReadMemStats.
-	// Nil (the default) keeps memory sampling entirely off the hot path.
+	// tree drains, sampled every few batches from runtime/metrics. Nil (the
+	// default) keeps memory sampling entirely off the hot path.
 	Metrics *obs.Registry
 }
 
@@ -197,6 +197,7 @@ type Exec struct {
 	ExecConfig
 	eng  *Engine
 	mats map[string]*table.Relation
+	held held
 }
 
 // Engine executes plans for one dataset: the catalog and the HLL precision,
@@ -226,8 +227,15 @@ func (e *Exec) Materialized(key string) (*table.Relation, bool) {
 	return r, ok
 }
 
-// Reset drops all materialized intermediates (between queries).
-func (e *Exec) Reset() { e.mats = make(map[string]*table.Relation) }
+// Release ends the lifetime of everything the scope's executions produced:
+// the slabs, join tables and row-header buffers they took go back to the
+// engine's free lists (recycle.go), and the materialized intermediates are
+// dropped. A row of any relation the scope returned must not be read
+// afterwards. The scope itself may run again.
+func (e *Exec) Release() {
+	e.held.release()
+	clear(e.mats)
+}
 
 // SeedBaseStats records the raw cardinality of every base table referenced
 // by q into st — the statistics assumed known at the start (§4.1).
@@ -241,15 +249,21 @@ func (e *Engine) SeedBaseStats(q *query.Query, st *stats.Store) {
 // (stream.go), materializes and registers its root, and returns the result
 // relation plus observations. The root materialize is a deliberate pipeline
 // breaker: the MDP's Re store and the plan cache key whole relations. Budget
-// overruns abort with ErrBudget; partial results are discarded but counts
-// already observed are returned so the harness can report progress.
+// overruns abort with ErrBudget; partial results are discarded — the scope
+// stops listing their buffers — but counts already observed are returned so
+// the harness can report progress.
 func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Relation, *ExecResult, error) {
 	res := &ExecResult{Counts: make(map[string]float64), Times: make(map[string]time.Duration)}
 	msp := e.Obs.Start(obs.KMaterialize, n.String()).SetStr("expr", n.Key())
-	it, schema, err := e.open(q, n, budget, res, nil, nil)
-	if err != nil {
+	mark := e.held.mark()
+	fail := func(err error) (*table.Relation, *ExecResult, error) {
+		e.held.forget(mark)
 		msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
 		return nil, res, err
+	}
+	it, schema, err := e.open(q, n, budget, res, nil, nil, true)
+	if err != nil {
+		return fail(err)
 	}
 	sampler := e.peakSampler(res)
 	var out []table.Row
@@ -258,23 +272,22 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 		if err != nil {
 			it.Close(err)
 			sampler.finish()
-			msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
-			return nil, res, err
+			return fail(err)
 		}
 		if b == nil {
 			break
 		}
-		out = append(out, b...)
+		out = append(growRows(out, len(b)), b...)
 		sampler.sample()
 	}
 	it.Close(nil)
+	e.held.keepRows(out)
 	rel := table.NewRelation(n.Key(), schema, out)
 	if n.Sigma {
 		start := time.Now()
 		if err := e.collectSigma(q, n, rel, budget, res); err != nil {
 			sampler.finish()
-			msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
-			return nil, res, err
+			return fail(err)
 		}
 		res.SigmaTime = time.Since(start)
 	}
@@ -316,7 +329,7 @@ func newHashTable(hint int) hashTable {
 	for 1<<bits < 2*hint {
 		bits++
 	}
-	return hashTable{slots: make([]int32, 1<<bits), shift: 64 - bits, entries: make([]entry, 0, hint)}
+	return hashTable{slots: freeSlots.take(1 << bits), shift: 64 - bits, entries: freeEntries.take(hint)[:0]}
 }
 
 // home is where the probe sequence of hash h starts. The multiplication mixes
@@ -356,7 +369,7 @@ func (t *hashTable) add(h uint64, k value.Value, head, tail int32, next []int32)
 // grow doubles the slots and re-inserts the entries in order, which keeps
 // entries of one hash in insertion order along their probe sequence.
 func (t *hashTable) grow() {
-	t.slots = make([]int32, 2*len(t.slots))
+	t.slots = freeSlots.take(2 * len(t.slots))
 	t.shift--
 	mask := len(t.slots) - 1
 	for i := range t.entries {

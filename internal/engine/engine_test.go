@@ -418,15 +418,27 @@ func TestFinalAggregate(t *testing.T) {
 	}
 }
 
-func TestResetDropsMaterialized(t *testing.T) {
+// TestReleaseDropsMaterialized: Release empties the scope's Re store and
+// leaves the scope usable — the same tree runs again to the same rows.
+func TestReleaseDropsMaterialized(t *testing.T) {
 	q := rstQuery()
+	tree := plan.NewJoin(leaf("R"), leaf("S"))
 	e := New(fixture()).NewExec(ExecConfig{})
-	if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
+	rel, _, err := e.ExecTree(q, tree, &Budget{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.Reset()
+	want := cloneRows(rel.Rows)
+	e.Release()
 	if _, ok := e.Materialized("R+S"); ok {
-		t.Error("Reset must drop materialized state")
+		t.Error("Release must drop materialized state")
+	}
+	again, _, err := e.ExecTree(q, tree, &Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.IdenticalRows(again.Rows, want) {
+		t.Error("the tree run again after Release returns other rows")
 	}
 }
 

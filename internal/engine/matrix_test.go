@@ -115,6 +115,9 @@ func matrixCases() []matrixCase {
 		{"reuse", ab, []*plan.Node{leaf("b"), plan.NewJoin(leaf("a"), leaf("b"))}},
 		// The build side is itself a join, probed by a small table.
 		{"right-deep", abc, []*plan.Node{plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))}},
+		// The probe side is a join, whose slabs go back to the free list
+		// batch by batch while the parent probes.
+		{"left-deep", abc, []*plan.Node{plan.NewJoin(plan.NewJoin(leaf("a"), leaf("b")), leaf("c"))}},
 		// A Σ pass over enough rows to fan out.
 		{"sigma-leaf", ab, []*plan.Node{leaf("a").WithSigma()}},
 	}
@@ -257,6 +260,38 @@ func TestEngineConfigMatrix(t *testing.T) {
 	}
 	if !fanned {
 		t.Error("no cell fanned out: the matrix never ran an operator at w > 1")
+	}
+}
+
+// TestMatrixAfterRelease: a released scope is as good as a fresh one. One
+// scope per configuration runs every matrix case in turn and releases it
+// before the next, with released slabs poisoned, so each case's slabs, join
+// tables and row buffers are largely what the case before gave back; every
+// tree must return the rows, in order, of the same case on a fresh scope.
+func TestMatrixAfterRelease(t *testing.T) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = true
+	for _, s := range []int{1, 4} {
+		cat := matrixCatalog(matrixSeeds[0], s)
+		for _, batch := range matrixBatches {
+			for _, par := range matrixWorkers {
+				ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+				for _, mc := range matrixCases() {
+					fresh, _ := runMatrixCase(t, cat, mc, batch, par)
+					for ti, tree := range mc.trees {
+						rel, _, err := ex.ExecTree(mc.q, tree, &Budget{})
+						if err != nil {
+							t.Fatalf("S=%d batch=%d par=%d %s %s: %v", s, batch, par, mc.name, tree, err)
+						}
+						if !table.IdenticalRows(rel.Rows, fresh.Rows[ti]) {
+							t.Errorf("S=%d batch=%d par=%d %s %s: %d rows after a release, %d on a fresh scope, or another order",
+								s, batch, par, mc.name, tree, len(rel.Rows), len(fresh.Rows[ti]))
+						}
+					}
+					ex.Release()
+				}
+			}
+		}
 	}
 }
 

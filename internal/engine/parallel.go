@@ -161,8 +161,9 @@ func (p *pool[S]) run(op *obs.Span, n, w int, kernel func(st *S, lo, hi int) err
 // stitch concatenates w per-worker output buffers in partition order, which
 // is exactly the order a single pass would have produced. One buffer is
 // returned as is: it stays valid until its worker's next run, which is as
-// long as the rowIter contract lets a consumer hold a batch.
-func stitch(w int, buf func(worker int) []table.Row) []table.Row {
+// long as the rowIter contract lets a consumer hold a batch. Several are
+// copied into *dst, the caller's stitch buffer, which the next stitch reuses.
+func stitch(dst *[]table.Row, w int, buf func(worker int) []table.Row) []table.Row {
 	if w == 1 {
 		return buf(0)
 	}
@@ -170,10 +171,11 @@ func stitch(w int, buf func(worker int) []table.Row) []table.Row {
 	for i := 0; i < w; i++ {
 		total += len(buf(i))
 	}
-	out := make([]table.Row, 0, total)
+	out := growRows((*dst)[:0], total)
 	for i := 0; i < w; i++ {
 		out = append(out, buf(i)...)
 	}
+	*dst = out
 	return out
 }
 
@@ -215,13 +217,16 @@ func (st *filterState) keep(row table.Row) bool {
 // far, the row that tripped the budget included.
 func (st *filterState) filterRows(rows []table.Row, budget *Budget) error {
 	if st.out == nil {
-		st.out = make([]table.Row, 0, len(rows)/4+1)
+		st.out = freeRows.take(len(rows)/4 + 1)
 	}
 	out := st.out[:0]
 	var err error
 	for _, row := range rows {
 		if !st.keep(row) {
 			continue
+		}
+		if len(out) == cap(out) {
+			out = growRows(out, 1)
 		}
 		out = append(out, row)
 		if err = budget.Charge(1); err != nil {
@@ -303,16 +308,19 @@ const slabRows = 256
 // joinState is one worker's side of a hash probe or nested loop. Joined rows
 // are written in place into slab, a run of width-sized slots carved off the
 // front as rows are emitted; a slot whose row fails a residual is simply
-// written again. A slab is never written once its slots are carved off, so
-// whoever holds an emitted row may keep it: the slab lives as long as any of
-// its rows does.
+// written again. A slab is never written once its slots are carved off — a
+// streaming join's rewind aside — so whoever holds an emitted row may keep it
+// until the scope is released: the state lists every slab it takes, which the
+// join hands to its Exec when it closes.
 type joinState struct {
 	pb        *expr.Binding // probe key over the left schema; nil in a nested loop
 	pf        filterFn      // further probe key terms over the left schema; nil without any
 	residuals []residual
-	width     int           // columns of a joined row
-	slab      []value.Value // uncarved rest of the current slab
-	grown     int           // rows the current slab was made for
+	width     int             // columns of a joined row
+	slab      []value.Value   // uncarved rest of the current slab
+	grown     int             // rows the current slab was made for
+	slabs     [][]value.Value // every slab taken, in full; see rewind for a streaming join
+	spare     [][]value.Value // a streaming join's rewound slabs, for slot to reuse
 	out       []table.Row
 	in        int // left rows probed, or row pairs scanned, over the state's lifetime
 }
@@ -364,8 +372,13 @@ func newJoinState(j *joinSpec) (*joinState, error) {
 func (st *joinState) slot() table.Row {
 	w := st.width
 	if len(st.slab) < w {
-		st.grown = max(slabRows/16, min(2*st.grown, slabRows))
-		st.slab = make([]value.Value, st.grown*w)
+		if n := len(st.spare); n > 0 {
+			st.slab, st.spare = st.spare[n-1], st.spare[:n-1]
+		} else {
+			st.grown = max(slabRows/16, min(2*st.grown, slabRows))
+			st.slab = freeSlabs.take(st.grown * w)
+		}
+		st.slabs = append(st.slabs, st.slab)
 	}
 	return st.slab[:w:w]
 }
@@ -373,6 +386,9 @@ func (st *joinState) slot() table.Row {
 // emit commits the slot just written as the next output row and charges it.
 func (st *joinState) emit(row table.Row, budget *Budget) error {
 	st.slab = st.slab[st.width:]
+	if len(st.out) == cap(st.out) {
+		st.out = growRows(st.out, 1)
+	}
 	st.out = append(st.out, row)
 	return budget.Charge(1)
 }
@@ -655,10 +671,10 @@ func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budg
 func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, filterOf func() filterFn, s, w int, budget *Budget) (*shardedTable, int, error) {
 	owned := w > 1 && side.bounds != nil
 	units := len(side.rows)
-	next := make([]int32, len(side.rows))
+	next := freeLinks.take(len(side.rows))
 	var filter []uint64
 	if filterOf != nil {
-		filter = make([]uint64, len(side.rows))
+		filter = freeFilters.take(len(side.rows))
 	}
 	var shared *shardedTable
 	if owned {
@@ -697,6 +713,7 @@ func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, filterOf 
 				for i := range src {
 					merged.subs[si].add(src[i].hash, src[i].key, src[i].head, src[i].tail, next)
 				}
+				e.held.subs = append(e.held.subs, p.t.subs[si])
 			}
 		}
 	}

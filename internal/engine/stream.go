@@ -23,6 +23,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -74,17 +75,18 @@ func (e *Exec) scanSlab() int {
 //
 // Two lifetimes are in play. The batch — the slice of row headers — belongs
 // to the iterator and is valid only until the next Next call: scans and joins
-// reuse their gather and output buffers. The rows it points at belong to
-// whoever holds them, for as long as they hold them: a scan's rows are the
-// stored table's, and a join writes each output row once, into a slot of a
-// slab it never writes again and never reuses, so the slab lives exactly as
-// long as one of its rows is referenced. A consumer that keeps rows — the
-// root materialize, a join's collected build side — therefore copies the row
-// headers out of the batch and nothing more; a consumer that keeps none (a
-// parent join's probe side copies what it reads into rows of its own) just
-// lets them go. Rows are tight (cap == len): appending to one reallocates
-// rather than reaching into the next slot. No operator may write into a row
-// it was handed.
+// reuse their gather and output buffers. The rows it points at live as long
+// as their consumer said it needs them when it opened the iterator (open's
+// keep). A scan's rows are the stored table's. A join writes each output row
+// once, into a slot of a slab it never writes again and never reuses before
+// the scope's Release — for a consumer that keeps rows, the root materialize
+// or a join's collected build side, which therefore copies the row headers
+// out of the batch and nothing more. A consumer that keeps none, a parent
+// join's probe side, copies what it reads into rows of its own, so its child
+// writes each batch into the slabs of the batch before: those rows are valid
+// only until the next Next. Rows are tight (cap == len): appending to one
+// reallocates rather than reaching into the next slot. No operator may write
+// into a row it was handed.
 //
 // Close must be called exactly once, with the error that stopped the drain
 // (nil on a clean run); it ends the iterator's spans and cascades to children.
@@ -131,9 +133,10 @@ func (t *nodeIter) Next() ([]table.Row, error) {
 func (t *nodeIter) Close(err error) { t.inner.Close(err) }
 
 // collect gathers the node's whole output for a pipeline breaker and closes
-// the node. A scan that can hand its stored rows over does that instead of
-// being drained, with the accounting of a complete drain.
-func (t *nodeIter) collect() (buildSide, error) {
+// the node, listing the buffer it gathered into on h. A scan that can hand
+// its stored rows over does that instead of being drained, with the
+// accounting of a complete drain.
+func (t *nodeIter) collect(h *held) (buildSide, error) {
 	sc, _ := t.inner.(*scanIter)
 	if sc != nil && sc.sh != nil && sc.filter == nil {
 		t0 := time.Now()
@@ -149,7 +152,7 @@ func (t *nodeIter) collect() (buildSide, error) {
 	var side buildSide
 	if sc != nil && sc.filter == nil {
 		// An unfiltered scan yields every stored row: size the copy once.
-		side.rows = make([]table.Row, 0, sc.base.Count())
+		side.rows = freeRows.take(sc.base.Count())[:0]
 	}
 	for {
 		b, err := t.Next()
@@ -160,9 +163,10 @@ func (t *nodeIter) collect() (buildSide, error) {
 		if b == nil {
 			break
 		}
-		side.rows = append(side.rows, b...)
+		side.rows = append(growRows(side.rows, len(b)), b...)
 	}
 	t.Close(nil)
+	h.keepRows(side.rows)
 	if sc != nil {
 		side.bounds = sc.bounds
 	}
@@ -175,9 +179,10 @@ func (t *nodeIter) collect() (buildSide, error) {
 // supplies the parent). Below the root the parent must be explicit: a sibling
 // subtree's spans stay open on the ambient stack while this one opens, so
 // ambient parenting would splice unrelated operators together. layout, when
-// non-nil, is the storage layout a leaf scan walks shard-major. Open time is
-// charged to the node's inclusive time.
-func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, layout *table.Sharded) (*nodeIter, *table.Schema, error) {
+// non-nil, is the storage layout a leaf scan walks shard-major. keep says
+// whether the consumer keeps the rows it is handed (see rowIter). Open time
+// is charged to the node's inclusive time.
+func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, layout *table.Sharded, keep bool) (*nodeIter, *table.Schema, error) {
 	t0 := time.Now()
 	var (
 		it     rowIter
@@ -187,7 +192,7 @@ func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResul
 	if n.IsLeaf() {
 		it, schema, err = e.openLeaf(q, n, budget, parent, layout)
 	} else {
-		it, schema, err = e.openJoin(q, n, budget, res, parent)
+		it, schema, err = e.openJoin(q, n, budget, res, parent, keep)
 	}
 	res.Times[n.Key()] += time.Since(t0)
 	if err != nil {
@@ -290,6 +295,7 @@ type scanIter struct {
 	pos    int         // position within the segment
 	cur    *obs.Span   // current shard's KShard span
 	buf    []table.Row // gather buffer of the shard-major walk
+	batch  []table.Row // stitch buffer of a filter fanned out over workers
 	bounds []int       // shard-major walk: rows kept by the end of each finished shard
 	segOut int         // rows kept from the current segment
 	kept   int
@@ -351,9 +357,7 @@ func (s *scanIter) slabRows(lo, hi int) []table.Row {
 		return s.base.Rows[lo:hi]
 	}
 	ids := s.sh.Shard(s.seg)[lo:hi]
-	if cap(s.buf) < len(ids) {
-		s.buf = make([]table.Row, len(ids))
-	}
+	s.buf = growRows(s.buf[:0], len(ids))
 	rows := s.buf[:len(ids)]
 	for j, id := range ids {
 		rows[j] = s.base.Rows[id]
@@ -382,7 +386,7 @@ func (s *scanIter) Next() ([]table.Row, error) {
 		err := s.filter.run(op, len(rows), w, func(st *filterState, lo, hi int) error {
 			return st.filterRows(rows[lo:hi], s.budget)
 		})
-		out := stitch(w, func(i int) []table.Row { return s.filter.states[i].out })
+		out := stitch(&s.batch, w, func(i int) []table.Row { return s.filter.states[i].out })
 		s.kept += len(out)
 		s.segOut += len(out)
 		if err != nil {
@@ -420,6 +424,13 @@ func (s *scanIter) Close(error) {
 		return
 	}
 	s.closed = true
+	s.e.held.keepRows(s.buf)
+	s.e.held.keepRows(s.batch)
+	if s.filter != nil {
+		for _, st := range s.filter.states {
+			s.e.held.keepRows(st.out)
+		}
+	}
 	if s.cur != nil {
 		if s.fail != nil {
 			s.cur.SetStr("err", s.fail.Error())
@@ -438,7 +449,7 @@ func (s *scanIter) Close(error) {
 // left child streams; the right child is a pipeline-breaker, collected in
 // full at open time to build the hash table (or to serve as the nested
 // loop's inner side, re-scanned once per outer row).
-func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span) (rowIter, *table.Schema, error) {
+func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, keep bool) (rowIter, *table.Schema, error) {
 	jsp := e.Obs.StartChild(parent, obs.KJoin, n.Key()).SetStr("expr", n.Key())
 	fail := func(err error, open ...rowIter) (rowIter, *table.Schema, error) {
 		for _, it := range open {
@@ -456,11 +467,11 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	spec.pickHash(q.PredsNewAt(n.Left.Aliases(), n.Right.Aliases()))
 	layout := e.coPartitioned(q, n.Right, spec.buildTerm)
 
-	left, lschema, err := e.open(q, n.Left, budget, res, jsp, nil)
+	left, lschema, err := e.open(q, n.Left, budget, res, jsp, nil, false)
 	if err != nil {
 		return fail(err)
 	}
-	right, rschema, err := e.open(q, n.Right, budget, res, jsp, layout)
+	right, rschema, err := e.open(q, n.Right, budget, res, jsp, layout, true)
 	if err != nil {
 		return fail(err, left)
 	}
@@ -469,11 +480,11 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	if err != nil {
 		return fail(err, left, right)
 	}
-	side, err := right.collect()
+	side, err := right.collect(&e.held)
 	if err != nil {
 		return fail(err, left)
 	}
-	it := &joinIter{e: e, jsp: jsp, left: left, build: side.rows, states: states, budget: budget}
+	it := &joinIter{e: e, jsp: jsp, left: left, build: side.rows, states: states, budget: budget, stream: !keep}
 	residuals := float64(len(spec.preds) + len(spec.sels))
 	if spec.buildTerm == nil {
 		it.sp = e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", residuals)
@@ -532,6 +543,12 @@ func (e *Exec) noteExchange(bsp *obs.Span, local bool, inserted int) {
 // rows-in as the number of row pairs scanned. Output order is left-major
 // over the stream, identical at every batch size because each output batch
 // is the join of exactly one input batch, in input order.
+//
+// When it closes it hands its slabs, table and buffers to its Exec, where
+// they stay until Release. A streaming join (stream set: the consumer is a
+// parent's probe side, which copies what it reads) rewinds when the next
+// batch is pulled and writes that batch into the slabs of the last one, so it
+// holds one batch's slabs rather than its whole output.
 type joinIter struct {
 	e       *Exec
 	jsp, sp *obs.Span // the KJoin umbrella; the KHashProbe or KNestedLoop operator
@@ -540,12 +557,19 @@ type joinIter struct {
 	ht      *shardedTable
 	states  *pool[joinState]
 	budget  *Budget
+	batch   []table.Row // stitch buffer of a batch fanned out over workers
+	stream  bool
 	emitted int
 	fail    error
 	closed  bool
 }
 
 func (j *joinIter) Next() ([]table.Row, error) {
+	if j.stream {
+		for _, st := range j.states.states {
+			st.rewind()
+		}
+	}
 	for {
 		batch, err := j.left.Next()
 		if err != nil {
@@ -567,7 +591,7 @@ func (j *joinIter) Next() ([]table.Row, error) {
 			}
 		}
 		err = j.states.run(j.sp, len(batch), w, kernel)
-		out := stitch(w, func(i int) []table.Row { return j.states.states[i].out })
+		out := stitch(&j.batch, w, func(i int) []table.Row { return j.states.states[i].out })
 		j.emitted += len(out)
 		if err != nil {
 			j.fail = err
@@ -585,9 +609,16 @@ func (j *joinIter) Close(err error) {
 	}
 	j.closed = true
 	j.left.Close(err)
+	h := &j.e.held
+	if j.ht != nil {
+		h.keepTable(j.ht)
+	}
+	h.keepRows(j.batch)
 	in := 0
 	for _, st := range j.states.states {
 		in += st.in
+		h.keepRows(st.out)
+		h.slabs = append(append(h.slabs, st.slabs...), st.spare...)
 	}
 	j.sp.SetRows(in, j.emitted)
 	if j.fail != nil {
@@ -624,11 +655,23 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 	return sh
 }
 
-// peakSampleStride spaces the runtime.ReadMemStats calls of the peak-memory
-// gauge on the drain path: every strideth batch plus the drain's start and
-// end. ReadMemStats briefly stops the world, so sampling is gated on a
-// metrics registry being attached and kept off the per-batch path otherwise.
+// peakSampleStride spaces the heap reads of the peak-memory gauge on the
+// drain path: every strideth batch plus the drain's start and end. Sampling
+// is gated on a metrics registry being attached and kept off the per-batch
+// path otherwise.
 const peakSampleStride = 8
+
+// heapObjectsMetric is runtime.MemStats.HeapAlloc as runtime/metrics names
+// it: the bytes of heap objects, live or not yet swept. Reading it does not
+// stop the world, which runtime.ReadMemStats does.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+
+// heapObjects reads heapObjectsMetric into s, a one-sample slice of the
+// caller's.
+func heapObjects(s []metrics.Sample) uint64 {
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
 
 // peakSampleTick paces the sampler's background goroutine. Batch-boundary
 // samples alone would under-read the unbounded/materialized mode, where a
@@ -647,6 +690,7 @@ type peakSampler struct {
 	enabled bool
 	ticks   int
 	peak    uint64
+	heap    [1]metrics.Sample
 	bgPeak  atomic.Uint64
 	stop    chan struct{}
 	done    chan struct{}
@@ -655,6 +699,7 @@ type peakSampler struct {
 func (e *Exec) peakSampler(res *ExecResult) *peakSampler {
 	ps := &peakSampler{e: e, res: res, enabled: e.Metrics != nil}
 	if ps.enabled {
+		ps.heap[0].Name = heapObjectsMetric
 		ps.read()
 		ps.stop = make(chan struct{})
 		ps.done = make(chan struct{})
@@ -667,25 +712,22 @@ func (ps *peakSampler) background() {
 	defer close(ps.done)
 	t := time.NewTicker(peakSampleTick)
 	defer t.Stop()
+	s := []metrics.Sample{{Name: heapObjectsMetric}}
 	for {
 		select {
 		case <-ps.stop:
 			return
 		case <-t.C:
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > ps.bgPeak.Load() {
-				ps.bgPeak.Store(ms.HeapAlloc)
+			if h := heapObjects(s); h > ps.bgPeak.Load() {
+				ps.bgPeak.Store(h)
 			}
 		}
 	}
 }
 
 func (ps *peakSampler) read() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > ps.peak {
-		ps.peak = ms.HeapAlloc
+	if h := heapObjects(ps.heap[:]); h > ps.peak {
+		ps.peak = h
 	}
 }
 

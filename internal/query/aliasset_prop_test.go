@@ -178,7 +178,7 @@ func TestAliasSetMatchesSortedSliceReference(t *testing.T) {
 			}
 			// The query's predicate helpers must see a foreign-universe set
 			// exactly as they see its shared twin.
-			if got, want := q.Connected(a, b), q.Connected(q.own(a), q.own(b)); got != want {
+			if got, want := q.Connected(a, b), q.Connected(q.Own(a), q.Own(b)); got != want {
 				t.Fatalf("%s: Connected differs across universes: %v vs %v", label, got, want)
 			}
 		}

@@ -31,8 +31,10 @@ type JoinPred struct {
 // Aliases returns the union of both sides' aliases.
 func (p *JoinPred) Aliases() AliasSet { return p.L.Aliases.Union(p.R.Aliases) }
 
-// newAt reports whether the predicate becomes applicable exactly at the join
+// NewAt reports whether the predicate becomes applicable exactly at the join
 // of left and right: over their union but over neither side alone.
+func (p *JoinPred) NewAt(left, right AliasSet) bool { return p.newAt(left, right, left.Union(right)) }
+
 func (p *JoinPred) newAt(left, right, union AliasSet) bool {
 	return p.ApplicableAt(union) && !p.ApplicableAt(left) && !p.ApplicableAt(right)
 }
@@ -57,6 +59,13 @@ type SelPred struct {
 
 // String renders the predicate.
 func (p *SelPred) String() string { return p.T.String() + " = " + p.Const.String() }
+
+// NewAt reports whether the selection becomes applicable exactly at the join
+// of left and right: over their union but within neither side.
+func (p *SelPred) NewAt(left, right AliasSet) bool {
+	a := p.T.Aliases
+	return a.SubsetOf(left.Union(right)) && !a.SubsetOf(left) && !a.SubsetOf(right)
+}
 
 // AggKind selects the final aggregate computed over the completed join.
 type AggKind uint8
@@ -122,10 +131,10 @@ func (q *Query) tooWide() error {
 	return nil
 }
 
-// own re-expresses a caller's set over the query's universe, so the
-// predicate loops below compare words even when the set was built with
+// Own re-expresses a caller's set over the query's universe, so a loop over
+// the query's predicates compares words even when the set was built with
 // NewAliasSet. A set naming an alias the query lacks is returned as it came.
-func (q *Query) own(s AliasSet) AliasSet {
+func (q *Query) Own(s AliasSet) AliasSet {
 	if q.u == nil {
 		return s
 	}
@@ -157,7 +166,7 @@ func (q *Query) TableOf(alias string) (string, bool) {
 // and the cost model both use PredsAppliedAt instead; this helper serves the
 // planners.
 func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
-	s = q.own(s)
+	s = q.Own(s)
 	var out []*JoinPred
 	for _, p := range q.Joins {
 		if p.ApplicableAt(s) {
@@ -171,7 +180,7 @@ func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
 // of two alias sets but not over either side alone — exactly the predicates a
 // join of the two sides must evaluate.
 func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
-	left, right = q.own(left), q.own(right)
+	left, right = q.Own(left), q.Own(right)
 	union := left.Union(right)
 	var out []*JoinPred
 	for _, p := range q.Joins {
@@ -185,12 +194,10 @@ func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
 // SelsNewAt returns the selection predicates applicable at the union but not
 // within either side.
 func (q *Query) SelsNewAt(left, right AliasSet) []*SelPred {
-	left, right = q.own(left), q.own(right)
-	union := left.Union(right)
+	left, right = q.Own(left), q.Own(right)
 	var out []*SelPred
 	for _, p := range q.Sels {
-		la, ra := p.T.Aliases.SubsetOf(left), p.T.Aliases.SubsetOf(right)
-		if p.T.Aliases.SubsetOf(union) && !la && !ra {
+		if p.NewAt(left, right) {
 			out = append(out, p)
 		}
 	}
@@ -199,7 +206,7 @@ func (q *Query) SelsNewAt(left, right AliasSet) []*SelPred {
 
 // SelsAt returns the selection predicates fully contained in the alias set.
 func (q *Query) SelsAt(s AliasSet) []*SelPred {
-	s = q.own(s)
+	s = q.Own(s)
 	var out []*SelPred
 	for _, p := range q.Sels {
 		if p.T.Aliases.SubsetOf(s) {
@@ -218,7 +225,7 @@ func TermEvaluableAt(t *Term, s AliasSet) bool { return t.Aliases.SubsetOf(s) }
 // predicate side evaluable (the multi-table-UDF case that can force a cross
 // product, e.g. F1(R,S) = F2(T) forces R×S before the predicate exists).
 func (q *Query) Connected(left, right AliasSet) bool {
-	left, right = q.own(left), q.own(right)
+	left, right = q.Own(left), q.Own(right)
 	union := left.Union(right)
 	for _, p := range q.Joins {
 		if p.newAt(left, right, union) {

@@ -82,7 +82,7 @@ func TestSkinnerWastesWorkAcrossEpisodes(t *testing.T) {
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	multi := 0
 	for seed := int64(0); seed < 6; seed++ {
-		ex.Reset()
+		ex.Release()
 		res, err := Run(q, ex, &engine.Budget{}, Config{Seed: seed, InitialBudget: 500})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
