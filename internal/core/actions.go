@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
@@ -161,17 +162,25 @@ type joinPair struct {
 
 func (p joinPair) action() Action { return Action{Kind: p.kind, A: p.l.Key(), B: p.r.Key()} }
 
+// joinBuf holds the slices joinPairs fills, reused from call to call: a model
+// enumerates joins for every Legal call and every rollout step.
+type joinBuf struct {
+	free, open []*plan.Node
+	pairs      []joinPair
+}
+
 // joinPairs enumerates the join actions of §4.2 under the pruning rules of
 // DESIGN.md §3 — a join must enable a predicate or make a term evaluable,
 // non-Σ-copy planned trees stay pairwise alias-disjoint, and cross products
 // open up only when nothing connected remains — together with the open
 // (Σ-free, non-Σ-copy) planned trees it drew operands from. Both the legal
 // action list and the rollout policy read their joins from here, so they
-// agree on the set and on its order.
-func joinPairs(s *State, q *query.Query) (pairs []joinPair, openPlanned []*plan.Node) {
+// agree on the set and on its order. The slices returned are b's, valid until
+// its next call.
+func (b *joinBuf) joinPairs(s *State, q *query.Query) (pairs []joinPair, openPlanned []*plan.Node) {
 	// Materialized entries not consumed by a pending (non-Σ-copy) plan.
-	freeMats := make([]*plan.Node, 0, len(s.Active))
-	for _, a := range s.Active {
+	freeMats := b.free[:0]
+	for i, a := range s.Active {
 		used := false
 		for _, t := range s.Planned {
 			if !t.SigmaCopy && t.Tree.Aliases().Intersects(a) {
@@ -180,9 +189,10 @@ func joinPairs(s *State, q *query.Query) (pairs []joinPair, openPlanned []*plan.
 			}
 		}
 		if !used {
-			freeMats = append(freeMats, plan.NewLeaf(a))
+			freeMats = append(freeMats, s.leaves[i])
 		}
 	}
+	openPlanned, pairs = b.open[:0], b.pairs[:0]
 	for _, t := range s.Planned {
 		if !t.SigmaCopy && !t.Tree.Sigma {
 			openPlanned = append(openPlanned, t.Tree)
@@ -219,16 +229,17 @@ func joinPairs(s *State, q *query.Query) (pairs []joinPair, openPlanned []*plan.
 			}
 		}
 	}
+	b.free, b.open, b.pairs = freeMats, openPlanned, pairs
 	return pairs, openPlanned
 }
 
 // legalActions enumerates A_s for the state (§4.2): the joins of joinPairs,
 // Σ actions whose target is useful, and EXECUTE once anything is planned.
-func legalActions(s *State, q *query.Query) []Action {
+func legalActions(s *State, q *query.Query, b *joinBuf) []Action {
 	if s.Terminal() {
 		return nil
 	}
-	pairs, openPlanned := joinPairs(s, q)
+	pairs, openPlanned := b.joinPairs(s, q)
 	acts := make([]Action, 0, len(pairs)+len(s.Active)+len(openPlanned)+2)
 	for _, p := range pairs {
 		acts = append(acts, p.action())
@@ -268,68 +279,75 @@ func legalActions(s *State, q *query.Query) []Action {
 // state that shares the frontier and the statistics store.
 func applyPlanEdit(s *State, q *query.Query, a Action) (*State, error) {
 	n := s.clone(false)
-	switch a.Kind {
-	case ActSigmaCopy:
-		i := n.findActive(a.A)
-		if i < 0 {
-			return nil, fmt.Errorf("core: Σ-copy target %q not active", a.A)
-		}
-		n.Planned = append(n.Planned, PlannedTree{
-			Tree:      plan.NewLeaf(n.Active[i]).WithSigma(),
-			SigmaCopy: true,
-		})
-	case ActSigmaWrap:
-		i := n.findPlanned(a.A)
-		if i < 0 {
-			return nil, fmt.Errorf("core: Σ-wrap target %q not planned", a.A)
-		}
-		n.Planned[i].Tree = n.Planned[i].Tree.WithSigma()
-	case ActJoinMats:
-		i, j := n.findActive(a.A), n.findActive(a.B)
-		if i < 0 || j < 0 {
-			return nil, fmt.Errorf("core: join-mats operands %q, %q not active", a.A, a.B)
-		}
-		n.Planned = append(n.Planned, PlannedTree{
-			Tree: plan.NewJoin(plan.NewLeaf(n.Active[i]), plan.NewLeaf(n.Active[j])),
-		})
-	case ActJoinPlanned:
-		i, j := n.findPlanned(a.A), n.findPlanned(a.B)
-		if i < 0 || j < 0 || i == j {
-			return nil, fmt.Errorf("core: join-planned operands %q, %q not planned", a.A, a.B)
-		}
-		joined := plan.NewJoin(n.Planned[i].Tree, n.Planned[j].Tree)
-		keep := n.Planned[:0]
-		for k, t := range n.Planned {
-			if k != i && k != j {
-				keep = append(keep, t)
-			}
-		}
-		n.Planned = append(keep, PlannedTree{Tree: joined})
-	case ActMaterialize:
-		i := n.findActive(a.A)
-		if i < 0 {
-			return nil, fmt.Errorf("core: materialize target %q not active", a.A)
-		}
-		n.Planned = append(n.Planned, PlannedTree{Tree: plan.NewLeaf(n.Active[i])})
-	case ActJoinMatPlanned:
-		i := n.findActive(a.A)
-		j := n.findPlanned(a.B)
-		if i < 0 || j < 0 {
-			return nil, fmt.Errorf("core: join-mat-planned operands %q, %q missing", a.A, a.B)
-		}
-		n.Planned[j] = PlannedTree{Tree: plan.NewJoin(plan.NewLeaf(n.Active[i]), n.Planned[j].Tree)}
-	default:
-		return nil, fmt.Errorf("core: applyPlanEdit on %v", a)
+	if err := n.edit(a, nil); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
 
+// edit applies the deterministic (non-Execute) action a to s in place: the
+// plan-edit half of the transition, shared by Step and the playout. s must
+// own its Planned slice; the frontier is only read. New plan nodes come from
+// nodes, the nil arena being the heap.
+func (s *State) edit(a Action, nodes *plan.Arena) error {
+	switch a.Kind {
+	case ActSigmaCopy:
+		i := s.findActive(a.A)
+		if i < 0 {
+			return fmt.Errorf("core: Σ-copy target %q not active", a.A)
+		}
+		s.Planned = append(s.Planned, PlannedTree{Tree: nodes.WithSigma(s.leaves[i]), SigmaCopy: true})
+	case ActSigmaWrap:
+		i := s.findPlanned(a.A)
+		if i < 0 {
+			return fmt.Errorf("core: Σ-wrap target %q not planned", a.A)
+		}
+		s.Planned[i].Tree = nodes.WithSigma(s.Planned[i].Tree)
+	case ActJoinMats:
+		i, j := s.findActive(a.A), s.findActive(a.B)
+		if i < 0 || j < 0 {
+			return fmt.Errorf("core: join-mats operands %q, %q not active", a.A, a.B)
+		}
+		s.Planned = append(s.Planned, PlannedTree{Tree: nodes.Join(s.leaves[i], s.leaves[j])})
+	case ActJoinPlanned:
+		i, j := s.findPlanned(a.A), s.findPlanned(a.B)
+		if i < 0 || j < 0 || i == j {
+			return fmt.Errorf("core: join-planned operands %q, %q not planned", a.A, a.B)
+		}
+		joined := nodes.Join(s.Planned[i].Tree, s.Planned[j].Tree)
+		keep := s.Planned[:0]
+		for k, t := range s.Planned {
+			if k != i && k != j {
+				keep = append(keep, t)
+			}
+		}
+		s.Planned = append(keep, PlannedTree{Tree: joined})
+	case ActMaterialize:
+		i := s.findActive(a.A)
+		if i < 0 {
+			return fmt.Errorf("core: materialize target %q not active", a.A)
+		}
+		s.Planned = append(s.Planned, PlannedTree{Tree: s.leaves[i]})
+	case ActJoinMatPlanned:
+		i := s.findActive(a.A)
+		j := s.findPlanned(a.B)
+		if i < 0 || j < 0 {
+			return fmt.Errorf("core: join-mat-planned operands %q, %q missing", a.A, a.B)
+		}
+		s.Planned[j] = PlannedTree{Tree: nodes.Join(s.leaves[i], s.Planned[j].Tree)}
+	default:
+		return fmt.Errorf("core: plan edit %v", a)
+	}
+	return nil
+}
+
 // settleExecution updates the Re frontier after all of Rp has been
 // materialized: every non-Σ-copy tree replaces the active entries it
-// consumed; Σ-copies leave the frontier unchanged. Planned becomes empty.
-// The frontier is rebuilt in a slice of its own — the state s was cloned
-// from still reads the old one — and each new cover is inserted in key order.
-func settleExecution(s *State) {
+// consumed, and its cover is inserted in key order with a leaf from nodes;
+// Σ-copies leave the frontier unchanged. Planned becomes empty. The frontier
+// is edited in place, so s must own it (ownFrontier): a settled tree consumes
+// at least one entry, so the insertion never outgrows the slices.
+func settleExecution(s *State, nodes *plan.Arena) {
 	for _, t := range s.Planned {
 		if t.Tree.Aliases().Equal(s.full) {
 			s.done = true
@@ -338,22 +356,20 @@ func settleExecution(s *State) {
 			continue
 		}
 		cover, key := t.Tree.Aliases(), t.Tree.Key()
-		next := make([]query.AliasSet, 0, len(s.Active)+1)
-		placed := false
-		for _, a := range s.Active {
-			if a.SubsetOf(cover) {
-				continue
+		kept := 0
+		for i, a := range s.Active {
+			if !a.SubsetOf(cover) {
+				s.Active[kept], s.leaves[kept] = a, s.leaves[i]
+				kept++
 			}
-			if !placed && key < a.Key() {
-				next = append(next, cover)
-				placed = true
-			}
-			next = append(next, a)
 		}
-		if !placed {
-			next = append(next, cover)
+		s.Active, s.leaves = s.Active[:kept], s.leaves[:kept]
+		at := slices.IndexFunc(s.Active, func(a query.AliasSet) bool { return key < a.Key() })
+		if at < 0 {
+			at = kept
 		}
-		s.Active = next
+		s.Active = slices.Insert(s.Active, at, cover)
+		s.leaves = slices.Insert(s.leaves, at, nodes.Leaf(cover))
 	}
-	s.Planned = nil
+	s.Planned = s.Planned[:0]
 }

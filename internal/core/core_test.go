@@ -72,12 +72,12 @@ func TestInitialStateAndTerminal(t *testing.T) {
 	// Terminal only after an execution covering the full alias set: a
 	// full-cover *active* entry is not enough (single-relation start states
 	// are active-full but unexecuted).
-	s.Active = []query.AliasSet{q.Aliases()}
+	s.Active, s.leaves = []query.AliasSet{q.Aliases()}, []*plan.Node{plan.NewLeaf(q.Aliases())}
 	if s.Terminal() {
 		t.Error("active-full without execution must not be terminal")
 	}
-	s.Planned = []PlannedTree{{Tree: plan.NewLeaf(q.Aliases())}}
-	settleExecution(s)
+	s.Planned = []PlannedTree{{Tree: s.leaves[0]}}
+	settleExecution(s, nil)
 	if !s.Terminal() {
 		t.Error("executed full-cover expression must be terminal")
 	}
@@ -94,7 +94,7 @@ func actionKeys(acts []Action) map[string]bool {
 func TestLegalActionsAtStart(t *testing.T) {
 	cat, q := fixture()
 	s, _ := initState(q, cat)
-	keys := actionKeys(legalActions(s, q))
+	keys := actionKeys(legalActions(s, q, new(joinBuf)))
 	for _, want := range []string{"jm:R|S", "jm:R|T", "Σcopy:R", "Σcopy:S", "Σcopy:T"} {
 		if !keys[want] {
 			t.Errorf("missing legal action %q in %v", want, keys)
@@ -115,7 +115,7 @@ func TestLegalActionsAfterPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := actionKeys(legalActions(s2, q))
+	keys := actionKeys(legalActions(s2, q, new(joinBuf)))
 	if !keys["exec"] {
 		t.Error("EXECUTE must be legal with planned trees")
 	}
@@ -139,7 +139,7 @@ func TestSigmaUsefulnessDeclines(t *testing.T) {
 	s, _ := initState(q, cat)
 	// Measure both terms over S; Σ(S) becomes useless.
 	s.St.SetMeasured(q.Joins[0].R.ID, "S", 1)
-	keys := actionKeys(legalActions(s, q))
+	keys := actionKeys(legalActions(s, q, new(joinBuf)))
 	if keys["Σcopy:S"] {
 		t.Error("Σ-copy of fully measured S must be pruned")
 	}
@@ -147,7 +147,7 @@ func TestSigmaUsefulnessDeclines(t *testing.T) {
 	// terms becomes useless too.
 	s2, _ := applyPlanEdit(s, q, Action{Kind: ActJoinMats, A: "R", B: "T"})
 	s3, _ := applyPlanEdit(s2, q, Action{Kind: ActJoinMatPlanned, A: "S", B: "R+T"})
-	keys = actionKeys(legalActions(s3, q))
+	keys = actionKeys(legalActions(s3, q, new(joinBuf)))
 	for k := range keys {
 		if strings.HasPrefix(k, "Σ") {
 			t.Errorf("all preds consumed; Σ action %q must be pruned", k)
@@ -205,7 +205,8 @@ func TestSettleExecution(t *testing.T) {
 	s1, _ := applyPlanEdit(s, q, Action{Kind: ActSigmaCopy, A: "S"})
 	s2, _ := applyPlanEdit(s1, q, Action{Kind: ActJoinMats, A: "R", B: "T"})
 	ns := s2.clone(false)
-	settleExecution(ns)
+	ns.ownFrontier()
+	settleExecution(ns, nil)
 	if len(ns.Planned) != 0 {
 		t.Error("settle must clear Rp")
 	}

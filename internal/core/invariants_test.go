@@ -34,7 +34,7 @@ func TestMDPInvariantsUnderRandomWalks(t *testing.T) {
 		for !cur.Terminal() {
 			s := cur.(*State)
 			checkInvariants(t, s, full)
-			acts := legalActions(s, q)
+			acts := legalActions(s, q, new(joinBuf))
 			if len(acts) == 0 {
 				t.Fatalf("seed %d: dead end in non-terminal state %s", seed, s)
 			}

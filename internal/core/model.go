@@ -37,26 +37,61 @@ type Model struct {
 	// an unsharded layout) keeps simulation bit-identical to pre-sharding.
 	Shards cost.ShardLayout
 
-	// scratch is the overlay RolloutAction prices joins on, rebased onto the
-	// state's statistics at every call instead of being made anew. Like Rng it
-	// makes the model single-goroutine; search shards work on forks.
-	scratch *stats.Store
 	// sample and mean are the model's two cost.MissFns, made at first use:
 	// see priorMiss and meanMiss.
 	sample, mean cost.MissFn
+	// sim is what the simulation reuses from step to step. Like Rng it makes
+	// the model single-goroutine; search shards work on forks.
+	sim scratch
+}
+
+// scratch is a model's working memory, reused from one playout to the next so
+// that a search in steady state plays its rollouts without garbage. Its
+// centre is the world: a copy of the tree state a playout starts from, edited
+// in place to the end of the query and dead when the playout returns — the
+// search keeps none of it. A playout never writes a tree state's store: the
+// world's statistics are an overlay of the start state's (laying it at most
+// freezes the start state's head, as any Overlay does).
+type scratch struct {
+	world State
+	// price is the overlay the greedy policy prices candidate joins on, laid
+	// live on the world's statistics in between two of the world's writes.
+	price *stats.Store
+	// nodes holds the plan nodes the world is built of, and the leaves the
+	// simulation only counts.
+	nodes plan.Arena
+	joins joinBuf
+	dv    cost.Deriver
+}
+
+// reset makes the world a copy of s to play in and returns it.
+func (sc *scratch) reset(s *State) *State {
+	w := &sc.world
+	w.Planned = append(w.Planned[:0], s.Planned...)
+	w.Active = append(w.Active[:0], s.Active...)
+	w.leaves = append(w.leaves[:0], s.leaves...)
+	w.full, w.done = s.full, s.done
+	if w.St == nil {
+		w.St = s.St.Overlay()
+		sc.price = w.St.Overlay()
+	} else {
+		w.St.Rebase(s.St)
+	}
+	sc.nodes.Reset()
+	return w
 }
 
 var (
 	_ mcts.Model        = (*Model)(nil)
-	_ mcts.RolloutModel = (*Model)(nil)
+	_ mcts.PlayoutModel = (*Model)(nil)
 	_ mcts.Forker       = (*Model)(nil)
 )
 
 // Fork implements mcts.Forker: an independent simulator for one search
 // shard. The query and prior are immutable and shared; the prior-sampling
-// RNG — the model's only mutable state — is private to the fork, seeded from
-// seed, so shards step their simulators concurrently without touching each
-// other's sample streams.
+// RNG and the scratch — the model's only mutable state — are private to the
+// fork, the RNG seeded from seed, so shards step their simulators
+// concurrently without touching each other's sample streams.
 func (m *Model) Fork(seed int64) mcts.Model {
 	return &Model{Q: m.Q, Prior: m.Prior, Rng: randx.New(seed),
 		UniformRollout: m.UniformRollout, Profile: m.Profile, Shards: m.Shards}
@@ -66,7 +101,7 @@ func (m *Model) Fork(seed int64) mcts.Model {
 // one backing array, so listing them boxes none; the model's actions are
 // *Action throughout.
 func (m *Model) Legal(s mcts.State) []mcts.Action {
-	acts := legalActions(s.(*State), m.Q)
+	acts := legalActions(s.(*State), m.Q, &m.sim.joins)
 	out := make([]mcts.Action, len(acts))
 	for i := range acts {
 		out[i] = &acts[i]
@@ -74,12 +109,13 @@ func (m *Model) Legal(s mcts.State) []mcts.Action {
 	return out
 }
 
-// Step implements mcts.Model. It never mutates the input state: plan edits
-// copy the structure (sharing statistics), EXECUTE also lays a copy-on-write
-// overlay over the statistics and hardens the sampled values into that. The
-// returned state's store is written for the last time here — every later
-// transition or rollout step out of it works on an overlay of its own — which
-// is what makes it safe to freeze and share beneath them.
+// Step implements mcts.Model. It never mutates the input state: a plan edit
+// edits a copy of the structure (sharing statistics), EXECUTE also copies the
+// frontier and lays a copy-on-write overlay over the statistics, hardening
+// the sampled values into that. The returned state's store is written for the
+// last time here — every later transition or rollout out of it works on an
+// overlay of its own — which is what makes it safe to freeze and share
+// beneath them.
 func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 	st := s.(*State)
 	act := *a.(*Action)
@@ -90,17 +126,37 @@ func (m *Model) Step(s mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 		}
 		return ns, 0, false
 	}
-	ns := st.clone(true)
-	dv := &cost.Deriver{Q: m.Q, St: ns.St, Miss: m.priorMiss(), Profile: m.Profile, Layout: m.Shards}
+	ns := *st // Planned is only read, then settled away
+	ns.St = st.St.Overlay()
+	ns.ownFrontier()
+	reward := -m.execute(&ns, nil)
+	ns.Planned = nil // not st's backing array
+	return &ns, reward, true
+}
+
+// execute is the EXECUTE half of a transition, done in place on s, which must
+// own its frontier: every planned tree is priced on s's statistics, the prior
+// sampling whatever they lack (the sampled world), Σ trees harden their
+// distinct counts, and the frontier settles with leaves from nodes. It
+// returns the §4.4 cost of the batch, whose negation is the reward.
+func (m *Model) execute(s *State, nodes *plan.Arena) float64 {
+	dv := m.deriver(s.St, m.priorMiss())
 	total := 0.0
-	for _, t := range ns.Planned {
+	for _, t := range s.Planned {
 		total += dv.PlanCost(t.Tree)
 		if t.Tree.Sigma {
-			m.simSigma(dv, ns, t.Tree)
+			m.simSigma(dv, s, t.Tree)
 		}
 	}
-	settleExecution(ns)
-	return ns, -total, true
+	settleExecution(s, nodes)
+	return total
+}
+
+// deriver sets the model's one deriver up over st: the simulation derives a
+// step at a time, so a deriver per step would only be garbage.
+func (m *Model) deriver(st *stats.Store, miss cost.MissFn) *cost.Deriver {
+	m.sim.dv = cost.Deriver{Q: m.Q, St: st, Miss: miss, Profile: m.Profile, Layout: m.Shards}
+	return &m.sim.dv
 }
 
 // priorMiss adapts the prior to the Deriver's MissFn: the stochastic
@@ -138,7 +194,7 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 	key := tree.Key()
 	cE, ok := ns.St.Count(key)
 	if !ok {
-		cE = dv.NodeCount(tree.WithoutSigma())
+		cE = dv.NodeCount(tree) // a count is blind to the Σ marker
 	}
 	for _, p := range m.Q.Joins {
 		for ti, t := range []*query.Term{p.L, p.R} {
@@ -170,7 +226,8 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 	}
 	prod := 1.0
 	for _, one := range aliases.Singletons() {
-		prod *= dv.NodeCount(plan.NewLeaf(one))
+		// The leaf is counted, never kept: the scratch arena's will do.
+		prod *= dv.NodeCount(m.sim.nodes.Leaf(one))
 	}
 	return prod
 }
@@ -182,43 +239,77 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 // explores them — so a rollout directly prices "commit now with what this
 // world knows", which is exactly what makes the value of information visible
 // to the search: a subtree below a simulated Σ completes with the hardened
-// statistic, a subtree that guessed completes blind.
+// statistic, a subtree that guessed completes blind. The search itself plays
+// its rollouts through Playout; this is the same choice made one state at a
+// time.
 func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
-	st := s.(*State)
-	if st.Terminal() {
+	a, ok := m.rolloutAction(m.sim.reset(s.(*State)), rng)
+	if !ok {
 		return nil
+	}
+	return &a
+}
+
+// Playout implements mcts.PlayoutModel: the default policy played from s on
+// the model's world, edited in place by the same transition functions Step
+// uses, so it takes the same actions with the same draws from rng and from
+// the model's Rng as the loop of RolloutAction and Step would, and sums the
+// same rewards in the same order.
+func (m *Model) Playout(s mcts.State, rng *rand.Rand, steps int) float64 {
+	w := m.sim.reset(s.(*State))
+	total := 0.0
+	for ; steps > 0; steps-- {
+		a, ok := m.rolloutAction(w, rng)
+		if !ok {
+			break
+		}
+		reward := 0.0
+		if a.Kind == ActExecute {
+			// Every EXECUTE of the playout hardens into the world's one head,
+			// where Step would lay a new overlay per EXECUTE. The two read
+			// alike: a lookup finds the newest value either way, and a value
+			// this head overwrites is one that Step's layer would shadow.
+			reward = -m.execute(w, &m.sim.nodes)
+		} else if err := w.edit(a, &m.sim.nodes); err != nil {
+			panic(err) // planner bug: the policy picks legal actions
+		}
+		total += reward
+	}
+	return total
+}
+
+// rolloutAction is the default policy's choice in the world w; false when w
+// is terminal or has no legal action.
+func (m *Model) rolloutAction(w *State, rng *rand.Rand) (Action, bool) {
+	if w.Terminal() {
+		return Action{}, false
 	}
 	if !m.UniformRollout {
 		// The greedy policy only ever picks a join or EXECUTE, so it prices
 		// the joins directly and skips the Σ-usefulness half of legalActions.
-		pairs, _ := joinPairs(st, m.Q)
+		pairs, _ := m.sim.joins.joinPairs(w, m.Q)
 		if len(pairs) > 0 {
 			// Priced on an overlay: the derived counts and mean-resolved
-			// misses must not leak into the state's statistics.
-			if m.scratch == nil {
-				m.scratch = st.St.Overlay()
-			} else {
-				m.scratch.Rebase(st.St)
-			}
-			dv := &cost.Deriver{Q: m.Q, St: m.scratch, Miss: m.meanMiss()}
+			// misses must not leak into the world's statistics.
+			m.sim.price.RebaseLive(w.St)
+			dv := m.deriver(m.sim.price, m.meanMiss())
 			best, bestCount := 0, math.Inf(1)
 			for i, p := range pairs {
-				if c := dv.NodeCount(plan.NewJoin(p.l, p.r)); c < bestCount {
+				if c := dv.NodeCount(m.sim.nodes.Join(p.l, p.r)); c < bestCount {
 					best, bestCount = i, c
 				}
 			}
 			if !math.IsInf(bestCount, 1) {
-				a := pairs[best].action()
-				return &a
+				return pairs[best].action(), true
 			}
 		}
-		if len(st.Planned) > 0 {
-			return &Action{Kind: ActExecute}
+		if len(w.Planned) > 0 {
+			return Action{Kind: ActExecute}, true
 		}
 	}
-	acts := legalActions(st, m.Q)
+	acts := legalActions(w, m.Q, &m.sim.joins)
 	if len(acts) == 0 {
-		return nil
+		return Action{}, false
 	}
-	return &acts[rng.Intn(len(acts))]
+	return acts[rng.Intn(len(acts))], true
 }

@@ -376,6 +376,7 @@ func (s *Session) ExecuteRound() error {
 	s.execPending = false
 	asp := s.tr.Start(obs.KAction, Action{Kind: ActExecute}.Key())
 	ns := s.state.clone(false)
+	ns.ownFrontier()
 	round := s.res.Executes + 1
 	// What the optimizer believes each intermediate will produce, under
 	// the prior's expectation, frozen before the world answers. Derived
@@ -432,7 +433,7 @@ func (s *Session) ExecuteRound() error {
 			s.tr.Message(fmt.Sprintf("  materialized %s (%.0f objects produced)", t.Tree, er.Produced))
 		}
 	}
-	settleExecution(ns)
+	settleExecution(ns, nil)
 	s.st.DropAssumed()
 	s.state = ns
 	s.res.Executes++

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"monsoon/internal/mcts"
@@ -30,8 +31,10 @@ type PlannedTree struct {
 }
 
 // State is the MDP state (§4.1). A state is never edited once a transition
-// has returned it: plan edits copy Planned and share Active and the
-// statistics store; EXECUTE transitions replace Active and overlay the store.
+// has returned it: plan edits copy Planned and share the frontier and the
+// statistics store; EXECUTE transitions copy the frontier and overlay the
+// store. Only a model's scratch world (see scratch) is edited in place, step
+// after step.
 type State struct {
 	// Planned is Rp, in insertion order.
 	Planned []PlannedTree
@@ -42,8 +45,11 @@ type State struct {
 	// St is the statistics set S.
 	St *stats.Store
 
-	full query.AliasSet // alias set of the whole query
-	done bool           // a materialization covering the full set has run
+	// leaves[i] is the plan leaf over Active[i], made once per frontier entry
+	// and shared by every tree built on it: leaves are immutable.
+	leaves []*plan.Node
+	full   query.AliasSet // alias set of the whole query
+	done   bool           // a materialization covering the full set has run
 }
 
 // NewInitialState builds the start state: no plans, every base relation
@@ -52,7 +58,12 @@ type State struct {
 func NewInitialState(q *query.Query, st *stats.Store) *State {
 	full := q.Aliases()
 	// Singletons come in name order, which is key order for single aliases.
-	return &State{St: st, full: full, Active: full.Singletons()}
+	s := &State{St: st, full: full, Active: full.Singletons()}
+	s.leaves = make([]*plan.Node, len(s.Active))
+	for i, a := range s.Active {
+		s.leaves[i] = plan.NewLeaf(a)
+	}
+	return s
 }
 
 // Terminal reports whether the full query result has been materialized. A
@@ -62,9 +73,8 @@ func NewInitialState(q *query.Query, st *stats.Store) *State {
 func (s *State) Terminal() bool { return s.done }
 
 // clone copies the state for a transition to edit. Planned gets room for
-// one more tree; Active is shared (only settleExecution changes it, by
-// replacement); the statistics store is shared unless withStats asks for a
-// copy-on-write overlay.
+// one more tree; the frontier is shared (see ownFrontier); the statistics
+// store is shared unless withStats asks for a copy-on-write overlay.
 func (s *State) clone(withStats bool) *State {
 	c := *s
 	c.Planned = make([]PlannedTree, len(s.Planned), len(s.Planned)+1)
@@ -73,6 +83,13 @@ func (s *State) clone(withStats bool) *State {
 		c.St = s.St.Overlay()
 	}
 	return &c
+}
+
+// ownFrontier gives a clone copies of the frontier slices it shares with the
+// state it was cloned from, for settleExecution to edit.
+func (s *State) ownFrontier() {
+	s.Active = slices.Clone(s.Active)
+	s.leaves = slices.Clone(s.leaves)
 }
 
 // CloneForSearch implements mcts.Cloner: each root-parallel search shard
@@ -106,21 +123,23 @@ func (s *State) findActive(key string) int {
 
 // OutcomeKey identifies the state for chance-node bucketing: the structure
 // plus every statistic, counts log2-bucketed so that nearby sampled worlds
-// share subtrees while materially different ones split (§5.1).
-func (s *State) OutcomeKey() string {
-	var b strings.Builder
+// share subtrees while materially different ones split (§5.1). It is also the
+// state half of the plan-cache key, so its bytes are pinned.
+func (s *State) OutcomeKey() string { return string(s.AppendOutcomeKey(nil)) }
+
+// AppendOutcomeKey implements mcts.State: it appends OutcomeKey's bytes to b.
+func (s *State) AppendOutcomeKey(b []byte) []byte {
 	for _, t := range s.Planned {
-		b.WriteString(t.Tree.String())
-		b.WriteByte(';')
+		b = t.Tree.AppendString(b)
+		b = append(b, ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for _, a := range s.Active {
-		b.WriteString(a.Key())
-		b.WriteByte(';')
+		b = append(b, a.Key()...)
+		b = append(b, ';')
 	}
-	b.WriteByte('|')
-	b.WriteString(s.St.BucketSignature())
-	return b.String()
+	b = append(b, '|')
+	return s.St.AppendBucketSignature(b)
 }
 
 // String renders the state for debugging.

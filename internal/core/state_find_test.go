@@ -70,7 +70,7 @@ func TestFindAfterRandomEdits(t *testing.T) {
 		s, _ := initState(q, cat)
 		checkFinds(t, "initial", s, nil, nil)
 		for step := 0; step < 40 && !s.Terminal(); step++ {
-			acts := legalActions(s, q)
+			acts := legalActions(s, q, new(joinBuf))
 			if len(acts) == 0 {
 				break
 			}
@@ -81,7 +81,8 @@ func TestFindAfterRandomEdits(t *testing.T) {
 				// Mimic the driver's settlement without running the engine:
 				// the frontier update is all that touches the slices.
 				next = s.clone(true)
-				settleExecution(next)
+				next.ownFrontier()
+				settleExecution(next, nil)
 			} else {
 				var err error
 				if next, err = applyPlanEdit(s, q, a); err != nil {

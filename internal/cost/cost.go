@@ -98,7 +98,7 @@ func (dv *Deriver) Distinct(t *query.Term, exprKey, partnerKey string, cExpr, cP
 			return clamp(d, 1, hi)
 		}
 	}
-	if d, ok := dv.St.Distinct(t.ID, exprKey, partnerKey); ok {
+	if d, ok := dv.St.Assumed(t.ID, exprKey, partnerKey); ok {
 		return clamp(d, 1, hi)
 	}
 	d := clamp(dv.Miss(t, exprKey, partnerKey, cExpr, cPartner), 1, hi)

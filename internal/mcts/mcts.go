@@ -5,7 +5,7 @@
 //
 // Transitions may be stochastic (the EXECUTE action of the Monsoon MDP):
 // the tree keeps a chance layer under each such action, keyed by the
-// successor state's OutcomeKey, so that recurring sampled outcomes — e.g.
+// successor state's outcome key, so that recurring sampled outcomes — e.g.
 // the atoms of a spike-and-slab prior — share and refine one subtree.
 package mcts
 
@@ -18,10 +18,11 @@ import (
 type State interface {
 	// Terminal reports whether the episode is over.
 	Terminal() bool
-	// OutcomeKey buckets this state among the possible outcomes of a
-	// stochastic transition; it only needs to discriminate between
-	// materially different sampled worlds.
-	OutcomeKey() string
+	// AppendOutcomeKey appends the key bucketing this state among the
+	// possible outcomes of a stochastic transition to b; it only needs to
+	// discriminate between materially different sampled worlds. The search
+	// renders every key into one buffer it reuses.
+	AppendOutcomeKey(b []byte) []byte
 }
 
 // Action is an MDP action; Key must uniquely identify it within its state.
@@ -45,6 +46,16 @@ type Model interface {
 // rollouts pick uniformly among legal actions.
 type RolloutModel interface {
 	RolloutAction(s State, rng *rand.Rand) Action
+}
+
+// PlayoutModel lets a RolloutModel play the whole default-policy phase
+// itself. Playout must return exactly what the planner's own loop would —
+// RolloutAction, then Step, from s until a terminal state, a nil action or
+// steps transitions, rewards summed in order — drawing from rng as that loop
+// would; what it saves is the state the loop materializes at every step.
+type PlayoutModel interface {
+	RolloutModel
+	Playout(s State, rng *rand.Rand, steps int) float64
 }
 
 // Strategy selects among the two §5.1 selection strategies.
@@ -121,6 +132,8 @@ type Planner struct {
 	minRet, maxRet float64
 	haveRet        bool
 	last           PlanStats
+	// key is the buffer outcome keys are rendered into.
+	key []byte
 }
 
 // LastStats reports the statistics of the most recent Plan call.
@@ -263,13 +276,15 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 			child = p.newNode(m, next)
 			e.only, e.reward = child, r
 		} else {
-			key := next.OutcomeKey()
-			if child = e.kids[key]; child == nil {
+			// The lookup reads the buffer in place; only a new child's key
+			// becomes a string.
+			p.key = next.AppendOutcomeKey(p.key[:0])
+			if child = e.kids[string(p.key)]; child == nil {
 				child = p.newNode(m, next)
 				if e.kids == nil {
 					e.kids = make(map[string]*node)
 				}
-				e.kids[key] = child
+				e.kids[string(p.key)] = child
 			}
 		}
 	}
@@ -289,6 +304,9 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 
 // rollout plays the default policy to a terminal state.
 func (p *Planner) rollout(m Model, s State, depth int) float64 {
+	if pm, ok := m.(PlayoutModel); ok {
+		return pm.Playout(s, p.rng, p.cfg.MaxDepth-depth)
+	}
 	total := 0.0
 	rm, biased := m.(RolloutModel)
 	for !s.Terminal() && depth < p.cfg.MaxDepth {

@@ -12,8 +12,8 @@ import (
 
 type banditState struct{ done bool }
 
-func (s banditState) Terminal() bool     { return s.done }
-func (s banditState) OutcomeKey() string { return "" }
+func (s banditState) Terminal() bool                   { return s.done }
+func (s banditState) AppendOutcomeKey(b []byte) []byte { return b }
 
 type banditAction int
 
@@ -58,11 +58,11 @@ type probeState struct {
 }
 
 func (s probeState) Terminal() bool { return s.done }
-func (s probeState) OutcomeKey() string {
+func (s probeState) AppendOutcomeKey(b []byte) []byte {
 	if s.revealed {
-		return "coin" + strconv.Itoa(s.coin)
+		return strconv.AppendInt(append(b, "coin"...), int64(s.coin), 10)
 	}
-	return ""
+	return b
 }
 
 type probeAction string
@@ -171,8 +171,8 @@ func TestSingleActionShortCircuit(t *testing.T) {
 // penalty, and a biased rollout policy finds it immediately.
 type chainState struct{ pos, depth int }
 
-func (s chainState) Terminal() bool     { return s.pos >= s.depth }
-func (s chainState) OutcomeKey() string { return "" }
+func (s chainState) Terminal() bool                   { return s.pos >= s.depth }
+func (s chainState) AppendOutcomeKey(b []byte) []byte { return b }
 
 type chainGame struct {
 	depth       int
@@ -209,6 +209,41 @@ func TestRolloutModelIsUsed(t *testing.T) {
 	}
 	if a.(banditAction) != 0 {
 		t.Errorf("biased rollouts should find the zero-cost chain, got %v", a)
+	}
+}
+
+// playChain is chainGame playing its own rollouts. A chain state's position
+// is its depth below the root, so the budget the planner hands over is known.
+type playChain struct {
+	chainGame
+	plays  int
+	budget func(pos, steps int)
+}
+
+func (g *playChain) Playout(s State, _ *rand.Rand, steps int) float64 {
+	g.plays++
+	g.budget(s.(chainState).pos, steps)
+	return 0
+}
+
+// TestPlayoutModelTakesTheRollout: a PlayoutModel plays the whole
+// default-policy phase — the planner calls neither RolloutAction nor Step for
+// it — with the transitions MaxDepth leaves below the rollout's start.
+func TestPlayoutModelTakesTheRollout(t *testing.T) {
+	const maxDepth = 20
+	g := &playChain{chainGame: chainGame{depth: 1 << 30}}
+	g.budget = func(pos, steps int) {
+		if steps != maxDepth-pos {
+			t.Errorf("playout from depth %d got %d steps, want %d", pos, steps, maxDepth-pos)
+		}
+	}
+	p := New(Config{Iterations: 50, MaxDepth: maxDepth}, randx.New(5))
+	p.Plan(g, chainState{depth: 1 << 30})
+	if g.plays != 50 {
+		t.Errorf("%d playouts for 50 iterations", g.plays)
+	}
+	if g.rolloutUsed {
+		t.Error("the planner stepped a rollout a PlayoutModel plays itself")
 	}
 }
 

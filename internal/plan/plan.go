@@ -6,8 +6,6 @@
 package plan
 
 import (
-	"strings"
-
 	"monsoon/internal/query"
 )
 
@@ -27,26 +25,64 @@ type Node struct {
 }
 
 // NewLeaf returns a leaf referencing the materialized expression covering s.
-func NewLeaf(s query.AliasSet) *Node {
-	return &Node{Leaf: s, aliases: s, key: s.Key()}
-}
+func NewLeaf(s query.AliasSet) *Node { return (*Arena)(nil).Leaf(s) }
 
 // NewJoin returns an inner node joining two subtrees. The children's alias
 // sets must be disjoint; violations panic because they indicate a planner
 // bug, not a data condition.
-func NewJoin(l, r *Node) *Node {
+func NewJoin(l, r *Node) *Node { return (*Arena)(nil).Join(l, r) }
+
+// WithSigma returns a copy of the root with the Σ marker set.
+func (n *Node) WithSigma() *Node { return (*Arena)(nil).WithSigma(n) }
+
+// Arena hands out nodes from a slab it reuses: every node it made is dead
+// after Reset. A simulator that builds throwaway trees step after step takes
+// their nodes from one Arena; the nil *Arena allocates each node on its own,
+// for trees that outlive the step (NewLeaf, NewJoin).
+type Arena struct{ slab []Node }
+
+// Reset recycles every node the arena made. The caller must hold none.
+func (a *Arena) Reset() { a.slab = a.slab[:0] }
+
+func (a *Arena) alloc() *Node {
+	if a == nil {
+		return new(Node)
+	}
+	if len(a.slab) == cap(a.slab) {
+		// A full slab is replaced, not grown: the nodes made since Reset
+		// still point into it.
+		a.slab = make([]Node, 0, max(16, 2*cap(a.slab)))
+	}
+	a.slab = a.slab[:len(a.slab)+1]
+	n := &a.slab[len(a.slab)-1]
+	*n = Node{}
+	return n
+}
+
+// Leaf is NewLeaf with the node taken from the arena.
+func (a *Arena) Leaf(s query.AliasSet) *Node {
+	n := a.alloc()
+	n.Leaf, n.aliases, n.key = s, s, s.Key()
+	return n
+}
+
+// Join is NewJoin with the node taken from the arena.
+func (a *Arena) Join(l, r *Node) *Node {
 	if l.Aliases().Intersects(r.Aliases()) {
 		panic("plan: joining overlapping alias sets " + l.Aliases().String() + " and " + r.Aliases().String())
 	}
 	s := l.Aliases().Union(r.Aliases())
-	return &Node{Left: l, Right: r, aliases: s, key: s.Key()}
+	n := a.alloc()
+	n.Left, n.Right, n.aliases, n.key = l, r, s, s.Key()
+	return n
 }
 
-// WithSigma returns a copy of the root with the Σ marker set.
-func (n *Node) WithSigma() *Node {
-	cp := *n
-	cp.Sigma = true
-	return &cp
+// WithSigma is Node.WithSigma with the copy taken from the arena.
+func (a *Arena) WithSigma(n *Node) *Node {
+	c := a.alloc()
+	*c = *n
+	c.Sigma = true
+	return c
 }
 
 // WithoutSigma returns a copy of the root with the Σ marker cleared.
@@ -68,30 +104,32 @@ func (n *Node) Key() string { return n.key }
 
 // String renders the tree structurally, e.g. "Σ((R⋈S)⋈T)"; leaf references to
 // materialized intermediates render as their alias-set key in brackets.
-func (n *Node) String() string {
-	var b strings.Builder
-	n.render(&b, true)
-	return b.String()
+func (n *Node) String() string { return string(n.AppendString(nil)) }
+
+// AppendString appends String's bytes to b.
+func (n *Node) AppendString(b []byte) []byte {
+	if n.Sigma {
+		b = append(b, "Σ("...)
+		return append(n.render(b), ')')
+	}
+	return n.render(b)
 }
 
-func (n *Node) render(b *strings.Builder, root bool) {
-	if root && n.Sigma {
-		b.WriteString("Σ(")
-		defer b.WriteString(")")
-	}
+// render appends the tree without Σ markers: only a root's is rendered.
+func (n *Node) render(b []byte) []byte {
 	if n.IsLeaf() {
 		if n.Leaf.Size() == 1 {
-			b.WriteString(n.Leaf.Names()[0])
-		} else {
-			b.WriteString("[" + n.Leaf.Key() + "]")
+			return append(b, n.Leaf.Names()[0]...)
 		}
-		return
+		b = append(b, '[')
+		b = append(b, n.Leaf.Key()...)
+		return append(b, ']')
 	}
-	b.WriteString("(")
-	n.Left.render(b, false)
-	b.WriteString("⋈")
-	n.Right.render(b, false)
-	b.WriteString(")")
+	b = append(b, '(')
+	b = n.Left.render(b)
+	b = append(b, "⋈"...)
+	b = n.Right.render(b)
+	return append(b, ')')
 }
 
 // Leaves appends the leaves of the subtree, left to right.

@@ -58,6 +58,36 @@ func TestString(t *testing.T) {
 	if got := NewJoin(l("R", "S"), l("T")).String(); got != "([R+S]⋈T)" {
 		t.Errorf("materialized leaf String = %q", got)
 	}
+	if got := string(tree.WithSigma().AppendString([]byte("k;"))); got != "k;Σ(((R⋈S)⋈T))" {
+		t.Errorf("AppendString = %q", got)
+	}
+}
+
+// TestArena: an arena's nodes are the ones NewLeaf, NewJoin and WithSigma
+// make, and once it has grown, Reset recycles them without allocating.
+func TestArena(t *testing.T) {
+	// One universe, as a query's sets share: a union is then one word.
+	one := query.NewAliasSet("R", "S", "T", "U").Singletons()
+	sets := []query.AliasSet{one[0].Union(one[1]), one[2], one[3]}
+	build := func(a *Arena) *Node {
+		return a.WithSigma(a.Join(a.Join(a.Leaf(sets[0]), a.Leaf(sets[1])), a.Leaf(sets[2])))
+	}
+	want := build(nil)
+	var a Arena
+	for i := 0; i < 20; i++ { // outgrows the first slab
+		got := build(&a)
+		if !got.Equal(want) || got.Key() != want.Key() || got.String() != want.String() {
+			t.Fatalf("arena tree %s (%s), heap tree %s (%s)", got, got.Key(), want, want.Key())
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		for i := 0; i < 20; i++ {
+			build(&a)
+		}
+	}); n != 0 {
+		t.Errorf("a grown arena allocates %v objects per reuse, want 0", n)
+	}
 }
 
 func TestLeaves(t *testing.T) {

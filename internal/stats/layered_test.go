@@ -44,14 +44,6 @@ func (r *refStore) mergeFrom(src *refStore) {
 	}
 }
 
-func (r *refStore) distinct(term int, expr, partner string) (float64, bool) {
-	if d, ok := r.measured[DKey{term, expr}]; ok {
-		return d, true
-	}
-	d, ok := r.assumed[CKey{term, expr, partner}]
-	return d, ok
-}
-
 func (r *refStore) signature() string {
 	var lines []string
 	for k, v := range r.counts {
@@ -116,10 +108,10 @@ func checkAgainst(t *testing.T, label string, s *Store, r *refStore) {
 				t.Fatalf("%s: Measured(%d,%q) = %v,%v want %v,%v", label, term, e, gm, gok, wm, wok)
 			}
 			for _, p := range propExprs {
-				gd, gok := s.Distinct(term, e, p)
-				wd, wok := r.distinct(term, e, p)
+				gd, gok := s.Assumed(term, e, p)
+				wd, wok := r.assumed[CKey{term, e, p}]
 				if gd != wd || gok != wok {
-					t.Fatalf("%s: Distinct(%d,%q|%q) = %v,%v want %v,%v", label, term, e, p, gd, gok, wd, wok)
+					t.Fatalf("%s: Assumed(%d,%q|%q) = %v,%v want %v,%v", label, term, e, p, gd, gok, wd, wok)
 				}
 			}
 		}
@@ -127,6 +119,11 @@ func checkAgainst(t *testing.T, label string, s *Store, r *refStore) {
 	if s.CountEntries() != len(r.counts) || s.MeasuredEntries() != len(r.measured) || s.AssumedEntries() != len(r.assumed) {
 		t.Fatalf("%s: entries %d/%d/%d want %d/%d/%d", label,
 			s.CountEntries(), s.MeasuredEntries(), s.AssumedEntries(), len(r.counts), len(r.measured), len(r.assumed))
+	}
+	// Appended before BucketSignature remembers it, so the rendering into a
+	// caller's buffer is what is compared.
+	if got, want := string(s.AppendBucketSignature([]byte("prefix|"))), "prefix|"+r.signature(); got != want {
+		t.Fatalf("%s: AppendBucketSignature\n got %s\nwant %s", label, got, want)
 	}
 	if got, want := s.BucketSignature(), r.signature(); got != want {
 		t.Fatalf("%s: BucketSignature\n got %s\nwant %s", label, got, want)
@@ -159,7 +156,7 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 			e, term := propExprs[rng.Intn(len(propExprs))], propTerms[rng.Intn(len(propTerms))]
 			partner, v := propExprs[rng.Intn(len(propExprs))], propValue(rng)
 			var op string
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0, 1, 2:
 				op = "SetCount"
 				p.s.SetCount(e, v)
@@ -199,6 +196,30 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 					p.s.DropAssumed()
 					p.r.assumed = map[CKey]float64{}
 				}
+			case 12:
+				// A live overlay reads the base's head as it is, so it is
+				// checked, written and signed — leaving a memo on the live
+				// head — and then used up by the base's next write. That write
+				// must drop the memo before an overlay freezes the head.
+				base := pick()
+				if !p.overlay || !base.overlay || base == p {
+					continue
+				}
+				op = "RebaseLive"
+				p.s.RebaseLive(base.s)
+				live := base.r.clone()
+				checkAgainst(t, fmt.Sprintf("seed %d step %d live overlay", seed, step), p.s, live)
+				p.s.SetCount(e, v)
+				live.counts[e] = v
+				p.s.SetAssumed(term, e, partner, v)
+				live.assumed[CKey{term, e, partner}] = v
+				checkAgainst(t, fmt.Sprintf("seed %d step %d live overlay written", seed, step), p.s, live)
+				key := fmt.Sprintf("written after a live overlay %d", step)
+				base.s.SetCount(key, v)
+				base.r.counts[key] = v
+				family = append(family, &pair{s: base.s.Overlay(), r: base.r.clone(), overlay: true})
+				p.s.Rebase(base.s)
+				p.r = base.r.clone()
 			}
 			for i, m := range family {
 				checkAgainst(t, fmt.Sprintf("seed %d step %d after %s, store %d of %d", seed, step, op, i, len(family)), m.s, m.r)
@@ -227,5 +248,38 @@ func TestOverlayAllocatesNoMaps(t *testing.T) {
 		o.SetCount("mine", 1)
 	}); n > 0 {
 		t.Errorf("Rebase + one write on a warmed overlay allocates %v objects, want 0", n)
+	}
+	// A live overlay on a written overlay freezes nothing either.
+	live := o.Overlay()
+	if n := testing.AllocsPerRun(100, func() {
+		o.SetCount("mine", 2)
+		live.RebaseLive(o)
+		live.SetCount("priced", 1)
+	}); n > 0 {
+		t.Errorf("RebaseLive + one write on a warmed overlay allocates %v objects, want 0", n)
+	}
+}
+
+// TestAppendBucketSignatureAllocatesNothing: a sampled world's signature —
+// its own lines merged into the rendered chain below — goes into the caller's
+// buffer, with no string per line, once the buffer has grown.
+func TestAppendBucketSignatureAllocatesNothing(t *testing.T) {
+	s := New()
+	for i := 0; i < 50; i++ {
+		s.SetCount(fmt.Sprintf("e%d", i), float64(i))
+		s.SetMeasured(i, "e", float64(i))
+	}
+	world := s.Overlay()
+	for i := 0; i < 12; i++ {
+		world.SetCount(fmt.Sprintf("e%d", 2*i), float64(1000+i)) // each shadows a line below
+		world.SetAssumed(i, "e", "p", float64(i))
+	}
+	buf := world.AppendBucketSignature(nil)
+	if string(buf) != world.BucketSignature() {
+		t.Fatalf("appended signature %q, remembered %q", buf, world.BucketSignature())
+	}
+	world.SetCount("e0", 1) // forget the memo: every call below renders
+	if n := testing.AllocsPerRun(100, func() { buf = world.AppendBucketSignature(buf[:0]) }); n > 0 {
+		t.Errorf("AppendBucketSignature into a grown buffer allocates %v objects, want 0", n)
 	}
 }

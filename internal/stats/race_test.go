@@ -42,7 +42,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 						return
 					}
 					s.Measured(g, expr)
-					s.Distinct(g, expr, "p")
+					s.Assumed(g, expr, "p")
 					s.HasMeasured(g, expr)
 				case 4:
 					c := s.Clone()
@@ -54,6 +54,10 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					// coordination even while the source is being written.
 					c.SetCount("clone-local", 1)
 				case 5:
+					if len(s.AppendBucketSignature(nil)) == 0 {
+						t.Error("empty appended signature from non-empty store")
+						return
+					}
 					if sig := s.BucketSignature(); sig == "" {
 						t.Error("empty signature from non-empty store")
 						return
@@ -76,7 +80,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 						t.Error("seed0 missing beneath an overlay")
 						return
 					}
-					o.Distinct(g, expr, "p")
+					o.Assumed(g, expr, "p")
 					if sig := o.BucketSignature(); sig == "" {
 						t.Error("empty signature from an overlay of a non-empty store")
 						return

@@ -8,6 +8,7 @@
 package stats
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -48,10 +49,21 @@ type layer struct {
 	counts   map[string]float64
 	measured map[DKey]float64
 	assumed  map[CKey]float64
-	// lines memoises, on a frozen layer, the sorted signature lines of the
-	// chain ending here. Racing fillers store equal values.
-	lines atomic.Pointer[[]string]
+	// sig memoises, on a frozen layer, the signature of the chain ending
+	// here. Racing fillers store equal values. A live head can hold one only
+	// while a RebaseLive overlay signs through it; its next write drops it.
+	sig atomic.Pointer[sigMemo]
 }
+
+// sigMemo is a rendered signature: its sorted lines, comma-separated, and
+// where each line ends in text.
+type sigMemo struct {
+	text string
+	ends []int
+}
+
+// noSig is the signature of the empty chain.
+var noSig sigMemo
 
 func (l *layer) empty() bool {
 	return len(l.counts) == 0 && len(l.measured) == 0 && len(l.assumed) == 0
@@ -143,10 +155,8 @@ type Store struct {
 	overlay bool // owned by one goroutine: mu is never taken
 	head    *layer
 	first   layer // the head a store starts with, allocated with it
-	// sigLines and sig memoise BucketSignature until the next write.
-	sigLines []string
-	sig      string
-	sigOK    bool
+	// sig memoises BucketSignature until the next write; nil = not rendered.
+	sig *sigMemo
 }
 
 // New creates an empty store.
@@ -208,21 +218,42 @@ func (s *Store) Overlay() *Store {
 func (o *Store) Rebase(parent *Store) {
 	parent.lock()
 	if !parent.head.empty() {
-		if parent.sigOK {
-			lines := parent.sigLines
-			parent.head.lines.Store(&lines)
+		if parent.sig != nil {
+			parent.head.sig.Store(parent.sig)
 		}
 		parent.head = &layer{parent: parent.head}
 	}
 	base := parent.head.parent
-	o.sigLines, o.sig, o.sigOK = parent.sigLines, parent.sig, parent.sigOK
+	sig := parent.sig
 	parent.unlock()
-	// o's head is never shared: had o been overlaid while it held entries,
-	// those went to a frozen layer and o got a new head.
+	o.lay(base)
+	o.sig = sig
+}
+
+// RebaseLive empties the overlay o and lays it directly on the overlay
+// parent's head, which stays live: nothing is frozen or allocated, and o reads
+// what parent holds now — so o is valid only until parent is next written,
+// and must be rebased before it is read again. The simulator prices a
+// playout's candidate joins on one such overlay over the playout's world, in
+// between two of the world's writes.
+func (o *Store) RebaseLive(parent *Store) {
+	if !parent.overlay {
+		panic("stats: RebaseLive on a store other goroutines may write")
+	}
+	o.lay(parent.head)
+	o.sig = nil
+}
+
+// lay empties o's head, keeping its maps, and puts it on top of base. o's
+// head is never frozen: had o been overlaid while it held entries, those went
+// to a frozen layer and o got a new head (a RebaseLive overlay on o is used
+// up by this write, as by any other).
+func (o *Store) lay(base *layer) {
 	clear(o.head.counts)
 	clear(o.head.measured)
 	clear(o.head.assumed)
 	o.head.parent = base
+	o.head.sig.Store(nil)
 }
 
 // MergeFrom copies src's hardened facts — expression counts and measured
@@ -248,10 +279,14 @@ func (s *Store) MergeFrom(src *Store) {
 	s.unlock()
 }
 
-// write returns the head layer for a mutation, dropping the signature memo.
+// write returns the head layer for a mutation, dropping the signature memos:
+// the store's own and the one a RebaseLive overlay may have left on the head.
 // The caller holds the write lock.
 func (s *Store) write() *layer {
-	s.sigLines, s.sig, s.sigOK = nil, "", false
+	s.sig = nil
+	if s.head.sig.Load() != nil {
+		s.head.sig.Store(nil)
+	}
 	return s.head
 }
 
@@ -315,16 +350,14 @@ func (s *Store) SetAssumed(term int, expr, partner string, d float64) {
 	s.unlock()
 }
 
-// Distinct resolves d(term, expr | partner): a measured value wins, whichever
-// layer holds it; otherwise an assumed value for this exact partner;
-// otherwise a miss.
-func (s *Store) Distinct(term int, expr, partner string) (float64, bool) {
+// Assumed looks up a prior-sampled distinct count for (term, expr) against
+// exactly this partner. It does not consult measured values: a caller
+// resolving d(term, expr | partner) looks those up first (cost.Deriver).
+func (s *Store) Assumed(term int, expr, partner string) (float64, bool) {
 	s.rlock()
-	defer s.runlock()
-	if d, ok := s.head.measuredAt(DKey{Term: term, Expr: expr}); ok {
-		return d, true
-	}
-	return s.head.assumedAt(CKey{Term: term, Expr: expr, Partner: partner})
+	d, ok := s.head.assumedAt(CKey{Term: term, Expr: expr, Partner: partner})
+	s.runlock()
+	return d, ok
 }
 
 // HasMeasured reports whether a hardened distinct count exists for the term
@@ -380,84 +413,126 @@ func (s *Store) DropAssumed() {
 //
 // The string is also the plan-cache key, so its bytes are pinned. It is
 // remembered until the store is next written, and a layered store only
-// renders its head's entries: the frozen chain below keeps its sorted lines.
+// renders its head's entries: the frozen chain below keeps its rendering.
 func (s *Store) BucketSignature() string {
 	s.lock() // fills the memo
 	defer s.unlock()
-	if !s.sigOK {
-		s.sigLines = s.head.signatureLines()
-		s.sig = strings.Join(s.sigLines, ",")
-		s.sigOK = true
+	if s.sig == nil {
+		s.sig = s.head.render()
 	}
-	return s.sig
+	return s.sig.text
 }
 
-// frozenLines is signatureLines memoised on a frozen layer.
-func (l *layer) frozenLines() []string {
+// AppendBucketSignature appends BucketSignature's bytes to b. A signature not
+// remembered already is rendered into b's spare capacity and not remembered:
+// the search keys each sampled world once, into a buffer it reuses, and pays
+// for a string only when the key names a new chance child.
+func (s *Store) AppendBucketSignature(b []byte) []byte {
+	s.rlock()
+	defer s.runlock()
+	if s.sig != nil {
+		return append(b, s.sig.text...)
+	}
+	return s.head.appendSignature(b, nil)
+}
+
+// frozenSig is the signature of the chain ending at the frozen layer l,
+// rendered once.
+func (l *layer) frozenSig() *sigMemo {
 	if l == nil {
-		return nil
+		return &noSig
 	}
-	if p := l.lines.Load(); p != nil {
-		return *p
+	if m := l.sig.Load(); m != nil {
+		return m
 	}
-	lines := l.signatureLines()
-	l.lines.Store(&lines)
-	return lines
+	m := l.render()
+	l.sig.Store(m)
+	return m
 }
 
-// signatureLines returns the sorted signature lines of the chain ending at l:
-// the parent chain's lines, minus those l shadows, merged with l's own.
-func (l *layer) signatureLines() []string {
-	var own, shadowed []string
-	var buf []byte
-	line := func(under bool) {
-		if s := string(buf); under {
-			shadowed = append(shadowed, s)
-		} else {
-			own = append(own, s)
-		}
-	}
+// render renders the signature of the chain ending at l into a memo.
+func (l *layer) render() *sigMemo {
+	m := &sigMemo{}
+	m.text = string(l.appendSignature(nil, &m.ends))
+	return m
+}
+
+// span locates one rendered line in a buffer.
+type span struct{ from, to int }
+
+// appendSignature appends the signature of the chain ending at l to b: the
+// lines of the chain below, minus those l shadows, merged in order with l's
+// own. With ends non-nil, where each line ends (counted from the start of the
+// signature) is appended to it. l's own lines and the lines they shadow are
+// rendered past the end of b first and the merged signature is moved down
+// over them, so b's spare capacity is all the scratch a rendering needs.
+func (l *layer) appendSignature(b []byte, ends *[]int) []byte {
+	start := len(b)
+	var ownBuf, shadowedBuf [32]span // more lines spill to the heap
+	own, shadowed := ownBuf[:0], shadowedBuf[:0]
 	for k, v := range l.counts {
-		buf = countLine(buf[:0], k, v)
-		line(false)
+		from := len(b)
+		b = countLine(b, k, v)
+		own = append(own, span{from, len(b)})
 		if old, ok := l.parent.count(k); ok {
-			buf = countLine(buf[:0], k, old)
-			line(true)
+			from = len(b)
+			b = countLine(b, k, old)
+			shadowed = append(shadowed, span{from, len(b)})
 		}
 	}
 	for k, v := range l.measured {
-		buf = measuredLine(buf[:0], k, v)
-		line(false)
+		from := len(b)
+		b = measuredLine(b, k, v)
+		own = append(own, span{from, len(b)})
 		if old, ok := l.parent.measuredAt(k); ok {
-			buf = measuredLine(buf[:0], k, old)
-			line(true)
+			from = len(b)
+			b = measuredLine(b, k, old)
+			shadowed = append(shadowed, span{from, len(b)})
 		}
 	}
 	for k, v := range l.assumed {
-		buf = assumedLine(buf[:0], k, v)
-		line(false)
+		from := len(b)
+		b = assumedLine(b, k, v)
+		own = append(own, span{from, len(b)})
 		if old, ok := l.parent.assumedAt(k); ok {
-			buf = assumedLine(buf[:0], k, old)
-			line(true)
+			from = len(b)
+			b = assumedLine(b, k, old)
+			shadowed = append(shadowed, span{from, len(b)})
 		}
 	}
-	sort.Strings(own)
-	base := l.parent.frozenLines()
-	if len(base) == 0 {
-		return own
-	}
-	merged := make([]string, 0, len(base)+len(own))
-	for _, b := range base {
-		if slices.Contains(shadowed, b) {
+	slices.SortFunc(own, func(x, y span) int { return bytes.Compare(b[x.from:x.to], b[y.from:y.to]) })
+
+	out := len(b)
+	base := l.parent.frozenSig()
+	from := 0
+	for _, end := range base.ends {
+		line := base.text[from:end]
+		from = end + 1
+		if slices.ContainsFunc(shadowed, func(sp span) bool { return string(b[sp.from:sp.to]) == line }) {
 			continue
 		}
-		for len(own) > 0 && own[0] < b {
-			merged = append(merged, own[0])
+		for len(own) > 0 && string(b[own[0].from:own[0].to]) < line {
+			b = appendLine(b, out, b[own[0].from:own[0].to], ends)
 			own = own[1:]
 		}
-		merged = append(merged, b)
+		b = appendLine(b, out, line, ends)
 	}
-	return append(merged, own...)
+	for _, sp := range own {
+		b = appendLine(b, out, b[sp.from:sp.to], ends)
+	}
+	return append(b[:start], b[out:]...)
+}
+
+// appendLine appends one line to the signature that starts at out in b.
+func appendLine[L string | []byte](b []byte, out int, line L, ends *[]int) []byte {
+	if len(b) > out {
+		b = append(b, ',')
+	}
+	b = append(b, line...)
+	if ends != nil {
+		*ends = append(*ends, len(b)-out)
+	}
+	return b
 }
 
 // The three line formats are fmt's "c:%q:%d", "m:%d:%q:%d" and

@@ -19,26 +19,32 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestDistinctResolutionOrder(t *testing.T) {
+// TestAssumedPartnerSpecific pins the two lookups a distinct count resolves
+// through: an assumed value answers only for the partner it was sampled
+// against, and a measured value, which holds for every partner, neither hides
+// it from Assumed nor answers for it — preferring measured is the cost
+// deriver's rule (cost.TestDistinctResolutionPreference).
+func TestAssumedPartnerSpecific(t *testing.T) {
 	s := New()
-	if _, ok := s.Distinct(0, "R", "S"); ok {
+	if _, ok := s.Assumed(0, "R", "S"); ok {
 		t.Error("should miss initially")
 	}
 	s.SetAssumed(0, "R", "S", 100)
-	if d, ok := s.Distinct(0, "R", "S"); !ok || d != 100 {
+	if d, ok := s.Assumed(0, "R", "S"); !ok || d != 100 {
 		t.Errorf("assumed lookup = %v,%v", d, ok)
 	}
-	// Assumed is partner-specific.
-	if _, ok := s.Distinct(0, "R", "T"); ok {
+	if _, ok := s.Assumed(0, "R", "T"); ok {
 		t.Error("assumed stat must not apply to other partners")
 	}
-	// Measured overrides assumed for every partner.
 	s.SetMeasured(0, "R", 777)
-	if d, _ := s.Distinct(0, "R", "S"); d != 777 {
-		t.Error("measured must win over assumed")
+	if d, ok := s.Assumed(0, "R", "S"); !ok || d != 100 {
+		t.Errorf("a measured value hid the assumed one: %v,%v", d, ok)
 	}
-	if d, ok := s.Distinct(0, "R", "T"); !ok || d != 777 {
-		t.Error("measured must apply to all partners")
+	if _, ok := s.Assumed(0, "R", "T"); ok {
+		t.Error("a measured value must not answer an assumed lookup")
+	}
+	if d, ok := s.Measured(0, "R"); !ok || d != 777 {
+		t.Errorf("measured lookup = %v,%v", d, ok)
 	}
 	if !s.HasMeasured(0, "R") || s.HasMeasured(1, "R") || s.HasMeasured(0, "S") {
 		t.Error("HasMeasured wrong")
@@ -61,7 +67,7 @@ func TestCloneIndependence(t *testing.T) {
 	if v, _ := s.Measured(0, "R"); v != 2 {
 		t.Error("clone mutated original measured")
 	}
-	if v, _ := s.Distinct(1, "R", "S"); v != 3 {
+	if v, _ := s.Assumed(1, "R", "S"); v != 3 {
 		t.Error("clone mutated original assumed")
 	}
 	if _, ok := s.Count("NEW"); ok {
@@ -77,7 +83,10 @@ func TestDropAssumed(t *testing.T) {
 	if s.AssumedEntries() != 0 {
 		t.Error("DropAssumed left entries")
 	}
-	if d, ok := s.Distinct(0, "R", "S"); !ok || d != 20 {
+	if _, ok := s.Assumed(0, "R", "S"); ok {
+		t.Error("DropAssumed left the assumed entry")
+	}
+	if d, ok := s.Measured(0, "R"); !ok || d != 20 {
 		t.Error("measured entries must survive DropAssumed")
 	}
 }
