@@ -111,7 +111,7 @@ func predOpen(s *State, p *query.JoinPred) bool {
 // covering cover would measure at least one join term that is (a) evaluable
 // there, (b) not already applied inside the expression, (c) still open, and
 // (d) not already measured over this expression or its minimal alias set.
-func usefulSigmaTerm(s *State, q *query.Query, cover query.AliasSet, key string) bool {
+func usefulSigmaTerm(s *State, q *query.Query, cover query.AliasSet) bool {
 	for _, p := range q.Joins {
 		for _, t := range []*query.Term{p.L, p.R} {
 			if !t.Aliases.SubsetOf(cover) {
@@ -123,7 +123,7 @@ func usefulSigmaTerm(s *State, q *query.Query, cover query.AliasSet, key string)
 			if !predOpen(s, p) {
 				continue
 			}
-			if s.St.HasMeasured(t.ID, key) || s.St.HasMeasured(t.ID, t.Aliases.Key()) {
+			if s.St.HasMeasuredOf(t.ID, cover) || s.St.HasMeasuredOf(t.ID, t.Aliases) {
 				continue
 			}
 			return true
@@ -137,8 +137,8 @@ func usefulSigmaTerm(s *State, q *query.Query, cover query.AliasSet, key string)
 // base relation (§2.3: "scan the set S and collect statistics"). It is moot
 // when a pending planned tree already contains the expression: executing that
 // tree hardens the count for free.
-func usefulSigmaCount(s *State, q *query.Query, cover query.AliasSet, key string) bool {
-	if _, known := s.St.Count(key); known {
+func usefulSigmaCount(s *State, q *query.Query, cover query.AliasSet) bool {
+	if _, known := s.St.CountOf(cover); known {
 		return false
 	}
 	if len(q.SelsAt(cover)) == 0 {
@@ -252,13 +252,13 @@ func legalActions(s *State, q *query.Query, b *joinBuf) []Action {
 		if s.findPlanned(key) >= 0 {
 			continue // already planned (as Σ-copy or otherwise)
 		}
-		if usefulSigmaTerm(s, q, m, key) || usefulSigmaCount(s, q, m, key) {
+		if own := q.Own(m); usefulSigmaTerm(s, q, own) || usefulSigmaCount(s, q, own) {
 			acts = append(acts, Action{Kind: ActSigmaCopy, A: key})
 		}
 	}
 	// Σ-wrap a planned tree.
 	for _, t := range openPlanned {
-		if usefulSigmaTerm(s, q, t.Aliases(), t.Key()) {
+		if usefulSigmaTerm(s, q, q.Own(t.Aliases())) {
 			acts = append(acts, Action{Kind: ActSigmaWrap, A: t.Key()})
 		}
 	}

@@ -163,7 +163,7 @@ func (m *Model) deriver(st *stats.Store, miss cost.MissFn) *cost.Deriver {
 // transition samples the hidden world.
 func (m *Model) priorMiss() cost.MissFn {
 	if m.sample == nil {
-		m.sample = func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
+		m.sample = func(_ *query.Term, _, _ query.AliasSet, cExpr, cPartner float64) float64 {
 			return m.Prior.Sample(m.Rng, cExpr, cPartner)
 		}
 	}
@@ -177,7 +177,7 @@ func (m *Model) priorMiss() cost.MissFn {
 // probes (the policy would be an oracle and information would be worthless).
 func (m *Model) meanMiss() cost.MissFn {
 	if m.mean == nil {
-		m.mean = func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
+		m.mean = func(_ *query.Term, _, _ query.AliasSet, cExpr, cPartner float64) float64 {
 			return m.Prior.Mean(cExpr, cPartner)
 		}
 	}
@@ -190,9 +190,8 @@ func (m *Model) meanMiss() cost.MissFn {
 // deriving this transition's counts stay consistent) and promoted to a
 // measured statistic in the sampled world.
 func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
-	cover := tree.Aliases()
-	key := tree.Key()
-	cE, ok := ns.St.Count(key)
+	cover := m.Q.Own(tree.Aliases())
+	cE, ok := ns.St.CountOf(cover)
 	if !ok {
 		cE = dv.NodeCount(tree) // a count is blind to the Σ marker
 	}
@@ -201,17 +200,16 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 			if !t.Aliases.SubsetOf(cover) || p.ApplicableAt(cover) {
 				continue
 			}
-			if ns.St.HasMeasured(t.ID, key) {
+			if ns.St.HasMeasuredOf(t.ID, cover) {
 				continue
 			}
 			other := p.R
 			if ti == 1 {
 				other = p.L
 			}
-			pKey := other.Aliases.Key()
 			cP := m.partnerCount(dv, other.Aliases)
-			d := dv.Distinct(t, key, pKey, cE, cP)
-			ns.St.SetMeasured(t.ID, key, d)
+			d := dv.Distinct(t, cover, other.Aliases, cE, cP)
+			ns.St.SetMeasuredOf(t.ID, cover, d)
 		}
 	}
 }
@@ -221,7 +219,7 @@ func (m *Model) simSigma(dv *cost.Deriver, ns *State, tree *plan.Node) {
 // single alias estimates its filtered scan, a multi-alias set falls back to
 // the product of its members' filtered estimates.
 func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
-	if c, ok := dv.St.Count(aliases.Key()); ok {
+	if c, ok := dv.St.CountOf(aliases); ok {
 		return c
 	}
 	prod := 1.0

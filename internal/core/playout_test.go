@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -225,10 +227,37 @@ func refOutcomeKey(s *State) string {
 	return b.String()
 }
 
+// fmtSignature renders a store's signature with fmt from its entries, apart
+// from the stats package's rendering: each statistic's line by "c:%q:%d",
+// "m:%d:%q:%d" or "a:%d:%q:%q:%d" over its texts and the floor of log2(v+1)
+// (-1 for v ≤ 0), sorted and comma-joined.
+func fmtSignature(st *stats.Store) string {
+	bucket := func(v float64) int {
+		if v <= 0 {
+			return -1
+		}
+		return int(math.Floor(math.Log2(v + 1)))
+	}
+	var lines []string
+	for _, e := range st.Entries() {
+		switch e.Kind {
+		case 'c':
+			lines = append(lines, fmt.Sprintf("c:%q:%d", e.Expr, bucket(e.Value)))
+		case 'm':
+			lines = append(lines, fmt.Sprintf("m:%d:%q:%d", e.Term, e.Expr, bucket(e.Value)))
+		default:
+			lines = append(lines, fmt.Sprintf("a:%d:%q:%q:%d", e.Term, e.Expr, e.Partner, bucket(e.Value)))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, ",")
+}
+
 // TestOutcomeKeyBytes: the key the search renders into its reused buffer is,
 // byte for byte, the string OutcomeKey has always returned (it is also the
 // plan-cache key), on every state the playout corpus reaches — the walks'
-// starts and every state the stepped rollouts step into.
+// starts and every state the stepped rollouts step into. Its statistics half
+// is, byte for byte, the fmt rendering of the flattened store.
 func TestOutcomeKeyBytes(t *testing.T) {
 	buf := []byte("stale bytes from an earlier key")
 	check := func(label string, s *State) {
@@ -241,6 +270,9 @@ func TestOutcomeKeyBytes(t *testing.T) {
 		}
 		if got := s.OutcomeKey(); got != want {
 			t.Fatalf("%s: OutcomeKey\n%s\nwant\n%s", label, got, want)
+		}
+		if got, want := s.St.BucketSignature(), fmtSignature(s.St); got != want {
+			t.Fatalf("%s: BucketSignature\n%s\nwant the fmt rendering\n%s", label, got, want)
 		}
 	}
 	states := 0

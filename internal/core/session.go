@@ -492,14 +492,19 @@ func (s *Session) Finalize() (*Result, error) {
 	return s.res, nil
 }
 
-// canonicalShape renders the query's logical content (not its name) plus the
-// planner knobs that influence plan choice, as the cache-key prefix. Two
-// queries with the same shape, knobs, frontier, and bucketed statistics are
-// planning-equivalent, which is exactly when memoized rounds may be shared.
-func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
+// QueryShape renders the query's logical content, not its name: relations,
+// joins, selections and output. Two queries of one shape derive the same
+// statistics, so a daemon that hardens statistics across requests keeps one
+// seed store per shape.
+func QueryShape(q *query.Query) string {
 	var b strings.Builder
+	writeQueryShape(&b, q)
+	return b.String()
+}
+
+func writeQueryShape(b *strings.Builder, q *query.Query) {
 	for _, r := range q.Rels {
-		fmt.Fprintf(&b, "%s=%s;", r.Alias, r.Table)
+		fmt.Fprintf(b, "%s=%s;", r.Alias, r.Table)
 	}
 	b.WriteByte('|')
 	for _, j := range q.Joins {
@@ -511,7 +516,16 @@ func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
 		b.WriteString(sp.String())
 		b.WriteByte(';')
 	}
-	fmt.Fprintf(&b, "|out=%d,%s", q.Out.Kind, q.Out.Attr)
+	fmt.Fprintf(b, "|out=%d,%s", q.Out.Kind, q.Out.Attr)
+}
+
+// canonicalShape renders the query's shape (QueryShape) plus the planner knobs
+// that influence plan choice, as the cache-key prefix. Two queries with the
+// same shape, knobs, frontier, and bucketed statistics are planning-
+// equivalent, which is exactly when memoized rounds may be shared.
+func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
+	var b strings.Builder
+	writeQueryShape(&b, q)
 	fmt.Fprintf(&b, "|seed=%d;it=%d;strat=%d;uni=%t;prior=%s",
 		cfg.Seed, cfg.Iterations, cfg.Strategy, cfg.UniformRollout, cfg.Prior.Name())
 	if cfg.Profile != nil {

@@ -54,9 +54,11 @@ type State struct {
 
 // NewInitialState builds the start state: no plans, every base relation
 // active, and whatever statistics st already holds (raw input sizes at
-// minimum; callers with partial knowledge may pre-seed more, §3.1).
+// minimum; callers with partial knowledge may pre-seed more, §3.1). It binds
+// st to q's alias universe, so every lookup the search makes is by word.
 func NewInitialState(q *query.Query, st *stats.Store) *State {
 	full := q.Aliases()
+	st.Bind(full)
 	// Singletons come in name order, which is key order for single aliases.
 	s := &State{St: st, full: full, Active: full.Singletons()}
 	s.leaves = make([]*plan.Node, len(s.Active))

@@ -46,11 +46,13 @@ func SelSize(c, d float64) float64 {
 // cardinalities of the expression the term is evaluated over and of the
 // partner expression — the two parameters every prior in §5.2 is conditioned
 // on. The returned value is clamped by the caller to [1, max(cExpr, 1)].
-type MissFn func(t *query.Term, exprKey, partnerKey string, cExpr, cPartner float64) float64
+type MissFn func(t *query.Term, expr, partner query.AliasSet, cExpr, cPartner float64) float64
 
 // Deriver derives counts and costs for plan trees over a statistics store.
 // The store is mutated (counts recorded, misses recorded as assumed), so
-// callers that must not pollute shared state pass an overlay of it.
+// callers that must not pollute shared state pass an overlay of it. Each
+// entry point binds the store to Q's universe (stats.Store.Bind) — a no-op
+// once it is — and every lookup after that is by alias-set word.
 type Deriver struct {
 	Q    *query.Query
 	St   *stats.Store
@@ -88,23 +90,31 @@ type ShardLayout interface {
 // collected on a base expression keeps informing joins of its supersets),
 // then an assumed value for this partner, then the Miss function. The result
 // is clamped to [1, cExpr] and recorded as assumed when freshly missed.
-func (dv *Deriver) Distinct(t *query.Term, exprKey, partnerKey string, cExpr, cPartner float64) float64 {
+func (dv *Deriver) Distinct(t *query.Term, expr, partner query.AliasSet, cExpr, cPartner float64) float64 {
+	dv.bind()
+	return dv.distinct(t, expr, partner, cExpr, cPartner)
+}
+
+func (dv *Deriver) distinct(t *query.Term, expr, partner query.AliasSet, cExpr, cPartner float64) float64 {
 	hi := math.Max(cExpr, 1)
-	if d, ok := dv.St.Measured(t.ID, exprKey); ok {
+	if d, ok := dv.St.MeasuredOf(t.ID, expr); ok {
 		return clamp(d, 1, hi)
 	}
-	if minKey := t.Aliases.Key(); minKey != exprKey {
-		if d, ok := dv.St.Measured(t.ID, minKey); ok {
+	if !t.Aliases.Equal(expr) {
+		if d, ok := dv.St.MeasuredOf(t.ID, t.Aliases); ok {
 			return clamp(d, 1, hi)
 		}
 	}
-	if d, ok := dv.St.Assumed(t.ID, exprKey, partnerKey); ok {
+	if d, ok := dv.St.AssumedOf(t.ID, expr, partner); ok {
 		return clamp(d, 1, hi)
 	}
-	d := clamp(dv.Miss(t, exprKey, partnerKey, cExpr, cPartner), 1, hi)
-	dv.St.SetAssumed(t.ID, exprKey, partnerKey, d)
+	d := clamp(dv.Miss(t, expr, partner, cExpr, cPartner), 1, hi)
+	dv.St.SetAssumedOf(t.ID, expr, partner, d)
 	return d
 }
+
+// bind keys the store by the query's universe.
+func (dv *Deriver) bind() { dv.St.Bind(dv.Q.Aliases()) }
 
 // NodeCount estimates (or retrieves) the cardinality of a plan node's result,
 // following the §4.3 recursion, and records it in the store. It walks the
@@ -113,35 +123,40 @@ func (dv *Deriver) Distinct(t *query.Term, exprKey, partnerKey string, cExpr, cP
 // children's alias sets re-expressed in the query's universe (a plan built
 // from NewAliasSet leaves would otherwise pay a universe merge per predicate).
 func (dv *Deriver) NodeCount(n *plan.Node) float64 {
-	key := n.Key()
-	if c, ok := dv.St.Count(key); ok {
+	dv.bind()
+	return dv.nodeCount(n)
+}
+
+func (dv *Deriver) nodeCount(n *plan.Node) float64 {
+	e := dv.Q.Own(n.Aliases())
+	if c, ok := dv.St.CountOf(e); ok {
 		return c
 	}
 	if n.IsLeaf() {
-		return dv.leafCount(n, key)
+		return dv.leafCount(e)
 	}
-	cX := dv.NodeCount(n.Left)
-	cY := dv.NodeCount(n.Right)
+	cX := dv.nodeCount(n.Left)
+	cY := dv.nodeCount(n.Right)
 	xs, ys := dv.Q.Own(n.Left.Aliases()), dv.Q.Own(n.Right.Aliases())
 	c := cX * cY
 	for _, p := range dv.Q.Joins {
 		if !p.NewAt(xs, ys) {
 			continue
 		}
-		lKey, lC := dv.container(p.L, xs, ys, cX, cY, key, c)
-		rKey, rC := dv.container(p.R, xs, ys, cX, cY, key, c)
-		dL := dv.Distinct(p.L, lKey, rKey, lC, rC)
-		dR := dv.Distinct(p.R, rKey, lKey, rC, lC)
+		lE, lC := dv.container(p.L, xs, ys, cX, cY, e, c)
+		rE, rC := dv.container(p.R, xs, ys, cX, cY, e, c)
+		dL := dv.distinct(p.L, lE, rE, lC, rC)
+		dR := dv.distinct(p.R, rE, lE, rC, lC)
 		c /= math.Max(math.Max(dL, dR), 1)
 	}
 	for _, s := range dv.Q.Sels {
 		if !s.NewAt(xs, ys) {
 			continue
 		}
-		d := dv.Distinct(s.T, key, key, cX*cY, cX*cY)
+		d := dv.distinct(s.T, e, e, cX*cY, cX*cY)
 		c /= math.Max(d, 1)
 	}
-	dv.St.SetCount(key, c)
+	dv.St.SetCountOf(e, c)
 	return c
 }
 
@@ -149,38 +164,38 @@ func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 // the left child, the right child, or — for a multi-table term that only
 // becomes evaluable at this join — the joined expression itself (whose
 // pre-predicate size is the product of the children).
-func (dv *Deriver) container(t *query.Term, xs, ys query.AliasSet, cX, cY float64, unionKey string, cProduct float64) (string, float64) {
+func (dv *Deriver) container(t *query.Term, xs, ys query.AliasSet, cX, cY float64, union query.AliasSet, cProduct float64) (query.AliasSet, float64) {
 	if t.Aliases.SubsetOf(xs) {
-		return xs.Key(), cX
+		return xs, cX
 	}
 	if t.Aliases.SubsetOf(ys) {
-		return ys.Key(), cY
+		return ys, cY
 	}
-	return unionKey, cProduct
+	return union, cProduct
 }
 
 // leafCount derives the output size of a leaf. A leaf referencing a
 // materialized multi-alias expression must already have a count (the engine
 // hardens one at materialization); a single-alias leaf is the stored table
-// with its pushed selections, estimated via 1/d per selection.
-func (dv *Deriver) leafCount(n *plan.Node, key string) float64 {
-	if n.Leaf.Size() != 1 {
-		panic(fmt.Sprintf("cost: no count for materialized expression %q", key))
+// with its pushed selections, estimated via 1/d per selection. leaf is the
+// leaf's alias set, re-expressed over the query's universe.
+func (dv *Deriver) leafCount(leaf query.AliasSet) float64 {
+	if leaf.Size() != 1 {
+		panic(fmt.Sprintf("cost: no count for materialized expression %q", leaf.Key()))
 	}
-	alias := n.Leaf.Names()[0]
-	craw, ok := dv.St.Count(stats.RawKey(alias))
+	craw, ok := dv.St.RawCountOf(leaf)
 	if !ok {
-		panic(fmt.Sprintf("cost: no raw count for base table %q", alias))
+		panic(fmt.Sprintf("cost: no raw count for base table %q", leaf.Key()))
 	}
-	c, leaf := craw, dv.Q.Own(n.Leaf)
+	c := craw
 	for _, s := range dv.Q.Sels {
 		if !s.T.Aliases.SubsetOf(leaf) {
 			continue
 		}
-		d := dv.Distinct(s.T, key, key, craw, craw)
+		d := dv.distinct(s.T, leaf, leaf, craw, craw)
 		c /= math.Max(d, 1)
 	}
-	dv.St.SetCount(key, c)
+	dv.St.SetCountOf(leaf, c)
 	return c
 }
 
@@ -193,15 +208,16 @@ func (dv *Deriver) leafCount(n *plan.Node, key string) float64 {
 // object count: each node's count, plus the moved rows, plus one more pass of
 // the root under Σ.
 func (dv *Deriver) PlanCost(n *plan.Node) float64 {
+	dv.bind()
 	p := dv.Profile
 	if p == nil {
 		p = unitProfile
 	}
 	c := dv.nodeCost(p, n)
 	if n.Sigma {
-		c += p.Sigma.of(dv.NodeCount(n))
+		c += p.Sigma.of(dv.nodeCount(n))
 	}
-	return c + p.Materialize.of(dv.NodeCount(n))
+	return c + p.Materialize.of(dv.nodeCount(n))
 }
 
 // nodeCost adds a node's own terms before its children's, which keeps the
@@ -212,7 +228,7 @@ func (dv *Deriver) PlanCost(n *plan.Node) float64 {
 // build count a calibrated profile prices is read after the right subtree,
 // which has derived it.
 func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
-	cnt := dv.NodeCount(n)
+	cnt := dv.nodeCount(n)
 	if n.IsLeaf() {
 		if n.Leaf.Size() != 1 {
 			return p.Reuse.of(cnt)
@@ -222,12 +238,12 @@ func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
 	bt := dv.leadKey(p, n)
 	var moved float64
 	if bt != nil && dv.reshuffles(n.Right, bt) {
-		moved = dv.NodeCount(n.Right)
+		moved = dv.nodeCount(n.Right)
 	}
 	left, right := dv.nodeCost(p, n.Left), dv.nodeCost(p, n.Right)
 	var c float64
 	if bt != nil {
-		c = p.HashProbe.of(cnt) + p.HashBuild.of(dv.NodeCount(n.Right)) + p.Exchange.of(moved)
+		c = p.HashProbe.of(cnt) + p.HashBuild.of(dv.nodeCount(n.Right)) + p.Exchange.of(moved)
 	} else {
 		c = p.NestedLoop.of(cnt)
 	}
@@ -289,7 +305,7 @@ func clamp(x, lo, hi float64) float64 {
 // count (Postgres-style magic constant; the paper's Defaults option and its
 // Discrete prior both use 0.1).
 func DefaultMiss(fraction float64) MissFn {
-	return func(_ *query.Term, _, _ string, cExpr, _ float64) float64 {
+	return func(_ *query.Term, _, _ query.AliasSet, cExpr, _ float64) float64 {
 		return fraction * cExpr
 	}
 }
@@ -297,8 +313,8 @@ func DefaultMiss(fraction float64) MissFn {
 // PanicMiss panics on any missing statistic; the full-statistics baseline
 // uses it to assert that its offline pass really covered everything.
 func PanicMiss() MissFn {
-	return func(t *query.Term, exprKey, partnerKey string, _, _ float64) float64 {
+	return func(t *query.Term, expr, partner query.AliasSet, _, _ float64) float64 {
 		panic(fmt.Sprintf("cost: missing statistic for term %d (%s) over %q partner %q",
-			t.ID, t.Fn.Name, exprKey, partnerKey))
+			t.ID, t.Fn.Name, expr.Key(), partner.Key()))
 	}
 }

@@ -38,6 +38,8 @@ func sec23(t *testing.T, d2, d4 float64) (*query.Query, *stats.Store) {
 
 func leaf(names ...string) *plan.Node { return plan.NewLeaf(query.NewAliasSet(names...)) }
 
+func set(names ...string) query.AliasSet { return query.NewAliasSet(names...) }
+
 func TestJoinSizeFormula(t *testing.T) {
 	if got := JoinSize(1e6, 1e4, 1000, 1); got != 1e7 {
 		t.Errorf("JoinSize = %v, want 1e7", got)
@@ -155,15 +157,15 @@ func TestDefaultMissFraction(t *testing.T) {
 	fn := DefaultMiss(0.1)
 	// The fraction applies to the container's cardinality; the partner's is
 	// deliberately ignored (the paper's Defaults rule is unconditional).
-	if got := fn(nil, "S", "R", 1e4, 123); got != 1e3 {
+	if got := fn(nil, set("S"), set("R"), 1e4, 123); got != 1e3 {
 		t.Errorf("DefaultMiss(0.1) over 1e4 = %v, want 1e3", got)
 	}
-	if got := fn(nil, "S", "R", 1e4, 1e9); got != 1e3 {
+	if got := fn(nil, set("S"), set("R"), 1e4, 1e9); got != 1e3 {
 		t.Errorf("partner cardinality must not affect the rule, got %v", got)
 	}
 	// A zero fraction yields zero; the Deriver's [1, cExpr] clamp is what
 	// keeps the derived distinct positive, not the rule itself.
-	if got := DefaultMiss(0)(nil, "S", "R", 1e4, 1); got != 0 {
+	if got := DefaultMiss(0)(nil, set("S"), set("R"), 1e4, 1); got != 0 {
 		t.Errorf("DefaultMiss(0) = %v, want raw 0 (caller clamps)", got)
 	}
 }
@@ -175,7 +177,7 @@ func TestPanicMissDirect(t *testing.T) {
 			t.Error("PanicMiss must panic when invoked directly")
 		}
 	}()
-	PanicMiss()(q.Joins[0].R, "S", "R", 1e4, 1e6)
+	PanicMiss()(q.Joins[0].R, set("S"), set("R"), 1e4, 1e6)
 }
 
 func TestDistinctResolutionPreference(t *testing.T) {
@@ -183,7 +185,7 @@ func TestDistinctResolutionPreference(t *testing.T) {
 	dv := &Deriver{Q: q, St: st, Miss: DefaultMiss(0.1)}
 	term := q.Joins[1].R // F4 over T, unmeasured
 	// First resolution uses the Miss rule and records an assumption.
-	d := dv.Distinct(term, "T", "R", 1e4, 1e6)
+	d := dv.Distinct(term, set("T"), set("R"), 1e4, 1e6)
 	if d != 1e3 {
 		t.Errorf("missed distinct = %v, want 1e3 (0.1 of 1e4)", d)
 	}
@@ -192,12 +194,12 @@ func TestDistinctResolutionPreference(t *testing.T) {
 	}
 	// Same partner resolves from the recorded assumption (no second miss).
 	dv.Miss = PanicMiss()
-	if got := dv.Distinct(term, "T", "R", 1e4, 1e6); got != d {
+	if got := dv.Distinct(term, set("T"), set("R"), 1e4, 1e6); got != d {
 		t.Errorf("assumed not reused: %v vs %v", got, d)
 	}
 	// Measuring overrides the assumption.
 	st.SetMeasured(term.ID, "T", 42)
-	if got := dv.Distinct(term, "T", "R", 1e4, 1e6); got != 42 {
+	if got := dv.Distinct(term, set("T"), set("R"), 1e4, 1e6); got != 42 {
 		t.Errorf("measured must win, got %v", got)
 	}
 }
@@ -208,7 +210,7 @@ func TestDistinctMinimalAliasFallback(t *testing.T) {
 	q, st := sec23(t, 5000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
 	term := q.Joins[0].R // F2 over S, measured 5000 over "S"
-	d := dv.Distinct(term, "S+T", "R", 1e8, 1e6)
+	d := dv.Distinct(term, set("S", "T"), set("R"), 1e8, 1e6)
 	if d != 5000 {
 		t.Errorf("minimal-alias fallback = %v, want 5000", d)
 	}
@@ -218,11 +220,11 @@ func TestDistinctClamping(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	st.SetMeasured(1, "S", 1e9) // absurd measurement, above c
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
-	if d := dv.Distinct(q.Joins[0].R, "S", "R", 1e4, 1e6); d != 1e4 {
+	if d := dv.Distinct(q.Joins[0].R, set("S"), set("R"), 1e4, 1e6); d != 1e4 {
 		t.Errorf("distinct must be clamped to cExpr, got %v", d)
 	}
 	dv.Miss = DefaultMiss(0.1)
-	if d := dv.Distinct(q.Joins[1].R, "T", "R", 0.5, 1e6); d != 1 {
+	if d := dv.Distinct(q.Joins[1].R, set("T"), set("R"), 0.5, 1e6); d != 1 {
 		t.Errorf("distinct must be clamped to >= 1, got %v", d)
 	}
 }
@@ -261,9 +263,9 @@ func TestMultiTableTermUsesUnionContainer(t *testing.T) {
 	st.SetCount(stats.RawKey("T"), 50)
 	var sawExpr string
 	var sawC float64
-	dv := &Deriver{Q: q, St: st, Miss: func(t *query.Term, exprKey, _ string, cExpr, _ float64) float64 {
+	dv := &Deriver{Q: q, St: st, Miss: func(t *query.Term, e, _ query.AliasSet, cExpr, _ float64) float64 {
 		if t.Aliases.Size() > 1 {
-			sawExpr, sawC = exprKey, cExpr
+			sawExpr, sawC = e.Key(), cExpr
 		}
 		return 100
 	}}

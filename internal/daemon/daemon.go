@@ -1,6 +1,6 @@
 // Package daemon is the monsoond serving core: a long-lived HTTP server that
-// runs many core.Sessions concurrently against one shared engine, plan cache,
-// and statistics seed store. It exists as a library (rather than living in
+// runs many core.Sessions concurrently against one shared engine and plan
+// cache. It exists as a library (rather than living in
 // cmd/monsoond) so the handler set is httptest-coverable without sockets.
 //
 // Shared vs per-query state (the §10 DESIGN split):
@@ -8,19 +8,22 @@
 //   - Shared across every request: the benchmark catalogs and their engines
 //     (immutable after load), the plan cache (internally locked; its keys
 //     embed the full planning state, so replay is deterministic no matter
-//     which request warmed an entry), the metrics registry, the trace ring,
-//     and the statistics seed store.
+//     which request warmed an entry), the metrics registry and the trace ring;
+//     with Config.HardenStats, one statistics seed store per query shape.
 //   - Per-request: an engine.Exec scope (tracer, parallelism/batch knobs,
 //     materialization store) created inside core.NewSession and released once
-//     the reply is hashed, a clone of the statistics seed store, a Budget, and
-//     a deterministically derived seed.
+//     the reply is hashed, a statistics store, a Budget, and a
+//     deterministically derived seed.
 //
-// Each query's statistics store is a Clone of the shared seed store, so two
-// concurrent runs of the same query are bit-identical to each other and to a
-// solo run: they plan from the same statistics and never see each other's
-// hardened facts mid-run. With Config.HardenStats the hardened facts are
-// merged back after the run — future queries then plan from better statistics
-// at the cost of cross-request determinism (documented, opt-in).
+// Each query plans from a statistics store of its own, so two concurrent runs
+// of the same query are bit-identical to each other and to a solo run: they
+// plan from the same statistics and never see each other's hardened facts
+// mid-run. Without Config.HardenStats that store starts empty. With it, the
+// store is a clone of the seed store of the query's shape (core.QueryShape),
+// and the hardened facts are merged back after the run — future queries of
+// that shape then plan from better statistics at the cost of cross-request
+// determinism (documented, opt-in). Facts never cross shapes: term IDs are
+// local to a query, and two queries may filter one alias differently.
 package daemon
 
 import (
@@ -75,10 +78,12 @@ type Config struct {
 	// CacheCapacity bounds the shared plan cache; 0 means the default.
 	CacheCapacity int
 	// HardenStats, when set, merges each completed query's hardened
-	// statistics (cardinalities, Σ distinct counts) back into the shared
-	// seed store. Later queries then plan from observed facts instead of
-	// priors — but results may depend on what ran before, so the
-	// cross-request determinism guarantee is traded away. Off by default.
+	// statistics (cardinalities, Σ distinct counts) back into the seed store
+	// of its query shape, one store per shape, as many as the plan cache
+	// holds entries (least recently used first out). Later queries of that
+	// shape then plan from observed facts instead of priors — but results
+	// may depend on what ran before, so the cross-request determinism
+	// guarantee is traded away. Off by default.
 	// HardenStats also switches on online self-calibration: the daemon
 	// folds each completed query's span tree (from its own trace ring) into
 	// a cost calibrator and prices subsequent sessions with the learned
@@ -111,10 +116,14 @@ type Server struct {
 	queries map[string]*namedQuery
 	names   []string
 	// adhoc executes parsed -sql requests; it shares the primary catalog.
-	adhoc   *engine.Engine
-	sqlReg  *sqlish.Registry
-	cache   *plancache.Cache
-	seed    *stats.Store
+	adhoc  *engine.Engine
+	sqlReg *sqlish.Registry
+	cache  *plancache.Cache
+	// seeds holds the HardenStats seed store of each query shape
+	// (core.QueryShape → *stats.Store), bounded like the plan cache; seedMu
+	// makes finding or adding a shape's store one step.
+	seedMu  sync.Mutex
+	seeds   *plancache.Cache
 	reg     *obs.Registry
 	ring    *obs.TraceRing
 	sem     chan struct{}
@@ -150,7 +159,6 @@ func New(cfg Config) (*Server, error) {
 		queries: make(map[string]*namedQuery),
 		sqlReg:  sqlish.NewRegistry(),
 		cache:   plancache.New(cfg.CacheCapacity),
-		seed:    stats.New(),
 		reg:     obs.NewRegistry(),
 		ring:    obs.NewTraceRing(0),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
@@ -159,6 +167,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.HardenStats {
 		s.cal = cost.NewCalibrator()
+		s.seeds = plancache.New(cfg.CacheCapacity)
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -403,7 +412,11 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	st := s.seed.Clone()
+	st, hardened := stats.New(), (*stats.Store)(nil)
+	if s.cfg.HardenStats {
+		hardened = s.seedFor(q)
+		st = hardened.Clone()
+	}
 	budget := s.budgetFor(req)
 	cfg := core.Config{
 		Prior:           prior.Default(),
@@ -453,11 +466,25 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	resp.Rows = res.Rows
 	resp.Aggregate = res.Value
 	resp.ResultHash = hashRelation(res.Output)
-	if s.cfg.HardenStats {
-		s.seed.MergeFrom(st)
+	if hardened != nil {
+		hardened.MergeFrom(st)
 		s.selfCalibrate()
 	}
 	return resp, http.StatusOK
+}
+
+// seedFor returns the HardenStats seed store of q's shape, adding an empty one
+// for a shape not seen (or evicted) before.
+func (s *Server) seedFor(q *query.Query) *stats.Store {
+	shape := core.QueryShape(q)
+	s.seedMu.Lock()
+	defer s.seedMu.Unlock()
+	if st, ok := s.seeds.Get(shape); ok {
+		return st.(*stats.Store)
+	}
+	st := stats.New()
+	s.seeds.Put(shape, st)
+	return st
 }
 
 // currentProfile snapshots the cost profile sessions should plan with: the

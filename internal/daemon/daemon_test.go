@@ -384,6 +384,44 @@ func TestHardenStatsSelfCalibration(t *testing.T) {
 	}
 }
 
+// TestHardenStatsStaysWithItsQuery: hardened statistics go back to the seed
+// store of the query's own shape and nowhere else. TPC-H Q3 and Q5 both mount
+// orders as o, under different year filters, and number their terms each from
+// 0: a single shared seed store handed Q5 the count of Q3's filtered o as its
+// own, and Q3's measured distinct counts as answers for Q5's terms.
+func TestHardenStatsStaysWithItsQuery(t *testing.T) {
+	srv, err := New(Config{Bench: "tpch", MaxConcurrent: 4,
+		DefaultTimeout: 5 * time.Minute, HardenStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	q3, q5 := srv.queries["tpch-q3"].q, srv.queries["tpch-q5"].q
+	if rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", ""); rec.Code != http.StatusOK {
+		t.Fatalf("tpch-q3: status %d: %s", rec.Code, rec.Body.String())
+	}
+	seed3 := srv.seedFor(q3)
+	if _, ok := seed3.Count("o"); !ok {
+		t.Fatalf("tpch-q3 hardened no count of its filtered orders:\n%s", seed3)
+	}
+	if seed5 := srv.seedFor(q5); seed5.CountEntries()+seed5.MeasuredEntries() != 0 {
+		t.Fatalf("tpch-q5's seed store holds tpch-q3's facts before tpch-q5 ever ran:\n%s", seed5)
+	}
+	before := seed3.String()
+	if rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q5", ""); rec.Code != http.StatusOK {
+		t.Fatalf("tpch-q5: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if after := seed3.String(); after != before {
+		t.Errorf("tpch-q5 wrote into tpch-q3's seed store:\nbefore\n%s\nafter\n%s", before, after)
+	}
+	if seed5 := srv.seedFor(q5); seed5.CountEntries() == 0 {
+		t.Error("tpch-q5 hardened nothing into its own seed store")
+	}
+	if core.QueryShape(q3) == core.QueryShape(q5) {
+		t.Fatal("tpch-q3 and tpch-q5 share a shape")
+	}
+}
+
 func TestHashRelation(t *testing.T) {
 	if got := hashRelation(nil); got != fmt.Sprintf("fnv1a:%016x", uint64(0xcbf29ce484222325)) {
 		t.Errorf("nil relation hash %s, want the FNV-1a offset basis", got)

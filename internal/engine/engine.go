@@ -237,9 +237,11 @@ func (e *Exec) Release() {
 	clear(e.mats)
 }
 
-// SeedBaseStats records the raw cardinality of every base table referenced
-// by q into st — the statistics assumed known at the start (§4.1).
+// SeedBaseStats binds st to q's alias universe (stats.Store.Bind) and records
+// the raw cardinality of every base table referenced by q into it — the
+// statistics assumed known at the start (§4.1).
 func (e *Engine) SeedBaseStats(q *query.Query, st *stats.Store) {
+	st.Bind(q.Aliases())
 	for _, r := range q.Rels {
 		st.SetCount(stats.RawKey(r.Alias), float64(e.Cat.MustGet(r.Table).Count()))
 	}

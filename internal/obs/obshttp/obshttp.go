@@ -1,7 +1,9 @@
 // Package obshttp serves the obs layer over HTTP with nothing but the
 // standard library: a /debug/vars-style JSON snapshot of the metrics
 // Registry, a Prometheus text-exposition /metrics endpoint, and
-// /traces/recent serving the span trees of recently completed queries. The
+// /traces/recent serving the span trees of recently completed queries. Both
+// metric documents end with the Go runtime's garbage-collection gauges, read
+// when they are scraped. The
 // handler set is designed to be mounted as-is by the future monsoond daemon;
 // today both CLIs expose it behind -obs-addr so long benchmark campaigns can
 // be watched live.
@@ -14,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -26,8 +29,9 @@ import (
 //	/metrics       Prometheus text exposition (version 0.0.4)
 //	/traces/recent JSON array of recent query span trees, newest first
 //
-// Either argument may be nil: the corresponding routes serve empty (but
-// well-formed) documents.
+// The two metric routes append the runtime gauges (see runtimeGauges) to the
+// registry's. Either argument may be nil: the corresponding routes serve
+// empty (but well-formed) documents.
 func Handler(reg *obs.Registry, ring *obs.TraceRing) http.Handler {
 	mux := http.NewServeMux()
 	Mount(mux, reg, ring)
@@ -39,11 +43,11 @@ func Handler(reg *obs.Registry, ring *obs.TraceRing) http.Handler {
 func Mount(mux *http.ServeMux, reg *obs.Registry, ring *obs.TraceRing) {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		writeVars(w, reg)
+		writeVars(w, snapshot(reg))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, reg)
+		writePrometheus(w, snapshot(reg))
 	})
 	mux.HandleFunc("/traces/recent", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -122,11 +126,47 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	return s, nil
 }
 
-// writeVars renders the registry as a single JSON object. Key order follows
-// Registry.Snapshot (counters, gauges, histograms; each sorted by name) —
-// json.Marshal of a map would destroy that, so the document is built by hand.
-func writeVars(w http.ResponseWriter, reg *obs.Registry) {
-	snap := reg.Snapshot()
+// runtimeSamples are the runtime/metrics series runtimeGauges reads, each
+// under the gauge name it is published as.
+var runtimeSamples = []struct{ metric, gauge string }{
+	{"/gc/cycles/total:gc-cycles", "runtime.gc.cycles"},
+	{"/gc/heap/live:bytes", "runtime.heap.live_bytes"},
+	{"/sched/goroutines:goroutines", "runtime.goroutines"},
+}
+
+// runtimeGauges reads, from runtime/metrics, the garbage-collection cycles
+// completed since the process started, the heap bytes live after the last
+// cycle, and the goroutines running — a registry of three gauges, sampled
+// when called, so a scrape costs the serving path nothing per request.
+func runtimeGauges() *obs.Registry {
+	samples := make([]metrics.Sample, len(runtimeSamples))
+	for i, r := range runtimeSamples {
+		samples[i].Name = r.metric
+	}
+	metrics.Read(samples)
+	reg := obs.NewRegistry()
+	for i, r := range runtimeSamples {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			reg.Gauge(r.gauge).Set(float64(samples[i].Value.Uint64()))
+		}
+	}
+	return reg
+}
+
+// snapshot is what the metric routes render: the registry's entries, then
+// the runtime gauges; nothing for a nil registry.
+func snapshot(reg *obs.Registry) []obs.SnapshotEntry {
+	if reg == nil {
+		return nil
+	}
+	return append(reg.Snapshot(), runtimeGauges().Snapshot()...)
+}
+
+// writeVars renders a snapshot as a single JSON object. Key order follows
+// the snapshot (Registry.Snapshot's: counters, gauges, histograms; each
+// sorted by name) — json.Marshal of a map would destroy that, so the document
+// is built by hand.
+func writeVars(w http.ResponseWriter, snap []obs.SnapshotEntry) {
 	var b strings.Builder
 	b.WriteString("{\n")
 	for i, e := range snap {
@@ -157,8 +197,10 @@ func writeVars(w http.ResponseWriter, reg *obs.Registry) {
 // as cumulative `_bucket{le="..."}` series plus `_sum` and `_count`. Metric
 // names are sanitized (dots and dashes become underscores). Output order is
 // Snapshot order, so the exposition is deterministic and golden-testable.
-func WritePrometheus(w io.Writer, reg *obs.Registry) {
-	for _, e := range reg.Snapshot() {
+func WritePrometheus(w io.Writer, reg *obs.Registry) { writePrometheus(w, reg.Snapshot()) }
+
+func writePrometheus(w io.Writer, snap []obs.SnapshotEntry) {
+	for _, e := range snap {
 		name := sanitize(e.Name)
 		switch e.Kind {
 		case "counter":

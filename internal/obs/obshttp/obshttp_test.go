@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,42 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestRuntimeGaugesOnScrape: both metric documents end with the runtime's GC
+// gauges, read at scrape time, and leave the registry itself untouched.
+func TestRuntimeGaugesOnScrape(t *testing.T) {
+	reg := fixtureRegistry()
+	h := Handler(reg, nil)
+	runtime.GC()
+	body := get(t, h, "/metrics").Body.String()
+	for _, name := range []string{"runtime_gc_cycles", "runtime_heap_live_bytes", "runtime_goroutines"} {
+		if !strings.Contains(body, "# TYPE "+name+" gauge\n") {
+			t.Errorf("/metrics lacks the %s gauge:\n%s", name, body)
+		}
+	}
+	if i, j := strings.Index(body, "monsoon_plan_seconds_count"), strings.Index(body, "runtime_gc_cycles"); i < 0 || j < i {
+		t.Errorf("runtime gauges must follow the registry's entries:\n%s", body)
+	}
+	rec := get(t, h, "/debug/vars")
+	var vars map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if n, _ := vars["runtime.gc.cycles"].(float64); n < 1 {
+		t.Errorf("runtime.gc.cycles = %v after a forced GC, want ≥ 1", vars["runtime.gc.cycles"])
+	}
+	if n, _ := vars["runtime.heap.live_bytes"].(float64); n <= 0 {
+		t.Errorf("runtime.heap.live_bytes = %v, want > 0", vars["runtime.heap.live_bytes"])
+	}
+	if n, _ := vars["runtime.goroutines"].(float64); n < 1 {
+		t.Errorf("runtime.goroutines = %v, want ≥ 1", vars["runtime.goroutines"])
+	}
+	for _, e := range reg.Snapshot() {
+		if strings.HasPrefix(e.Name, "runtime.") {
+			t.Errorf("scraping wrote %s into the registry", e.Name)
 		}
 	}
 }

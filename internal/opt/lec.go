@@ -64,7 +64,7 @@ func LECPlan(q *query.Query, base *stats.Store, p prior.Prior, worlds int, rng *
 }
 
 func priorMiss(p prior.Prior, rng *rand.Rand) cost.MissFn {
-	return func(_ *query.Term, _, _ string, cExpr, cPartner float64) float64 {
+	return func(_ *query.Term, _, _ query.AliasSet, cExpr, cPartner float64) float64 {
 		return p.Sample(rng, cExpr, cPartner)
 	}
 }

@@ -21,7 +21,7 @@ type Node struct {
 	Sigma bool
 
 	aliases query.AliasSet // cached union
-	key     string         // aliases.Key(), read on every statistics lookup
+	key     string         // aliases.Key(): the expression's name in actions and the engine
 }
 
 // NewLeaf returns a leaf referencing the materialized expression covering s.

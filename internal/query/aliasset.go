@@ -124,6 +124,53 @@ func (s AliasSet) bitsIn(u *universe) (b uint64, all bool) {
 	return b, all
 }
 
+// WordOf returns the membership bits of s over u's universe, translating by
+// name when s comes from another one; false when u is the zero set or its
+// universe lacks one of s's members. A statistics store bound to a query keys
+// its entries by these words.
+func (u AliasSet) WordOf(s AliasSet) (uint64, bool) {
+	if s.u == u.u && u.u != nil {
+		return s.bits, true
+	}
+	if u.u == nil {
+		return 0, false
+	}
+	return s.bitsIn(u.u)
+}
+
+// Subset returns the set whose bits over u's universe are w.
+func (u AliasSet) Subset(w uint64) AliasSet { return AliasSet{u: u.u, bits: w} }
+
+// ParseKey is the inverse of Key over u's universe: the bits of the set whose
+// Key is key; false when key is not the Key of any set of it (an unknown name,
+// or names out of order or repeated). It keeps the one-to-one correspondence
+// between a set and its key text that string-keyed statistics relied on.
+func (u AliasSet) ParseKey(key string) (uint64, bool) {
+	if u.u == nil {
+		return 0, false
+	}
+	var w uint64
+	last := -1
+	for rest := key; rest != ""; {
+		name := rest
+		if i := strings.IndexByte(rest, '+'); i >= 0 {
+			name, rest = rest[:i], rest[i+1:]
+			if rest == "" {
+				return 0, false // a trailing separator
+			}
+		} else {
+			rest = ""
+		}
+		i := u.u.index(name)
+		if i <= last {
+			return 0, false
+		}
+		w |= 1 << uint(i)
+		last = i
+	}
+	return w, true
+}
+
 // Key returns the canonical string form ("a+b+c"), used as a map key for
 // materialized expressions and statistics.
 func (s AliasSet) Key() string {
