@@ -334,6 +334,58 @@ func TestQueriesAndHealthRoutes(t *testing.T) {
 	}
 }
 
+// TestFreeListCountersOnScrape: both metric documents end with the engine's
+// free-list counters, read at scrape time. A warm pass over the TPC-H mix
+// takes its slabs, join tables and row-header buffers from what the pass
+// before it released, so the hits rise between two scrapes around it; the
+// daemon's registry never holds the counters.
+func TestFreeListCountersOnScrape(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	pass := func() {
+		for _, name := range s.QueryNames() {
+			if rec, _ := doJSON(t, h, "GET", "/query?query="+name, ""); rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", name, rec.Code)
+			}
+		}
+	}
+	vars := func() map[string]any {
+		rec, _ := doJSON(t, h, "GET", "/debug/vars", "")
+		var v map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("/debug/vars: %v", err)
+		}
+		return v
+	}
+	pass()
+	before := vars()
+	pass()
+	after := vars()
+	rec, _ := doJSON(t, h, "GET", "/metrics", "")
+	body := rec.Body.String()
+	for _, list := range []string{"slabs", "rows", "slots", "entries", "links", "filters"} {
+		for _, kind := range []string{"hits", "misses"} {
+			if name := "engine_freelist_" + list + "_" + kind; !strings.Contains(body, "# TYPE "+name+" counter\n") {
+				t.Errorf("/metrics lacks the %s counter", name)
+			}
+			if _, ok := after["engine.freelist."+list+"."+kind]; !ok {
+				t.Errorf("/debug/vars lacks engine.freelist.%s.%s", list, kind)
+			}
+		}
+	}
+	for _, list := range []string{"slabs", "rows", "slots", "entries", "links"} {
+		hits := "engine.freelist." + list + ".hits"
+		if b, a := before[hits].(float64), after[hits].(float64); a <= b {
+			t.Errorf("%s: %v before a warm pass, %v after it: no take found a released buffer", hits, before[hits], after[hits])
+		}
+	}
+	for _, e := range s.Registry().Snapshot() {
+		if strings.HasPrefix(e.Name, "engine.freelist.") {
+			t.Errorf("scraping wrote %s into the registry", e.Name)
+		}
+	}
+}
+
 // TestHashRelation pins the digest: stable empty-input rendering, field/row
 // separator sensitivity, and process-independence (pure function of values).
 // TestHardenStatsSelfCalibration: with HardenStats on, the daemon folds each

@@ -101,6 +101,11 @@ func TestRowLifetime(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
+			roots := map[string][]table.Row{"root relation": rel.Rows, "second run": rel2.Rows}
+			headersWere := map[string][]table.Row{}
+			for what, rows := range roots {
+				headersWere[what] = append([]table.Row(nil), rows...)
+			}
 
 			for _, c := range []struct {
 				what      string
@@ -122,6 +127,22 @@ func TestRowLifetime(t *testing.T) {
 				for i, r := range rows {
 					if !value.Identical(r[0], poisonValue) {
 						t.Fatalf("%s: %s row %d reads %v after Release, not the poison: its slab was not given back", at, what, i, r)
+					}
+				}
+			}
+			// The root relations' row headers are poisoned themselves, not
+			// only the slabs under them: each now points at a row of the
+			// sentinel, so a stale read of a header buffer that went on to
+			// another query cannot see that query's rows.
+			for what, rows := range roots {
+				for i, r := range rows {
+					if unsafe.SliceData(r) == unsafe.SliceData(headersWere[what][i]) {
+						t.Fatalf("%s: %s row %d still points into its slab after Release: its header was not poisoned", at, what, i)
+					}
+					for j, v := range r {
+						if !value.Identical(v, poisonValue) {
+							t.Fatalf("%s: %s row %d column %d reads %v after Release, not the poison", at, what, i, j, v)
+						}
 					}
 				}
 			}

@@ -6,40 +6,58 @@
 // sees die earlier — an outgrown row-header buffer, the partial results of a
 // failed tree — is left to the collector, as it always was.
 //
-// Every list is keyed by a buffer's exact length, the length the engine asks
-// for whether or not anything was ever given back, so a process that never
-// releases only ever misses: it allocates what it did before the lists
-// existed, and holds no memory for them.
+// A list files buffers by power-of-two size class, so a buffer one query gives
+// back serves any query that asks for a length of its class, not only another
+// run of the same query: the lists hold buffers the whole mix shares, not a
+// working set per query. A list that was never given a buffer — every list of
+// a process that never releases — allocates exactly the length asked for, so
+// such a process allocates what it did before the lists existed and holds no
+// memory for them.
 package engine
 
 import (
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"monsoon/internal/table"
 	"monsoon/internal/value"
 )
 
-// freeList recycles buffers of one element type by exact length: one
-// sync.Pool per length, made when the first buffer of that length comes
-// back. A take of a length nobody has given back is a plain make. The pools
-// hold a buffer's first element, which boxes without allocating; the length
-// is the key. A pool, once made, stays in the map; the collector empties it
-// like any sync.Pool, so an unused length costs the map entry alone.
+// freeList recycles buffers of one element type by size class: class c holds
+// buffers of capacity 2^c up to 2^(c+1)-1, in a sync.Pool of its own, one of a
+// fixed array. put files a buffer under ⌊log₂ cap⌋; take(n) draws from class
+// ⌈log₂ n⌉, where every buffer has room for n, and hands it out resliced to n
+// with the class's capacity 2^c, so it goes back to the class it came from. A
+// take that misses allocates that full 2^c too, so the new buffer can join the
+// class — once the list has been given any buffer; before that a take looks
+// at no pool and allocates exactly n. The pools hold a buffer's first
+// element, which boxes without allocating; the class gives the capacity. The
+// collector empties the pools like any sync.Pool, and an unused class costs
+// its empty pool alone.
 // Recycled buffers keep what they held: every taker writes an element before
 // reading it, except the join table's slots, which have a list of their own
-// that clears on the way back.
+// that clears on the way back. Every take counts as a hit or a miss.
 type freeList[T any] struct {
-	clear bool
-	pools sync.Map // int → *sync.Pool of *T
+	name         string
+	clear        bool
+	given        atomic.Bool
+	classes      [bits.UintSize]sync.Pool // class c: *T with room for 2^c
+	hits, misses atomic.Uint64
 }
 
 func (f *freeList[T]) take(n int) []T {
-	if p, ok := f.pools.Load(n); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			return unsafe.Slice(v.(*T), n)
+	if n > 0 && f.given.Load() {
+		c := bits.Len(uint(n - 1))
+		if v := f.classes[c].Get(); v != nil {
+			f.hits.Add(1)
+			return unsafe.Slice(v.(*T), 1<<c)[:n]
 		}
+		f.misses.Add(1)
+		return make([]T, n, 1<<c)
 	}
+	f.misses.Add(1)
 	return make([]T, n)
 }
 
@@ -52,27 +70,46 @@ func (f *freeList[T]) put(s []T) {
 	if f.clear {
 		clear(s)
 	}
-	p, ok := f.pools.Load(n)
-	if !ok {
-		p, _ = f.pools.LoadOrStore(n, new(sync.Pool))
+	if !f.given.Load() {
+		f.given.Store(true)
 	}
-	p.(*sync.Pool).Put(unsafe.SliceData(s))
+	f.classes[bits.Len(uint(n))-1].Put(unsafe.SliceData(s))
 }
 
 var (
-	freeSlabs   freeList[value.Value]
-	freeRows    freeList[table.Row]
-	freeSlots   = freeList[int32]{clear: true}
-	freeEntries freeList[entry]
-	freeLinks   freeList[int32]
-	freeFilters freeList[uint64]
+	freeSlabs   = freeList[value.Value]{name: "slabs"}
+	freeRows    = freeList[table.Row]{name: "rows"}
+	freeSlots   = freeList[int32]{name: "slots", clear: true}
+	freeEntries = freeList[entry]{name: "entries"}
+	freeLinks   = freeList[int32]{name: "links"}
+	freeFilters = freeList[uint64]{name: "filters"}
 )
+
+// FreeListCount is one free list's takes since the process started: those a
+// released buffer served, and those that allocated.
+type FreeListCount struct {
+	List         string
+	Hits, Misses uint64
+}
+
+// FreeListCounts reads every free list's counts, in a fixed order.
+func FreeListCounts() []FreeListCount {
+	return []FreeListCount{freeSlabs.count(), freeRows.count(), freeSlots.count(),
+		freeEntries.count(), freeLinks.count(), freeFilters.count()}
+}
+
+func (f *freeList[T]) count() FreeListCount {
+	return FreeListCount{List: f.name, Hits: f.hits.Load(), Misses: f.misses.Load()}
+}
 
 // poisonReleased makes the engine overwrite a slab with poisonValue when it
 // declares the slab's rows dead — at Release, and when a streaming join
-// rewinds — so a row read after that reads as garbage instead of as a
-// plausible stale row. Builds with the race detector set it
-// (poison_race.go); engine tests set it around what they check.
+// rewinds — and, at Release, point every row header at a row of poisonValue,
+// so a row read after that reads as garbage instead of as a plausible stale
+// row. The headers need it because a released header buffer goes on to
+// queries of any shape: a stale header read would see another query's live
+// rows. Builds with the race detector set it (poison_race.go); engine tests
+// set it around what they check.
 var poisonReleased bool
 
 var poisonValue = value.String("engine: row read after its lifetime")
@@ -84,6 +121,29 @@ func poison(slabs [][]value.Value) {
 	for _, s := range slabs {
 		for i := range s {
 			s[i] = poisonValue
+		}
+	}
+}
+
+// poisonHeaders points every row header in bufs at a row of poisonValue as
+// wide as the row it pointed at.
+func poisonHeaders(bufs [][]table.Row) {
+	if !poisonReleased {
+		return
+	}
+	w := 0
+	for _, rows := range bufs {
+		for _, r := range rows {
+			w = max(w, len(r))
+		}
+	}
+	dead := make(table.Row, w)
+	for i := range dead {
+		dead[i] = poisonValue
+	}
+	for _, rows := range bufs {
+		for i, r := range rows {
+			rows[i] = dead[:len(r):len(r)]
 		}
 	}
 }
@@ -137,6 +197,7 @@ func truncate[T any](s []T, n int) []T {
 // release gives every listed buffer back to the free lists.
 func (h *held) release() {
 	poison(h.slabs)
+	poisonHeaders(h.rows)
 	for _, s := range h.slabs {
 		freeSlabs.put(s)
 	}

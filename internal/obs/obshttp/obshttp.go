@@ -2,11 +2,11 @@
 // standard library: a /debug/vars-style JSON snapshot of the metrics
 // Registry, a Prometheus text-exposition /metrics endpoint, and
 // /traces/recent serving the span trees of recently completed queries. Both
-// metric documents end with the Go runtime's garbage-collection gauges, read
-// when they are scraped. The
-// handler set is designed to be mounted as-is by the future monsoond daemon;
-// today both CLIs expose it behind -obs-addr so long benchmark campaigns can
-// be watched live.
+// metric documents end with the Go runtime's garbage-collection gauges and
+// the engine's free-list counters, read when they are scraped. The handler
+// set is designed to be mounted as-is by the future monsoond daemon; today
+// both CLIs expose it behind -obs-addr so long benchmark campaigns can be
+// watched live.
 package obshttp
 
 import (
@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"monsoon/internal/engine"
 	"monsoon/internal/obs"
 )
 
@@ -29,9 +30,10 @@ import (
 //	/metrics       Prometheus text exposition (version 0.0.4)
 //	/traces/recent JSON array of recent query span trees, newest first
 //
-// The two metric routes append the runtime gauges (see runtimeGauges) to the
-// registry's. Either argument may be nil: the corresponding routes serve
-// empty (but well-formed) documents.
+// The two metric routes append the runtime gauges (see runtimeGauges) and the
+// free-list counters (see freeListCounters) to the registry's. Either
+// argument may be nil: the corresponding routes serve empty (but
+// well-formed) documents.
 func Handler(reg *obs.Registry, ring *obs.TraceRing) http.Handler {
 	mux := http.NewServeMux()
 	Mount(mux, reg, ring)
@@ -153,13 +155,28 @@ func runtimeGauges() *obs.Registry {
 	return reg
 }
 
+// freeListCounters reads the engine's free-list takes since the process
+// started: per list, engine.freelist.<list>.hits counts the takes a released
+// buffer served and .misses those that allocated. A process that never
+// releases counts misses alone.
+func freeListCounters() *obs.Registry {
+	reg := obs.NewRegistry()
+	for _, c := range engine.FreeListCounts() {
+		reg.Counter("engine.freelist." + c.List + ".hits").Add(int64(c.Hits))
+		reg.Counter("engine.freelist." + c.List + ".misses").Add(int64(c.Misses))
+	}
+	return reg
+}
+
 // snapshot is what the metric routes render: the registry's entries, then
-// the runtime gauges; nothing for a nil registry.
+// the runtime gauges, then the free-list counters; nothing for a nil
+// registry.
 func snapshot(reg *obs.Registry) []obs.SnapshotEntry {
 	if reg == nil {
 		return nil
 	}
-	return append(reg.Snapshot(), runtimeGauges().Snapshot()...)
+	snap := append(reg.Snapshot(), runtimeGauges().Snapshot()...)
+	return append(snap, freeListCounters().Snapshot()...)
 }
 
 // writeVars renders a snapshot as a single JSON object. Key order follows
