@@ -1,9 +1,7 @@
 package monsoon
 
 import (
-	"io"
 	"testing"
-	"time"
 
 	"monsoon/internal/bench/tpch"
 	"monsoon/internal/core"
@@ -16,110 +14,9 @@ import (
 	"monsoon/internal/value"
 )
 
-// These testing.B benchmarks regenerate the paper's tables and figures at
-// the tiny scale — one benchmark per table/figure of §6, as macro-benchmarks
-// over the whole pipeline (generators → optimizers → engine → aggregation).
-// `go run ./cmd/monsoon-bench -scale small` produces the full-size campaign
-// recorded in EXPERIMENTS.md.
-
-// benchScale shrinks the tiny scale further so the full -bench=. sweep stays
-// in CI territory.
-func benchScale() harness.Scale {
-	sc := harness.Tiny()
-	sc.IMDBQueryCount = 4
-	sc.MCTSIterations = 80
-	sc.Timeout = 2 * time.Second
-	sc.MaxTuples = 1e6
-	return sc
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.Table1(io.Discard)
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.Figure2(io.Discard)
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table2(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table3(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table4(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table5(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table6(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table7(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Figure3(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Scale: benchScale()}
-		if err := r.Table8(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMonsoonSingleQuery measures one end-to-end Monsoon run (optimize +
 // execute) on the public-API quickstart shape — the per-query unit behind
-// every table row above. With no event sink or metrics registry attached
+// every row of the paper's tables. With no event sink or metrics registry attached
 // this is the observability layer's zero-cost guard: every instrumentation
 // site reduces to a nil-receiver call, so this benchmark must hold the
 // pre-instrumentation baseline (compare against BenchmarkMonsoonTraced to
@@ -183,12 +80,8 @@ func largeJoinFixture() (*table.Catalog, *query.Query, *plan.Node) {
 }
 
 func benchLargeJoin(b *testing.B, parallelism int) {
-	benchLargeJoinAt(b, parallelism, 0)
-}
-
-func benchLargeJoinAt(b *testing.B, parallelism, batchSize int) {
 	cat, q, tree := largeJoinFixture()
-	ex := engine.New(cat).NewExec(engine.ExecConfig{Parallelism: parallelism, BatchSize: batchSize})
+	ex := engine.New(cat).NewExec(engine.ExecConfig{Parallelism: parallelism})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -208,16 +101,6 @@ func benchLargeJoinAt(b *testing.B, parallelism, batchSize int) {
 // delta is pure probe-side speedup from the partitioned parallel path.
 func BenchmarkLargeJoinSerial(b *testing.B)   { benchLargeJoin(b, 1) }
 func BenchmarkLargeJoinParallel(b *testing.B) { benchLargeJoin(b, 0) }
-
-// BenchmarkExecStreaming / BenchmarkExecMaterialized contrast the two
-// execution modes on the same 400k-row join, serial so the pipeline itself is
-// what's measured: default 4096-row batches flowing through the operators
-// versus the negative sentinel that materializes every intermediate in full.
-// Both produce bit-identical relations (TestStreamingMatchesMaterialized);
-// the deltas of interest are allocation volume and peak heap — run with
-// -benchmem, or see the `monsoon-bench -exp memory` study in EXPERIMENTS.md.
-func BenchmarkExecStreaming(b *testing.B)    { benchLargeJoinAt(b, 1, 4096) }
-func BenchmarkExecMaterialized(b *testing.B) { benchLargeJoinAt(b, 1, -1) }
 
 // benchPlanPhase measures the cold-cache plan phase alone on the small
 // campaign's TPC-H workload (the suite recorded in campaign_small.txt): every

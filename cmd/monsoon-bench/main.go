@@ -1,10 +1,12 @@
 // Command monsoon-bench regenerates the paper's evaluation: every table
-// (1–8) and figure (2–3) of §6, at a configurable scale.
+// (1–8) and figure (1–3) of §6, at a configurable scale, plus the
+// ablation, estimate-accuracy and trace-corpus workloads.
 //
 // Usage:
 //
-//	monsoon-bench [-scale tiny|small|medium] [-exp all|table1|...|figure3|plancache|memory|sharding|calibration] [-seed N] [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N] [-plan-cache] [-calibration-file FILE] [-replan-threshold Q] [-v] [-metrics] [-obs-addr ADDR] [-obs-linger DUR] [-trace-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	monsoon-bench [-scale tiny|small|medium] [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus] [-seed N] [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N] [-plan-cache] [-calibration-file FILE] [-replan-threshold Q] [-v] [-metrics] [-obs-addr ADDR] [-obs-linger DUR] [-trace-json FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
+// -exp all runs every step but tracecorpus, which runs only when named.
 // Output goes to stdout; progress (with -v) and the -metrics dump to stderr.
 // With -trace-json, every Monsoon run of the campaign streams its structured
 // trace (spans, messages, estimate records) to FILE as JSON lines. With
@@ -13,12 +15,6 @@
 // (/traces/recent) while it runs; -obs-linger keeps it up after the last
 // experiment so CI can scrape it. The -cpuprofile and -memprofile flags write
 // pprof profiles of the campaign for `go tool pprof`.
-//
-// With -load-url, the binary is a load generator instead: N concurrent
-// clients (-load-clients) each issue -load-requests queries round-robin
-// against a live monsoond, and the report gives p50/p95/p99 latency plus a
-// cross-client determinism check (exit 1 if any query returned different
-// result hashes to different clients).
 package main
 
 import (
@@ -28,11 +24,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"monsoon/internal/cost"
-	"monsoon/internal/daemon"
 	"monsoon/internal/harness"
 	"monsoon/internal/obs"
 	"monsoon/internal/obs/obshttp"
@@ -40,7 +34,7 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "campaign scale: tiny, small, or medium")
-	exp := flag.String("exp", "all", "experiment: all, table1..table8, figure1..figure3, ablation, estimates, plancache, memory, sharding, tracecorpus, calibration")
+	exp := flag.String("exp", "all", "experiment: all, table1..table8, figure1..figure3, ablation, estimates, tracecorpus")
 	seed := flag.Int64("seed", 1, "master seed")
 	par := flag.Int("parallelism", 0, "engine worker count: 0 = all cores, 1 = serial (results are identical either way)")
 	batchSize := flag.Int("batch-size", 0, "engine pipeline batch size: 0 = default (4096), negative = unbounded/materialized (results are identical at any size)")
@@ -56,37 +50,7 @@ func main() {
 	replanThr := flag.Float64("replan-threshold", 0, "q-error at which the campaign's Monsoon runs force a mid-query replan (0 disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to FILE")
 	memProfile := flag.String("memprofile", "", "write a heap profile to FILE on exit")
-	loadURL := flag.String("load-url", "", "load-generator mode: hammer a live monsoond at this base URL (e.g. http://127.0.0.1:8080) instead of running experiments")
-	loadClients := flag.Int("load-clients", 8, "load-generator concurrent clients")
-	loadRequests := flag.Int("load-requests", 10, "load-generator requests per client")
-	loadQueries := flag.String("load-queries", "", "load-generator comma-separated query names (default: every query the daemon serves)")
-	loadTimeout := flag.Duration("load-timeout", 60*time.Second, "load-generator per-request HTTP timeout")
 	flag.Parse()
-
-	if *loadURL != "" {
-		var queries []string
-		for _, q := range strings.Split(*loadQueries, ",") {
-			if q = strings.TrimSpace(q); q != "" {
-				queries = append(queries, q)
-			}
-		}
-		ls, err := daemon.RunLoad(daemon.LoadConfig{
-			URL:      *loadURL,
-			Clients:  *loadClients,
-			Requests: *loadRequests,
-			Queries:  queries,
-			Timeout:  *loadTimeout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load generation failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(ls.String())
-		if len(ls.Divergent) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -207,11 +171,7 @@ func main() {
 		{name: "table8", run: func() error { return r.Table8(w) }},
 		{name: "ablation", run: func() error { return r.Ablation(w) }},
 		{name: "estimates", run: func() error { return r.Estimates(w) }},
-		{name: "plancache", run: func() error { return r.PlanCacheStudy(w) }},
-		{name: "memory", run: func() error { return r.MemoryStudy(w) }, onlyExplicit: true},
-		{name: "sharding", run: func() error { return r.ShardingStudy(w) }, onlyExplicit: true},
 		{name: "tracecorpus", run: func() error { return r.TraceCorpus(w) }, onlyExplicit: true},
-		{name: "calibration", run: func() error { return r.CalibrationStudy(w) }, onlyExplicit: true},
 	}
 	ran := false
 	for _, s := range steps {

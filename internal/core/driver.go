@@ -115,10 +115,6 @@ type Result struct {
 	// forced replan (Config.ReplanThreshold); ReplanInvalidations is the
 	// total number of plan-cache entries those triggers evicted.
 	Replans, ReplanInvalidations int
-	// PeakBytes is the largest peak heap allocation any EXECUTE round's
-	// tree drain observed. Zero unless Config.Metrics is set (the engine
-	// samples the heap only when a registry is attached).
-	PeakBytes float64
 	// Output is the materialized full join result, set by Finalize. Each
 	// session materializes into its own scope (never the shared engine), so
 	// callers that need the result rows read them here, until Release.

@@ -104,8 +104,7 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s.state = NewInitialState(q, st)
 
 	s.tr = obs.NewTracer(cfg.Sink)
-	// Attaching cfg.Metrics also switches on the engine's peak-memory
-	// sampling (Result.PeakBytes, the monsoon.exec.peak_bytes gauge).
+	// cfg.Metrics also receives the engine's exchange counters.
 	s.ex = eng.NewExec(engine.ExecConfig{
 		Obs:         s.tr,
 		Parallelism: cfg.Parallelism,
@@ -410,9 +409,6 @@ func (s *Session) ExecuteRound() error {
 		s.res.SigmaTime += er.SigmaTime
 		s.res.ExecTime += elapsed - er.SigmaTime
 		s.res.Produced += er.Produced
-		if er.PeakBytes > s.res.PeakBytes {
-			s.res.PeakBytes = er.PeakBytes
-		}
 		roundProduced += er.Produced
 		for k, v := range er.Counts {
 			s.st.SetCount(k, v)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"monsoon/internal/engine"
-	"monsoon/internal/obs"
 )
 
 // TestRunStreamingBatchSizesIdentical is the driver-level mirror of the
@@ -70,22 +69,5 @@ func TestRunStreamingParallelIdentical(t *testing.T) {
 					batch, par, r.Value, r.Rows, r.Produced, ref.Value, ref.Rows, ref.Produced)
 			}
 		}
-	}
-}
-
-// TestSessionPeakBytesFlows: with a metrics registry in the config, the
-// engine's per-batch heap sampling must surface through Session results as
-// the max over EXECUTE rounds.
-func TestSessionPeakBytesFlows(t *testing.T) {
-	cat, q := bigFixture()
-	eng := engine.New(cat)
-	res, err := Run(q, eng, &engine.Budget{}, Config{
-		Seed: 13, Iterations: 200, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakBytes <= 0 {
-		t.Errorf("PeakBytes = %v, want > 0 with Metrics set", res.PeakBytes)
 	}
 }

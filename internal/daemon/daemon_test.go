@@ -100,9 +100,9 @@ func TestQueryEndpointDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryConcurrentClientsIdenticalHashes is the in-process version of the
-// monsoon-bench load generator's determinism check: many goroutines racing
-// the same named queries through one handler must all see identical hashes.
+// TestQueryConcurrentClientsIdenticalHashes is the cross-client determinism
+// check: many goroutines racing the same named queries through one handler
+// must all see identical hashes.
 func TestQueryConcurrentClientsIdenticalHashes(t *testing.T) {
 	h := testServer(t).Handler()
 	queries := []string{"tpch-q3", "tpch-q5", "tpch-q10"}

@@ -152,10 +152,6 @@ type ExecResult struct {
 	Sigma []SigmaObs
 	// SigmaTime is the portion of wall time spent in the Σ pass.
 	SigmaTime time.Duration
-	// PeakBytes is the peak heap allocation observed while the tree
-	// drained, sampled every few batches. Zero unless ExecConfig.Metrics
-	// is set.
-	PeakBytes float64
 }
 
 // ExecConfig is the per-execution observation and tuning state. Every Session
@@ -181,10 +177,10 @@ type ExecConfig struct {
 	// accounting are bit-identical at every setting; only peak memory and
 	// wall time change.
 	BatchSize int
-	// Metrics, when non-nil, receives the engine's execution gauges —
-	// currently monsoon.exec.peak_bytes, the peak heap observed while a
-	// tree drains, sampled every few batches from runtime/metrics. Nil (the
-	// default) keeps memory sampling entirely off the hot path.
+	// Metrics, when non-nil, receives the engine's exchange counters:
+	// monsoon.exchange.joins.local/reshuffle, monsoon.exchange.rows and
+	// monsoon.exchange.sigma.partials, counted only on a sharded catalog.
+	// Nil (the default) skips them.
 	Metrics *obs.Registry
 }
 
@@ -267,20 +263,17 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 	if err != nil {
 		return fail(err)
 	}
-	sampler := e.peakSampler(res)
 	var out []table.Row
 	for {
 		b, err := it.Next()
 		if err != nil {
 			it.Close(err)
-			sampler.finish()
 			return fail(err)
 		}
 		if b == nil {
 			break
 		}
 		out = append(growRows(out, len(b)), b...)
-		sampler.sample()
 	}
 	it.Close(nil)
 	e.held.keepRows(out)
@@ -288,12 +281,10 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 	if n.Sigma {
 		start := time.Now()
 		if err := e.collectSigma(q, n, rel, budget, res); err != nil {
-			sampler.finish()
 			return fail(err)
 		}
 		res.SigmaTime = time.Since(start)
 	}
-	sampler.finish()
 	e.mats[n.Key()] = rel
 	msp.SetRows(0, rel.Count()).SetProduced(res.Produced).End()
 	return rel, res, nil

@@ -12,7 +12,7 @@ import (
 	"monsoon/internal/value"
 )
 
-// benchCatalog builds the sharding study's shape in miniature: a probe table
+// benchCatalog builds a co-partitioned join in miniature: a probe table
 // P and a build table B whose first column is the join key (so sharding
 // co-partitions the join), with buildPerKey build rows per distinct key.
 func benchCatalog(probeRows, buildRows, keys int) *table.Catalog {

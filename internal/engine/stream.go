@@ -23,8 +23,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"runtime/metrics"
-	"sync/atomic"
 	"time"
 
 	"monsoon/internal/obs"
@@ -653,104 +651,4 @@ func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term
 	}
 	sh, _ := e.eng.Cat.ShardsOf(tbl)
 	return sh
-}
-
-// peakSampleStride spaces the heap reads of the peak-memory gauge on the
-// drain path: every strideth batch plus the drain's start and end. Sampling
-// is gated on a metrics registry being attached and kept off the per-batch
-// path otherwise.
-const peakSampleStride = 8
-
-// heapObjectsMetric is runtime.MemStats.HeapAlloc as runtime/metrics names
-// it: the bytes of heap objects, live or not yet swept. Reading it does not
-// stop the world, which runtime.ReadMemStats does.
-const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
-
-// heapObjects reads heapObjectsMetric into s, a one-sample slice of the
-// caller's.
-func heapObjects(s []metrics.Sample) uint64 {
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
-
-// peakSampleTick paces the sampler's background goroutine. Batch-boundary
-// samples alone would under-read the unbounded/materialized mode, where a
-// whole tree drains in a single batch and the heap's true peak lies inside
-// one long operator call; a wall-clock ticker observes both modes evenly.
-const peakSampleTick = 2 * time.Millisecond
-
-// peakSampler tracks the peak heap allocation observed while a tree drains,
-// feeding ExecResult.PeakBytes and the monsoon.exec.peak_bytes gauge. It
-// samples at batch boundaries (exact, cheap) and from a background ticker
-// (catches peaks inside pipeline-breaking operator calls). The sampler only
-// reads runtime counters, so it cannot perturb results, spans, or budgets.
-type peakSampler struct {
-	e       *Exec
-	res     *ExecResult
-	enabled bool
-	ticks   int
-	peak    uint64
-	heap    [1]metrics.Sample
-	bgPeak  atomic.Uint64
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-func (e *Exec) peakSampler(res *ExecResult) *peakSampler {
-	ps := &peakSampler{e: e, res: res, enabled: e.Metrics != nil}
-	if ps.enabled {
-		ps.heap[0].Name = heapObjectsMetric
-		ps.read()
-		ps.stop = make(chan struct{})
-		ps.done = make(chan struct{})
-		go ps.background()
-	}
-	return ps
-}
-
-func (ps *peakSampler) background() {
-	defer close(ps.done)
-	t := time.NewTicker(peakSampleTick)
-	defer t.Stop()
-	s := []metrics.Sample{{Name: heapObjectsMetric}}
-	for {
-		select {
-		case <-ps.stop:
-			return
-		case <-t.C:
-			if h := heapObjects(s); h > ps.bgPeak.Load() {
-				ps.bgPeak.Store(h)
-			}
-		}
-	}
-}
-
-func (ps *peakSampler) read() {
-	if h := heapObjects(ps.heap[:]); h > ps.peak {
-		ps.peak = h
-	}
-}
-
-func (ps *peakSampler) sample() {
-	if !ps.enabled {
-		return
-	}
-	ps.ticks++
-	if ps.ticks%peakSampleStride == 0 {
-		ps.read()
-	}
-}
-
-func (ps *peakSampler) finish() {
-	if !ps.enabled {
-		return
-	}
-	close(ps.stop)
-	<-ps.done
-	ps.read()
-	if bg := ps.bgPeak.Load(); bg > ps.peak {
-		ps.peak = bg
-	}
-	ps.res.PeakBytes = float64(ps.peak)
-	ps.e.Metrics.Gauge("monsoon.exec.peak_bytes").Set(float64(ps.peak))
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"monsoon/internal/expr"
-	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
@@ -182,32 +181,5 @@ func TestStreamingBudgetCharges(t *testing.T) {
 		if err == nil {
 			t.Errorf("batch %d: tuple cap must trip", batch)
 		}
-	}
-}
-
-// TestStreamingPeakBytesSampled: with a metrics registry attached the drain
-// loop samples heap usage; the result and the gauge must both carry it.
-func TestStreamingPeakBytesSampled(t *testing.T) {
-	q := rstQuery()
-	e := New(fixture()).NewExec(ExecConfig{Metrics: obs.NewRegistry()})
-	_, res, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakBytes <= 0 {
-		t.Errorf("PeakBytes = %v, want > 0 with Metrics set", res.PeakBytes)
-	}
-	if g := e.Metrics.Gauge("monsoon.exec.peak_bytes").Value(); g != res.PeakBytes {
-		t.Errorf("gauge %v != result %v", g, res.PeakBytes)
-	}
-	// Without a registry the sampler stays off: no MemStats reads on the hot
-	// path, and PeakBytes stays zero.
-	e2 := New(fixture()).NewExec(ExecConfig{})
-	_, res2, err := e2.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.PeakBytes != 0 {
-		t.Errorf("PeakBytes = %v without Metrics, want 0", res2.PeakBytes)
 	}
 }

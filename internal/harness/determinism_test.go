@@ -53,35 +53,47 @@ func TestCampaignDeterminism(t *testing.T) {
 // cache makes exactly the plan choices the cache-off campaign makes — same
 // tuple costs, cardinalities, aggregates, and timeout decisions per query —
 // on both the cold pass (cache filling, all misses) and the warm pass
-// (replaying memoized rounds). CI runs this as the cached-vs-uncached
-// determinism gate.
+// (replaying memoized rounds). It runs over three TPC-H queries and over the
+// tiny scale's IMDB suite trimmed to four queries. CI runs this as the
+// cached-vs-uncached determinism gate.
 func TestCampaignCachedVsUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	specs := tinySpecs(t)
-	run := func(c *plancache.Cache) []QueryResult {
-		opt := Monsoon{Iterations: 120, Cache: c}
-		br, err := RunBenchmark(specs, []Option{opt}, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return br.Results[opt.Name()]
+	sc := Tiny()
+	sc.IMDBQueryCount = 4
+	imdb, err := Specs("imdb", sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := run(nil)
-	cache := plancache.New(0)
-	for _, label := range []string{"cold", "warm"} {
-		got := run(cache)
-		for i := range ref {
-			if got[i].Produced != ref[i].Produced || got[i].Rows != ref[i].Rows ||
-				got[i].Value != ref[i].Value || got[i].TimedOut != ref[i].TimedOut {
-				t.Errorf("%s/%s: produced/rows/value/timeout %v/%d/%v/%v, want %v/%d/%v/%v",
-					label, ref[i].Query, got[i].Produced, got[i].Rows, got[i].Value, got[i].TimedOut,
-					ref[i].Produced, ref[i].Rows, ref[i].Value, ref[i].TimedOut)
+	suites := []struct {
+		name  string
+		specs []QuerySpec
+	}{{"tpch", tinySpecs(t)}, {"imdb", imdb}}
+	for _, suite := range suites {
+		run := func(c *plancache.Cache) []QueryResult {
+			opt := Monsoon{Iterations: 120, Cache: c}
+			br, err := RunBenchmark(suite.specs, []Option{opt}, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return br.Results[opt.Name()]
+		}
+		ref := run(nil)
+		cache := plancache.New(0)
+		for _, label := range []string{"cold", "warm"} {
+			got := run(cache)
+			for i := range ref {
+				if got[i].Produced != ref[i].Produced || got[i].Rows != ref[i].Rows ||
+					got[i].Value != ref[i].Value || got[i].TimedOut != ref[i].TimedOut {
+					t.Errorf("%s %s/%s: produced/rows/value/timeout %v/%d/%v/%v, want %v/%d/%v/%v",
+						suite.name, label, ref[i].Query, got[i].Produced, got[i].Rows, got[i].Value, got[i].TimedOut,
+						ref[i].Produced, ref[i].Rows, ref[i].Value, ref[i].TimedOut)
+				}
 			}
 		}
-	}
-	if cache.Stats().Hits == 0 {
-		t.Error("warm campaign pass never hit the cache")
+		if cache.Stats().Hits == 0 {
+			t.Errorf("%s: warm campaign pass never hit the cache", suite.name)
+		}
 	}
 }

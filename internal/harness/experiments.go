@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -16,14 +14,12 @@ import (
 	"monsoon/internal/engine"
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
-	"monsoon/internal/opt"
 	"monsoon/internal/plan"
 	"monsoon/internal/plancache"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/stats"
 	"monsoon/internal/table"
-	"monsoon/internal/value"
 )
 
 // Scale bundles every knob of an experiment campaign. The paper ran on a
@@ -598,284 +594,4 @@ func (r *Runner) Table8(w io.Writer) error {
 			"≤"+fmtDur(secs(execH.Quantile(0.50))), "≤"+fmtDur(secs(execH.Quantile(0.99))))
 	}
 	return nil
-}
-
-// PlanCacheStudy measures the cross-session plan cache on the IMDB campaign:
-// a cache-off reference pass, a cold pass through a fresh shared cache, and a
-// warm pass through the now-populated cache, all with identical per-query
-// seeds. It reports each pass's total MCTS planning time and hit rate, the
-// warm-over-cold plan-time speedup, and verifies the warm pass reproduced the
-// reference results exactly (the cached≡uncached guarantee).
-func (r *Runner) PlanCacheStudy(w io.Writer) error {
-	sc := r.Scale
-	r.log("PlanCacheStudy: generating IMDB (%d titles)...", sc.IMDBTitles)
-	specs, err := Specs("imdb", sc)
-	if err != nil {
-		return err
-	}
-	cache := plancache.New(0)
-	through := func(c *plancache.Cache) Monsoon {
-		return Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism,
-			Cache: c, Metrics: r.Metrics, Sink: r.Sink}
-	}
-	passes := []struct {
-		label string
-		opt   Monsoon
-	}{{"uncached", through(nil)}, {"cold", through(cache)}, {"warm", through(cache)}}
-	fmt.Fprintln(w, "Plan cache study: repeated IMDB campaign through one shared cache")
-	fmt.Fprintf(w, "%-10s %-12s %-12s %-8s %-8s %-8s\n", "Pass", "MCTS", "Total", "Hits", "Misses", "HitRate")
-	results := make([]*BenchResult, len(passes))
-	planTimes := make([]time.Duration, len(passes))
-	for i, p := range passes {
-		br, err := RunBenchmark(specs, []Option{p.opt}, sc, r.Progress)
-		if err != nil {
-			return err
-		}
-		results[i] = br
-		var mcts, total time.Duration
-		hits, misses := 0, 0
-		for _, qr := range br.Results[p.opt.Name()] {
-			mcts += qr.MCTSTime
-			total += qr.Time
-			hits += qr.CacheHits
-			misses += qr.CacheMisses
-		}
-		planTimes[i] = mcts
-		rate := "-"
-		if hits+misses > 0 {
-			rate = fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+misses))
-		}
-		fmt.Fprintf(w, "%-10s %-12s %-12s %-8d %-8d %-8s\n", p.label, fmtDur(mcts), fmtDur(total), hits, misses, rate)
-	}
-	// The cached≡uncached guarantee: the warm pass must reproduce the
-	// reference pass's results (same rows, aggregates, and objects produced
-	// per query); any divergence on a query both passes completed is a
-	// cache-soundness bug worth failing on. Queries where either pass timed
-	// out are reported but exempt from the strict comparison — see
-	// resultDivergence.
-	ref := results[0].Results[passes[0].opt.Name()]
-	warm := results[2].Results[passes[2].opt.Name()]
-	truncated, err := resultDivergence(ref, warm, "warm")
-	if err != nil {
-		return err
-	}
-	if planTimes[2] > 0 {
-		fmt.Fprintf(w, "warm-over-cold plan-time speedup: %.1fx; warm pass reproduced the uncached results exactly\n",
-			float64(planTimes[1])/float64(planTimes[2]))
-	}
-	if truncated > 0 {
-		fmt.Fprintf(w, "%d of %d queries timed out in at least one pass (deadline-truncated, exempt from the comparison)\n",
-			truncated, len(ref))
-	}
-	fmt.Fprintf(w, "cache: %d entries, %d evictions\n", cache.Stats().Entries, cache.Stats().Evictions)
-	return nil
-}
-
-// resultDivergence compares two passes over the same query list that are
-// supposed to be execution-equivalent (uncached vs warm-cached, streaming vs
-// materialized) and returns an error naming the first query whose rows,
-// aggregate value, or objects produced differ. Queries where either pass
-// timed out are exempt and counted in truncated instead: a deadline-stopped
-// run's accounting measures how far the wall clock let it get, not which
-// plans it picked — e.g. a warm cache pass skips MCTS almost entirely, so
-// within the same deadline it executes more rounds than the uncached
-// reference and legitimately reports a larger Produced for a query neither
-// pass finished. Comparing those numbers is comparing clock noise.
-func resultDivergence(ref, other []QueryResult, label string) (truncated int, err error) {
-	if len(ref) != len(other) {
-		return 0, fmt.Errorf("result divergence: %d reference queries vs %d %s", len(ref), len(other), label)
-	}
-	for i := range ref {
-		if ref[i].TimedOut || other[i].TimedOut {
-			truncated++
-			continue
-		}
-		if other[i].Rows != ref[i].Rows || other[i].Value != ref[i].Value || other[i].Produced != ref[i].Produced {
-			return truncated, fmt.Errorf("%s pass diverged on %s: rows/value/produced %d/%g/%g vs %d/%g/%g",
-				label, ref[i].Query, other[i].Rows, other[i].Value, other[i].Produced,
-				ref[i].Rows, ref[i].Value, ref[i].Produced)
-		}
-	}
-	return truncated, nil
-}
-
-// MemoryStudy contrasts streaming batch execution against full
-// materialization where the contrast is actually measurable: deterministic
-// greedy left-deep plans over TPC-H at 50× the campaign scale factor, plus a
-// synthetic fan-out join whose intermediate dwarfs its inputs. Left-deep
-// trees put every intermediate on the probe (streamed) side, so the
-// materialized engine retains whole intermediates between operators while
-// the streaming engine holds one batch at a time; hash-join builds — always
-// the right child, a base table here — cost the same in both modes. The
-// study drives the engine directly rather than through Monsoon: MCTS
-// allocations and wall-clock deadline truncation both add nondeterministic
-// noise of the same magnitude as the effect under measurement (the only
-// budget that can truncate here is the deterministic tuple cap, so the two
-// modes always do identical work).
-//
-// Peak-MB is the peak heap (runtime.MemStats.HeapAlloc) the engine's
-// sampler observed while the tree drained — batch boundaries plus a 2ms
-// background ticker, surfaced as monsoon.exec.peak_bytes. GOGC is pinned to
-// 20 for the duration of the study (restored on return): at the default 100
-// the collector lets the heap double between cycles, and that slack —
-// hundreds of MB at this scale — swamps the live-set difference being
-// measured. The two modes must produce identical results — the
-// streaming≡materialized guarantee — validated with the same
-// truncation-aware comparison the plan cache study uses.
-func (r *Runner) MemoryStudy(w io.Writer) error {
-	sc := r.Scale
-	prevGC := debug.SetGCPercent(20)
-	defer debug.SetGCPercent(prevGC)
-
-	sf := sc.TPCHSF * 50
-	r.log("MemoryStudy: generating TPC-H (SF %.4g)...", sf)
-	cat := sc.shardCat(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: sc.Seed}))
-	type job struct {
-		name string
-		cat  *table.Catalog
-		q    *query.Query
-		tree *plan.Node
-	}
-	var jobs []job
-	for _, q := range tpch.Queries() {
-		st := stats.New()
-		engine.New(cat).SeedBaseStats(q, st)
-		tree, err := opt.GreedyPlan(q, st)
-		if err != nil {
-			return fmt.Errorf("memory study: greedy plan for %s: %w", q.Name, err)
-		}
-		jobs = append(jobs, job{q.Name, cat, q, tree})
-	}
-
-	// GC pacing adds run-to-run noise on top of the true live-set peak —
-	// slack only ever inflates the observation — so each (query, mode) pair
-	// runs three times and reports the minimum, the tightest estimate of
-	// what the mode actually needs resident.
-	const reps = 3
-	fmt.Fprintf(w, "Memory study: peak engine heap, streaming (batch 4096) vs full materialization\n")
-	fmt.Fprintf(w, "TPC-H at 50x campaign scale (SF %.4g) + fan-out join; greedy left-deep plans, serial, GOGC=20, min of %d runs\n", sf, reps)
-	fmt.Fprintf(w, "%-10s %-42s %-9s %-11s %-9s %-8s\n", "Query", "Plan", "Rows", "Stream-MB", "Mat-MB", "Δ")
-	const mb = 1 << 20
-	modes := []int{4096, -1} // streaming first, materialized second
-	byMode := make([][]QueryResult, len(modes))
-	var maxMB, sumMB [2]float64
-	nJobs := len(jobs) + 1
-	runJob := func(j job) error {
-		var peaks [2]float64
-		var rows [2]string
-		for mi, batch := range modes {
-			for rep := 0; rep < reps; rep++ {
-				// A fresh collection before each run keeps one run's garbage
-				// from inflating the next one's observed peak.
-				runtime.GC()
-				start := time.Now()
-				ex := engine.New(j.cat).NewExec(engine.ExecConfig{Parallelism: 1, BatchSize: batch, Metrics: obs.NewRegistry()})
-				b := &engine.Budget{MaxTuples: 4 * sc.MaxTuples, Deadline: start.Add(10 * sc.Timeout)}
-				rel, res, err := ex.ExecTree(j.q, j.tree, b)
-				out := Outcome{PeakBytes: res.PeakBytes}
-				if err == nil {
-					out.Rows = rel.Count()
-					out.Value, err = engine.FinalAggregate(j.q, rel)
-				}
-				out = finish(start, b, err, out)
-				if out.Err != nil {
-					return fmt.Errorf("memory study: %s batch %d: %w", j.name, batch, out.Err)
-				}
-				if rep == 0 {
-					byMode[mi] = append(byMode[mi], QueryResult{Query: j.name, Outcome: out})
-					peaks[mi] = out.PeakBytes / mb
-					rows[mi] = fmt.Sprintf("%d", out.Rows)
-					if out.TimedOut {
-						rows[mi] = "TO"
-					}
-				} else if p := out.PeakBytes / mb; p < peaks[mi] {
-					peaks[mi] = p
-				}
-			}
-			sumMB[mi] += peaks[mi]
-			if peaks[mi] > maxMB[mi] {
-				maxMB[mi] = peaks[mi]
-			}
-		}
-		delta := 100 * (peaks[0] - peaks[1]) / peaks[1]
-		fmt.Fprintf(w, "%-10s %-42s %-9s %-11.1f %-9.1f %+.1f%%\n",
-			j.name, j.tree, rows[0], peaks[0], peaks[1], delta)
-		return nil
-	}
-	for _, j := range jobs {
-		if err := runJob(j); err != nil {
-			return err
-		}
-	}
-	// The fan-out fixture runs last, built only after the TPC-H catalog is
-	// released: anything held live during a run inflates the GC pacer's
-	// allowance for it and smears the per-query peaks.
-	jobs, cat = nil, nil
-	runtime.GC()
-	fq, fcat, ftree := fanoutFixture(sf)
-	if err := runJob(job{fq.Name, fcat, fq, ftree}); err != nil {
-		return err
-	}
-	n := float64(nJobs)
-	fmt.Fprintf(w, "%-10s %-42s %-9s %-11.1f %-9.1f %+.1f%%\n",
-		"max", "", "", maxMB[0], maxMB[1], 100*(maxMB[0]-maxMB[1])/maxMB[1])
-	fmt.Fprintf(w, "%-10s %-42s %-9s %-11.1f %-9.1f %+.1f%%\n",
-		"mean", "", "", sumMB[0]/n, sumMB[1]/n, 100*(sumMB[0]-sumMB[1])/(sumMB[1]))
-	truncated, err := resultDivergence(byMode[1], byMode[0], "streaming")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "streaming reproduced the materialized results exactly")
-	if truncated > 0 {
-		fmt.Fprintf(w, " (%d of %d queries tuple-budget-truncated, exempt)", truncated, nJobs)
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-// fanoutFixture builds the memory study's adversarial workload: a fan-out
-// equijoin whose intermediate (10 rows per key on both sides → 10n rows)
-// dwarfs its inputs, followed by a 1%-selective probe into a 10-row table.
-// The left-deep tree streams that intermediate straight into the second
-// join's probe, so the streaming engine holds one batch of it while the
-// materialized engine retains all 10n rows — the OTT blow-up shape reduced
-// to its essentials. Sized off the TPC-H study scale factor so every
-// campaign scale stays proportionate.
-func fanoutFixture(sf float64) (*query.Query, *table.Catalog, *plan.Node) {
-	n := int(2.5e6 * sf)
-	if n < 1000 {
-		n = 1000
-	}
-	keys := n / 10
-	cat := table.NewCatalog()
-	bs := table.NewSchema(
-		table.Column{Table: "BIG", Name: "a", Kind: value.KindInt},
-		table.Column{Table: "BIG", Name: "b", Kind: value.KindInt},
-	)
-	bb := table.NewBuilder("BIG", bs)
-	for i := 0; i < n; i++ {
-		bb.Add(value.Int(int64(i%keys)), value.Int(int64(i%1000)))
-	}
-	cat.Put(bb.Build())
-	fs := table.NewSchema(table.Column{Table: "FAN", Name: "k", Kind: value.KindInt})
-	fb := table.NewBuilder("FAN", fs)
-	for i := 0; i < n; i++ {
-		fb.Add(value.Int(int64(i % keys)))
-	}
-	cat.Put(fb.Build())
-	ts := table.NewSchema(table.Column{Table: "TT", Name: "t", Kind: value.KindInt})
-	tb := table.NewBuilder("TT", ts)
-	for i := 0; i < 10; i++ {
-		tb.Add(value.Int(int64(i)))
-	}
-	cat.Put(tb.Build())
-	q := query.NewBuilder("fanout").
-		Rel("big", "BIG").Rel("fan", "FAN").Rel("tt", "TT").
-		Join(expr.Identity("big.a"), expr.Identity("fan.k")).
-		Join(expr.Identity("big.b"), expr.Identity("tt.t")).
-		MustBuild()
-	tree := plan.NewJoin(
-		plan.NewJoin(plan.NewLeaf(query.NewAliasSet("big")), plan.NewLeaf(query.NewAliasSet("fan"))),
-		plan.NewLeaf(query.NewAliasSet("tt")))
-	return q, cat, tree
 }

@@ -23,7 +23,7 @@ func tinySpecs(t *testing.T) []QuerySpec {
 }
 
 // TestRunBenchmarkAllOptions: every optimizer answers every query of all four
-// suites at tiny scale (IMDB trimmed to four queries, as benchScale does),
+// suites at tiny scale (IMDB trimmed to four queries),
 // and they all agree with the full-statistics baseline — on the result's row
 // count exactly and on its aggregate within a relative 1e-9, the room a SUM
 // leaves for the order in which different plans add the same rows. The one

@@ -66,10 +66,6 @@ type Outcome struct {
 	// Replans counts mid-query re-optimizations (Monsoon with a replan
 	// threshold configured only; zero otherwise).
 	Replans int
-	// PeakBytes is the largest peak heap allocation any tree drain of the
-	// run observed (Monsoon with a metrics registry attached only; zero
-	// otherwise — the engine samples runtime.MemStats strictly opt-in).
-	PeakBytes float64
 	// Err carries non-budget failures (always a bug: surfaced, not hidden).
 	Err error
 }
@@ -353,8 +349,7 @@ func (m Monsoon) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration
 		Rows: res.Rows, Value: res.Value,
 		MCTSTime: res.PlanTime, SigmaTime: res.SigmaTime, ExecTime: res.ExecTime,
 		QErrJoins: qs.n, QErrGeo: qs.geo(), QErrMax: qs.max, QErrMisses: qs.misses,
-		CacheHits: res.CacheHits, CacheMisses: res.CacheMisses, PeakBytes: res.PeakBytes,
-		Replans: res.Replans,
+		CacheHits: res.CacheHits, CacheMisses: res.CacheMisses, Replans: res.Replans,
 	}
 	return finish(start, b, err, out)
 }
