@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	datagen -bench tpch|imdb|ott|udf-imdb|udf-tpch [-scale tiny|small|medium] [-out DIR] [-seed N]
+//	datagen -bench tpch|imdb|ott|udf-imdb|udf-tpch [-out DIR] [-scale tiny|small|medium] [-seed N]
+//
+// -scale and -seed are bound by harness.BindFlags, as in the other binaries
+// (README: "Flags shared by the binaries").
 package main
 
 import (
@@ -22,21 +25,30 @@ import (
 	"monsoon/internal/table"
 )
 
-func main() {
-	benchName := flag.String("bench", "tpch", "dataset: tpch, imdb, ott, udf-imdb, or udf-tpch")
-	scaleName := flag.String("scale", "tiny", "scale: tiny, small, or medium")
-	outDir := flag.String("out", "data", "output directory")
-	seed := flag.Int64("seed", 1, "seed")
-	flag.Parse()
+// options are datagen's flags.
+type options struct {
+	shared     *harness.Flags
+	bench, out string
+}
 
-	sc, err := harness.ScaleNamed(*scaleName)
+// bindFlags registers datagen's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{shared: harness.BindFlags(fs, "tiny", 0)}
+	fs.StringVar(&o.bench, "bench", "tpch", "dataset: tpch, imdb, ott, udf-imdb, or udf-tpch")
+	fs.StringVar(&o.out, "out", "data", "output directory")
+	return o
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	sc, err := o.shared.Scale()
 	if err != nil {
 		fail("%v", err)
 	}
-	sc.Seed = *seed
 
 	var cat *table.Catalog
-	switch *benchName {
+	switch o.bench {
 	case "tpch":
 		cat = tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
 	case "imdb":
@@ -48,10 +60,10 @@ func main() {
 	case "udf-tpch":
 		cat = udf.Generate(udf.Config{Titles: sc.UDFTitles, ScaleFactor: sc.UDFSF, Seed: sc.Seed}).TPCHCat
 	default:
-		fail("unknown dataset %q", *benchName)
+		fail("unknown dataset %q", o.bench)
 	}
 
-	dir := filepath.Join(*outDir, *benchName)
+	dir := filepath.Join(o.out, o.bench)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fail("mkdir: %v", err)
 	}

@@ -4,7 +4,15 @@
 //
 // Usage:
 //
-//	monsoon-bench [-scale tiny|small|medium] [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus] [-seed N] [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N] [-plan-cache] [-calibration-file FILE] [-replan-threshold Q] [-v] [-metrics] [-obs-addr ADDR] [-obs-linger DUR] [-trace-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	monsoon-bench [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus]
+//	              [-v] [-obs-linger DUR] [-cpuprofile FILE] [-memprofile FILE]
+//	              [-scale tiny|small|medium] [-seed N]
+//	              [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N]
+//	              [-calibration-file FILE] [-replan-threshold Q]
+//	              [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
+//
+// The flags from -scale on are bound by harness.BindFlags, as in the other
+// binaries (README: "Flags shared by the binaries"); -scale defaults to small.
 //
 // -exp all runs every step but tracecorpus, which runs only when named.
 // Output goes to stdout; progress (with -v) and the -metrics dump to stderr.
@@ -14,7 +22,8 @@
 // (/debug/vars, /metrics) and recently completed query traces
 // (/traces/recent) while it runs; -obs-linger keeps it up after the last
 // experiment so CI can scrape it. The -cpuprofile and -memprofile flags write
-// pprof profiles of the campaign for `go tool pprof`.
+// pprof profiles of the campaign for `go tool pprof`. A failed run writes its
+// profiles, trace file and -metrics dump too.
 package main
 
 import (
@@ -26,50 +35,57 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"monsoon/internal/cost"
 	"monsoon/internal/harness"
-	"monsoon/internal/obs"
-	"monsoon/internal/obs/obshttp"
 )
 
-func main() {
-	scaleName := flag.String("scale", "small", "campaign scale: tiny, small, or medium")
-	exp := flag.String("exp", "all", "experiment: all, table1..table8, figure1..figure3, ablation, estimates, tracecorpus")
-	seed := flag.Int64("seed", 1, "master seed")
-	par := flag.Int("parallelism", 0, "engine worker count: 0 = all cores, 1 = serial (results are identical either way)")
-	batchSize := flag.Int("batch-size", 0, "engine pipeline batch size: 0 = default (4096), negative = unbounded/materialized (results are identical at any size)")
-	shards := flag.Int("shards", 0, "partition every generated catalog into N hash shards for exchange-style execution: 0 or 1 = unsharded (results are identical at any count)")
-	planPar := flag.Int("plan-parallelism", 0, "MCTS planner thread count: 0 = all cores, 1 = serial (plans are identical either way)")
-	verbose := flag.Bool("v", false, "print per-query progress to stderr")
-	metrics := flag.Bool("metrics", false, "dump the campaign's accumulated Monsoon metrics to stderr on exit")
-	obsAddr := flag.String("obs-addr", "", "serve live telemetry (/debug/vars, /metrics, /traces/recent) on this address, e.g. localhost:6060")
-	obsLinger := flag.Duration("obs-linger", 0, "keep the -obs-addr server up this long after the campaign finishes (for scraping in CI)")
-	traceJSON := flag.String("trace-json", "", "write the structured traces of the campaign's Monsoon runs as JSON lines to FILE")
-	planCache := flag.Bool("plan-cache", false, "share one plan cache across the campaign's Monsoon runs (hit rates in -metrics)")
-	calibFile := flag.String("calibration-file", "", "price the campaign's Monsoon runs with this calibrated cost profile (JSON from monsoon-trace calibrate)")
-	replanThr := flag.Float64("replan-threshold", 0, "q-error at which the campaign's Monsoon runs force a mid-query replan (0 disables)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to FILE")
-	memProfile := flag.String("memprofile", "", "write a heap profile to FILE on exit")
-	flag.Parse()
+// options are monsoon-bench's flags.
+type options struct {
+	shared                 *harness.Flags
+	exp                    string
+	verbose                bool
+	obsLinger              time.Duration
+	cpuProfile, memProfile string
+}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+// bindFlags registers monsoon-bench's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{shared: harness.BindFlags(fs, "small", harness.EngineFlags|harness.CostFlags|harness.TelemetryFlags)}
+	fs.StringVar(&o.exp, "exp", "all", "experiment: all, table1..table8, figure1..figure3, ablation, estimates, tracecorpus")
+	fs.BoolVar(&o.verbose, "v", false, "print per-query progress to stderr")
+	fs.DurationVar(&o.obsLinger, "obs-linger", 0, "keep the -obs-addr server up this long after the campaign finishes (for scraping in CI)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the campaign to FILE")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to FILE on exit")
+	return o
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	os.Exit(run(o))
+}
+
+// run executes the campaign and returns the process exit code. Every exit
+// path returns through it, so the deferred profile writes and the shared
+// flags' cleanup always run.
+func run(o *options) int {
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cannot create CPU profile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cannot start CPU profile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if o.memProfile != "" {
+		f, err := os.Create(o.memProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cannot create heap profile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		// Written on exit via defer, after the campaign's allocations settle.
 		defer func() {
@@ -81,73 +97,22 @@ func main() {
 		}()
 	}
 
-	sc, err := harness.ScaleNamed(*scaleName)
+	sc, err := o.shared.Scale()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
-	sc.Seed = *seed
-	sc.Parallelism = *par
-	sc.BatchSize = *batchSize
-	sc.PlanParallelism = *planPar
-	sc.PlanCache = *planCache
-	sc.Shards = *shards
-
+	cfg, cleanup, err := o.shared.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer cleanup()
 	var progress io.Writer
-	if *verbose {
+	if o.verbose {
 		progress = os.Stderr
 	}
-	r := &harness.Runner{Scale: sc, Progress: progress, ReplanThreshold: *replanThr}
-	if *calibFile != "" {
-		p, err := cost.LoadProfile(*calibFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "calibration file: %v\n", err)
-			os.Exit(2)
-		}
-		r.Profile = p
-	}
-	if *metrics || *obsAddr != "" {
-		r.Metrics = obs.NewRegistry()
-	}
-	if *metrics {
-		defer func() {
-			fmt.Fprintln(os.Stderr, "metrics (Monsoon runs of this campaign):")
-			r.Metrics.Dump(os.Stderr)
-		}()
-	}
-	if *traceJSON != "" {
-		f, err := os.Create(*traceJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cannot create trace file: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		r.Sink = obs.NewJSONL(f)
-	}
-	if *obsAddr != "" {
-		ring := obs.NewTraceRing(0)
-		srv, err := obshttp.Serve(*obsAddr, r.Metrics, ring)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cannot serve telemetry: %v\n", err)
-			os.Exit(2)
-		}
-		// Registered before the -obs-linger defer below, so (LIFO) the
-		// linger sleep finishes before the listener stops.
-		defer srv.Close()
-		addr := srv.Addr
-		fmt.Fprintf(os.Stderr, "telemetry at http://%s\n", addr)
-		if r.Sink != nil {
-			r.Sink = obs.Multi(r.Sink, ring)
-		} else {
-			r.Sink = ring
-		}
-		if *obsLinger > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "lingering %s for telemetry scrapes at http://%s\n", *obsLinger, addr)
-				time.Sleep(*obsLinger)
-			}()
-		}
-	}
+	r := &harness.Runner{Scale: sc, Progress: progress, Config: cfg}
 	w := os.Stdout
 
 	type step struct {
@@ -175,19 +140,24 @@ func main() {
 	}
 	ran := false
 	for _, s := range steps {
-		if *exp != s.name && (*exp != "all" || s.onlyExplicit) {
+		if o.exp != s.name && (o.exp != "all" || s.onlyExplicit) {
 			continue
 		}
 		ran = true
 		fmt.Fprintf(w, "==== %s (scale %s) ====\n", s.name, sc.Name)
 		if err := s.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", s.name, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintln(w)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", o.exp)
+		return 2
 	}
+	if addr := o.shared.TelemetryAddr(); addr != "" && o.obsLinger > 0 {
+		fmt.Fprintf(os.Stderr, "lingering %s for telemetry scrapes at http://%s\n", o.obsLinger, addr)
+		time.Sleep(o.obsLinger)
+	}
+	return 0
 }

@@ -1,0 +1,47 @@
+package main
+
+import (
+	"flag"
+	"testing"
+)
+
+// TestFlagSurface pins monsoon-bench's flags — every name and its default — as main
+// registers them. A flag added, dropped, renamed or given a new default
+// fails here; change the list only with the change that means to.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("monsoon-bench", flag.ContinueOnError)
+	bindFlags(fs)
+	want := map[string]string{
+		"batch-size":       "0",
+		"calibration-file": "",
+		"cpuprofile":       "",
+		"exp":              "all",
+		"memprofile":       "",
+		"metrics":          "false",
+		"obs-addr":         "",
+		"obs-linger":       "0s",
+		"parallelism":      "0",
+		"plan-cache":       "false",
+		"plan-parallelism": "0",
+		"replan-threshold": "0",
+		"scale":            "small",
+		"seed":             "1",
+		"shards":           "0",
+		"trace-json":       "",
+		"v":                "false",
+	}
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	for name, def := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("-%s is gone", name)
+		} else if g != def {
+			t.Errorf("-%s defaults to %q, want %q", name, g, def)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("-%s is new", name)
+		}
+	}
+}

@@ -6,7 +6,16 @@
 //
 // Usage:
 //
-//	monsoon-cli -bench tpch|imdb|ott|udf [-query NAME] [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner] [-prior NAME] [-scale tiny|small|medium] [-seed N] [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N] [-plan-cache] [-repeat N] [-calibration-file FILE] [-replan-threshold Q] [-trace-json FILE] [-metrics]
+//	monsoon-cli -bench tpch|imdb|ott|udf [-query NAME]
+//	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
+//	            [-prior NAME] [-explain] [-repeat N]
+//	            [-scale tiny|small|medium] [-seed N]
+//	            [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N]
+//	            [-calibration-file FILE] [-replan-threshold Q]
+//	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
+//
+// The flags from -scale on are bound by harness.BindFlags, as in the other
+// binaries (README: "Flags shared by the binaries").
 //
 // Without -query, the available query names for the benchmark are listed.
 package main
@@ -22,176 +31,132 @@ import (
 	"monsoon/internal/engine"
 	"monsoon/internal/harness"
 	"monsoon/internal/obs"
-	"monsoon/internal/obs/obshttp"
 	"monsoon/internal/opt"
 	"monsoon/internal/plan"
-	"monsoon/internal/plancache"
 	"monsoon/internal/prior"
 	"monsoon/internal/stats"
 )
 
+// options are monsoon-cli's flags.
+type options struct {
+	shared                   *harness.Flags
+	bench, query, opt, prior string
+	explain                  bool
+	repeat                   int
+}
+
+// bindFlags registers monsoon-cli's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{shared: harness.BindFlags(fs, "tiny", harness.EngineFlags|harness.CostFlags|harness.TelemetryFlags)}
+	fs.StringVar(&o.bench, "bench", "tpch", "benchmark: tpch, imdb, ott, or udf")
+	fs.StringVar(&o.query, "query", "", "query name (empty lists the options)")
+	fs.StringVar(&o.opt, "opt", "monsoon", "optimizer option: monsoon, postgres, defaults, greedy, ondemand, sampling, skinner, lec, handwritten (ott only)")
+	fs.StringVar(&o.prior, "prior", "Spike and Slab", "Monsoon prior (Table 2 names)")
+	fs.BoolVar(&o.explain, "explain", false, "print the chosen plan with estimates and actuals (postgres, defaults, greedy)")
+	fs.IntVar(&o.repeat, "repeat", 1, "run the query N times on fresh engines; with -plan-cache, later runs replay cached plans")
+	return o
+}
+
 func main() {
-	benchName := flag.String("bench", "tpch", "benchmark: tpch, imdb, ott, or udf")
-	queryName := flag.String("query", "", "query name (empty lists the options)")
-	optName := flag.String("opt", "monsoon", "optimizer option: monsoon, postgres, defaults, greedy, ondemand, sampling, skinner, lec, handwritten (ott only)")
-	priorName := flag.String("prior", "Spike and Slab", "Monsoon prior (Table 2 names)")
-	scaleName := flag.String("scale", "tiny", "data scale: tiny, small, or medium")
-	seed := flag.Int64("seed", 1, "seed")
-	par := flag.Int("parallelism", 0, "engine worker count: 0 = all cores, 1 = serial (results are identical either way)")
-	batchSize := flag.Int("batch-size", 0, "engine pipeline batch size: 0 = default (4096), negative = unbounded/materialized (results are identical at any size)")
-	shards := flag.Int("shards", 0, "partition the benchmark catalog into N hash shards for exchange-style execution: 0 or 1 = unsharded (results are identical at any count)")
-	planPar := flag.Int("plan-parallelism", 0, "MCTS planner thread count: 0 = all cores, 1 = serial (plans are identical either way; monsoon only)")
-	explain := flag.Bool("explain", false, "print the chosen plan with estimates and actuals (postgres, defaults, greedy)")
-	traceJSON := flag.String("trace-json", "", "write the structured trace (spans, messages, estimates) as JSON lines to FILE")
-	metrics := flag.Bool("metrics", false, "dump the run's metrics registry to stderr")
-	planCache := flag.Bool("plan-cache", false, "plan through a session-shared plan cache (monsoon only)")
-	repeat := flag.Int("repeat", 1, "run the query N times on fresh engines; with -plan-cache, later runs replay cached plans")
-	obsAddr := flag.String("obs-addr", "", "serve live telemetry (/debug/vars, /metrics, /traces/recent) on this address while the process runs")
-	calibFile := flag.String("calibration-file", "", "price MCTS simulations with this calibrated cost profile (JSON from monsoon-trace calibrate; monsoon only)")
-	replanThr := flag.Float64("replan-threshold", 0, "q-error at which an EXECUTE round forces a mid-query replan with hardened statistics (0 disables; monsoon only)")
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	sc, err := harness.ScaleNamed(*scaleName)
-	if err != nil {
-		fail("%v", err)
+	if err := run(o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	sc.Seed = *seed
-	sc.Parallelism = *par
-	sc.BatchSize = *batchSize
-	sc.PlanParallelism = *planPar
-	sc.Shards = *shards
+}
 
-	specs, err := harness.Specs(*benchName, sc)
+// run executes the command. Every exit path returns through it, so the
+// shared flags' cleanup (the -metrics dump, the trace file, the telemetry
+// server) always runs.
+func run(o *options) error {
+	sc, err := o.shared.Scale()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	if *queryName == "" {
-		fmt.Printf("queries in %s:\n", *benchName)
+	specs, err := harness.Specs(o.bench, sc)
+	if err != nil {
+		return err
+	}
+	if o.query == "" {
+		fmt.Printf("queries in %s:\n", o.bench)
 		for _, s := range specs {
 			fmt.Printf("  %s (%d tables, %d join preds)\n", s.Q.Name, s.Q.Aliases().Size(), len(s.Q.Joins))
 		}
-		return
+		return nil
 	}
 	var spec *harness.QuerySpec
 	for i := range specs {
-		if specs[i].Q.Name == *queryName {
+		if specs[i].Q.Name == o.query {
 			spec = &specs[i]
 		}
 	}
 	if spec == nil {
-		fail("query %q not in benchmark %s", *queryName, *benchName)
+		return fmt.Errorf("query %q not in benchmark %s", o.query, o.bench)
 	}
 
-	var jsonSink obs.EventSink
-	if *traceJSON != "" {
-		f, err := os.Create(*traceJSON)
-		if err != nil {
-			fail("cannot create trace file: %v", err)
+	cfg, cleanup, err := o.shared.Config()
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	if o.opt == "monsoon" {
+		cfg.Prior = prior.ByName(o.prior)
+		if cfg.Prior == nil {
+			return fmt.Errorf("unknown prior %q (Table 2 names, e.g. \"Spike and Slab\")", o.prior)
 		}
-		defer f.Close()
-		jsonSink = obs.NewJSONL(f)
-	}
-	var reg *obs.Registry
-	if *metrics || *obsAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *metrics {
-		defer func() {
-			fmt.Fprintln(os.Stderr, "metrics:")
-			reg.Dump(os.Stderr)
-		}()
-	}
-	sink := jsonSink
-	if *obsAddr != "" {
-		ring := obs.NewTraceRing(0)
-		srv, err := obshttp.Serve(*obsAddr, reg, ring)
-		if err != nil {
-			fail("telemetry server: %v", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry at http://%s\n", srv.Addr)
-		sink = obs.Multi(jsonSink, ring)
-	}
-
-	var profile *cost.CostProfile
-	if *calibFile != "" {
-		var err error
-		if profile, err = cost.LoadProfile(*calibFile); err != nil {
-			fail("calibration file: %v", err)
-		}
-	}
-
-	if *optName == "monsoon" {
-		runMonsoonTraced(*spec, sc, *priorName, sink, reg, *planCache, *repeat, profile, *replanThr)
-		return
+		return runMonsoonTraced(*spec, sc, sc.Apply(cfg), o.repeat)
 	}
 	ec := engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
-	if *explain {
-		runExplained(*spec, sc, ec, *optName, sink)
-		return
+	if o.explain {
+		return runExplained(*spec, sc, ec, o.opt, cfg.Sink)
 	}
-	o := pickOption(*optName, sink)
-	out := o.Run(*spec, ec, sc.Timeout, sc.MaxTuples, sc.Seed)
-	report(o.Name(), out)
+	option, err := pickOption(o.opt, cfg.Sink)
+	if err != nil {
+		return err
+	}
+	return report(option.Name(), option.Run(*spec, ec, sc.Timeout, sc.MaxTuples, sc.Seed))
 }
 
-func pickOption(name string, sink obs.EventSink) harness.Option {
+func pickOption(name string, sink obs.EventSink) (harness.Option, error) {
 	switch name {
 	case "postgres":
-		return harness.Postgres{}
+		return harness.Postgres{}, nil
 	case "defaults":
-		return harness.Defaults{}
+		return harness.Defaults{}, nil
 	case "greedy":
-		return harness.Greedy{}
+		return harness.Greedy{}, nil
 	case "ondemand":
-		return harness.OnDemand{Sink: sink}
+		return harness.OnDemand{Sink: sink}, nil
 	case "sampling":
-		return harness.Sampling{Sink: sink}
+		return harness.Sampling{Sink: sink}, nil
 	case "skinner":
-		return harness.Skinner{}
+		return harness.Skinner{}, nil
 	case "lec":
-		return harness.LEC{}
+		return harness.LEC{}, nil
 	case "handwritten":
-		return harness.HandWritten{}
-	default:
-		fail("unknown option %q", name)
-		return nil
+		return harness.HandWritten{}, nil
 	}
+	return nil, fmt.Errorf("unknown option %q", name)
 }
 
-func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string, sink obs.EventSink, reg *obs.Registry, planCache bool, repeat int, profile *cost.CostProfile, replanThr float64) {
-	p := prior.ByName(priorName)
-	if p == nil {
-		fail("unknown prior %q (Table 2 names, e.g. \"Spike and Slab\")", priorName)
-	}
+// runMonsoonTraced runs the query through Monsoon under cfg repeat times,
+// printing the first run's trace lines, EXPLAIN ANALYZE and accounting.
+func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, cfg core.Config, repeat int) error {
 	if repeat < 1 {
 		repeat = 1
 	}
-	var cache *plancache.Cache
-	if planCache {
-		cache = plancache.New(0)
-	}
-	fmt.Printf("Monsoon on %s (prior %s, %d MCTS iterations)\n", spec.Q.Name, p.Name(), sc.MCTSIterations)
+	fmt.Printf("Monsoon on %s (prior %s, %d MCTS iterations)\n", spec.Q.Name, cfg.Prior.Name(), cfg.Iterations)
 	var res *core.Result
 	var col *obs.Collector
 	var elapsed time.Duration
+	sink := cfg.Sink
 	// Each repetition runs on a fresh engine, so only planning knowledge — the
 	// plan cache, when enabled — carries over; the full trace and EXPLAIN
 	// ANALYZE come from the first run.
 	for i := 0; i < repeat; i++ {
 		budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
-		cfg := core.Config{
-			Prior:           p,
-			Iterations:      sc.MCTSIterations,
-			Seed:            sc.Seed,
-			Metrics:         reg,
-			Parallelism:     sc.Parallelism,
-			BatchSize:       sc.BatchSize,
-			PlanParallelism: sc.PlanParallelism,
-			Cache:           cache,
-			Profile:         profile,
-			ReplanThreshold: replanThr,
-		}
+		cfg.Sink = nil
 		if i == 0 {
 			col = &obs.Collector{}
 			cfg.Sink = obs.Multi(col, sink, obs.MessageSink(func(s string) { fmt.Println("  " + s) }))
@@ -199,14 +164,14 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string
 		start := time.Now()
 		r, err := core.Run(spec.Q, engine.New(spec.Cat), budget, cfg)
 		if err != nil {
-			fail("run %d failed after %v: %v", i+1, time.Since(start), err)
+			return fmt.Errorf("run %d failed after %v: %v", i+1, time.Since(start), err)
 		}
 		if i == 0 {
 			res, elapsed = r, time.Since(start)
 		}
 		if repeat > 1 {
 			line := fmt.Sprintf("run %d: plan %v, exec %v", i+1, r.PlanTime, r.ExecTime)
-			if cache != nil {
+			if cfg.Cache != nil {
 				line += fmt.Sprintf(", cache hits/misses %d/%d", r.CacheHits, r.CacheMisses)
 			}
 			fmt.Println(line)
@@ -216,12 +181,12 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string
 	fmt.Printf("rounds: %d EXECUTEs, %d actions, %d Σ operators\n", res.Executes, res.Actions, res.SigmaOps)
 	fmt.Printf("breakdown: MCTS %v, Σ %v, execution %v; %.0f objects produced\n",
 		res.PlanTime, res.SigmaTime, res.ExecTime, res.Produced)
-	if replanThr > 0 {
+	if cfg.ReplanThreshold > 0 {
 		fmt.Printf("replans: %d triggered (threshold %g), %d cache invalidations\n",
-			res.Replans, replanThr, res.ReplanInvalidations)
+			res.Replans, cfg.ReplanThreshold, res.ReplanInvalidations)
 	}
-	if cache != nil {
-		s := cache.Stats()
+	if cfg.Cache != nil {
+		s := cfg.Cache.Stats()
 		fmt.Printf("plan cache: %d hits, %d misses, %d entries\n", s.Hits, s.Misses, s.Entries)
 	}
 
@@ -250,28 +215,25 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, priorName string
 	}
 	fmt.Printf("trace: %d spans, %d trace lines, %d estimate records\n",
 		len(col.Spans), len(col.Messages), len(col.Estimates))
+	return nil
 }
 
-func report(name string, out harness.Outcome) {
+func report(name string, out harness.Outcome) error {
 	if out.Err != nil {
-		fail("%s failed: %v", name, out.Err)
+		return fmt.Errorf("%s failed: %v", name, out.Err)
 	}
 	if out.TimedOut {
 		fmt.Printf("%s: TIMEOUT after %v (%.0f objects produced)\n", name, out.Time, out.Produced)
-		return
+		return nil
 	}
 	fmt.Printf("%s: %d rows (aggregate %.6g) in %v; %.0f objects produced\n",
 		name, out.Rows, out.Value, out.Time, out.Produced)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	return nil
 }
 
 // runExplained plans with the named classical option, prints the EXPLAIN
 // tree (estimates first, then actuals after execution), and reports the run.
-func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig, optName string, sink obs.EventSink) {
+func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig, optName string, sink obs.EventSink) error {
 	ec.Obs = obs.NewTracer(sink)
 	ex := engine.New(spec.Cat).NewExec(ec)
 	var st *stats.Store
@@ -282,7 +244,7 @@ func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig
 		st = stats.New()
 		ex.Engine().SeedBaseStats(spec.Q, st)
 	default:
-		fail("-explain supports postgres, defaults, and greedy (got %q)", optName)
+		return fmt.Errorf("-explain supports postgres, defaults, and greedy (got %q)", optName)
 	}
 	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
 	var tree *plan.Node
@@ -293,17 +255,18 @@ func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig
 		tree, err = opt.BestPlan(spec.Q, dv)
 	}
 	if err != nil {
-		fail("planning failed: %v", err)
+		return fmt.Errorf("planning failed: %v", err)
 	}
 	budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
 	rel, er, execErr := ex.ExecTree(spec.Q, tree, budget)
 	fmt.Printf("%s plan for %s:\n%s", optName, spec.Q.Name, cost.Explain(dv, tree, er.Counts))
 	if execErr != nil {
-		fail("execution aborted: %v", execErr)
+		return fmt.Errorf("execution aborted: %v", execErr)
 	}
 	v, err := engine.FinalAggregate(spec.Q, rel)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	fmt.Printf("result: %d rows (aggregate %.6g); %.0f objects produced\n", rel.Count(), v, er.Produced)
+	return nil
 }

@@ -22,11 +22,15 @@
 //
 // Usage:
 //
-//	monsoond [-addr :8080] [-bench tpch|imdb|ott|udf] [-scale tiny|small|medium]
-//	         [-seed N] [-parallelism N] [-batch-size N] [-shards N]
-//	         [-plan-parallelism N] [-iterations N] [-max-concurrent N]
-//	         [-timeout D] [-max-tuples N] [-cache-cap N] [-harden-stats]
-//	         [-calibration-file FILE] [-replan-threshold Q] [-drain-timeout D]
+//	monsoond [-addr :8080] [-bench tpch|imdb|ott|udf] [-iterations N]
+//	         [-max-concurrent N] [-timeout D] [-max-tuples N] [-cache-cap N]
+//	         [-harden-stats] [-drain-timeout D]
+//	         [-scale tiny|small|medium] [-seed N]
+//	         [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N]
+//	         [-calibration-file FILE] [-replan-threshold Q]
+//
+// The flags from -scale on are bound by harness.BindFlags, as in the other
+// binaries (README: "Flags shared by the binaries").
 package main
 
 import (
@@ -38,90 +42,89 @@ import (
 	"syscall"
 	"time"
 
-	"monsoon/internal/cost"
 	"monsoon/internal/daemon"
 	"monsoon/internal/harness"
 )
 
+// options are monsoond's flags.
+type options struct {
+	shared                        *harness.Flags
+	addr, bench                   string
+	iterations, maxConc, cacheCap int
+	timeout, drainTimeout         time.Duration
+	maxTuples                     float64
+	hardenStats                   bool
+}
+
+// bindFlags registers monsoond's flags on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{shared: harness.BindFlags(fs, "tiny", harness.EngineFlags|harness.CostFlags)}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.bench, "bench", "tpch", "benchmark to serve: tpch, imdb, ott, or udf")
+	fs.IntVar(&o.iterations, "iterations", 0, "MCTS rollout budget per planning call: 0 = the scale's default")
+	fs.IntVar(&o.maxConc, "max-concurrent", 8, "admitted queries in flight; excess requests get 429")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-query deadline ceiling: 0 = the scale's default")
+	fs.Float64Var(&o.maxTuples, "max-tuples", 0, "per-query produced-objects ceiling: 0 = unbounded")
+	fs.IntVar(&o.cacheCap, "cache-cap", 0, "shared plan cache capacity: 0 = default (512)")
+	fs.BoolVar(&o.hardenStats, "harden-stats", false,
+		"merge each query's hardened statistics back into the shared seed store and self-calibrate the cost model from served traces, taking over from -calibration-file as traces accrue (trades cross-request determinism for better estimates)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	benchName := flag.String("bench", "tpch", "benchmark to serve: tpch, imdb, ott, or udf")
-	scaleName := flag.String("scale", "tiny", "data scale: tiny, small, or medium")
-	seed := flag.Int64("seed", 1, "base seed; per-query seeds derive from it deterministically")
-	par := flag.Int("parallelism", 0, "engine worker count per query: 0 = all cores, 1 = serial")
-	batchSize := flag.Int("batch-size", 0, "engine pipeline batch size: 0 = default (4096), negative = materialized")
-	shards := flag.Int("shards", 0, "partition the served catalogs into N hash shards for exchange-style execution: 0 or 1 = unsharded (answers are identical at any count)")
-	planPar := flag.Int("plan-parallelism", 0, "MCTS planner thread count per query: 0 = all cores")
-	iterations := flag.Int("iterations", 0, "MCTS rollout budget per planning call: 0 = the scale's default")
-	maxConc := flag.Int("max-concurrent", 8, "admitted queries in flight; excess requests get 429")
-	timeout := flag.Duration("timeout", 0, "per-query deadline ceiling: 0 = the scale's default")
-	maxTuples := flag.Float64("max-tuples", 0, "per-query produced-objects ceiling: 0 = unbounded")
-	cacheCap := flag.Int("cache-cap", 0, "shared plan cache capacity: 0 = default (512)")
-	hardenStats := flag.Bool("harden-stats", false,
-		"merge each query's hardened statistics back into the shared seed store and self-calibrate the cost model from served traces (trades cross-request determinism for better estimates)")
-	calibFile := flag.String("calibration-file", "",
-		"price MCTS simulations with this calibrated cost profile (JSON from monsoon-trace calibrate); with -harden-stats the online calibrator takes over as traces accrue")
-	replanThr := flag.Float64("replan-threshold", 0,
-		"q-error at which an EXECUTE round forces a mid-query replan with hardened statistics (0 disables)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	sc, err := harness.ScaleNamed(*scaleName)
-	if err != nil {
-		fail("%v", err)
-	}
-	sc.Seed = *seed
-	sc.Parallelism = *par
-	sc.BatchSize = *batchSize
-	sc.Shards = *shards
-	sc.PlanParallelism = *planPar
-	if *iterations != 0 {
-		sc.MCTSIterations = *iterations
-	}
-
-	var profile *cost.CostProfile
-	if *calibFile != "" {
-		var err error
-		if profile, err = cost.LoadProfile(*calibFile); err != nil {
-			fail("calibration file: %v", err)
-		}
-	}
-
-	srv, err := daemon.New(daemon.Config{
-		Bench:            *benchName,
-		Scale:            sc,
-		MaxConcurrent:    *maxConc,
-		DefaultTimeout:   *timeout,
-		DefaultMaxTuples: *maxTuples,
-		CacheCapacity:    *cacheCap,
-		HardenStats:      *hardenStats,
-		Profile:          profile,
-		ReplanThreshold:  *replanThr,
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-	hs, err := srv.Serve(*addr)
-	if err != nil {
-		fail("cannot listen on %s: %v", *addr, err)
-	}
-	fmt.Fprintf(os.Stderr, "monsoond serving %s (%s) on http://%s — %d queries, %d concurrent\n",
-		*benchName, *scaleName, hs.Addr, len(srv.QueryNames()), *maxConc)
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "monsoond: %v — draining in-flight queries (up to %v)\n", sig, *drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "monsoond: drain incomplete: %v\n", err)
+	if err := run(o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "monsoond: stopped")
 }
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+// run serves until SIGINT/SIGTERM, then drains in-flight queries.
+func run(o *options) error {
+	sc, err := o.shared.Scale()
+	if err != nil {
+		return err
+	}
+	if o.iterations != 0 {
+		sc.MCTSIterations = o.iterations
+	}
+	session, cleanup, err := o.shared.Config()
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+
+	srv, err := daemon.New(daemon.Config{
+		Bench:            o.bench,
+		Scale:            sc,
+		MaxConcurrent:    o.maxConc,
+		DefaultTimeout:   o.timeout,
+		DefaultMaxTuples: o.maxTuples,
+		CacheCapacity:    o.cacheCap,
+		HardenStats:      o.hardenStats,
+		Session:          session,
+	})
+	if err != nil {
+		return err
+	}
+	hs, err := srv.Serve(o.addr)
+	if err != nil {
+		return fmt.Errorf("cannot listen on %s: %v", o.addr, err)
+	}
+	fmt.Fprintf(os.Stderr, "monsoond serving %s (%s) on http://%s — %d queries, %d concurrent\n",
+		o.bench, sc.Name, hs.Addr, len(srv.QueryNames()), o.maxConc)
+
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	sig := <-sigs
+	fmt.Fprintf(os.Stderr, "monsoond: %v — draining in-flight queries (up to %v)\n", sig, o.drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		return fmt.Errorf("monsoond: drain incomplete: %v", err)
+	}
+	return nil
 }

@@ -44,7 +44,6 @@ import (
 	"monsoon/internal/obs"
 	"monsoon/internal/obs/obshttp"
 	"monsoon/internal/plancache"
-	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
 	"monsoon/internal/sqlish"
@@ -89,16 +88,13 @@ type Config struct {
 	// a cost calibrator and prices subsequent sessions with the learned
 	// per-operator profile.
 	HardenStats bool
-	// Profile, when non-nil, prices every session's MCTS simulations with
-	// this calibrated per-operator cost profile from the start (typically
-	// loaded from monsoon-trace calibrate output). With HardenStats the
-	// online calibrator takes over once it has observed operator spans.
-	Profile *cost.CostProfile
-	// ReplanThreshold, when > 0, arms mid-query re-optimization on every
-	// session: an EXECUTE round whose observed root q-error reaches the
-	// threshold invalidates the query's memoized plan-cache rounds and
-	// forces a fresh MCTS round against the hardened statistics.
-	ReplanThreshold float64
+	// Session is what every query's session starts from: its Prior,
+	// Strategy, UniformRollout, ReplanThreshold and cost Profile (typically
+	// loaded from monsoon-trace calibrate output; with HardenStats the online
+	// calibrator takes over once it has observed operator spans) apply as
+	// they are. Scale is applied over it (harness.Scale.Apply), and the
+	// daemon sets Seed, Stats, Sink, Metrics and Cache itself.
+	Session core.Config
 }
 
 // namedQuery is one servable query: its parsed form plus the engine over its
@@ -112,7 +108,11 @@ type namedQuery struct {
 // Server is a running daemon core. Create with New, mount Handler (or call
 // Serve), stop with Shutdown.
 type Server struct {
-	cfg     Config
+	cfg Config
+	// session is cfg.Session with the scale and the shared sink, registry
+	// and cache applied: every request's core.Config but its seed,
+	// statistics and profile.
+	session core.Config
 	queries map[string]*namedQuery
 	names   []string
 	// adhoc executes parsed -sql requests; it shares the primary catalog.
@@ -163,8 +163,10 @@ func New(cfg Config) (*Server, error) {
 		ring:    obs.NewTraceRing(0),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		started: time.Now(),
-		profile: cfg.Profile,
+		profile: cfg.Session.Profile,
 	}
+	s.session = cfg.Scale.Apply(cfg.Session)
+	s.session.Sink, s.session.Metrics, s.session.Cache = s.ring, s.reg, s.cache
 	if cfg.HardenStats {
 		s.cal = cost.NewCalibrator()
 		s.seeds = plancache.New(cfg.CacheCapacity)
@@ -407,8 +409,7 @@ func (s *Server) budgetFor(req QueryRequest) *engine.Budget {
 // run executes one admitted query through a fresh Session against the shared
 // engine, cache, and cloned seed statistics.
 func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*QueryResponse, int) {
-	sc := s.cfg.Scale
-	seed := randx.Derive(sc.Seed, "monsoond/"+q.Name)
+	seed := randx.Derive(s.cfg.Scale.Seed, "monsoond/"+q.Name)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
@@ -418,20 +419,8 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 		st = hardened.Clone()
 	}
 	budget := s.budgetFor(req)
-	cfg := core.Config{
-		Prior:           prior.Default(),
-		Iterations:      sc.MCTSIterations,
-		Seed:            seed,
-		Stats:           st,
-		Sink:            s.ring,
-		Metrics:         s.reg,
-		Parallelism:     sc.Parallelism,
-		BatchSize:       sc.BatchSize,
-		PlanParallelism: sc.PlanParallelism,
-		Cache:           s.cache,
-		Profile:         s.currentProfile(),
-		ReplanThreshold: s.cfg.ReplanThreshold,
-	}
+	cfg := s.session
+	cfg.Seed, cfg.Stats, cfg.Profile = seed, st, s.currentProfile()
 	start := time.Now()
 	res, err := core.Run(q, eng, budget, cfg)
 	// Once the reply is built — its result hash is the last thing that reads

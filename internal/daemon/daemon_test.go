@@ -395,7 +395,7 @@ func TestFreeListCountersOnScrape(t *testing.T) {
 // deterministic (calibration-off) path.
 func TestHardenStatsSelfCalibration(t *testing.T) {
 	srv, err := New(Config{Bench: "tpch", MaxConcurrent: 4,
-		DefaultTimeout: 5 * time.Minute, HardenStats: true, ReplanThreshold: 8})
+		DefaultTimeout: 5 * time.Minute, HardenStats: true, Session: core.Config{ReplanThreshold: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

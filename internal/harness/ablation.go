@@ -57,14 +57,11 @@ func (r *Runner) Ablation(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	it, pp := sc.MCTSIterations, sc.PlanParallelism
-	options := []Option{
-		Monsoon{Label: "Monsoon (UCT+greedy)", Iterations: it, PlanParallelism: pp},
-		Monsoon{Label: "Monsoon (ε-greedy)", Strategy: mcts.EpsGreedy, Iterations: it, PlanParallelism: pp},
-		Monsoon{Label: "Monsoon (uniform rollout)", UniformRollout: true, Iterations: it, PlanParallelism: pp},
-		LEC{},
-		Defaults{},
-	}
+	uct, eps, uni := r.monsoon(), r.monsoon(), r.monsoon()
+	uct.Label = "Monsoon (UCT+greedy)"
+	eps.Label, eps.Strategy = "Monsoon (ε-greedy)", mcts.EpsGreedy
+	uni.Label, uni.UniformRollout = "Monsoon (uniform rollout)", true
+	options := []Option{uct, eps, uni, LEC{}, Defaults{}}
 	br, err := RunBenchmark(specs, options, sc, r.Progress)
 	if err != nil {
 		return err

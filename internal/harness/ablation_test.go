@@ -3,13 +3,18 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"monsoon/internal/bench/tpch"
+	"monsoon/internal/core"
 	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
+	"monsoon/internal/obs"
+	"monsoon/internal/plancache"
 )
 
 func TestLECOptionRuns(t *testing.T) {
@@ -36,9 +41,9 @@ func TestMonsoonVariantKnobs(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 1})
 	spec := QuerySpec{Q: tpch.Queries()[7], Cat: cat} // q11: 3 tables
 	for _, v := range []Monsoon{
-		{Label: "uct", Iterations: 60},
-		{Label: "eps", Strategy: mcts.EpsGreedy, Iterations: 60},
-		{Label: "uniform", UniformRollout: true, Iterations: 60},
+		{Label: "uct", Config: core.Config{Iterations: 60}},
+		{Label: "eps", Config: core.Config{Strategy: mcts.EpsGreedy, Iterations: 60}},
+		{Label: "uniform", Config: core.Config{UniformRollout: true, Iterations: 60}},
 	} {
 		out := v.Run(spec, engine.ExecConfig{}, 5*time.Second, 5e6, 3)
 		if out.Err != nil {
@@ -73,6 +78,46 @@ func TestAblationExperiment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q", want)
 		}
+	}
+}
+
+// TestAblationVariantsTakeCampaignConfig pins that the ablation's three
+// Monsoon variants start from the runner's Config like every other Monsoon
+// run of the campaign: a collector sink receives one query span per variant
+// and query, in variant order, and the shared plan cache is consulted.
+func TestAblationVariantsTakeCampaignConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sc := Tiny()
+	sc.UDFTitles = 100
+	sc.UDFSF = 0.001
+	sc.MCTSIterations = 60
+	sc.Timeout = 2 * time.Second
+	col := &obs.Collector{}
+	cache := plancache.New(0)
+	r := &Runner{Scale: sc, Config: core.Config{Sink: col, Cache: cache}}
+	if err := r.Ablation(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	specs, err := Specs("udf", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for range 3 { // UCT+greedy, ε-greedy, uniform rollout
+		for _, s := range specs {
+			want = append(want, s.Q.Name)
+		}
+	}
+	for _, sp := range col.SpansOf(obs.KQuery) {
+		got = append(got, sp.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("query spans %v, want the UDF suite once per Monsoon variant %v", got, want)
+	}
+	if st := cache.Stats(); st.Hits+st.Misses == 0 {
+		t.Error("the ablation's Monsoon runs never consulted the campaign's plan cache")
 	}
 }
 

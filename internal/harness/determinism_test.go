@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"monsoon/internal/core"
 	"monsoon/internal/plancache"
 )
 
@@ -20,7 +21,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	run := func() *BenchResult {
 		specs := tinySpecs(t)
 		options := []Option{
-			Postgres{}, Defaults{}, Greedy{}, Monsoon{Iterations: 120},
+			Postgres{}, Defaults{}, Greedy{}, Monsoon{Config: core.Config{Iterations: 120}},
 			OnDemand{}, Sampling{}, Skinner{}, LEC{Worlds: 8},
 		}
 		br, err := RunBenchmark(specs, options, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
@@ -72,7 +73,7 @@ func TestCampaignCachedVsUncached(t *testing.T) {
 	}{{"tpch", tinySpecs(t)}, {"imdb", imdb}}
 	for _, suite := range suites {
 		run := func(c *plancache.Cache) []QueryResult {
-			opt := Monsoon{Iterations: 120, Cache: c}
+			opt := Monsoon{Config: core.Config{Iterations: 120, Cache: c}}
 			br, err := RunBenchmark(suite.specs, []Option{opt}, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
 			if err != nil {
 				t.Fatal(err)

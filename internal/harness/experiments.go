@@ -10,12 +10,12 @@ import (
 	"monsoon/internal/bench/ott"
 	"monsoon/internal/bench/tpch"
 	"monsoon/internal/bench/udf"
+	"monsoon/internal/core"
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
-	"monsoon/internal/plancache"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/stats"
@@ -53,12 +53,6 @@ type Scale struct {
 	// serial planning. The shard decomposition is fixed by the planner
 	// config, so plans are bit-identical at every setting.
 	PlanParallelism int
-	// PlanCache, when set, shares one plan cache across every Monsoon run
-	// of the campaign: repeated (query shape, statistics) planning states
-	// replay memoized rounds instead of re-running MCTS. Plan choices are
-	// unchanged for repeated identical runs; hit rates surface in the
-	// campaign metrics (-metrics) as monsoon.plancache.hits/misses.
-	PlanCache bool
 	// Shards partitions every generated catalog into that many deterministic
 	// hash shards (first-column layout), switching on the engine's
 	// exchange-style operators for every run of the campaign: 0 or 1 keeps
@@ -80,6 +74,14 @@ func (sc Scale) shardCat(cat *table.Catalog) *table.Catalog {
 // exec is the engine configuration every execution of the campaign runs with.
 func (sc Scale) exec() engine.ExecConfig {
 	return engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+}
+
+// Apply returns cfg with the scale's MCTS iteration budget, seed and thread
+// knobs (Parallelism, BatchSize, PlanParallelism) copied in.
+func (sc Scale) Apply(cfg core.Config) core.Config {
+	cfg.Iterations, cfg.Seed = sc.MCTSIterations, sc.Seed
+	cfg.Parallelism, cfg.BatchSize, cfg.PlanParallelism = sc.Parallelism, sc.BatchSize, sc.PlanParallelism
+	return cfg
 }
 
 // Specs generates one benchmark's data — tpch, imdb, ott or udf — from the
@@ -172,44 +174,21 @@ func Medium() Scale {
 type Runner struct {
 	Scale    Scale
 	Progress io.Writer
-	// Metrics, when non-nil, accumulates counters and histograms from every
-	// Monsoon run of the campaign (cmd/monsoon-bench dumps it on exit).
-	Metrics *obs.Registry
-	// Sink, when non-nil, receives the structured event stream of every
-	// Monsoon run of the campaign. Sinks shared this way must lock
-	// internally (obs.NewJSONL does).
-	Sink obs.EventSink
-	// Profile, when non-nil, prices every Monsoon run's MCTS simulations
-	// with this calibrated per-operator cost profile (-calibration-file).
-	Profile *cost.CostProfile
-	// ReplanThreshold, when > 0, arms mid-query re-optimization on every
-	// Monsoon run of the campaign (-replan-threshold).
-	ReplanThreshold float64
+	// Config is what every Monsoon run of the campaign starts from, with the
+	// scale applied over it (Scale.Apply): its Sink, Metrics, Cache, Profile
+	// and ReplanThreshold are monsoon-bench's -trace-json, -metrics/-obs-addr,
+	// -plan-cache, -calibration-file and -replan-threshold (Flags.Config). A
+	// shared Sink must lock internally (obs.NewJSONL does). A shared Cache is
+	// safe across priors and ablation variants: its key carries both.
+	Config core.Config
 
 	imdbRes *BenchResult
 	ottRes  *BenchResult
 	udfRes  *BenchResult
-	cache   *plancache.Cache
 }
 
 func (r *Runner) monsoon() Monsoon {
-	return Monsoon{Iterations: r.Scale.MCTSIterations, Metrics: r.Metrics, Sink: r.Sink,
-		PlanParallelism: r.Scale.PlanParallelism,
-		Cache:           r.planCache(),
-		Profile:         r.Profile,
-		ReplanThreshold: r.ReplanThreshold}
-}
-
-// planCache lazily creates the campaign-shared cache when the scale enables
-// it; nil (caching off) otherwise.
-func (r *Runner) planCache() *plancache.Cache {
-	if !r.Scale.PlanCache {
-		return nil
-	}
-	if r.cache == nil {
-		r.cache = plancache.New(0)
-	}
-	return r.cache
+	return Monsoon{Config: r.Scale.Apply(r.Config)}
 }
 
 // standardOptions is the Table 3/5 lineup.

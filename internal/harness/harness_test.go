@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"monsoon/internal/bench/tpch"
+	"monsoon/internal/core"
 )
 
 func tinySpecs(t *testing.T) []QuerySpec {
@@ -42,7 +43,7 @@ func TestRunBenchmarkAllOptions(t *testing.T) {
 		}
 		options := []Option{
 			Postgres{}, Defaults{}, Greedy{}, OnDemand{}, Sampling{},
-			Monsoon{Iterations: 100}, Skinner{},
+			Monsoon{Config: core.Config{Iterations: 100}}, Skinner{},
 		}
 		if bench == "ott" {
 			options = append(options, HandWritten{})

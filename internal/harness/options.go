@@ -12,11 +12,9 @@ import (
 	"monsoon/internal/core"
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
-	"monsoon/internal/mcts"
 	"monsoon/internal/obs"
 	"monsoon/internal/opt"
 	"monsoon/internal/plan"
-	"monsoon/internal/plancache"
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
@@ -282,34 +280,12 @@ func (qs *qerrSink) geo() float64 {
 // ablation's variants of it.
 type Monsoon struct {
 	// Label, when set, is the option's name.
-	Label      string
-	Prior      prior.Prior
-	Strategy   mcts.Strategy
-	Iterations int
-	// UniformRollout disables the greedy rollout policy (ablation knob).
-	UniformRollout bool
-	// Sink, when non-nil, receives the run's structured event stream (the
-	// q-error summary in the Outcome is collected regardless).
-	Sink obs.EventSink
-	// Metrics, when non-nil, accumulates counters and histograms across the
-	// campaign's runs.
-	Metrics *obs.Registry
-	// PlanParallelism caps the OS threads the root-parallel MCTS planner
-	// runs its search shards on (0 = GOMAXPROCS, 1 = serial planning).
-	// Plans are bit-identical at every setting.
-	PlanParallelism int
-	// Cache, when non-nil, memoizes planned rounds across the runs sharing
-	// it: repeated (query shape, statistics) states replay the memoized
-	// action sequence instead of re-running MCTS.
-	Cache *plancache.Cache
-	// Profile, when non-nil, makes the MDP simulator cost plans with
-	// calibrated per-operator-kind seconds instead of flat object counts.
-	Profile *cost.CostProfile
-	// ReplanThreshold, when > 0, triggers mid-query re-optimization: an
-	// EXECUTE whose materialized q-error reaches it invalidates the query's
-	// plan-cache suffixes and forces the next round to replan with the
-	// hardened statistics.
-	ReplanThreshold float64
+	Label string
+	// Config is what every run starts from. Run sets its Seed and engine
+	// knobs (Parallelism, BatchSize) from its arguments and tees its Sink
+	// into the q-error summary the Outcome reports, so the summary is
+	// collected whether or not a Sink is set.
+	core.Config
 }
 
 // Name implements Option.
@@ -330,21 +306,10 @@ func (m Monsoon) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	qs := &qerrSink{}
-	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, core.Config{
-		Prior:           m.Prior,
-		Strategy:        m.Strategy,
-		Iterations:      m.Iterations,
-		UniformRollout:  m.UniformRollout,
-		Seed:            seed,
-		Sink:            obs.Multi(m.Sink, qs),
-		Metrics:         m.Metrics,
-		Parallelism:     ec.Parallelism,
-		BatchSize:       ec.BatchSize,
-		PlanParallelism: m.PlanParallelism,
-		Cache:           m.Cache,
-		Profile:         m.Profile,
-		ReplanThreshold: m.ReplanThreshold,
-	})
+	cfg := m.Config
+	cfg.Seed, cfg.Parallelism, cfg.BatchSize = seed, ec.Parallelism, ec.BatchSize
+	cfg.Sink = obs.Multi(m.Sink, qs)
+	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, cfg)
 	out := Outcome{
 		Rows: res.Rows, Value: res.Value,
 		MCTSTime: res.PlanTime, SigmaTime: res.SigmaTime, ExecTime: res.ExecTime,

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"monsoon/internal/core"
 	"monsoon/internal/obs"
 	"monsoon/internal/obs/tracefile"
 )
@@ -35,7 +36,7 @@ type spanCountRecord struct {
 func spanCountWorkload(t *testing.T) map[string]int {
 	t.Helper()
 	col := &obs.Collector{}
-	r := &Runner{Scale: Small(), Sink: col}
+	r := &Runner{Scale: Small(), Config: core.Config{Sink: col}}
 	if err := r.TraceCorpus(io.Discard); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 // TraceCorpus runs the span-count reference workload: the scale's TPC-H
 // suite through Monsoon alone, with no wall-clock deadline (a slow machine
 // must not change how far a query gets), the campaign's tuple budget, and
-// the campaign seed for every query — so the span stream on r.Sink, and
+// the campaign seed for every query — so the span stream on r.Config.Sink, and
 // with it every per-kind count, is deterministic across hosts (worker
 // fan-out excepted; trace tooling excludes that kind). This is the workload
 // behind testdata/span_counts_small.jsonl: CI records it with
@@ -22,7 +22,7 @@ func (r *Runner) TraceCorpus(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := Monsoon{Iterations: sc.MCTSIterations, PlanParallelism: sc.PlanParallelism, Metrics: r.Metrics, Sink: r.Sink}
+	opt := r.monsoon()
 	for _, spec := range specs {
 		out := opt.Run(spec, sc.exec(), 0, sc.MaxTuples, sc.Seed)
 		if out.Err != nil {
