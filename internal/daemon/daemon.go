@@ -516,18 +516,21 @@ func (s *Server) selfCalibrate() {
 }
 
 // hashRelation digests a result relation: FNV-1a over every value's rendered
-// form in row-major order, with unit separators so field and row boundaries
-// cannot alias. Rendering (rather than raw hashes) keeps the digest stable
-// across processes and architectures.
+// form (value.Value.AppendTo) in row-major order, with unit separators so
+// field and row boundaries cannot alias. Rendering (rather than raw hashes)
+// keeps the digest stable across processes and architectures. Every value is
+// rendered into one reused buffer, so the digest makes no string per value.
 func hashRelation(rel *table.Relation) string {
 	h := fnv.New64a()
 	if rel != nil {
+		var buf []byte
+		rowEnd := []byte{0x1e}
 		for _, row := range rel.Rows {
 			for _, v := range row {
-				_, _ = h.Write([]byte(v.String()))
-				_, _ = h.Write([]byte{0x1f})
+				buf = append(v.AppendTo(buf[:0]), 0x1f)
+				_, _ = h.Write(buf)
 			}
-			_, _ = h.Write([]byte{0x1e})
+			_, _ = h.Write(rowEnd)
 		}
 	}
 	return fmt.Sprintf("fnv1a:%016x", h.Sum64())

@@ -3,6 +3,8 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -488,6 +490,68 @@ func TestHashRelation(t *testing.T) {
 	}
 	if hashRelation(a) != hashRelation(rel(table.Row{value.Int(1), value.Int(2)})) {
 		t.Error("equal relations hash differently")
+	}
+}
+
+// stringDigest is the result digest as it was first written: every value
+// rendered with String, converted to bytes and written a write at a time.
+// hashRelation must agree with it byte for byte, since clients and the
+// benchmark's goldens compare result hashes across versions. (That String
+// still renders what it always did is value.TestMatchesReference's to check.)
+func stringDigest(rel *table.Relation) string {
+	h := fnv.New64a()
+	if rel != nil {
+		for _, row := range rel.Rows {
+			for _, v := range row {
+				_, _ = h.Write([]byte(v.String()))
+				_, _ = h.Write([]byte{0x1f})
+			}
+			_, _ = h.Write([]byte{0x1e})
+		}
+	}
+	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
+}
+
+// TestResultDigestMatchesStringDigest: the digest that renders into one
+// buffer is the digest that rendered a string per value, on every kind —
+// NULL, both bools, ints to the ends of their range, floats at ±0, NaN, ±Inf,
+// beyond 2⁵³, subnormal and in exponent form, strings holding the very
+// separators the digest writes, int lists — value by value and over random
+// relations of them.
+func TestResultDigestMatchesStringDigest(t *testing.T) {
+	vals := []value.Value{
+		value.Null(), value.Bool(true), value.Bool(false),
+		value.Int(0), value.Int(-1), value.Int(42), value.Int(math.MaxInt64), value.Int(math.MinInt64),
+		value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()),
+		value.Float(math.Inf(1)), value.Float(math.Inf(-1)), value.Float(1 << 53), value.Float(1<<53 + 2),
+		value.Float(9007199254740993), value.Float(1e21), value.Float(1e300), value.Float(-0.1),
+		value.Float(5e-324), value.Float(1.5e-7), value.Float(123456.789),
+		value.String(""), value.String("a"), value.String("x\x1fy"), value.String("\x1e"), value.String("\x1f\x1e"),
+		value.String("żółć"), value.String("NULL"),
+		value.IntList(nil), value.IntList([]int64{7}), value.IntList([]int64{-3, 0, 1 << 62}),
+	}
+	for _, v := range vals {
+		rel := &table.Relation{Rows: []table.Row{{v}}}
+		if got, want := hashRelation(rel), stringDigest(rel); got != want {
+			t.Errorf("%v (kind %v): digest %s, rendered strings %s", v, v.Kind(), got, want)
+		}
+	}
+	rng := randx.New(35)
+	for i := 0; i < 50; i++ {
+		rows := make([]table.Row, rng.Intn(20))
+		for r := range rows {
+			rows[r] = make(table.Row, rng.Intn(6))
+			for c := range rows[r] {
+				rows[r][c] = vals[rng.Intn(len(vals))]
+			}
+		}
+		rel := &table.Relation{Rows: rows}
+		if got, want := hashRelation(rel), stringDigest(rel); got != want {
+			t.Fatalf("relation %d: digest %s, rendered strings %s", i, got, want)
+		}
+	}
+	if got, want := hashRelation(nil), stringDigest(nil); got != want {
+		t.Errorf("nil relation: digest %s, rendered strings %s", got, want)
 	}
 }
 

@@ -416,6 +416,15 @@ func (t *shardedTable) sub(h uint64) *hashTable {
 	return &t.subs[h%uint64(len(t.subs))]
 }
 
+// keys counts the table's distinct keys over every sub-table.
+func (t *shardedTable) keys() int {
+	n := 0
+	for i := range t.subs {
+		n += len(t.subs[i].entries)
+	}
+	return n
+}
+
 // shardCount reports the catalog's shard layout width (1 = unsharded).
 func (e *Exec) shardCount() int { return e.eng.Cat.ShardCount() }
 

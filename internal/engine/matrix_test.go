@@ -96,10 +96,14 @@ func matrixCases() []matrixCase {
 		Join(expr.Identity("a.k"), expr.Identity("b.k")).
 		Join(expr.Identity("c.k"), expr.Identity("a.k")).
 		MustBuild()
+	expand := query.NewBuilder("expand").Rel("b", "B").Rel("c", "C").Rel("d", "D").
+		Join(expr.Identity("b.f"), expr.Identity("c.f")).
+		Join(expr.Identity("d.k"), expr.Identity("b.k")).
+		MustBuild()
 	return []matrixCase{
 		// Hash join with a second key predicate under a Σ root; b is an
-		// unfiltered co-partitioned build leaf, handed over without a drain
-		// at S > 1.
+		// unfiltered build leaf, its stored rows handed over without a drain
+		// on every layout (shard-major where b is co-partitioned, at S > 1).
 		{"residual-sigma", ab, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b")).WithSigma()}},
 		// Two key predicates with the table keyed on the one whose chains are
 		// some 90 rows long: the probe passes over nearly all of each chain
@@ -118,6 +122,11 @@ func matrixCases() []matrixCase {
 		// The probe side is a join, whose slabs go back to the free list
 		// batch by batch while the parent probes.
 		{"left-deep", abc, []*plan.Node{plan.NewJoin(plan.NewJoin(leaf("a"), leaf("b")), leaf("c"))}},
+		// The probe side is a join that expands its input some 25-fold over
+		// skewed keys (f = 0 in seven rows in ten), so as a streaming child it
+		// probes each batch of d in slices and resumes the rest on the next
+		// pull, at every batch size but -1.
+		{"expanding", expand, []*plan.Node{plan.NewJoin(plan.NewJoin(leaf("b"), leaf("c")), leaf("d"))}},
 		// A Σ pass over enough rows to fan out.
 		{"sigma-leaf", ab, []*plan.Node{leaf("a").WithSigma()}},
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"reflect"
 	"testing"
+	"time"
+	"unsafe"
 
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
@@ -259,5 +261,50 @@ func TestShardedBudgetAbort(t *testing.T) {
 	_, _, err := e.ExecTree(bigQuery(), plan.NewJoin(leaf("BR"), leaf("BS")), &Budget{MaxTuples: 100})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestUnshardedBuildReadsStoredRows: an unfiltered build leaf on an unsharded
+// catalog is read in place, as a co-partitioned one is on a sharded catalog.
+// Collecting it takes nothing from the row-header free list and hands over
+// the stored rows themselves, with the accounting of a drain; and since the
+// scope never lists them, a poisoned Release leaves the stored table as it
+// was.
+func TestUnshardedBuildReadsStoredRows(t *testing.T) {
+	defer func(was bool) { poisonReleased = was }(poisonReleased)
+	poisonReleased = true
+	cat := matrixCatalog(1, 1)
+	stored := cat.MustGet("B")
+	was := cloneRows(stored.Rows)
+	q := matrixCases()[0].q // a ⋈ b
+	for _, par := range []int{1, 4} {
+		ex := New(cat).NewExec(ExecConfig{Parallelism: par})
+		res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
+		it, _, err := ex.open(q, leaf("b"), &Budget{}, res, nil, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := freeRows.count()
+		side, err := it.collect(&ex.held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := freeRows.count()
+		if took := after.Hits + after.Misses - before.Hits - before.Misses; took != 0 {
+			t.Errorf("par=%d: collecting the build leaf took %d row-header buffers from the free list", par, took)
+		}
+		if unsafe.SliceData(side.rows) != unsafe.SliceData(stored.Rows) || len(side.rows) != stored.Count() {
+			t.Errorf("par=%d: the build side is a copy of the stored rows, not the rows themselves", par)
+		}
+		if n := float64(stored.Count()); res.Counts["b"] != n || res.Produced != n {
+			t.Errorf("par=%d: Counts[b] = %v, Produced = %v; a drain records %v for both", par, res.Counts["b"], res.Produced, n)
+		}
+		if _, _, err := ex.ExecTree(q, plan.NewJoin(leaf("a"), leaf("b")), &Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		ex.Release()
+		if !table.IdenticalRows(stored.Rows, was) {
+			t.Fatalf("par=%d: the stored table changed after a poisoned Release", par)
+		}
 	}
 }

@@ -2,7 +2,10 @@
 // row batches through the rowIter interface instead of whole materialized
 // relations, so filter → join → filter stages of one tree overlap and peak
 // memory is bounded by batch size × pipeline depth rather than intermediate
-// cardinality. Two stages stay pipeline-breakers by construction: the
+// cardinality. A join that expands its input keeps to that bound too: it
+// probes its input batch in slices and emits about one batch per pull — at
+// most one batch plus one probe row's matches while its fan-out holds steady
+// (joinIter). Two stages stay pipeline-breakers by construction: the
 // hash-join build side (the hash table needs every build row before the first
 // probe) and the tree root's final materialize (the MDP's Re store and the
 // plan cache key the full relation). The Σ pass runs over that materialized
@@ -11,17 +14,19 @@
 // Determinism contract: a run is bit-identical at every batch size, worker
 // count and shard layout — same output rows in the same order, same budget
 // totals, same span kinds with the same rows/produced accounting. Batches
-// preserve input order (each output batch is the join of one input batch,
-// emitted in input order; fan-outs stitch per-worker buffers in partition
-// order), and operator spans open in one fixed order — a join's umbrella, its
-// left subtree, its right subtree, then its build and probe — accumulating
-// rows across batches. The only telemetry that varies is the number of
-// KWorker spans (one fan-out per large-enough batch) and of KShard spans (one
-// per storage shard), the two configuration-dependent span kinds.
+// preserve input order (each output batch is the join of a run of
+// consecutive input rows, emitted in input order; fan-outs stitch per-worker
+// buffers in partition order), and operator spans open in one fixed order — a
+// join's umbrella, its left subtree, its right subtree, then its build and
+// probe — accumulating rows across batches. The only telemetry that varies is
+// the number of KWorker spans (one fan-out per large-enough batch) and of
+// KShard spans (one per storage shard), the two configuration-dependent span
+// kinds.
 package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -131,12 +136,13 @@ func (t *nodeIter) Next() ([]table.Row, error) {
 func (t *nodeIter) Close(err error) { t.inner.Close(err) }
 
 // collect gathers the node's whole output for a pipeline breaker and closes
-// the node, listing the buffer it gathered into on h. A scan that can hand
-// its stored rows over does that instead of being drained, with the
-// accounting of a complete drain.
+// the node, listing the buffer it gathered into on h. An unfiltered scan hands
+// its stored rows over instead of being drained, on any storage layout, with
+// the accounting of a complete drain. The stored rows are the catalog's, so
+// they are never listed on h: Release can neither recycle nor poison them.
 func (t *nodeIter) collect(h *held) (buildSide, error) {
 	sc, _ := t.inner.(*scanIter)
-	if sc != nil && sc.sh != nil && sc.filter == nil {
+	if sc != nil && sc.filter == nil {
 		t0 := time.Now()
 		err := sc.handoff()
 		t.res.Times[t.key] += time.Since(t0)
@@ -145,13 +151,13 @@ func (t *nodeIter) collect(h *held) (buildSide, error) {
 		}
 		t.res.Produced += float64(sc.base.Count())
 		t.res.Counts[t.key] = float64(sc.base.Count())
-		return buildSide{rows: sc.base.Rows, bounds: sc.sh.Bounds, perm: sc.sh.Perm}, nil
+		side := buildSide{rows: sc.base.Rows}
+		if sc.sh != nil {
+			side.bounds, side.perm = sc.sh.Bounds, sc.sh.Perm
+		}
+		return side, nil
 	}
 	var side buildSide
-	if sc != nil && sc.filter == nil {
-		// An unfiltered scan yields every stored row: size the copy once.
-		side.rows = freeRows.take(sc.base.Count())[:0]
-	}
 	for {
 		b, err := t.Next()
 		if err != nil {
@@ -397,12 +403,12 @@ func (s *scanIter) Next() ([]table.Row, error) {
 	}
 }
 
-// handoff is the no-drain form of an unfiltered shard-major scan, for a
-// build that reads the stored rows in place (base.Rows): every stored row
-// survives such a scan, so there is nothing to gather. It emits the spans and
-// slab-granular charges of a full drain — the trace and the budget cannot
-// tell the two apart — and ends the scan; only the per-row-header copies of
-// gather-then-drain disappear.
+// handoff is the no-drain form of an unfiltered scan, for a build that reads
+// the stored rows in place (base.Rows, through the layout's permutation when
+// the walk is shard-major): every stored row survives such a scan, so there
+// is nothing to gather. It emits the spans and slab-granular charges of a full
+// drain — the trace and the budget cannot tell the two apart — and ends the
+// scan; only the per-row-header copies of gather-then-drain disappear.
 func (s *scanIter) handoff() error {
 	for {
 		lo, hi, ok := s.advance()
@@ -485,6 +491,7 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	it := &joinIter{e: e, jsp: jsp, left: left, build: side.rows, states: states, budget: budget, stream: !keep}
 	residuals := float64(len(spec.preds) + len(spec.sels))
 	if spec.buildTerm == nil {
+		it.prior = float64(len(side.rows))
 		it.sp = e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", residuals)
 		return it, spec.out, nil
 	}
@@ -506,6 +513,9 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	e.noteExchange(bsp, layout != nil, inserted)
 	bsp.SetNum("residuals", residuals).End()
 	it.ht = ht
+	if keys := ht.keys(); keys > 0 {
+		it.prior = float64(inserted) / float64(keys)
+	}
 	it.sp = e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
 	return it, spec.out, nil
 }
@@ -535,18 +545,23 @@ func (e *Exec) noteExchange(bsp *obs.Span, local bool, inserted int) {
 	}
 }
 
-// joinIter joins each batch pulled from the left child with the collected
+// joinIter joins the rows pulled from the left child with the collected
 // right side: a probe of the prebuilt hash table, or — when no predicate
 // separates the children (ht nil) — the filtered product, whose span reports
-// rows-in as the number of row pairs scanned. Output order is left-major
-// over the stream, identical at every batch size because each output batch
-// is the join of exactly one input batch, in input order.
+// rows-in as the number of row pairs scanned. Output order is left-major over
+// the stream, identical at every batch size because every call probes a run
+// of consecutive left rows, in input order.
 //
 // When it closes it hands its slabs, table and buffers to its Exec, where
 // they stay until Release. A streaming join (stream set: the consumer is a
 // parent's probe side, which copies what it reads) rewinds when the next
 // batch is pulled and writes that batch into the slabs of the last one, so it
-// holds one batch's slabs rather than its whole output.
+// holds one batch's slabs rather than its whole output. It also probes a left
+// batch in slices (slice), so that one pull emits about one batch however far
+// the join expands its input: at most one batch plus one probe row's matches
+// while the fan-out stays where it has been. A kept join (a root, or a build
+// side) keeps every row it emits whatever its batches, so it probes each left
+// batch whole.
 type joinIter struct {
 	e       *Exec
 	jsp, sp *obs.Span // the KJoin umbrella; the KHashProbe or KNestedLoop operator
@@ -557,6 +572,10 @@ type joinIter struct {
 	budget  *Budget
 	batch   []table.Row // stitch buffer of a batch fanned out over workers
 	stream  bool
+	in      []table.Row // the left batch in hand; in[pos:] is still to probe
+	pos     int
+	prior   float64 // output rows expected per probe row before any is probed
+	probed  int     // left rows probed so far
 	emitted int
 	fail    error
 	closed  bool
@@ -569,26 +588,27 @@ func (j *joinIter) Next() ([]table.Row, error) {
 		}
 	}
 	for {
-		batch, err := j.left.Next()
-		if err != nil {
-			j.fail = err
-			return nil, err
+		if j.pos == len(j.in) {
+			batch, err := j.left.Next()
+			if err != nil {
+				j.fail = err
+				return nil, err
+			}
+			if batch == nil {
+				return nil, nil
+			}
+			j.in, j.pos = batch, 0
 		}
-		if batch == nil {
-			return nil, nil
-		}
-		w := j.e.workers(len(batch))
+		probe, w := j.slice()
 		kernel := func(st *joinState, lo, hi int) error {
-			return st.probeRows(batch[lo:hi], j.build, j.ht, j.budget)
+			return st.probeRows(probe[lo:hi], j.build, j.ht, j.budget)
 		}
 		if j.ht == nil {
-			// Sized by the pairs to scan, capped by the outer rows to split.
-			w = min(j.e.workers(len(batch)*len(j.build)), len(batch))
 			kernel = func(st *joinState, lo, hi int) error {
-				return st.loopRows(batch[lo:hi], j.build, j.budget)
+				return st.loopRows(probe[lo:hi], j.build, j.budget)
 			}
 		}
-		err = j.states.run(j.sp, len(batch), w, kernel)
+		err := j.states.run(j.sp, len(probe), w, kernel)
 		out := stitch(&j.batch, w, func(i int) []table.Row { return j.states.states[i].out })
 		j.emitted += len(out)
 		if err != nil {
@@ -599,6 +619,38 @@ func (j *joinIter) Next() ([]table.Row, error) {
 			return out, nil
 		}
 	}
+}
+
+// slice takes the next run of left rows to probe off the batch in hand and
+// returns it with the width to fan it out at. A streaming join that expects
+// more than one output row per probe row — the rows it has emitted per row
+// probed so far, or its prior before any — takes only as many as fill one
+// batch of output at that rate, and leaves the rest for the next pull. Any
+// other call takes the whole rest of the batch. A call that probes less than
+// its whole batch fans out by the rows it is expected to emit, so that a
+// slice of a few expanding rows still spreads over the workers its output
+// needs; every other call fans out as it always has. A nested loop fans out
+// by the pairs it scans, which bound what it emits, sliced or not.
+func (j *joinIter) slice() ([]table.Row, int) {
+	rest := j.in[j.pos:]
+	n := len(rest)
+	f := j.prior
+	if j.probed > 0 {
+		f = float64(j.emitted) / float64(j.probed)
+	}
+	if j.stream && f > 1 {
+		n = min(n, int(math.Ceil(float64(j.e.batch())/f)))
+	}
+	j.pos += n
+	j.probed += n
+	switch {
+	case j.ht == nil:
+		// Sized by the pairs to scan, capped by the outer rows to split.
+		return rest[:n], min(j.e.workers(n*len(j.build)), n)
+	case n < len(j.in):
+		return rest[:n], min(j.e.workers(int(float64(n)*max(f, 1))), n)
+	}
+	return rest[:n], j.e.workers(n)
 }
 
 func (j *joinIter) Close(err error) {

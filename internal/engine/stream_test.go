@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"monsoon/internal/expr"
 	"monsoon/internal/plan"
@@ -180,6 +182,102 @@ func TestStreamingBudgetCharges(t *testing.T) {
 		_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{MaxTuples: 100})
 		if err == nil {
 			t.Errorf("batch %d: tuple cap must trip", batch)
+		}
+	}
+}
+
+// watchIter hands every batch its iterator returns to saw on the way through.
+type watchIter struct {
+	rowIter
+	saw func([]table.Row)
+}
+
+func (w *watchIter) Next() ([]table.Row, error) {
+	b, err := w.rowIter.Next()
+	if b != nil {
+		w.saw(b)
+	}
+	return b, err
+}
+
+// TestStreamingJoinHoldsOneBatch: a streaming join that expands its input
+// emits one batch per pull, not the join of its whole input batch. Every row
+// of P matches the m rows of B that carry its key, and P ⋈ B streams into a
+// parent join's probe side. Every batch the child hands its parent must hold
+// at most BatchSize + m rows, and the slabs its states hold must stay within
+// a slab's growth of that: twice the bound plus one full slab per state.
+func TestStreamingJoinHoldsOneBatch(t *testing.T) {
+	const probeRows, keys, m = 300, 10, 64
+	cat := table.NewCatalog()
+	for _, spec := range []struct {
+		name string
+		rows int
+		key  func(i int) int
+	}{
+		{"P", probeRows, func(i int) int { return i % keys }},
+		{"B", keys * m, func(i int) int { return i / m }},
+		{"Q", keys, func(i int) int { return i }},
+	} {
+		b := table.NewBuilder(spec.name, table.NewSchema(
+			table.Column{Table: spec.name, Name: "k", Kind: value.KindInt},
+			table.Column{Table: spec.name, Name: "i", Kind: value.KindInt},
+		))
+		for i := 0; i < spec.rows; i++ {
+			b.Add(value.Int(int64(spec.key(i))), value.Int(int64(i)))
+		}
+		cat.Put(b.Build())
+	}
+	q := query.NewBuilder("pbq").Rel("p", "P").Rel("b", "B").Rel("q", "Q").
+		Join(expr.Identity("p.k"), expr.Identity("b.k")).
+		Join(expr.Identity("q.k"), expr.Identity("p.k")).
+		MustBuild()
+	tree := plan.NewJoin(plan.NewJoin(leaf("p"), leaf("b")), leaf("q"))
+	for _, batch := range []int{7, 64, 4096} {
+		for _, par := range []int{1, 2} {
+			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
+			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
+			it, _, err := ex.open(q, tree, &Budget{}, res, nil, nil, true)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			parent := it.inner.(*joinIter)
+			child := parent.left.(*nodeIter).inner.(*joinIter)
+			pulls, most, slabMost := 0, 0, 0
+			parent.left = &watchIter{rowIter: parent.left, saw: func(b []table.Row) {
+				pulls++
+				most = max(most, len(b))
+				slabbed := 0
+				for _, st := range child.states.states {
+					for _, s := range append(st.slabs, st.spare...) {
+						slabbed += len(s) / st.width
+					}
+				}
+				slabMost = max(slabMost, slabbed)
+			}}
+			rows := 0
+			for {
+				b, err := it.Next()
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if b == nil {
+					break
+				}
+				rows += len(b)
+			}
+			it.Close(nil)
+			ex.Release()
+			if rows != probeRows*m {
+				t.Fatalf("%s: %d rows, want %d", at, rows, probeRows*m)
+			}
+			t.Logf("%s: %d pulls, largest batch %d rows, slabs held at most %d rows", at, pulls, most, slabMost)
+			if most > batch+m {
+				t.Errorf("%s: the child returned a batch of %d rows, bound %d", at, most, batch+m)
+			}
+			if bound := 2*(batch+m) + len(child.states.states)*slabRows; slabMost > bound {
+				t.Errorf("%s: the child's slabs held %d rows, bound %d", at, slabMost, bound)
+			}
 		}
 	}
 }

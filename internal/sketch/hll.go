@@ -71,7 +71,7 @@ func (h *HLL) Estimate() float64 {
 	sum := 0.0
 	zeros := 0
 	for _, v := range h.registers {
-		sum += 1 / float64(uint64(1)<<v)
+		sum += invPow2[v]
 		if v == 0 {
 			zeros++
 		}
@@ -85,6 +85,16 @@ func (h *HLL) Estimate() float64 {
 	}
 	return est
 }
+
+// invPow2[v] is 2⁻ᵛ, the weight Estimate gives a register holding v. A
+// register never exceeds 65 − p ≤ 61 (Add bounds rho), and every entry is an
+// exact power of two, so a table lookup sums what 1/2ᵛ computed, bit for bit.
+var invPow2 = func() (t [64]float64) {
+	for v := range t {
+		t[v] = 1 / float64(uint64(1)<<v)
+	}
+	return t
+}()
 
 func alpha(m int) float64 {
 	switch m {

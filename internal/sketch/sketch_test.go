@@ -266,3 +266,42 @@ func TestBlockSampleZeroBlockSize(t *testing.T) {
 		t.Errorf("blockSize 0 should degrade to row sampling, got %d rows", len(s))
 	}
 }
+
+// TestHLLEstimateMatchesFormula holds Estimate's table of register weights to
+// the formula it replaced, 1/float64(1<<v) per register summed in register
+// order, bit for bit, on random fills at every precision: sparse fills that
+// take the linear-counting branch, full ones that do not, and registers at
+// the largest value Add can write.
+func TestHLLEstimateMatchesFormula(t *testing.T) {
+	formula := func(h *HLL) float64 {
+		sum, zeros := 0.0, 0
+		for _, v := range h.registers {
+			sum += 1 / float64(uint64(1)<<v)
+			if v == 0 {
+				zeros++
+			}
+		}
+		m := float64(h.m)
+		est := alpha(h.m) * m * m / sum
+		if est <= 2.5*m && zeros > 0 {
+			return m * math.Log(m/float64(zeros))
+		}
+		return est
+	}
+	rng := randx.New(35)
+	for p := uint8(4); p <= 18; p++ {
+		top := 65 - int(p) // the largest rho Add can record
+		for _, fill := range []int{1, 10, 50, 100} {
+			h := NewHLL(p)
+			for i := range h.registers {
+				if rng.Intn(100) < fill {
+					h.registers[i] = uint8(1 + rng.Intn(top))
+				}
+			}
+			h.registers[rng.Intn(h.m)] = uint8(top)
+			if got, want := h.Estimate(), formula(h); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("p=%d fill %d%%: Estimate %v (%#x), the formula %v (%#x)", p, fill, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

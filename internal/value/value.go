@@ -206,35 +206,44 @@ func (v Value) AsIntList() []int64 {
 	return v.l()
 }
 
-// String renders the value for display and for use as a grouping key.
+// String renders the value for display and for use as a grouping key; the
+// rendering is AppendTo's.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return v.s()
+	}
+	var buf [24]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the value's rendering to b and returns the extended
+// slice: NULL, true/false, a decimal int, a float in strconv's shortest 'g'
+// form, a string's own bytes, an int list as [a,b,c]. It is the one renderer
+// of a Value — String returns it, and the daemon's result digest hashes it,
+// so a change here changes every result hash clients compare.
+func (v Value) AppendTo(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(b, "NULL"...)
 	case KindBool:
-		if v.n != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.n != 0)
 	case KindInt:
-		return strconv.FormatInt(v.i(), 10)
+		return strconv.AppendInt(b, v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f(), 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f(), 'g', -1, 64)
 	case KindString:
-		return v.s()
+		return append(b, v.s()...)
 	case KindIntList:
-		var sb strings.Builder
-		sb.WriteByte('[')
+		b = append(b, '[')
 		for i, x := range v.l() {
 			if i > 0 {
-				sb.WriteByte(',')
+				b = append(b, ',')
 			}
-			sb.WriteString(strconv.FormatInt(x, 10))
+			b = strconv.AppendInt(b, x, 10)
 		}
-		sb.WriteByte(']')
-		return sb.String()
+		return append(b, ']')
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

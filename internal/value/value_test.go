@@ -513,8 +513,8 @@ func TestLayout(t *testing.T) {
 }
 
 // TestMatchesReference checks the packed Value against the struct it replaced
-// (refValue): every accessor, String and Hash value by value, Equal and Less
-// over every ordered pair.
+// (refValue): every accessor, String, AppendTo and Hash value by value, Equal
+// and Less over every ordered pair.
 func TestMatchesReference(t *testing.T) {
 	parent := "  42 \x00 monsoon żółć 3.5e2  "
 	vals := []both{
@@ -544,6 +544,9 @@ func TestMatchesReference(t *testing.T) {
 		}
 		if v.AsString() != r.AsString() || v.String() != r.String() {
 			t.Errorf("%#v: AsString/String = %q/%q, reference %q/%q", r, v.AsString(), v.String(), r.AsString(), r.String())
+		}
+		if got, want := string(v.AppendTo([]byte("\x1f"))), "\x1f"+r.String(); got != want {
+			t.Errorf("%#v: AppendTo = %q, reference %q", r, got, want)
 		}
 		if got, want := v.AsIntList(), r.AsIntList(); (got == nil) != (want == nil) || !slices.Equal(got, want) || cap(got) != len(got) {
 			t.Errorf("%#v: AsIntList = %#v (cap %d), reference %#v", r, got, cap(got), want)
