@@ -299,13 +299,13 @@ func WithMetrics(reg *MetricsRegistry) RunOption { return func(c *runConfig) { c
 func WithParallelism(n int) RunOption { return func(c *runConfig) { c.core.Parallelism = n } }
 
 // WithBatchSize caps the rows one streaming pipeline batch carries between
-// the engine's operators: N > 0 uses batches of up to N rows, a negative
-// value disables batching entirely (every operator materializes its full
-// output before the next starts — the legacy memory profile), and 0 (the
-// default) uses the engine's default of 4096. Every setting is bit-identical
-// — same result rows in the same order, same Σ estimates, same plan choices,
-// same traces — so the knob trades peak memory against per-batch overhead
-// only. Smaller batches bound intermediate memory more tightly; unbounded
+// the engine's operators: N > 0 uses batches of up to N rows, and 0 (the
+// default) or a negative value uses the engine's default of 4096. A batch no
+// intermediate reaches (say 1 << 30) has every operator materialize its full
+// output before the next starts — the legacy memory profile. Every setting
+// is bit-identical — same result rows in the same order, same Σ estimates,
+// same plan choices, same traces — so the knob trades peak memory against
+// per-batch overhead only. Smaller batches bound intermediate memory more tightly; unbounded
 // batches make peak memory proportional to the largest intermediate result.
 func WithBatchSize(n int) RunOption { return func(c *runConfig) { c.core.BatchSize = n } }
 

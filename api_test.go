@@ -141,8 +141,9 @@ func TestReportOutputOutlivesRelease(t *testing.T) {
 
 // TestWithBatchSizeIdentical pins the streaming≡materialized guarantee at
 // the public API: WithBatchSize only bounds pipeline memory, so every
-// setting — row-at-a-time, an awkward prime, the default, and the negative
-// materialized sentinel — must return the same report.
+// setting — row-at-a-time, an awkward prime, the default, and a batch no
+// intermediate reaches, which materializes every operator — must return the
+// same report.
 func TestWithBatchSizeIdentical(t *testing.T) {
 	run := func(batch int) *Report {
 		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(150), WithBatchSize(batch))
@@ -151,7 +152,7 @@ func TestWithBatchSizeIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	ref := run(-1)
+	ref := run(1 << 30)
 	for _, batch := range []int{1, 7, 4096, 0} {
 		rep := run(batch)
 		if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
@@ -183,7 +184,7 @@ func TestWithShardsDeterministic(t *testing.T) {
 			t.Errorf("shards %d: rows/value %d/%g, unsharded %d/%g",
 				s, ref.Rows, ref.Value, unsharded.Rows, unsharded.Value)
 		}
-		for _, batch := range []int{1, 7, -1} {
+		for _, batch := range []int{1, 7, 1 << 30} {
 			rep := run(s, batch)
 			if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
 				t.Errorf("shards %d batch %d: rows/value/produced %d/%g/%g, want %d/%g/%g",

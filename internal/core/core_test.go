@@ -260,7 +260,7 @@ func TestModelSimSigmaHardens(t *testing.T) {
 	s1, _, _ := m.Step(s, &Action{Kind: ActSigmaCopy, A: "S"})
 	s2, r, _ := m.Step(s1, &Action{Kind: ActExecute})
 	st2 := s2.(*State)
-	if !st2.St.HasMeasured(q.Joins[0].R.ID, "S") {
+	if _, ok := st2.St.Measured(q.Joins[0].R.ID, "S"); !ok {
 		t.Error("simulated Σ(S) must harden d(F2, S)")
 	}
 	// Σ(S) costs two passes over S (scan + collect): reward -2·c(S).

@@ -84,7 +84,7 @@ func TestShardedRunDeterminism(t *testing.T) {
 			t.Errorf("S=%d: answer (%d rows, %v) != unsharded (%d rows, %v)",
 				s, ref.rows, ref.value, unsharded.rows, unsharded.value)
 		}
-		for _, batch := range []int{1, 0, -1} {
+		for _, batch := range []int{1, 0, 1 << 30} {
 			for _, par := range []int{0, 1, 4} {
 				got := run(s, batch, par)
 				if got != ref {

@@ -23,7 +23,7 @@ func TestRunStreamingBatchSizesIdentical(t *testing.T) {
 		}
 		return res
 	}
-	ref := run(-1) // materialized reference
+	ref := run(1 << 30) // materialized reference
 	for _, batch := range []int{1, 7, 4096, 1 << 20, 0} {
 		r := run(batch)
 		if r.Value != ref.Value || r.Rows != ref.Rows || r.Produced != ref.Produced {

@@ -29,18 +29,6 @@ import (
 	"monsoon/internal/stats"
 )
 
-// JoinSize evaluates eq. (2) with the generalization used throughout the
-// repository: every additional predicate applied at the same join contributes
-// an independent 1/max(d1,d2) factor (callers divide repeatedly).
-func JoinSize(c1, c2, d1, d2 float64) float64 {
-	return c1 * c2 / math.Max(math.Max(d1, d2), 1)
-}
-
-// SelSize is the classical selectivity c/d for an equality selection.
-func SelSize(c, d float64) float64 {
-	return c / math.Max(d, 1)
-}
-
 // MissFn supplies a distinct count d(term, expr | partner) when the store has
 // neither a measured nor an assumed value. cExpr and cPartner are the
 // cardinalities of the expression the term is evaluated over and of the
@@ -61,9 +49,9 @@ type Deriver struct {
 	// record spans; a nil tracer keeps derivation free of any overhead.
 	Obs *obs.Tracer
 	// Profile holds the per-operator-kind rates PlanCost weights the §4.4
-	// object counts by; a calibrated profile makes PlanCost/BatchCost return
-	// estimated seconds. Nil = the unit profile: the historical flat
-	// object-count model, bit-identical to every pinned golden.
+	// object counts by; a calibrated profile makes PlanCost return estimated
+	// seconds. Nil = the unit profile: the historical flat object-count
+	// model, bit-identical to every pinned golden.
 	Profile *CostProfile
 	// Layout, when set to a sharded layout (ShardCount > 1), adds the
 	// exchange movement term: a hash build whose child is not co-partitioned
@@ -80,9 +68,7 @@ type Deriver struct {
 type ShardLayout interface {
 	// ShardCount reports the layout width; 1 (or less) means unsharded.
 	ShardCount() int
-	// ShardKey reports the bare column a stored table is partitioned on, or
-	// false when the layout does not cover the table.
-	ShardKey(table string) (string, bool)
+	plan.ShardKeys
 }
 
 // Distinct resolves d(term, expr | partner): measured over the expression
@@ -278,16 +264,6 @@ func (dv *Deriver) reshuffles(b *plan.Node, bt *query.Term) bool {
 	}
 	_, local := b.ShardLocal(dv.Q, bt, dv.Layout)
 	return !local
-}
-
-// BatchCost sums PlanCost over a set of trees (one EXECUTE transition, §4.4's
-// Σ_{r∈Rp} cost(r)).
-func (dv *Deriver) BatchCost(trees []*plan.Node) float64 {
-	total := 0.0
-	for _, t := range trees {
-		total += dv.PlanCost(t)
-	}
-	return total
 }
 
 func clamp(x, lo, hi float64) float64 {

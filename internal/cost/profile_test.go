@@ -236,17 +236,6 @@ func TestNilProfileKeepsLegacyCost(t *testing.T) {
 	}
 }
 
-func TestProfiledBatchCostSums(t *testing.T) {
-	q, st := sec23(t, 10000, 10000)
-	dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: testProfile()}
-	rs := plan.NewJoin(leaf("R"), leaf("S"))
-	sigmaS := leaf("S").WithSigma()
-	want := dv.PlanCost(rs) + dv.PlanCost(sigmaS)
-	if got := dv.BatchCost([]*plan.Node{rs, sigmaS}); got != want {
-		t.Errorf("profiled batch cost = %v, want %v", got, want)
-	}
-}
-
 // Guard against the reuse/scan branch keying off the wrong condition: a
 // single-alias leaf must never be priced as a reuse even when a count for it
 // is already recorded.

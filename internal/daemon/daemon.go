@@ -208,9 +208,6 @@ func (s *Server) load() error {
 	return nil
 }
 
-// Registry exposes the shared metrics registry (the /metrics source).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // QueryNames lists the servable named queries, sorted.
 func (s *Server) QueryNames() []string { return append([]string(nil), s.names...) }
 

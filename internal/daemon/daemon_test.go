@@ -381,7 +381,7 @@ func TestFreeListCountersOnScrape(t *testing.T) {
 			t.Errorf("%s: %v before a warm pass, %v after it: no take found a released buffer", hits, before[hits], after[hits])
 		}
 	}
-	for _, e := range s.Registry().Snapshot() {
+	for _, e := range s.reg.Snapshot() {
 		if strings.HasPrefix(e.Name, "engine.freelist.") {
 			t.Errorf("scraping wrote %s into the registry", e.Name)
 		}

@@ -61,7 +61,7 @@ func TestRowLifetime(t *testing.T) {
 		MustBuild()
 	rightDeep := plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))
 	leftDeep := plan.NewJoin(plan.NewJoin(leaf("a"), leaf("b")), leaf("c"))
-	for _, batch := range []int{0, 1, 7, -1} {
+	for _, batch := range []int{0, 1, 7, 1 << 30} {
 		for _, par := range []int{1, 4} {
 			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
 			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})

@@ -171,11 +171,11 @@ type ExecConfig struct {
 	// time only.
 	Parallelism int
 	// BatchSize caps the rows one pipeline batch carries between streaming
-	// operators: 0 means DefaultBatchSize, negative disables batching (each
-	// operator emits its whole output at once — the materialized memory
-	// profile). Results, row order, budget totals, and span
-	// accounting are bit-identical at every setting; only peak memory and
-	// wall time change.
+	// operators: a non-positive value means DefaultBatchSize, and a size no
+	// intermediate reaches (say 1 << 30) has each operator emit its whole
+	// output at once — the materialized memory profile. Results, row order,
+	// budget totals, and span accounting are bit-identical at every setting;
+	// only peak memory and wall time change.
 	BatchSize int
 	// Metrics, when non-nil, receives the engine's exchange counters:
 	// monsoon.exchange.joins.local/reshuffle, monsoon.exchange.rows and

@@ -23,7 +23,7 @@ import (
 
 var (
 	matrixSeeds   = []int64{1, 42}
-	matrixBatches = []int{1, 7, 4096, -1}
+	matrixBatches = []int{1, 7, 4096, 1 << 30}
 	matrixWorkers = []int{1, 2, 7}
 	matrixShards  = []int{1, 2, 4, 16}
 )
@@ -125,7 +125,7 @@ func matrixCases() []matrixCase {
 		// The probe side is a join that expands its input some 25-fold over
 		// skewed keys (f = 0 in seven rows in ten), so as a streaming child it
 		// probes each batch of d in slices and resumes the rest on the next
-		// pull, at every batch size but -1.
+		// pull, at every batch size but 1 << 30.
 		{"expanding", expand, []*plan.Node{plan.NewJoin(plan.NewJoin(leaf("b"), leaf("c")), leaf("d"))}},
 		// A Σ pass over enough rows to fan out.
 		{"sigma-leaf", ab, []*plan.Node{leaf("a").WithSigma()}},
@@ -227,8 +227,8 @@ func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par i
 // TestEngineConfigMatrix is the engine's one-path guarantee: how an
 // operator's loop is spread over batches, workers and shard layouts changes
 // nothing an optimizer or a client can observe. Every cell of BatchSize ×
-// Parallelism × shard count must equal the (-1, 1, 1) reference in rows and
-// their order, Produced, Counts, Σ observations, the budget total and the
+// Parallelism × shard count must equal the (1 << 30, 1, 1) reference in rows
+// and their order, Produced, Counts, Σ observations, the budget total and the
 // span stream (less the configuration-dependent spans and attributes), and a
 // tuple budget that trips mid-tree must abort every cell the same way.
 func TestEngineConfigMatrix(t *testing.T) {
@@ -244,7 +244,7 @@ func TestEngineConfigMatrix(t *testing.T) {
 			cats[s] = matrixCatalog(seed, s)
 		}
 		for _, mc := range matrixCases() {
-			ref, _ := runMatrixCase(t, cats[1], mc, -1, 1)
+			ref, _ := runMatrixCase(t, cats[1], mc, 1<<30, 1)
 			if n := len(ref.Rows[len(ref.Rows)-1]); n == 0 {
 				t.Fatalf("seed %d %s: empty reference answer proves nothing", seed, mc.name)
 			}
@@ -311,7 +311,9 @@ func TestMatrixAfterRelease(t *testing.T) {
 func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCase, batch, par int, ref matrixRun) {
 	t.Helper()
 	last := len(mc.trees) - 1
-	tree := mc.trees[last].WithoutSigma()
+	cp := *mc.trees[last]
+	cp.Sigma = false
+	tree := &cp
 	need := ref.Produced[last]
 	if mc.trees[last].Sigma {
 		need -= float64(len(ref.Rows[last]))
@@ -378,16 +380,16 @@ func matrixBadColumn(t *testing.T) {
 
 // TestMatrixReferenceMatchesOracle: the matrix proves that configurations
 // agree with each other; this proves the reference they agree with is right.
-// For every case, the (-1, 1, 1) cell's root rows equal the naive oracle's as
-// a multiset, and its Counts hold the oracle's cardinality for every node of
-// every tree. The oracle pays for every pair of A × B, so it runs on the
+// For every case, the (1 << 30, 1, 1) cell's root rows equal the naive
+// oracle's as a multiset, and its Counts hold the oracle's cardinality for
+// every node of every tree. The oracle pays for every pair of A × B, so it runs on the
 // first matrix seed only.
 func TestMatrixReferenceMatchesOracle(t *testing.T) {
 	seed := matrixSeeds[0]
 	cat := matrixCatalog(seed, 1)
 	memo := map[string][]table.Row{}
 	for _, mc := range matrixCases() {
-		ref, _ := runMatrixCase(t, cat, mc, -1, 1)
+		ref, _ := runMatrixCase(t, cat, mc, 1<<30, 1)
 		for ti, tree := range mc.trees {
 			cell := fmt.Sprintf("seed %d %s %s", seed, mc.name, tree)
 			keys := map[string]bool{}

@@ -36,9 +36,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		"cross":      plan.NewJoin(leaf("S"), leaf("T")),
 	}
 	for name, tree := range trees {
-		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, -1, 1)
+		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, 1<<30, 1)
 		for _, s := range shardCounts {
-			for _, batch := range []int{1, 4096, -1} {
+			for _, batch := range []int{1, 4096, 1 << 30} {
 				for _, par := range []int{1, 4} {
 					cat := fixture()
 					cat.Shard(s)
@@ -71,7 +71,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 func TestShardedLargeParallel(t *testing.T) {
 	q := bigQuery()
 	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
-	refRel, refRes, refProduced := execAt(t, bigFixture(), q, tree, -1, 1)
+	refRel, refRes, refProduced := execAt(t, bigFixture(), q, tree, 1<<30, 1)
 	for _, s := range shardCounts {
 		for _, par := range []int{1, 4} {
 			cat := bigFixture()
@@ -101,7 +101,7 @@ func TestShardedBuildSideSelections(t *testing.T) {
 		Select(expr.Identity("BS.k"), value.Int(37)).
 		MustBuild()
 	tree := plan.NewJoin(leaf("BR"), leaf("BS"))
-	refRel, refRes, _ := execAt(t, bigFixture(), q, tree, -1, 1)
+	refRel, refRes, _ := execAt(t, bigFixture(), q, tree, 1<<30, 1)
 	for _, s := range shardCounts {
 		for _, par := range []int{1, 4} {
 			cat := bigFixture()

@@ -36,21 +36,14 @@ import (
 	"monsoon/internal/table"
 )
 
-// DefaultBatchSize is the pipeline batch size when ExecConfig.BatchSize is 0.
+// DefaultBatchSize is the pipeline batch size when ExecConfig.BatchSize is not
+// positive.
 const DefaultBatchSize = 4096
 
-// unboundedBatch stands in for "one batch holds everything" when
-// ExecConfig.BatchSize < 0 (materialized mode). Kept far from MaxInt so
-// lo+slab arithmetic cannot overflow.
-const unboundedBatch = int(^uint(0) >> 2)
-
-// batch resolves the BatchSize knob: 0 = DefaultBatchSize, negative =
-// unbounded (each operator emits its whole output as one batch).
+// batch resolves the BatchSize knob: a non-positive value means
+// DefaultBatchSize.
 func (e *Exec) batch() int {
-	switch {
-	case e.BatchSize < 0:
-		return unboundedBatch
-	case e.BatchSize == 0:
+	if e.BatchSize <= 0 {
 		return DefaultBatchSize
 	}
 	return e.BatchSize

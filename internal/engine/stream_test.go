@@ -27,9 +27,9 @@ func execAt(t *testing.T, cat *table.Catalog, q *query.Query, tree *plan.Node, b
 }
 
 // streamBatchSizes spans the interesting regimes: row-at-a-time, a prime that
-// straddles every operator boundary, the default, batch ≥ input, and the
-// negative sentinel that restores one-shot materialization.
-var streamBatchSizes = []int{1, 7, 4096, 1 << 20, -1}
+// straddles every operator boundary, the default, batch ≥ input, and a batch
+// no intermediate reaches, which restores one-shot materialization.
+var streamBatchSizes = []int{1, 7, 4096, 1 << 20, 1 << 30}
 
 // TestStreamingMatchesMaterialized is the tentpole guarantee at the engine
 // level: the streaming pipeline must be bit-identical to full materialization
@@ -45,7 +45,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		"sigma-leaf": leaf("R").WithSigma(),
 	}
 	for name, tree := range trees {
-		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, -1, 1)
+		refRel, refRes, refProduced := execAt(t, fixture(), q, tree, 1<<30, 1)
 		for _, batch := range streamBatchSizes {
 			rel, res, produced := execAt(t, fixture(), q, tree, batch, 1)
 			if !table.IdenticalRows(rel.Rows, refRel.Rows) {
@@ -73,7 +73,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 func TestStreamingParallelMatchesSerial(t *testing.T) {
 	q := rstQuery()
 	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
-	refRel, refRes, _ := execAt(t, fixture(), q, tree, -1, 1)
+	refRel, refRes, _ := execAt(t, fixture(), q, tree, 1<<30, 1)
 	for _, batch := range streamBatchSizes {
 		for _, par := range []int{0, 2, 4} {
 			rel, res, _ := execAt(t, fixture(), q, tree, batch, par)
@@ -101,7 +101,7 @@ func TestStreamingResidualsAcrossBatches(t *testing.T) {
 		"left-deep":  plan.NewJoin(plan.NewJoin(leaf("s"), leaf("t1")), leaf("t2")),
 		"right-deep": plan.NewJoin(leaf("t2"), plan.NewJoin(leaf("s"), leaf("t1"))),
 	} {
-		refRel, refRes, _ := execAt(t, fixture(), q, tree, -1, 1)
+		refRel, refRes, _ := execAt(t, fixture(), q, tree, 1<<30, 1)
 		for _, batch := range streamBatchSizes {
 			rel, res, _ := execAt(t, fixture(), q, tree, batch, 1)
 			if !table.IdenticalRows(rel.Rows, refRel.Rows) {

@@ -90,9 +90,6 @@ func (b *Binding) Eval(row table.Row) value.Value {
 	return b.udf.Fn(b.args)
 }
 
-// UDF returns the bound function.
-func (b *Binding) UDF() *UDF { return b.udf }
-
 // Rebase returns a copy of the UDF with every argument's alias rewritten
 // through the given mapping (old alias -> new alias). Arguments whose alias
 // is absent from the map keep their alias. Benchmarks use this to instantiate

@@ -53,8 +53,8 @@ func TestBindAndEval(t *testing.T) {
 	if got := b.Eval(row); got.AsString() != "y" {
 		t.Errorf("Eval = %v", got)
 	}
-	if b.UDF() != u {
-		t.Error("UDF() accessor wrong")
+	if b.udf != u {
+		t.Error("binding holds the wrong UDF")
 	}
 }
 
@@ -208,12 +208,13 @@ func TestSumMod(t *testing.T) {
 }
 
 func TestConstAndIdentityNames(t *testing.T) {
-	c := Const(value.String("1/11/19"))
+	// A constant is a UDF of no arguments: it reads no alias.
+	c := &UDF{Name: "const", Fn: func([]value.Value) value.Value { return value.String("1/11/19") }}
 	if got := c.Fn(nil); got.AsString() != "1/11/19" {
-		t.Errorf("Const = %v", got)
+		t.Errorf("const = %v", got)
 	}
 	if len(c.Aliases()) != 0 {
-		t.Error("Const has no aliases")
+		t.Error("a constant UDF has no aliases")
 	}
 	if Identity("r.a").Name != "id" {
 		t.Error("Identity name wrong")

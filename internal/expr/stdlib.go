@@ -25,16 +25,6 @@ func Identity(attr string) *UDF {
 	}
 }
 
-// Const returns a UDF of no arguments producing a constant; selection
-// predicates compare a function term against it.
-func Const(v value.Value) *UDF {
-	return &UDF{
-		Name: "const_" + v.String(),
-		Args: nil,
-		Fn:   func([]value.Value) value.Value { return v },
-	}
-}
-
 // ExtractDate parses the date prefix out of a timestamp string of the form
 // "YYYY-MM-DD hh:mm:ss" (the paper's ExtractDate(o.when)).
 func ExtractDate(attr string) *UDF {

@@ -42,10 +42,11 @@ type Scale struct {
 	Seed           int64
 	// Parallelism and BatchSize are the engine knobs every execution of the
 	// campaign runs with (see engine.ExecConfig): 0 = runtime.GOMAXPROCS(0)
-	// workers and the default 4096-row batch, Parallelism 1 = the exact
-	// serial path, negative BatchSize = full materialization between
-	// operators. Results are bit-identical at every setting; only wall
-	// times and peak memory change.
+	// workers and the default 4096-row batch (also for a negative
+	// BatchSize), Parallelism 1 = the exact serial path, a BatchSize no
+	// intermediate reaches = full materialization between operators. Results
+	// are bit-identical at every setting; only wall times and peak memory
+	// change.
 	Parallelism int
 	BatchSize   int
 	// PlanParallelism caps the OS threads Monsoon's root-parallel MCTS

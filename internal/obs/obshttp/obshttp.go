@@ -209,13 +209,6 @@ func writeVars(w http.ResponseWriter, snap []obs.SnapshotEntry) {
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format: counters as `# TYPE <name> counter`, gauges as gauges, histograms
-// as cumulative `_bucket{le="..."}` series plus `_sum` and `_count`. Metric
-// names are sanitized (dots and dashes become underscores). Output order is
-// Snapshot order, so the exposition is deterministic and golden-testable.
-func WritePrometheus(w io.Writer, reg *obs.Registry) { writePrometheus(w, reg.Snapshot()) }
-
 func writePrometheus(w io.Writer, snap []obs.SnapshotEntry) {
 	for _, e := range snap {
 		name := sanitize(e.Name)

@@ -18,10 +18,6 @@ import (
 	"monsoon/internal/obs"
 )
 
-// QErrMissThreshold is the shared miss cutoff, re-exported for compatibility;
-// the canonical definition is obs.QErrorMissThreshold.
-const QErrMissThreshold = obs.QErrorMissThreshold
-
 // Trace is one parsed trace: either a full JSONL event stream (Spans and
 // Estimates populated, Counts derived) or a bare span-count baseline (Counts
 // only, Spans empty).

@@ -88,7 +88,7 @@ func TestQErrorsSeparatesMisses(t *testing.T) {
 		{Expr: "a", Join: true, QError: 2},
 		{Expr: "b", Join: true, QError: 8},
 		{Expr: "c", Join: true, QError: math.Inf(1)},
-		{Expr: "d", Join: true, QError: QErrMissThreshold},
+		{Expr: "d", Join: true, QError: obs.QErrorMissThreshold},
 		{Expr: "leaf", Join: false, QError: 1},
 	}}
 	s := tr.QErrors()

@@ -101,8 +101,9 @@ func BestPlan(q *query.Query, dv *cost.Deriver) (*plan.Node, error) {
 	return trees[full], nil
 }
 
-// PlanCostOf re-derives the §4.4 cost of an arbitrary tree under dv; the
-// harness uses it to report estimated costs next to measured ones.
+// PlanCostOf re-derives the §4.4 cost of an arbitrary tree under dv. Nothing
+// calls it yet: it is kept for a harness regret report that prices executed
+// plans against the optimum under true cardinalities.
 func PlanCostOf(dv *cost.Deriver, tree *plan.Node) float64 {
 	return dv.PlanCost(tree)
 }

@@ -85,13 +85,6 @@ func (a *Arena) WithSigma(n *Node) *Node {
 	return c
 }
 
-// WithoutSigma returns a copy of the root with the Σ marker cleared.
-func (n *Node) WithoutSigma() *Node {
-	cp := *n
-	cp.Sigma = false
-	return &cp
-}
-
 // IsLeaf reports whether the node is a leaf.
 func (n *Node) IsLeaf() bool { return n.Left == nil }
 

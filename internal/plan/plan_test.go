@@ -38,10 +38,6 @@ func TestSigmaCopies(t *testing.T) {
 	if !sig.Sigma || n.Sigma {
 		t.Error("WithSigma must copy, not mutate")
 	}
-	back := sig.WithoutSigma()
-	if back.Sigma {
-		t.Error("WithoutSigma failed")
-	}
 	if sig.Key() != n.Key() {
 		t.Error("Σ must not change result identity")
 	}

@@ -161,10 +161,9 @@ func (q *Query) TableOf(alias string) (string, bool) {
 	return "", false
 }
 
-// JoinsApplicableAt lists predicates evaluable over an alias set but not
-// evaluable over any strict subset the caller has already handled. The engine
-// and the cost model both use PredsAppliedAt instead; this helper serves the
-// planners.
+// JoinsApplicableAt lists the join predicates evaluable over an alias set. It
+// is public API (monsoon.Query); nothing inside the repository calls it: the
+// engine and the cost model ask PredsNewAt for what one join newly applies.
 func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
 	s = q.Own(s)
 	var out []*JoinPred
@@ -215,10 +214,6 @@ func (q *Query) SelsAt(s AliasSet) []*SelPred {
 	}
 	return out
 }
-
-// TermEvaluableAt reports whether a term can be computed over an expression
-// covering s.
-func TermEvaluableAt(t *Term, s AliasSet) bool { return t.Aliases.SubsetOf(s) }
 
 // Connected reports whether joining the expressions covering left and right
 // is "useful": it newly enables a join predicate, or it newly makes some

@@ -132,21 +132,10 @@ func (z *Zipf) Draw(r *rand.Rand) int64 {
 	return int64(lo + 1)
 }
 
-// N reports the domain size.
-func (z *Zipf) N() int64 { return z.n }
-
 // UniformInt draws an integer uniformly from [1, n].
 func UniformInt(r *rand.Rand, n int64) int64 {
 	if n <= 1 {
 		return 1
 	}
 	return 1 + r.Int63n(n)
-}
-
-// Perm fills a deterministic pseudo-random permutation of [0, n).
-func Perm(r *rand.Rand, n int) []int { return r.Perm(n) }
-
-// PickString selects one element of choices uniformly.
-func PickString(r *rand.Rand, choices []string) string {
-	return choices[r.Intn(len(choices))]
 }

@@ -119,8 +119,8 @@ func TestBetaPDF(t *testing.T) {
 func TestZipfBounds(t *testing.T) {
 	r := New(17)
 	z := NewZipf(100, 1.5)
-	if z.N() != 100 {
-		t.Errorf("N() = %d", z.N())
+	if z.n != 100 {
+		t.Errorf("n = %d", z.n)
 	}
 	counts := make(map[int64]int)
 	for i := 0; i < 50000; i++ {
@@ -170,17 +170,5 @@ func TestUniformInt(t *testing.T) {
 		if v < 1 || v > 6 {
 			t.Fatalf("UniformInt out of range: %d", v)
 		}
-	}
-}
-
-func TestPickString(t *testing.T) {
-	r := New(29)
-	choices := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		seen[PickString(r, choices)] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("PickString should eventually hit all choices, saw %v", seen)
 	}
 }

@@ -1,10 +1,10 @@
 // Package sketch implements the one-pass statistics machinery the paper's
-// optimizers rely on: HyperLogLog distinct counting (Heule et al. style, used
-// by the Σ operator and the On-Demand option), linear probabilistic counting
-// (Whang et al.), reservoir sampling (Vitter's Algorithm R), and the
-// Charikar et al. GEE family of sample-based distinct-value estimators (used
-// by the Sampling option). An exact counter is provided for tests and for the
-// offline full-statistics baseline.
+// optimizers rely on: HyperLogLog distinct counting (Heule et al. style, with
+// linear counting for small cardinalities; used by the Σ operator and the
+// On-Demand option), and block sampling with Charikar et al.'s GEE
+// distinct-value estimator (used by the Sampling option). An exact counter
+// serves tests and the offline full-statistics baseline, and a Space-Saving
+// heavy-hitters sketch is kept for skew-aware estimates.
 package sketch
 
 import (
@@ -109,44 +109,6 @@ func alpha(m int) float64 {
 	}
 }
 
-// LinearCounter is Whang et al.'s linear probabilistic counter: a bitmap of
-// size m; the estimate is m * ln(m / zeroes). It is accurate while the load
-// factor stays moderate and is kept as the paper's reference [44] technique.
-type LinearCounter struct {
-	bitmap []uint64
-	m      int
-}
-
-// NewLinearCounter creates a counter with m bits (rounded up to a multiple of
-// 64).
-func NewLinearCounter(m int) *LinearCounter {
-	if m <= 0 {
-		panic("sketch: LinearCounter size must be positive")
-	}
-	words := (m + 63) / 64
-	return &LinearCounter{bitmap: make([]uint64, words), m: words * 64}
-}
-
-// Add records one hashed item.
-func (l *LinearCounter) Add(hash uint64) {
-	pos := hash % uint64(l.m)
-	l.bitmap[pos/64] |= 1 << (pos % 64)
-}
-
-// Estimate returns the estimated distinct count.
-func (l *LinearCounter) Estimate() float64 {
-	ones := 0
-	for _, w := range l.bitmap {
-		ones += bits.OnesCount64(w)
-	}
-	zeros := l.m - ones
-	if zeros == 0 {
-		// Saturated: the estimator diverges; report the best lower bound.
-		return float64(l.m) * math.Log(float64(l.m))
-	}
-	return float64(l.m) * math.Log(float64(l.m)/float64(zeros))
-}
-
 // Exact counts distinct 64-bit hashes exactly; it exists for tests and for
 // the offline full-statistics "Postgres" baseline where statistics are
 // computed outside the measured window.
@@ -162,15 +124,3 @@ func (e *Exact) Add(hash uint64) { e.seen[hash] = struct{}{} }
 
 // Estimate returns the exact distinct count.
 func (e *Exact) Estimate() float64 { return float64(len(e.seen)) }
-
-// Counter is the interface shared by all distinct counters in this package.
-type Counter interface {
-	Add(hash uint64)
-	Estimate() float64
-}
-
-var (
-	_ Counter = (*HLL)(nil)
-	_ Counter = (*LinearCounter)(nil)
-	_ Counter = (*Exact)(nil)
-)

@@ -5,43 +5,6 @@ import (
 	"math/rand"
 )
 
-// Reservoir maintains a uniform sample of fixed capacity over a stream of
-// row indices using Vitter's Algorithm R. The engine's Sampling optimizer
-// uses it when block sampling is not applicable (e.g. sampling join outputs).
-type Reservoir struct {
-	capacity int
-	seen     int64
-	items    []int
-	rng      *rand.Rand
-}
-
-// NewReservoir creates a reservoir holding at most capacity items.
-func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
-	if capacity <= 0 {
-		panic("sketch: reservoir capacity must be positive")
-	}
-	return &Reservoir{capacity: capacity, rng: rng}
-}
-
-// Offer presents one stream element (by caller-defined id).
-func (r *Reservoir) Offer(id int) {
-	r.seen++
-	if len(r.items) < r.capacity {
-		r.items = append(r.items, id)
-		return
-	}
-	j := r.rng.Int63n(r.seen)
-	if j < int64(r.capacity) {
-		r.items[j] = id
-	}
-}
-
-// Items returns the current sample. The slice aliases internal state.
-func (r *Reservoir) Items() []int { return r.items }
-
-// Seen reports how many elements have been offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // GEE implements the Guaranteed-Error Estimator of Charikar et al. for
 // estimating the number of distinct values in a population of size n from a
 // uniform sample: D = sqrt(n/r) * f1 + sum_{j>=2} f_j, where f_j is the
@@ -65,47 +28,6 @@ func GEE(sampleFreqs map[uint64]int, sampleSize int, populationSize int64) float
 	}
 	scale := math.Sqrt(float64(populationSize) / float64(sampleSize))
 	d := scale*float64(f1) + float64(higher)
-	if d < 1 {
-		d = 1
-	}
-	if d > float64(populationSize) {
-		d = float64(populationSize)
-	}
-	return d
-}
-
-// Shlosser implements Shlosser's estimator, a second sample-based
-// distinct-count estimator kept for cross-checking GEE in tests and in the
-// Sampling option's diagnostics: D = d + f1 * A/B with q = r/n.
-func Shlosser(sampleFreqs map[uint64]int, sampleSize int, populationSize int64) float64 {
-	// Like GEE: an empty sample means 0 distinct values, not 1; the ≥1
-	// clamp is for non-empty samples only.
-	if sampleSize <= 0 || len(sampleFreqs) == 0 {
-		return 0
-	}
-	q := float64(sampleSize) / float64(populationSize)
-	if q >= 1 {
-		return float64(len(sampleFreqs))
-	}
-	maxFreq := 0
-	freqOf := map[int]int{} // j -> f_j
-	for _, c := range sampleFreqs {
-		freqOf[c]++
-		if c > maxFreq {
-			maxFreq = c
-		}
-	}
-	num, den := 0.0, 0.0
-	oneMinusQ := 1 - q
-	for j := 1; j <= maxFreq; j++ {
-		fj := float64(freqOf[j])
-		num += math.Pow(oneMinusQ, float64(j)) * fj
-		den += float64(j) * q * math.Pow(oneMinusQ, float64(j-1)) * fj
-	}
-	d := float64(len(sampleFreqs))
-	if den > 0 {
-		d += float64(freqOf[1]) * num / den
-	}
 	if d < 1 {
 		d = 1
 	}

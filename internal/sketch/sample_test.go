@@ -2,12 +2,12 @@ package sketch
 
 import "testing"
 
-// TestEstimatorEdgeCases is the table-driven edge grid for the two
-// sample-based distinct-count estimators. The load-bearing row is the empty
-// sample: both must report 0 distinct values (no evidence means no phantom
-// value — a spurious 1 turns every empty-vs-nonempty comparison downstream
-// into a +Inf q-error), while the ≥1 clamp still applies the moment at least
-// one value was seen.
+// TestEstimatorEdgeCases is the table-driven edge grid for the sample-based
+// distinct-count estimator. The load-bearing row is the empty sample: GEE
+// must report 0 distinct values (no evidence means no phantom value — a
+// spurious 1 turns every empty-vs-nonempty comparison downstream into a +Inf
+// q-error), while the ≥1 clamp still applies the moment at least one value
+// was seen.
 func TestEstimatorEdgeCases(t *testing.T) {
 	singleton := map[uint64]int{42: 1}
 	hot := map[uint64]int{7: 50}
@@ -27,28 +27,19 @@ func TestEstimatorEdgeCases(t *testing.T) {
 		{name: "single row sample", freqs: singleton, sampleSize: 1, population: 1, min: 1, max: 1},
 		{name: "one hot value keeps >=1 clamp", freqs: hot, sampleSize: 50, population: 1e6, min: 1, max: 1e6},
 		// Population smaller than the sample is an inconsistent input: GEE
-		// caps at the population, Shlosser's full-sample shortcut reports the
-		// observed distinct count — both stay bounded by it.
+		// caps at the population.
 		{name: "population smaller than sample", freqs: mixed, sampleSize: 50, population: 2, min: 0, max: 3},
 		{name: "full sample is exact-ish", freqs: mixed, sampleSize: 50, population: 50, min: 3, max: 50},
 	} {
-		for estName, est := range map[string]func(map[uint64]int, int, int64) float64{
-			"GEE": GEE, "Shlosser": Shlosser,
-		} {
-			got := est(tc.freqs, tc.sampleSize, tc.population)
-			if tc.wantZero {
-				if got != 0 {
-					t.Errorf("%s/%s = %v, want exactly 0", estName, tc.name, got)
-				}
-				continue
+		got := GEE(tc.freqs, tc.sampleSize, tc.population)
+		if tc.wantZero {
+			if got != 0 {
+				t.Errorf("GEE/%s = %v, want exactly 0", tc.name, got)
 			}
-			if got < tc.min || got > tc.max {
-				t.Errorf("%s/%s = %v, want in [%v, %v]", estName, tc.name, got, tc.min, tc.max)
-			}
+			continue
 		}
-	}
-	// Shlosser's full-sample shortcut returns the observed distinct count.
-	if d := Shlosser(mixed, 50, 50); d != 3 {
-		t.Errorf("Shlosser full sample = %v, want 3", d)
+		if got < tc.min || got > tc.max {
+			t.Errorf("GEE/%s = %v, want in [%v, %v]", tc.name, got, tc.min, tc.max)
+		}
 	}
 }

@@ -537,30 +537,6 @@ func (s *Store) Measured(term int, expr string) (float64, bool) {
 	return s.head.get(parseKey(s.u, kMeasured, term, expr, ""))
 }
 
-// SetAssumed records a prior-sampled distinct count for (term, expr) with
-// respect to a partner expression.
-func (s *Store) SetAssumed(term int, expr, partner string, d float64) {
-	s.lock()
-	s.write().set(parseKey(s.u, kAssumed, term, expr, partner), d)
-	s.unlock()
-}
-
-// Assumed looks up a prior-sampled distinct count for (term, expr) against
-// exactly this partner. It does not consult measured values: a caller
-// resolving d(term, expr | partner) looks those up first (cost.Deriver).
-func (s *Store) Assumed(term int, expr, partner string) (float64, bool) {
-	s.rlock()
-	defer s.runlock()
-	return s.head.get(parseKey(s.u, kAssumed, term, expr, partner))
-}
-
-// HasMeasured reports whether a hardened distinct count exists for the term
-// over the expression.
-func (s *Store) HasMeasured(term int, expr string) bool {
-	_, ok := s.Measured(term, expr)
-	return ok
-}
-
 // The alias-set methods are the search path's: a set of the universe the
 // store is bound to is its word, with no string built or hashed. A set naming
 // an alias outside it is looked up by its Key, as the string methods would.
@@ -678,14 +654,6 @@ func (s *Store) MeasuredEntries() int {
 	s.rlock()
 	defer s.runlock()
 	_, n, _ := s.head.flattened().entries()
-	return n
-}
-
-// AssumedEntries reports how many prior-sampled distinct counts are held.
-func (s *Store) AssumedEntries() int {
-	s.rlock()
-	defer s.runlock()
-	_, _, n := s.head.flattened().entries()
 	return n
 }
 
