@@ -309,16 +309,15 @@ func WithParallelism(n int) RunOption { return func(c *runConfig) { c.core.Paral
 // batches make peak memory proportional to the largest intermediate result.
 func WithBatchSize(n int) RunOption { return func(c *runConfig) { c.core.BatchSize = n } }
 
-// WithShards partitions every stored table of the run's catalog into n
-// deterministic hash shards on its first column (n <= 1 restores the single
-// unsharded store). The engine then runs exchange-style operators over the
-// layout — shard-local scans and partial Σ passes for co-partitioned hash
-// builds, an explicit reshuffle otherwise — and the optimizer prices that
-// movement into its plan search. Every shard count returns the bit-identical
-// query answer; the knob trades wall time and lets the sharding experiment
-// compare co-partitioned against reshuffled executions. The catalog itself
-// carries the layout, so the partitioning persists on it across runs until
-// changed.
+// WithShards lays the run's catalog out as n deterministic hash shards over
+// every stored table's first column: a layout the planner prices, not a
+// second engine. The optimizer charges a hash build whose child is not
+// co-partitioned with the join key for moving its rows, and the engine runs
+// the same operators at every count, reporting that exchange in its build
+// spans and exchange counters. Every shard count returns the bit-identical
+// query answer. The catalog itself carries the layout, so it persists across
+// runs until changed: 1 clears it, and n <= 0 (the default) keeps whatever
+// layout the catalog has.
 func WithShards(n int) RunOption { return func(c *runConfig) { c.shards = n } }
 
 // WithPlanParallelism caps the OS threads the root-parallel MCTS planner runs

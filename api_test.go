@@ -197,6 +197,20 @@ func TestWithShardsDeterministic(t *testing.T) {
 	}
 }
 
+// TestWithShardsLayoutPersists pins WithShards on a catalog reused across
+// runs: the layout persists, n <= 0 keeps it, and 1 clears it.
+func TestWithShardsLayoutPersists(t *testing.T) {
+	cat := buildWorld()
+	for _, step := range []struct{ n, want int }{{4, 4}, {0, 4}, {-1, 4}, {1, 1}} {
+		if _, err := Run(buildQuery(), cat, WithSeed(5), WithIterations(150), WithShards(step.n)); err != nil {
+			t.Fatalf("WithShards(%d): %v", step.n, err)
+		}
+		if got := cat.ShardCount(); got != step.want {
+			t.Errorf("after WithShards(%d): ShardCount() = %d, want %d", step.n, got, step.want)
+		}
+	}
+}
+
 func TestRunBudgets(t *testing.T) {
 	cat := buildWorld()
 	if _, err := Run(buildQuery(), cat, WithSeed(2), WithMaxTuples(10)); !errors.Is(err, ErrBudget) {

@@ -11,10 +11,9 @@
 //	    and both inputs are full traces, per-kind total wall time within a
 //	    relative tolerance. Either input may be a span-count baseline
 //	    ({"kind","count"} lines); counts are then the only comparison.
-//	    Worker spans follow GOMAXPROCS and shard spans follow the catalog's
-//	    -shards layout, so both are configuration-dependent and excluded
-//	    from count comparison unless -workers is set. Exit status 1 on
-//	    drift.
+//	    Worker spans follow GOMAXPROCS, so they are machine-dependent and
+//	    excluded from the comparison unless -workers is set. Exit status 1
+//	    on drift.
 //
 //	monsoon-trace calibrate [-o profile.json] trace.jsonl...
 //	    Learn a per-operator-kind cost profile (seconds per object produced)
@@ -96,7 +95,7 @@ func report(args []string) {
 func diff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	tol := fs.Float64("timing-tol", 0, "relative tolerance for per-kind total wall time (0 disables timing comparison)")
-	workers := fs.Bool("workers", false, "include configuration-dependent worker and shard span counts in the comparison")
+	workers := fs.Bool("workers", false, "include the machine-dependent worker span counts and timings in the comparison")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()

@@ -12,9 +12,9 @@ import (
 )
 
 // renderSpanTree renders the span forest as indented "kind name" lines,
-// pruning the fan-out kinds whose presence depends on the machine or the
-// shard layout (KWorker, KShard) rather than on the plan. What remains is
-// the plan-shaped operator skeleton that must not move when S changes.
+// pruning the fan-out kind whose presence depends on the machine (KWorker)
+// rather than on the plan. What remains is the plan-shaped operator skeleton
+// that must not move when S changes.
 func renderSpanTree(spans []*obs.Span) string {
 	children := map[int][]*obs.Span{}
 	byID := map[int]*obs.Span{}
@@ -25,7 +25,7 @@ func renderSpanTree(spans []*obs.Span) string {
 	var b strings.Builder
 	var walk func(sp *obs.Span, depth int)
 	walk = func(sp *obs.Span, depth int) {
-		if sp.Kind == obs.KWorker || sp.Kind == obs.KShard {
+		if sp.Kind == obs.KWorker {
 			return
 		}
 		fmt.Fprintf(&b, "%s%s %s\n", strings.Repeat("  ", depth), sp.Kind, sp.Name)
@@ -51,7 +51,7 @@ func renderSpanTree(spans []*obs.Span) string {
 //   - Within one shard count, the batch size and the worker count perturb
 //     NOTHING: rows, aggregate, produced charge, the action trace, and the
 //     operator span skeleton (pruned of the machine/layout-dependent
-//     KWorker/KShard fan-out spans) are all byte-identical, and a repeated
+//     KWorker fan-out spans) are all byte-identical, and a repeated
 //     run reproduces itself exactly.
 func TestShardedRunDeterminism(t *testing.T) {
 	type golden struct {

@@ -62,8 +62,8 @@ type Config struct {
 	// query's result is identical no matter which client asks or when.
 	// Parallelism, BatchSize and PlanParallelism are the engine and planner
 	// knobs (pure wall-time knobs under the determinism contracts). Shards
-	// partitions every served catalog for exchange-style execution (answers
-	// are identical at any count). MCTSIterations is the per-planning-call
+	// lays every served catalog out as hash shards the planner prices
+	// (answers are identical at any count). MCTSIterations is the per-planning-call
 	// rollout budget.
 	Scale harness.Scale
 	// MaxConcurrent bounds admitted queries; further requests get 429.

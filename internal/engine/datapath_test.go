@@ -69,7 +69,7 @@ func TestRowLifetime(t *testing.T) {
 			// Drain the right-deep tree by hand, keeping every row header the
 			// way the root materialize does, beside a copy taken on arrival.
 			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
-			it, _, err := ex.open(q, rightDeep, &Budget{}, res, nil, nil, true)
+			it, _, err := ex.open(q, rightDeep, &Budget{}, res, nil, true)
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
@@ -206,7 +206,7 @@ func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 
-	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
+	ht, _, err := e.build(nil, build.Rows, firstColKey, nil, 1, &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +216,9 @@ func TestDeadlineStopsUnproductiveKernels(t *testing.T) {
 	}
 
 	seen := 0
-	_, ins, err := e.build(nil, buildSide{rows: keyedRows("N", nulls).Rows}, func() keyFn {
-		return func(_ int, row table.Row) (value.Value, uint64) { seen++; return row[0], 0 }
-	}, nil, 1, 1, expired())
+	_, ins, err := e.build(nil, keyedRows("N", nulls).Rows, func() keyFn {
+		return func(row table.Row) (value.Value, uint64) { seen++; return row[0], 0 }
+	}, nil, 1, expired())
 	if !errors.Is(err, ErrBudget) || seen > limit || ins != 0 {
 		t.Errorf("all-NULL build: err = %v after %d rows (%d inserted), want ErrBudget within %d", err, seen, ins, limit)
 	}
@@ -249,7 +249,7 @@ func TestProbeAllocationCeiling(t *testing.T) {
 	probe, build := keyedRows("P", keys), keyedRows("B", keys)
 	pb, _ := expr.Identity("P.k").Bind(probe.Schema)
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
-	ht, _, err := e.build(nil, buildSide{rows: build.Rows}, firstColKey, nil, 1, 1, &Budget{})
+	ht, _, err := e.build(nil, build.Rows, firstColKey, nil, 1, &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,9 +178,8 @@ type ExecConfig struct {
 	// only peak memory and wall time change.
 	BatchSize int
 	// Metrics, when non-nil, receives the engine's exchange counters:
-	// monsoon.exchange.joins.local/reshuffle, monsoon.exchange.rows and
-	// monsoon.exchange.sigma.partials, counted only on a sharded catalog.
-	// Nil (the default) skips them.
+	// monsoon.exchange.joins.local/reshuffle and monsoon.exchange.rows,
+	// counted only on a sharded catalog. Nil (the default) skips them.
 	Metrics *obs.Registry
 }
 
@@ -259,7 +258,7 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 		msp.SetStr("err", err.Error()).SetProduced(res.Produced).End()
 		return nil, res, err
 	}
-	it, schema, err := e.open(q, n, budget, res, nil, nil, true)
+	it, schema, err := e.open(q, n, budget, res, nil, true)
 	if err != nil {
 		return fail(err)
 	}
@@ -299,7 +298,7 @@ type entry struct {
 	head, tail int32
 }
 
-// hashTable is one open-addressing sub-table of a hash-join build. entries
+// hashTable is the open-addressing table of a hash-join build. entries
 // holds the distinct keys in first-occurrence order; slots maps a position to
 // an entry (index + 1, 0 = empty) and is probed linearly from the key's home
 // slot. A key is never removed and a new entry takes the first empty slot
@@ -326,9 +325,7 @@ func newHashTable(hint int) hashTable {
 }
 
 // home is where the probe sequence of hash h starts. The multiplication mixes
-// every bit of h into the top ones, which are the ones kept: the hashes that
-// meet in one sub-table already agree modulo the sub-table count, and taking
-// their low bits would pile them onto a fraction of the slots.
+// every bit of h into the top ones, which are the ones kept.
 func (t *hashTable) home(h uint64) int {
 	return int((h * 0x9E3779B97F4A7C15) >> t.shift)
 }
@@ -374,70 +371,32 @@ func (t *hashTable) grow() {
 	}
 }
 
-// shardedTable splits a hash-join build across S sub-tables routed by the
-// full key hash (subs[h%S]). Equal hashes always land in the same sub-table
-// and routing never reorders the insertion stream within a sub-table, so
-// collision chains keep first-occurrence order with ascending row lists; the
-// probe side streams in its original order and routes each key the same way,
-// which makes join output bit-identical for any S. An unsharded catalog is
-// S == 1: subs[0] is the one table.
+// joinTable is a hash-join build: the hashTable of its distinct keys plus the
+// per-row links and filter hashes the keys' rows are reached through.
 //
 // next links the build rows of one key: next[i] is the build-row index that
 // follows row i under its key, −1 at the end of a chain. There is one per
-// build side, shared by every sub-table and — while building — every worker:
-// a row belongs to one key and is inserted by one worker, so they write
-// disjoint indices. Rows with a NULL key are in no chain; their slots are
-// never read.
+// build side, shared — while building — by every worker's table: a row
+// belongs to one key and is inserted by one worker, so they write disjoint
+// indices. Rows with a NULL key are in no chain; their slots are never read.
 //
 // filter, nil unless the join has key predicates beyond the one the table is
 // keyed on, holds per build row one hash of those predicates' build terms
 // (filterFn), indexed and shared exactly as next is. It is no part of the
 // table: entries, slots and chains are those of a single-key join, and a
 // probe only consults it to pass over chain rows it need not copy.
-type shardedTable struct {
-	subs   []hashTable
+type joinTable struct {
+	hashTable
 	next   []int32
 	filter []uint64
 }
 
-func newShardedTable(s, sizeHint int, next []int32, filter []uint64) *shardedTable {
-	t := &shardedTable{subs: make([]hashTable, s), next: next, filter: filter}
-	for i := range t.subs {
-		t.subs[i] = newHashTable(sizeHint/s + 1)
-	}
-	return t
-}
-
-// sub returns the sub-table that hash h routes to.
-func (t *shardedTable) sub(h uint64) *hashTable {
-	if len(t.subs) == 1 {
-		return &t.subs[0]
-	}
-	return &t.subs[h%uint64(len(t.subs))]
-}
-
-// keys counts the table's distinct keys over every sub-table.
-func (t *shardedTable) keys() int {
-	n := 0
-	for i := range t.subs {
-		n += len(t.subs[i].entries)
-	}
-	return n
-}
-
-// shardCount reports the catalog's shard layout width (1 = unsharded).
-func (e *Exec) shardCount() int { return e.eng.Cat.ShardCount() }
-
 // collectSigma runs the Σ pass: one more scan of the materialized result,
 // feeding every evaluable UDF term through an HLL sketch. Identity terms are
-// included — they are just another opaque function to the optimizer.
-//
-// On a sharded catalog the pass is a partial-Σ exchange: the result is
-// partitioned by its first column's hash — the storage layer's routing — and
-// every shard runs under its own KShard span. Every row is charged exactly
-// once whichever shard or worker visits it, and the per-worker sketches merge
-// register-wise (a per-register max), so budget totals and estimates are the
-// same for any partitioning.
+// included — they are just another opaque function to the optimizer. Every
+// row is charged exactly once whichever worker visits it, and the per-worker
+// sketches merge register-wise (a per-register max), so budget totals and
+// estimates are the same at any worker count.
 func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, budget *Budget, res *ExecResult) error {
 	p := e.eng.HLLPrecision
 	if p == 0 {
@@ -450,38 +409,13 @@ func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, b
 		}
 	}
 	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(terms)))
-	parts := [][]table.Row{rel.Rows}
-	if s := e.shardCount(); s > 1 && len(terms) > 0 {
-		sp.SetNum("shards", float64(s))
-		parts = make([][]table.Row, s)
-		for _, row := range rel.Rows {
-			h := row[0].Hash() % uint64(s)
-			parts[h] = append(parts[h], row)
-		}
-	}
-	sharded := len(parts) > 1
 	states, _ := newPool(e, func() (*sigmaState, error) { return newSigmaState(terms, rel.Schema, p), nil })
-	for si, part := range parts {
-		op := sp
-		if sharded {
-			op = e.Obs.StartChild(sp, obs.KShard, fmt.Sprintf("s%d", si)).SetRows(len(part), len(terms))
-		}
-		err := states.run(op, len(part), e.workers(len(part)), func(st *sigmaState, lo, hi int) error {
-			return st.sigmaRows(part[lo:hi], budget)
-		})
-		if err != nil {
-			if sharded {
-				op.SetStr("err", err.Error()).End()
-			}
-			sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
-			return err
-		}
-		if sharded {
-			op.End()
-		}
-	}
-	if sharded && e.Metrics != nil {
-		e.Metrics.Counter("monsoon.exchange.sigma.partials").Add(int64(len(parts)))
+	err := states.run(sp, rel.Count(), e.workers(rel.Count()), func(st *sigmaState, lo, hi int) error {
+		return st.sigmaRows(rel.Rows[lo:hi], budget)
+	})
+	if err != nil {
+		sp.SetRows(rel.Count(), 0).SetStr("err", err.Error()).End()
+		return err
 	}
 	res.Produced += float64(rel.Count()) // the extra pass, §4.4
 	for i, t := range terms {

@@ -103,7 +103,7 @@ func matrixCases() []matrixCase {
 	return []matrixCase{
 		// Hash join with a second key predicate under a Σ root; b is an
 		// unfiltered build leaf, its stored rows handed over without a drain
-		// on every layout (shard-major where b is co-partitioned, at S > 1).
+		// on every layout (co-partitioned, local, at S > 1).
 		{"residual-sigma", ab, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b")).WithSigma()}},
 		// Two key predicates with the table keyed on the one whose chains are
 		// some 90 rows long: the probe passes over nearly all of each chain
@@ -151,11 +151,17 @@ var configAttrs = map[string]bool{
 
 // spanSigs reduces a span stream, in emission order, to the part that must
 // not depend on batch size, worker count or shard layout: everything but the
-// KWorker and KShard spans and the configAttrs.
+// KWorker spans and the configAttrs.
 func spanSigs(spans []*obs.Span) []spanSig {
+	return sigsOf(spans, func(sp *obs.Span) bool { return sp.Kind != obs.KWorker }, configAttrs)
+}
+
+// sigsOf reduces the spans keep accepts to their signatures, less the
+// attributes drop names.
+func sigsOf(spans []*obs.Span, keep func(*obs.Span) bool, drop map[string]bool) []spanSig {
 	var ids []int
 	for _, sp := range spans {
-		if sp.Kind != obs.KWorker && sp.Kind != obs.KShard {
+		if keep(sp) {
 			ids = append(ids, sp.ID)
 		}
 	}
@@ -173,7 +179,7 @@ func spanSigs(spans []*obs.Span) []spanSig {
 			RowsIn: sp.RowsIn, RowsOut: sp.RowsOut, Produced: sp.Produced,
 			Num: map[string]float64{}, Str: sp.Str}
 		for k, v := range sp.Num {
-			if !configAttrs[k] {
+			if !drop[k] {
 				sig.Num[k] = v
 			}
 		}

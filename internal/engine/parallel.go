@@ -265,8 +265,8 @@ func passResiduals(row table.Row, residuals []residual) bool {
 type joinSpec struct {
 	node *plan.Node
 	// probeTerm = buildTerm is the first key predicate, the one the table is
-	// keyed, routed and co-partitioned on. probeRest[i] = buildRest[i] are the
-	// further key predicates, which only filter a chain walk.
+	// keyed on. probeRest[i] = buildRest[i] are the further key predicates,
+	// which only filter a chain walk.
 	probeTerm, buildTerm *query.Term
 	probeRest, buildRest []*query.Term
 	preds                []*query.JoinPred // residual join predicates
@@ -278,8 +278,8 @@ type joinSpec struct {
 // rule the cost model prices too, into key predicates and the rest, plain
 // residuals evaluated over the concatenated row. The first key predicate is
 // the hash predicate: the table holds one entry per distinct value of its
-// build term, and that term alone decides sub-table routing and whether the
-// storage layout serves the build. The further key predicates stay in the
+// build term, and that term alone decides whether the build is co-partitioned
+// with the storage layout. The further key predicates stay in the
 // residual list as well, so they are still decided by Equal on the joined
 // row; what being a key predicate adds is one hash per build row and per
 // probe row (keyFilter) that lets the chain walk pass over a pair the
@@ -401,7 +401,7 @@ func (st *joinState) emit(row table.Row, budget *Budget) error {
 // differs in a term the residuals demand equal, so they would have rejected
 // the pair. The pairs that survive are still put to every residual, so the
 // output is that of walking the whole chain.
-func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budget *Budget) error {
+func (st *joinState) probeRows(probe, build []table.Row, ht *joinTable, budget *Budget) error {
 	st.out = st.out[:0]
 	var pace pacer
 	filter := ht.filter
@@ -422,11 +422,10 @@ func (st *joinState) probeRows(probe, build []table.Row, ht *shardedTable, budge
 			}
 		}
 		h := k.Hash()
-		sub := ht.sub(h)
-		mask := len(sub.slots) - 1
+		mask := len(ht.slots) - 1
 		var row table.Row // the open slot, its probe half written; nil after an emit
-		for s := sub.home(h); sub.slots[s] != 0; s = (s + 1) & mask {
-			e := &sub.entries[sub.slots[s]-1]
+		for s := ht.home(h); ht.slots[s] != 0; s = (s + 1) & mask {
+			e := &ht.entries[ht.slots[s]-1]
 			if e.hash != h || !e.key.Equal(k) {
 				continue
 			}
@@ -516,27 +515,18 @@ func (st *sigmaState) sigmaRows(rows []table.Row, budget *Budget) error {
 	return nil
 }
 
-// keyFn yields build row i's join key and the key's full hash.
-type keyFn func(i int, row table.Row) (value.Value, uint64)
+// keyFn yields a build row's join key and the key's full hash.
+type keyFn func(row table.Row) (value.Value, uint64)
 
-// evalKey is the general key source: evaluate the build term, hash the value.
-// Each worker binds its own copy.
+// evalKey is the key source of a build: evaluate the build term, hash the
+// value. Each worker binds its own copy.
 func evalKey(term *query.Term, s *table.Schema) func() keyFn {
 	return func() keyFn {
 		bb, _ := term.Fn.Bind(s) // the join's first state proved it resolves
-		return func(_ int, row table.Row) (value.Value, uint64) {
+		return func(row table.Row) (value.Value, uint64) {
 			k := bb.Eval(row)
 			return k, k.Hash()
 		}
-	}
-}
-
-// storedKey is the key source of a handed-over co-partitioned table: the
-// build term is the identity of the shard column, so row i's key is its first
-// column and the layout already cached its hash.
-func storedKey(sh *table.Sharded) func() keyFn {
-	return func() keyFn {
-		return func(i int, row table.Row) (value.Value, uint64) { return row[0], sh.RowHash[i] }
 	}
 }
 
@@ -596,107 +586,68 @@ func equalHash(v value.Value) uint64 {
 	return v.Hash()
 }
 
-// buildSide is a join's collected right side. When it came from a
-// shard-major scan, bounds[si] is where storage shard si's rows end in the
-// shard-major sequence: the rows themselves, or — for a stored table handed
-// over in place — perm, the layout's permutation of indices into rows.
-type buildSide struct {
-	rows   []table.Row
-	bounds []int
-	perm   []int32
-}
-
 // buildState is one worker's side of a hash build: its own key source, its
 // own filter hash (nil without further key predicates) and the table it
 // inserts into.
 type buildState struct {
 	key      keyFn
 	filter   filterFn
-	t        *shardedTable
+	t        *joinTable
 	inserted int
 }
 
-// buildRows routes positions [lo,hi) of the build side into the state's
-// table under their row indices, skipping NULL keys, and records each
-// inserted row's filter hash. A position is a row index, or an index into
-// perm when one is given.
-func (st *buildState) buildRows(rows []table.Row, perm []int32, lo, hi int, budget *Budget) error {
+// buildRows inserts rows [lo,hi) of the build side into the state's table
+// under their row indices, skipping NULL keys, and records each inserted
+// row's filter hash.
+func (st *buildState) buildRows(rows []table.Row, lo, hi int, budget *Budget) error {
 	var pace pacer
 	for i := lo; i < hi; i++ {
 		// Building produces nothing but must still honor the deadline.
 		if err := pace.tick(budget); err != nil {
 			return err
 		}
-		ri := int32(i)
-		if perm != nil {
-			ri = perm[i]
-		}
-		k, h := st.key(int(ri), rows[ri])
+		k, h := st.key(rows[i])
 		if k.IsNull() {
 			continue
 		}
 		st.inserted++
+		ri := int32(i)
 		st.t.next[ri] = -1
 		if st.filter != nil {
-			st.t.filter[ri] = st.filter(rows[ri])
+			st.t.filter[ri] = st.filter(rows[i])
 		}
-		st.t.sub(h).add(h, k, ri, ri, st.t.next)
+		st.t.add(h, k, ri, ri, st.t.next)
 	}
 	return pace.done(budget)
 }
 
-// build hashes the build side into s sub-tables routed by the full key hash.
-// Each worker routes a contiguous chunk of the rows (global row indices) into
-// a private table, and the tables merge sub-table by sub-table in worker
-// order: every entry of a later worker's table is added to the first's as one
-// chain, a splice of two links, so a merge costs the distinct keys of a
-// chunk, not its rows. Because chunks are contiguous and ascending, that
-// merge restores both invariants of a single pass exactly — entries in global
-// first-occurrence order, per-key row lists ascending — so the table is the
-// same at every w, and it probes the same at every s. All of them link their
-// rows through one next slice, made here — as is, when the join has further
-// key predicates (filterOf non-nil), the slice of per-row filter hashes, which
-// is indexed and shared the same way and which no merge touches. One worker
-// is one sequential pass over the rows with nothing to merge; it does not walk
-// a co-partitioned side shard by shard, because the sequential pass is the
-// prefetchable one and measured faster than the strided shard-major walk
-// (EXPERIMENTS, PR 10).
-//
-// Several workers over a co-partitioned side (bounds set) split at storage
-// shard boundaries instead: every row of storage shard si routes to sub-table
-// si, so workers that own whole shards insert into one shared table without
-// meeting, and there is nothing to merge. Within a shard, positions ascend in
-// row order, so entries and row lists come out the same again.
+// build hashes the build rows into one table. Each of w workers inserts a
+// contiguous chunk of the rows (global row indices) into a private table, and
+// the tables merge in worker order: every entry of a later worker's table is
+// added to the first's as one chain, a splice of two links, so a merge costs
+// the distinct keys of a chunk, not its rows. Because chunks are contiguous
+// and ascending, that merge restores both invariants of a single pass exactly
+// — entries in global first-occurrence order, per-key row lists ascending —
+// so the table is the same at every w. All of them link their rows through
+// one next slice, made here — as is, when the join has further key
+// predicates (filterOf non-nil), the slice of per-row filter hashes, which is
+// indexed and shared the same way and which no merge touches. One worker is
+// one sequential pass over the rows with nothing to merge.
 // Returns the table and the number of non-NULL keys inserted.
-func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, filterOf func() filterFn, s, w int, budget *Budget) (*shardedTable, int, error) {
-	owned := w > 1 && side.bounds != nil
-	units := len(side.rows)
-	next := freeLinks.take(len(side.rows))
+func (e *Exec) build(op *obs.Span, rows []table.Row, keyOf func() keyFn, filterOf func() filterFn, w int, budget *Budget) (*joinTable, int, error) {
+	next := freeLinks.take(len(rows))
 	var filter []uint64
 	if filterOf != nil {
-		filter = freeFilters.take(len(side.rows))
-	}
-	var shared *shardedTable
-	if owned {
-		units, w = s, min(w, s)
-		shared = newShardedTable(s, len(side.rows), next, filter)
+		filter = freeFilters.take(len(rows))
 	}
 	parts := make([]*buildState, w)
-	err := e.fanOut(op, units, w, func(worker, lo, hi int) error {
-		st := &buildState{key: keyOf(), t: shared}
+	err := e.fanOut(op, len(rows), w, func(worker, lo, hi int) error {
+		st := &buildState{key: keyOf(), t: &joinTable{hashTable: newHashTable(hi - lo + 1), next: next, filter: filter}}
 		if filterOf != nil {
 			st.filter = filterOf()
 		}
 		parts[worker] = st
-		if !owned {
-			st.t = newShardedTable(s, hi-lo, next, filter)
-			return st.buildRows(side.rows, nil, lo, hi, budget)
-		}
-		from := 0
-		if lo > 0 {
-			from = side.bounds[lo-1]
-		}
-		return st.buildRows(side.rows, side.perm, from, side.bounds[hi-1], budget)
+		return st.buildRows(rows, lo, hi, budget)
 	})
 	inserted := 0
 	for _, p := range parts {
@@ -706,16 +657,11 @@ func (e *Exec) build(op *obs.Span, side buildSide, keyOf func() keyFn, filterOf 
 		return nil, inserted, err
 	}
 	merged := parts[0].t
-	if !owned {
-		for _, p := range parts[1:] {
-			for si := range p.t.subs {
-				src := p.t.subs[si].entries
-				for i := range src {
-					merged.subs[si].add(src[i].hash, src[i].key, src[i].head, src[i].tail, next)
-				}
-				e.held.subs = append(e.held.subs, p.t.subs[si])
-			}
+	for _, p := range parts[1:] {
+		for _, en := range p.t.entries {
+			merged.add(en.hash, en.key, en.head, en.tail, next)
 		}
+		e.held.tables = append(e.held.tables, p.t.hashTable)
 	}
 	return merged, inserted, nil
 }

@@ -292,40 +292,36 @@ type refBucket struct {
 	rows []int
 }
 
-type refTable []map[uint64][]refBucket
+type refTable map[uint64][]refBucket
 
-// referenceBuild is one pass in row order, routed into s sub-tables: a row
-// joins the first bucket of its hash's chain whose key equals its own, or
-// opens a new bucket at the chain's end.
-func referenceBuild(rows []table.Row, keyOf func() keyFn, s int) (refTable, int) {
+// referenceBuild is one pass in row order: a row joins the first bucket of
+// its hash's chain whose key equals its own, or opens a new bucket at the
+// chain's end.
+func referenceBuild(rows []table.Row, keyOf func() keyFn) (refTable, int) {
 	key := keyOf()
-	t := make(refTable, s)
-	for i := range t {
-		t[i] = make(map[uint64][]refBucket)
-	}
+	t := make(refTable)
 	inserted := 0
 rows:
 	for i, row := range rows {
-		k, h := key(i, row)
+		k, h := key(row)
 		if k.IsNull() {
 			continue
 		}
 		inserted++
-		sub := t[h%uint64(s)]
-		for bi := range sub[h] {
-			if sub[h][bi].key.Equal(k) {
-				sub[h][bi].rows = append(sub[h][bi].rows, i)
+		for bi := range t[h] {
+			if t[h][bi].key.Equal(k) {
+				t[h][bi].rows = append(t[h][bi].rows, i)
 				continue rows
 			}
 		}
-		sub[h] = append(sub[h], refBucket{key: k, rows: []int{i}})
+		t[h] = append(t[h], refBucket{key: k, rows: []int{i}})
 	}
 	return t, inserted
 }
 
-// tableDump is a join table in canonical form: per sub-table, the distinct
-// keys in first-occurrence order, each with its hash and ascending row list.
-type tableDump [][]dumpEntry
+// tableDump is a join table in canonical form: the distinct keys in
+// first-occurrence order, each with its hash and ascending row list.
+type tableDump []dumpEntry
 
 type dumpEntry struct {
 	hash uint64
@@ -335,26 +331,21 @@ type dumpEntry struct {
 
 // same compares two dumps entry by entry, keys by value.Identical.
 func (d tableDump) same(o tableDump) bool {
-	return slices.EqualFunc(d, o, func(a, b []dumpEntry) bool {
-		return slices.EqualFunc(a, b, func(x, y dumpEntry) bool {
-			return x.hash == y.hash && value.Identical(x.key, y.key) && slices.Equal(x.rows, y.rows)
-		})
+	return slices.EqualFunc(d, o, func(x, y dumpEntry) bool {
+		return x.hash == y.hash && value.Identical(x.key, y.key) && slices.Equal(x.rows, y.rows)
 	})
 }
 
 // dump renders the reference. Buckets open in row order, so first-occurrence
 // order is ascending first row — across hashes and within a chain alike.
 func (t refTable) dump() tableDump {
-	d := make(tableDump, len(t))
-	for si, sub := range t {
-		d[si] = []dumpEntry{}
-		for h, chain := range sub {
-			for _, b := range chain {
-				d[si] = append(d[si], dumpEntry{h, b.key, b.rows})
-			}
+	d := tableDump{}
+	for h, chain := range t {
+		for _, b := range chain {
+			d = append(d, dumpEntry{h, b.key, b.rows})
 		}
-		sort.Slice(d[si], func(a, b int) bool { return d[si][a].rows[0] < d[si][b].rows[0] })
 	}
+	sort.Slice(d, func(a, b int) bool { return d[a].rows[0] < d[b].rows[0] })
 	return d
 }
 
@@ -362,98 +353,63 @@ func (t refTable) dump() tableDump {
 // following next from head, which must end at tail. It also checks that every
 // entry is reachable from its home slot, behind the earlier entries of its
 // hash only.
-func (t *shardedTable) dump(tb testing.TB) tableDump {
-	d := make(tableDump, len(t.subs))
-	for si := range t.subs {
-		sub := &t.subs[si]
-		d[si] = []dumpEntry{}
-		for ei, e := range sub.entries {
-			de := dumpEntry{hash: e.hash, key: e.key}
-			last := int32(-1)
-			for bi := e.head; bi >= 0; bi = t.next[bi] {
-				de.rows = append(de.rows, int(bi))
-				last = bi
+func (t *joinTable) dump(tb testing.TB) tableDump {
+	d := tableDump{}
+	for ei, e := range t.entries {
+		de := dumpEntry{hash: e.hash, key: e.key}
+		last := int32(-1)
+		for bi := e.head; bi >= 0; bi = t.next[bi] {
+			de.rows = append(de.rows, int(bi))
+			last = bi
+		}
+		if last != e.tail {
+			tb.Errorf("entry %d: chain ends at row %d, tail says %d", ei, last, e.tail)
+		}
+		d = append(d, de)
+		prev := 0
+		for s := t.home(e.hash); ; s = (s + 1) & (len(t.slots) - 1) {
+			at := int(t.slots[s])
+			if at == 0 {
+				tb.Errorf("entry %d: not reachable from its home slot", ei)
+				break
 			}
-			if last != e.tail {
-				tb.Errorf("sub-table %d entry %d: chain ends at row %d, tail says %d", si, ei, last, e.tail)
+			if at == ei+1 {
+				break
 			}
-			d[si] = append(d[si], de)
-			prev := 0
-			for s := sub.home(e.hash); ; s = (s + 1) & (len(sub.slots) - 1) {
-				at := int(sub.slots[s])
-				if at == 0 {
-					tb.Errorf("sub-table %d entry %d: not reachable from its home slot", si, ei)
-					break
+			if t.entries[at-1].hash == e.hash {
+				if at < prev || at > ei {
+					tb.Errorf("entry %d: same-hash entries out of insertion order along the probe sequence", ei)
 				}
-				if at == ei+1 {
-					break
-				}
-				if sub.entries[at-1].hash == e.hash {
-					if at < prev || at > ei {
-						tb.Errorf("sub-table %d entry %d: same-hash entries out of insertion order along the probe sequence", si, ei)
-					}
-					prev = at
-				}
+				prev = at
 			}
 		}
-		if 2*len(sub.entries) > len(sub.slots) {
-			tb.Errorf("sub-table %d: %d entries in %d slots, load above one half", si, len(sub.entries), len(sub.slots))
-		}
+	}
+	if 2*len(t.entries) > len(t.slots) {
+		tb.Errorf("%d entries in %d slots, load above one half", len(t.entries), len(t.slots))
 	}
 	return d
 }
 
-// buildShape is one way a join hands rel to the build: the side and the key
-// source that goes with it.
-type buildShape struct {
-	name  string
-	side  buildSide
-	keyOf func() keyFn
-}
-
-// buildShapes lists the shapes of rel for s sub-tables: rows in stored order
-// and, at s > 1, the two co-partitioned ones — the stored table handed over
-// with its layout, and a shard-major drain with per-shard bounds.
-func buildShapes(rel *table.Relation, keyOf func() keyFn, s int) []buildShape {
-	shapes := []buildShape{{"rows", buildSide{rows: rel.Rows}, keyOf}}
-	if s > 1 {
-		cat := table.NewCatalog()
-		cat.Put(rel)
-		cat.Shard(s)
-		sh, _ := cat.ShardsOf(rel.Name)
-		drained, bounds := shardMajor(rel, s)
-		shapes = append(shapes,
-			buildShape{"stored", buildSide{rows: rel.Rows, bounds: sh.Bounds, perm: sh.Perm}, storedKey(sh)},
-			buildShape{"drained", buildSide{rows: drained.Rows, bounds: bounds}, keyOf})
-	}
-	return shapes
-}
-
 // TestParallelBuildIdenticalTable: the build yields the table of the
 // single-pass map-of-slices reference — the same keys in first-occurrence
-// order, the same ascending row lists, NULLs skipped — for worker
-// counts below, at, and far above the row count, at every sub-table count,
-// whether it splits the side into chunks and merges or at shard boundaries.
+// order, the same ascending row lists, NULLs skipped — for worker counts
+// below, at, and far above the row count, chunks merged in worker order.
 func TestParallelBuildIdenticalTable(t *testing.T) {
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, rows := range []int{5000, 17} {
 		rel, keyOf := buildFixture(rows)
-		for _, s := range []int{1, 4} {
-			for _, shape := range buildShapes(rel, keyOf, s) {
-				want, wantIns := referenceBuild(shape.side.rows, keyOf, s)
-				for _, w := range []int{1, 2, 7, 64} {
-					at := fmt.Sprintf("rows=%d S=%d %s w=%d", rows, s, shape.name, w)
-					ht, ins, err := e.build(nil, shape.side, shape.keyOf, nil, s, w, &Budget{})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if ins != wantIns {
-						t.Errorf("%s: inserted %d, want %d", at, ins, wantIns)
-					}
-					if !ht.dump(t).same(want.dump()) {
-						t.Errorf("%s: table differs from the single-pass reference", at)
-					}
-				}
+		want, wantIns := referenceBuild(rel.Rows, keyOf)
+		for _, w := range []int{1, 2, 7, 64} {
+			at := fmt.Sprintf("rows=%d w=%d", rows, w)
+			ht, ins, err := e.build(nil, rel.Rows, keyOf, nil, w, &Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if ins != wantIns {
+				t.Errorf("%s: inserted %d, want %d", at, ins, wantIns)
+			}
+			if !ht.dump(t).same(want.dump()) {
+				t.Errorf("%s: table differs from the single-pass reference", at)
 			}
 		}
 	}
@@ -475,7 +431,7 @@ func keyedRows(name string, keys []value.Value) *table.Relation {
 
 // firstColKey is the key source of keyedRows: the first column, hashed.
 func firstColKey() keyFn {
-	return func(_ int, row table.Row) (value.Value, uint64) { return row[0], row[0].Hash() }
+	return func(row table.Row) (value.Value, uint64) { return row[0], row[0].Hash() }
 }
 
 // referenceProbe joins probe rows against the reference table the way the
@@ -490,7 +446,7 @@ func referenceProbe(probe, build []table.Row, ref refTable, residuals ...residua
 			continue
 		}
 		h := k.Hash()
-		for _, b := range ref[h%uint64(len(ref))][h] {
+		for _, b := range ref[h] {
 			if !b.key.Equal(k) {
 				continue
 			}
@@ -507,9 +463,9 @@ func referenceProbe(probe, build []table.Row, ref refTable, residuals ...residua
 // TestJoinTableProbesLikeReference drives build and probeRows over the key
 // populations that stress an open-addressing table — distinct keys forced
 // onto one hash or a few, int and float keys that compare equal, keys that
-// equal a probe key without equalling each other, NULLs, an empty side, every
-// key routed to one sub-table so that it outgrows its size hint mid-build —
-// and demands the map-of-slices reference's table and, row for row, its probe
+// equal a probe key without equalling each other, NULLs, an empty side,
+// distinct keys that make the merge outgrow the first chunk's table — and
+// demands the map-of-slices reference's table and, row for row, its probe
 // output.
 func TestJoinTableProbesLikeReference(t *testing.T) {
 	ints := func(n int, f func(i int) int64) []value.Value {
@@ -524,18 +480,12 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 	// a probe finds it behind the others' entries.
 	hashOf := func(g func(k int64) int64) func() keyFn {
 		return func() keyFn {
-			return func(_ int, row table.Row) (value.Value, uint64) {
+			return func(row table.Row) (value.Value, uint64) {
 				if row[0].IsNull() {
 					return row[0], 0
 				}
 				return row[0], value.Int(g(row[0].AsInt())).Hash()
 			}
-		}
-	}
-	var oneSub []value.Value // 3,000 rows whose keys all route to sub-table 0 of 4
-	for k := int64(0); len(oneSub) < 3000; k++ {
-		if v := value.Int(k); v.Hash()%4 == 0 {
-			oneSub = append(oneSub, v, v, v)
 		}
 	}
 	const big = int64(1) << 53
@@ -573,39 +523,38 @@ func TestJoinTableProbesLikeReference(t *testing.T) {
 			[]value.Value{value.Float(float64(big)), value.Int(big + 1)}, hashOf(func(int64) int64 { return big })},
 		{"all NULL", []value.Value{value.Null(), value.Null(), value.Null()}, mixed, firstColKey},
 		{"empty build side", nil, mixed, firstColKey},
-		{"one sub-table takes every key", oneSub, oneSub[:600], firstColKey},
+		{"distinct keys outgrow the first chunk's table in the merge", ints(3000, func(i int) int64 { return int64(i) }),
+			ints(600, func(i int) int64 { return int64(5 * i) }), firstColKey},
 		{"random ints, floats and NULLs", random, random[:2000], firstColKey},
 	}
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	for _, tc := range cases {
 		build, probe := keyedRows("B", tc.build), keyedRows("P", tc.probe)
 		pb, _ := expr.Identity("P.k").Bind(probe.Schema)
-		for _, s := range []int{1, 4} {
-			ref, refIns := referenceBuild(build.Rows, tc.keyOf, s)
-			want := referenceProbe(probe.Rows, build.Rows, ref)
-			for _, w := range []int{1, 3} {
-				at := fmt.Sprintf("%s S=%d w=%d", tc.name, s, w)
-				ht, ins, err := e.build(nil, buildSide{rows: build.Rows}, tc.keyOf, nil, s, w, &Budget{})
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				if ins != refIns {
-					t.Errorf("%s: inserted %d, want %d", at, ins, refIns)
-				}
-				if !ht.dump(t).same(ref.dump()) {
-					t.Errorf("%s: table differs from the reference", at)
-				}
-				st := &joinState{pb: pb, width: 4}
-				if err := st.probeRows(probe.Rows, build.Rows, ht, &Budget{}); err != nil {
-					t.Fatalf("%s: probe: %v", at, err)
-				}
-				if len(st.out) != len(want) {
-					t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
-				}
-				for i := range want {
-					if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
-						t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
-					}
+		ref, refIns := referenceBuild(build.Rows, tc.keyOf)
+		want := referenceProbe(probe.Rows, build.Rows, ref)
+		for _, w := range []int{1, 3} {
+			at := fmt.Sprintf("%s w=%d", tc.name, w)
+			ht, ins, err := e.build(nil, build.Rows, tc.keyOf, nil, w, &Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if ins != refIns {
+				t.Errorf("%s: inserted %d, want %d", at, ins, refIns)
+			}
+			if !ht.dump(t).same(ref.dump()) {
+				t.Errorf("%s: table differs from the reference", at)
+			}
+			st := &joinState{pb: pb, width: 4}
+			if err := st.probeRows(probe.Rows, build.Rows, ht, &Budget{}); err != nil {
+				t.Fatalf("%s: probe: %v", at, err)
+			}
+			if len(st.out) != len(want) {
+				t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
+			}
+			for i := range want {
+				if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
+					t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
 				}
 			}
 		}
@@ -642,8 +591,7 @@ func multiKeyRows(name, yOf string, rows []keyRow) *table.Relation {
 // float it rounds to — strings, a term over two columns, three key
 // predicates, a filter hash on which every row collides, and a second
 // predicate that separates nothing and so stays a plain residual; at every
-// sub-table and worker count, over a drained side and over the stored table
-// handed over with its layout.
+// worker count.
 func TestMultiKeyProbesLikeReference(t *testing.T) {
 	id := expr.Identity
 	const big = int64(1) << 53
@@ -737,46 +685,40 @@ func TestMultiKeyProbesLikeReference(t *testing.T) {
 			filterOf = func() filterFn { return collide }
 		}
 		keyOf := evalKey(spec.buildTerm, build.Schema)
-		emitted := 0
-		for _, s := range []int{1, 4} {
-			for _, shape := range buildShapes(build, keyOf, s) {
-				ref, _ := referenceBuild(shape.side.rows, keyOf, s)
-				want := referenceProbe(probe.Rows, shape.side.rows, ref, residuals...)
-				emitted += len(want)
-				for _, w := range []int{1, 2, 7} {
-					at := fmt.Sprintf("%s S=%d %s w=%d", tc.name, s, shape.name, w)
-					ht, _, err := e.build(nil, shape.side, shape.keyOf, filterOf, s, w, &Budget{})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if !ht.dump(t).same(ref.dump()) {
-						t.Errorf("%s: table differs from the single-key reference", at)
-					}
-					if (ht.filter != nil) != (tc.keyTerms > 1) {
-						t.Errorf("%s: filter slice present = %v with %d key predicates", at, ht.filter != nil, tc.keyTerms)
-					}
-					st, err := newJoinState(spec)
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if tc.collide {
-						st.pf = collide
-					}
-					if err := st.probeRows(probe.Rows, shape.side.rows, ht, &Budget{}); err != nil {
-						t.Fatalf("%s: probe: %v", at, err)
-					}
-					if len(st.out) != len(want) {
-						t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
-					}
-					for i := range want {
-						if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
-							t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
-						}
-					}
+		ref, _ := referenceBuild(build.Rows, keyOf)
+		want := referenceProbe(probe.Rows, build.Rows, ref, residuals...)
+		for _, w := range []int{1, 2, 7} {
+			at := fmt.Sprintf("%s w=%d", tc.name, w)
+			ht, _, err := e.build(nil, build.Rows, keyOf, filterOf, w, &Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if !ht.dump(t).same(ref.dump()) {
+				t.Errorf("%s: table differs from the single-key reference", at)
+			}
+			if (ht.filter != nil) != (tc.keyTerms > 1) {
+				t.Errorf("%s: filter slice present = %v with %d key predicates", at, ht.filter != nil, tc.keyTerms)
+			}
+			st, err := newJoinState(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if tc.collide {
+				st.pf = collide
+			}
+			if err := st.probeRows(probe.Rows, build.Rows, ht, &Budget{}); err != nil {
+				t.Fatalf("%s: probe: %v", at, err)
+			}
+			if len(st.out) != len(want) {
+				t.Fatalf("%s: probe emitted %d rows, reference %d", at, len(st.out), len(want))
+			}
+			for i := range want {
+				if !slices.EqualFunc(st.out[i], want[i], value.Identical) {
+					t.Fatalf("%s: output row %d is %v, reference %v", at, i, st.out[i], want[i])
 				}
 			}
 		}
-		if emitted == 0 {
+		if len(want) == 0 {
 			t.Errorf("%s: the reference joins nothing, which proves nothing", tc.name)
 		}
 	}
@@ -846,12 +788,12 @@ func TestParallelBuildEmptySide(t *testing.T) {
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	rel, keyOf := buildFixture(0)
 	for _, w := range []int{1, 2, 7, 64} {
-		ht, ins, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, nil, 1, w, &Budget{})
+		ht, ins, err := e.build(nil, rel.Rows, keyOf, nil, w, &Budget{})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		if ins != 0 || len(ht.subs[0].entries) != 0 {
-			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.subs[0].entries))
+		if ins != 0 || len(ht.entries) != 0 {
+			t.Errorf("w=%d: inserted %d, table size %d, want empty", w, ins, len(ht.entries))
 		}
 	}
 }
@@ -864,7 +806,7 @@ func TestParallelBuildBudgetAbort(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		b := &Budget{}
 		b.Deadline = time.Now().Add(-time.Second)
-		if _, _, err := e.build(nil, buildSide{rows: rel.Rows}, keyOf, nil, 1, w, b); !errors.Is(err, ErrBudget) {
+		if _, _, err := e.build(nil, rel.Rows, keyOf, nil, w, b); !errors.Is(err, ErrBudget) {
 			t.Errorf("w=%d: err = %v, want ErrBudget", w, err)
 		}
 	}

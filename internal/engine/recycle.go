@@ -156,7 +156,7 @@ func poisonHeaders(bufs [][]table.Row) {
 type held struct {
 	slabs   [][]value.Value
 	rows    [][]table.Row
-	subs    []hashTable
+	tables  []hashTable
 	links   [][]int32
 	filters [][]uint64
 }
@@ -169,8 +169,8 @@ func (h *held) keepRows(rows []table.Row) {
 }
 
 // keepTable lists a join table's buffers.
-func (h *held) keepTable(t *shardedTable) {
-	h.subs = append(h.subs, t.subs...)
+func (h *held) keepTable(t *joinTable) {
+	h.tables = append(h.tables, t.hashTable)
 	h.links = append(h.links, t.next)
 	if t.filter != nil {
 		h.filters = append(h.filters, t.filter)
@@ -184,7 +184,7 @@ func (h *held) mark() held { return *h }
 func (h *held) forget(m held) {
 	h.slabs = truncate(h.slabs, len(m.slabs))
 	h.rows = truncate(h.rows, len(m.rows))
-	h.subs = truncate(h.subs, len(m.subs))
+	h.tables = truncate(h.tables, len(m.tables))
 	h.links = truncate(h.links, len(m.links))
 	h.filters = truncate(h.filters, len(m.filters))
 }
@@ -204,7 +204,7 @@ func (h *held) release() {
 	for _, r := range h.rows {
 		freeRows.put(r)
 	}
-	for _, t := range h.subs {
+	for _, t := range h.tables {
 		freeSlots.put(t.slots)
 		freeEntries.put(t.entries)
 	}

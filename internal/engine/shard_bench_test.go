@@ -46,8 +46,8 @@ func benchQuery() *query.Query {
 }
 
 // BenchmarkCopartHashJoin times the full ExecTree drain of a co-partitioned
-// hash join (build key = shard column) across shard counts. S=1 is the
-// unsharded baseline; S>1 takes the shard-local scan + zero-exchange build.
+// hash join (build key = shard column) across shard counts. Every count runs
+// the same operators; S > 1 adds only the build's exchange attributes.
 func BenchmarkCopartHashJoin(b *testing.B) {
 	cat := benchCatalog(150_000, 600_000, 150_000)
 	q := benchQuery()
@@ -67,28 +67,24 @@ func BenchmarkCopartHashJoin(b *testing.B) {
 	cat.Shard(1)
 }
 
-// BenchmarkShardedBuildOnly isolates the hash build across the shapes the
-// join hands it: rows in stored order into one sub-table or sixteen (chunks
-// plus merge at w > 1), and the two co-partitioned shapes, which at w > 1
-// split at shard boundaries and merge nothing.
-func BenchmarkShardedBuildOnly(b *testing.B) {
-	const rows, keys, shards, workers = 600_000, 150_000, 16, 8
+// BenchmarkBuildOnly isolates the hash build of the copart join's build side
+// at one worker (one sequential pass) and at eight (chunks, then the
+// splice-merge).
+func BenchmarkBuildOnly(b *testing.B) {
+	const rows, keys = 600_000, 150_000
 	buildRel := benchCatalog(1, rows, keys).MustGet("B")
 	bTerm := &query.Term{Aliases: query.NewAliasSet("B"), Fn: expr.Identity("B.k")}
+	keyOf := evalKey(bTerm, buildRel.Schema)
 	e := New(table.NewCatalog()).NewExec(ExecConfig{})
-	for _, s := range []int{1, shards} {
-		for _, shape := range buildShapes(buildRel, evalKey(bTerm, buildRel.Schema), s) {
-			for _, w := range []int{1, workers} {
-				b.Run(fmt.Sprintf("S=%d/%s/w=%d", s, shape.name, w), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := e.build(nil, shape.side, shape.keyOf, nil, s, w, &Budget{}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+	for _, w := range []int{1, 8} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.build(nil, buildRel.Rows, keyOf, nil, w, &Budget{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -121,22 +117,4 @@ func BenchmarkMultiKeyJoin(b *testing.B) {
 			}
 		})
 	}
-}
-
-// shardMajor reorders a relation shard-major by its first column's hash,
-// returning the reordered relation and the cumulative per-shard bounds —
-// what a complete shard-major drain delivers.
-func shardMajor(rel *table.Relation, s int) (*table.Relation, []int) {
-	parts := make([][]table.Row, s)
-	for _, row := range rel.Rows {
-		h := row[0].Hash() % uint64(s)
-		parts[h] = append(parts[h], row)
-	}
-	var rows []table.Row
-	bounds := make([]int, 0, s)
-	for _, p := range parts {
-		rows = append(rows, p...)
-		bounds = append(bounds, len(rows))
-	}
-	return table.NewRelation(rel.Name, rel.Schema, rows), bounds
 }

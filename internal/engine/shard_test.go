@@ -66,8 +66,8 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedLargeParallel crosses the fan-out thresholds: the big fixture's
-// co-partitioned join exercises parallelShardedBuild, the shard-local scan's
-// per-shard parallelFilter, and the sharded partial-Σ merge at real widths.
+// co-partitioned join builds, scans and runs its Σ pass over several workers
+// on every layout.
 func TestShardedLargeParallel(t *testing.T) {
 	q := bigQuery()
 	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
@@ -92,8 +92,8 @@ func TestShardedLargeParallel(t *testing.T) {
 }
 
 // TestShardedBuildSideSelections pushes a selection onto the co-partitioned
-// build side so the shard-local scan filters within shards (serial and
-// fanned-out) and still matches the unsharded answer exactly.
+// build side, filtered serially and fanned out, and still matches the
+// unsharded answer exactly.
 func TestShardedBuildSideSelections(t *testing.T) {
 	q := query.NewBuilder("bigsel").
 		Rel("BR", "BR").Rel("BS", "BS").
@@ -117,11 +117,47 @@ func TestShardedBuildSideSelections(t *testing.T) {
 	}
 }
 
-// TestShardedSpansAndCounters checks the exchange telemetry: a
-// co-partitioned build carries local=1 with per-shard KShard spans under
-// its scan, a reshuffled build carries local=0 with the moved-row count,
-// and the monsoon.exchange.* counters see both. At S=1 none of it appears.
-func TestShardedSpansAndCounters(t *testing.T) {
+// exchangeAttrs are the attributes a hash build carries on a sharded catalog
+// alone: what the layout implies the build would move (noteExchange).
+var exchangeAttrs = map[string]bool{"shards": true, "local": true, "exchange_rows": true}
+
+// TestShardedSpansMatchUnsharded: a shard layout is a property of the plan,
+// not a second engine. At S ∈ {2, 4, 16} every matrix case's span stream —
+// every kind, KWorker included, name, parent, rows, produced and attribute but
+// the exchangeAttrs — equals S = 1's at the same batch size and worker count,
+// and no span of kind "shard" appears. The exchange attributes and counters
+// are checked on their own: a co-partitioned build carries local=1, a
+// reshuffled one local=0 with the moved-row count, the monsoon.exchange.*
+// counters see both, and at S=1 none of it appears.
+func TestShardedSpansMatchUnsharded(t *testing.T) {
+	all := func(*obs.Span) bool { return true }
+	spansAt := func(s, par int, mc matrixCase) []*obs.Span {
+		col := &obs.Collector{}
+		ex := New(matrixCatalog(matrixSeeds[0], s)).NewExec(ExecConfig{Obs: obs.NewTracer(col), Parallelism: par})
+		for _, tree := range mc.trees {
+			if _, _, err := ex.ExecTree(mc.q, tree, &Budget{}); err != nil {
+				t.Fatalf("S=%d par=%d %s %s: %v", s, par, mc.name, tree, err)
+			}
+		}
+		return col.Spans
+	}
+	for _, mc := range matrixCases() {
+		for _, par := range []int{1, 7} {
+			want := sigsOf(spansAt(1, par, mc), all, exchangeAttrs)
+			for _, s := range []int{2, 4, 16} {
+				spans := spansAt(s, par, mc)
+				for _, sp := range spans {
+					if sp.Kind == "shard" {
+						t.Errorf("S=%d par=%d %s: a %q span %s", s, par, mc.name, sp.Kind, sp.Name)
+					}
+				}
+				if got := sigsOf(spans, all, exchangeAttrs); !reflect.DeepEqual(got, want) {
+					t.Errorf("S=%d par=%d %s: span stream differs from S=1\n got %+v\nwant %+v", s, par, mc.name, got, want)
+				}
+			}
+		}
+	}
+
 	run := func(s int, tree *plan.Node) (*obs.Collector, *obs.Registry) {
 		cat := fixture()
 		cat.Shard(s)
@@ -133,37 +169,17 @@ func TestShardedSpansAndCounters(t *testing.T) {
 		}
 		return col, reg
 	}
-
 	copart := plan.NewJoin(leaf("R"), leaf("S")).WithSigma()
 	col, reg := run(4, copart)
-	var scanSpans, shardSpans []*obs.Span
-	byID := map[int]*obs.Span{}
-	for _, sp := range col.Spans {
-		byID[sp.ID] = sp
-		switch sp.Kind {
-		case obs.KScan:
-			scanSpans = append(scanSpans, sp)
-		case obs.KShard:
-			shardSpans = append(shardSpans, sp)
-		case obs.KHashBuild:
-			if sp.Num["shards"] != 4 || sp.Num["local"] != 1 {
-				t.Errorf("co-partitioned build attrs = %v, want shards=4 local=1", sp.Num)
-			}
-			if _, ok := sp.Num["exchange_rows"]; ok {
-				t.Error("co-partitioned build must not report exchange_rows")
-			}
-		}
+	builds := col.SpansOf(obs.KHashBuild)
+	if len(builds) != 1 {
+		t.Fatalf("got %d KHashBuild spans, want 1", len(builds))
 	}
-	// The build-side scan (S) is shard-local: 4 KShard children; the Σ pass
-	// adds 4 more. The probe-side scan (R) stays a plain scan.
-	if len(shardSpans) != 8 {
-		t.Fatalf("got %d KShard spans, want 8 (4 scan + 4 sigma)", len(shardSpans))
+	if sp := builds[0]; sp.Num["shards"] != 4 || sp.Num["local"] != 1 {
+		t.Errorf("co-partitioned build attrs = %v, want shards=4 local=1", sp.Num)
 	}
-	for _, sp := range shardSpans {
-		p, ok := byID[sp.Parent]
-		if !ok || (p.Kind != obs.KScan && p.Kind != obs.KSigma) {
-			t.Errorf("KShard span parented to %v, want a scan or sigma span", p)
-		}
+	if _, ok := builds[0].Num["exchange_rows"]; ok {
+		t.Error("co-partitioned build must not report exchange_rows")
 	}
 	if got := reg.Counter("monsoon.exchange.joins.local").Value(); got != 1 {
 		t.Errorf("joins.local = %d, want 1", got)
@@ -171,28 +187,16 @@ func TestShardedSpansAndCounters(t *testing.T) {
 	if got := reg.Counter("monsoon.exchange.joins.reshuffle").Value(); got != 0 {
 		t.Errorf("joins.reshuffle = %d, want 0", got)
 	}
-	if got := reg.Counter("monsoon.exchange.sigma.partials").Value(); got != 4 {
-		t.Errorf("sigma.partials = %d, want 4", got)
-	}
 
 	// R joined on its second column b: the build side is R (1000 rows, all
 	// keys non-NULL), so the build must reshuffle all 1000 rows.
-	reshuffle := plan.NewJoin(leaf("T"), leaf("R"))
-	col, reg = run(4, reshuffle)
-	sawBuild := false
-	for _, sp := range col.Spans {
-		if sp.Kind == obs.KShard {
-			t.Error("reshuffled build must not emit shard-local scan spans")
-		}
-		if sp.Kind == obs.KHashBuild {
-			sawBuild = true
-			if sp.Num["shards"] != 4 || sp.Num["local"] != 0 || sp.Num["exchange_rows"] != 1000 {
-				t.Errorf("reshuffle build attrs = %v, want shards=4 local=0 exchange_rows=1000", sp.Num)
-			}
-		}
+	col, reg = run(4, plan.NewJoin(leaf("T"), leaf("R")))
+	builds = col.SpansOf(obs.KHashBuild)
+	if len(builds) != 1 {
+		t.Fatalf("got %d KHashBuild spans, want 1", len(builds))
 	}
-	if !sawBuild {
-		t.Fatal("no KHashBuild span recorded")
+	if sp := builds[0]; sp.Num["shards"] != 4 || sp.Num["local"] != 0 || sp.Num["exchange_rows"] != 1000 {
+		t.Errorf("reshuffle build attrs = %v, want shards=4 local=0 exchange_rows=1000", sp.Num)
 	}
 	if got := reg.Counter("monsoon.exchange.joins.reshuffle").Value(); got != 1 {
 		t.Errorf("joins.reshuffle = %d, want 1", got)
@@ -201,18 +205,16 @@ func TestShardedSpansAndCounters(t *testing.T) {
 		t.Errorf("exchange.rows = %d, want 1000", got)
 	}
 
-	// S=1 keeps the legacy telemetry: no shard spans, no exchange attrs.
+	// S=1 keeps the legacy telemetry: no exchange attrs, no counters.
 	col, reg = run(1, copart)
 	for _, sp := range col.Spans {
-		if sp.Kind == obs.KShard {
-			t.Error("unsharded run emitted a KShard span")
-		}
-		if _, ok := sp.Num["shards"]; ok {
-			t.Errorf("unsharded %s span carries a shards attribute", sp.Kind)
+		for k := range exchangeAttrs {
+			if _, ok := sp.Num[k]; ok {
+				t.Errorf("unsharded %s span carries a %s attribute", sp.Kind, k)
+			}
 		}
 	}
-	for _, name := range []string{"monsoon.exchange.joins.local", "monsoon.exchange.joins.reshuffle",
-		"monsoon.exchange.rows", "monsoon.exchange.sigma.partials"} {
+	for _, name := range []string{"monsoon.exchange.joins.local", "monsoon.exchange.joins.reshuffle", "monsoon.exchange.rows"} {
 		if got := reg.Counter(name).Value(); got != 0 {
 			t.Errorf("unsharded run bumped %s to %d", name, got)
 		}
@@ -252,8 +254,9 @@ func TestShardedMaterializedReuseNotLocal(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetAbort: the shard-local scan must stop at the tuple cap
-// like every other operator, and report ErrBudget, not a wrong answer.
+// TestShardedBudgetAbort: a co-partitioned join on a sharded catalog stops
+// at the tuple cap like every other, and reports ErrBudget, not a wrong
+// answer.
 func TestShardedBudgetAbort(t *testing.T) {
 	cat := bigFixture()
 	cat.Shard(4)
@@ -264,9 +267,8 @@ func TestShardedBudgetAbort(t *testing.T) {
 	}
 }
 
-// TestUnshardedBuildReadsStoredRows: an unfiltered build leaf on an unsharded
-// catalog is read in place, as a co-partitioned one is on a sharded catalog.
-// Collecting it takes nothing from the row-header free list and hands over
+// TestUnshardedBuildReadsStoredRows: an unfiltered build leaf is read in
+// place. Collecting it takes nothing from the row-header free list and hands over
 // the stored rows themselves, with the accounting of a drain; and since the
 // scope never lists them, a poisoned Release leaves the stored table as it
 // was.
@@ -280,7 +282,7 @@ func TestUnshardedBuildReadsStoredRows(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ex := New(cat).NewExec(ExecConfig{Parallelism: par})
 		res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
-		it, _, err := ex.open(q, leaf("b"), &Budget{}, res, nil, nil, true)
+		it, _, err := ex.open(q, leaf("b"), &Budget{}, res, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +295,7 @@ func TestUnshardedBuildReadsStoredRows(t *testing.T) {
 		if took := after.Hits + after.Misses - before.Hits - before.Misses; took != 0 {
 			t.Errorf("par=%d: collecting the build leaf took %d row-header buffers from the free list", par, took)
 		}
-		if unsafe.SliceData(side.rows) != unsafe.SliceData(stored.Rows) || len(side.rows) != stored.Count() {
+		if unsafe.SliceData(side) != unsafe.SliceData(stored.Rows) || len(side) != stored.Count() {
 			t.Errorf("par=%d: the build side is a copy of the stored rows, not the rows themselves", par)
 		}
 		if n := float64(stored.Count()); res.Counts["b"] != n || res.Produced != n {

@@ -19,9 +19,9 @@
 // buffers in partition order), and operator spans open in one fixed order — a
 // join's umbrella, its left subtree, its right subtree, then its build and
 // probe — accumulating rows across batches. The only telemetry that varies is
-// the number of KWorker spans (one fan-out per large-enough batch) and of
-// KShard spans (one per storage shard), the two configuration-dependent span
-// kinds.
+// the number of KWorker spans (one fan-out per large-enough batch), the one
+// configuration-dependent span kind. A shard layout moves no operator: it
+// only adds the exchange attributes of a hash build (noteExchange).
 package engine
 
 import (
@@ -71,7 +71,7 @@ func (e *Exec) scanSlab() int {
 //
 // Two lifetimes are in play. The batch — the slice of row headers — belongs
 // to the iterator and is valid only until the next Next call: scans and joins
-// reuse their gather and output buffers. The rows it points at live as long
+// reuse their stitch and output buffers. The rows it points at live as long
 // as their consumer said it needs them when it opened the iterator (open's
 // keep). A scan's rows are the stored table's. A join writes each output row
 // once, into a slot of a slab it never writes again and never reuses before
@@ -130,44 +130,36 @@ func (t *nodeIter) Close(err error) { t.inner.Close(err) }
 
 // collect gathers the node's whole output for a pipeline breaker and closes
 // the node, listing the buffer it gathered into on h. An unfiltered scan hands
-// its stored rows over instead of being drained, on any storage layout, with
-// the accounting of a complete drain. The stored rows are the catalog's, so
-// they are never listed on h: Release can neither recycle nor poison them.
-func (t *nodeIter) collect(h *held) (buildSide, error) {
-	sc, _ := t.inner.(*scanIter)
-	if sc != nil && sc.filter == nil {
+// its stored rows over instead of being drained, with the accounting of a
+// complete drain. The stored rows are the catalog's, so they are never listed
+// on h: Release can neither recycle nor poison them.
+func (t *nodeIter) collect(h *held) ([]table.Row, error) {
+	if sc, ok := t.inner.(*scanIter); ok && sc.filter == nil {
 		t0 := time.Now()
 		err := sc.handoff()
 		t.res.Times[t.key] += time.Since(t0)
 		if err != nil {
-			return buildSide{}, err
+			return nil, err
 		}
 		t.res.Produced += float64(sc.base.Count())
 		t.res.Counts[t.key] = float64(sc.base.Count())
-		side := buildSide{rows: sc.base.Rows}
-		if sc.sh != nil {
-			side.bounds, side.perm = sc.sh.Bounds, sc.sh.Perm
-		}
-		return side, nil
+		return sc.base.Rows, nil
 	}
-	var side buildSide
+	var rows []table.Row
 	for {
 		b, err := t.Next()
 		if err != nil {
 			t.Close(err)
-			return buildSide{}, err
+			return nil, err
 		}
 		if b == nil {
 			break
 		}
-		side.rows = append(growRows(side.rows, len(b)), b...)
+		rows = append(growRows(rows, len(b)), b...)
 	}
 	t.Close(nil)
-	h.keepRows(side.rows)
-	if sc != nil {
-		side.bounds = sc.bounds
-	}
-	return side, nil
+	h.keepRows(rows)
+	return rows, nil
 }
 
 // open builds the iterator pipeline for a plan node and wraps it with
@@ -175,11 +167,10 @@ func (t *nodeIter) collect(h *held) (buildSide, error) {
 // root (where the ambient tracer stack — holding the KMaterialize span —
 // supplies the parent). Below the root the parent must be explicit: a sibling
 // subtree's spans stay open on the ambient stack while this one opens, so
-// ambient parenting would splice unrelated operators together. layout, when
-// non-nil, is the storage layout a leaf scan walks shard-major. keep says
+// ambient parenting would splice unrelated operators together. keep says
 // whether the consumer keeps the rows it is handed (see rowIter). Open time
 // is charged to the node's inclusive time.
-func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, layout *table.Sharded, keep bool) (*nodeIter, *table.Schema, error) {
+func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResult, parent *obs.Span, keep bool) (*nodeIter, *table.Schema, error) {
 	t0 := time.Now()
 	var (
 		it     rowIter
@@ -187,7 +178,7 @@ func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResul
 		err    error
 	)
 	if n.IsLeaf() {
-		it, schema, err = e.openLeaf(q, n, budget, parent, layout)
+		it, schema, err = e.openLeaf(q, n, budget, parent)
 	} else {
 		it, schema, err = e.openJoin(q, n, budget, res, parent, keep)
 	}
@@ -201,7 +192,7 @@ func (e *Exec) open(q *query.Query, n *plan.Node, budget *Budget, res *ExecResul
 // openLeaf resolves a leaf into an iterator: a previously materialized
 // expression if one exists under the leaf's key, otherwise a scan of the
 // stored base table with every single-alias selection pushed down.
-func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span, layout *table.Sharded) (rowIter, *table.Schema, error) {
+func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *obs.Span) (rowIter, *table.Schema, error) {
 	key := n.Key()
 	if m, ok := e.mats[key]; ok {
 		// Reusing a materialized expression still costs one pass over it
@@ -220,10 +211,7 @@ func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *ob
 	base := e.eng.Cat.MustGet(tbl).Renamed(alias)
 	sels := q.SelsAt(n.Leaf)
 	sp := e.Obs.StartChild(parent, obs.KScan, alias).SetStr("expr", key).SetNum("selections", float64(len(sels)))
-	it := &scanIter{e: e, sp: sp, base: base, sh: layout, budget: budget, slab: e.scanSlab()}
-	if layout != nil {
-		sp.SetNum("shards", float64(layout.NumShards()))
-	}
+	it := &scanIter{e: e, sp: sp, base: base, budget: budget, slab: e.scanSlab()}
 	if len(sels) > 0 {
 		var err error
 		it.filter, err = newPool(e, func() (*filterState, error) { return newFilterState(sels, base.Schema) })
@@ -272,74 +260,36 @@ func (r *reuseIter) Close(error) {
 	r.sp.End()
 }
 
-// scanIter streams a base table slab by slab, applying pushed-down
-// selections. Its row source is the table in stored order, or — for the
-// build side of a co-partitioned join (sh non-nil) — a shard-major walk of
-// the storage layout's permutation, one KShard span per storage shard.
-// Budget charges are the same either way: per slab without selections, per
-// kept row with. Shard-major order is safe only because the consumer is a
-// hash build, whose per-key layout does not depend on the order shards
-// arrive in; a streaming probe side never scans this way.
+// scanIter streams a base table in stored order, slab by slab, applying
+// pushed-down selections. Budget charges are per slab without selections, per
+// kept row with.
 type scanIter struct {
 	e      *Exec
 	sp     *obs.Span
-	base   *table.Relation // renamed view: schema under the query alias
-	sh     *table.Sharded
+	base   *table.Relation    // renamed view: schema under the query alias
 	filter *pool[filterState] // nil without selections: slabs pass through
 	budget *Budget
 	slab   int
-	seg    int         // current segment: a storage shard, or the whole table
-	pos    int         // position within the segment
-	cur    *obs.Span   // current shard's KShard span
-	buf    []table.Row // gather buffer of the shard-major walk
+	pos    int
 	batch  []table.Row // stitch buffer of a filter fanned out over workers
-	bounds []int       // shard-major walk: rows kept by the end of each finished shard
-	segOut int         // rows kept from the current segment
 	kept   int
 	fail   error
 	closed bool
 }
 
-// segment returns the current segment's length and whether one is left.
-func (s *scanIter) segment() (n int, ok bool) {
-	if s.sh == nil {
-		return s.base.Count(), s.seg == 0
+// advance steps to the next slab of the stored rows, nil at the end.
+func (s *scanIter) advance() []table.Row {
+	lo := s.pos
+	if lo >= s.base.Count() {
+		return nil
 	}
-	if s.seg >= s.sh.NumShards() {
-		return 0, false
-	}
-	return len(s.sh.Shard(s.seg)), true
-}
-
-// advance steps to the next slab and returns its bounds within the current
-// segment, opening and closing KShard spans at shard boundaries.
-func (s *scanIter) advance() (lo, hi int, ok bool) {
-	for {
-		n, more := s.segment()
-		if !more {
-			return 0, 0, false
-		}
-		if s.sh != nil && s.cur == nil {
-			s.cur = s.e.Obs.StartChild(s.sp, obs.KShard, fmt.Sprintf("s%d", s.seg))
-		}
-		if s.pos < n {
-			lo, hi = s.pos, min(s.pos+s.slab, n)
-			s.pos = hi
-			return lo, hi, true
-		}
-		s.cur.SetRows(n, s.segOut).End()
-		s.cur, s.segOut, s.pos = nil, 0, 0
-		if s.sh != nil {
-			s.bounds = append(s.bounds, s.kept)
-		}
-		s.seg++
-	}
+	s.pos = min(lo+s.slab, s.base.Count())
+	return s.base.Rows[lo:s.pos]
 }
 
 // pass charges and counts n rows that reach the output unfiltered.
 func (s *scanIter) pass(n int) error {
 	s.kept += n
-	s.segOut += n
 	if err := s.budget.Charge(n); err != nil {
 		s.fail = err
 		return err
@@ -347,45 +297,24 @@ func (s *scanIter) pass(n int) error {
 	return nil
 }
 
-// slabRows returns the rows of one slab of the current segment: a slice of
-// the stored rows, or a gather through the layout's permutation.
-func (s *scanIter) slabRows(lo, hi int) []table.Row {
-	if s.sh == nil {
-		return s.base.Rows[lo:hi]
-	}
-	ids := s.sh.Shard(s.seg)[lo:hi]
-	s.buf = growRows(s.buf[:0], len(ids))
-	rows := s.buf[:len(ids)]
-	for j, id := range ids {
-		rows[j] = s.base.Rows[id]
-	}
-	return rows
-}
-
 func (s *scanIter) Next() ([]table.Row, error) {
 	for {
-		lo, hi, ok := s.advance()
-		if !ok {
+		rows := s.advance()
+		if rows == nil {
 			return nil, nil
 		}
-		rows := s.slabRows(lo, hi)
 		if s.filter == nil {
 			if err := s.pass(len(rows)); err != nil {
 				return nil, err
 			}
 			return rows, nil
 		}
-		op := s.sp
-		if s.cur != nil {
-			op = s.cur
-		}
 		w := s.e.workers(len(rows))
-		err := s.filter.run(op, len(rows), w, func(st *filterState, lo, hi int) error {
+		err := s.filter.run(s.sp, len(rows), w, func(st *filterState, lo, hi int) error {
 			return st.filterRows(rows[lo:hi], s.budget)
 		})
 		out := stitch(&s.batch, w, func(i int) []table.Row { return s.filter.states[i].out })
 		s.kept += len(out)
-		s.segOut += len(out)
 		if err != nil {
 			s.fail = err
 			return nil, err
@@ -397,23 +326,19 @@ func (s *scanIter) Next() ([]table.Row, error) {
 }
 
 // handoff is the no-drain form of an unfiltered scan, for a build that reads
-// the stored rows in place (base.Rows, through the layout's permutation when
-// the walk is shard-major): every stored row survives such a scan, so there
-// is nothing to gather. It emits the spans and slab-granular charges of a full
+// the stored rows in place: every stored row survives such a scan, so there is
+// nothing to gather. It emits the spans and slab-granular charges of a full
 // drain — the trace and the budget cannot tell the two apart — and ends the
 // scan; only the per-row-header copies of gather-then-drain disappear.
 func (s *scanIter) handoff() error {
-	for {
-		lo, hi, ok := s.advance()
-		if !ok {
-			s.Close(nil)
-			return nil
-		}
-		if err := s.pass(hi - lo); err != nil {
+	for rows := s.advance(); rows != nil; rows = s.advance() {
+		if err := s.pass(len(rows)); err != nil {
 			s.Close(err)
 			return err
 		}
 	}
+	s.Close(nil)
+	return nil
 }
 
 func (s *scanIter) Close(error) {
@@ -421,18 +346,11 @@ func (s *scanIter) Close(error) {
 		return
 	}
 	s.closed = true
-	s.e.held.keepRows(s.buf)
 	s.e.held.keepRows(s.batch)
 	if s.filter != nil {
 		for _, st := range s.filter.states {
 			s.e.held.keepRows(st.out)
 		}
-	}
-	if s.cur != nil {
-		if s.fail != nil {
-			s.cur.SetStr("err", s.fail.Error())
-		}
-		s.cur.SetRows(len(s.sh.Shard(s.seg)), s.segOut).End()
 	}
 	s.sp.SetRows(s.base.Count(), s.kept)
 	if s.fail != nil {
@@ -455,20 +373,13 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 		jsp.SetStr("err", err.Error()).End()
 		return nil, nil, err
 	}
-	// The hash predicate is chosen before the children open (it is pure) so
-	// the exchange decision can steer how the build child is scanned: a
-	// build child served directly by the storage layout on the join key
-	// scans shard-major and builds with zero moved rows; any other hash
-	// build on a sharded catalog is a reshuffle.
 	spec := &joinSpec{node: n, sels: q.SelsNewAt(n.Left.Aliases(), n.Right.Aliases())}
 	spec.pickHash(q.PredsNewAt(n.Left.Aliases(), n.Right.Aliases()))
-	layout := e.coPartitioned(q, n.Right, spec.buildTerm)
-
-	left, lschema, err := e.open(q, n.Left, budget, res, jsp, nil, false)
+	left, lschema, err := e.open(q, n.Left, budget, res, jsp, false)
 	if err != nil {
 		return fail(err)
 	}
-	right, rschema, err := e.open(q, n.Right, budget, res, jsp, layout, true)
+	right, rschema, err := e.open(q, n.Right, budget, res, jsp, true)
 	if err != nil {
 		return fail(err, left)
 	}
@@ -477,50 +388,49 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	if err != nil {
 		return fail(err, left, right)
 	}
-	side, err := right.collect(&e.held)
+	build, err := right.collect(&e.held)
 	if err != nil {
 		return fail(err, left)
 	}
-	it := &joinIter{e: e, jsp: jsp, left: left, build: side.rows, states: states, budget: budget, stream: !keep}
+	it := &joinIter{e: e, jsp: jsp, left: left, build: build, states: states, budget: budget, stream: !keep}
 	residuals := float64(len(spec.preds) + len(spec.sels))
 	if spec.buildTerm == nil {
-		it.prior = float64(len(side.rows))
+		it.prior = float64(len(build))
 		it.sp = e.Obs.StartChild(jsp, obs.KNestedLoop, n.Key()).SetNum("residuals", residuals)
 		return it, spec.out, nil
-	}
-	keyOf := evalKey(spec.buildTerm, rschema)
-	if side.perm != nil {
-		keyOf = storedKey(layout)
 	}
 	var filterOf func() filterFn
 	if len(spec.buildRest) > 0 {
 		filterOf = keyFilter(spec.buildRest, rschema)
 	}
 	bsp := e.Obs.StartChild(jsp, obs.KHashBuild, n.Key()).SetNum("key_terms", float64(1+len(spec.buildRest)))
-	ht, inserted, err := e.build(bsp, side, keyOf, filterOf, e.shardCount(), e.workers(len(side.rows)), budget)
-	bsp.SetRows(len(side.rows), inserted)
+	ht, inserted, err := e.build(bsp, build, evalKey(spec.buildTerm, rschema), filterOf, e.workers(len(build)), budget)
+	bsp.SetRows(len(build), inserted)
 	if err != nil {
 		bsp.SetStr("err", err.Error()).End()
 		return fail(err, left)
 	}
-	e.noteExchange(bsp, layout != nil, inserted)
+	e.noteExchange(bsp, q, n.Right, spec.buildTerm, inserted)
 	bsp.SetNum("residuals", residuals).End()
 	it.ht = ht
-	if keys := ht.keys(); keys > 0 {
+	if keys := len(ht.entries); keys > 0 {
 		it.prior = float64(inserted) / float64(keys)
 	}
 	it.sp = e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
 	return it, spec.out, nil
 }
 
-// noteExchange records what a hash build on a sharded catalog moved: nothing
-// when the build side was co-partitioned (local), otherwise every inserted
-// row, hash-routed across the exchange.
-func (e *Exec) noteExchange(bsp *obs.Span, local bool, inserted int) {
-	shards := e.shardCount()
+// noteExchange records the exchange a hash build implies on a sharded
+// catalog, which is what the cost model prices: nothing when the build child
+// is co-partitioned with the join key (local), otherwise every inserted row,
+// hash-routed across the exchange. The engine runs the same operators either
+// way; the layout is a property of the plan, not a second execution path.
+func (e *Exec) noteExchange(bsp *obs.Span, q *query.Query, build *plan.Node, term *query.Term, inserted int) {
+	shards := e.eng.Cat.ShardCount()
 	if shards == 1 {
 		return
 	}
+	local := e.coPartitioned(q, build, term)
 	bsp.SetNum("shards", float64(shards))
 	if local {
 		bsp.SetNum("local", 1)
@@ -560,7 +470,7 @@ type joinIter struct {
 	jsp, sp *obs.Span // the KJoin umbrella; the KHashProbe or KNestedLoop operator
 	left    rowIter
 	build   []table.Row
-	ht      *shardedTable
+	ht      *joinTable
 	states  *pool[joinState]
 	budget  *Budget
 	batch   []table.Row // stitch buffer of a batch fanned out over workers
@@ -673,27 +583,16 @@ func (j *joinIter) Close(err error) {
 	j.jsp.SetRows(0, j.emitted).End()
 }
 
-// coPartitioned returns the storage layout that serves a join's build child
-// directly, or nil: the child must be a leaf plan.Node.ShardLocal accepts,
-// not reused from a materialized intermediate. Equal join keys then never
-// span storage shards (the shard column IS the join key and routing is by its
-// hash), so the build can scan shard-major with zero row movement and still
-// yield the hash-table layout of a scan in stored order — within a storage
-// shard rows keep their original relative order, and all rows of one key live
-// in one shard, so every chain's row list comes out the same.
-func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) *table.Sharded {
-	if buildTerm == nil {
-		return nil
-	}
+// coPartitioned reports whether the storage layout serves a join's build
+// child directly: the child must be a leaf plan.Node.ShardLocal accepts, not
+// reused from a materialized intermediate, whose rows are not the stored
+// table's. Equal join keys then never span storage shards (the shard column
+// IS the join key and routing is by its hash), so the layout implies no
+// exchange for the build.
+func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) bool {
 	if _, mat := e.mats[n.Key()]; mat {
-		// A materialized intermediate is reused from the Re store, not the
-		// storage layer; its rows are not shard-partitioned.
-		return nil
+		return false
 	}
-	tbl, ok := n.ShardLocal(q, buildTerm, e.eng.Cat)
-	if !ok {
-		return nil
-	}
-	sh, _ := e.eng.Cat.ShardsOf(tbl)
-	return sh
+	_, ok := n.ShardLocal(q, buildTerm, e.eng.Cat)
+	return ok
 }

@@ -237,7 +237,7 @@ func TestStreamingJoinHoldsOneBatch(t *testing.T) {
 			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
 			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
 			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
-			it, _, err := ex.open(q, tree, &Budget{}, res, nil, nil, true)
+			it, _, err := ex.open(q, tree, &Budget{}, res, nil, true)
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}

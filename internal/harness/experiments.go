@@ -54,11 +54,12 @@ type Scale struct {
 	// serial planning. The shard decomposition is fixed by the planner
 	// config, so plans are bit-identical at every setting.
 	PlanParallelism int
-	// Shards partitions every generated catalog into that many deterministic
-	// hash shards (first-column layout), switching on the engine's
-	// exchange-style operators for every run of the campaign: 0 or 1 keeps
-	// the single unsharded store. Query answers are bit-identical at every
-	// setting; only wall times and the exchange telemetry change.
+	// Shards lays every generated catalog out as that many deterministic
+	// hash shards (first-column layout), which the planner prices as
+	// exchange cost for every run of the campaign: 0 or 1 keeps the catalog
+	// unsharded. The engine runs the same operators at every setting and
+	// query answers are bit-identical; only plan choice and the exchange
+	// telemetry change.
 	Shards int
 }
 

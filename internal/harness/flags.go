@@ -50,7 +50,7 @@ func BindFlags(fs *flag.FlagSet, defaultScale string, groups FlagGroup) *Flags {
 	if groups&EngineFlags != 0 {
 		fs.IntVar(&f.parallelism, "parallelism", 0, "engine worker count per query: 0 = all cores, 1 = serial (results are identical either way)")
 		fs.IntVar(&f.batchSize, "batch-size", 0, "engine pipeline batch size: 0 or negative = default (4096); a size no intermediate reaches materializes each operator (results are identical at any size)")
-		fs.IntVar(&f.shards, "shards", 0, "partition every generated catalog into N hash shards for exchange-style execution: 0 or 1 = unsharded (results are identical at any count)")
+		fs.IntVar(&f.shards, "shards", 0, "lay every generated catalog out as N hash shards, a layout the planner prices as exchange cost: 0 or 1 = unsharded (the engine runs the same operators and results are identical at any count)")
 		fs.IntVar(&f.planParallelism, "plan-parallelism", 0, "MCTS planner thread count per query: 0 = all cores, 1 = serial (plans are identical either way)")
 	}
 	if groups&CostFlags != 0 {

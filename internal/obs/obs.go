@@ -66,14 +66,9 @@ const (
 	KPlanShard = "plan-shard"
 	// KWorker is one worker of a parallel operator fan-out, parented to the
 	// operator span. Worker counts depend on GOMAXPROCS, so — unlike every
-	// other kind — KWorker span counts are machine-dependent; trace-diff
-	// tooling excludes them from count comparisons by default.
+	// other kind, the catalog's -shards layout included — KWorker span counts
+	// are machine-dependent; trace-diff tooling excludes them by default.
 	KWorker = "worker"
-	// KShard is one storage shard of an exchange-style operator (shard-local
-	// scan, partial Σ), parented to the operator span. Shard counts depend on
-	// the catalog's -shards layout, not the query, so like KWorker they are
-	// excluded from trace-diff count comparisons by default.
-	KShard = "shard"
 )
 
 // AttrCacheHit is the string attribute set on KPlan spans when a plan cache

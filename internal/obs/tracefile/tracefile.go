@@ -199,10 +199,9 @@ type DiffOptions struct {
 	// both sides — relative tolerance is meaningless at microsecond scale.
 	// Defaults to 5ms when zero and TimingTol is set.
 	MinTiming time.Duration
-	// IncludeWorkers compares "worker" and "shard" span counts too. Off by
-	// default: worker fan-out follows GOMAXPROCS and shard fan-out follows
-	// the catalog's -shards layout, so those counts are configuration-
-	// dependent while every other kind is deterministic.
+	// IncludeWorkers compares "worker" span counts and timings too. Off by
+	// default: worker fan-out follows GOMAXPROCS, so those spans are
+	// machine-dependent while every other kind is deterministic.
 	IncludeWorkers bool
 }
 
@@ -224,7 +223,7 @@ func Diff(a, b *Trace, opt DiffOptions) []string {
 	}
 	sort.Strings(sorted)
 	for _, k := range sorted {
-		if (k == obs.KWorker || k == obs.KShard) && !opt.IncludeWorkers {
+		if k == obs.KWorker && !opt.IncludeWorkers {
 			continue
 		}
 		if a.Counts[k] != b.Counts[k] {
@@ -249,7 +248,7 @@ func Diff(a, b *Trace, opt DiffOptions) []string {
 		bt[s.Kind] = s.Total
 	}
 	for _, k := range sorted {
-		if (k == obs.KWorker || k == obs.KShard) && !opt.IncludeWorkers {
+		if k == obs.KWorker && !opt.IncludeWorkers {
 			continue
 		}
 		x, y := at[k], bt[k]

@@ -146,16 +146,17 @@ func TestDiffExcludesWorkersByDefault(t *testing.T) {
 	}
 }
 
-func TestDiffExcludesShardsByDefault(t *testing.T) {
-	// Shard fan-out follows the catalog's -shards layout the same way worker
-	// fan-out follows GOMAXPROCS, so it is excluded unless opted in.
-	a := spanTrace(map[string][]time.Duration{"scan": {1}, obs.KShard: {1, 1, 1, 1}})
-	b := spanTrace(map[string][]time.Duration{"scan": {1}, obs.KShard: {1}})
-	if diffs := Diff(a, b, DiffOptions{}); len(diffs) != 0 {
-		t.Errorf("shard counts compared by default: %v", diffs)
+func TestDiffExcludesWorkerTimingsByDefault(t *testing.T) {
+	// A worker's busy time follows the machine as its count does, so worker
+	// timings are excluded unless opted in, like worker counts.
+	ms := time.Millisecond
+	a := spanTrace(map[string][]time.Duration{"scan": {100 * ms}, obs.KWorker: {100 * ms, 100 * ms}})
+	b := spanTrace(map[string][]time.Duration{"scan": {100 * ms}, obs.KWorker: {300 * ms, 300 * ms}})
+	if diffs := Diff(a, b, DiffOptions{TimingTol: 0.25}); len(diffs) != 0 {
+		t.Errorf("worker timings compared by default: %v", diffs)
 	}
-	diffs := Diff(a, b, DiffOptions{IncludeWorkers: true})
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "count shard: 4 vs 1") {
+	diffs := Diff(a, b, DiffOptions{TimingTol: 0.25, IncludeWorkers: true})
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "timing worker") {
 		t.Errorf("diffs with IncludeWorkers = %v", diffs)
 	}
 }

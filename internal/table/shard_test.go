@@ -17,53 +17,10 @@ func shardFixture() *Catalog {
 	return c
 }
 
-func TestShardPartitionsByFirstColumnHash(t *testing.T) {
-	for _, s := range []int{2, 4, 16} {
-		c := shardFixture()
-		c.Shard(s)
-		if c.ShardCount() != s {
-			t.Fatalf("ShardCount = %d, want %d", c.ShardCount(), s)
-		}
-		sh, ok := c.ShardsOf("r")
-		if !ok || sh.NumShards() != s {
-			t.Fatalf("ShardsOf(r) = %v,%v at S=%d", sh, ok, s)
-		}
-		if sh.Col != "r.k" {
-			t.Errorf("shard column = %q, want r.k", sh.Col)
-		}
-		base := c.MustGet("r")
-		total := 0
-		for h := 0; h < sh.NumShards(); h++ {
-			idx := sh.Shard(h)
-			total += len(idx)
-			for _, i := range idx {
-				if got := base.Rows[i][0].Hash() % uint64(s); got != uint64(h) {
-					t.Fatalf("row with hash bucket %d landed in shard %d", got, h)
-				}
-			}
-			// Indices keep their original (ascending) order within a shard.
-			for i := 1; i < len(idx); i++ {
-				if idx[i] <= idx[i-1] {
-					t.Fatal("shard perturbed original row order")
-				}
-			}
-		}
-		if total != 100 {
-			t.Errorf("shards hold %d rows, want 100", total)
-		}
-		if key, ok := c.ShardKey("r"); !ok || key != "k" {
-			t.Errorf("ShardKey(r) = %q,%v", key, ok)
-		}
-	}
-}
-
 func TestShardClearAndUnsharded(t *testing.T) {
 	c := shardFixture()
 	if c.ShardCount() != 1 {
 		t.Errorf("fresh catalog ShardCount = %d, want 1", c.ShardCount())
-	}
-	if _, ok := c.ShardsOf("r"); ok {
-		t.Error("unsharded catalog must not expose shards")
 	}
 	if _, ok := c.ShardKey("r"); ok {
 		t.Error("unsharded catalog must not expose a shard key")
@@ -76,23 +33,38 @@ func TestShardClearAndUnsharded(t *testing.T) {
 	if c.ShardCount() != 1 {
 		t.Errorf("ShardCount after clear = %d, want 1", c.ShardCount())
 	}
-	if _, ok := c.ShardsOf("r"); ok {
-		t.Error("cleared layout must not expose shards")
+	if _, ok := c.ShardKey("r"); ok {
+		t.Error("cleared layout must not expose a shard key")
 	}
 }
 
+// TestShardPutKeepsLayoutFresh: a table put under an active layout is in it
+// at once, with its first column as shard key, and the fingerprint is the
+// one the layout has always had — the pinned digests were computed when the
+// layout still partitioned the rows.
 func TestShardPutKeepsLayoutFresh(t *testing.T) {
 	c := shardFixture()
 	c.Shard(4)
+	if key, ok := c.ShardKey("r"); !ok || key != "k" {
+		t.Errorf("ShardKey(r) = %q,%v, want k", key, ok)
+	}
 	b := NewBuilder("t2", NewSchema(intCol("t2", "id")))
 	b.Add(value.Int(7))
 	c.Put(b.Build())
-	sh, ok := c.ShardsOf("t2")
-	if !ok || sh.NumShards() != 4 {
-		t.Fatalf("table added under an active layout must be sharded, got %v,%v", sh, ok)
+	c.Put(NewBuilder("empty", NewSchema()).Build())
+	if key, ok := c.ShardKey("t2"); !ok || key != "id" {
+		t.Errorf("table added under an active layout: ShardKey(t2) = %q,%v, want id", key, ok)
 	}
-	if len(sh.Perm) != 1 {
-		t.Errorf("t2 shards hold %d rows, want 1", len(sh.Perm))
+	if _, ok := c.ShardKey("empty"); ok {
+		t.Error("a table without columns must not expose a shard key")
+	}
+	if fp := c.LayoutFingerprint(); fp != "b0915ba65ac060a1" {
+		t.Errorf("S=4 fingerprint with t2 and empty = %q, want b0915ba65ac060a1", fp)
+	}
+	d := shardFixture()
+	d.Shard(16)
+	if fp := d.LayoutFingerprint(); fp != "c6c7e8d3614ca6c0" {
+		t.Errorf("S=16 fingerprint = %q, want c6c7e8d3614ca6c0", fp)
 	}
 }
 

@@ -173,24 +173,18 @@ func (b *Builder) Build() *Relation {
 }
 
 // Catalog maps base-table names to stored relations, plus the optional
-// hash-shard layout built by Shard (see shard.go).
+// hash-shard layout set by Shard (see shard.go).
 type Catalog struct {
 	tables     map[string]*Relation
-	shards     map[string]*Sharded
 	shardCount int
 }
 
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*Relation)} }
 
-// Put registers (or replaces) a stored table. Under an active shard layout
-// the new rows are partitioned immediately so the layout never goes stale.
-func (c *Catalog) Put(r *Relation) {
-	c.tables[r.Name] = r
-	if c.shardCount > 1 {
-		c.shards[r.Name] = shardRelation(r, c.shardCount)
-	}
-}
+// Put registers (or replaces) a stored table. An active shard layout covers
+// it at once: the layout is a count over every table's first column.
+func (c *Catalog) Put(r *Relation) { c.tables[r.Name] = r }
 
 // Get fetches a stored table.
 func (c *Catalog) Get(name string) (*Relation, bool) {
