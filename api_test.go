@@ -221,6 +221,19 @@ func TestRunBudgets(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsAliasWithKeySeparator: an alias holding '+' reads as two
+// aliases in a statistics key, so its input size would be recorded under a
+// text no lookup by set finds. Build refuses it instead of Run panicking.
+func TestBuildRejectsAliasWithKeySeparator(t *testing.T) {
+	_, err := NewQuery("q").
+		Rel("a", "events").Rel("x+y", "users").
+		Join(Identity("a.user_id"), Identity("x+y.id")).
+		Build()
+	if err == nil || !strings.Contains(err.Error(), `"x+y"`) {
+		t.Fatalf("Build error %v, want one naming the alias \"x+y\"", err)
+	}
+}
+
 func TestNewUDF(t *testing.T) {
 	double := NewUDF("double", []string{"e.user_id"}, func(args []Value) Value {
 		return Int(args[0].AsInt() * 2)

@@ -31,12 +31,13 @@ const MaxAliases = 64
 type universe struct {
 	names []string // sorted, unique, at most MaxAliases
 	// texts memoises the Key and Names of multi-member subsets (uint64 bits →
-	// *setText). It only ever holds subsets some plan actually formed, and it
-	// lives and dies with the query that owns the universe.
+	// *subsetText). It only ever holds subsets some plan actually formed, and
+	// it lives and dies with the query that owns the universe and any
+	// statistics store keyed over it.
 	texts sync.Map
 }
 
-type setText struct {
+type subsetText struct {
 	key   string
 	names []string
 }
@@ -75,16 +76,16 @@ func (u *universe) index(name string) int {
 	return -1
 }
 
-func (u *universe) text(b uint64) *setText {
+func (u *universe) text(b uint64) *subsetText {
 	if t, ok := u.texts.Load(b); ok {
-		return t.(*setText)
+		return t.(*subsetText)
 	}
 	names := make([]string, 0, bits.OnesCount64(b))
 	for r := b; r != 0; r &= r - 1 {
 		names = append(names, u.names[bits.TrailingZeros64(r)])
 	}
-	t, _ := u.texts.LoadOrStore(b, &setText{key: strings.Join(names, "+"), names: names})
-	return t.(*setText)
+	t, _ := u.texts.LoadOrStore(b, &subsetText{key: strings.Join(names, "+"), names: names})
+	return t.(*subsetText)
 }
 
 // AliasSet is an immutable set of relation aliases, held as membership bits
@@ -125,50 +126,20 @@ func (s AliasSet) bitsIn(u *universe) (b uint64, all bool) {
 }
 
 // WordOf returns the membership bits of s over u's universe, translating by
-// name when s comes from another one; false when u is the zero set or its
-// universe lacks one of s's members. A statistics store bound to a query keys
-// its entries by these words.
-func (u AliasSet) WordOf(s AliasSet) (uint64, bool) {
-	if s.u == u.u && u.u != nil {
-		return s.bits, true
-	}
-	if u.u == nil {
-		return 0, false
-	}
-	return s.bitsIn(u.u)
-}
+// name when s comes from another one; false when u's universe lacks one of
+// s's members. A statistics store keys its entries by these words.
+func (u AliasSet) WordOf(s AliasSet) (uint64, bool) { return s.bitsIn(u.u) }
 
 // Subset returns the set whose bits over u's universe are w.
 func (u AliasSet) Subset(w uint64) AliasSet { return AliasSet{u: u.u, bits: w} }
 
-// ParseKey is the inverse of Key over u's universe: the bits of the set whose
-// Key is key; false when key is not the Key of any set of it (an unknown name,
-// or names out of order or repeated). It keeps the one-to-one correspondence
-// between a set and its key text that string-keyed statistics relied on.
-func (u AliasSet) ParseKey(key string) (uint64, bool) {
-	if u.u == nil {
-		return 0, false
+// Universe returns the set of every alias s's universe holds: a built
+// query's Aliases for any set the query hands out.
+func (s AliasSet) Universe() AliasSet {
+	if s.u == nil {
+		return AliasSet{}
 	}
-	var w uint64
-	last := -1
-	for rest := key; rest != ""; {
-		name := rest
-		if i := strings.IndexByte(rest, '+'); i >= 0 {
-			name, rest = rest[:i], rest[i+1:]
-			if rest == "" {
-				return 0, false // a trailing separator
-			}
-		} else {
-			rest = ""
-		}
-		i := u.u.index(name)
-		if i <= last {
-			return 0, false
-		}
-		w |= 1 << uint(i)
-		last = i
-	}
-	return w, true
+	return AliasSet{u: s.u, bits: s.u.full()}
 }
 
 // Key returns the canonical string form ("a+b+c"), used as a map key for

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 
 	"monsoon/internal/expr"
 	"monsoon/internal/value"
@@ -252,11 +253,19 @@ func (e *TooManyRelationsError) Error() string {
 }
 
 // Validate checks structural invariants: the relations fit one alias
-// universe, aliases resolve, join sides are disjoint and non-empty, term IDs
-// are dense. Builders call it; tests can too.
+// universe, every alias is a name a statistics key can spell, aliases
+// resolve, join sides are disjoint and non-empty, term IDs are dense.
+// Builders call it; tests can too.
 func (q *Query) Validate() error {
 	if err := q.tooWide(); err != nil {
 		return err
+	}
+	for _, r := range q.Rels {
+		// AliasSet.Key joins names with '+' and stats.RawKey prefixes "raw:",
+		// so such an alias would let two statistics share one text.
+		if r.Alias == "" || strings.ContainsAny(r.Alias, "+:") {
+			return fmt.Errorf("query %s: alias %q is empty or contains '+' or ':'", q.Name, r.Alias)
+		}
 	}
 	all := q.Aliases()
 	if all.Size() != len(q.Rels) {

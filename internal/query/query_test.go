@@ -1,6 +1,8 @@
 package query
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +199,26 @@ func TestValidateRejectsBadQueries(t *testing.T) {
 		Build()
 	if err == nil {
 		t.Error("unknown selection alias must fail validation")
+	}
+}
+
+// TestValidateRejectsUnspellableAliases: Key joins names with '+' and
+// statistics count an input size under "raw:" + alias, so an alias that is
+// empty or holds either would let two statistics share one text.
+func TestValidateRejectsUnspellableAliases(t *testing.T) {
+	for _, alias := range []string{"", "x+y", "raw:c"} {
+		_, err := NewBuilder("q").Rel("a", "r").Rel(alias, "s").Build()
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(alias)) {
+			t.Errorf("alias %q: Build error %v, want one naming it", alias, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("alias %q: MustBuild did not panic", alias)
+				}
+			}()
+			NewBuilder("q").Rel("a", "r").Rel(alias, "s").MustBuild()
+		}()
 	}
 }
 

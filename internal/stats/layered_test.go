@@ -6,7 +6,23 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"monsoon/internal/query"
 )
+
+// DKey and CKey key the reference's distinct counts by text: a measured one
+// by term and expression, an assumed one also by the partner expression it
+// was sampled against.
+type DKey struct {
+	Term int
+	Expr string
+}
+
+type CKey struct {
+	Term    int
+	Expr    string
+	Partner string
+}
 
 // refStore is the flat three-map store the layered one replaced, kept here —
 // deep clone, fmt-built signature and all — as the reference the replacement
@@ -75,10 +91,12 @@ func (r *refStore) String() string {
 }
 
 // The key space is tiny on purpose: layers shadow each other constantly, and
-// the keys carry the characters the signature has to quote.
+// the keys carry the characters the signature has to quote. An input size's
+// RawKey keys only a count.
 var (
-	propExprs = []string{"R", "S", "R+S", `q"uote`, "x,c:y", "raw:R"}
-	propTerms = []int{0, 1, 7}
+	propExprs  = []string{"R", "S", "R+S", `q"uote`, "x,c:y"}
+	propCounts = append([]string{"raw:R"}, propExprs...)
+	propTerms  = []int{0, 1, 7}
 )
 
 func propValue(rng *rand.Rand) float64 {
@@ -95,12 +113,14 @@ func propValue(rng *rand.Rand) float64 {
 // checkAgainst compares every observer of a store with the reference.
 func checkAgainst(t *testing.T, label string, s *Store, r *refStore) {
 	t.Helper()
-	for _, e := range propExprs {
+	for _, e := range propCounts {
 		gc, gok := s.Count(e)
 		wc, wok := r.counts[e]
 		if gc != wc || gok != wok {
 			t.Fatalf("%s: Count(%q) = %v,%v want %v,%v", label, e, gc, gok, wc, wok)
 		}
+	}
+	for _, e := range propExprs {
 		for _, term := range propTerms {
 			gm, gok := s.Measured(term, e)
 			wm, wok := r.measured[DKey{term, e}]
@@ -149,7 +169,11 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 	}
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		family := []*pair{{s: New(), r: newRef()}}
+		// Bound up front to every name the key space has, so no write
+		// widens the universe and flattens a chain (TestWordStore does).
+		first := New()
+		first.Bind(query.NewAliasSet("R", "S", `q"uote`, "x,c:y"))
+		family := []*pair{{s: first, r: newRef()}}
 		pick := func() *pair { return family[rng.Intn(len(family))] }
 		for step := 0; step < 80; step++ {
 			p := pick()
@@ -159,8 +183,9 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 			switch rng.Intn(13) {
 			case 0, 1, 2:
 				op = "SetCount"
-				p.s.SetCount(e, v)
-				p.r.counts[e] = v
+				c := propCounts[rng.Intn(len(propCounts))]
+				p.s.SetCount(c, v)
+				p.r.counts[c] = v
 			case 3, 4:
 				op = "SetMeasured"
 				p.s.SetMeasured(term, e, v)
@@ -214,9 +239,9 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 				p.s.SetAssumed(term, e, partner, v)
 				live.assumed[CKey{term, e, partner}] = v
 				checkAgainst(t, fmt.Sprintf("seed %d step %d live overlay written", seed, step), p.s, live)
-				key := fmt.Sprintf("written after a live overlay %d", step)
-				base.s.SetCount(key, v)
-				base.r.counts[key] = v
+				// A statistic no store holds yet: a term of its own.
+				base.s.SetMeasured(100+step, "R", v)
+				base.r.measured[DKey{100 + step, "R"}] = v
 				family = append(family, &pair{s: base.s.Overlay(), r: base.r.clone(), overlay: true})
 				p.s.Rebase(base.s)
 				p.r = base.r.clone()
@@ -228,33 +253,48 @@ func TestLayeredStoreMatchesDeepClone(t *testing.T) {
 	}
 }
 
+// eight is a query-sized universe: the tests below key their statistics by
+// its 255 non-empty subsets, whose texts subsetKeys builds up front.
+var eight = query.NewAliasSet("a", "b", "c", "d", "e", "f", "g", "h")
+
+func subsetKeys() []string {
+	keys := make([]string, 256)
+	for w := range keys {
+		keys[w] = eight.Subset(uint64(w)).Key()
+	}
+	return keys
+}
+
 // TestOverlayAllocatesNoMaps is the point of the layers: forking a store for
 // one sampled world costs one small object however many statistics it holds,
 // and a rebased overlay costs none.
 func TestOverlayAllocatesNoMaps(t *testing.T) {
+	keys := subsetKeys()
 	s := New()
+	s.Bind(eight)
 	for i := 0; i < 200; i++ {
-		s.SetCount(fmt.Sprintf("e%d", i), float64(i))
-		s.SetMeasured(i, "e", float64(i))
+		s.SetCount(keys[i+1], float64(i))
+		s.SetMeasured(i, "a", float64(i))
 	}
+	mine, priced := keys[255], keys[254]
 	s.Overlay() // freezes the head once; later overlays find it empty
 	if n := testing.AllocsPerRun(100, func() { s.Overlay() }); n > 1 {
 		t.Errorf("Overlay of a 400-entry store allocates %v objects, want ≤ 1", n)
 	}
 	o := s.Overlay()
-	o.SetCount("mine", 1)
+	o.SetCount(mine, 1)
 	if n := testing.AllocsPerRun(100, func() {
 		o.Rebase(s)
-		o.SetCount("mine", 1)
+		o.SetCount(mine, 1)
 	}); n > 0 {
 		t.Errorf("Rebase + one write on a warmed overlay allocates %v objects, want 0", n)
 	}
 	// A live overlay on a written overlay freezes nothing either.
 	live := o.Overlay()
 	if n := testing.AllocsPerRun(100, func() {
-		o.SetCount("mine", 2)
+		o.SetCount(mine, 2)
 		live.RebaseLive(o)
-		live.SetCount("priced", 1)
+		live.SetCount(priced, 1)
 	}); n > 0 {
 		t.Errorf("RebaseLive + one write on a warmed overlay allocates %v objects, want 0", n)
 	}
@@ -264,21 +304,23 @@ func TestOverlayAllocatesNoMaps(t *testing.T) {
 // its own lines merged into the rendered chain below — goes into the caller's
 // buffer, with no string per line, once the buffer has grown.
 func TestAppendBucketSignatureAllocatesNothing(t *testing.T) {
+	keys := subsetKeys()
 	s := New()
+	s.Bind(eight)
 	for i := 0; i < 50; i++ {
-		s.SetCount(fmt.Sprintf("e%d", i), float64(i))
-		s.SetMeasured(i, "e", float64(i))
+		s.SetCount(keys[i+1], float64(i))
+		s.SetMeasured(i, "a", float64(i))
 	}
 	world := s.Overlay()
 	for i := 0; i < 12; i++ {
-		world.SetCount(fmt.Sprintf("e%d", 2*i), float64(1000+i)) // each shadows a line below
-		world.SetAssumed(i, "e", "p", float64(i))
+		world.SetCount(keys[2*i+1], float64(1000+i)) // each shadows a line below
+		world.SetAssumed(i, "a", "b", float64(i))
 	}
 	buf := world.AppendBucketSignature(nil)
 	if string(buf) != world.BucketSignature() {
 		t.Fatalf("appended signature %q, remembered %q", buf, world.BucketSignature())
 	}
-	world.SetCount("e0", 1) // forget the memo: every call below renders
+	world.SetCount(keys[1], 1) // forget the memo: every call below renders
 	if n := testing.AllocsPerRun(100, func() { buf = world.AppendBucketSignature(buf[:0]) }); n > 0 {
 		t.Errorf("AppendBucketSignature into a grown buffer allocates %v objects, want 0", n)
 	}

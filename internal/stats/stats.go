@@ -6,10 +6,18 @@
 // simulation, valid only for the partner expression they were sampled
 // against — the paper's d(F, r|s) notation).
 //
-// Expressions are alias sets. A store bound to a query's universe (Bind)
-// keys its entries by the sets' membership words, which is what the planner
-// looks statistics up by; the string methods are the boundary, and translate
-// a key by name into the same word-keyed entries.
+// Expressions are alias sets, and a store keys every entry by the sets'
+// membership words over its universe, which names every alias any entry
+// names. A store starts with an empty universe; a write that names an alias
+// the universe lacks widens it first, and so do Bind and MergeFrom. A store
+// bound to a query's universe (Bind) is keyed by the very words the planner
+// looks statistics up by. The string methods are the boundary: they parse a
+// text as the alias set it is the Key of, or as the RawKey of one alias,
+// into the same words, and store nothing by text.
+//
+// A store holds statistics over at most query.MaxAliases aliases, the most
+// one universe can name. Each store is one query's or one query shape's, and
+// a query mounts at most that many relations, so this always holds.
 package stats
 
 import (
@@ -36,21 +44,6 @@ const rawPrefix = "raw:"
 // "we assume that all input set sizes are available").
 func RawKey(alias string) string { return rawPrefix + alias }
 
-// DKey identifies a measured distinct count by text: term ID over an
-// expression the store's universe cannot name.
-type DKey struct {
-	Term int
-	Expr string
-}
-
-// CKey identifies an assumed (prior-sampled) distinct count by text,
-// conditioned on the partner expression it would be joined with.
-type CKey struct {
-	Term    int
-	Expr    string
-	Partner string
-}
-
 // layer is one generation of a store's entries. A store writes only to its
 // head layer; every layer below the head is frozen — nothing writes to it
 // again — so any number of stores and goroutines read it unsynchronized. A
@@ -58,52 +51,22 @@ type CKey struct {
 // Every layer of a chain is keyed by words over universes with the same names.
 type layer struct {
 	parent *layer
-	// words holds every entry keyed by words: counts, input sizes, measured
-	// and assumed distinct counts alike.
+	// words holds every entry: counts, input sizes, measured and assumed
+	// distinct counts alike.
 	words table
-	// text holds the entries whose keys the universe cannot name: all of an
-	// unbound store's, and then those naming an alias outside the query.
-	text *textLayer
 	// sig memoises, on a frozen layer, the signature of the chain ending
 	// here. Racing fillers store equal values. A live head can hold one only
 	// while a RebaseLive overlay signs through it; its next write drops it.
 	sig atomic.Pointer[sigMemo]
 }
 
-// textLayer is a layer's text-keyed part.
-type textLayer struct {
-	counts   map[string]float64
-	measured map[DKey]float64
-	assumed  map[CKey]float64
-}
-
-func (tx *textLayer) empty() bool {
-	return tx == nil || len(tx.counts)+len(tx.measured)+len(tx.assumed) == 0
-}
-
 // Statistic kinds, which are also their signature line tags.
 const (
-	kCount    byte = 'c' // c(expr); with text set, also an input size by its RawKey
+	kCount    byte = 'c' // c(expr)
 	kRaw      byte = 'r' // an input size, expr holding the alias's bit
 	kMeasured byte = 'm'
 	kAssumed  byte = 'a'
 )
-
-// key names one statistic of any kind: by words over the store's universe,
-// or — with text set — by the strings of a key the universe cannot name.
-type key struct {
-	kind            byte
-	text            bool
-	term            int
-	expr, partner   uint64
-	sexpr, spartner string
-}
-
-func (k key) word() wkey { return wkey{tagOf(k.kind, k.term), k.expr, k.partner} }
-
-func (w wkey) key() key {
-	return key{kind: w.kind(), term: int(w.tag >> 8), expr: w.expr, partner: w.partner}
-}
 
 // sigMemo is a rendered signature: its sorted lines, comma-separated, and
 // where each line ends in text.
@@ -115,7 +78,7 @@ type sigMemo struct {
 // noSig is the signature of the empty chain.
 var noSig sigMemo
 
-func (l *layer) empty() bool { return l.words.n == 0 && l.text.empty() }
+func (l *layer) empty() bool { return l.words.n == 0 }
 
 // at looks a word key up in the chain ending at l.
 func (l *layer) at(w wkey) (float64, bool) {
@@ -128,92 +91,11 @@ func (l *layer) at(w wkey) (float64, bool) {
 	return 0, false
 }
 
-func (l *layer) textAt(k key) (float64, bool) {
-	for ; l != nil; l = l.parent {
-		if l.text == nil {
-			continue
-		}
-		var v float64
-		var ok bool
-		switch k.kind {
-		case kCount:
-			v, ok = l.text.counts[k.sexpr]
-		case kMeasured:
-			v, ok = l.text.measured[DKey{k.term, k.sexpr}]
-		default:
-			v, ok = l.text.assumed[CKey{k.term, k.sexpr, k.spartner}]
-		}
-		if ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// get looks a statistic of any kind up in the chain ending at l.
-func (l *layer) get(k key) (float64, bool) {
-	if k.text {
-		return l.textAt(k)
-	}
-	return l.at(k.word())
-}
-
-func (l *layer) setText(k key, v float64) {
-	if l.text == nil {
-		l.text = &textLayer{}
-	}
-	switch tx := l.text; k.kind {
-	case kCount:
-		if tx.counts == nil {
-			tx.counts = make(map[string]float64)
-		}
-		tx.counts[k.sexpr] = v
-	case kMeasured:
-		if tx.measured == nil {
-			tx.measured = make(map[DKey]float64)
-		}
-		tx.measured[DKey{k.term, k.sexpr}] = v
-	default:
-		if tx.assumed == nil {
-			tx.assumed = make(map[CKey]float64)
-		}
-		tx.assumed[CKey{k.term, k.sexpr, k.spartner}] = v
-	}
-}
-
-// set records a statistic of any kind in l.
-func (l *layer) set(k key, v float64) {
-	if k.text {
-		l.setText(k, v)
-		return
-	}
-	l.words.set(k.word(), v)
-}
-
 // each calls fn on every entry l itself holds, assumed ones only on request.
-func (l *layer) each(withAssumed bool, fn func(k key, v float64)) {
+func (l *layer) each(withAssumed bool, fn func(k wkey, v float64)) {
 	for _, s := range l.words.slots {
 		if s.k.tag != 0 && (withAssumed || s.k.kind() != kAssumed) {
-			fn(s.k.key(), s.v)
-		}
-	}
-	l.text.each(withAssumed, fn)
-}
-
-// each calls fn on every entry of tx, which may be nil.
-func (tx *textLayer) each(withAssumed bool, fn func(k key, v float64)) {
-	if tx == nil {
-		return
-	}
-	for e, v := range tx.counts {
-		fn(key{kind: kCount, text: true, sexpr: e}, v)
-	}
-	for k, v := range tx.measured {
-		fn(key{kind: kMeasured, text: true, term: k.Term, sexpr: k.Expr}, v)
-	}
-	if withAssumed {
-		for k, v := range tx.assumed {
-			fn(key{kind: kAssumed, text: true, term: k.Term, sexpr: k.Expr, spartner: k.Partner}, v)
+			fn(s.k, s.v)
 		}
 	}
 }
@@ -233,13 +115,11 @@ func (l *layer) flatInto(out *layer, withAssumed bool) {
 		out.words.resize(n)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		c := chain[i]
-		for _, s := range c.words.slots {
+		for _, s := range chain[i].words.slots {
 			if s.k.tag != 0 && (withAssumed || s.k.kind() != kAssumed) {
 				out.words.set(s.k, s.v)
 			}
 		}
-		c.text.each(withAssumed, out.setText)
 	}
 }
 
@@ -257,8 +137,8 @@ func (l *layer) flattened() *layer {
 // entries counts the statistics of each kind l itself holds, input sizes
 // among the counts.
 func (l *layer) entries() (counts, measured, assumed int) {
-	l.each(true, func(k key, _ float64) {
-		switch k.kind {
+	l.each(true, func(k wkey, _ float64) {
+		switch k.kind() {
 		case kCount, kRaw:
 			counts++
 		case kMeasured:
@@ -270,48 +150,55 @@ func (l *layer) entries() (counts, measured, assumed int) {
 	return
 }
 
-// Keys between text and words. Each word key has exactly one text — the Key
-// of its alias sets, or the RawKey of its alias — and only that text parses
-// back to it, so translating a store by name neither merges nor splits keys.
+// Texts. Each word key has exactly one text — the Key of its alias sets, or
+// the RawKey of its alias — and the string methods parse only those, so
+// reading a text never merges or splits keys.
 
-// parseKey keys a statistic given by text over u: a count (an input size
-// when expr is a RawKey), or a distinct count over expr, against partner for
-// an assumed one ("" otherwise).
-func parseKey(u query.AliasSet, kind byte, term int, expr, partner string) key {
-	if name, ok := strings.CutPrefix(expr, rawPrefix); ok && kind == kCount {
-		if w, ok := u.ParseKey(name); ok && w != 0 && w&(w-1) == 0 {
-			return key{kind: kRaw, expr: w}
+// parse reads the text of a count (kind kCount) or of a distinct count's
+// expression or partner as the alias set it names over s.u, and the kind its
+// statistic is keyed under: kRaw for a count's RawKey. named is false when
+// s.u lacks one of the text's aliases. Any other text panics, as does a term
+// ID checkTerm refuses: a Key is non-empty names joined by '+' in sorted
+// order without repeats, and a RawKey names one alias and keys only a count.
+func (s *Store) parse(kind byte, term int, text string) (k byte, e query.AliasSet, named bool) {
+	checkTerm(term)
+	if name, raw := strings.CutPrefix(text, rawPrefix); raw {
+		if kind != kCount || name == "" || strings.Contains(name, "+") {
+			panic(fmt.Sprintf("stats: %q is not the RawKey of one alias keying a count", text))
 		}
-	} else if w, ok := u.ParseKey(expr); ok && wordTerm(term) {
-		if p, ok := u.ParseKey(partner); ok {
-			return key{kind: kind, term: term, expr: w, partner: p}
-		}
+		kind, text = kRaw, name
 	}
-	return key{kind: kind, text: true, term: term, sexpr: expr, spartner: partner}
+	names := s.u.Names()
+	var w uint64
+	named = true
+	for rest, prev := text, ""; rest != ""; {
+		name, next, more := strings.Cut(rest, "+")
+		if name == "" || name <= prev || more && next == "" {
+			panic(fmt.Sprintf("stats: %q is not the Key of an alias set", text))
+		}
+		if i, ok := slices.BinarySearch(names, name); ok {
+			w |= 1 << uint(i)
+		} else {
+			named = false
+		}
+		rest, prev = next, name
+	}
+	return kind, s.u.Subset(w), named
 }
 
-// wordTerm reports whether a term ID fits a word key's tag.
-func wordTerm(t int) bool { return t >= 0 && t < 1<<32 }
+// checkTerm panics on a term ID that does not fit a word key's tag.
+func checkTerm(t int) {
+	if t < 0 || t >= 1<<32 {
+		panic(fmt.Sprintf("stats: term ID %d does not fit a statistics key", t))
+	}
+}
 
 // texts renders k's expression and partner by name over u.
-func texts(u query.AliasSet, k key) (expr, partner string) {
-	switch {
-	case k.text:
-		return k.sexpr, k.spartner
-	case k.kind == kRaw:
+func texts(u query.AliasSet, k wkey) (expr, partner string) {
+	if k.kind() == kRaw {
 		return RawKey(u.Subset(k.expr).Key()), ""
 	}
 	return u.Subset(k.expr).Key(), u.Subset(k.partner).Key()
-}
-
-// translate re-keys k, a key over from, over to.
-func translate(k key, from, to query.AliasSet) key {
-	expr, partner := texts(from, k)
-	kind := k.kind
-	if kind == kRaw {
-		kind = kCount
-	}
-	return parseKey(to, kind, k.term, expr, partner)
 }
 
 // sameNames reports whether words over u and over v name the same aliases.
@@ -330,8 +217,10 @@ func sameNames(u, v query.AliasSet) bool { return u == v || u.Equal(v) }
 type Store struct {
 	mu      sync.RWMutex
 	overlay bool // owned by one goroutine: mu is never taken
-	// u is the alias universe the chain's words are over (a query's full
-	// set); empty while the store is unbound and keeps every entry by text.
+	// u is the alias universe the chain's words are over, held as the set of
+	// all its aliases: it names every alias any entry names. Empty in a new
+	// store, it only widens — by a write naming an alias it lacks, by Bind or
+	// by MergeFrom — and once bound it is a query's full set.
 	u     query.AliasSet
 	head  *layer
 	first layer // the head a store starts with, allocated with it
@@ -339,7 +228,7 @@ type Store struct {
 	sig *sigMemo
 }
 
-// New creates an empty, unbound store.
+// New creates an empty store over the empty universe.
 func New() *Store {
 	s := &Store{}
 	s.head = &s.first
@@ -371,11 +260,11 @@ func (s *Store) unlock() {
 }
 
 // Bind keys the store by words over the universe of u, a query's full alias
-// set. It is the one translation from text: every entry is re-keyed by name
-// once, then lookups by alias set compare words. Binding to a universe with
-// the names the store is keyed over already only adopts u, so a store cloned
-// from another query of the same shape translates nothing. Binding changes
-// no lookup, signature or count; an empty u is ignored.
+// set, so its lookups by the query's sets compare words. It widens the store
+// as a write does: when u's universe names every alias of the store's it is
+// adopted, so a store cloned from another query of the same shape only swaps
+// the pointer, and a store written before binding is re-keyed once. Binding
+// changes no lookup, signature or count; an empty u is ignored.
 func (s *Store) Bind(u query.AliasSet) {
 	s.rlock()
 	bound := s.u == u
@@ -384,16 +273,36 @@ func (s *Store) Bind(u query.AliasSet) {
 		return
 	}
 	s.lock()
-	defer s.unlock()
-	if sameNames(s.u, u) {
-		s.u = u
+	s.widen(u)
+	s.unlock()
+}
+
+// widen makes s.u name every alias of x. A universe of x's that names every
+// alias of s.u is adopted — in place when it names no other, by re-keying the
+// store otherwise — so a store bound to, written by or merged from one query
+// is keyed over that query's universe. Otherwise s.u gains x's aliases in a
+// universe of its own. The caller holds the write lock.
+func (s *Store) widen(x query.AliasSet) {
+	to := x.Universe()
+	switch {
+	case sameNames(s.u, to):
+		s.u = to
 		return
+	case !s.u.SubsetOf(to):
+		if x.SubsetOf(s.u) {
+			return
+		}
+		to = query.NewAliasSet(append(slices.Clone(s.u.Names()), x.Names()...)...)
 	}
 	var flat layer
 	s.head.flatInto(&flat, true)
 	head := &layer{}
-	flat.each(true, func(k key, v float64) { head.set(translate(k, s.u, u), v) })
-	s.u, s.head = u, head
+	flat.each(true, func(k wkey, v float64) {
+		k.expr, _ = to.WordOf(s.u.Subset(k.expr))
+		k.partner, _ = to.WordOf(s.u.Subset(k.partner))
+		head.words.set(k, v)
+	})
+	s.u, s.head = to, head
 }
 
 // Clone returns a deep, flat, independently locked copy, bound like s.
@@ -458,11 +367,6 @@ func (o *Store) RebaseLive(parent *Store) {
 func (o *Store) lay(base *layer, u query.AliasSet) {
 	h := o.head
 	h.words.reset()
-	if h.text != nil {
-		clear(h.text.counts)
-		clear(h.text.measured)
-		clear(h.text.assumed)
-	}
 	h.parent = base
 	h.sig.Store(nil)
 	o.u = u
@@ -474,8 +378,8 @@ func (o *Store) lay(base *layer, u query.AliasSet) {
 // run that sampled them. The daemon's opt-in statistics write-back uses this
 // to fold what one query learned into its shape's seed store. src is
 // snapshotted under its read lock before s takes its write lock, so no lock
-// ordering between two stores is ever needed. Facts keyed over another
-// universe are translated by name.
+// ordering between two stores is ever needed. s widens to src's universe as
+// Bind would, and facts keyed over another universe are translated by name.
 func (s *Store) MergeFrom(src *Store) {
 	src.rlock()
 	var facts layer
@@ -483,13 +387,14 @@ func (s *Store) MergeFrom(src *Store) {
 	from := src.u
 	src.runlock()
 	s.lock()
+	s.widen(from)
 	w := s.write()
 	same := sameNames(from, s.u)
-	facts.each(false, func(k key, v float64) {
+	facts.each(false, func(k wkey, v float64) {
 		if !same {
-			k = translate(k, from, s.u)
+			k.expr, _ = s.u.WordOf(from.Subset(k.expr))
 		}
-		w.set(k, v)
+		w.words.set(k, v)
 	})
 	s.unlock()
 }
@@ -505,13 +410,14 @@ func (s *Store) write() *layer {
 	return s.head
 }
 
-// The string methods are the store's boundary: each key is translated by
-// name into the word-keyed entries the alias-set methods below use.
+// The string methods are the store's boundary: each parses its text into
+// the alias set it names and goes the way of the alias-set methods below. A
+// text over the store's universe is parsed without allocating.
 
 // SetCount records c(expr); expr is an alias-set Key or a RawKey.
 func (s *Store) SetCount(expr string, c float64) {
 	s.lock()
-	s.write().set(parseKey(s.u, kCount, 0, expr, ""), c)
+	s.putText(kCount, 0, expr, c)
 	s.unlock()
 }
 
@@ -519,14 +425,14 @@ func (s *Store) SetCount(expr string, c float64) {
 func (s *Store) Count(expr string) (float64, bool) {
 	s.rlock()
 	defer s.runlock()
-	return s.head.get(parseKey(s.u, kCount, 0, expr, ""))
+	return s.findText(kCount, 0, expr)
 }
 
 // SetMeasured records a hardened distinct count for (term, expr), valid for
 // any partner.
 func (s *Store) SetMeasured(term int, expr string, d float64) {
 	s.lock()
-	s.write().set(parseKey(s.u, kMeasured, term, expr, ""), d)
+	s.putText(kMeasured, term, expr, d)
 	s.unlock()
 }
 
@@ -534,12 +440,34 @@ func (s *Store) SetMeasured(term int, expr string, d float64) {
 func (s *Store) Measured(term int, expr string) (float64, bool) {
 	s.rlock()
 	defer s.runlock()
-	return s.head.get(parseKey(s.u, kMeasured, term, expr, ""))
+	return s.findText(kMeasured, term, expr)
+}
+
+// findText looks up a statistic given by text; one naming an alias outside
+// s.u is missing. The caller holds a lock.
+func (s *Store) findText(kind byte, term int, text string) (float64, bool) {
+	kind, e, named := s.parse(kind, term, text)
+	if !named {
+		return 0, false
+	}
+	return s.find(kind, term, e, query.AliasSet{})
+}
+
+// putText records a statistic given by text, widening s.u first when the
+// text names an alias it lacks. The caller holds the write lock.
+func (s *Store) putText(kind byte, term int, text string, v float64) {
+	k, e, named := s.parse(kind, term, text)
+	if !named {
+		s.widen(query.NewAliasSet(strings.Split(strings.TrimPrefix(text, rawPrefix), "+")...))
+		k, e, _ = s.parse(kind, term, text)
+	}
+	s.put(k, term, e, query.AliasSet{}, v)
 }
 
 // The alias-set methods are the search path's: a set of the universe the
-// store is bound to is its word, with no string built or hashed. A set naming
-// an alias outside it is looked up by its Key, as the string methods would.
+// store is bound to is its word, with no string built or hashed. A set from
+// another universe is translated by name; a lookup of one naming an alias
+// outside the store's universe misses, and a write of one widens it.
 
 // CountOf looks up c(e).
 func (s *Store) CountOf(e query.AliasSet) (float64, bool) {
@@ -575,7 +503,8 @@ func (s *Store) SetMeasuredOf(term int, e query.AliasSet, d float64) {
 }
 
 // AssumedOf looks up a prior-sampled distinct count for (term, e) against
-// exactly the partner p; see Assumed.
+// exactly the partner p. It does not consult measured values: a caller
+// resolving d(term, e | p) looks those up first (cost.Deriver).
 func (s *Store) AssumedOf(term int, e, p query.AliasSet) (float64, bool) {
 	return s.lookup(kAssumed, term, e, p)
 }
@@ -591,10 +520,7 @@ func (s *Store) lookup(kind byte, term int, e, p query.AliasSet) (float64, bool)
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
-	if w, ok := s.word(kind, term, e, p); ok {
-		return s.head.at(w)
-	}
-	return s.head.textAt(textKey(kind, term, e, p))
+	return s.find(kind, term, e, p)
 }
 
 func (s *Store) record(kind byte, term int, e, p query.AliasSet, v float64) {
@@ -602,19 +528,36 @@ func (s *Store) record(kind byte, term int, e, p query.AliasSet, v float64) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
+	s.put(kind, term, e, p, v)
+}
+
+// find looks a statistic up by its alias sets. The caller holds a lock.
+func (s *Store) find(kind byte, term int, e, p query.AliasSet) (float64, bool) {
 	if w, ok := s.word(kind, term, e, p); ok {
-		s.write().words.set(w, v)
-		return
+		return s.head.at(w)
 	}
-	s.write().setText(textKey(kind, term, e, p), v)
+	return 0, false
+}
+
+// put records a statistic by its alias sets, widening s.u first when it
+// lacks one of their aliases. The caller holds the write lock.
+func (s *Store) put(kind byte, term int, e, p query.AliasSet, v float64) {
+	w, ok := s.word(kind, term, e, p)
+	if !ok {
+		s.widen(e.Union(p))
+		w, _ = s.word(kind, term, e, p)
+	}
+	s.write().words.set(w, v)
 }
 
 // word keys a statistic over alias sets (p is the partner of an assumed
 // count) by their words over the store's universe; false when the universe
-// cannot name every member, and the statistic is keyed by text instead.
+// cannot name every member, or an input size's set is not one alias. A term
+// ID that does not fit the key panics.
 func (s *Store) word(kind byte, term int, e, p query.AliasSet) (wkey, bool) {
+	checkTerm(term)
 	w, ok := s.u.WordOf(e)
-	if !ok || !wordTerm(term) {
+	if !ok {
 		return wkey{}, false
 	}
 	var pw uint64
@@ -629,15 +572,6 @@ func (s *Store) word(kind byte, term int, e, p query.AliasSet) (wkey, bool) {
 		}
 	}
 	return wkey{tagOf(kind, term), w, pw}, true
-}
-
-// textKey keys a statistic over alias sets by the text the string methods
-// would key it by.
-func textKey(kind byte, term int, e, p query.AliasSet) key {
-	if kind == kRaw {
-		return key{kind: kCount, text: true, sexpr: RawKey(e.Key())}
-	}
-	return key{kind: kind, text: true, term: term, sexpr: e.Key(), spartner: p.Key()}
 }
 
 // CountEntries reports how many expression cardinalities are known, input
@@ -681,7 +615,7 @@ func (s *Store) DropAssumed() {
 // outcomes.
 //
 // The string is also the plan-cache key, so its bytes are pinned: word keys
-// render by name, exactly as the text keys they stand for. It is remembered
+// render by name, exactly as the texts they parse from. It is remembered
 // until the store is next written, and a layered store only renders its
 // head's entries: the frozen chain below keeps its rendering.
 func (s *Store) BucketSignature() string {
@@ -740,11 +674,11 @@ func (l *layer) appendSignature(u query.AliasSet, b []byte, ends *[]int) []byte 
 	start := len(b)
 	var ownBuf, shadowedBuf [32]span // more lines spill to the heap
 	own, shadowed := ownBuf[:0], shadowedBuf[:0]
-	l.each(true, func(k key, v float64) {
+	l.each(true, func(k wkey, v float64) {
 		from := len(b)
 		b = sigLine(b, u, k, v)
 		own = append(own, span{from, len(b)})
-		if old, ok := l.parent.get(k); ok {
+		if old, ok := l.parent.at(k); ok {
 			from = len(b)
 			b = sigLine(b, u, k, old)
 			shadowed = append(shadowed, span{from, len(b)})
@@ -788,41 +722,37 @@ func appendLine[L string | []byte](b []byte, out int, line L, ends *[]int) []byt
 // sigLine appends one signature line: fmt's "c:%q:%d", "m:%d:%q:%d" or
 // "a:%d:%q:%q:%d" of the entry's texts and log2 bucket, spelled with strconv.
 // An input size renders as the count of its RawKey.
-func sigLine(b []byte, u query.AliasSet, k key, v float64) []byte {
-	tag := k.kind
+func sigLine(b []byte, u query.AliasSet, k wkey, v float64) []byte {
+	tag := k.kind()
 	if tag == kRaw {
 		tag = kCount
 	}
 	b = append(b, tag, ':')
 	if tag != kCount {
-		b = strconv.AppendInt(b, int64(k.term), 10)
+		b = strconv.AppendInt(b, int64(k.term()), 10)
 		b = append(b, ':')
 	}
-	b = appendExpr(b, u, k, k.expr, k.sexpr)
+	b = appendExpr(b, u, k.kind() == kRaw, k.expr)
 	if tag == kAssumed {
 		b = append(b, ':')
-		b = appendExpr(b, u, k, k.partner, k.spartner)
+		b = appendExpr(b, u, false, k.partner)
 	}
 	b = append(b, ':')
 	return strconv.AppendInt(b, int64(logBucket(v)), 10)
 }
 
-// appendExpr appends one of k's expressions quoted: its text, or the Key of
-// its word over u — under "raw:" for an input size, whose quoting is that of
-// RawKey's text because the prefix needs no escape.
-func appendExpr(b []byte, u query.AliasSet, k key, w uint64, text string) []byte {
-	switch {
-	case k.text:
-		return strconv.AppendQuote(b, text)
-	case k.kind == kRaw:
-		at := len(b) + 1 // past the opening quote
-		b = strconv.AppendQuote(b, u.Subset(w).Key())
+// appendExpr appends the Key of the word w over u quoted — under "raw:" for
+// an input size, whose quoting is that of RawKey's text because the prefix
+// needs no escape.
+func appendExpr(b []byte, u query.AliasSet, raw bool, w uint64) []byte {
+	at := len(b) + 1 // past the opening quote
+	b = strconv.AppendQuote(b, u.Subset(w).Key())
+	if raw {
 		b = append(b, rawPrefix...)
 		copy(b[at+len(rawPrefix):], b[at:len(b)-len(rawPrefix)])
 		copy(b[at:], rawPrefix)
-		return b
 	}
-	return strconv.AppendQuote(b, u.Subset(w).Key())
+	return b
 }
 
 func logBucket(x float64) int {
@@ -850,13 +780,13 @@ func (s *Store) Entries() []Entry {
 	s.rlock()
 	defer s.runlock()
 	var out []Entry
-	s.head.flattened().each(true, func(k key, v float64) {
+	s.head.flattened().each(true, func(k wkey, v float64) {
 		expr, partner := texts(s.u, k)
-		kind := k.kind
+		kind := k.kind()
 		if kind == kRaw {
 			kind = kCount
 		}
-		out = append(out, Entry{Kind: kind, Term: k.term, Expr: expr, Partner: partner, Value: v})
+		out = append(out, Entry{Kind: kind, Term: k.term(), Expr: expr, Partner: partner, Value: v})
 	})
 	return out
 }

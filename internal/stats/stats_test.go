@@ -3,26 +3,34 @@ package stats
 import (
 	"strings"
 	"testing"
+
+	"monsoon/internal/query"
 )
 
 // Only tests call these string-keyed methods: the search path records and
 // reads assumed counts by alias set (SetAssumedOf, AssumedOf).
 
+// textSet reads a text as the string methods do — panicking outside the
+// Key grammar — into the alias set it is the Key of, over a universe of its
+// own.
+func textSet(text string) query.AliasSet {
+	New().parse(kAssumed, 0, text)
+	if text == "" {
+		return query.AliasSet{}
+	}
+	return query.NewAliasSet(strings.Split(text, "+")...)
+}
+
 // SetAssumed records a prior-sampled distinct count for (term, expr) with
 // respect to a partner expression.
 func (s *Store) SetAssumed(term int, expr, partner string, d float64) {
-	s.lock()
-	s.write().set(parseKey(s.u, kAssumed, term, expr, partner), d)
-	s.unlock()
+	s.SetAssumedOf(term, textSet(expr), textSet(partner), d)
 }
 
 // Assumed looks up a prior-sampled distinct count for (term, expr) against
-// exactly this partner. It does not consult measured values: a caller
-// resolving d(term, expr | partner) looks those up first (cost.Deriver).
+// exactly this partner.
 func (s *Store) Assumed(term int, expr, partner string) (float64, bool) {
-	s.rlock()
-	defer s.runlock()
-	return s.head.get(parseKey(s.u, kAssumed, term, expr, partner))
+	return s.AssumedOf(term, textSet(expr), textSet(partner))
 }
 
 // HasMeasured reports whether a hardened distinct count exists for the term
@@ -288,5 +296,29 @@ func TestBucketSignatureHardeningBoundary(t *testing.T) {
 	grown.SetMeasured(3, "R+S", 8)
 	if grown.BucketSignature() == base.BucketSignature() {
 		t.Error("newly hardened entries must change the key")
+	}
+}
+
+// TestStringMethodsAllocateNothing: on a bound store a text over its
+// universe is parsed in place, so the string methods read and write words
+// without allocating — the daemon records every executed count this way.
+func TestStringMethodsAllocateNothing(t *testing.T) {
+	keys := subsetKeys()
+	s := New()
+	s.Bind(eight)
+	expr, raw := keys[200], RawKey("c")
+	s.SetCount(expr, 1)
+	s.SetCount(raw, 1)
+	s.SetMeasured(3, expr, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		s.SetCount(expr, 2)
+		s.Count(expr)
+		s.SetCount(raw, 3)
+		s.Count(raw)
+		s.SetMeasured(3, expr, 4)
+		s.Measured(3, expr)
+		s.Measured(4, keys[1]) // a miss
+	}); n > 0 {
+		t.Errorf("string methods on a bound store allocate %v objects, want 0", n)
 	}
 }

@@ -9,6 +9,8 @@ func tagOf(kind byte, term int) uint64 { return uint64(term)<<8 | uint64(kind) }
 
 func (w wkey) kind() byte { return byte(w.tag) }
 
+func (w wkey) term() int { return int(w.tag >> 8) }
+
 // hash mixes the three words (splitmix64's finalizer over a combination), so
 // that small, dense words spread over the slots.
 func (w wkey) hash() uint64 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"monsoon/internal/query"
@@ -10,7 +11,8 @@ import (
 
 // The word key space: sets over the universe a store is bound to, the same
 // sets built over universes of their own, sets naming an alias the universe
-// lacks, and the texts of all of them plus texts no set has.
+// lacks, and the texts of all of them plus the input-size keys of single
+// aliases.
 var (
 	wordUniverse = query.NewAliasSet("R", "S", "T")
 	// Bind targets: the universe itself, another with its names, and two
@@ -25,30 +27,41 @@ var (
 		query.NewAliasSet("R", "Z"), // names an alias outside the universe
 		query.NewAliasSet("Z"),
 	}
-	wordTexts = []string{"S+R", "R+R", "R+", "raw:R", "raw:Z", "raw:R+S", `q"uote`}
-	wordTerms = []int{0, 1, 7, -1}
+	// Texts naming aliases no set has, one sorting before every other name:
+	// widening to it moves every bit of the universe.
+	wordTexts = []string{`q"uote`, "B+R+" + `q"uote`}
+	wordTerms = []int{0, 1, 7}
 )
 
-// wordExprs is every expression text the check looks up: the sets' keys,
-// their input-size keys, and the texts no set has.
+// wordExprs is every expression text the check looks up: the sets' keys and
+// texts naming aliases no set has.
 func wordExprs() []string {
 	var out []string
 	for _, e := range wordSets {
-		out = append(out, e.Key(), RawKey(e.Key()))
+		out = append(out, e.Key())
 	}
 	return append(out, wordTexts...)
+}
+
+// wordCounts is every count text the check looks up: the expressions and
+// the input-size keys of single aliases, one of them outside every set.
+func wordCounts() []string {
+	out := []string{RawKey("B"), RawKey("R"), RawKey("T"), RawKey("Z"), RawKey(`q"uote`)}
+	return append(out, wordExprs()...)
 }
 
 // checkWords compares every lookup of s, by set and by text, and every
 // rendering of it, with the string-keyed reference r.
 func checkWords(t *testing.T, label string, s *Store, r *refStore) {
 	t.Helper()
-	exprs := wordExprs()
-	for _, e := range exprs {
+	for _, e := range wordCounts() {
 		gc, gok := s.Count(e)
 		if wc, wok := r.counts[e]; gc != wc || gok != wok {
 			t.Fatalf("%s: Count(%q) = %v,%v want %v,%v", label, e, gc, gok, wc, wok)
 		}
+	}
+	exprs := wordExprs()
+	for _, e := range exprs {
 		for _, term := range wordTerms {
 			gm, gok := s.Measured(term, e)
 			if wm, wok := r.measured[DKey{term, e}]; gm != wm || gok != wok {
@@ -101,12 +114,13 @@ func checkWords(t *testing.T, label string, s *Store, r *refStore) {
 
 // TestWordStoreMatchesStringReference drives families of stores through
 // random writes and reads — by alias set and by text, before and after
-// binding, over the bound universe and over foreign ones — and through
-// overlays, rebases, live rebases, clones, merges, assumed-drops and binds to
-// universes with the same or other names, mirroring each on the flat
-// string-keyed reference. After every step every store of every family must
-// answer every lookup, count and rendering exactly as its reference: keying
-// by words is invisible.
+// binding, over the bound universe and over foreign ones, naming aliases the
+// store's universe lacks — and through overlays, rebases, live rebases,
+// clones, merges, assumed-drops and binds to universes with the same or
+// other names, mirroring each on the flat string-keyed reference. After
+// every step every store of every family must answer every lookup, count
+// and rendering exactly as its reference: keying by words, and widening the
+// universe they are over, is invisible.
 func TestWordStoreMatchesStringReference(t *testing.T) {
 	type pair struct {
 		s       *Store
@@ -126,11 +140,12 @@ func TestWordStoreMatchesStringReference(t *testing.T) {
 		ref.assumed[CKey{1, "T", "R+Z"}] = 3
 		family := []*pair{{s: first, r: ref}}
 		pick := func() *pair { return family[rng.Intn(len(family))] }
-		exprs := wordExprs()
+		exprs, counts := wordExprs(), wordCounts()
 		for step := 0; step < 70; step++ {
 			p := pick()
 			e, pe := wordSets[rng.Intn(len(wordSets))], wordSets[rng.Intn(len(wordSets))]
 			text, ptext := exprs[rng.Intn(len(exprs))], exprs[rng.Intn(len(exprs))]
+			ctext := counts[rng.Intn(len(counts))]
 			term, v := wordTerms[rng.Intn(len(wordTerms))], propValue(rng)
 			var op string
 			switch rng.Intn(16) {
@@ -140,8 +155,8 @@ func TestWordStoreMatchesStringReference(t *testing.T) {
 				p.r.counts[e.Key()] = v
 			case 1:
 				op = "SetCount"
-				p.s.SetCount(text, v)
-				p.r.counts[text] = v
+				p.s.SetCount(ctext, v)
+				p.r.counts[ctext] = v
 			case 2:
 				op = "SetMeasuredOf"
 				p.s.SetMeasuredOf(term, e, v)
@@ -206,14 +221,61 @@ func TestWordStoreMatchesStringReference(t *testing.T) {
 				p.s.SetAssumedOf(term, e, pe, v)
 				live.assumed[CKey{term, e.Key(), pe.Key()}] = v
 				checkWords(t, fmt.Sprintf("seed %d step %d live overlay written", seed, step), p.s, live)
-				base.s.SetCount(text, v)
-				base.r.counts[text] = v
+				base.s.SetCount(ctext, v)
+				base.r.counts[ctext] = v
 				p.s.Rebase(base.s)
 				p.r = base.r.clone()
 			}
 			for i, m := range family {
 				checkWords(t, fmt.Sprintf("seed %d step %d after %s, store %d of %d", seed, step, op, i, len(family)), m.s, m.r)
 			}
+		}
+	}
+}
+
+// TestTextOutsideKeyGrammarPanics: the string methods accept a text only as
+// the Key of an alias set or, for a count, the RawKey of one alias, and a
+// term ID only if it fits a key. Anything else is a program error, like an
+// alias set past query.MaxAliases, and panics with a message naming it — on
+// an unbound store and a bound one, reading or writing.
+func TestTextOutsideKeyGrammarPanics(t *testing.T) {
+	notKeys := []string{"S+R", "R+R", "R+", "+R", "R++S"}
+	type call struct {
+		name, input string
+		fn          func(s *Store)
+	}
+	var calls []call
+	for _, text := range append(notKeys, "raw:R+S", "raw:") {
+		calls = append(calls,
+			call{"SetCount", text, func(s *Store) { s.SetCount(text, 1) }},
+			call{"Count", text, func(s *Store) { s.Count(text) }})
+	}
+	for _, text := range append(notKeys, "raw:R") {
+		calls = append(calls,
+			call{"SetMeasured", text, func(s *Store) { s.SetMeasured(0, text, 1) }},
+			call{"Measured", text, func(s *Store) { s.Measured(0, text) }},
+			call{"SetAssumed partner", text, func(s *Store) { s.SetAssumed(0, "R", text, 1) }})
+	}
+	calls = append(calls,
+		call{"SetMeasured", "-1", func(s *Store) { s.SetMeasured(-1, "R", 1) }},
+		call{"Measured", "-1", func(s *Store) { s.Measured(-1, "R") }},
+		call{"MeasuredOf", "-1", func(s *Store) { s.MeasuredOf(-1, wordUniverse.Subset(1)) }},
+		call{"SetAssumedOf", "-1", func(s *Store) { s.SetAssumedOf(-1, wordUniverse.Subset(1), wordUniverse.Subset(2), 1) }})
+	for _, bound := range []bool{false, true} {
+		for _, c := range calls {
+			s := New()
+			if bound {
+				s.Bind(wordUniverse)
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, c.input) || msg == "" {
+						t.Errorf("bound=%v %s(%q): panic %q, want one naming the input", bound, c.name, c.input, msg)
+					}
+				}()
+				c.fn(s)
+			}()
 		}
 	}
 }
