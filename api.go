@@ -289,13 +289,16 @@ func WithEventSink(sink EventSink) RunOption { return func(c *runConfig) { c.cor
 // which may be shared across runs.
 func WithMetrics(reg *MetricsRegistry) RunOption { return func(c *runConfig) { c.core.Metrics = reg } }
 
-// WithParallelism caps the engine's worker count for the run's partitionable
-// operators (filter scans, hash-join probe, Σ statistics pass): 1 forces the
-// exact serial path, N > 1 uses up to N workers, and 0 (the default) uses
-// runtime.GOMAXPROCS(0). Every setting is bit-identical — same result rows in
-// the same order, same Σ sketch estimates, same plan choices — so the knob
-// trades wall time only; set 1 to take parallelism out of a measurement or
-// when the process must not spawn goroutines.
+// WithParallelism caps the run's threads: the engine's workers for its
+// partitionable operators (filter scans, hash build and probe, nested loop, Σ
+// statistics pass) and the OS threads the root-parallel MCTS planner runs its
+// search shards on. 1 forces the exact serial path, N > 1 uses up to N
+// threads, and 0 (the default) uses runtime.GOMAXPROCS(0). Every setting is
+// bit-identical — same result rows in the same order, same Σ sketch
+// estimates, same plans, same trace — because the search's decomposition is
+// fixed by the planner configuration alone, so the knob trades wall time
+// only; set 1 to take parallelism out of a measurement or when the process
+// must not spawn goroutines.
 func WithParallelism(n int) RunOption { return func(c *runConfig) { c.core.Parallelism = n } }
 
 // WithBatchSize caps the rows one streaming pipeline batch carries between
@@ -319,17 +322,6 @@ func WithBatchSize(n int) RunOption { return func(c *runConfig) { c.core.BatchSi
 // runs until changed: 1 clears it, and n <= 0 (the default) keeps whatever
 // layout the catalog has.
 func WithShards(n int) RunOption { return func(c *runConfig) { c.shards = n } }
-
-// WithPlanParallelism caps the OS threads the root-parallel MCTS planner runs
-// its search shards on: 1 forces serial planning, N > 1 uses up to N threads,
-// and 0 (the default) uses runtime.GOMAXPROCS(0). The search decomposition is
-// fixed by the planner configuration alone, so every setting yields the
-// byte-identical run — same plans, same trace, same visit counts — and the
-// knob trades planning wall time only. Independent of WithParallelism, which
-// governs the execution engine's workers.
-func WithPlanParallelism(n int) RunOption {
-	return func(c *runConfig) { c.core.PlanParallelism = n }
-}
 
 // WithPlanCache memoizes planned rounds in c and replays them on repeats:
 // before each MCTS call the run consults c, keyed by the query's canonical

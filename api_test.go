@@ -3,10 +3,12 @@ package monsoon
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"monsoon/internal/obs"
 	"monsoon/internal/table"
 )
 
@@ -426,7 +428,7 @@ func TestWithParallelismDeterministic(t *testing.T) {
 }
 
 func TestWithPlanParallelismDeterministic(t *testing.T) {
-	// The planner knob mirrors the engine knob: any thread cap on the
+	// WithParallelism caps the planner too: any thread cap on the
 	// root-parallel MCTS shards — including more threads than shards — must
 	// reproduce the forced-serial run bit-for-bit, down to the trace lines
 	// the searched plans emit.
@@ -440,9 +442,9 @@ func TestWithPlanParallelismDeterministic(t *testing.T) {
 		}
 		return rep, lines
 	}
-	serial, serialLines := run(WithPlanParallelism(1))
+	serial, serialLines := run(WithParallelism(1))
 	for _, w := range []int{0, 2, 64} {
-		rep, lines := run(WithPlanParallelism(w))
+		rep, lines := run(WithParallelism(w))
 		if rep.Rows != serial.Rows || rep.Value != serial.Value || rep.Produced != serial.Produced ||
 			rep.Actions != serial.Actions || rep.Executes != serial.Executes {
 			t.Errorf("plan parallelism %d diverged: %+v vs serial %+v", w, rep.Result, serial.Result)
@@ -453,5 +455,29 @@ func TestWithPlanParallelismDeterministic(t *testing.T) {
 		if !table.IdenticalRows(rep.Output.Rows, serial.Output.Rows) {
 			t.Errorf("plan parallelism %d output relation differs from serial", w)
 		}
+	}
+}
+
+// TestWithParallelismOneRunsSerial: WithParallelism(1) keeps the run on the
+// calling goroutine, the planner's search shards included. On two threads no
+// plan span reports a fan-out and no operator fans out to workers.
+func TestWithParallelismOneRunsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	col := &TraceCollector{}
+	if _, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(300),
+		WithParallelism(1), WithEventSink(col)); err != nil {
+		t.Fatal(err)
+	}
+	plans := col.SpansOf(obs.KPlan)
+	if len(plans) == 0 {
+		t.Fatal("the run planned nothing")
+	}
+	for i, sp := range plans {
+		if w, ok := sp.Num[obs.AttrPlanWorkers]; ok {
+			t.Errorf("plan span %d of %d searched on %v threads, want the calling goroutine alone", i, len(plans), w)
+		}
+	}
+	if n := len(col.SpansOf(obs.KWorker)); n != 0 {
+		t.Errorf("%d worker spans, want none", n)
 	}
 }

@@ -120,7 +120,7 @@ func benchPlanPhase(b *testing.B, planWorkers int) {
 			b.StopTimer()
 			eng := engine.New(cat)
 			s := core.NewSession(q, eng, &engine.Budget{MaxTuples: sc.MaxTuples}, core.Config{
-				Seed: sc.Seed, Iterations: sc.MCTSIterations, PlanParallelism: planWorkers,
+				Seed: sc.Seed, Iterations: sc.MCTSIterations, Parallelism: planWorkers,
 			})
 			b.StartTimer()
 			for {

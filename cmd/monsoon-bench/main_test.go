@@ -22,7 +22,6 @@ func TestFlagSurface(t *testing.T) {
 		"obs-linger":       "0s",
 		"parallelism":      "0",
 		"plan-cache":       "false",
-		"plan-parallelism": "0",
 		"replan-threshold": "0",
 		"scale":            "small",
 		"seed":             "1",

@@ -10,7 +10,7 @@
 //	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
 //	            [-prior NAME] [-explain] [-repeat N]
 //	            [-scale tiny|small|medium] [-seed N]
-//	            [-parallelism N] [-batch-size N] [-shards N] [-plan-parallelism N]
+//	            [-parallelism N] [-batch-size N] [-shards N]
 //	            [-calibration-file FILE] [-replan-threshold Q]
 //	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //

@@ -21,7 +21,6 @@ func TestFlagSurface(t *testing.T) {
 		"opt":              "monsoon",
 		"parallelism":      "0",
 		"plan-cache":       "false",
-		"plan-parallelism": "0",
 		"prior":            "Spike and Slab",
 		"query":            "",
 		"repeat":           "1",

@@ -23,7 +23,6 @@ func TestFlagSurface(t *testing.T) {
 		"max-concurrent":   "8",
 		"max-tuples":       "0",
 		"parallelism":      "0",
-		"plan-parallelism": "0",
 		"replan-threshold": "0",
 		"scale":            "tiny",
 		"seed":             "1",

@@ -80,7 +80,7 @@ func TestColdPlanBytes(t *testing.T) {
 			continue
 		}
 		sess := NewSession(qc.Query, engine.New(qc.Cat), nil,
-			Config{Iterations: 400, Seed: 5, PlanParallelism: 1})
+			Config{Iterations: 400, Seed: 5, Parallelism: 1})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := sess.PlanRound(); err != nil {

@@ -144,7 +144,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 func TestConcurrentSessionsSpanStreamsIdentical(t *testing.T) {
 	seeds := []int64{7, 11, 42}
 	pinned := func(seed int64) Config {
-		return Config{Seed: seed, Iterations: 300, Parallelism: 1, PlanParallelism: 1}
+		return Config{Seed: seed, Iterations: 300, Parallelism: 1}
 	}
 
 	solo := make(map[int64][]string)
@@ -226,7 +226,7 @@ func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				st := seedStats.Clone()
 				res, err := Run(q, eng, &engine.Budget{}, Config{
-					Seed: int64(10*i + r), Iterations: 300, Stats: st, PlanParallelism: 4,
+					Seed: int64(10*i + r), Iterations: 300, Stats: st, Parallelism: 4,
 				})
 				if err == nil && (res.Value != want.Value || res.Rows != want.Rows) {
 					err = fmt.Errorf("value/rows %g/%d, want %g/%d", res.Value, res.Rows, want.Value, want.Rows)
@@ -261,7 +261,7 @@ func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
 // a session that hits the cache for its first round but must plan later
 // rounds itself (the normal state when concurrent sessions race to populate
 // a shared cache) must make exactly the plan choices of a cache-free run.
-// Before RootPlanner.SkipCalls, the skipped Plan calls left the per-call RNG
+// Before Planner.SkipCalls, the skipped Plan calls left the per-call RNG
 // streams misaligned and the hit-then-miss run settled on different plans.
 func TestPartialWarmCacheMatchesColdRun(t *testing.T) {
 	const seed, iterations = 11, 300

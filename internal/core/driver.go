@@ -46,20 +46,17 @@ type Config struct {
 	// (actions, executes, Σ ops, planning latency, per-join q-error)
 	// across runs sharing the registry.
 	Metrics *obs.Registry
-	// Parallelism and BatchSize are this run's engine knobs, passed to its
-	// execution scope as they are (see engine.ExecConfig): 0 is machine
-	// width and the default batch. Every setting is bit-identical — same
-	// result rows, Σ estimates, and plan choices — so they trade wall time
-	// and peak memory only.
+	// Parallelism caps this run's threads: the engine's workers (passed to
+	// its execution scope as it is, see engine.ExecConfig) and the OS
+	// threads the root-parallel MCTS planner runs its search shards on
+	// (mcts.Config.Workers). 0 is machine width, 1 runs every operator and
+	// every search shard on the calling goroutine. BatchSize is the engine's pipeline batch, 0 the
+	// default. Every setting is bit-identical — same result rows, Σ
+	// estimates, and plan choices: the search's logical decomposition is
+	// fixed by the iteration budget alone — so they trade wall time and peak
+	// memory only.
 	Parallelism int
 	BatchSize   int
-	// PlanParallelism caps the OS threads the root-parallel MCTS planner
-	// runs search shards on: 0 means all cores, 1 forces serial execution.
-	// The search's logical decomposition — shard quotas, per-shard RNG
-	// seeds, merge order — is fixed by the iteration budget alone, so every
-	// setting picks byte-identical plans; the knob trades planning wall
-	// time only.
-	PlanParallelism int
 	// Cache, when non-nil, memoizes planned rounds across planning calls,
 	// rounds, and sessions sharing the cache: before each MCTS call the
 	// session looks up (canonical query shape, planner knobs, MDP state

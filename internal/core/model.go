@@ -22,7 +22,7 @@ type Model struct {
 	Prior prior.Prior
 	Rng   *rand.Rand
 	// UniformRollout switches the default policy from the greedy completion
-	// documented on RolloutAction to uniform random action selection. It
+	// documented on Playout to uniform random action selection. It
 	// exists for the ablation experiment: uniform rollouts hide the value of
 	// information from shallow searches.
 	UniformRollout bool
@@ -81,13 +81,9 @@ func (sc *scratch) reset(s *State) *State {
 	return w
 }
 
-var (
-	_ mcts.Model        = (*Model)(nil)
-	_ mcts.PlayoutModel = (*Model)(nil)
-	_ mcts.Forker       = (*Model)(nil)
-)
+var _ mcts.Model = (*Model)(nil)
 
-// Fork implements mcts.Forker: an independent simulator for one search
+// Fork implements mcts.Model: an independent simulator for one search
 // shard. The query and prior are immutable and shared; the prior-sampling
 // RNG and the scratch — the model's only mutable state — are private to the
 // fork, the RNG seeded from seed, so shards step their simulators
@@ -230,29 +226,18 @@ func (m *Model) partnerCount(dv *cost.Deriver, aliases query.AliasSet) float64 {
 	return prod
 }
 
-// RolloutAction implements mcts.RolloutModel with a greedy default policy:
-// finish the query with the join order that looks cheapest under the rollout
-// world's statistics (hardened values where known, prior samples elsewhere),
-// then EXECUTE. Σ actions are never taken during rollouts — the tree policy
+// Playout implements mcts.Model with a greedy default policy: finish the
+// query with the join order that looks cheapest under the rollout world's
+// statistics (hardened values where known, prior samples elsewhere), then
+// EXECUTE. Σ actions are never taken during rollouts — the tree policy
 // explores them — so a rollout directly prices "commit now with what this
 // world knows", which is exactly what makes the value of information visible
 // to the search: a subtree below a simulated Σ completes with the hardened
-// statistic, a subtree that guessed completes blind. The search itself plays
-// its rollouts through Playout; this is the same choice made one state at a
-// time.
-func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
-	a, ok := m.rolloutAction(m.sim.reset(s.(*State)), rng)
-	if !ok {
-		return nil
-	}
-	return &a
-}
-
-// Playout implements mcts.PlayoutModel: the default policy played from s on
-// the model's world, edited in place by the same transition functions Step
-// uses, so it takes the same actions with the same draws from rng and from
-// the model's Rng as the loop of RolloutAction and Step would, and sums the
-// same rewards in the same order.
+// statistic, a subtree that guessed completes blind. The policy is played from
+// s on the model's world, edited in place by the same transition functions
+// Step uses, so it takes the same actions with the same draws from rng and
+// from the model's Rng as choosing one action at a time and stepping into a
+// new state would, and sums the same rewards in the same order.
 func (m *Model) Playout(s mcts.State, rng *rand.Rand, steps int) float64 {
 	w := m.sim.reset(s.(*State))
 	total := 0.0

@@ -79,7 +79,7 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 }
 
 // TestPlanParallelismGolden is the planner-side determinism gate, the mirror
-// of TestRunSerialParallelIdentical: PlanParallelism caps the OS threads the
+// of TestRunSerialParallelIdentical: Parallelism also caps the OS threads the
 // root-parallel MCTS shards run on, and every setting — serial, fewer threads
 // than shards, more threads than shards — must produce the byte-identical
 // run: same result accounting, same executed trees, same trace lines, and
@@ -96,7 +96,7 @@ func TestPlanParallelismGolden(t *testing.T) {
 		col := &obs.Collector{}
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 11, Iterations: 300, PlanParallelism: workers,
+			Seed: 11, Iterations: 300, Parallelism: workers,
 			Sink: obs.Multi(col, obs.MessageSink(func(s string) { lines = append(lines, s) })),
 		})
 		if err != nil {
@@ -144,7 +144,7 @@ func TestPlanSpanWorkersAttr(t *testing.T) {
 		eng := engine.New(cat)
 		col := &obs.Collector{}
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 7, Iterations: 300, PlanParallelism: c.workers, Sink: col,
+			Seed: 7, Iterations: 300, Parallelism: c.workers, Sink: col,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -39,9 +39,19 @@ func (c *countingPrior) Mean(cr, cs float64) float64 {
 	return c.Prior.Mean(cr, cs)
 }
 
-// stepRollout is the planner's own default-policy loop (mcts.Planner.rollout
-// for a model without Playout): RolloutAction, then Step into a new state, at
-// most steps times. It reports every state it stepped into.
+// RolloutAction is the default policy's choice in s, made one state at a
+// time: the action Playout takes from s, or nil when it takes none.
+func (m *Model) RolloutAction(s mcts.State, rng *rand.Rand) mcts.Action {
+	a, ok := m.rolloutAction(m.sim.reset(s.(*State)), rng)
+	if !ok {
+		return nil
+	}
+	return &a
+}
+
+// stepRollout is the stepped reference Playout must reproduce: RolloutAction,
+// then Step into a new state, at most steps times. It reports every state it
+// stepped into.
 func stepRollout(m *Model, s mcts.State, rng *rand.Rand, steps int, seen func(*State)) float64 {
 	total := 0.0
 	for depth := 0; !s.Terminal() && depth < steps; depth++ {
@@ -176,14 +186,14 @@ func TestPlayoutMatchesStepRollout(t *testing.T) {
 			}
 		}
 		// The whole search over four plan shards, two threads: the same
-		// statistics and line whether the planner plays or steps rollouts.
+		// statistics and line whether the model plays or steps rollouts.
 		// Forks share the prior, which must then not count.
 		play, _ := c.model(7)
 		step, _ := c.model(7)
 		play.Prior, step.Prior = prior.Default(), prior.Default()
 		root := c.starts(play, randx.New(7))[0]
-		cfg := mcts.RootConfig{Config: mcts.Config{Iterations: 120}, Shards: 4, Workers: 2}
-		pp, sp := mcts.NewRoot(cfg, 11), mcts.NewRoot(cfg, 11)
+		cfg := mcts.Config{Iterations: 120, Shards: 4, Workers: 2}
+		pp, sp := mcts.New(cfg, 11), mcts.New(cfg, 11)
 		a := pp.Plan(play, root)
 		b := sp.Plan(steppedModel{step}, root)
 		if a.Key() != b.Key() || !reflect.DeepEqual(pp.LastStats(), sp.LastStats()) {
@@ -194,16 +204,16 @@ func TestPlayoutMatchesStepRollout(t *testing.T) {
 	t.Logf("%d playouts matched", playouts)
 }
 
-// steppedModel is a Model whose rollouts the planner steps itself: it
-// forwards everything but Playout.
+// steppedModel is a Model whose rollouts are stepped: it forwards everything
+// but Playout, which is stepRollout.
 type steppedModel struct{ m *Model }
 
 func (s steppedModel) Legal(st mcts.State) []mcts.Action { return s.m.Legal(st) }
 func (s steppedModel) Step(st mcts.State, a mcts.Action) (mcts.State, float64, bool) {
 	return s.m.Step(st, a)
 }
-func (s steppedModel) RolloutAction(st mcts.State, rng *rand.Rand) mcts.Action {
-	return s.m.RolloutAction(st, rng)
+func (s steppedModel) Playout(st mcts.State, rng *rand.Rand, steps int) float64 {
+	return stepRollout(s.m, st, rng, steps, func(*State) {})
 }
 func (s steppedModel) Fork(seed int64) mcts.Model { return steppedModel{s.m.Fork(seed).(*Model)} }
 

@@ -55,7 +55,7 @@ type Session struct {
 	st      *stats.Store
 	state   *State
 	model   *Model
-	planner *mcts.RootPlanner
+	planner *mcts.Planner
 	tr      *obs.Tracer
 	res     *Result
 
@@ -128,14 +128,13 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	}
 	// Planning is root-parallel: the rollout budget is pre-split into shards
 	// whose count, quotas, and RNG seeds depend only on (seed, iterations),
-	// never on PlanParallelism — so the thread cap trades planning wall time
-	// without moving a single plan choice (see TestPlanParallelismGolden).
-	s.planner = mcts.NewRoot(mcts.RootConfig{
-		Config: mcts.Config{
-			Strategy:   cfg.Strategy,
-			Iterations: cfg.Iterations,
-		},
-		Workers: cfg.PlanParallelism,
+	// never on Parallelism — so the thread cap trades planning wall time
+	// without moving a single plan choice (the planner golden in
+	// parallel_test.go pins this).
+	s.planner = mcts.New(mcts.Config{
+		Strategy:   cfg.Strategy,
+		Iterations: cfg.Iterations,
+		Workers:    cfg.Parallelism,
 	}, randx.Derive(cfg.Seed, "mcts"))
 
 	if cfg.Cache != nil {

@@ -94,7 +94,7 @@ func (s *State) ownFrontier() {
 	s.leaves = slices.Clone(s.leaves)
 }
 
-// CloneForSearch implements mcts.Cloner: each root-parallel search shard
+// CloneForSearch implements mcts.State: each root-parallel search shard
 // plans from its own copy of the root state, over an overlay of the
 // statistics store — so everything a shard reads during its search sits in
 // frozen layers or in overlays of its own, and no shard takes the session

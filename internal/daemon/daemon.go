@@ -60,11 +60,11 @@ type Config struct {
 	// every query alike; its zero value defaults to harness.Tiny(). Seed is
 	// the base seed — per-query seeds derive from it by query name, so a
 	// query's result is identical no matter which client asks or when.
-	// Parallelism, BatchSize and PlanParallelism are the engine and planner
-	// knobs (pure wall-time knobs under the determinism contracts). Shards
-	// lays every served catalog out as hash shards the planner prices
-	// (answers are identical at any count). MCTSIterations is the per-planning-call
-	// rollout budget.
+	// Parallelism caps each query's engine and planner threads and BatchSize
+	// is the engine's batch (pure wall-time knobs under the determinism
+	// contracts). Shards lays every served catalog out as hash shards the
+	// planner prices (answers are identical at any count). MCTSIterations is
+	// the per-planning-call rollout budget.
 	Scale harness.Scale
 	// MaxConcurrent bounds admitted queries; further requests get 429.
 	// 0 defaults to 8.

@@ -40,20 +40,16 @@ type Scale struct {
 	MaxTuples      float64
 	MCTSIterations int
 	Seed           int64
-	// Parallelism and BatchSize are the engine knobs every execution of the
-	// campaign runs with (see engine.ExecConfig): 0 = runtime.GOMAXPROCS(0)
-	// workers and the default 4096-row batch (also for a negative
-	// BatchSize), Parallelism 1 = the exact serial path, a BatchSize no
-	// intermediate reaches = full materialization between operators. Results
-	// are bit-identical at every setting; only wall times and peak memory
-	// change.
+	// Parallelism and BatchSize are the thread and batch knobs every
+	// execution of the campaign runs with (see engine.ExecConfig), and
+	// Parallelism also caps the threads Monsoon's root-parallel MCTS planner
+	// searches on: 0 = runtime.GOMAXPROCS(0) threads and the default
+	// 4096-row batch (also for a negative BatchSize), Parallelism 1 = the
+	// exact serial path, a BatchSize no intermediate reaches = full
+	// materialization between operators. Results and plans are bit-identical
+	// at every setting; only wall times and peak memory change.
 	Parallelism int
 	BatchSize   int
-	// PlanParallelism caps the OS threads Monsoon's root-parallel MCTS
-	// planner runs its search shards on: 0 = runtime.GOMAXPROCS(0), 1 =
-	// serial planning. The shard decomposition is fixed by the planner
-	// config, so plans are bit-identical at every setting.
-	PlanParallelism int
 	// Shards lays every generated catalog out as that many deterministic
 	// hash shards (first-column layout), which the planner prices as
 	// exchange cost for every run of the campaign: 0 or 1 keeps the catalog
@@ -78,11 +74,11 @@ func (sc Scale) exec() engine.ExecConfig {
 	return engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
 }
 
-// Apply returns cfg with the scale's MCTS iteration budget, seed and thread
-// knobs (Parallelism, BatchSize, PlanParallelism) copied in.
+// Apply returns cfg with the scale's MCTS iteration budget, seed, and thread
+// and batch knobs (Parallelism, BatchSize) copied in.
 func (sc Scale) Apply(cfg core.Config) core.Config {
 	cfg.Iterations, cfg.Seed = sc.MCTSIterations, sc.Seed
-	cfg.Parallelism, cfg.BatchSize, cfg.PlanParallelism = sc.Parallelism, sc.BatchSize, sc.PlanParallelism
+	cfg.Parallelism, cfg.BatchSize = sc.Parallelism, sc.BatchSize
 	return cfg
 }
 

@@ -23,6 +23,11 @@ type State interface {
 	// discriminate between materially different sampled worlds. The search
 	// renders every key into one buffer it reuses.
 	AppendOutcomeKey(b []byte) []byte
+	// CloneForSearch returns the copy of the state one search shard works
+	// from (core's State gives every shard a private overlay of its
+	// statistics store). The planner makes every shard's copy on the calling
+	// goroutine before any shard runs.
+	CloneForSearch() State
 }
 
 // Action is an MDP action; Key must uniquely identify it within its state.
@@ -40,21 +45,14 @@ type Model interface {
 	// false promises the same successor and reward on every call, and the
 	// search then steps such an edge once and keeps what it got.
 	Step(s State, a Action) (next State, reward float64, stochastic bool)
-}
-
-// RolloutModel lets a model bias the default-policy phase; without it,
-// rollouts pick uniformly among legal actions.
-type RolloutModel interface {
-	RolloutAction(s State, rng *rand.Rand) Action
-}
-
-// PlayoutModel lets a RolloutModel play the whole default-policy phase
-// itself. Playout must return exactly what the planner's own loop would —
-// RolloutAction, then Step, from s until a terminal state, a nil action or
-// steps transitions, rewards summed in order — drawing from rng as that loop
-// would; what it saves is the state the loop materializes at every step.
-type PlayoutModel interface {
-	RolloutModel
+	// Fork returns an independent simulator seeded from seed, safe to drive
+	// from another goroutine: the planner searches every shard on a fork of
+	// its own.
+	Fork(seed int64) Model
+	// Playout plays the default policy from s — the model's own pick, then
+	// Step, until a terminal state, a state it has no pick for, or steps
+	// transitions — drawing from rng, and returns the rewards summed in
+	// order. It must not mutate s.
 	Playout(s State, rng *rand.Rand, steps int) float64
 }
 
@@ -79,6 +77,13 @@ type Config struct {
 	MaxDepth int
 	// EpsMin is the ε-greedy floor; default 0.1.
 	EpsMin float64
+	// Shards fixes the logical worker count — the unit of determinism. 0
+	// derives it from the budget: max(1, min(DefaultShards, Iterations/minShardQuota)).
+	Shards int
+	// Workers caps the OS threads executing shards: 0 means
+	// runtime.GOMAXPROCS(0), 1 forces serial execution. Plans are
+	// bit-identical for every value.
+	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -111,9 +116,9 @@ type PlanStats struct {
 	Nodes int
 	// FastPath marks a call decided without search (≤ 1 legal action).
 	FastPath bool
-	// Workers is the number of OS threads the search actually ran on: 1 for
-	// the serial planner and for root-parallel searches forced serial (one
-	// shard, unforkable model); plans are identical for every value.
+	// Workers is the number of OS threads the search actually ran on: at
+	// most Config.Workers and the shard count, and 1 on the fast path; plans
+	// are identical for every value.
 	Workers int
 	// Line is the principal variation the search settled on: the action key
 	// MCTS picks at the root followed by the best-average action at each
@@ -124,24 +129,18 @@ type PlanStats struct {
 	Line []string
 }
 
-// Planner runs MCTS. It is not safe for concurrent use.
-type Planner struct {
+// tree is one search shard's tree search: it runs its quota of passes over a
+// tree of its own, with its own rng, and keeps the statistics of its search.
+// It is not safe for concurrent use.
+type tree struct {
 	cfg Config
 	rng *rand.Rand
 
 	minRet, maxRet float64
 	haveRet        bool
-	last           PlanStats
+	stats          PlanStats
 	// key is the buffer outcome keys are rendered into.
 	key []byte
-}
-
-// LastStats reports the statistics of the most recent Plan call.
-func (p *Planner) LastStats() PlanStats { return p.last }
-
-// New creates a planner with the given configuration and randomness.
-func New(cfg Config, rng *rand.Rand) *Planner {
-	return &Planner{cfg: cfg.withDefaults(), rng: rng}
 }
 
 type edge struct {
@@ -164,50 +163,33 @@ type node struct {
 	visits  int
 }
 
-func (p *Planner) newNode(m Model, s State) *node {
+func (t *tree) newNode(m Model, s State) *node {
 	n := &node{state: s}
 	if !s.Terminal() {
 		n.actions = m.Legal(s)
 		n.edges = make([]*edge, len(n.actions))
 	}
-	p.last.Nodes++
+	t.stats.Nodes++
 	return n
 }
 
-// Plan runs the configured number of iterations from root and returns the
-// action with the best average return, or nil if root is terminal/stuck.
-func (p *Planner) Plan(m Model, root State) Action {
-	p.last = PlanStats{Workers: 1}
-	rootNode := p.newNode(m, root)
-	p.last.RootActions = len(rootNode.actions)
-	if len(rootNode.actions) == 0 {
-		p.last.FastPath = true
-		return nil
+// search runs the configured iteration budget from root.
+func (t *tree) search(m Model, root *node) {
+	for i := 0; i < t.cfg.Iterations; i++ {
+		t.simulate(m, root, 0, i)
+		t.stats.Rollouts++
 	}
-	if len(rootNode.actions) == 1 {
-		p.last.FastPath = true
-		p.last.Line = []string{rootNode.actions[0].Key()}
-		return rootNode.actions[0]
-	}
-	p.search(m, rootNode)
-	p.last.Line = principalVariation(rootNode, p.cfg.MaxDepth)
-	best := bestVisited(rootNode)
-	if best < 0 {
-		p.last.Line = []string{rootNode.actions[0].Key()}
-		return rootNode.actions[0]
-	}
-	return rootNode.actions[best]
 }
 
-// search runs the configured iteration budget from rootNode. Factored out of
-// Plan so the root-parallel planner can run one shard's quota against a
-// shard-private tree with exactly the serial pass structure.
-func (p *Planner) search(m Model, rootNode *node) {
-	p.minRet, p.maxRet, p.haveRet = 0, 0, false
-	for i := 0; i < p.cfg.Iterations; i++ {
-		p.simulate(m, rootNode, 0, i)
-		p.last.Rollouts++
+// settle returns the action with the best average return at n and the
+// principal variation from n: n's first action alone when no edge was
+// visited.
+func settle(n *node, maxDepth int) (Action, []string) {
+	best := bestVisited(n)
+	if best < 0 {
+		return n.actions[0], []string{n.actions[0].Key()}
 	}
+	return n.actions[best], principalVariation(n, maxDepth)
 }
 
 // bestVisited returns the index of the visited edge with the best average
@@ -254,14 +236,14 @@ func principalVariation(n *node, maxDepth int) []string {
 
 // simulate runs one selection→expansion→rollout→backpropagation pass and
 // returns the cumulative return observed from n downward.
-func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
-	if depth > p.last.MaxDepth {
-		p.last.MaxDepth = depth
+func (t *tree) simulate(m Model, n *node, depth, iter int) float64 {
+	if depth > t.stats.MaxDepth {
+		t.stats.MaxDepth = depth
 	}
-	if n.state.Terminal() || len(n.actions) == 0 || depth >= p.cfg.MaxDepth {
+	if n.state.Terminal() || len(n.actions) == 0 || depth >= t.cfg.MaxDepth {
 		return 0
 	}
-	idx := p.selectEdge(n, iter)
+	idx := t.selectEdge(n, iter)
 	e := n.edges[idx]
 	freshlyExpanded := e == nil
 	if freshlyExpanded {
@@ -273,97 +255,70 @@ func (p *Planner) simulate(m Model, n *node, depth, iter int) float64 {
 		next, r, stochastic := m.Step(n.state, e.action)
 		reward = r
 		if !stochastic {
-			child = p.newNode(m, next)
+			child = t.newNode(m, next)
 			e.only, e.reward = child, r
 		} else {
 			// The lookup reads the buffer in place; only a new child's key
 			// becomes a string.
-			p.key = next.AppendOutcomeKey(p.key[:0])
-			if child = e.kids[string(p.key)]; child == nil {
-				child = p.newNode(m, next)
+			t.key = next.AppendOutcomeKey(t.key[:0])
+			if child = e.kids[string(t.key)]; child == nil {
+				child = t.newNode(m, next)
 				if e.kids == nil {
 					e.kids = make(map[string]*node)
 				}
-				e.kids[string(p.key)] = child
+				e.kids[string(t.key)] = child
 			}
 		}
 	}
 	var ret float64
 	if freshlyExpanded {
-		ret = reward + p.rollout(m, child.state, depth+1)
+		// The model plays the default policy to a terminal state, within the
+		// transitions MaxDepth leaves below the child.
+		ret = reward + m.Playout(child.state, t.rng, t.cfg.MaxDepth-depth-1)
 	} else {
-		ret = reward + p.simulate(m, child, depth+1, iter)
+		ret = reward + t.simulate(m, child, depth+1, iter)
 	}
 	e.visits++
 	e.total += ret
 	n.visits++
 	child.visits++
-	p.observe(ret)
+	t.observe(ret)
 	return ret
 }
 
-// rollout plays the default policy to a terminal state.
-func (p *Planner) rollout(m Model, s State, depth int) float64 {
-	if pm, ok := m.(PlayoutModel); ok {
-		return pm.Playout(s, p.rng, p.cfg.MaxDepth-depth)
-	}
-	total := 0.0
-	rm, biased := m.(RolloutModel)
-	for !s.Terminal() && depth < p.cfg.MaxDepth {
-		var a Action
-		if biased {
-			a = rm.RolloutAction(s, p.rng)
-		} else {
-			legal := m.Legal(s)
-			if len(legal) == 0 {
-				break
-			}
-			a = legal[p.rng.Intn(len(legal))]
-		}
-		if a == nil {
-			break
-		}
-		next, reward, _ := m.Step(s, a)
-		total += reward
-		s = next
-		depth++
-	}
-	return total
-}
-
-func (p *Planner) observe(ret float64) {
-	if !p.haveRet {
-		p.minRet, p.maxRet, p.haveRet = ret, ret, true
+func (t *tree) observe(ret float64) {
+	if !t.haveRet {
+		t.minRet, t.maxRet, t.haveRet = ret, ret, true
 		return
 	}
-	if ret < p.minRet {
-		p.minRet = ret
+	if ret < t.minRet {
+		t.minRet = ret
 	}
-	if ret > p.maxRet {
-		p.maxRet = ret
+	if ret > t.maxRet {
+		t.maxRet = ret
 	}
 }
 
 // normalize maps a return into [0,1] using the running min/max.
-func (p *Planner) normalize(ret float64) float64 {
-	if !p.haveRet || p.maxRet == p.minRet {
+func (t *tree) normalize(ret float64) float64 {
+	if !t.haveRet || t.maxRet == t.minRet {
 		return 0.5
 	}
-	return (ret - p.minRet) / (p.maxRet - p.minRet)
+	return (ret - t.minRet) / (t.maxRet - t.minRet)
 }
 
-func (p *Planner) selectEdge(n *node, iter int) int {
-	switch p.cfg.Strategy {
+func (t *tree) selectEdge(n *node, iter int) int {
+	switch t.cfg.Strategy {
 	case EpsGreedy:
-		return p.selectEpsGreedy(n, iter)
+		return t.selectEpsGreedy(n, iter)
 	default:
-		return p.selectUCT(n)
+		return t.selectUCT(n)
 	}
 }
 
 // selectUCT returns an unvisited edge if any (expansion), else the UCB1
 // maximizer r̄ + w·√(ln v_p / v_c).
-func (p *Planner) selectUCT(n *node) int {
+func (t *tree) selectUCT(n *node) int {
 	for i, e := range n.edges {
 		if e == nil || e.visits == 0 {
 			return i
@@ -372,8 +327,8 @@ func (p *Planner) selectUCT(n *node) int {
 	best, bestVal := 0, math.Inf(-1)
 	lnP := math.Log(float64(n.visits) + 1)
 	for i, e := range n.edges {
-		exploit := p.normalize(e.total / float64(e.visits))
-		explore := p.cfg.W * math.Sqrt(lnP/float64(e.visits))
+		exploit := t.normalize(e.total / float64(e.visits))
+		explore := t.cfg.W * math.Sqrt(lnP/float64(e.visits))
 		if v := exploit + explore; v > bestVal {
 			bestVal = v
 			best = i
@@ -385,12 +340,12 @@ func (p *Planner) selectUCT(n *node) int {
 // selectEpsGreedy explores with probability ε (decayed exponentially from 1
 // toward EpsMin over the iteration budget, after [40]) and exploits the best
 // average return otherwise. Unvisited edges are preferred while exploring.
-func (p *Planner) selectEpsGreedy(n *node, iter int) int {
-	eps := math.Exp(-4 * float64(iter) / float64(p.cfg.Iterations))
-	if eps < p.cfg.EpsMin {
-		eps = p.cfg.EpsMin
+func (t *tree) selectEpsGreedy(n *node, iter int) int {
+	eps := math.Exp(-4 * float64(iter) / float64(t.cfg.Iterations))
+	if eps < t.cfg.EpsMin {
+		eps = t.cfg.EpsMin
 	}
-	if p.rng.Float64() < eps {
+	if t.rng.Float64() < eps {
 		var unvisited []int
 		for i, e := range n.edges {
 			if e == nil || e.visits == 0 {
@@ -398,9 +353,9 @@ func (p *Planner) selectEpsGreedy(n *node, iter int) int {
 			}
 		}
 		if len(unvisited) > 0 {
-			return unvisited[p.rng.Intn(len(unvisited))]
+			return unvisited[t.rng.Intn(len(unvisited))]
 		}
-		return p.rng.Intn(len(n.edges))
+		return t.rng.Intn(len(n.edges))
 	}
 	best, bestVal := -1, math.Inf(-1)
 	for i, e := range n.edges {
@@ -413,7 +368,7 @@ func (p *Planner) selectEpsGreedy(n *node, iter int) int {
 		}
 	}
 	if best < 0 {
-		return p.rng.Intn(len(n.edges))
+		return t.rng.Intn(len(n.edges))
 	}
 	return best
 }

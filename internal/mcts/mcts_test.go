@@ -8,12 +8,55 @@ import (
 	"monsoon/internal/randx"
 )
 
+// stepPlayout is the default-policy loop a Model's Playout stands for: pick,
+// then Step, from s until a terminal state, a nil pick or steps transitions,
+// rewards summed in order.
+func stepPlayout(m Model, pick func(State, *rand.Rand) Action, s State, rng *rand.Rand, steps int) float64 {
+	total := 0.0
+	for ; steps > 0 && !s.Terminal(); steps-- {
+		a := pick(s, rng)
+		if a == nil {
+			break
+		}
+		next, reward, _ := m.Step(s, a)
+		total += reward
+		s = next
+	}
+	return total
+}
+
+// uniformPlayout is the stepped loop under the uniform default policy: a
+// legal action drawn uniformly from rng, nil when there is none.
+func uniformPlayout(m Model, s State, rng *rand.Rand, steps int) float64 {
+	return stepPlayout(m, func(s State, rng *rand.Rand) Action {
+		legal := m.Legal(s)
+		if len(legal) == 0 {
+			return nil
+		}
+		return legal[rng.Intn(len(legal))]
+	}, s, rng, steps)
+}
+
+// treePlan searches one tree from root — the search a one-shard Planner runs
+// on its shard's streams — and returns the action and the statistics Plan
+// would report for it.
+func treePlan(cfg Config, rng *rand.Rand, m Model, root State) (Action, PlanStats) {
+	t := &tree{cfg: cfg.withDefaults(), rng: rng}
+	n := t.newNode(m, root)
+	t.search(m, n)
+	a, line := settle(n, t.cfg.MaxDepth)
+	st := t.stats
+	st.RootActions, st.Workers, st.Line = len(n.actions), 1, line
+	return a, st
+}
+
 // --- toy MDP 1: a one-shot bandit ---------------------------------------
 
 type banditState struct{ done bool }
 
 func (s banditState) Terminal() bool                   { return s.done }
 func (s banditState) AppendOutcomeKey(b []byte) []byte { return b }
+func (s banditState) CloneForSearch() State            { return s }
 
 type banditAction int
 
@@ -34,10 +77,14 @@ func (bandit) Step(_ State, a Action) (State, float64, bool) {
 	return banditState{done: true}, rewards[a.(banditAction)], false
 }
 
+func (bandit) Fork(int64) Model { return bandit{} }
+func (b bandit) Playout(s State, rng *rand.Rand, steps int) float64 {
+	return uniformPlayout(b, s, rng, steps)
+}
+
 func TestBanditBothStrategies(t *testing.T) {
 	for _, strat := range []Strategy{UCT, EpsGreedy} {
-		p := New(Config{Strategy: strat, Iterations: 400}, randx.New(1))
-		a := p.Plan(bandit{}, banditState{})
+		a, _ := treePlan(Config{Strategy: strat, Iterations: 400}, randx.New(1), bandit{}, banditState{})
 		if a.(banditAction) != 2 {
 			t.Errorf("strategy %d picked arm %v, want 2", strat, a)
 		}
@@ -64,6 +111,7 @@ func (s probeState) AppendOutcomeKey(b []byte) []byte {
 	}
 	return b
 }
+func (s probeState) CloneForSearch() State { return s }
 
 type probeAction string
 
@@ -105,12 +153,17 @@ func (g *probeGame) Step(s State, a Action) (State, float64, bool) {
 	}
 }
 
+// Fork gives a search shard a game of its own RNG.
+func (g *probeGame) Fork(seed int64) Model { return &probeGame{rng: randx.New(seed)} }
+func (g *probeGame) Playout(s State, rng *rand.Rand, steps int) float64 {
+	return uniformPlayout(g, s, rng, steps)
+}
+
 func TestProbeOrGuess(t *testing.T) {
 	for _, strat := range []Strategy{UCT, EpsGreedy} {
 		rng := randx.New(42)
 		g := &probeGame{rng: rng}
-		p := New(Config{Strategy: strat, Iterations: 4000}, rng)
-		a := p.Plan(g, probeState{})
+		a, _ := treePlan(Config{Strategy: strat, Iterations: 4000}, rng, g, probeState{})
 		if a.Key() != "probe" {
 			t.Errorf("strategy %d chose %q, want probe", strat, a.Key())
 		}
@@ -120,10 +173,9 @@ func TestProbeOrGuess(t *testing.T) {
 func TestProbeThenCorrectGuess(t *testing.T) {
 	rng := randx.New(7)
 	g := &probeGame{rng: rng}
-	p := New(Config{Iterations: 500}, rng)
 	for coin := 0; coin < 2; coin++ {
 		s := probeState{revealed: true, coin: coin}
-		a := p.Plan(g, s)
+		a, _ := treePlan(Config{Iterations: 500}, rng, g, s)
 		want := "guess" + strconv.Itoa(coin)
 		if a.Key() != want {
 			t.Errorf("after reveal of %d chose %q, want %q", coin, a.Key(), want)
@@ -132,7 +184,7 @@ func TestProbeThenCorrectGuess(t *testing.T) {
 }
 
 func TestTerminalRootReturnsNil(t *testing.T) {
-	p := New(Config{}, randx.New(1))
+	p := New(Config{}, 1)
 	if a := p.Plan(bandit{}, banditState{done: true}); a != nil {
 		t.Errorf("terminal root must plan nil, got %v", a)
 	}
@@ -153,9 +205,14 @@ func (g *singleGame) Step(s State, a Action) (State, float64, bool) {
 	return banditState{done: true}, -1, false
 }
 
+func (g *singleGame) Fork(int64) Model { return g }
+func (g *singleGame) Playout(s State, rng *rand.Rand, steps int) float64 {
+	return uniformPlayout(g, s, rng, steps)
+}
+
 func TestSingleActionShortCircuit(t *testing.T) {
 	g := &singleGame{}
-	p := New(Config{Iterations: 1000}, randx.New(1))
+	p := New(Config{Iterations: 1000}, 1)
 	a := p.Plan(g, banditState{})
 	if a == nil || a.Key() != "0" {
 		t.Fatalf("Plan = %v", a)
@@ -168,11 +225,12 @@ func TestSingleActionShortCircuit(t *testing.T) {
 // --- rollout bias ---------------------------------------------------------
 
 // chainGame needs depth-d lookahead: only one action sequence avoids a
-// penalty, and a biased rollout policy finds it immediately.
+// penalty, and its biased rollout policy finds it immediately.
 type chainState struct{ pos, depth int }
 
 func (s chainState) Terminal() bool                   { return s.pos >= s.depth }
 func (s chainState) AppendOutcomeKey(b []byte) []byte { return b }
+func (s chainState) CloneForSearch() State            { return s }
 
 type chainGame struct {
 	depth       int
@@ -195,25 +253,19 @@ func (g *chainGame) Step(s State, a Action) (State, float64, bool) {
 	return chainState{pos: cs.pos + 1, depth: cs.depth}, r, false
 }
 
-func (g *chainGame) RolloutAction(s State, rng *rand.Rand) Action {
-	g.rolloutUsed = true
-	return banditAction(0) // always the good move
+func (g *chainGame) Fork(int64) Model { return g }
+
+// Playout steps the biased policy: always the good move.
+func (g *chainGame) Playout(s State, rng *rand.Rand, steps int) float64 {
+	return stepPlayout(g, func(State, *rand.Rand) Action {
+		g.rolloutUsed = true
+		return banditAction(0)
+	}, s, rng, steps)
 }
 
-func TestRolloutModelIsUsed(t *testing.T) {
-	g := &chainGame{depth: 6}
-	p := New(Config{Iterations: 200}, randx.New(3))
-	a := p.Plan(g, chainState{depth: 6})
-	if !g.rolloutUsed {
-		t.Error("RolloutModel must be consulted")
-	}
-	if a.(banditAction) != 0 {
-		t.Errorf("biased rollouts should find the zero-cost chain, got %v", a)
-	}
-}
-
-// playChain is chainGame playing its own rollouts. A chain state's position
-// is its depth below the root, so the budget the planner hands over is known.
+// playChain is chainGame with a Playout that only counts and checks its
+// budget. A chain state's position is its depth below the root, so the budget
+// the planner hands over is known.
 type playChain struct {
 	chainGame
 	plays  int
@@ -226,9 +278,9 @@ func (g *playChain) Playout(s State, _ *rand.Rand, steps int) float64 {
 	return 0
 }
 
-// TestPlayoutModelTakesTheRollout: a PlayoutModel plays the whole
-// default-policy phase — the planner calls neither RolloutAction nor Step for
-// it — with the transitions MaxDepth leaves below the rollout's start.
+// TestPlayoutModelTakesTheRollout: the model's Playout plays the whole
+// default-policy phase, once per iteration — the planner steps no rollout
+// itself — with the transitions MaxDepth leaves below the rollout's start.
 func TestPlayoutModelTakesTheRollout(t *testing.T) {
 	const maxDepth = 20
 	g := &playChain{chainGame: chainGame{depth: 1 << 30}}
@@ -237,27 +289,25 @@ func TestPlayoutModelTakesTheRollout(t *testing.T) {
 			t.Errorf("playout from depth %d got %d steps, want %d", pos, steps, maxDepth-pos)
 		}
 	}
-	p := New(Config{Iterations: 50, MaxDepth: maxDepth}, randx.New(5))
-	p.Plan(g, chainState{depth: 1 << 30})
+	treePlan(Config{Iterations: 50, MaxDepth: maxDepth}, randx.New(5), g, chainState{depth: 1 << 30})
 	if g.plays != 50 {
 		t.Errorf("%d playouts for 50 iterations", g.plays)
 	}
 	if g.rolloutUsed {
-		t.Error("the planner stepped a rollout a PlayoutModel plays itself")
+		t.Error("the planner played chainGame's rollout instead of the model's own")
 	}
 }
 
 func TestMaxDepthStopsRunawayRollouts(t *testing.T) {
 	// depth larger than MaxDepth: the planner must still return.
 	g := &chainGame{depth: 1 << 30}
-	p := New(Config{Iterations: 50, MaxDepth: 20}, randx.New(5))
-	if a := p.Plan(g, chainState{depth: 1 << 30}); a == nil {
+	if a, _ := treePlan(Config{Iterations: 50, MaxDepth: 20}, randx.New(5), g, chainState{depth: 1 << 30}); a == nil {
 		t.Error("Plan must return despite unreachable terminal")
 	}
 }
 
 func TestNormalizeDegenerate(t *testing.T) {
-	p := New(Config{}, randx.New(1))
+	p := &tree{cfg: Config{}.withDefaults(), rng: randx.New(1)}
 	if v := p.normalize(5); v != 0.5 {
 		t.Errorf("normalize before observations = %v, want 0.5", v)
 	}
@@ -279,9 +329,8 @@ func TestNormalizeDegenerate(t *testing.T) {
 // action on the fast path.
 func TestPlanStatsLine(t *testing.T) {
 	g := &chainGame{depth: 4}
-	p := New(Config{Iterations: 300}, randx.New(3))
-	a := p.Plan(g, chainState{depth: 4})
-	line := p.LastStats().Line
+	a, st := treePlan(Config{Iterations: 300}, randx.New(3), g, chainState{depth: 4})
+	line := st.Line
 	if len(line) == 0 || line[0] != a.Key() {
 		t.Fatalf("line %v must start with the picked action %q", line, a.Key())
 	}
@@ -294,12 +343,12 @@ func TestPlanStatsLine(t *testing.T) {
 		}
 	}
 
-	sp := New(Config{Iterations: 100}, randx.New(1))
+	sp := New(Config{Iterations: 100}, 1)
 	sa := sp.Plan(&singleGame{}, banditState{})
 	if l := sp.LastStats().Line; len(l) != 1 || l[0] != sa.Key() {
 		t.Errorf("fast-path line = %v, want [%q]", l, sa.Key())
 	}
-	if tp := New(Config{}, randx.New(1)); tp.Plan(bandit{}, banditState{done: true}) != nil ||
+	if tp := New(Config{}, 1); tp.Plan(bandit{}, banditState{done: true}) != nil ||
 		tp.LastStats().Line != nil {
 		t.Error("terminal root must leave the line empty")
 	}
@@ -310,11 +359,11 @@ func TestPlanStatsLine(t *testing.T) {
 func TestLineCrossesChanceNodes(t *testing.T) {
 	rng := randx.New(42)
 	g := &probeGame{rng: rng}
-	p := New(Config{Iterations: 4000}, rng)
-	if a := p.Plan(g, probeState{}); a.Key() != "probe" {
+	a, st := treePlan(Config{Iterations: 4000}, rng, g, probeState{})
+	if a.Key() != "probe" {
 		t.Fatalf("picked %q, want probe", a.Key())
 	}
-	line := p.LastStats().Line
+	line := st.Line
 	if len(line) < 2 || line[0] != "probe" {
 		t.Fatalf("line = %v, want probe followed by a guess", line)
 	}
@@ -327,8 +376,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() string {
 		rng := randx.New(11)
 		g := &probeGame{rng: rng}
-		p := New(Config{Iterations: 300}, rng)
-		return p.Plan(g, probeState{}).Key()
+		a, _ := treePlan(Config{Iterations: 300}, rng, g, probeState{})
+		return a.Key()
 	}
 	if run() != run() {
 		t.Error("same seed must give the same plan")

@@ -22,25 +22,6 @@ import (
 	"monsoon/internal/randx"
 )
 
-// Forker is implemented by models whose simulator holds private randomness.
-// Fork returns an independent simulator seeded from seed, safe to drive from
-// another goroutine. Root-parallel search forks one model per shard; a model
-// that does not implement Forker is shared by every shard and the shards are
-// run serially (Workers degrades to 1) so the model is never used
-// concurrently — results are still shard-decomposed and merge-identical.
-type Forker interface {
-	Fork(seed int64) Model
-}
-
-// Cloner is implemented by states that want each search shard to work from
-// its own copy of the root (core's State gives every shard a private overlay
-// of its statistics store). The copies are made on the calling goroutine
-// before any shard runs. Optional: states without it are shared read-only
-// across shards.
-type Cloner interface {
-	CloneForSearch() State
-}
-
 const (
 	// DefaultShards caps the derived logical worker count.
 	DefaultShards = 8
@@ -54,26 +35,13 @@ const (
 	minShardQuota = 75
 )
 
-// RootConfig parameterizes a RootPlanner.
-type RootConfig struct {
-	Config
-	// Shards fixes the logical worker count — the unit of determinism. 0
-	// derives it from the budget: max(1, min(DefaultShards, Iterations/minShardQuota)).
-	Shards int
-	// Workers caps the OS threads executing shards: 0 means
-	// runtime.GOMAXPROCS(0), 1 forces serial execution. Plans are
-	// bit-identical for every value.
-	Workers int
-}
-
-// RootPlanner runs root-parallel MCTS. Like Planner it is not safe for
-// concurrent use; the parallelism is internal.
-type RootPlanner struct {
-	cfg  RootConfig
+// Planner runs root-parallel MCTS. It is not safe for concurrent use; the
+// parallelism is internal.
+type Planner struct {
+	cfg  Config
 	seed int64
 	// calls numbers the Plan invocations so every (call, shard) pair draws
-	// from its own derived RNG stream, mirroring how a serial planner's
-	// single stream advances across calls.
+	// from its own derived RNG streams.
 	calls int
 	last  PlanStats
 
@@ -89,15 +57,15 @@ type RootPlanner struct {
 // own busy time. Shard count and quotas derive from the configuration alone,
 // so shard-span counts are machine-independent. Nil arguments switch shard
 // spans off.
-func (p *RootPlanner) Trace(tr *obs.Tracer, parent *obs.Span) {
+func (p *Planner) Trace(tr *obs.Tracer, parent *obs.Span) {
 	p.tr, p.parent = tr, parent
 }
 
-// NewRoot creates a root-parallel planner. seed is the planner's base
-// randomness; per-shard streams are derived from it, the call number, and the
-// shard index, so equal (config, seed) planners replay identically.
-func NewRoot(cfg RootConfig, seed int64) *RootPlanner {
-	cfg.Config = cfg.Config.withDefaults()
+// New creates a planner. seed is the planner's base randomness; per-shard
+// streams are derived from it, the call number, and the shard index, so equal
+// (config, seed) planners replay identically.
+func New(cfg Config, seed int64) *Planner {
+	cfg = cfg.withDefaults()
 	if cfg.Shards <= 0 {
 		s := cfg.Iterations / minShardQuota
 		if s < 1 {
@@ -108,12 +76,12 @@ func NewRoot(cfg RootConfig, seed int64) *RootPlanner {
 		}
 		cfg.Shards = s
 	}
-	return &RootPlanner{cfg: cfg, seed: seed}
+	return &Planner{cfg: cfg, seed: seed}
 }
 
 // LastStats reports the statistics of the most recent Plan call, aggregated
 // across shards (rollouts and nodes sum, depth is the max).
-func (p *RootPlanner) LastStats() PlanStats { return p.last }
+func (p *Planner) LastStats() PlanStats { return p.last }
 
 // SkipCalls advances the Plan-call counter by n without searching. The
 // counter seeds every call's per-shard RNG streams, so a caller that answers
@@ -122,7 +90,7 @@ func (p *RootPlanner) LastStats() PlanStats { return p.last }
 // genuine Plan draws from streams a replay-free run would never reach, and
 // runs that hit the cache mid-flight stop being bit-identical to runs that
 // planned every round themselves.
-func (p *RootPlanner) SkipCalls(n int) { p.calls += n }
+func (p *Planner) SkipCalls(n int) { p.calls += n }
 
 // shardQuotas splits the iteration budget into shard quotas differing by at
 // most one rollout, remainder to the lowest-numbered shards.
@@ -146,11 +114,10 @@ func shardSeed(base int64, call, shard int, stream string) int64 {
 // Plan runs every shard's quota (concurrently up to the Workers cap), merges
 // the shard trees in shard-index order, and returns the action with the best
 // average return over the merged tree, or nil if root is terminal/stuck.
-func (p *RootPlanner) Plan(m Model, root State) Action {
+func (p *Planner) Plan(m Model, root State) Action {
 	p.calls++
 	p.last = PlanStats{Workers: 1}
-	// Root fast paths mirror the serial planner exactly: no search, no RNG
-	// draws, one (root) node on the books.
+	// Root fast paths: no search, no RNG draws, one (root) node on the books.
 	var actions []Action
 	if !root.Terminal() {
 		actions = m.Legal(root)
@@ -169,16 +136,12 @@ func (p *RootPlanner) Plan(m Model, root State) Action {
 	}
 
 	quotas := shardQuotas(p.cfg.Iterations, p.cfg.Shards)
-	forker, forkable := m.(Forker)
 	workers := p.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(quotas) {
 		workers = len(quotas)
-	}
-	if !forkable {
-		workers = 1 // shared simulator: never drive it from two goroutines
 	}
 
 	// Pre-create the shard spans on the coordinating goroutine (deterministic
@@ -196,28 +159,19 @@ func (p *RootPlanner) Plan(m Model, root State) Action {
 
 	shardRoots := make([]State, len(quotas))
 	for i := range shardRoots {
-		shardRoots[i] = root
-		if c, ok := root.(Cloner); ok {
-			shardRoots[i] = c.CloneForSearch()
-		}
+		shardRoots[i] = root.CloneForSearch()
 	}
 	roots := make([]*node, len(quotas))
 	stats := make([]PlanStats, len(quotas))
 	runShard := func(i int) {
 		t0 := time.Now()
 		defer func() { elapsed[i] = time.Since(t0) }()
-		sm := m
-		if forkable {
-			sm = forker.Fork(shardSeed(p.seed, p.calls, i, "model"))
-		}
-		cfg := p.cfg.Config
-		cfg.Iterations = quotas[i]
-		sp := New(cfg, randx.New(shardSeed(p.seed, p.calls, i, "rng")))
-		rootNode := sp.newNode(sm, shardRoots[i])
-		if quotas[i] > 0 {
-			sp.search(sm, rootNode)
-		}
-		roots[i], stats[i] = rootNode, sp.last
+		sm := m.Fork(shardSeed(p.seed, p.calls, i, "model"))
+		t := &tree{cfg: p.cfg, rng: randx.New(shardSeed(p.seed, p.calls, i, "rng"))}
+		t.cfg.Iterations = quotas[i]
+		roots[i] = t.newNode(sm, shardRoots[i])
+		t.search(sm, roots[i])
+		stats[i] = t.stats
 	}
 	if workers <= 1 {
 		workers = 1
@@ -259,13 +213,9 @@ func (p *RootPlanner) Plan(m Model, root State) Action {
 		}
 	}
 	p.last.Workers = workers
-	p.last.Line = principalVariation(merged, p.cfg.MaxDepth)
-	best := bestVisited(merged)
-	if best < 0 {
-		p.last.Line = []string{merged.actions[0].Key()}
-		return merged.actions[0]
-	}
-	return merged.actions[best]
+	var picked Action
+	picked, p.last.Line = settle(merged, p.cfg.MaxDepth)
+	return picked
 }
 
 // mergeNode folds src into dst: per-action edge visits and totals are summed

@@ -7,32 +7,20 @@ import (
 	"monsoon/internal/randx"
 )
 
-// forkProbe makes the probe game forkable: each shard gets its own RNG.
-type forkProbe struct{ *probeGame }
-
-func (forkProbe) Fork(seed int64) Model { return forkProbe{&probeGame{rng: randx.New(seed)}} }
-
-// forkBandit makes the (stateless) bandit forkable.
-type forkBandit struct{ bandit }
-
-func (forkBandit) Fork(int64) Model { return forkBandit{} }
-
-// TestRootShardOneMatchesSerial is the golden test against the serial
-// planner: a one-shard root-parallel search must be bit-identical — same
-// action, same principal variation, same stats — to a serial Planner run
-// with the shard's derived RNG and forked model.
+// TestRootShardOneMatchesSerial is the golden test against one tree search:
+// a one-shard Planner must be bit-identical — same action, same principal
+// variation, same stats — to a single tree searched with the shard's derived
+// RNG and forked model.
 func TestRootShardOneMatchesSerial(t *testing.T) {
 	const seed = 99
-	cfg := Config{Iterations: 600}
+	cfg := Config{Iterations: 600, Shards: 1, Workers: 1}
 
-	rp := NewRoot(RootConfig{Config: cfg, Shards: 1, Workers: 1}, seed)
-	ra := rp.Plan(forkProbe{&probeGame{rng: randx.New(0)}}, probeState{})
+	rp := New(cfg, seed)
+	ra := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
 	rs := rp.LastStats()
 
-	sm := forkProbe{}.Fork(shardSeed(seed, 1, 0, "model"))
-	sp := New(cfg, randx.New(shardSeed(seed, 1, 0, "rng")))
-	sa := sp.Plan(sm, probeState{})
-	ss := sp.LastStats()
+	sm := (&probeGame{}).Fork(shardSeed(seed, 1, 0, "model"))
+	sa, ss := treePlan(cfg, randx.New(shardSeed(seed, 1, 0, "rng")), sm, probeState{})
 
 	if ra.Key() != sa.Key() {
 		t.Fatalf("root picked %q, serial %q", ra.Key(), sa.Key())
@@ -48,12 +36,8 @@ func TestRootShardOneMatchesSerial(t *testing.T) {
 // action, principal variation, and search stats.
 func TestRootDeterministicForAnyWorkers(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
-		rp := NewRoot(RootConfig{
-			Config:  Config{Iterations: 2000},
-			Shards:  4,
-			Workers: workers,
-		}, 7)
-		a := rp.Plan(forkProbe{&probeGame{rng: randx.New(0)}}, probeState{})
+		rp := New(Config{Iterations: 2000, Shards: 4, Workers: workers}, 7)
+		a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
 		return a.Key(), rp.LastStats()
 	}
 	refKey, refStats := run(1)
@@ -75,10 +59,10 @@ func TestRootDeterministicForAnyWorkers(t *testing.T) {
 // whole call sequence identically at different worker counts.
 func TestRootRepeatedCallsDeterministic(t *testing.T) {
 	seq := func(workers int) []string {
-		rp := NewRoot(RootConfig{Config: Config{Iterations: 800}, Shards: 3, Workers: workers}, 13)
+		rp := New(Config{Iterations: 800, Shards: 3, Workers: workers}, 13)
 		var keys []string
 		for i := 0; i < 4; i++ {
-			keys = append(keys, rp.Plan(forkProbe{&probeGame{rng: randx.New(0)}}, probeState{}).Key())
+			keys = append(keys, rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}).Key())
 		}
 		return keys
 	}
@@ -93,8 +77,8 @@ func TestRootRepeatedCallsDeterministic(t *testing.T) {
 // spend exactly the budget, and stay worker-count invariant.
 func TestRootZeroQuotaShards(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
-		rp := NewRoot(RootConfig{Config: Config{Iterations: 3}, Shards: 8, Workers: workers}, 5)
-		a := rp.Plan(forkProbe{&probeGame{rng: randx.New(0)}}, probeState{})
+		rp := New(Config{Iterations: 3, Shards: 8, Workers: workers}, 5)
+		a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
 		if a == nil {
 			t.Fatal("Plan returned nil on a non-terminal root")
 		}
@@ -116,11 +100,11 @@ func TestRootZeroQuotaShards(t *testing.T) {
 	}
 }
 
-// TestRootFastPaths: terminal and single-action roots mirror the serial
-// planner's fast paths — no search, no RNG draws.
+// TestRootFastPaths: terminal and single-action roots take the fast paths —
+// no search, no RNG draws.
 func TestRootFastPaths(t *testing.T) {
-	rp := NewRoot(RootConfig{Workers: 8}, 1)
-	if a := rp.Plan(forkBandit{}, banditState{done: true}); a != nil {
+	rp := New(Config{Workers: 8}, 1)
+	if a := rp.Plan(bandit{}, banditState{done: true}); a != nil {
 		t.Errorf("terminal root must plan nil, got %v", a)
 	}
 	if st := rp.LastStats(); !st.FastPath || st.Rollouts != 0 {
@@ -140,27 +124,12 @@ func TestRootFastPaths(t *testing.T) {
 	}
 }
 
-// TestRootUnforkableModelRunsSerial: a model without Fork cannot be driven
-// from two goroutines; the planner must degrade to one worker (still shard-
-// decomposed, so results match any forked-and-parallel configuration of the
-// same model family) and still find the best arm.
-func TestRootUnforkableModelRunsSerial(t *testing.T) {
-	rp := NewRoot(RootConfig{Config: Config{Iterations: 400}, Workers: 8}, 1)
-	b := rp.Plan(bandit{}, banditState{})
-	if b.(banditAction) != 2 {
-		t.Errorf("picked arm %v, want 2", b)
-	}
-	if w := rp.LastStats().Workers; w != 1 {
-		t.Errorf("unforkable model ran on %d workers, want 1", w)
-	}
-}
-
 // TestRootBanditQuality: the merged tree still identifies the best arm for
 // both strategies, with the budget split across shards.
 func TestRootBanditQuality(t *testing.T) {
 	for _, strat := range []Strategy{UCT, EpsGreedy} {
-		rp := NewRoot(RootConfig{Config: Config{Strategy: strat, Iterations: 400}}, 1)
-		a := rp.Plan(forkBandit{}, banditState{})
+		rp := New(Config{Strategy: strat, Iterations: 400}, 1)
+		a := rp.Plan(bandit{}, banditState{})
 		if a.(banditAction) != 2 {
 			t.Errorf("strategy %d picked arm %v, want 2", strat, a)
 		}
@@ -171,8 +140,8 @@ func TestRootBanditQuality(t *testing.T) {
 // split — each shard independently discovers that probing dominates, and the
 // merged averages keep the ranking.
 func TestRootProbeQuality(t *testing.T) {
-	rp := NewRoot(RootConfig{Config: Config{Iterations: 4000}, Shards: 8, Workers: 4}, 42)
-	a := rp.Plan(forkProbe{&probeGame{rng: randx.New(0)}}, probeState{})
+	rp := New(Config{Iterations: 4000, Shards: 8, Workers: 4}, 42)
+	a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
 	if a.Key() != "probe" {
 		t.Errorf("picked %q, want probe", a.Key())
 	}
@@ -207,7 +176,7 @@ func TestDerivedShardCount(t *testing.T) {
 		{1, 1}, {74, 1}, {149, 1}, {150, 2}, {300, 4}, {600, 8}, {800, 8}, {100000, 8},
 	}
 	for _, c := range cases {
-		rp := NewRoot(RootConfig{Config: Config{Iterations: c.iters}}, 1)
+		rp := New(Config{Iterations: c.iters}, 1)
 		if rp.cfg.Shards != c.want {
 			t.Errorf("iterations=%d derived %d shards, want %d", c.iters, rp.cfg.Shards, c.want)
 		}
