@@ -87,9 +87,10 @@ type (
 	// MetricsRegistry accumulates counters, gauges, and histograms across
 	// runs; dump it with its Dump method.
 	MetricsRegistry = obs.Registry
-	// PlanCache memoizes the action sequences MCTS settles on, keyed by
-	// query shape and bucketed statistics, so repeated queries skip the
-	// search; share one across runs with WithPlanCache or a Session.
+	// PlanCache memoizes the action MCTS picks in each planning state,
+	// keyed by query shape, plan state and bucketed statistics, so repeated
+	// queries skip the search; share one across runs with WithPlanCache or
+	// a Session.
 	PlanCache = plancache.Cache
 	// PlanCacheStats snapshots a plan cache's hit/miss/eviction accounting.
 	PlanCacheStats = plancache.Stats
@@ -323,11 +324,12 @@ func WithBatchSize(n int) RunOption { return func(c *runConfig) { c.core.BatchSi
 // layout the catalog has.
 func WithShards(n int) RunOption { return func(c *runConfig) { c.shards = n } }
 
-// WithPlanCache memoizes planned rounds in c and replays them on repeats:
-// before each MCTS call the run consults c, keyed by the query's canonical
-// shape, the planner knobs, and the current MDP state with log₂-bucketed
-// statistics, and a hit replays the memoized action sequence instead of
-// searching. A warm replay reproduces the cold run's plan choices exactly.
+// WithPlanCache memoizes each planning pick in c and takes it again on
+// repeats: before each MCTS call the run consults c, keyed by the query's
+// canonical shape, the planner knobs, and the current MDP state with
+// log₂-bucketed statistics, and a hit takes the memoized action, once it
+// still applies, instead of searching. A warm run reproduces the cold run's
+// plan choices exactly, and so does a partly warm one.
 // Share one cache across runs (it is safe for concurrent use), or use a
 // Session, which wires a shared cache automatically.
 func WithPlanCache(c *PlanCache) RunOption { return func(cfg *runConfig) { cfg.core.Cache = c } }
@@ -335,7 +337,7 @@ func WithPlanCache(c *PlanCache) RunOption { return func(cfg *runConfig) { cfg.c
 // WithCostProfile prices the optimizer's EXECUTE simulations with a
 // calibrated per-operator-kind cost profile (estimated seconds) instead of
 // the paper's flat object-count cost. Profiles participate in the plan-cache
-// key, so calibrated and uncalibrated runs never share memoized rounds. Nil
+// key, so calibrated and uncalibrated runs never share memoized picks. Nil
 // is the default uncalibrated model, bit-identical to previous releases.
 func WithCostProfile(p *CostProfile) RunOption {
 	return func(c *runConfig) { c.core.Profile = p }
@@ -344,7 +346,7 @@ func WithCostProfile(p *CostProfile) RunOption {
 // WithReplanThreshold arms mid-query re-optimization: after each EXECUTE
 // round, if the q-error between a materialized tree's estimated and actual
 // root cardinality reaches t (misses — one side empty — always qualify), the
-// run invalidates the query's memoized plan-cache rounds and forces the next
+// run invalidates the query's memoized plan-cache picks and forces the next
 // planning round to re-run MCTS with the statistics execution just hardened.
 // Zero (the default) disables the trigger.
 func WithReplanThreshold(t float64) RunOption {
@@ -417,7 +419,7 @@ func Run(q *Query, cat *Catalog, opts ...RunOption) (*Report, error) {
 
 // Session is the serving-path entry point: a handle over one catalog that
 // carries a shared plan cache (and any default options) across queries, so
-// repeated or similar queries replay memoized plans instead of re-running
+// repeated or similar queries take memoized picks instead of re-running
 // MCTS. Each Run still executes on a fresh engine — only planning knowledge
 // is shared, never materialized state — so results are identical to
 // standalone Run calls with the same seed. Safe for concurrent Run calls.

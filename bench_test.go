@@ -172,7 +172,7 @@ func benchMonsoonRepeat(b *testing.B, cache *PlanCache) {
 // BenchmarkMonsoonRepeatUncached / BenchmarkMonsoonRepeatCached measure the
 // plan cache on the workload it targets: the same (query, seed) run back to
 // back. The uncached run re-plans with MCTS every time; the cached run pays
-// the search once, then replays the memoized rounds — with plans pinned
+// the search once, then takes the memoized picks — with plans pinned
 // identical by TestCachedEqualsUncachedGolden — so the delta is the planning
 // time the cache eliminates.
 func BenchmarkMonsoonRepeatUncached(b *testing.B) { benchMonsoonRepeat(b, nil) }

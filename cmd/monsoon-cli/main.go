@@ -53,7 +53,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.opt, "opt", "monsoon", "optimizer option: monsoon, postgres, defaults, greedy, ondemand, sampling, skinner, lec, handwritten (ott only)")
 	fs.StringVar(&o.prior, "prior", "Spike and Slab", "Monsoon prior (Table 2 names)")
 	fs.BoolVar(&o.explain, "explain", false, "print the chosen plan with estimates and actuals (postgres, defaults, greedy)")
-	fs.IntVar(&o.repeat, "repeat", 1, "run the query N times on fresh engines; with -plan-cache, later runs replay cached plans")
+	fs.IntVar(&o.repeat, "repeat", 1, "run the query N times on fresh engines; with -plan-cache, later runs take cached picks")
 	return o
 }
 

@@ -122,14 +122,12 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 			t.Fatalf("concurrent session %d (seed %d): %v", i, sl.seed, sl.err)
 		}
 		checkSameOutcome(t, fmt.Sprintf("session %d (seed %d)", i, sl.seed), sl.cap, solo[sl.seed])
-		// Every action is either planned (one miss per planning call) or
-		// replayed (one hit replays the whole remaining round, possibly
-		// several actions), so consultations never exceed actions — and a
-		// session that took actions consulted the cache at least once. The
-		// exact split depends on which racing session memoized a round
-		// first, so it is deliberately not pinned here.
-		if hm := sl.cap.res.CacheHits + sl.cap.res.CacheMisses; hm == 0 || hm > sl.cap.res.Actions {
-			t.Errorf("session %d: cache hits+misses = %d, want in [1, actions=%d]",
+		// Every pick is either searched (one miss) or taken from the cache
+		// (one hit), so consultations equal actions. The split depends on
+		// which racing session memoized a pick first, so it is deliberately
+		// not pinned here.
+		if hm := sl.cap.res.CacheHits + sl.cap.res.CacheMisses; hm != sl.cap.res.Actions {
+			t.Errorf("session %d: cache hits+misses = %d, want actions = %d",
 				i, hm, sl.cap.res.Actions)
 		}
 	}
@@ -257,22 +255,24 @@ func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
 	}
 }
 
-// TestPartialWarmCacheMatchesColdRun pins the replay/planner RNG alignment:
-// a session that hits the cache for its first round but must plan later
-// rounds itself (the normal state when concurrent sessions race to populate
-// a shared cache) must make exactly the plan choices of a cache-free run.
-// Before Planner.SkipCalls, the skipped Plan calls left the per-call RNG
-// streams misaligned and the hit-then-miss run settled on different plans.
+// TestPartialWarmCacheMatchesColdRun pins the cache/planner RNG alignment: a
+// session that takes some picks from the cache but must plan the rest itself
+// (the normal state when concurrent sessions race to populate a shared
+// cache) must make exactly the plan choices of a cache-free run. The cache
+// holds either all of round 1's picks or only its first pick, so the run
+// plans from the second round on or from the middle of the first. Each
+// search's RNG streams are numbered by the actions taken before it, so the
+// picks the cache answered leave them where a cache-free run has them.
 func TestPartialWarmCacheMatchesColdRun(t *testing.T) {
 	const seed, iterations = 11, 300
+	cfg := Config{Seed: seed, Iterations: iterations}
 
 	// Cache-free baseline.
 	cat, q := fixture()
 	var baseLines []string
-	base, err := Run(q, engine.New(cat), &engine.Budget{}, Config{
-		Seed: seed, Iterations: iterations,
-		Sink: obs.MessageSink(func(s string) { baseLines = append(baseLines, s) }),
-	})
+	baseCfg := cfg
+	baseCfg.Sink = obs.MessageSink(func(s string) { baseLines = append(baseLines, s) })
+	base, err := Run(q, engine.New(cat), &engine.Budget{}, baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,36 +280,61 @@ func TestPartialWarmCacheMatchesColdRun(t *testing.T) {
 		t.Fatalf("fixture run has %d rounds; need ≥2 to leave the cache partially warm", base.Executes)
 	}
 
-	// Populate the cache with ONLY the first round: drive a session through
-	// one plan/execute cycle and abandon it.
-	cache := plancache.New(0)
-	cat2, q2 := fixture()
-	s := NewSession(q2, engine.New(cat2), &engine.Budget{}, Config{
-		Seed: seed, Iterations: iterations, Cache: cache,
-	})
-	if execute, err := s.PlanRound(); err != nil || !execute {
-		t.Fatalf("first PlanRound: execute=%v err=%v", execute, err)
-	}
-	if err := s.ExecuteRound(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	for _, c := range []struct {
+		name string
+		// warm fills cache with some of the run's picks; it returns how
+		// many the run will find there.
+		warm func(cache *plancache.Cache, cfg Config) int
+	}{
+		{"first round", func(cache *plancache.Cache, cfg Config) int {
+			// Drive a session through one plan/execute cycle and abandon it.
+			cat, q := fixture()
+			s := NewSession(q, engine.New(cat), &engine.Budget{}, cfg)
+			defer s.Close()
+			if execute, err := s.PlanRound(); err != nil || !execute {
+				t.Fatalf("first PlanRound: execute=%v err=%v", execute, err)
+			}
+			if err := s.ExecuteRound(); err != nil {
+				t.Fatal(err)
+			}
+			return s.res.Actions
+		}},
+		{"first pick", func(cache *plancache.Cache, cfg Config) int {
+			// Memoize the whole run, then drop every key but the initial
+			// state's.
+			cat, q := fixture()
+			if _, err := Run(q, engine.New(cat), &engine.Budget{}, cfg); err != nil {
+				t.Fatal(err)
+			}
+			cat, q = fixture()
+			s := NewSession(q, engine.New(cat), &engine.Budget{}, cfg)
+			initial := s.cacheKey()
+			s.Close()
+			cache.Invalidate(func(k string) bool { return k != initial })
+			if n := cache.Stats().Entries; n != 1 {
+				t.Fatalf("cache holds %d entries after invalidation, want 1", n)
+			}
+			return 1
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cache := plancache.New(0)
+			warmCfg := cfg
+			warmCfg.Cache = cache
+			hits := c.warm(cache, warmCfg)
 
-	// The full run through the half-warm cache: first round replays, later
-	// rounds plan. Everything observable must match the cache-free baseline.
-	cat3, q3 := fixture()
-	var warmLines []string
-	warm, err := Run(q3, engine.New(cat3), &engine.Budget{}, Config{
-		Seed: seed, Iterations: iterations, Cache: cache,
-		Sink: obs.MessageSink(func(s string) { warmLines = append(warmLines, s) }),
-	})
-	if err != nil {
-		t.Fatal(err)
+			cat, q := fixture()
+			var warmLines []string
+			warmCfg.Sink = obs.MessageSink(func(s string) { warmLines = append(warmLines, s) })
+			warm, err := Run(q, engine.New(cat), &engine.Budget{}, warmCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.CacheHits != hits || warm.CacheMisses != warm.Actions-hits {
+				t.Fatalf("hits/misses = %d/%d, want %d/%d", warm.CacheHits, warm.CacheMisses, hits, warm.Actions-hits)
+			}
+			checkSameOutcome(t, c.name,
+				capture{res: warm, lines: warmLines}, capture{res: base, lines: baseLines})
+		})
 	}
-	if warm.CacheHits == 0 || warm.CacheMisses == 0 {
-		t.Fatalf("hits/misses = %d/%d; test needs a genuinely partial cache (both nonzero)",
-			warm.CacheHits, warm.CacheMisses)
-	}
-	checkSameOutcome(t, "half-warm run",
-		capture{res: warm, lines: warmLines}, capture{res: base, lines: baseLines})
 }

@@ -57,29 +57,30 @@ type Config struct {
 	// memory only.
 	Parallelism int
 	BatchSize   int
-	// Cache, when non-nil, memoizes planned rounds across planning calls,
-	// rounds, and sessions sharing the cache: before each MCTS call the
-	// session looks up (canonical query shape, planner knobs, MDP state
-	// with log₂-bucketed statistics) and replays the memoized action
-	// sequence on a hit, skipping the search. Repeating an identical run
-	// through a warm cache reproduces the cold run's plan choices exactly.
-	// Nil disables caching with zero overhead.
+	// Cache, when non-nil, memoizes each planning pick across rounds and
+	// sessions sharing the cache: before each MCTS call the session looks
+	// up (canonical query shape, planner knobs, MDP state with
+	// log₂-bucketed statistics) and, on a hit whose action still applies,
+	// takes it without searching; a miss memoizes the action MCTS picks.
+	// Repeating an identical run through a warm or partly warm cache
+	// reproduces the cold run's plan choices exactly. Nil disables caching
+	// with zero overhead.
 	Cache *plancache.Cache
 	// Profile, when non-nil, is a calibrated per-operator-kind cost profile
 	// (seconds per object, learned from recorded span corpora — see
 	// cost.Calibrator): the MDP simulator prices EXECUTE transitions in
 	// estimated seconds instead of flat object counts. Profiles participate
 	// in the plan-cache key, so calibrated and uncalibrated sessions never
-	// share memoized rounds. Nil (the default) keeps the deterministic
+	// share memoized picks. Nil (the default) keeps the deterministic
 	// uncalibrated model — bit-identical to every pinned golden.
 	Profile *cost.CostProfile
 	// ReplanThreshold, when > 0, arms mid-query re-optimization: after an
 	// EXECUTE, if the q-error between a materialized tree's estimated and
 	// actual root cardinality reaches the threshold (misses — one side
 	// empty — always trigger), the session invalidates this query's
-	// plan-cache suffixes and forces the next PlanRound to re-run MCTS with
-	// the hardened statistics instead of replaying a memoized round
-	// recorded under the misestimate. Zero disables the trigger entirely.
+	// plan-cache entries and forces the next PlanRound to re-run MCTS with
+	// the hardened statistics instead of taking picks memoized under the
+	// misestimate. Zero disables the trigger entirely.
 	ReplanThreshold float64
 }
 
@@ -97,8 +98,9 @@ type Result struct {
 	Actions int
 	// SigmaOps counts Σ operators executed.
 	SigmaOps int
-	// PlanTime is total MCTS time; SigmaTime the Σ passes; ExecTime the
-	// rest of engine execution.
+	// PlanTime is total planning time, MCTS searches and plan-cache
+	// lookups; SigmaTime the Σ passes; ExecTime the rest of engine
+	// execution.
 	PlanTime, SigmaTime, ExecTime time.Duration
 	// Produced is the total §4.4 cost actually paid (objects produced).
 	Produced float64
@@ -106,7 +108,9 @@ type Result struct {
 	// execution order (the multi-step physical plan the MDP settled on).
 	Executed []*plan.Node
 	// CacheHits and CacheMisses count plan-cache consultations for this
-	// run; both zero when no cache is configured.
+	// run, one per pick: a fully warm run has CacheHits == Actions. Both
+	// are zero when no cache is configured, and a forced replan's picks
+	// count as neither.
 	CacheHits, CacheMisses int
 	// Replans counts the EXECUTE rounds whose observed q-error armed a
 	// forced replan (Config.ReplanThreshold); ReplanInvalidations is the

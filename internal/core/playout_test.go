@@ -186,7 +186,7 @@ func TestPlayoutMatchesStepRollout(t *testing.T) {
 			}
 		}
 		// The whole search over four plan shards, two threads: the same
-		// statistics and line whether the model plays or steps rollouts.
+		// pick and statistics whether the model plays or steps rollouts.
 		// Forks share the prior, which must then not count.
 		play, _ := c.model(7)
 		step, _ := c.model(7)
@@ -194,11 +194,11 @@ func TestPlayoutMatchesStepRollout(t *testing.T) {
 		root := c.starts(play, randx.New(7))[0]
 		cfg := mcts.Config{Iterations: 120, Shards: 4, Workers: 2}
 		pp, sp := mcts.New(cfg, 11), mcts.New(cfg, 11)
-		a := pp.Plan(play, root)
-		b := sp.Plan(steppedModel{step}, root)
-		if a.Key() != b.Key() || !reflect.DeepEqual(pp.LastStats(), sp.LastStats()) {
+		a, ast := pp.Plan(play, root, 1, nil, nil)
+		b, bst := sp.Plan(steppedModel{step}, root, 1, nil, nil)
+		if a.Key() != b.Key() || !reflect.DeepEqual(ast, bst) {
 			t.Fatalf("%s: played search picked %s %+v, stepped %s %+v",
-				c.label, a.Key(), pp.LastStats(), b.Key(), sp.LastStats())
+				c.label, a.Key(), ast, b.Key(), bst)
 		}
 	}
 	t.Logf("%d playouts matched", playouts)

@@ -33,18 +33,17 @@ import (
 // which is exactly what the Run compatibility wrapper does; driving the
 // phases by hand lets harnesses inspect or stop the run between rounds.
 //
-// When cfg.Cache is set, PlanRound consults the cache before every MCTS
-// planning call, keyed by the canonical query shape, the planner knobs, and
-// the current state (planned trees, materialized frontier, and the hardened
-// statistics rendered through stats.Store.BucketSignature()). A hit replays
-// the memoized action suffix — skipping MCTS entirely — after validating
-// that every action still applies; a miss plans normally and memoizes the
-// round's action sequence when EXECUTE is reached. Because hardening that
-// moves any statistic across a log₂ bucket boundary changes the key,
-// entries recorded under stale statistics are never served (invalidation is
-// embedded in the key). Replay reproduces the exact recording: a repeated
-// (query, seed, statistics) run makes the same plan choices with and
-// without the cache.
+// When cfg.Cache is set, every pick consults the cache first, keyed by the
+// canonical query shape, the planner knobs, and the current state (planned
+// trees, materialized frontier, and the hardened statistics rendered through
+// stats.Store.BucketSignature()). A hit takes the memoized action — skipping
+// MCTS — once applying it shows it still applies; a miss runs MCTS and
+// memoizes the action it picks. Because hardening that moves any statistic
+// across a log₂ bucket boundary changes the key, entries recorded under
+// stale statistics are never served (invalidation is embedded in the key).
+// Each search draws from RNG streams numbered by the actions taken so far,
+// so a repeated (query, seed, statistics) run makes the same plan choices
+// with and without the cache, however much of it is warm.
 type Session struct {
 	q      *query.Query
 	eng    *engine.Engine
@@ -73,13 +72,9 @@ type Session struct {
 	execPending bool
 	// replanPending is set by ExecuteRound when an observed q-error crossed
 	// cfg.ReplanThreshold: the next PlanRound must re-run MCTS with the
-	// hardened statistics instead of replaying a memoized round recorded
-	// under the misestimate. Cleared once that round completes.
+	// hardened statistics instead of taking picks memoized under the
+	// misestimate. Cleared once that round completes.
 	replanPending bool
-	// pendingKeys/pendingActs record the current round's (state key, picked
-	// action) pairs on the miss path, memoized when EXECUTE is reached.
-	pendingKeys []string
-	pendingActs []Action
 }
 
 // NewSession seeds the statistics store, builds the initial MDP state, and
@@ -192,87 +187,18 @@ func (s *Session) cacheKey() string {
 // PlanRound runs planning from the current state until the MDP picks
 // EXECUTE, applying each plan edit as it is chosen. It returns true when an
 // EXECUTE is pending (perform it with ExecuteRound), false when the state is
-// already terminal. With a plan cache configured it consults the cache
-// before every planning call and replays memoized rounds on a hit.
+// already terminal.
 func (s *Session) PlanRound() (bool, error) {
 	if s.state.Terminal() {
 		return false, nil
 	}
-	if s.execPending {
-		return true, nil
-	}
-	s.pendingKeys = s.pendingKeys[:0]
-	s.pendingActs = s.pendingActs[:0]
-	for {
+	for !s.execPending {
 		if s.overDeadline() {
 			return false, engine.ErrBudget
 		}
-		var key string
-		if s.cfg.Cache != nil {
-			key = s.cacheKey()
-			// A forced replan skips the lookup entirely: every memoized round
-			// for this query was recorded under the misestimate the last
-			// ExecuteRound observed, so the only acceptable plan is a fresh
-			// MCTS search against the hardened statistics. The search's new
-			// rounds are still memoized below, repopulating the cache with
-			// plans the corrected statistics stand behind.
-			if !s.replanPending {
-				if v, ok := s.cfg.Cache.Get(key); ok {
-					if seq, isSeq := v.([]Action); isSeq && s.replayRound(seq) {
-						return true, nil
-					}
-					// Invalid or inapplicable entry: treat as a miss and replan.
-				}
-				s.res.CacheMisses++
-				s.cfg.Metrics.Counter("monsoon.plancache.misses").Inc()
-			}
-		}
-		t0 := time.Now()
-		psp := s.tr.Start(obs.KPlan, "mcts")
-		// Shard spans of this search (if it fans out) parent to psp.
-		s.planner.Trace(s.tr, psp)
-		picked := s.planner.Plan(s.model, s.state)
-		planElapsed := time.Since(t0)
-		// LastStats is a value, valid on every return from Plan, so it needs
-		// no guard of its own; the span setters are nil-safe no-ops when no
-		// sink is attached. (A previous version guarded on the span variable
-		// by accident, silently keying the stats block to the tracer.)
-		ps := s.planner.LastStats()
-		psp.SetNum("rollouts", float64(ps.Rollouts)).
-			SetNum("root_actions", float64(ps.RootActions)).
-			SetNum("tree_depth", float64(ps.MaxDepth)).
-			SetNum("nodes", float64(ps.Nodes))
-		if ps.Workers > 1 {
-			// Mirrors the engine's convention: the attribute appears only
-			// when the search actually fanned out, so serial and parallel
-			// span streams stay comparable attribute-for-attribute.
-			psp.SetNum(obs.AttrPlanWorkers, float64(ps.Workers))
-		}
-		if ps.FastPath {
-			psp.SetStr("fast_path", "true")
-		}
-		if s.cfg.Cache != nil {
-			psp.SetStr(obs.AttrCacheHit, "false")
-		}
-		if s.replanPending {
-			psp.SetStr("replan", "true")
-		}
-		psp.End()
-		s.res.PlanTime += planElapsed
-		s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(planElapsed)
-		if !ps.FastPath {
-			// Search-only planning latency: fast-path calls skip MCTS, so
-			// keeping them out makes this the planner-parallelism signal the
-			// plan_workers attribute is read against.
-			s.cfg.Metrics.Histogram("monsoon.plan.search.time").ObserveDuration(planElapsed)
-		}
-		if picked == nil {
-			return false, fmt.Errorf("core: no legal action in non-terminal state %s", s.state)
-		}
-		act := *picked.(*Action)
-		if s.cfg.Cache != nil {
-			s.pendingKeys = append(s.pendingKeys, key)
-			s.pendingActs = append(s.pendingActs, act)
+		act, next, err := s.pick()
+		if err != nil {
+			return false, err
 		}
 		s.res.Actions++
 		s.cfg.Metrics.Counter("monsoon.actions").Inc()
@@ -280,86 +206,112 @@ func (s *Session) PlanRound() (bool, error) {
 			s.tr.Message(act.String())
 		}
 		if act.Kind == ActExecute {
-			s.memoizeRound()
 			s.execPending = true
-			// The forced round has been replanned (and re-memoized) in full;
-			// later rounds may trust the cache again.
+			// The forced round has been replanned in full; later rounds may
+			// trust the cache again.
 			s.replanPending = false
-			return true, nil
-		}
-		asp := s.tr.Start(obs.KAction, act.Key())
-		ns, err := applyPlanEdit(s.state, s.q, act)
-		if err != nil {
-			asp.SetStr("err", err.Error()).End()
-			return false, err
-		}
-		asp.End()
-		s.state = ns
-	}
-}
-
-// replayRound validates a memoized action sequence against the current state
-// and, when every edit still applies, commits it — emitting the same spans,
-// trace lines, and accounting the uncached path would for the same actions,
-// minus the MCTS work. Returns false (state untouched) when the sequence no
-// longer applies; the caller then replans.
-func (s *Session) replayRound(seq []Action) bool {
-	if len(seq) == 0 || seq[len(seq)-1].Kind != ActExecute {
-		return false
-	}
-	t0 := time.Now()
-	// Validate the whole suffix on scratch states before committing anything.
-	states := make([]*State, 0, len(seq)-1)
-	cur := s.state
-	for _, a := range seq[:len(seq)-1] {
-		ns, err := applyPlanEdit(cur, s.q, a)
-		if err != nil {
-			return false
-		}
-		states = append(states, ns)
-		cur = ns
-	}
-	if len(cur.Planned) == 0 {
-		return false // EXECUTE would be illegal
-	}
-	s.res.CacheHits++
-	s.cfg.Metrics.Counter("monsoon.plancache.hits").Inc()
-	// Each replayed action stands in for one Plan call (the recording run
-	// picked each with its own call); advance the planner's call counter to
-	// match, so a later miss plans from the same derived RNG streams a
-	// cache-free run would use. Without this, a partially warm cache — the
-	// normal state when concurrent sessions race to populate it — made
-	// hit-then-miss runs diverge from solo runs.
-	s.planner.SkipCalls(len(seq))
-	for i, a := range seq {
-		psp := s.tr.Start(obs.KPlan, "mcts")
-		psp.SetNum("rollouts", 0).SetStr(obs.AttrCacheHit, "true").End()
-		s.res.Actions++
-		s.cfg.Metrics.Counter("monsoon.actions").Inc()
-		if s.tr.Active() {
-			s.tr.Message(a.String())
-		}
-		if a.Kind == ActExecute {
-			s.execPending = true
 			break
 		}
-		asp := s.tr.Start(obs.KAction, a.Key())
+		asp := s.tr.Start(obs.KAction, act.Key())
+		if next == nil {
+			if next, err = applyPlanEdit(s.state, s.q, act); err != nil {
+				asp.SetStr("err", err.Error()).End()
+				return false, err
+			}
+		}
 		asp.End()
-		s.state = states[i]
+		s.state = next
 	}
-	elapsed := time.Since(t0)
-	s.res.PlanTime += elapsed
-	s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(elapsed)
-	return true
+	return true, nil
 }
 
-// memoizeRound stores the just-completed round under every state key it
-// passed through, so a future session reaching any intermediate state replays
-// the rest of the round.
-func (s *Session) memoizeRound() {
-	for i := range s.pendingActs {
-		s.cfg.Cache.Put(s.pendingKeys[i], append([]Action(nil), s.pendingActs[i:]...))
+// pick chooses the action to take in the current state and emits its KPlan
+// span. With a plan cache it looks up the state's key first: a memoized
+// action that still applies is taken as it is, with next the state a plan
+// edit leads to; anything else is a miss, and the action MCTS picks is
+// memoized under the key at once. The search's call index is the number of
+// actions taken so far plus one, so its RNG streams depend only on the
+// trajectory, never on which earlier picks came from the cache.
+func (s *Session) pick() (Action, *State, error) {
+	t0 := time.Now()
+	var key string
+	if s.cfg.Cache != nil {
+		key = s.cacheKey()
+		// A forced replan skips the lookup entirely: every memoized pick for
+		// this query was recorded under the misestimate the last ExecuteRound
+		// observed, so the only acceptable plan is a fresh MCTS search against
+		// the hardened statistics. Its picks are still memoized below,
+		// repopulating the cache with plans the corrected statistics stand
+		// behind.
+		if !s.replanPending {
+			if act, next, ok := s.cached(key); ok {
+				s.res.CacheHits++
+				s.cfg.Metrics.Counter("monsoon.plancache.hits").Inc()
+				s.tr.Start(obs.KPlan, "mcts").SetNum("rollouts", 0).SetStr(obs.AttrCacheHit, "true").End()
+				elapsed := time.Since(t0)
+				s.res.PlanTime += elapsed
+				s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(elapsed)
+				return act, next, nil
+			}
+			s.res.CacheMisses++
+			s.cfg.Metrics.Counter("monsoon.plancache.misses").Inc()
+		}
 	}
+	psp := s.tr.Start(obs.KPlan, "mcts")
+	// Shard spans of this search (if it fans out) parent to psp.
+	picked, ps := s.planner.Plan(s.model, s.state, s.res.Actions+1, s.tr, psp)
+	planElapsed := time.Since(t0)
+	// The span setters are nil-safe no-ops when no sink is attached.
+	psp.SetNum("rollouts", float64(ps.Rollouts)).
+		SetNum("root_actions", float64(ps.RootActions)).
+		SetNum("tree_depth", float64(ps.MaxDepth)).
+		SetNum("nodes", float64(ps.Nodes))
+	if ps.Workers > 1 {
+		// Mirrors the engine's convention: the attribute appears only
+		// when the search actually fanned out, so serial and parallel
+		// span streams stay comparable attribute-for-attribute.
+		psp.SetNum(obs.AttrPlanWorkers, float64(ps.Workers))
+	}
+	if ps.FastPath {
+		psp.SetStr("fast_path", "true")
+	}
+	if s.cfg.Cache != nil {
+		psp.SetStr(obs.AttrCacheHit, "false")
+	}
+	if s.replanPending {
+		psp.SetStr("replan", "true")
+	}
+	psp.End()
+	s.res.PlanTime += planElapsed
+	s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(planElapsed)
+	if !ps.FastPath {
+		// Search-only planning latency: fast-path calls skip MCTS, so
+		// keeping them out makes this the planner-parallelism signal the
+		// plan_workers attribute is read against.
+		s.cfg.Metrics.Histogram("monsoon.plan.search.time").ObserveDuration(planElapsed)
+	}
+	if picked == nil {
+		return Action{}, nil, fmt.Errorf("core: no legal action in non-terminal state %s", s.state)
+	}
+	act := *picked.(*Action)
+	s.cfg.Cache.Put(key, act)
+	return act, nil, nil
+}
+
+// cached returns the plan cache's action for key when it still applies to
+// the current state — an EXECUTE needs a planned tree, a plan edit must
+// apply — and the state a plan edit leads to. The state is left untouched.
+func (s *Session) cached(key string) (Action, *State, bool) {
+	v, _ := s.cfg.Cache.Get(key)
+	act, ok := v.(Action)
+	if !ok {
+		return Action{}, nil, false
+	}
+	if act.Kind == ActExecute {
+		return act, nil, len(s.state.Planned) > 0
+	}
+	next, err := applyPlanEdit(s.state, s.q, act)
+	return act, next, err == nil
 }
 
 // ExecuteRound performs the pending EXECUTE: run every planned tree on the
@@ -441,7 +393,7 @@ func (s *Session) ExecuteRound() error {
 // cardinality against what the optimizer predicted and, when the q-error
 // reaches cfg.ReplanThreshold (misses — one side empty — always qualify), arm
 // a forced replan. The next PlanRound then skips the plan cache and re-runs
-// MCTS against the statistics this round just hardened; every memoized round
+// MCTS against the statistics this round just hardened; every memoized pick
 // for this query's shape is evicted, since each was recorded under the
 // misestimate that just surfaced.
 func (s *Session) maybeReplan(asp *obs.Span, key string, ests map[string]float64, actuals map[string]float64) {
@@ -517,7 +469,7 @@ func writeQueryShape(b *strings.Builder, q *query.Query) {
 // canonicalShape renders the query's shape (QueryShape) plus the planner knobs
 // that influence plan choice, as the cache-key prefix. Two queries with the
 // same shape, knobs, frontier, and bucketed statistics are planning-
-// equivalent, which is exactly when memoized rounds may be shared.
+// equivalent, which is exactly when memoized picks may be shared.
 func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
 	var b strings.Builder
 	writeQueryShape(&b, q)
@@ -525,13 +477,13 @@ func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
 		cfg.Seed, cfg.Iterations, cfg.Strategy, cfg.UniformRollout, cfg.Prior.Name())
 	if cfg.Profile != nil {
 		// Calibrated sessions price EXECUTE differently, so they must never
-		// share memoized rounds with uncalibrated ones (or with sessions
+		// share memoized picks with uncalibrated ones (or with sessions
 		// calibrated from a different corpus). Nil profiles append nothing,
 		// preserving every pre-calibration cache key byte-for-byte.
 		fmt.Fprintf(&b, ";prof=%s", cfg.Profile.Fingerprint())
 	}
 	if cat != nil && cat.ShardCount() > 1 {
-		// Sharded sessions price exchanges into EXECUTE, so memoized rounds
+		// Sharded sessions price exchanges into EXECUTE, so memoized picks
 		// only transfer between engines with the same shard layout. Unsharded
 		// catalogs append nothing, keeping S=1 keys byte-identical to every
 		// pre-sharding key.

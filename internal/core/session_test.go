@@ -23,8 +23,8 @@ func runTrees(res *Result) []string {
 // TestCachedEqualsUncachedGolden is the cached≡uncached guarantee: for every
 // pinned golden trajectory, a cold cache-on run is bit-identical to the
 // uncached run (all misses, same search), and a warm re-run through the now
-// populated cache replays the exact same plans and accounting while skipping
-// MCTS entirely (all hits, no misses).
+// populated cache takes the exact same picks and accounting from it while
+// skipping MCTS entirely (one hit per pick, no misses).
 func TestCachedEqualsUncachedGolden(t *testing.T) {
 	for _, g := range goldenFixtureRuns {
 		cache := plancache.New(0)
@@ -50,9 +50,9 @@ func TestCachedEqualsUncachedGolden(t *testing.T) {
 			t.Errorf("seed %d cold: hits/misses = %d/%d, want 0/%d",
 				g.seed, cold.CacheHits, cold.CacheMisses, cold.Actions)
 		}
-		if warm.CacheMisses != 0 || warm.CacheHits != warm.Executes {
-			t.Errorf("seed %d warm: hits/misses = %d/%d, want %d/0 (one hit per round)",
-				g.seed, warm.CacheHits, warm.CacheMisses, warm.Executes)
+		if warm.CacheMisses != 0 || warm.CacheHits != warm.Actions {
+			t.Errorf("seed %d warm: hits/misses = %d/%d, want %d/0 (one hit per pick)",
+				g.seed, warm.CacheHits, warm.CacheMisses, warm.Actions)
 		}
 		if warm.PlanTime*5 > cold.PlanTime {
 			t.Errorf("seed %d: warm plan time %v not ≥5× below cold %v",
@@ -61,7 +61,7 @@ func TestCachedEqualsUncachedGolden(t *testing.T) {
 	}
 }
 
-// TestCachedWarmTraceIdentical: the warm replay emits the exact trace lines
+// TestCachedWarmTraceIdentical: the warm run emits the exact trace lines
 // the cold (searching) run emits — actions, order, and execution messages.
 func TestCachedWarmTraceIdentical(t *testing.T) {
 	cache := plancache.New(0)
@@ -83,7 +83,7 @@ func TestCachedWarmTraceIdentical(t *testing.T) {
 }
 
 // TestPlanSpanCacheHitAttr pins the cache_hit telemetry contract: absent
-// without a cache, "false" on every searching span, "true" on every replayed
+// without a cache, "false" on every searching span, "true" on every cache-hit
 // span, with one plan span per action in all three modes.
 func TestPlanSpanCacheHitAttr(t *testing.T) {
 	cache := plancache.New(0)
@@ -220,7 +220,7 @@ func TestSessionManualDrive(t *testing.T) {
 // TestReplanTriggerEndToEnd closes the loop on the fixture's forced
 // misestimate: the R⋈T join is empty while the optimizer's prior predicts
 // matches, so the final round's q-error is a miss — which must arm the replan
-// trigger, evict this query's memoized rounds, bump the counters, and stamp
+// trigger, evict this query's memoized picks, bump the counters, and stamp
 // the execute span, all without perturbing the pinned golden trajectory
 // (every round before the trigger plans exactly as an unarmed run does).
 func TestReplanTriggerEndToEnd(t *testing.T) {
@@ -241,7 +241,7 @@ func TestReplanTriggerEndToEnd(t *testing.T) {
 		t.Fatalf("replans = %d, want ≥ 1 (empty join is a q-error miss)", res.Replans)
 	}
 	if res.ReplanInvalidations < 1 {
-		t.Errorf("invalidations = %d, want ≥ 1 (memoized rounds recorded under the misestimate)",
+		t.Errorf("invalidations = %d, want ≥ 1 (memoized picks recorded under the misestimate)",
 			res.ReplanInvalidations)
 	}
 	if got := reg.Counter("monsoon.replan.triggered").Value(); got != int64(res.Replans) {

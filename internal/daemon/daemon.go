@@ -7,7 +7,7 @@
 //
 //   - Shared across every request: the benchmark catalogs and their engines
 //     (immutable after load), the plan cache (internally locked; its keys
-//     embed the full planning state, so replay is deterministic no matter
+//     embed the full planning state, so a hit is deterministic no matter
 //     which request warmed an entry), the metrics registry and the trace ring;
 //     with Config.HardenStats, one statistics seed store per query shape.
 //   - Per-request: an engine.Exec scope (tracer, parallelism/batch knobs,

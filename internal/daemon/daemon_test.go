@@ -234,8 +234,8 @@ func TestQueryAdhocSQL(t *testing.T) {
 
 // TestQueryBudgetExceeded: a request-tightened deadline that cannot possibly
 // be met maps to 504 with the budget error in the body. The request carries a
-// seed of its own so that it misses the plan cache and has to plan: replaying
-// a plan an earlier test cached, tpch-q3 at this scale executes in under the
+// seed of its own so that it misses the plan cache and has to plan: taking
+// picks an earlier test cached, tpch-q3 at this scale executes in under the
 // millisecond.
 func TestQueryBudgetExceeded(t *testing.T) {
 	h := testServer(t).Handler()

@@ -54,7 +54,7 @@ func TestCampaignDeterminism(t *testing.T) {
 // cache makes exactly the plan choices the cache-off campaign makes — same
 // tuple costs, cardinalities, aggregates, and timeout decisions per query —
 // on both the cold pass (cache filling, all misses) and the warm pass
-// (replaying memoized rounds). It runs over three TPC-H queries and over the
+// (taking memoized picks). It runs over three TPC-H queries and over the
 // tiny scale's IMDB suite trimmed to four queries. CI runs this as the
 // cached-vs-uncached determinism gate.
 func TestCampaignCachedVsUncached(t *testing.T) {

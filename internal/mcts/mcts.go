@@ -102,7 +102,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PlanStats describes the search behind the most recent Plan call, for
+// PlanStats describes the search behind one Plan call, for
 // observability: how much work the planner did and how deep it looked.
 type PlanStats struct {
 	// RootActions is the number of legal actions at the planning root.
@@ -120,13 +120,6 @@ type PlanStats struct {
 	// most Config.Workers and the shard count, and 1 on the fast path; plans
 	// are identical for every value.
 	Workers int
-	// Line is the principal variation the search settled on: the action key
-	// MCTS picks at the root followed by the best-average action at each
-	// successive decision node (descending through the most-visited outcome
-	// of stochastic edges), until a terminal, unexpanded, or never-visited
-	// node. The driver memoizes it in the plan cache and attaches it to plan
-	// spans; on the fast path it holds just the forced action.
-	Line []string
 }
 
 // tree is one search shard's tree search: it runs its quota of passes over a
@@ -181,15 +174,13 @@ func (t *tree) search(m Model, root *node) {
 	}
 }
 
-// settle returns the action with the best average return at n and the
-// principal variation from n: n's first action alone when no edge was
-// visited.
-func settle(n *node, maxDepth int) (Action, []string) {
-	best := bestVisited(n)
-	if best < 0 {
-		return n.actions[0], []string{n.actions[0].Key()}
+// settle returns the action with the best average return at n: n's first
+// action when no edge was visited.
+func settle(n *node) Action {
+	if best := bestVisited(n); best >= 0 {
+		return n.actions[best]
 	}
-	return n.actions[best], principalVariation(n, maxDepth)
+	return n.actions[0]
 }
 
 // bestVisited returns the index of the visited edge with the best average
@@ -208,30 +199,6 @@ func bestVisited(n *node) int {
 		}
 	}
 	return best
-}
-
-// principalVariation extracts the search's settled line of play: follow the
-// best-average edge at each decision node, and the most-visited outcome
-// (ties broken by key for determinism) under each stochastic edge.
-func principalVariation(n *node, maxDepth int) []string {
-	var line []string
-	for n != nil && len(line) < maxDepth {
-		i := bestVisited(n)
-		if i < 0 {
-			break
-		}
-		e := n.edges[i]
-		line = append(line, e.action.Key())
-		next := e.only
-		bestVisits, bestKey := -1, ""
-		for key, child := range e.kids {
-			if child.visits > bestVisits || (child.visits == bestVisits && key < bestKey) {
-				bestVisits, bestKey, next = child.visits, key, child
-			}
-		}
-		n = next
-	}
-	return line
 }
 
 // simulate runs one selection→expansion→rollout→backpropagation pass and

@@ -44,10 +44,9 @@ func treePlan(cfg Config, rng *rand.Rand, m Model, root State) (Action, PlanStat
 	t := &tree{cfg: cfg.withDefaults(), rng: rng}
 	n := t.newNode(m, root)
 	t.search(m, n)
-	a, line := settle(n, t.cfg.MaxDepth)
 	st := t.stats
-	st.RootActions, st.Workers, st.Line = len(n.actions), 1, line
-	return a, st
+	st.RootActions, st.Workers = len(n.actions), 1
+	return settle(n), st
 }
 
 // --- toy MDP 1: a one-shot bandit ---------------------------------------
@@ -185,7 +184,7 @@ func TestProbeThenCorrectGuess(t *testing.T) {
 
 func TestTerminalRootReturnsNil(t *testing.T) {
 	p := New(Config{}, 1)
-	if a := p.Plan(bandit{}, banditState{done: true}); a != nil {
+	if a, _ := p.Plan(bandit{}, banditState{done: true}, 1, nil, nil); a != nil {
 		t.Errorf("terminal root must plan nil, got %v", a)
 	}
 }
@@ -213,7 +212,7 @@ func (g *singleGame) Playout(s State, rng *rand.Rand, steps int) float64 {
 func TestSingleActionShortCircuit(t *testing.T) {
 	g := &singleGame{}
 	p := New(Config{Iterations: 1000}, 1)
-	a := p.Plan(g, banditState{})
+	a, _ := p.Plan(g, banditState{}, 1, nil, nil)
 	if a == nil || a.Key() != "0" {
 		t.Fatalf("Plan = %v", a)
 	}
@@ -321,54 +320,6 @@ func TestNormalizeDegenerate(t *testing.T) {
 	}
 	if v := p.normalize(3); v != 0 {
 		t.Errorf("normalize(min) = %v, want 0", v)
-	}
-}
-
-// TestPlanStatsLine: the principal variation starts with the picked action,
-// descends to a terminal in the chain game, and degenerates to the forced
-// action on the fast path.
-func TestPlanStatsLine(t *testing.T) {
-	g := &chainGame{depth: 4}
-	a, st := treePlan(Config{Iterations: 300}, randx.New(3), g, chainState{depth: 4})
-	line := st.Line
-	if len(line) == 0 || line[0] != a.Key() {
-		t.Fatalf("line %v must start with the picked action %q", line, a.Key())
-	}
-	if len(line) > 4 {
-		t.Errorf("line %v longer than the game's depth", line)
-	}
-	for i, k := range line {
-		if k != "0" {
-			t.Errorf("line[%d] = %q, want the zero-cost chain action", i, k)
-		}
-	}
-
-	sp := New(Config{Iterations: 100}, 1)
-	sa := sp.Plan(&singleGame{}, banditState{})
-	if l := sp.LastStats().Line; len(l) != 1 || l[0] != sa.Key() {
-		t.Errorf("fast-path line = %v, want [%q]", l, sa.Key())
-	}
-	if tp := New(Config{}, 1); tp.Plan(bandit{}, banditState{done: true}) != nil ||
-		tp.LastStats().Line != nil {
-		t.Error("terminal root must leave the line empty")
-	}
-}
-
-// TestLineCrossesChanceNodes: in the probe game the settled line must be
-// probe followed by the certainty guess of the most-visited outcome.
-func TestLineCrossesChanceNodes(t *testing.T) {
-	rng := randx.New(42)
-	g := &probeGame{rng: rng}
-	a, st := treePlan(Config{Iterations: 4000}, rng, g, probeState{})
-	if a.Key() != "probe" {
-		t.Fatalf("picked %q, want probe", a.Key())
-	}
-	line := st.Line
-	if len(line) < 2 || line[0] != "probe" {
-		t.Fatalf("line = %v, want probe followed by a guess", line)
-	}
-	if line[1] != "guess0" && line[1] != "guess1" {
-		t.Errorf("line[1] = %q, want a guess", line[1])
 	}
 }
 

@@ -1,14 +1,14 @@
 // Root-parallel MCTS (§5.1 under a wall-clock budget): the rollout budget is
 // pre-partitioned over a fixed set of logical workers ("shards"). Every shard
-// gets a pre-assigned quota and its own RNG seeded from the planner seed and
-// the shard index, searches an independent tree from its own clone of the
-// root, and the shard trees are merged in shard-index order — visits and
-// totals summed per root action, chance children unioned by outcome key,
-// recursively. Because the decomposition (shard count, quotas, seeds) is a
-// function of the configuration only — never of the Workers thread cap — the
-// merged visit counts, values, and principal variation are bit-identical for
-// any Workers setting, including fully serial execution. Parallelism trades
-// wall time, nothing else.
+// gets a pre-assigned quota and its own RNG seeded from the planner seed, the
+// caller's call index and the shard index, searches an independent tree from
+// its own clone of the root, and the shard trees are merged in shard-index
+// order — visits and totals summed per root action, chance children unioned
+// by outcome key, recursively. Because the decomposition (shard count,
+// quotas, seeds) is a function of the configuration and the call index only —
+// never of the Workers thread cap — the merged visit counts and values are
+// bit-identical for any Workers setting, including fully serial execution.
+// Parallelism trades wall time, nothing else.
 package mcts
 
 import (
@@ -35,34 +35,16 @@ const (
 	minShardQuota = 75
 )
 
-// Planner runs root-parallel MCTS. It is not safe for concurrent use; the
-// parallelism is internal.
+// Planner runs root-parallel MCTS. It holds only its configuration and seed,
+// both fixed by New, so one Planner may serve concurrent Plan calls; the
+// parallelism within a call is internal.
 type Planner struct {
 	cfg  Config
 	seed int64
-	// calls numbers the Plan invocations so every (call, shard) pair draws
-	// from its own derived RNG streams.
-	calls int
-	last  PlanStats
-
-	// tr/parent carry the observability context of the next Plan call; see
-	// Trace.
-	tr     *obs.Tracer
-	parent *obs.Span
-}
-
-// Trace attaches a tracer and the parent span (the driver's KPlan span) for
-// subsequent Plan calls: every real search emits one KPlanShard span per
-// shard under parent, carrying the shard's quota, rollouts, nodes, and its
-// own busy time. Shard count and quotas derive from the configuration alone,
-// so shard-span counts are machine-independent. Nil arguments switch shard
-// spans off.
-func (p *Planner) Trace(tr *obs.Tracer, parent *obs.Span) {
-	p.tr, p.parent = tr, parent
 }
 
 // New creates a planner. seed is the planner's base randomness; per-shard
-// streams are derived from it, the call number, and the shard index, so equal
+// streams are derived from it, the call index, and the shard index, so equal
 // (config, seed) planners replay identically.
 func New(cfg Config, seed int64) *Planner {
 	cfg = cfg.withDefaults()
@@ -78,19 +60,6 @@ func New(cfg Config, seed int64) *Planner {
 	}
 	return &Planner{cfg: cfg, seed: seed}
 }
-
-// LastStats reports the statistics of the most recent Plan call, aggregated
-// across shards (rollouts and nodes sum, depth is the max).
-func (p *Planner) LastStats() PlanStats { return p.last }
-
-// SkipCalls advances the Plan-call counter by n without searching. The
-// counter seeds every call's per-shard RNG streams, so a caller that answers
-// n would-be Plan calls from a memoized source (the plan cache's replay path)
-// must advance it exactly as n real calls would have — otherwise the next
-// genuine Plan draws from streams a replay-free run would never reach, and
-// runs that hit the cache mid-flight stop being bit-identical to runs that
-// planned every round themselves.
-func (p *Planner) SkipCalls(n int) { p.calls += n }
 
 // shardQuotas splits the iteration budget into shard quotas differing by at
 // most one rollout, remainder to the lowest-numbered shards.
@@ -113,26 +82,30 @@ func shardSeed(base int64, call, shard int, stream string) int64 {
 
 // Plan runs every shard's quota (concurrently up to the Workers cap), merges
 // the shard trees in shard-index order, and returns the action with the best
-// average return over the merged tree, or nil if root is terminal/stuck.
-func (p *Planner) Plan(m Model, root State) Action {
-	p.calls++
-	p.last = PlanStats{Workers: 1}
+// average return over the merged tree, or nil if root is terminal/stuck,
+// with the statistics of the search aggregated across shards (rollouts and
+// nodes sum, depth is the max). call numbers the caller's planning calls
+// from 1: every (call, shard) pair draws from its own derived RNG streams,
+// so equal calls on equal planners search identically. A real search emits
+// one KPlanShard span per shard under parent, carrying the shard's quota,
+// rollouts, nodes, and its own busy time; shard count and quotas derive from
+// the configuration alone, so shard-span counts are machine-independent. A
+// nil tracer switches shard spans off.
+func (p *Planner) Plan(m Model, root State, call int, tr *obs.Tracer, parent *obs.Span) (Action, PlanStats) {
+	ps := PlanStats{Workers: 1}
 	// Root fast paths: no search, no RNG draws, one (root) node on the books.
 	var actions []Action
 	if !root.Terminal() {
 		actions = m.Legal(root)
 	}
-	p.last.RootActions = len(actions)
-	if len(actions) == 0 {
-		p.last.FastPath = true
-		p.last.Nodes = 1
-		return nil
-	}
-	if len(actions) == 1 {
-		p.last.FastPath = true
-		p.last.Nodes = 1
-		p.last.Line = []string{actions[0].Key()}
-		return actions[0]
+	ps.RootActions = len(actions)
+	if len(actions) <= 1 {
+		ps.FastPath = true
+		ps.Nodes = 1
+		if len(actions) == 0 {
+			return nil, ps
+		}
+		return actions[0], ps
 	}
 
 	quotas := shardQuotas(p.cfg.Iterations, p.cfg.Shards)
@@ -148,10 +121,10 @@ func (p *Planner) Plan(m Model, root State) Action {
 	// IDs) before any worker launches; they are ended in index order after
 	// the barrier with each shard's own measured busy time.
 	var shardSpans []*obs.Span
-	if p.tr.Active() {
+	if tr.Active() {
 		shardSpans = make([]*obs.Span, len(quotas))
 		for i := range quotas {
-			shardSpans[i] = p.tr.StartChild(p.parent, obs.KPlanShard, fmt.Sprintf("shard%d", i)).
+			shardSpans[i] = tr.StartChild(parent, obs.KPlanShard, fmt.Sprintf("shard%d", i)).
 				SetNum("quota", float64(quotas[i]))
 		}
 	}
@@ -166,8 +139,8 @@ func (p *Planner) Plan(m Model, root State) Action {
 	runShard := func(i int) {
 		t0 := time.Now()
 		defer func() { elapsed[i] = time.Since(t0) }()
-		sm := m.Fork(shardSeed(p.seed, p.calls, i, "model"))
-		t := &tree{cfg: p.cfg, rng: randx.New(shardSeed(p.seed, p.calls, i, "rng"))}
+		sm := m.Fork(shardSeed(p.seed, call, i, "model"))
+		t := &tree{cfg: p.cfg, rng: randx.New(shardSeed(p.seed, call, i, "rng"))}
 		t.cfg.Iterations = quotas[i]
 		roots[i] = t.newNode(sm, shardRoots[i])
 		t.search(sm, roots[i])
@@ -203,19 +176,17 @@ func (p *Planner) Plan(m Model, root State) Action {
 	}
 
 	merged := roots[0]
-	p.last.Rollouts, p.last.Nodes, p.last.MaxDepth = stats[0].Rollouts, stats[0].Nodes, stats[0].MaxDepth
+	ps.Rollouts, ps.Nodes, ps.MaxDepth = stats[0].Rollouts, stats[0].Nodes, stats[0].MaxDepth
 	for i := 1; i < len(roots); i++ {
 		mergeNode(merged, roots[i])
-		p.last.Rollouts += stats[i].Rollouts
-		p.last.Nodes += stats[i].Nodes
-		if stats[i].MaxDepth > p.last.MaxDepth {
-			p.last.MaxDepth = stats[i].MaxDepth
+		ps.Rollouts += stats[i].Rollouts
+		ps.Nodes += stats[i].Nodes
+		if stats[i].MaxDepth > ps.MaxDepth {
+			ps.MaxDepth = stats[i].MaxDepth
 		}
 	}
-	p.last.Workers = workers
-	var picked Action
-	picked, p.last.Line = settle(merged, p.cfg.MaxDepth)
-	return picked
+	ps.Workers = workers
+	return settle(merged), ps
 }
 
 // mergeNode folds src into dst: per-action edge visits and totals are summed

@@ -2,22 +2,21 @@ package mcts
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"monsoon/internal/randx"
 )
 
 // TestRootShardOneMatchesSerial is the golden test against one tree search:
-// a one-shard Planner must be bit-identical — same action, same principal
-// variation, same stats — to a single tree searched with the shard's derived
-// RNG and forked model.
+// a one-shard Planner must be bit-identical — same action, same stats — to
+// a single tree searched with the shard's derived RNG and forked model.
 func TestRootShardOneMatchesSerial(t *testing.T) {
 	const seed = 99
 	cfg := Config{Iterations: 600, Shards: 1, Workers: 1}
 
 	rp := New(cfg, seed)
-	ra := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
-	rs := rp.LastStats()
+	ra, rs := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 
 	sm := (&probeGame{}).Fork(shardSeed(seed, 1, 0, "model"))
 	sa, ss := treePlan(cfg, randx.New(shardSeed(seed, 1, 0, "rng")), sm, probeState{})
@@ -33,12 +32,12 @@ func TestRootShardOneMatchesSerial(t *testing.T) {
 // TestRootDeterministicForAnyWorkers pins the tentpole promise: with the
 // logical shard decomposition fixed, every Workers setting — serial, fewer
 // threads than shards, more threads than shards — produces the identical
-// action, principal variation, and search stats.
+// action and search stats.
 func TestRootDeterministicForAnyWorkers(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
 		rp := New(Config{Iterations: 2000, Shards: 4, Workers: workers}, 7)
-		a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
-		return a.Key(), rp.LastStats()
+		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
+		return a.Key(), st
 	}
 	refKey, refStats := run(1)
 	refStats.Workers = 0
@@ -54,21 +53,53 @@ func TestRootDeterministicForAnyWorkers(t *testing.T) {
 	}
 }
 
-// TestRootRepeatedCallsDeterministic: successive Plan calls advance the
-// derived per-call streams, and two equally-configured planners replay the
-// whole call sequence identically at different worker counts.
+// TestRootRepeatedCallsDeterministic: the call index selects the derived
+// per-call streams, so calls 1..n replay one pinned sequence of picks and
+// tree sizes at any worker count. A budget this small leaves the probe game
+// undecided, so the picks differ between calls and a stream drawn at the
+// wrong index shows.
 func TestRootRepeatedCallsDeterministic(t *testing.T) {
-	seq := func(workers int) []string {
-		rp := New(Config{Iterations: 800, Shards: 3, Workers: workers}, 13)
+	wantKeys := []string{"guess0", "guess0", "guess0", "guess1", "guess0", "guess1", "guess1", "guess0"}
+	wantNodes := []int{22, 21, 19, 18, 18, 21, 20, 20}
+	for _, workers := range []int{1, 64} {
+		rp := New(Config{Iterations: 30, Shards: 3, Workers: workers}, 13)
 		var keys []string
-		for i := 0; i < 4; i++ {
-			keys = append(keys, rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}).Key())
+		var nodes []int
+		for call := 1; call <= len(wantKeys); call++ {
+			a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, call, nil, nil)
+			keys, nodes = append(keys, a.Key()), append(nodes, st.Nodes)
 		}
-		return keys
+		if !reflect.DeepEqual(keys, wantKeys) || !reflect.DeepEqual(nodes, wantNodes) {
+			t.Errorf("workers=%d: picks %q nodes %v, want %q %v", workers, keys, nodes, wantKeys, wantNodes)
+		}
 	}
-	a, b := seq(1), seq(64)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("call sequences diverge: serial %v, 64 workers %v", a, b)
+}
+
+// TestRootConcurrentPlanCalls: a Planner keeps no state between calls, so
+// concurrent Plan calls at one call index on one Planner each return what a
+// serial call returns. Run under -race.
+func TestRootConcurrentPlanCalls(t *testing.T) {
+	rp := New(Config{Iterations: 2000, Shards: 4, Workers: 2}, 7)
+	plan := func() (string, PlanStats) {
+		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 3, nil, nil)
+		return a.Key(), st
+	}
+	wantKey, wantStats := plan()
+	keys := make([]string, 4)
+	stats := make([]PlanStats, 4)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			keys[i], stats[i] = plan()
+		}(i)
+	}
+	wg.Wait()
+	for i := range keys {
+		if keys[i] != wantKey || !reflect.DeepEqual(stats[i], wantStats) {
+			t.Errorf("goroutine %d: (%q, %+v), serial call (%q, %+v)", i, keys[i], stats[i], wantKey, wantStats)
+		}
 	}
 }
 
@@ -78,11 +109,11 @@ func TestRootRepeatedCallsDeterministic(t *testing.T) {
 func TestRootZeroQuotaShards(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
 		rp := New(Config{Iterations: 3, Shards: 8, Workers: workers}, 5)
-		a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
+		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 		if a == nil {
 			t.Fatal("Plan returned nil on a non-terminal root")
 		}
-		return a.Key(), rp.LastStats()
+		return a.Key(), st
 	}
 	key, st := run(1)
 	if st.Rollouts != 3 {
@@ -104,23 +135,24 @@ func TestRootZeroQuotaShards(t *testing.T) {
 // no search, no RNG draws.
 func TestRootFastPaths(t *testing.T) {
 	rp := New(Config{Workers: 8}, 1)
-	if a := rp.Plan(bandit{}, banditState{done: true}); a != nil {
+	a, st := rp.Plan(bandit{}, banditState{done: true}, 1, nil, nil)
+	if a != nil {
 		t.Errorf("terminal root must plan nil, got %v", a)
 	}
-	if st := rp.LastStats(); !st.FastPath || st.Rollouts != 0 {
+	if !st.FastPath || st.Rollouts != 0 {
 		t.Errorf("terminal root stats = %+v, want fast path without rollouts", st)
 	}
 
 	g := &singleGame{}
-	a := rp.Plan(g, banditState{})
+	a, st = rp.Plan(g, banditState{}, 2, nil, nil)
 	if a == nil || a.Key() != "0" {
 		t.Fatalf("single-action Plan = %v", a)
 	}
 	if g.steps != 0 {
 		t.Errorf("single-action root must not simulate, did %d steps", g.steps)
 	}
-	if l := rp.LastStats().Line; len(l) != 1 || l[0] != "0" {
-		t.Errorf("fast-path line = %v, want [\"0\"]", l)
+	if !st.FastPath || st.Nodes != 1 {
+		t.Errorf("single-action root stats = %+v, want fast path with one node", st)
 	}
 }
 
@@ -129,7 +161,7 @@ func TestRootFastPaths(t *testing.T) {
 func TestRootBanditQuality(t *testing.T) {
 	for _, strat := range []Strategy{UCT, EpsGreedy} {
 		rp := New(Config{Strategy: strat, Iterations: 400}, 1)
-		a := rp.Plan(bandit{}, banditState{})
+		a, _ := rp.Plan(bandit{}, banditState{}, 1, nil, nil)
 		if a.(banditAction) != 2 {
 			t.Errorf("strategy %d picked arm %v, want 2", strat, a)
 		}
@@ -141,11 +173,11 @@ func TestRootBanditQuality(t *testing.T) {
 // merged averages keep the ranking.
 func TestRootProbeQuality(t *testing.T) {
 	rp := New(Config{Iterations: 4000, Shards: 8, Workers: 4}, 42)
-	a := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{})
+	a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 	if a.Key() != "probe" {
 		t.Errorf("picked %q, want probe", a.Key())
 	}
-	if st := rp.LastStats(); st.Rollouts != 4000 {
+	if st.Rollouts != 4000 {
 		t.Errorf("rollouts = %d, want the full 4000 budget", st.Rollouts)
 	}
 }

@@ -72,8 +72,8 @@ const (
 )
 
 // AttrCacheHit is the string attribute set on KPlan spans when a plan cache
-// is configured: "true" on spans whose decision was served by replaying a
-// memoized round, "false" on spans that ran MCTS. Absent when no cache is
+// is configured: "true" on spans whose decision was served by a memoized
+// pick, "false" on spans that ran MCTS. Absent when no cache is
 // attached to the run.
 const AttrCacheHit = "cache_hit"
 

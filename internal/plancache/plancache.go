@@ -1,11 +1,11 @@
 // Package plancache is the cross-round, cross-session plan memo of the
 // Monsoon serving path: an LRU map from a canonical planning-state key —
 // query shape, materialized frontier, and the hardened statistics set
-// rendered through stats.Store.BucketSignature() — to the action sequence
-// MCTS settled on from that state.
+// rendered through stats.Store.BucketSignature() — to the action MCTS
+// picked in that state.
 //
-// The cache stores opaque values so it stays dependency-free (core stores its
-// []Action round recordings; tests store strings). Invalidation is embedded
+// The cache stores opaque values so it stays dependency-free (core stores
+// its picked Action; tests store strings). Invalidation is embedded
 // in the key: hardening that moves any statistic across a log₂ bucket
 // boundary changes the bucket signature and therefore the key, so entries
 // recorded under the old statistics can never be served to the new state —
@@ -115,7 +115,7 @@ func (c *Cache) Put(key string, val any) {
 // number removed. Unlike the passive key-embedded invalidation (stale entries
 // aging out because no state re-derives their key), Invalidate is the active
 // form mid-query re-optimization needs: when an executed round's observed
-// q-error reveals the statistics a query's memoized rounds were recorded
+// q-error reveals the statistics a query's memoized picks were recorded
 // under to be badly wrong, the session evicts that query's entire key space
 // at once instead of waiting for the LRU to cycle them out. Eviction counts
 // are not charged — these are deliberate removals, not capacity pressure.

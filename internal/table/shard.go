@@ -33,8 +33,8 @@ func (c *Catalog) ShardKey(name string) (string, bool) {
 
 // LayoutFingerprint digests the shard layout (count plus every table's
 // shard column, sorted) into a short stable hex string. The plan cache
-// appends it to the canonical query shape so plans built against one layout
-// never replay against another. Unsharded catalogs return "" so S=1 cache
+// appends it to the canonical query shape so picks made against one layout
+// are never taken against another. Unsharded catalogs return "" so S=1 cache
 // keys stay byte-identical to pre-sharding builds.
 func (c *Catalog) LayoutFingerprint() string {
 	if c.ShardCount() == 1 {
