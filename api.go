@@ -99,7 +99,8 @@ type (
 	// with WithCostProfile.
 	CostProfile = cost.CostProfile
 	// CostCalibrator folds recorded spans or span trees into per-operator
-	// timing accumulators and emits a CostProfile.
+	// timing accumulators and emits a CostProfile: the offline way to learn
+	// the profile a run then plans with, fixed, under WithCostProfile.
 	CostCalibrator = cost.Calibrator
 )
 
@@ -301,17 +302,6 @@ func WithMetrics(reg *MetricsRegistry) RunOption { return func(c *runConfig) { c
 // only; set 1 to take parallelism out of a measurement or when the process
 // must not spawn goroutines.
 func WithParallelism(n int) RunOption { return func(c *runConfig) { c.core.Parallelism = n } }
-
-// WithBatchSize caps the rows one streaming pipeline batch carries between
-// the engine's operators: N > 0 uses batches of up to N rows, and 0 (the
-// default) or a negative value uses the engine's default of 4096. A batch no
-// intermediate reaches (say 1 << 30) has every operator materialize its full
-// output before the next starts — the legacy memory profile. Every setting
-// is bit-identical — same result rows in the same order, same Σ estimates,
-// same plan choices, same traces — so the knob trades peak memory against
-// per-batch overhead only. Smaller batches bound intermediate memory more tightly; unbounded
-// batches make peak memory proportional to the largest intermediate result.
-func WithBatchSize(n int) RunOption { return func(c *runConfig) { c.core.BatchSize = n } }
 
 // WithShards lays the run's catalog out as n deterministic hash shards over
 // every stored table's first column: a layout the planner prices, not a

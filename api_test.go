@@ -141,60 +141,31 @@ func TestReportOutputOutlivesRelease(t *testing.T) {
 	}
 }
 
-// TestWithBatchSizeIdentical pins the streaming≡materialized guarantee at
-// the public API: WithBatchSize only bounds pipeline memory, so every
-// setting — row-at-a-time, an awkward prime, the default, and a batch no
-// intermediate reaches, which materializes every operator — must return the
-// same report.
-func TestWithBatchSizeIdentical(t *testing.T) {
-	run := func(batch int) *Report {
-		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(150), WithBatchSize(batch))
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		return rep
-	}
-	ref := run(1 << 30)
-	for _, batch := range []int{1, 7, 4096, 0} {
-		rep := run(batch)
-		if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
-			t.Errorf("batch %d: rows/value/produced %d/%g/%g, materialized %d/%g/%g",
-				batch, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
-		}
-		if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
-			t.Errorf("batch %d: output rows differ from materialized", batch)
-		}
-	}
-}
-
 // TestWithShardsDeterministic pins the sharding guarantee at the public API:
-// every shard count returns the same query answer, and within one layout the
-// batch size still changes nothing — including the exact output rows.
+// every shard count returns the same query answer, and within one layout a
+// repeated run reproduces the exact output rows.
 func TestWithShardsDeterministic(t *testing.T) {
-	run := func(shards, batch int) *Report {
-		rep, err := Run(buildQuery(), buildWorld(),
-			WithSeed(5), WithIterations(150), WithShards(shards), WithBatchSize(batch))
+	run := func(shards int) *Report {
+		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(150), WithShards(shards))
 		if err != nil {
-			t.Fatalf("shards %d batch %d: %v", shards, batch, err)
+			t.Fatalf("shards %d: %v", shards, err)
 		}
 		return rep
 	}
-	unsharded := run(1, 0)
+	unsharded := run(1)
 	for _, s := range []int{1, 2, 4, 16} {
-		ref := run(s, 0)
+		ref := run(s)
 		if ref.Rows != unsharded.Rows || ref.Value != unsharded.Value {
 			t.Errorf("shards %d: rows/value %d/%g, unsharded %d/%g",
 				s, ref.Rows, ref.Value, unsharded.Rows, unsharded.Value)
 		}
-		for _, batch := range []int{1, 7, 1 << 30} {
-			rep := run(s, batch)
-			if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
-				t.Errorf("shards %d batch %d: rows/value/produced %d/%g/%g, want %d/%g/%g",
-					s, batch, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
-			}
-			if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
-				t.Errorf("shards %d batch %d: output rows differ within the same layout", s, batch)
-			}
+		rep := run(s)
+		if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
+			t.Errorf("shards %d repeat: rows/value/produced %d/%g/%g, want %d/%g/%g",
+				s, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
+		}
+		if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
+			t.Errorf("shards %d: output rows differ within the same layout", s)
 		}
 	}
 }

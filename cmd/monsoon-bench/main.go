@@ -7,7 +7,7 @@
 //	monsoon-bench [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus]
 //	              [-v] [-obs-linger DUR] [-cpuprofile FILE] [-memprofile FILE]
 //	              [-scale tiny|small|medium] [-seed N]
-//	              [-parallelism N] [-batch-size N] [-shards N]
+//	              [-parallelism N] [-shards N]
 //	              [-calibration-file FILE] [-replan-threshold Q]
 //	              [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //

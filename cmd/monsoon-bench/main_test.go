@@ -12,7 +12,6 @@ func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("monsoon-bench", flag.ContinueOnError)
 	bindFlags(fs)
 	want := map[string]string{
-		"batch-size":       "0",
 		"calibration-file": "",
 		"cpuprofile":       "",
 		"exp":              "all",

@@ -10,7 +10,7 @@
 //	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
 //	            [-prior NAME] [-explain] [-repeat N]
 //	            [-scale tiny|small|medium] [-seed N]
-//	            [-parallelism N] [-batch-size N] [-shards N]
+//	            [-parallelism N] [-shards N]
 //	            [-calibration-file FILE] [-replan-threshold Q]
 //	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
@@ -107,7 +107,7 @@ func run(o *options) error {
 		}
 		return runMonsoonTraced(*spec, sc, sc.Apply(cfg), o.repeat)
 	}
-	ec := engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+	ec := engine.ExecConfig{Parallelism: sc.Parallelism}
 	if o.explain {
 		return runExplained(*spec, sc, ec, o.opt, cfg.Sink)
 	}

@@ -12,7 +12,6 @@ func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("monsoon-cli", flag.ContinueOnError)
 	bindFlags(fs)
 	want := map[string]string{
-		"batch-size":       "0",
 		"bench":            "tpch",
 		"calibration-file": "",
 		"explain":          "false",

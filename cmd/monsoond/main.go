@@ -26,7 +26,7 @@
 //	         [-max-concurrent N] [-timeout D] [-max-tuples N] [-cache-cap N]
 //	         [-harden-stats] [-drain-timeout D]
 //	         [-scale tiny|small|medium] [-seed N]
-//	         [-parallelism N] [-batch-size N] [-shards N]
+//	         [-parallelism N] [-shards N]
 //	         [-calibration-file FILE] [-replan-threshold Q]
 //
 // The flags from -scale on are bound by harness.BindFlags, as in the other
@@ -67,7 +67,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.maxTuples, "max-tuples", 0, "per-query produced-objects ceiling: 0 = unbounded")
 	fs.IntVar(&o.cacheCap, "cache-cap", 0, "shared plan cache capacity: 0 = default (512)")
 	fs.BoolVar(&o.hardenStats, "harden-stats", false,
-		"merge each query's hardened statistics back into the shared seed store and self-calibrate the cost model from served traces, taking over from -calibration-file as traces accrue (trades cross-request determinism for better estimates)")
+		"merge each query's hardened statistics into its query shape's seed store, so later queries of that shape plan from observed facts (trades cross-request determinism for better estimates)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
 	return o
 }

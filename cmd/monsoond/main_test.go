@@ -13,7 +13,6 @@ func TestFlagSurface(t *testing.T) {
 	bindFlags(fs)
 	want := map[string]string{
 		"addr":             ":8080",
-		"batch-size":       "0",
 		"bench":            "tpch",
 		"cache-cap":        "0",
 		"calibration-file": "",

@@ -50,13 +50,11 @@ type Config struct {
 	// its execution scope as it is, see engine.ExecConfig) and the OS
 	// threads the root-parallel MCTS planner runs its search shards on
 	// (mcts.Config.Workers). 0 is machine width, 1 runs every operator and
-	// every search shard on the calling goroutine. BatchSize is the engine's pipeline batch, 0 the
-	// default. Every setting is bit-identical — same result rows, Σ
-	// estimates, and plan choices: the search's logical decomposition is
-	// fixed by the iteration budget alone — so they trade wall time and peak
-	// memory only.
+	// every search shard on the calling goroutine. Every setting is
+	// bit-identical — same result rows, Σ estimates, and plan choices: the
+	// search's logical decomposition is fixed by the iteration budget alone
+	// — so it trades wall time only.
 	Parallelism int
-	BatchSize   int
 	// Cache, when non-nil, memoizes each planning pick across rounds and
 	// sessions sharing the cache: before each MCTS call the session looks
 	// up (canonical query shape, planner knobs, MDP state with

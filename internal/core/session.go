@@ -80,7 +80,7 @@ type Session struct {
 // NewSession seeds the statistics store, builds the initial MDP state, and
 // wires the model, planner, and tracer. The engine is never mutated: the
 // session executes through its own engine.Exec scope carrying the tracer,
-// parallelism/batch knobs, metrics registry, and materialization store, so
+// parallelism knob, metrics registry, and materialization store, so
 // any number of sessions may share one engine concurrently.
 func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) *Session {
 	if cfg.Prior == nil {
@@ -103,7 +103,6 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s.ex = eng.NewExec(engine.ExecConfig{
 		Obs:         s.tr,
 		Parallelism: cfg.Parallelism,
-		BatchSize:   cfg.BatchSize,
 		Metrics:     cfg.Metrics,
 	})
 	s.res.ex = s.ex

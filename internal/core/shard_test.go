@@ -48,11 +48,11 @@ func renderSpanTree(spans []*obs.Span) string {
 //   - Across shard counts the query's ANSWER is bit-identical: same final
 //     row count and aggregate as the unsharded run, whatever plan the
 //     exchange-priced search settles on.
-//   - Within one shard count, the batch size and the worker count perturb
-//     NOTHING: rows, aggregate, produced charge, the action trace, and the
-//     operator span skeleton (pruned of the machine/layout-dependent
-//     KWorker fan-out spans) are all byte-identical, and a repeated
-//     run reproduces itself exactly.
+//   - Within one shard count, the worker count perturbs NOTHING: rows,
+//     aggregate, produced charge, the action trace, and the operator span
+//     skeleton (pruned of the machine/layout-dependent KWorker fan-out
+//     spans) are all byte-identical, and a repeated run reproduces itself
+//     exactly.
 func TestShardedRunDeterminism(t *testing.T) {
 	type golden struct {
 		rows     int
@@ -61,39 +61,37 @@ func TestShardedRunDeterminism(t *testing.T) {
 		trace    string
 		spans    string
 	}
-	run := func(s, batch, par int) golden {
+	run := func(s, par int) golden {
 		cat, q := fixture()
 		cat.Shard(s)
 		eng := engine.New(cat)
 		col := &obs.Collector{}
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 7, Iterations: 300, BatchSize: batch, Parallelism: par,
+			Seed: 7, Iterations: 300, Parallelism: par,
 			Sink: obs.Multi(col, obs.MessageSink(func(l string) { lines = append(lines, l) })),
 		})
 		if err != nil {
-			t.Fatalf("S=%d batch=%d par=%d: %v", s, batch, par, err)
+			t.Fatalf("S=%d par=%d: %v", s, par, err)
 		}
 		return golden{res.Rows, res.Value, res.Produced,
 			strings.Join(lines, "\n"), renderSpanTree(col.Spans)}
 	}
-	unsharded := run(1, 0, 0)
+	unsharded := run(1, 0)
 	for _, s := range []int{1, 2, 4, 16} {
-		ref := run(s, 0, 0)
+		ref := run(s, 0)
 		if ref.rows != unsharded.rows || ref.value != unsharded.value {
 			t.Errorf("S=%d: answer (%d rows, %v) != unsharded (%d rows, %v)",
 				s, ref.rows, ref.value, unsharded.rows, unsharded.value)
 		}
-		for _, batch := range []int{1, 0, 1 << 30} {
-			for _, par := range []int{0, 1, 4} {
-				got := run(s, batch, par)
-				if got != ref {
-					t.Errorf("S=%d batch=%d par=%d diverged from (S=%d, defaults):\n"+
-						"rows/value/produced: %d/%v/%v vs %d/%v/%v\ntrace equal: %t, spans equal: %t",
-						s, batch, par, s,
-						got.rows, got.value, got.produced, ref.rows, ref.value, ref.produced,
-						got.trace == ref.trace, got.spans == ref.spans)
-				}
+		for _, par := range []int{0, 1, 4} {
+			got := run(s, par)
+			if got != ref {
+				t.Errorf("S=%d par=%d diverged from (S=%d, defaults):\n"+
+					"rows/value/produced: %d/%v/%v vs %d/%v/%v\ntrace equal: %t, spans equal: %t",
+					s, par, s,
+					got.rows, got.value, got.produced, ref.rows, ref.value, ref.produced,
+					got.trace == ref.trace, got.spans == ref.spans)
 			}
 		}
 	}

@@ -2,8 +2,10 @@
 // per-operator-kind seconds learned from the telemetry the engine already
 // emits. A CostProfile holds one seconds-per-object rate per physical
 // operator kind; a Calibrator folds recorded spans — from a JSONL trace
-// corpus, an obs.Collector, or the daemon's TraceRing span trees — into
-// running per-kind (seconds, objects) sums and renders them as a profile.
+// corpus, an obs.Collector, or assembled span trees — into running per-kind
+// (seconds, objects) sums and renders them as a profile. Learning is offline
+// (monsoon-trace calibrate over a recorded corpus); a profile, once loaded,
+// stays fixed for the sessions that plan with it.
 //
 // The uncalibrated model stays the deterministic default: a Deriver's nil
 // Profile is the unit profile, which prices exactly the flat §4.4 object
@@ -202,7 +204,8 @@ func (c *Calibrator) AddSpans(spans []*obs.Span) {
 	}
 }
 
-// AddTree folds every span of a span tree (the daemon's TraceRing shape).
+// AddTree folds every span of a span tree (the shape obs.TraceRing and
+// obs.BuildSpanTree produce).
 func (c *Calibrator) AddTree(root *obs.SpanNode) {
 	if root == nil {
 		return

@@ -10,7 +10,7 @@
 //     embed the full planning state, so a hit is deterministic no matter
 //     which request warmed an entry), the metrics registry and the trace ring;
 //     with Config.HardenStats, one statistics seed store per query shape.
-//   - Per-request: an engine.Exec scope (tracer, parallelism/batch knobs,
+//   - Per-request: an engine.Exec scope (tracer, parallelism knob,
 //     materialization store) created inside core.NewSession and released once
 //     the reply is hashed, a statistics store, a Budget, and a
 //     deterministically derived seed.
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"monsoon/internal/core"
-	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/harness"
 	"monsoon/internal/obs"
@@ -60,11 +59,11 @@ type Config struct {
 	// every query alike; its zero value defaults to harness.Tiny(). Seed is
 	// the base seed — per-query seeds derive from it by query name, so a
 	// query's result is identical no matter which client asks or when.
-	// Parallelism caps each query's engine and planner threads and BatchSize
-	// is the engine's batch (pure wall-time knobs under the determinism
-	// contracts). Shards lays every served catalog out as hash shards the
-	// planner prices (answers are identical at any count). MCTSIterations is
-	// the per-planning-call rollout budget.
+	// Parallelism caps each query's engine and planner threads (a pure
+	// wall-time knob under the determinism contracts). Shards lays every
+	// served catalog out as hash shards the planner prices (answers are
+	// identical at any count). MCTSIterations is the per-planning-call
+	// rollout budget.
 	Scale harness.Scale
 	// MaxConcurrent bounds admitted queries; further requests get 429.
 	// 0 defaults to 8.
@@ -83,17 +82,12 @@ type Config struct {
 	// shape then plan from observed facts instead of priors — but results
 	// may depend on what ran before, so the cross-request determinism
 	// guarantee is traded away. Off by default.
-	// HardenStats also switches on online self-calibration: the daemon
-	// folds each completed query's span tree (from its own trace ring) into
-	// a cost calibrator and prices subsequent sessions with the learned
-	// per-operator profile.
 	HardenStats bool
 	// Session is what every query's session starts from: its Prior,
-	// Strategy, UniformRollout, ReplanThreshold and cost Profile (typically
-	// loaded from monsoon-trace calibrate output; with HardenStats the online
-	// calibrator takes over once it has observed operator spans) apply as
-	// they are. Scale is applied over it (harness.Scale.Apply), and the
-	// daemon sets Seed, Stats, Sink, Metrics and Cache itself.
+	// Strategy, UniformRollout, ReplanThreshold and cost Profile (loaded
+	// from monsoon-trace calibrate output, fixed for the daemon's life)
+	// apply as they are. Scale is applied over it (harness.Scale.Apply),
+	// and the daemon sets Seed, Stats, Sink, Metrics and Cache itself.
 	Session core.Config
 }
 
@@ -110,8 +104,8 @@ type namedQuery struct {
 type Server struct {
 	cfg Config
 	// session is cfg.Session with the scale and the shared sink, registry
-	// and cache applied: every request's core.Config but its seed,
-	// statistics and profile.
+	// and cache applied: every request's core.Config but its seed and
+	// statistics.
 	session core.Config
 	queries map[string]*namedQuery
 	names   []string
@@ -131,15 +125,6 @@ type Server struct {
 
 	mu  sync.Mutex
 	srv *obshttp.Server
-
-	// calMu guards the online self-calibration state: the running
-	// calibrator, the profile sessions currently plan with, and the newest
-	// trace ID already folded (trace IDs are process-wide monotonic, so the
-	// watermark prevents double-counting ring entries).
-	calMu      sync.Mutex
-	cal        *cost.Calibrator
-	profile    *cost.CostProfile
-	lastFolded int64
 }
 
 // New generates the benchmark data and assembles the shared state. The
@@ -163,12 +148,10 @@ func New(cfg Config) (*Server, error) {
 		ring:    obs.NewTraceRing(0),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		started: time.Now(),
-		profile: cfg.Session.Profile,
 	}
 	s.session = cfg.Scale.Apply(cfg.Session)
 	s.session.Sink, s.session.Metrics, s.session.Cache = s.ring, s.reg, s.cache
 	if cfg.HardenStats {
-		s.cal = cost.NewCalibrator()
 		s.seeds = plancache.New(cfg.CacheCapacity)
 	}
 	if err := s.load(); err != nil {
@@ -417,7 +400,7 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	}
 	budget := s.budgetFor(req)
 	cfg := s.session
-	cfg.Seed, cfg.Stats, cfg.Profile = seed, st, s.currentProfile()
+	cfg.Seed, cfg.Stats = seed, st
 	start := time.Now()
 	res, err := core.Run(q, eng, budget, cfg)
 	// Once the reply is built — its result hash is the last thing that reads
@@ -454,7 +437,6 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 	resp.ResultHash = hashRelation(res.Output)
 	if hardened != nil {
 		hardened.MergeFrom(st)
-		s.selfCalibrate()
 	}
 	return resp, http.StatusOK
 }
@@ -471,45 +453,6 @@ func (s *Server) seedFor(q *query.Query) *stats.Store {
 	st := stats.New()
 	s.seeds.Put(shape, st)
 	return st
-}
-
-// currentProfile snapshots the cost profile sessions should plan with: the
-// configured one until self-calibration (HardenStats) has folded real
-// operator spans, then the learned one.
-func (s *Server) currentProfile() *cost.CostProfile {
-	s.calMu.Lock()
-	defer s.calMu.Unlock()
-	return s.profile
-}
-
-// selfCalibrate folds every trace the ring assembled since the last fold into
-// the running calibrator and swaps the learned profile in for subsequent
-// sessions. Trace IDs are process-wide monotonic, so a high-water mark is
-// enough to never double-count a ring entry (entries evicted before a fold
-// are simply lost — the calibrator is an online estimator, not an audit log).
-func (s *Server) selfCalibrate() {
-	s.calMu.Lock()
-	defer s.calMu.Unlock()
-	folded := false
-	for _, rt := range s.ring.Recent() {
-		if rt.Trace <= s.lastFolded {
-			continue
-		}
-		s.cal.AddTree(rt.Root)
-		if rt.Trace > s.lastFolded {
-			s.lastFolded = rt.Trace
-		}
-		folded = true
-	}
-	if !folded {
-		return
-	}
-	p, err := s.cal.Profile()
-	if err != nil {
-		return // no operator spans observed yet; keep the configured profile
-	}
-	s.profile = p
-	s.reg.Counter("monsoond.calibration.folds").Inc()
 }
 
 // hashRelation digests a result relation: FNV-1a over every value's rendered

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"monsoon/internal/core"
+	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/harness"
 	"monsoon/internal/prior"
@@ -388,53 +389,47 @@ func TestFreeListCountersOnScrape(t *testing.T) {
 	}
 }
 
-// TestHashRelation pins the digest: stable empty-input rendering, field/row
-// separator sensitivity, and process-independence (pure function of values).
-// TestHardenStatsSelfCalibration: with HardenStats on, the daemon folds each
-// served query's span tree into its online calibrator, installs the learned
-// profile for subsequent requests, and surfaces the replans field in the
-// response JSON. Uses its own server — the shared one must stay on the
-// deterministic (calibration-off) path.
-func TestHardenStatsSelfCalibration(t *testing.T) {
-	srv, err := New(Config{Bench: "tpch", MaxConcurrent: 4,
-		DefaultTimeout: 5 * time.Minute, HardenStats: true, Session: core.Config{ReplanThreshold: 8}})
-	if err != nil {
-		t.Fatal(err)
+// TestHardenStatsKeepsPlanCache: with HardenStats on, every session plans
+// with the configured cost profile, which stays fixed for the daemon's life,
+// so a query's plan-cache keys stay the same across repeats once its hardened
+// statistics settle, and the 6th request of tpch-q3 and of tpch-q10 takes
+// every pick from the cache. A profile refitted after each request would
+// change every key's profile fingerprint, and every request would miss. Each
+// query runs on a server of its own. tpch-q5 is left out: its hardened
+// statistics cross buckets through its first five requests, so whether its
+// 6th takes every pick from the cache hangs on one request.
+func TestHardenStatsKeepsPlanCache(t *testing.T) {
+	profile := &cost.CostProfile{
+		Scan: cost.Rate{SecondsPerObject: 2e-9}, Reuse: cost.Rate{SecondsPerObject: 1e-9},
+		HashBuild: cost.Rate{SecondsPerObject: 5e-9}, HashProbe: cost.Rate{SecondsPerObject: 3e-9},
+		NestedLoop: cost.Rate{SecondsPerObject: 7e-9}, Sigma: cost.Rate{SecondsPerObject: 4e-9},
+		Materialize: cost.Rate{SecondsPerObject: 1e-9}, Exchange: cost.Rate{SecondsPerObject: 6e-9},
 	}
-	if srv.currentProfile() != nil {
-		t.Error("no configured profile: the daemon must start uncalibrated")
-	}
-	h := srv.Handler()
-	rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	// The replans field is part of the response contract even at zero.
-	if !strings.Contains(rec.Body.String(), `"replans"`) {
-		t.Error("response JSON lacks the replans field")
-	}
-	if folds := srv.reg.Counter("monsoond.calibration.folds").Value(); folds < 1 {
-		t.Errorf("calibration folds = %d, want ≥ 1 after a served query", folds)
-	}
-	p := srv.currentProfile()
-	if p == nil {
-		t.Fatal("self-calibration must install a learned profile")
-	}
-	if p.Scan.SecondsPerObject <= 0 {
-		t.Errorf("learned scan rate = %v, want > 0 (the query scanned rows)", p.Scan.SecondsPerObject)
-	}
-	// The next request plans under the learned profile and folds its own
-	// trace in turn — the high-water mark must prevent re-folding the first.
-	rec2, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", "")
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("second request: status %d: %s", rec2.Code, rec2.Body.String())
-	}
-	folds := srv.reg.Counter("monsoond.calibration.folds").Value()
-	if folds != 2 {
-		t.Errorf("folds after two queries = %d, want exactly 2 (one per new trace)", folds)
-	}
-	if srv.currentProfile() == nil {
-		t.Fatal("profile must survive refolding")
+	for _, name := range []string{"tpch-q3", "tpch-q10"} {
+		srv, err := New(Config{Bench: "tpch", MaxConcurrent: 4, DefaultTimeout: 5 * time.Minute,
+			HardenStats: true, Session: core.Config{Profile: profile, ReplanThreshold: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		var hits []int
+		var rec *httptest.ResponseRecorder
+		var qr QueryResponse
+		for i := 0; i < 6; i++ {
+			rec, qr = doJSON(t, h, "GET", "/query?query="+name, "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s request %d: status %d: %s", name, i+1, rec.Code, rec.Body.String())
+			}
+			hits = append(hits, qr.CacheHits)
+		}
+		if qr.CacheHits != qr.Actions || qr.CacheMisses != 0 {
+			t.Errorf("%s: 6th request took %d of %d picks from the cache, %d misses (hits per request %v)",
+				name, qr.CacheHits, qr.Actions, qr.CacheMisses, hits)
+		}
+		// The replans field is part of the response contract even at zero.
+		if !strings.Contains(rec.Body.String(), `"replans"`) {
+			t.Errorf("%s: response JSON lacks the replans field", name)
+		}
 	}
 }
 
@@ -476,6 +471,8 @@ func TestHardenStatsStaysWithItsQuery(t *testing.T) {
 	}
 }
 
+// TestHashRelation pins the digest: stable empty-input rendering, field/row
+// separator sensitivity, and process-independence (pure function of values).
 func TestHashRelation(t *testing.T) {
 	if got := hashRelation(nil); got != fmt.Sprintf("fnv1a:%016x", uint64(0xcbf29ce484222325)) {
 		t.Errorf("nil relation hash %s, want the FNV-1a offset basis", got)

@@ -64,7 +64,7 @@ func TestRowLifetime(t *testing.T) {
 	for _, batch := range []int{0, 1, 7, 1 << 30} {
 		for _, par := range []int{1, 4} {
 			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
-			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+			ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
 
 			// Drain the right-deep tree by hand, keeping every row header the
 			// way the root materialize does, beside a copy taken on arrival.
@@ -177,7 +177,7 @@ func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
 		{"sigma pass", rstQuery(), leaf("S").WithSigma(), 70, 71},
 	} {
 		for _, batch := range []int{0, 7} {
-			e := New(fixture()).NewExec(ExecConfig{Parallelism: 1, BatchSize: batch})
+			e := New(fixture()).NewExec(ExecConfig{Parallelism: 1, testBatch: batch})
 			b := &Budget{MaxTuples: tc.max}
 			_, _, err := e.ExecTree(tc.q, tc.tree, b)
 			if !errors.Is(err, ErrBudget) {

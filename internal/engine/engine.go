@@ -157,7 +157,7 @@ type ExecResult struct {
 // ExecConfig is the per-execution observation and tuning state. Every Session
 // (and every daemon request) carries its own copy inside an Exec scope, so
 // concurrent Sessions on one shared engine cannot clobber each other's tracer
-// and knobs; the engine's immutable parts (catalog, HLL precision) stay shared.
+// and knobs; the engine's catalog stays shared.
 type ExecConfig struct {
 	// Obs, when non-nil, receives one span per operator (scan, reuse,
 	// hash-build/probe, nested loop, Σ pass) with rows-in/rows-out and wall
@@ -170,17 +170,14 @@ type ExecConfig struct {
 	// order, same Σ estimates, same budget totals — so the knob trades wall
 	// time only.
 	Parallelism int
-	// BatchSize caps the rows one pipeline batch carries between streaming
-	// operators: a non-positive value means DefaultBatchSize, and a size no
-	// intermediate reaches (say 1 << 30) has each operator emit its whole
-	// output at once — the materialized memory profile. Results, row order,
-	// budget totals, and span accounting are bit-identical at every setting;
-	// only peak memory and wall time change.
-	BatchSize int
 	// Metrics, when non-nil, receives the engine's exchange counters:
 	// monsoon.exchange.joins.local/reshuffle and monsoon.exchange.rows,
 	// counted only on a sharded catalog. Nil (the default) skips them.
 	Metrics *obs.Registry
+	// testBatch, when positive, replaces the pipeline batch (batchRows) so
+	// this package's tests can cross batch boundaries on small data. It is
+	// a test seam, not an option: nothing outside the package can set it.
+	testBatch int
 }
 
 // Exec is one execution scope over a shared Engine: its own ExecConfig plus
@@ -195,13 +192,11 @@ type Exec struct {
 	held held
 }
 
-// Engine executes plans for one dataset: the catalog and the HLL precision,
-// shared and read-only. Nothing on it is mutable; every execution runs in a
-// scope of its own made by NewExec.
+// Engine executes plans for one dataset: the catalog, shared and read-only.
+// Nothing on it is mutable; every execution runs in a scope of its own made by
+// NewExec.
 type Engine struct {
 	Cat *table.Catalog
-	// HLLPrecision configures Σ sketches; 0 means the default (14).
-	HLLPrecision uint8
 }
 
 // New creates an engine over a catalog of stored base tables.
@@ -398,10 +393,6 @@ type joinTable struct {
 // sketches merge register-wise (a per-register max), so budget totals and
 // estimates are the same at any worker count.
 func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, budget *Budget, res *ExecResult) error {
-	p := e.eng.HLLPrecision
-	if p == 0 {
-		p = 14
-	}
 	var terms []*query.Term
 	for _, t := range q.Terms() {
 		if t.Aliases.SubsetOf(n.Aliases()) && t.Fn.Evaluable(rel.Schema) {
@@ -409,7 +400,7 @@ func (e *Exec) collectSigma(q *query.Query, n *plan.Node, rel *table.Relation, b
 		}
 	}
 	sp := e.Obs.Start(obs.KSigma, n.Key()).SetNum("terms", float64(len(terms)))
-	states, _ := newPool(e, func() (*sigmaState, error) { return newSigmaState(terms, rel.Schema, p), nil })
+	states, _ := newPool(e, func() (*sigmaState, error) { return newSigmaState(terms, rel.Schema), nil })
 	err := states.run(sp, rel.Count(), e.workers(rel.Count()), func(st *sigmaState, lo, hi int) error {
 		return st.sigmaRows(rel.Rows[lo:hi], budget)
 	})

@@ -213,7 +213,7 @@ func (r matrixRun) same(o matrixRun) bool {
 func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par int) (run matrixRun, fanned bool) {
 	t.Helper()
 	col := &obs.Collector{}
-	ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), BatchSize: batch, Parallelism: par})
+	ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), testBatch: batch, Parallelism: par})
 	budget := &Budget{}
 	for _, tree := range mc.trees {
 		rel, res, err := ex.ExecTree(mc.q, tree, budget)
@@ -232,7 +232,7 @@ func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par i
 
 // TestEngineConfigMatrix is the engine's one-path guarantee: how an
 // operator's loop is spread over batches, workers and shard layouts changes
-// nothing an optimizer or a client can observe. Every cell of BatchSize ×
+// nothing an optimizer or a client can observe. Every cell of testBatch ×
 // Parallelism × shard count must equal the (1 << 30, 1, 1) reference in rows
 // and their order, Produced, Counts, Σ observations, the budget total and the
 // span stream (less the configuration-dependent spans and attributes), and a
@@ -290,7 +290,7 @@ func TestMatrixAfterRelease(t *testing.T) {
 		cat := matrixCatalog(matrixSeeds[0], s)
 		for _, batch := range matrixBatches {
 			for _, par := range matrixWorkers {
-				ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+				ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
 				for _, mc := range matrixCases() {
 					fresh, _ := runMatrixCase(t, cat, mc, batch, par)
 					for ti, tree := range mc.trees {
@@ -324,7 +324,7 @@ func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCa
 	if mc.trees[last].Sigma {
 		need -= float64(len(ref.Rows[last]))
 	}
-	ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+	ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
 	for _, earlier := range mc.trees[:last] {
 		if _, _, err := ex.ExecTree(mc.q, earlier, &Budget{}); err != nil {
 			t.Fatalf("%s: %v", cell, err)

@@ -488,11 +488,14 @@ type sigmaState struct {
 	hs []*sketch.HLL
 }
 
-func newSigmaState(terms []*query.Term, s *table.Schema, p uint8) *sigmaState {
+// hllPrecision is the Σ sketches' precision, the paper's 14 (2^14 registers).
+const hllPrecision = 14
+
+func newSigmaState(terms []*query.Term, s *table.Schema) *sigmaState {
 	st := &sigmaState{bs: make([]*expr.Binding, len(terms)), hs: make([]*sketch.HLL, len(terms))}
 	for i, t := range terms {
 		st.bs[i], _ = t.Fn.Bind(s) // the pass tracks only terms that bind
-		st.hs[i] = sketch.NewHLL(p)
+		st.hs[i] = sketch.NewHLL(hllPrecision)
 	}
 	return st
 }

@@ -36,17 +36,17 @@ import (
 	"monsoon/internal/table"
 )
 
-// DefaultBatchSize is the pipeline batch size when ExecConfig.BatchSize is not
-// positive.
-const DefaultBatchSize = 4096
+// batchRows caps the rows one pipeline batch carries between streaming
+// operators. Results, row order, budget totals and span accounting are the
+// same at any batch; only peak memory and wall time depend on it.
+const batchRows = 4096
 
-// batch resolves the BatchSize knob: a non-positive value means
-// DefaultBatchSize.
+// batch is the scope's pipeline batch: batchRows, or the test seam.
 func (e *Exec) batch() int {
-	if e.BatchSize <= 0 {
-		return DefaultBatchSize
+	if e.testBatch > 0 {
+		return e.testBatch
 	}
-	return e.BatchSize
+	return batchRows
 }
 
 // scanSlab sizes the chunk a leaf scan examines per pull. It is at least the
@@ -223,7 +223,7 @@ func (e *Exec) openLeaf(q *query.Query, n *plan.Node, budget *Budget, parent *ob
 	return it, base.Schema, nil
 }
 
-// reuseIter streams a materialized relation back out in batch-sized slices,
+// reuseIter streams a materialized relation back out in slices of one batch,
 // charging the reuse pass incrementally so deadlines fire mid-pass.
 type reuseIter struct {
 	sp     *obs.Span

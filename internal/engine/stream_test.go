@@ -17,7 +17,7 @@ import (
 // count and returns everything a determinism check cares about.
 func execAt(t *testing.T, cat *table.Catalog, q *query.Query, tree *plan.Node, batch, par int) (*table.Relation, *ExecResult, float64) {
 	t.Helper()
-	e := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+	e := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
 	b := &Budget{}
 	rel, res, err := e.ExecTree(q, tree, b)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestStreamingEmptyInputs(t *testing.T) {
 		"empty-leaf":  leaf("E"),
 	} {
 		for _, batch := range streamBatchSizes {
-			e := New(cat).NewExec(ExecConfig{BatchSize: batch})
+			e := New(cat).NewExec(ExecConfig{testBatch: batch})
 			rel, res, err := e.ExecTree(q, tree, &Budget{})
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", name, batch, err)
@@ -153,7 +153,7 @@ func TestStreamingReuseAcrossBatchSizes(t *testing.T) {
 	q := rstQuery()
 	ref := -1.0
 	for _, batch := range streamBatchSizes {
-		e := New(fixture()).NewExec(ExecConfig{BatchSize: batch})
+		e := New(fixture()).NewExec(ExecConfig{testBatch: batch})
 		if _, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestStreamingReuseAcrossBatchSizes(t *testing.T) {
 func TestStreamingBudgetCharges(t *testing.T) {
 	q := rstQuery()
 	for _, batch := range streamBatchSizes {
-		e := New(fixture()).NewExec(ExecConfig{BatchSize: batch})
+		e := New(fixture()).NewExec(ExecConfig{testBatch: batch})
 		_, _, err := e.ExecTree(q, plan.NewJoin(leaf("R"), leaf("S")), &Budget{MaxTuples: 100})
 		if err == nil {
 			t.Errorf("batch %d: tuple cap must trip", batch)
@@ -204,7 +204,7 @@ func (w *watchIter) Next() ([]table.Row, error) {
 // emits one batch per pull, not the join of its whole input batch. Every row
 // of P matches the m rows of B that carry its key, and P ⋈ B streams into a
 // parent join's probe side. Every batch the child hands its parent must hold
-// at most BatchSize + m rows, and the slabs its states hold must stay within
+// at most testBatch + m rows, and the slabs its states hold must stay within
 // a slab's growth of that: twice the bound plus one full slab per state.
 func TestStreamingJoinHoldsOneBatch(t *testing.T) {
 	const probeRows, keys, m = 300, 10, 64
@@ -235,7 +235,7 @@ func TestStreamingJoinHoldsOneBatch(t *testing.T) {
 	for _, batch := range []int{7, 64, 4096} {
 		for _, par := range []int{1, 2} {
 			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
-			ex := New(cat).NewExec(ExecConfig{BatchSize: batch, Parallelism: par})
+			ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
 			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
 			it, _, err := ex.open(q, tree, &Budget{}, res, nil, true)
 			if err != nil {

@@ -40,16 +40,12 @@ type Scale struct {
 	MaxTuples      float64
 	MCTSIterations int
 	Seed           int64
-	// Parallelism and BatchSize are the thread and batch knobs every
-	// execution of the campaign runs with (see engine.ExecConfig), and
-	// Parallelism also caps the threads Monsoon's root-parallel MCTS planner
-	// searches on: 0 = runtime.GOMAXPROCS(0) threads and the default
-	// 4096-row batch (also for a negative BatchSize), Parallelism 1 = the
-	// exact serial path, a BatchSize no intermediate reaches = full
-	// materialization between operators. Results and plans are bit-identical
-	// at every setting; only wall times and peak memory change.
+	// Parallelism caps the threads every execution of the campaign runs
+	// with (see engine.ExecConfig) and the threads Monsoon's root-parallel
+	// MCTS planner searches on: 0 = runtime.GOMAXPROCS(0), 1 = the exact
+	// serial path. Results and plans are bit-identical at every setting;
+	// only wall times change.
 	Parallelism int
-	BatchSize   int
 	// Shards lays every generated catalog out as that many deterministic
 	// hash shards (first-column layout), which the planner prices as
 	// exchange cost for every run of the campaign: 0 or 1 keeps the catalog
@@ -71,14 +67,13 @@ func (sc Scale) shardCat(cat *table.Catalog) *table.Catalog {
 
 // exec is the engine configuration every execution of the campaign runs with.
 func (sc Scale) exec() engine.ExecConfig {
-	return engine.ExecConfig{Parallelism: sc.Parallelism, BatchSize: sc.BatchSize}
+	return engine.ExecConfig{Parallelism: sc.Parallelism}
 }
 
 // Apply returns cfg with the scale's MCTS iteration budget, seed, and thread
-// and batch knobs (Parallelism, BatchSize) copied in.
+// knob (Parallelism) copied in.
 func (sc Scale) Apply(cfg core.Config) core.Config {
-	cfg.Iterations, cfg.Seed = sc.MCTSIterations, sc.Seed
-	cfg.Parallelism, cfg.BatchSize = sc.Parallelism, sc.BatchSize
+	cfg.Iterations, cfg.Seed, cfg.Parallelism = sc.MCTSIterations, sc.Seed, sc.Parallelism
 	return cfg
 }
 

@@ -17,7 +17,7 @@ import (
 type FlagGroup uint
 
 const (
-	// EngineFlags: -parallelism -batch-size -shards.
+	// EngineFlags: -parallelism -shards.
 	EngineFlags FlagGroup = 1 << iota
 	// CostFlags: -calibration-file -replan-threshold.
 	CostFlags
@@ -30,13 +30,13 @@ const (
 // into the core.Config every Monsoon run starts from. A flag of a group not
 // bound keeps its zero value.
 type Flags struct {
-	scale                          string
-	seed                           int64
-	parallelism, batchSize, shards int
-	calibrationFile                string
-	replanThreshold                float64
-	planCache, metrics             bool
-	obsAddr, traceJSON             string
+	scale               string
+	seed                int64
+	parallelism, shards int
+	calibrationFile     string
+	replanThreshold     float64
+	planCache, metrics  bool
+	obsAddr, traceJSON  string
 
 	telemetryAddr string
 }
@@ -49,7 +49,6 @@ func BindFlags(fs *flag.FlagSet, defaultScale string, groups FlagGroup) *Flags {
 	fs.Int64Var(&f.seed, "seed", 1, "master seed: the generated data and every per-query seed derive from it")
 	if groups&EngineFlags != 0 {
 		fs.IntVar(&f.parallelism, "parallelism", 0, "thread count per query, for the engine's workers and the MCTS planner's search shards: 0 = all cores, 1 = serial (results and plans are identical either way)")
-		fs.IntVar(&f.batchSize, "batch-size", 0, "engine pipeline batch size: 0 or negative = default (4096); a size no intermediate reaches materializes each operator (results are identical at any size)")
 		fs.IntVar(&f.shards, "shards", 0, "lay every generated catalog out as N hash shards, a layout the planner prices as exchange cost: 0 or 1 = unsharded (the engine runs the same operators and results are identical at any count)")
 	}
 	if groups&CostFlags != 0 {
@@ -73,8 +72,7 @@ func (f *Flags) Scale() (Scale, error) {
 		return Scale{}, err
 	}
 	sc.Seed = f.seed
-	sc.Parallelism, sc.BatchSize = f.parallelism, f.batchSize
-	sc.Shards = f.shards
+	sc.Parallelism, sc.Shards = f.parallelism, f.shards
 	return sc, nil
 }
 

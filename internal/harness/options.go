@@ -282,7 +282,7 @@ type Monsoon struct {
 	// Label, when set, is the option's name.
 	Label string
 	// Config is what every run starts from. Run sets its Seed and engine
-	// knobs (Parallelism, BatchSize) from its arguments and tees its Sink
+	// knob (Parallelism) from its arguments and tees its Sink
 	// into the q-error summary the Outcome reports, so the summary is
 	// collected whether or not a Sink is set.
 	core.Config
@@ -300,14 +300,14 @@ func (m Monsoon) Name() string {
 }
 
 // Run implements Option. Each session opens its own execution scopes, so of
-// ec only the engine knobs apply; the tracer and registry are Sink's and
+// ec only the engine knob applies; the tracer and registry are Sink's and
 // Metrics'.
 func (m Monsoon) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	qs := &qerrSink{}
 	cfg := m.Config
-	cfg.Seed, cfg.Parallelism, cfg.BatchSize = seed, ec.Parallelism, ec.BatchSize
+	cfg.Seed, cfg.Parallelism = seed, ec.Parallelism
 	cfg.Sink = obs.Multi(m.Sink, qs)
 	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, cfg)
 	out := Outcome{

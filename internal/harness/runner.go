@@ -25,8 +25,8 @@ type BenchResult struct {
 }
 
 // RunBenchmark executes every option over every query under the scale's
-// budget (Timeout, MaxTuples; 0 disables either), seed, and engine knobs
-// (Parallelism, BatchSize). Queries run sequentially and deterministically:
+// budget (Timeout, MaxTuples; 0 disables either), seed, and engine knob
+// (Parallelism). Queries run sequentially and deterministically:
 // each (option, query) pair derives its own seed. Errors that are not budget
 // overruns propagate — they indicate bugs, not slow queries.
 func RunBenchmark(specs []QuerySpec, options []Option, sc Scale, progress io.Writer) (*BenchResult, error) {

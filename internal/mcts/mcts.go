@@ -65,18 +65,21 @@ const (
 	EpsGreedy
 )
 
+// The selection rules' constants: UCT's exploration weight w and the ε-greedy
+// floor.
+const (
+	uctWeight = math.Sqrt2
+	epsMin    = 0.1
+)
+
 // Config parameterizes a Planner.
 type Config struct {
 	// Strategy picks the selection rule; default UCT.
 	Strategy Strategy
-	// W is the UCT exploration weight; default √2.
-	W float64
 	// Iterations is the rollout budget per planning call; default 1000.
 	Iterations int
 	// MaxDepth caps simulation length as a safety net; default 200.
 	MaxDepth int
-	// EpsMin is the ε-greedy floor; default 0.1.
-	EpsMin float64
 	// Shards fixes the logical worker count — the unit of determinism. 0
 	// derives it from the budget: max(1, min(DefaultShards, Iterations/minShardQuota)).
 	Shards int
@@ -87,17 +90,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.W == 0 {
-		c.W = math.Sqrt2
-	}
 	if c.Iterations == 0 {
 		c.Iterations = 1000
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 200
-	}
-	if c.EpsMin == 0 {
-		c.EpsMin = 0.1
 	}
 	return c
 }
@@ -295,7 +292,7 @@ func (t *tree) selectUCT(n *node) int {
 	lnP := math.Log(float64(n.visits) + 1)
 	for i, e := range n.edges {
 		exploit := t.normalize(e.total / float64(e.visits))
-		explore := t.cfg.W * math.Sqrt(lnP/float64(e.visits))
+		explore := uctWeight * math.Sqrt(lnP/float64(e.visits))
 		if v := exploit + explore; v > bestVal {
 			bestVal = v
 			best = i
@@ -305,12 +302,12 @@ func (t *tree) selectUCT(n *node) int {
 }
 
 // selectEpsGreedy explores with probability ε (decayed exponentially from 1
-// toward EpsMin over the iteration budget, after [40]) and exploits the best
+// toward epsMin over the iteration budget, after [40]) and exploits the best
 // average return otherwise. Unvisited edges are preferred while exploring.
 func (t *tree) selectEpsGreedy(n *node, iter int) int {
 	eps := math.Exp(-4 * float64(iter) / float64(t.cfg.Iterations))
-	if eps < t.cfg.EpsMin {
-		eps = t.cfg.EpsMin
+	if eps < epsMin {
+		eps = epsMin
 	}
 	if t.rng.Float64() < eps {
 		var unvisited []int
