@@ -291,18 +291,6 @@ func WithEventSink(sink EventSink) RunOption { return func(c *runConfig) { c.cor
 // which may be shared across runs.
 func WithMetrics(reg *MetricsRegistry) RunOption { return func(c *runConfig) { c.core.Metrics = reg } }
 
-// WithParallelism caps the run's threads: the engine's workers for its
-// partitionable operators (filter scans, hash build and probe, nested loop, Σ
-// statistics pass) and the OS threads the root-parallel MCTS planner runs its
-// search shards on. 1 forces the exact serial path, N > 1 uses up to N
-// threads, and 0 (the default) uses runtime.GOMAXPROCS(0). Every setting is
-// bit-identical — same result rows in the same order, same Σ sketch
-// estimates, same plans, same trace — because the search's decomposition is
-// fixed by the planner configuration alone, so the knob trades wall time
-// only; set 1 to take parallelism out of a measurement or when the process
-// must not spawn goroutines.
-func WithParallelism(n int) RunOption { return func(c *runConfig) { c.core.Parallelism = n } }
-
 // WithShards lays the run's catalog out as n deterministic hash shards over
 // every stored table's first column: a layout the planner prices, not a
 // second engine. The optimizer charges a hash build whose child is not

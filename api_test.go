@@ -374,20 +374,20 @@ func TestParseQueryCustomUDF(t *testing.T) {
 	}
 }
 
-func TestWithParallelismDeterministic(t *testing.T) {
+func TestGOMAXPROCSParallelDeterministic(t *testing.T) {
 	// The events table (5000 rows) crosses the engine's parallel threshold,
 	// so the fanned-out runs below genuinely exercise the worker pool; the
-	// report must nonetheless be bit-identical to the forced-serial run.
-	run := func(opts ...RunOption) *Report {
-		rep, err := Run(buildQuery(), buildWorld(),
-			append([]RunOption{WithSeed(5), WithIterations(150)}, opts...)...)
+	// report must nonetheless be bit-identical to the serial run.
+	run := func(procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(150))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	serial := run(WithParallelism(1))
-	for _, rep := range []*Report{run(), run(WithParallelism(4))} {
+	serial := run(1)
+	for _, rep := range []*Report{run(0), run(4)} {
 		if rep.Rows != serial.Rows || rep.Value != serial.Value || rep.Produced != serial.Produced {
 			t.Errorf("parallel run diverged: rows/value/produced %d/%v/%v, serial %d/%v/%v",
 				rep.Rows, rep.Value, rep.Produced, serial.Rows, serial.Value, serial.Produced)
@@ -398,45 +398,45 @@ func TestWithParallelismDeterministic(t *testing.T) {
 	}
 }
 
-func TestWithPlanParallelismDeterministic(t *testing.T) {
-	// WithParallelism caps the planner too: any thread cap on the
-	// root-parallel MCTS shards — including more threads than shards — must
-	// reproduce the forced-serial run bit-for-bit, down to the trace lines
-	// the searched plans emit.
-	run := func(opts ...RunOption) (*Report, []string) {
+func TestGOMAXPROCSPlanParallelDeterministic(t *testing.T) {
+	// GOMAXPROCS caps the planner too: any width on the root-parallel MCTS
+	// shards — including more threads than shards — must reproduce the
+	// serial run bit-for-bit, down to the trace lines the searched plans
+	// emit.
+	run := func(procs int) (*Report, []string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var lines []string
-		rep, err := Run(buildQuery(), buildWorld(),
-			append([]RunOption{WithSeed(5), WithIterations(300),
-				WithTrace(func(s string) { lines = append(lines, s) })}, opts...)...)
+		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(300),
+			WithTrace(func(s string) { lines = append(lines, s) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep, lines
 	}
-	serial, serialLines := run(WithParallelism(1))
+	serial, serialLines := run(1)
 	for _, w := range []int{0, 2, 64} {
-		rep, lines := run(WithParallelism(w))
+		rep, lines := run(w)
 		if rep.Rows != serial.Rows || rep.Value != serial.Value || rep.Produced != serial.Produced ||
 			rep.Actions != serial.Actions || rep.Executes != serial.Executes {
-			t.Errorf("plan parallelism %d diverged: %+v vs serial %+v", w, rep.Result, serial.Result)
+			t.Errorf("GOMAXPROCS %d diverged: %+v vs serial %+v", w, rep.Result, serial.Result)
 		}
 		if !reflect.DeepEqual(lines, serialLines) {
-			t.Errorf("plan parallelism %d trace:\n%q\nserial:\n%q", w, lines, serialLines)
+			t.Errorf("GOMAXPROCS %d trace:\n%q\nserial:\n%q", w, lines, serialLines)
 		}
 		if !table.IdenticalRows(rep.Output.Rows, serial.Output.Rows) {
-			t.Errorf("plan parallelism %d output relation differs from serial", w)
+			t.Errorf("GOMAXPROCS %d output relation differs from serial", w)
 		}
 	}
 }
 
-// TestWithParallelismOneRunsSerial: WithParallelism(1) keeps the run on the
-// calling goroutine, the planner's search shards included. On two threads no
-// plan span reports a fan-out and no operator fans out to workers.
-func TestWithParallelismOneRunsSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+// TestGOMAXPROCSOneRunsNothingInParallel: at GOMAXPROCS 1 the run stays on the
+// calling goroutine, the planner's search shards included: no plan span
+// reports a fan-out and no operator fans out to workers.
+func TestGOMAXPROCSOneRunsNothingInParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	col := &TraceCollector{}
 	if _, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(300),
-		WithParallelism(1), WithEventSink(col)); err != nil {
+		WithEventSink(col)); err != nil {
 		t.Fatal(err)
 	}
 	plans := col.SpansOf(obs.KPlan)

@@ -79,9 +79,14 @@ func largeJoinFixture() (*table.Catalog, *query.Query, *plan.Node) {
 	return cat, q, tree
 }
 
-func benchLargeJoin(b *testing.B, parallelism int) {
+// BenchmarkLargeJoin measures the hash-join probe at the width go test's -cpu
+// flag sets: `-cpu 1,2` runs it with the worker pool off and on two cores.
+// Every width produces bit-identical relations (see
+// TestSerialParallelIdentical); the delta is pure probe-side speedup from the
+// partitioned parallel path.
+func BenchmarkLargeJoin(b *testing.B) {
 	cat, q, tree := largeJoinFixture()
-	ex := engine.New(cat).NewExec(engine.ExecConfig{Parallelism: parallelism})
+	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,21 +100,15 @@ func benchLargeJoin(b *testing.B, parallelism int) {
 	}
 }
 
-// BenchmarkLargeJoinSerial / BenchmarkLargeJoinParallel measure the hash-join
-// probe with the worker pool forced off versus using every core. The two runs
-// produce bit-identical relations (see TestSerialParallelIdentical); the
-// delta is pure probe-side speedup from the partitioned parallel path.
-func BenchmarkLargeJoinSerial(b *testing.B)   { benchLargeJoin(b, 1) }
-func BenchmarkLargeJoinParallel(b *testing.B) { benchLargeJoin(b, 0) }
-
-// benchPlanPhase measures the cold-cache plan phase alone on the small
+// BenchmarkPlanPhase measures the cold-cache plan phase alone on the small
 // campaign's TPC-H workload (the suite recorded in campaign_small.txt): every
 // iteration plans each query from scratch — no plan cache, full MCTS every
-// round — with the timer stopped while the EXECUTE rounds run, so the pair
-// below isolates what root-parallel planning buys on a cache miss. Both
-// settings plan byte-identically (TestPlanParallelismGolden); the delta is
-// planner wall time only.
-func benchPlanPhase(b *testing.B, planWorkers int) {
+// round — with the timer stopped while the EXECUTE rounds run, so `-cpu 1,8`
+// isolates what root-parallel planning buys on a cache miss. Every width
+// plans byte-identically (TestPlanParallelismGolden); the delta is planner
+// wall time only. The measured speedup (or its absence on few-core hosts) is
+// recorded in EXPERIMENTS.md.
+func BenchmarkPlanPhase(b *testing.B) {
 	sc := harness.Small()
 	cat := tpch.Generate(tpch.Config{ScaleFactor: sc.TPCHSF, Seed: sc.Seed})
 	queries := tpch.Queries()
@@ -120,7 +119,7 @@ func benchPlanPhase(b *testing.B, planWorkers int) {
 			b.StopTimer()
 			eng := engine.New(cat)
 			s := core.NewSession(q, eng, &engine.Budget{MaxTuples: sc.MaxTuples}, core.Config{
-				Seed: sc.Seed, Iterations: sc.MCTSIterations, Parallelism: planWorkers,
+				Seed: sc.Seed, Iterations: sc.MCTSIterations,
 			})
 			b.StartTimer()
 			for {
@@ -146,13 +145,6 @@ func benchPlanPhase(b *testing.B, planWorkers int) {
 		}
 	}
 }
-
-// BenchmarkPlanPhaseSerial / BenchmarkPlanPhaseParallel8 are the cold-cache
-// planner pair: the serial plan phase versus the root-parallel planner capped
-// at 8 threads. The measured speedup (or its absence on few-core hosts) is
-// recorded in EXPERIMENTS.md.
-func BenchmarkPlanPhaseSerial(b *testing.B)    { benchPlanPhase(b, 1) }
-func BenchmarkPlanPhaseParallel8(b *testing.B) { benchPlanPhase(b, 8) }
 
 func benchMonsoonRepeat(b *testing.B, cache *PlanCache) {
 	cat := buildWorld()

@@ -19,7 +19,6 @@ func TestFlagSurface(t *testing.T) {
 		"metrics":          "false",
 		"obs-addr":         "",
 		"obs-linger":       "0s",
-		"parallelism":      "0",
 		"plan-cache":       "false",
 		"replan-threshold": "0",
 		"scale":            "small",

@@ -10,7 +10,7 @@
 //	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
 //	            [-prior NAME] [-explain] [-repeat N]
 //	            [-scale tiny|small|medium] [-seed N]
-//	            [-parallelism N] [-shards N]
+//	            [-shards N]
 //	            [-calibration-file FILE] [-replan-threshold Q]
 //	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
@@ -107,15 +107,14 @@ func run(o *options) error {
 		}
 		return runMonsoonTraced(*spec, sc, sc.Apply(cfg), o.repeat)
 	}
-	ec := engine.ExecConfig{Parallelism: sc.Parallelism}
 	if o.explain {
-		return runExplained(*spec, sc, ec, o.opt, cfg.Sink)
+		return runExplained(*spec, sc, o.opt, cfg.Sink)
 	}
 	option, err := pickOption(o.opt, cfg.Sink)
 	if err != nil {
 		return err
 	}
-	return report(option.Name(), option.Run(*spec, ec, sc.Timeout, sc.MaxTuples, sc.Seed))
+	return report(option.Name(), option.Run(*spec, sc.Timeout, sc.MaxTuples, sc.Seed))
 }
 
 func pickOption(name string, sink obs.EventSink) (harness.Option, error) {
@@ -233,9 +232,8 @@ func report(name string, out harness.Outcome) error {
 
 // runExplained plans with the named classical option, prints the EXPLAIN
 // tree (estimates first, then actuals after execution), and reports the run.
-func runExplained(spec harness.QuerySpec, sc harness.Scale, ec engine.ExecConfig, optName string, sink obs.EventSink) error {
-	ec.Obs = obs.NewTracer(sink)
-	ex := engine.New(spec.Cat).NewExec(ec)
+func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, sink obs.EventSink) error {
+	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(sink)})
 	var st *stats.Store
 	switch optName {
 	case "postgres":

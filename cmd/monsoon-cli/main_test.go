@@ -18,7 +18,6 @@ func TestFlagSurface(t *testing.T) {
 		"metrics":          "false",
 		"obs-addr":         "",
 		"opt":              "monsoon",
-		"parallelism":      "0",
 		"plan-cache":       "false",
 		"prior":            "Spike and Slab",
 		"query":            "",

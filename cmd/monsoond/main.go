@@ -26,7 +26,7 @@
 //	         [-max-concurrent N] [-timeout D] [-max-tuples N] [-cache-cap N]
 //	         [-harden-stats] [-drain-timeout D]
 //	         [-scale tiny|small|medium] [-seed N]
-//	         [-parallelism N] [-shards N]
+//	         [-shards N]
 //	         [-calibration-file FILE] [-replan-threshold Q]
 //
 // The flags from -scale on are bound by harness.BindFlags, as in the other

@@ -75,12 +75,13 @@ func TestSimulationAllocationCeilings(t *testing.T) {
 // MB. Shards run serially so the count does not depend on the machine.
 func TestColdPlanBytes(t *testing.T) {
 	const ceiling = 2_870_000 // 2.61 MB measured
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, qc := range udf.Generate(udf.Config{Titles: 600, ScaleFactor: 0.003, Seed: 1}).All() {
 		if qc.Query.Name != "udf-t10" {
 			continue
 		}
 		sess := NewSession(qc.Query, engine.New(qc.Cat), nil,
-			Config{Iterations: 400, Seed: 5, Parallelism: 1})
+			Config{Iterations: 400, Seed: 5})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := sess.PlanRound(); err != nil {

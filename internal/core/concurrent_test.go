@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -134,24 +135,20 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentSessionsSpanStreamsIdentical compares the full structured
-// span streams of concurrent cacheless sessions against solo runs: with the
-// engine and planner pinned serial (no KWorker or shard fan-out, no
-// cache_hit attributes), every span — kind, name, rows, produced, numeric
-// and string attributes, in emission order — must match the solo stream
-// exactly even while other sessions hammer the same engine.
+// span streams of concurrent cacheless sessions against solo runs: solo and
+// concurrent runs share the process's GOMAXPROCS width, so every span — kind,
+// name, rows, produced, numeric and string attributes (plan_workers
+// included), in emission order — must match the solo stream exactly even
+// while other sessions hammer the same engine.
 func TestConcurrentSessionsSpanStreamsIdentical(t *testing.T) {
 	seeds := []int64{7, 11, 42}
-	pinned := func(seed int64) Config {
-		return Config{Seed: seed, Iterations: 300, Parallelism: 1}
-	}
 
 	solo := make(map[int64][]string)
 	for _, seed := range seeds {
 		cat, q := fixture()
 		eng := engine.New(cat)
 		col := &obs.Collector{}
-		cfg := pinned(seed)
-		cfg.Sink = col
+		cfg := Config{Seed: seed, Iterations: 300, Sink: col}
 		if _, err := Run(q, eng, &engine.Budget{}, cfg); err != nil {
 			t.Fatalf("solo seed %d: %v", seed, err)
 		}
@@ -169,8 +166,7 @@ func TestConcurrentSessionsSpanStreamsIdentical(t *testing.T) {
 			defer wg.Done()
 			_, q := fixture()
 			col := &obs.Collector{}
-			cfg := pinned(seed)
-			cfg.Sink = col
+			cfg := Config{Seed: seed, Iterations: 300, Sink: col}
 			_, errs[i] = Run(q, eng, &engine.Budget{}, cfg)
 			streams[i] = spanKeys(col.Spans)
 		}(i, seed)
@@ -212,6 +208,7 @@ func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	eng := engine.New(cat)
 	seedStats := stats.New()
 	const sessions, rounds = 6, 3
@@ -224,7 +221,7 @@ func TestConcurrentSessionsHardenedSeedWriteBack(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				st := seedStats.Clone()
 				res, err := Run(q, eng, &engine.Budget{}, Config{
-					Seed: int64(10*i + r), Iterations: 300, Stats: st, Parallelism: 4,
+					Seed: int64(10*i + r), Iterations: 300, Stats: st,
 				})
 				if err == nil && (res.Value != want.Value || res.Rows != want.Rows) {
 					err = fmt.Errorf("value/rows %g/%d, want %g/%d", res.Value, res.Rows, want.Value, want.Rows)

@@ -46,15 +46,6 @@ type Config struct {
 	// (actions, executes, Σ ops, planning latency, per-join q-error)
 	// across runs sharing the registry.
 	Metrics *obs.Registry
-	// Parallelism caps this run's threads: the engine's workers (passed to
-	// its execution scope as it is, see engine.ExecConfig) and the OS
-	// threads the root-parallel MCTS planner runs its search shards on
-	// (mcts.Config.Workers). 0 is machine width, 1 runs every operator and
-	// every search shard on the calling goroutine. Every setting is
-	// bit-identical — same result rows, Σ estimates, and plan choices: the
-	// search's logical decomposition is fixed by the iteration budget alone
-	// — so it trades wall time only.
-	Parallelism int
 	// Cache, when non-nil, memoizes each planning pick across rounds and
 	// sessions sharing the cache: before each MCTS call the session looks
 	// up (canonical query shape, planner knobs, MDP state with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"monsoon/internal/engine"
@@ -46,13 +47,12 @@ func bigFixture() (*table.Catalog, *query.Query) {
 // whether the engine runs serial or fanned out.
 func TestRunSerialParallelIdentical(t *testing.T) {
 	run := func(par int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		cat, q := bigFixture()
 		eng := engine.New(cat)
-		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 13, Iterations: 200, Parallelism: par,
-		})
+		res, err := Run(q, eng, &engine.Budget{}, Config{Seed: 13, Iterations: 200})
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d: %v", par, err)
 		}
 		return res
 	}
@@ -60,18 +60,18 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		p := run(par)
 		if p.Value != ser.Value || p.Rows != ser.Rows || p.Produced != ser.Produced {
-			t.Errorf("parallelism %d: value/rows/produced %v/%d/%v, serial %v/%d/%v",
+			t.Errorf("GOMAXPROCS %d: value/rows/produced %v/%d/%v, serial %v/%d/%v",
 				par, p.Value, p.Rows, p.Produced, ser.Value, ser.Rows, ser.Produced)
 		}
 		if p.Actions != ser.Actions || p.Executes != ser.Executes || p.SigmaOps != ser.SigmaOps {
-			t.Errorf("parallelism %d: MDP trajectory diverged: %+v vs %+v", par, p, ser)
+			t.Errorf("GOMAXPROCS %d: MDP trajectory diverged: %+v vs %+v", par, p, ser)
 		}
 		if len(p.Executed) != len(ser.Executed) {
-			t.Fatalf("parallelism %d: %d executed trees, serial %d", par, len(p.Executed), len(ser.Executed))
+			t.Fatalf("GOMAXPROCS %d: %d executed trees, serial %d", par, len(p.Executed), len(ser.Executed))
 		}
 		for i := range p.Executed {
 			if p.Executed[i].String() != ser.Executed[i].String() {
-				t.Errorf("parallelism %d: executed tree %d is %s, serial %s",
+				t.Errorf("GOMAXPROCS %d: executed tree %d is %s, serial %s",
 					par, i, p.Executed[i], ser.Executed[i])
 			}
 		}
@@ -79,8 +79,8 @@ func TestRunSerialParallelIdentical(t *testing.T) {
 }
 
 // TestPlanParallelismGolden is the planner-side determinism gate, the mirror
-// of TestRunSerialParallelIdentical: Parallelism also caps the OS threads the
-// root-parallel MCTS shards run on, and every setting — serial, fewer threads
+// of TestRunSerialParallelIdentical: GOMAXPROCS also caps the OS threads the
+// root-parallel MCTS shards run on, and every width — serial, fewer threads
 // than shards, more threads than shards — must produce the byte-identical
 // run: same result accounting, same executed trees, same trace lines, and
 // plan spans whose search statistics match attribute-for-attribute.
@@ -91,16 +91,17 @@ func TestPlanParallelismGolden(t *testing.T) {
 		plans []*obs.Span
 	}
 	run := func(workers int) capture {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		cat, q := fixture()
 		eng := engine.New(cat)
 		col := &obs.Collector{}
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 11, Iterations: 300, Parallelism: workers,
+			Seed: 11, Iterations: 300,
 			Sink: obs.Multi(col, obs.MessageSink(func(s string) { lines = append(lines, s) })),
 		})
 		if err != nil {
-			t.Fatalf("plan parallelism %d: %v", workers, err)
+			t.Fatalf("plan GOMAXPROCS %d: %v", workers, err)
 		}
 		return capture{res: res, lines: lines, plans: col.SpansOf(obs.KPlan)}
 	}
@@ -110,21 +111,21 @@ func TestPlanParallelismGolden(t *testing.T) {
 		if p.res.Value != ser.res.Value || p.res.Rows != ser.res.Rows ||
 			p.res.Produced != ser.res.Produced || p.res.Actions != ser.res.Actions ||
 			p.res.Executes != ser.res.Executes || p.res.SigmaOps != ser.res.SigmaOps {
-			t.Errorf("plan parallelism %d: result diverged: %+v vs serial %+v", w, p.res, ser.res)
+			t.Errorf("plan GOMAXPROCS %d: result diverged: %+v vs serial %+v", w, p.res, ser.res)
 		}
 		if !reflect.DeepEqual(runTrees(p.res), runTrees(ser.res)) {
-			t.Errorf("plan parallelism %d: trees %q, serial %q", w, runTrees(p.res), runTrees(ser.res))
+			t.Errorf("plan GOMAXPROCS %d: trees %q, serial %q", w, runTrees(p.res), runTrees(ser.res))
 		}
 		if !reflect.DeepEqual(p.lines, ser.lines) {
-			t.Errorf("plan parallelism %d: trace\n%q\nserial\n%q", w, p.lines, ser.lines)
+			t.Errorf("plan GOMAXPROCS %d: trace\n%q\nserial\n%q", w, p.lines, ser.lines)
 		}
 		if len(p.plans) != len(ser.plans) {
-			t.Fatalf("plan parallelism %d: %d plan spans, serial %d", w, len(p.plans), len(ser.plans))
+			t.Fatalf("plan GOMAXPROCS %d: %d plan spans, serial %d", w, len(p.plans), len(ser.plans))
 		}
 		for i, sp := range p.plans {
 			for _, key := range []string{"rollouts", "root_actions", "tree_depth", "nodes"} {
 				if sp.Num[key] != ser.plans[i].Num[key] {
-					t.Errorf("plan parallelism %d span %d: %s = %v, serial %v",
+					t.Errorf("plan GOMAXPROCS %d span %d: %s = %v, serial %v",
 						w, i, key, sp.Num[key], ser.plans[i].Num[key])
 				}
 			}
@@ -140,12 +141,14 @@ func TestPlanSpanWorkersAttr(t *testing.T) {
 		workers int
 		want    float64 // 0 = attribute absent
 	}{{1, 0}, {2, 2}} {
+		prev := runtime.GOMAXPROCS(c.workers)
 		cat, q := fixture()
 		eng := engine.New(cat)
 		col := &obs.Collector{}
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 7, Iterations: 300, Parallelism: c.workers, Sink: col,
+			Seed: 7, Iterations: 300, Sink: col,
 		})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -192,10 +193,12 @@ func TestPlayoutMatchesStepRollout(t *testing.T) {
 		step, _ := c.model(7)
 		play.Prior, step.Prior = prior.Default(), prior.Default()
 		root := c.starts(play, randx.New(7))[0]
-		cfg := mcts.Config{Iterations: 120, Shards: 4, Workers: 2}
+		cfg := mcts.Config{Iterations: 120, Shards: 4}
 		pp, sp := mcts.New(cfg, 11), mcts.New(cfg, 11)
+		prev := runtime.GOMAXPROCS(2)
 		a, ast := pp.Plan(play, root, 1, nil, nil)
 		b, bst := sp.Plan(steppedModel{step}, root, 1, nil, nil)
+		runtime.GOMAXPROCS(prev)
 		if a.Key() != b.Key() || !reflect.DeepEqual(ast, bst) {
 			t.Fatalf("%s: played search picked %s %+v, stepped %s %+v",
 				c.label, a.Key(), ast, b.Key(), bst)

@@ -80,8 +80,8 @@ type Session struct {
 // NewSession seeds the statistics store, builds the initial MDP state, and
 // wires the model, planner, and tracer. The engine is never mutated: the
 // session executes through its own engine.Exec scope carrying the tracer,
-// parallelism knob, metrics registry, and materialization store, so
-// any number of sessions may share one engine concurrently.
+// metrics registry, and materialization store, so any number of sessions may
+// share one engine concurrently.
 func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg Config) *Session {
 	if cfg.Prior == nil {
 		cfg.Prior = prior.Default()
@@ -100,11 +100,7 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 
 	s.tr = obs.NewTracer(cfg.Sink)
 	// cfg.Metrics also receives the engine's exchange counters.
-	s.ex = eng.NewExec(engine.ExecConfig{
-		Obs:         s.tr,
-		Parallelism: cfg.Parallelism,
-		Metrics:     cfg.Metrics,
-	})
+	s.ex = eng.NewExec(engine.ExecConfig{Obs: s.tr, Metrics: cfg.Metrics})
 	s.res.ex = s.ex
 
 	s.model = &Model{
@@ -122,14 +118,10 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	}
 	// Planning is root-parallel: the rollout budget is pre-split into shards
 	// whose count, quotas, and RNG seeds depend only on (seed, iterations),
-	// never on Parallelism — so the thread cap trades planning wall time
+	// never on GOMAXPROCS — so the thread count trades planning wall time
 	// without moving a single plan choice (the planner golden in
 	// parallel_test.go pins this).
-	s.planner = mcts.New(mcts.Config{
-		Strategy:   cfg.Strategy,
-		Iterations: cfg.Iterations,
-		Workers:    cfg.Parallelism,
-	}, randx.Derive(cfg.Seed, "mcts"))
+	s.planner = mcts.New(mcts.Config{Strategy: cfg.Strategy, Iterations: cfg.Iterations}, randx.Derive(cfg.Seed, "mcts"))
 
 	if cfg.Cache != nil {
 		s.shape = canonicalShape(q, cfg, eng.Cat)

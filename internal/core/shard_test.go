@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,13 +63,14 @@ func TestShardedRunDeterminism(t *testing.T) {
 		spans    string
 	}
 	run := func(s, par int) golden {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		cat, q := fixture()
 		cat.Shard(s)
 		eng := engine.New(cat)
 		col := &obs.Collector{}
 		var lines []string
 		res, err := Run(q, eng, &engine.Budget{}, Config{
-			Seed: 7, Iterations: 300, Parallelism: par,
+			Seed: 7, Iterations: 300,
 			Sink: obs.Multi(col, obs.MessageSink(func(l string) { lines = append(lines, l) })),
 		})
 		if err != nil {

@@ -10,7 +10,7 @@
 //     embed the full planning state, so a hit is deterministic no matter
 //     which request warmed an entry), the metrics registry and the trace ring;
 //     with Config.HardenStats, one statistics seed store per query shape.
-//   - Per-request: an engine.Exec scope (tracer, parallelism knob,
+//   - Per-request: an engine.Exec scope (tracer, metrics registry,
 //     materialization store) created inside core.NewSession and released once
 //     the reply is hashed, a statistics store, a Budget, and a
 //     deterministically derived seed.
@@ -29,6 +29,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -59,11 +60,11 @@ type Config struct {
 	// every query alike; its zero value defaults to harness.Tiny(). Seed is
 	// the base seed — per-query seeds derive from it by query name, so a
 	// query's result is identical no matter which client asks or when.
-	// Parallelism caps each query's engine and planner threads (a pure
-	// wall-time knob under the determinism contracts). Shards lays every
-	// served catalog out as hash shards the planner prices (answers are
-	// identical at any count). MCTSIterations is the per-planning-call
-	// rollout budget.
+	// Shards lays every served catalog out as hash shards the planner prices
+	// (answers are identical at any count). MCTSIterations is the
+	// per-planning-call rollout budget. Each query's engine and planner run
+	// on up to GOMAXPROCS threads (a pure wall-time setting under the
+	// determinism contracts).
 	Scale harness.Scale
 	// MaxConcurrent bounds admitted queries; further requests get 429.
 	// 0 defaults to 8.
@@ -297,13 +298,22 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	fmt.Fprintf(w, "{\"error\": %s}\n", msg)
 }
 
+// maxBodyBytes bounds a POST /query body; a larger one gets 413 before
+// admission.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodGet:
 		req.Query = r.URL.Query().Get("query")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+				return
+			}
 			writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 			return
 		}
@@ -370,10 +380,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // ceilings: requests tighten, never loosen.
 func (s *Server) budgetFor(req QueryRequest) *engine.Budget {
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	// Compared in milliseconds: a huge timeout_ms converted first would wrap.
+	if req.TimeoutMS > 0 && req.TimeoutMS < timeout.Milliseconds() {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	maxTuples := s.cfg.DefaultMaxTuples
 	if req.MaxTuples > 0 && (maxTuples == 0 || req.MaxTuples < maxTuples) {

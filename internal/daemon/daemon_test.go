@@ -249,6 +249,39 @@ func TestQueryBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutNeverLoosens: a request's timeout_ms only tightens the
+// daemon's ceiling. One so large that it would wrap converted to a Duration
+// first must still leave the budget with the ceiling's deadline.
+func TestRequestTimeoutNeverLoosens(t *testing.T) {
+	const ceiling = 3 * time.Second
+	s := &Server{cfg: Config{DefaultTimeout: ceiling}}
+	for _, ms := range []int64{1, 1e13, math.MaxInt64} {
+		b := s.budgetFor(QueryRequest{Query: "tpch-q3", TimeoutMS: ms})
+		if b.Deadline.IsZero() || b.Deadline.After(time.Now().Add(ceiling)) {
+			t.Errorf("timeout_ms %d: deadline %v, want one no later than %v from now", ms, b.Deadline, ceiling)
+		}
+	}
+}
+
+// TestQueryBodyTooLarge: a POST body over the limit gets 413 with the usual
+// JSON error before admission, so the next request is served.
+func TestQueryBodyTooLarge(t *testing.T) {
+	h := testServer(t).Handler()
+	rec, _ := doJSON(t, h, "POST", "/query", `{"query": "tpch-q3", "name": "`+strings.Repeat("x", 2<<20)+`"}`)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413", rec.Code)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("413 body not JSON with error field: %s", rec.Body.String())
+	}
+	if rec, _ := doJSON(t, h, "GET", "/query?query=tpch-q3", ""); rec.Code != http.StatusOK {
+		t.Errorf("after a 413: status %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+}
+
 // TestQueryBadColumnSharded: a predicate over a column that does not exist is
 // a per-query 500 carrying the engine's error, the same on a sharded daemon
 // as on an unsharded one — as a residual at a co-partitioned join and as a

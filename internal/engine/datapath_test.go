@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,10 +62,12 @@ func TestRowLifetime(t *testing.T) {
 		MustBuild()
 	rightDeep := plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))
 	leftDeep := plan.NewJoin(plan.NewJoin(leaf("a"), leaf("b")), leaf("c"))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, batch := range []int{0, 1, 7, 1 << 30} {
 		for _, par := range []int{1, 4} {
-			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
-			ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
+			runtime.GOMAXPROCS(par)
+			at := fmt.Sprintf("BatchSize %d GOMAXPROCS %d", batch, par)
+			ex := New(cat).NewExec(ExecConfig{testBatch: batch})
 
 			// Drain the right-deep tree by hand, keeping every row header the
 			// way the root materialize does, beside a copy taken on arrival.
@@ -156,6 +159,7 @@ func TestRowLifetime(t *testing.T) {
 // before Charge became a single atomic add. Operators that charge a row at a
 // time stop at MaxTuples + 1; an unfiltered scan charges a slab at once.
 func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cross := query.NewBuilder("cross").Rel("R", "R").Rel("T", "T").
 		Select(expr.SumMod("R.b", "T.k", 97), value.Int(5)).
 		MustBuild()
@@ -177,7 +181,7 @@ func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
 		{"sigma pass", rstQuery(), leaf("S").WithSigma(), 70, 71},
 	} {
 		for _, batch := range []int{0, 7} {
-			e := New(fixture()).NewExec(ExecConfig{Parallelism: 1, testBatch: batch})
+			e := New(fixture()).NewExec(ExecConfig{testBatch: batch})
 			b := &Budget{MaxTuples: tc.max}
 			_, _, err := e.ExecTree(tc.q, tc.tree, b)
 			if !errors.Is(err, ErrBudget) {
@@ -323,7 +327,8 @@ func lpsRun(t *testing.T, cat *table.Catalog, partFirst bool) (rows []table.Row,
 	} else {
 		b = b.Join(counted(0, "l.supp"), counted(1, "ps.supp")).Join(counted(2, "l.part"), counted(3, "ps.part"))
 	}
-	rel, _, err := New(cat).NewExec(ExecConfig{Parallelism: 1}).ExecTree(b.MustBuild(), plan.NewJoin(leaf("l"), leaf("ps")), &Budget{})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rel, _, err := New(cat).NewExec(ExecConfig{}).ExecTree(b.MustBuild(), plan.NewJoin(leaf("l"), leaf("ps")), &Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,22 +154,16 @@ type ExecResult struct {
 	SigmaTime time.Duration
 }
 
-// ExecConfig is the per-execution observation and tuning state. Every Session
-// (and every daemon request) carries its own copy inside an Exec scope, so
+// ExecConfig is the per-execution observation state. Every Session (and
+// every daemon request) carries its own copy inside an Exec scope, so
 // concurrent Sessions on one shared engine cannot clobber each other's tracer
-// and knobs; the engine's catalog stays shared.
+// and registry; the engine's catalog stays shared. The partitionable
+// operators' width is runtime.GOMAXPROCS(0), read per operator.
 type ExecConfig struct {
 	// Obs, when non-nil, receives one span per operator (scan, reuse,
 	// hash-build/probe, nested loop, Σ pass) with rows-in/rows-out and wall
 	// time. Nil (the default) costs nothing: every tracer call no-ops.
 	Obs *obs.Tracer
-	// Parallelism caps the worker count of the partitionable operators
-	// (filter scans, hash build and probe, nested loop, Σ pass): 0 means
-	// runtime.GOMAXPROCS(0), 1 runs every operator on the calling
-	// goroutine. Every setting produces bit-identical results — same row
-	// order, same Σ estimates, same budget totals — so the knob trades wall
-	// time only.
-	Parallelism int
 	// Metrics, when non-nil, receives the engine's exchange counters:
 	// monsoon.exchange.joins.local/reshuffle and monsoon.exchange.rows,
 	// counted only on a sharded catalog. Nil (the default) skips them.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -213,7 +214,8 @@ func (r matrixRun) same(o matrixRun) bool {
 func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par int) (run matrixRun, fanned bool) {
 	t.Helper()
 	col := &obs.Collector{}
-	ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), testBatch: batch, Parallelism: par})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+	ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col), testBatch: batch})
 	budget := &Budget{}
 	for _, tree := range mc.trees {
 		rel, res, err := ex.ExecTree(mc.q, tree, budget)
@@ -233,7 +235,7 @@ func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par i
 // TestEngineConfigMatrix is the engine's one-path guarantee: how an
 // operator's loop is spread over batches, workers and shard layouts changes
 // nothing an optimizer or a client can observe. Every cell of testBatch ×
-// Parallelism × shard count must equal the (1 << 30, 1, 1) reference in rows
+// GOMAXPROCS × shard count must equal the (1 << 30, 1, 1) reference in rows
 // and their order, Produced, Counts, Σ observations, the budget total and the
 // span stream (less the configuration-dependent spans and attributes), and a
 // tuple budget that trips mid-tree must abort every cell the same way.
@@ -284,15 +286,17 @@ func TestEngineConfigMatrix(t *testing.T) {
 // tables and row buffers are largely what the case before gave back; every
 // tree must return the rows, in order, of the same case on a fresh scope.
 func TestMatrixAfterRelease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer func(was bool) { poisonReleased = was }(poisonReleased)
 	poisonReleased = true
 	for _, s := range []int{1, 4} {
 		cat := matrixCatalog(matrixSeeds[0], s)
 		for _, batch := range matrixBatches {
 			for _, par := range matrixWorkers {
-				ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
+				ex := New(cat).NewExec(ExecConfig{testBatch: batch})
 				for _, mc := range matrixCases() {
 					fresh, _ := runMatrixCase(t, cat, mc, batch, par)
+					runtime.GOMAXPROCS(par)
 					for ti, tree := range mc.trees {
 						rel, _, err := ex.ExecTree(mc.q, tree, &Budget{})
 						if err != nil {
@@ -324,7 +328,8 @@ func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCa
 	if mc.trees[last].Sigma {
 		need -= float64(len(ref.Rows[last]))
 	}
-	ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+	ex := New(cat).NewExec(ExecConfig{testBatch: batch})
 	for _, earlier := range mc.trees[:last] {
 		if _, _, err := ex.ExecTree(mc.q, earlier, &Budget{}); err != nil {
 			t.Fatalf("%s: %v", cell, err)
@@ -350,6 +355,7 @@ func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCa
 // residual at the join (where the co-partitioned build leaf has already
 // opened) or a selection pushed down to that leaf.
 func matrixBadColumn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	queries := map[string]*query.Query{
 		"residual": query.NewBuilder("badres").Rel("a", "A").Rel("b", "B").
 			Join(expr.Identity("a.k"), expr.Identity("b.k")).
@@ -365,7 +371,8 @@ func matrixBadColumn(t *testing.T) {
 		var want string
 		for _, s := range []int{1, 4} {
 			for _, par := range matrixWorkers {
-				ex := New(matrixCatalog(1, s)).NewExec(ExecConfig{Parallelism: par})
+				runtime.GOMAXPROCS(par)
+				ex := New(matrixCatalog(1, s)).NewExec(ExecConfig{})
 				_, res, err := ex.ExecTree(q, tree, &Budget{})
 				if err == nil {
 					t.Fatalf("%s S=%d par=%d: no error", name, s, par)

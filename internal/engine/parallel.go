@@ -36,14 +36,10 @@ const (
 	parallelMinChunk = 1024
 )
 
-// workers resolves the Parallelism knob for an operator over n input rows:
-// 0 means runtime.GOMAXPROCS(0), and any setting degrades to 1 when the input
-// is too small to be worth splitting.
+// workers is an operator's width over n input rows: runtime.GOMAXPROCS(0),
+// degraded to 1 when the input is too small to be worth splitting.
 func (e *Exec) workers(n int) int {
-	w := e.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if w <= 1 || n < parallelMinRows {
 		return 1
 	}

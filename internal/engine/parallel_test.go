@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -54,7 +55,7 @@ func bigQuery() *query.Query {
 }
 
 // TestSerialParallelIdentical is the determinism gate for the parallel
-// execution path: a serial run (Parallelism = 1) and a parallel run must
+// execution path: a serial run (GOMAXPROCS 1) and a parallel run must
 // produce bit-identical relations (row order included), identical hardened
 // counts and Σ sketch estimates, and identical budget totals.
 func TestSerialParallelIdentical(t *testing.T) {
@@ -63,11 +64,12 @@ func TestSerialParallelIdentical(t *testing.T) {
 	tree := plan.NewJoin(leaf("BR"), leaf("BS")).WithSigma()
 
 	run := func(par int) (*table.Relation, *ExecResult, float64) {
-		e := New(cat).NewExec(ExecConfig{Parallelism: par})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		e := New(cat).NewExec(ExecConfig{})
 		b := &Budget{}
 		rel, res, err := e.ExecTree(q, tree, b)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d: %v", par, err)
 		}
 		return rel, res, b.Produced()
 	}
@@ -75,20 +77,20 @@ func TestSerialParallelIdentical(t *testing.T) {
 	for _, par := range []int{0, 2, 3, 8} {
 		prel, pres, pprod := run(par)
 		if prel.Count() != srel.Count() {
-			t.Fatalf("parallelism %d: %d rows, serial %d", par, prel.Count(), srel.Count())
+			t.Fatalf("GOMAXPROCS %d: %d rows, serial %d", par, prel.Count(), srel.Count())
 		}
 		if !table.IdenticalRows(prel.Rows, srel.Rows) {
-			t.Fatalf("parallelism %d: row content or order differs from serial", par)
+			t.Fatalf("GOMAXPROCS %d: row content or order differs from serial", par)
 		}
 		if !reflect.DeepEqual(pres.Counts, sres.Counts) {
-			t.Errorf("parallelism %d: counts %v, serial %v", par, pres.Counts, sres.Counts)
+			t.Errorf("GOMAXPROCS %d: counts %v, serial %v", par, pres.Counts, sres.Counts)
 		}
 		if pres.Produced != sres.Produced || pprod != sprod {
-			t.Errorf("parallelism %d: produced %v/%v, serial %v/%v",
+			t.Errorf("GOMAXPROCS %d: produced %v/%v, serial %v/%v",
 				par, pres.Produced, pprod, sres.Produced, sprod)
 		}
 		if !reflect.DeepEqual(pres.Sigma, sres.Sigma) {
-			t.Errorf("parallelism %d: Σ observations %v, serial %v", par, pres.Sigma, sres.Sigma)
+			t.Errorf("GOMAXPROCS %d: Σ observations %v, serial %v", par, pres.Sigma, sres.Sigma)
 		}
 	}
 }
@@ -104,7 +106,8 @@ func TestParallelSpansCarryWorkers(t *testing.T) {
 
 	trace := func(par int) *obs.Collector {
 		col := &obs.Collector{}
-		e := New(cat).NewExec(ExecConfig{Parallelism: par, Obs: obs.NewTracer(col)})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		e := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
 		if _, _, err := e.ExecTree(q, tree, &Budget{}); err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +184,13 @@ func TestParallelBudgetAbort(t *testing.T) {
 	cat := bigFixture()
 	q := bigQuery()
 	tree := plan.NewJoin(leaf("BR"), leaf("BS"))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
-		e := New(cat).NewExec(ExecConfig{Parallelism: par})
+		runtime.GOMAXPROCS(par)
+		e := New(cat).NewExec(ExecConfig{})
 		_, _, err := e.ExecTree(q, tree, &Budget{MaxTuples: 1000})
 		if !errors.Is(err, ErrBudget) {
-			t.Errorf("parallelism %d: err = %v, want ErrBudget", par, err)
+			t.Errorf("GOMAXPROCS %d: err = %v, want ErrBudget", par, err)
 		}
 	}
 }
@@ -210,23 +215,23 @@ func TestSplitRows(t *testing.T) {
 	}
 }
 
-// TestWorkersKnob pins the knob semantics: 1 is serial, 0 defaults to the
-// machine width, small inputs never fan out, and chunks stay meaningful.
+// TestWorkersKnob pins the width rule: GOMAXPROCS 1 is serial, small inputs
+// never fan out, and chunks stay meaningful.
 func TestWorkersKnob(t *testing.T) {
-	e := New(table.NewCatalog()).NewExec(ExecConfig{Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := New(table.NewCatalog()).NewExec(ExecConfig{})
 	if w := e.workers(1 << 20); w != 1 {
-		t.Errorf("Parallelism 1: workers = %d", w)
+		t.Errorf("GOMAXPROCS 1: workers = %d", w)
 	}
-	e.Parallelism = 8
+	runtime.GOMAXPROCS(8)
 	if w := e.workers(100); w != 1 {
 		t.Errorf("tiny input: workers = %d, want 1", w)
 	}
 	if w := e.workers(parallelMinRows); w < 2 || w > parallelMinRows/parallelMinChunk {
 		t.Errorf("threshold input: workers = %d", w)
 	}
-	e.Parallelism = 0
-	if w := e.workers(1 << 20); w < 1 {
-		t.Errorf("default parallelism: workers = %d", w)
+	if w := e.workers(1 << 20); w != 8 {
+		t.Errorf("GOMAXPROCS 8: workers = %d, want 8", w)
 	}
 }
 
@@ -852,15 +857,16 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 	for _, tc := range cases {
 		run := func(par int) (*table.Relation, float64, *obs.Span) {
 			col := &obs.Collector{}
-			e := New(cat).NewExec(ExecConfig{Parallelism: par, Obs: obs.NewTracer(col)})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+			e := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
 			b := &Budget{}
 			rel, _, err := e.ExecTree(tc.q, tree, b)
 			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", tc.name, par, err)
+				t.Fatalf("%s GOMAXPROCS %d: %v", tc.name, par, err)
 			}
 			nls := col.SpansOf(obs.KNestedLoop)
 			if len(nls) != 1 {
-				t.Fatalf("%s parallelism %d: %d nested-loop spans", tc.name, par, len(nls))
+				t.Fatalf("%s GOMAXPROCS %d: %d nested-loop spans", tc.name, par, len(nls))
 			}
 			return rel, b.Produced(), nls[0]
 		}
@@ -868,13 +874,13 @@ func TestNestedLoopSerialParallelIdentical(t *testing.T) {
 		for _, par := range []int{0, 2, 7, 64} {
 			prel, pprod, psp := run(par)
 			if !table.IdenticalRows(prel.Rows, srel.Rows) {
-				t.Errorf("%s parallelism %d: rows differ from serial", tc.name, par)
+				t.Errorf("%s GOMAXPROCS %d: rows differ from serial", tc.name, par)
 			}
 			if pprod != sprod {
-				t.Errorf("%s parallelism %d: produced %v, serial %v", tc.name, par, pprod, sprod)
+				t.Errorf("%s GOMAXPROCS %d: produced %v, serial %v", tc.name, par, pprod, sprod)
 			}
 			if psp.RowsIn != ssp.RowsIn || psp.RowsOut != ssp.RowsOut {
-				t.Errorf("%s parallelism %d: span %d/%d, serial %d/%d",
+				t.Errorf("%s GOMAXPROCS %d: span %d/%d, serial %d/%d",
 					tc.name, par, psp.RowsIn, psp.RowsOut, ssp.RowsIn, ssp.RowsOut)
 			}
 		}
@@ -888,10 +894,11 @@ func TestNestedLoopTinyInputs(t *testing.T) {
 	q := query.NewBuilder("tiny").Rel("CL", "CL").Rel("CR", "CR").MustBuild()
 	tree := plan.NewJoin(leaf("CL"), leaf("CR"))
 	run := func(par int) *table.Relation {
-		e := New(cat).NewExec(ExecConfig{Parallelism: par})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		e := New(cat).NewExec(ExecConfig{})
 		rel, _, err := e.ExecTree(q, tree, &Budget{})
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatalf("GOMAXPROCS %d: %v", par, err)
 		}
 		return rel
 	}
@@ -901,7 +908,7 @@ func TestNestedLoopTinyInputs(t *testing.T) {
 	}
 	for _, par := range []int{2, 7, 64} {
 		if got := run(par); !table.IdenticalRows(got.Rows, ref.Rows) {
-			t.Errorf("parallelism %d: rows differ from serial", par)
+			t.Errorf("GOMAXPROCS %d: rows differ from serial", par)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"monsoon/internal/bench/tpch"
@@ -103,7 +104,8 @@ func BenchmarkMultiKeyJoin(b *testing.B) {
 	tree := plan.NewJoin(leaf("l"), leaf("ps"))
 	for _, sf := range []float64{0.004, 0.04} {
 		b.Run(fmt.Sprintf("sf=%v", sf), func(b *testing.B) {
-			e := New(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 1})).NewExec(ExecConfig{Parallelism: 1})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			e := New(tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 1})).NewExec(ExecConfig{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

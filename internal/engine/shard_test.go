@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -133,7 +134,8 @@ func TestShardedSpansMatchUnsharded(t *testing.T) {
 	all := func(*obs.Span) bool { return true }
 	spansAt := func(s, par int, mc matrixCase) []*obs.Span {
 		col := &obs.Collector{}
-		ex := New(matrixCatalog(matrixSeeds[0], s)).NewExec(ExecConfig{Obs: obs.NewTracer(col), Parallelism: par})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		ex := New(matrixCatalog(matrixSeeds[0], s)).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
 		for _, tree := range mc.trees {
 			if _, _, err := ex.ExecTree(mc.q, tree, &Budget{}); err != nil {
 				t.Fatalf("S=%d par=%d %s %s: %v", s, par, mc.name, tree, err)
@@ -279,8 +281,10 @@ func TestUnshardedBuildReadsStoredRows(t *testing.T) {
 	stored := cat.MustGet("B")
 	was := cloneRows(stored.Rows)
 	q := matrixCases()[0].q // a ⋈ b
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
-		ex := New(cat).NewExec(ExecConfig{Parallelism: par})
+		runtime.GOMAXPROCS(par)
+		ex := New(cat).NewExec(ExecConfig{})
 		res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
 		it, _, err := ex.open(q, leaf("b"), &Budget{}, res, nil, true)
 		if err != nil {

@@ -50,16 +50,12 @@ func (e *Exec) batch() int {
 }
 
 // scanSlab sizes the chunk a leaf scan examines per pull. It is at least the
-// batch size, but also at least workers × parallelMinChunk so that a filter
-// scan over a large base table fans out at the configured width (a bare batch
-// of 4096 rows would cap the fan-out at 4 workers regardless of Parallelism).
+// batch size, but also at least GOMAXPROCS × parallelMinChunk so that a
+// filter scan over a large base table fans out at full width (a bare batch of
+// 4096 rows would cap the fan-out at 4 workers).
 func (e *Exec) scanSlab() int {
 	slab := e.batch()
-	w := e.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if min := w * parallelMinChunk; slab < min {
+	if min := runtime.GOMAXPROCS(0) * parallelMinChunk; slab < min {
 		slab = min
 	}
 	return slab

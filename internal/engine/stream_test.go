@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,7 +18,8 @@ import (
 // count and returns everything a determinism check cares about.
 func execAt(t *testing.T, cat *table.Catalog, q *query.Query, tree *plan.Node, batch, par int) (*table.Relation, *ExecResult, float64) {
 	t.Helper()
-	e := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+	e := New(cat).NewExec(ExecConfig{testBatch: batch})
 	b := &Budget{}
 	rel, res, err := e.ExecTree(q, tree, b)
 	if err != nil {
@@ -207,6 +209,7 @@ func (w *watchIter) Next() ([]table.Row, error) {
 // at most testBatch + m rows, and the slabs its states hold must stay within
 // a slab's growth of that: twice the bound plus one full slab per state.
 func TestStreamingJoinHoldsOneBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const probeRows, keys, m = 300, 10, 64
 	cat := table.NewCatalog()
 	for _, spec := range []struct {
@@ -234,8 +237,9 @@ func TestStreamingJoinHoldsOneBatch(t *testing.T) {
 	tree := plan.NewJoin(plan.NewJoin(leaf("p"), leaf("b")), leaf("q"))
 	for _, batch := range []int{7, 64, 4096} {
 		for _, par := range []int{1, 2} {
-			at := fmt.Sprintf("BatchSize %d Parallelism %d", batch, par)
-			ex := New(cat).NewExec(ExecConfig{testBatch: batch, Parallelism: par})
+			runtime.GOMAXPROCS(par)
+			at := fmt.Sprintf("BatchSize %d GOMAXPROCS %d", batch, par)
+			ex := New(cat).NewExec(ExecConfig{testBatch: batch})
 			res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
 			it, _, err := ex.open(q, tree, &Budget{}, res, nil, true)
 			if err != nil {

@@ -24,7 +24,7 @@ type LEC struct {
 func (LEC) Name() string { return "LEC" }
 
 // Run implements Option.
-func (l LEC) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (l LEC) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	p := l.Prior
 	if p == nil {
 		p = prior.Default()
@@ -39,7 +39,7 @@ func (l LEC) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, ma
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), tree, start, b)
+	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), tree, start, b)
 }
 
 // Ablation runs the design-choice study DESIGN.md calls out, on the UDF

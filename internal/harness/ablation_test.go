@@ -11,7 +11,6 @@ import (
 
 	"monsoon/internal/bench/tpch"
 	"monsoon/internal/core"
-	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
 	"monsoon/internal/obs"
 	"monsoon/internal/plancache"
@@ -45,7 +44,7 @@ func TestMonsoonVariantKnobs(t *testing.T) {
 		{Label: "eps", Config: core.Config{Strategy: mcts.EpsGreedy, Iterations: 60}},
 		{Label: "uniform", Config: core.Config{UniformRollout: true, Iterations: 60}},
 	} {
-		out := v.Run(spec, engine.ExecConfig{}, 5*time.Second, 5e6, 3)
+		out := v.Run(spec, 5*time.Second, 5e6, 3)
 		if out.Err != nil {
 			t.Fatalf("%s: %v", v.Label, out.Err)
 		}

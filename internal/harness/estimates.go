@@ -59,13 +59,13 @@ func (r *Runner) Estimates(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, er, err := engine.New(spec.Cat).NewExec(sc.exec()).ExecTree(q, tree, &engine.Budget{MaxTuples: sc.MaxTuples})
+		_, er, err := engine.New(spec.Cat).NewExec(engine.ExecConfig{}).ExecTree(q, tree, &engine.Budget{MaxTuples: sc.MaxTuples})
 		if err != nil {
 			continue // a genuinely huge query: skip, we need truths
 		}
 		truths := er.Counts
 		for _, src := range sources {
-			st, err := src.mk(spec, engine.New(spec.Cat).NewExec(sc.exec()))
+			st, err := src.mk(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}))
 			if err != nil {
 				return err
 			}

@@ -12,7 +12,6 @@ import (
 	"monsoon/internal/bench/udf"
 	"monsoon/internal/core"
 	"monsoon/internal/cost"
-	"monsoon/internal/engine"
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
@@ -40,12 +39,6 @@ type Scale struct {
 	MaxTuples      float64
 	MCTSIterations int
 	Seed           int64
-	// Parallelism caps the threads every execution of the campaign runs
-	// with (see engine.ExecConfig) and the threads Monsoon's root-parallel
-	// MCTS planner searches on: 0 = runtime.GOMAXPROCS(0), 1 = the exact
-	// serial path. Results and plans are bit-identical at every setting;
-	// only wall times change.
-	Parallelism int
 	// Shards lays every generated catalog out as that many deterministic
 	// hash shards (first-column layout), which the planner prices as
 	// exchange cost for every run of the campaign: 0 or 1 keeps the catalog
@@ -65,15 +58,9 @@ func (sc Scale) shardCat(cat *table.Catalog) *table.Catalog {
 	return cat
 }
 
-// exec is the engine configuration every execution of the campaign runs with.
-func (sc Scale) exec() engine.ExecConfig {
-	return engine.ExecConfig{Parallelism: sc.Parallelism}
-}
-
-// Apply returns cfg with the scale's MCTS iteration budget, seed, and thread
-// knob (Parallelism) copied in.
+// Apply returns cfg with the scale's MCTS iteration budget and seed copied in.
 func (sc Scale) Apply(cfg core.Config) core.Config {
-	cfg.Iterations, cfg.Seed, cfg.Parallelism = sc.MCTSIterations, sc.Seed, sc.Parallelism
+	cfg.Iterations, cfg.Seed = sc.MCTSIterations, sc.Seed
 	return cfg
 }
 

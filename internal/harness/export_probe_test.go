@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"monsoon/internal/bench/imdb"
-	"monsoon/internal/engine"
 )
 
 // TestIMDBResultSizes (diagnostic) measures true per-query costs under the
@@ -20,7 +19,7 @@ func TestIMDBResultSizes(t *testing.T) {
 	cat := imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed})
 	var produced []float64
 	for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, engine.ExecConfig{}, 0, 3e7, 1)
+		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, 0, 3e7, 1)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

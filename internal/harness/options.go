@@ -71,9 +71,9 @@ type Outcome struct {
 // Option is one §6.2.2 optimization strategy.
 type Option interface {
 	Name() string
-	// Run optimizes and executes the query with the engine configured by ec,
-	// honoring timeout and maxTuples (0 disables either bound).
-	Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome
+	// Run optimizes and executes the query, honoring timeout and maxTuples
+	// (0 disables either bound).
+	Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome
 }
 
 // newBudget starts the measured window.
@@ -136,11 +136,11 @@ type Postgres struct{}
 func (Postgres) Name() string { return "Postgres" }
 
 // Run implements Option.
-func (Postgres) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Postgres) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	st := opt.CollectFullStats(spec.Q, spec.Cat) // offline, untimed
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	return planAndExec(spec, engine.New(spec.Cat).NewExec(ec), st, start, b)
+	return planAndExec(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), st, start, b)
 }
 
 // Defaults optimizes with the magic constant d = 0.1·c (option 4).
@@ -150,10 +150,10 @@ type Defaults struct{}
 func (Defaults) Name() string { return "Defaults" }
 
 // Run implements Option.
-func (Defaults) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Defaults) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	return planAndExec(spec, engine.New(spec.Cat).NewExec(ec), baseStats(spec), start, b)
+	return planAndExec(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), baseStats(spec), start, b)
 }
 
 // Greedy is the size-only left-deep heuristic (option 3).
@@ -163,14 +163,14 @@ type Greedy struct{}
 func (Greedy) Name() string { return "Greedy" }
 
 // Run implements Option.
-func (Greedy) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (Greedy) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	tree, err := opt.GreedyPlan(spec.Q, baseStats(spec))
 	if err != nil {
 		return finish(start, b, err, Outcome{})
 	}
-	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), tree, start, b)
+	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), tree, start, b)
 }
 
 // OnDemand computes HLL statistics after the query is issued (option 1),
@@ -185,11 +185,10 @@ type OnDemand struct {
 func (OnDemand) Name() string { return "On Demand" }
 
 // Run implements Option.
-func (o OnDemand) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (o OnDemand) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	ec.Obs = obs.NewTracer(o.Sink)
-	ex := engine.New(spec.Cat).NewExec(ec)
+	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(o.Sink)})
 	st, err := opt.CollectOnDemand(spec.Q, ex, b)
 	if err != nil {
 		return finish(start, b, err, Outcome{})
@@ -209,11 +208,10 @@ type Sampling struct {
 func (Sampling) Name() string { return "Sampling" }
 
 // Run implements Option.
-func (s Sampling) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (s Sampling) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	ec.Obs = obs.NewTracer(s.Sink)
-	ex := engine.New(spec.Cat).NewExec(ec)
+	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(s.Sink)})
 	st, err := opt.CollectSampling(spec.Q, ex, b, s.Cfg, randx.New(randx.Derive(seed, "sampling")))
 	if err != nil {
 		return finish(start, b, err, Outcome{})
@@ -230,12 +228,12 @@ type Skinner struct {
 func (Skinner) Name() string { return "SkinnerDB" }
 
 // Run implements Option.
-func (s Skinner) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (s Skinner) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	cfg := s.Cfg
 	cfg.Seed = seed
-	res, err := skinner.Run(spec.Q, engine.New(spec.Cat).NewExec(ec), b, cfg)
+	res, err := skinner.Run(spec.Q, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), b, cfg)
 	return finish(start, b, err, Outcome{Rows: res.Rows, Value: res.Value})
 }
 
@@ -281,10 +279,9 @@ func (qs *qerrSink) geo() float64 {
 type Monsoon struct {
 	// Label, when set, is the option's name.
 	Label string
-	// Config is what every run starts from. Run sets its Seed and engine
-	// knob (Parallelism) from its arguments and tees its Sink
-	// into the q-error summary the Outcome reports, so the summary is
-	// collected whether or not a Sink is set.
+	// Config is what every run starts from. Run sets its Seed from its
+	// arguments and tees its Sink into the q-error summary the Outcome
+	// reports, so the summary is collected whether or not a Sink is set.
 	core.Config
 }
 
@@ -299,15 +296,14 @@ func (m Monsoon) Name() string {
 	return "Monsoon"
 }
 
-// Run implements Option. Each session opens its own execution scopes, so of
-// ec only the engine knob applies; the tracer and registry are Sink's and
-// Metrics'.
-func (m Monsoon) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+// Run implements Option. Each session opens its own execution scopes, whose
+// tracer and registry are Sink's and Metrics'.
+func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
 	qs := &qerrSink{}
 	cfg := m.Config
-	cfg.Seed, cfg.Parallelism = seed, ec.Parallelism
+	cfg.Seed = seed
 	cfg.Sink = obs.Multi(m.Sink, qs)
 	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, cfg)
 	out := Outcome{
@@ -326,8 +322,8 @@ type HandWritten struct{}
 func (HandWritten) Name() string { return "Hand-written" }
 
 // Run implements Option.
-func (HandWritten) Run(spec QuerySpec, ec engine.ExecConfig, timeout time.Duration, maxTuples float64, _ int64) Outcome {
+func (HandWritten) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
 	start := time.Now()
 	b := newBudget(timeout, maxTuples)
-	return execPlan(spec, engine.New(spec.Cat).NewExec(ec), spec.Hand, start, b)
+	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), spec.Hand, start, b)
 }

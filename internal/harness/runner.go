@@ -25,17 +25,16 @@ type BenchResult struct {
 }
 
 // RunBenchmark executes every option over every query under the scale's
-// budget (Timeout, MaxTuples; 0 disables either), seed, and engine knob
-// (Parallelism). Queries run sequentially and deterministically:
+// budget (Timeout, MaxTuples; 0 disables either) and seed. Queries run
+// sequentially and deterministically:
 // each (option, query) pair derives its own seed. Errors that are not budget
 // overruns propagate — they indicate bugs, not slow queries.
 func RunBenchmark(specs []QuerySpec, options []Option, sc Scale, progress io.Writer) (*BenchResult, error) {
 	br := &BenchResult{Options: options, Results: map[string][]QueryResult{}, Timeout: sc.Timeout}
-	ec := sc.exec()
 	for _, o := range options {
 		for qi, spec := range specs {
 			qseed := randx.Derive(sc.Seed, o.Name()+"/"+spec.Q.Name)
-			out := o.Run(spec, ec, sc.Timeout, sc.MaxTuples, qseed)
+			out := o.Run(spec, sc.Timeout, sc.MaxTuples, qseed)
 			if out.Err != nil {
 				return br, fmt.Errorf("harness: %s on %s: %w", o.Name(), spec.Q.Name, out.Err)
 			}

@@ -76,23 +76,16 @@ const (
 type Config struct {
 	// Strategy picks the selection rule; default UCT.
 	Strategy Strategy
-	// Iterations is the rollout budget per planning call; default 1000.
+	// Iterations is the rollout budget per planning call.
 	Iterations int
 	// MaxDepth caps simulation length as a safety net; default 200.
 	MaxDepth int
 	// Shards fixes the logical worker count — the unit of determinism. 0
 	// derives it from the budget: max(1, min(DefaultShards, Iterations/minShardQuota)).
 	Shards int
-	// Workers caps the OS threads executing shards: 0 means
-	// runtime.GOMAXPROCS(0), 1 forces serial execution. Plans are
-	// bit-identical for every value.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Iterations == 0 {
-		c.Iterations = 1000
-	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 200
 	}
@@ -114,8 +107,8 @@ type PlanStats struct {
 	// FastPath marks a call decided without search (≤ 1 legal action).
 	FastPath bool
 	// Workers is the number of OS threads the search actually ran on: at
-	// most Config.Workers and the shard count, and 1 on the fast path; plans
-	// are identical for every value.
+	// most GOMAXPROCS and the shard count, and 1 on the fast path; plans are
+	// identical for every value.
 	Workers int
 }
 

@@ -6,9 +6,9 @@
 // order — visits and totals summed per root action, chance children unioned
 // by outcome key, recursively. Because the decomposition (shard count,
 // quotas, seeds) is a function of the configuration and the call index only —
-// never of the Workers thread cap — the merged visit counts and values are
-// bit-identical for any Workers setting, including fully serial execution.
-// Parallelism trades wall time, nothing else.
+// never of GOMAXPROCS, which caps the threads the shards run on — the merged
+// visit counts and values are bit-identical at any width, including fully
+// serial execution. Threads trade wall time, nothing else.
 package mcts
 
 import (
@@ -80,7 +80,7 @@ func shardSeed(base int64, call, shard int, stream string) int64 {
 	return randx.Derive(base, fmt.Sprintf("call%d/shard%d/%s", call, shard, stream))
 }
 
-// Plan runs every shard's quota (concurrently up to the Workers cap), merges
+// Plan runs every shard's quota (concurrently up to GOMAXPROCS), merges
 // the shard trees in shard-index order, and returns the action with the best
 // average return over the merged tree, or nil if root is terminal/stuck,
 // with the statistics of the search aggregated across shards (rollouts and
@@ -109,10 +109,7 @@ func (p *Planner) Plan(m Model, root State, call int, tr *obs.Tracer, parent *ob
 	}
 
 	quotas := shardQuotas(p.cfg.Iterations, p.cfg.Shards)
-	workers := p.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(quotas) {
 		workers = len(quotas)
 	}

@@ -2,6 +2,7 @@ package mcts
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // a single tree searched with the shard's derived RNG and forked model.
 func TestRootShardOneMatchesSerial(t *testing.T) {
 	const seed = 99
-	cfg := Config{Iterations: 600, Shards: 1, Workers: 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := Config{Iterations: 600, Shards: 1}
 
 	rp := New(cfg, seed)
 	ra, rs := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
@@ -30,12 +32,13 @@ func TestRootShardOneMatchesSerial(t *testing.T) {
 }
 
 // TestRootDeterministicForAnyWorkers pins the tentpole promise: with the
-// logical shard decomposition fixed, every Workers setting — serial, fewer
+// logical shard decomposition fixed, every GOMAXPROCS width — serial, fewer
 // threads than shards, more threads than shards — produces the identical
 // action and search stats.
 func TestRootDeterministicForAnyWorkers(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
-		rp := New(Config{Iterations: 2000, Shards: 4, Workers: workers}, 7)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		rp := New(Config{Iterations: 2000, Shards: 4}, 7)
 		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 		return a.Key(), st
 	}
@@ -62,13 +65,15 @@ func TestRootRepeatedCallsDeterministic(t *testing.T) {
 	wantKeys := []string{"guess0", "guess0", "guess0", "guess1", "guess0", "guess1", "guess1", "guess0"}
 	wantNodes := []int{22, 21, 19, 18, 18, 21, 20, 20}
 	for _, workers := range []int{1, 64} {
-		rp := New(Config{Iterations: 30, Shards: 3, Workers: workers}, 13)
+		prev := runtime.GOMAXPROCS(workers)
+		rp := New(Config{Iterations: 30, Shards: 3}, 13)
 		var keys []string
 		var nodes []int
 		for call := 1; call <= len(wantKeys); call++ {
 			a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, call, nil, nil)
 			keys, nodes = append(keys, a.Key()), append(nodes, st.Nodes)
 		}
+		runtime.GOMAXPROCS(prev)
 		if !reflect.DeepEqual(keys, wantKeys) || !reflect.DeepEqual(nodes, wantNodes) {
 			t.Errorf("workers=%d: picks %q nodes %v, want %q %v", workers, keys, nodes, wantKeys, wantNodes)
 		}
@@ -79,7 +84,8 @@ func TestRootRepeatedCallsDeterministic(t *testing.T) {
 // concurrent Plan calls at one call index on one Planner each return what a
 // serial call returns. Run under -race.
 func TestRootConcurrentPlanCalls(t *testing.T) {
-	rp := New(Config{Iterations: 2000, Shards: 4, Workers: 2}, 7)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rp := New(Config{Iterations: 2000, Shards: 4}, 7)
 	plan := func() (string, PlanStats) {
 		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 3, nil, nil)
 		return a.Key(), st
@@ -108,7 +114,8 @@ func TestRootConcurrentPlanCalls(t *testing.T) {
 // spend exactly the budget, and stay worker-count invariant.
 func TestRootZeroQuotaShards(t *testing.T) {
 	run := func(workers int) (string, PlanStats) {
-		rp := New(Config{Iterations: 3, Shards: 8, Workers: workers}, 5)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		rp := New(Config{Iterations: 3, Shards: 8}, 5)
 		a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 		if a == nil {
 			t.Fatal("Plan returned nil on a non-terminal root")
@@ -134,7 +141,8 @@ func TestRootZeroQuotaShards(t *testing.T) {
 // TestRootFastPaths: terminal and single-action roots take the fast paths —
 // no search, no RNG draws.
 func TestRootFastPaths(t *testing.T) {
-	rp := New(Config{Workers: 8}, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rp := New(Config{}, 1)
 	a, st := rp.Plan(bandit{}, banditState{done: true}, 1, nil, nil)
 	if a != nil {
 		t.Errorf("terminal root must plan nil, got %v", a)
@@ -172,7 +180,8 @@ func TestRootBanditQuality(t *testing.T) {
 // split — each shard independently discovers that probing dominates, and the
 // merged averages keep the ranking.
 func TestRootProbeQuality(t *testing.T) {
-	rp := New(Config{Iterations: 4000, Shards: 8, Workers: 4}, 42)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rp := New(Config{Iterations: 4000, Shards: 8}, 42)
 	a, st := rp.Plan(&probeGame{rng: randx.New(0)}, probeState{}, 1, nil, nil)
 	if a.Key() != "probe" {
 		t.Errorf("picked %q, want probe", a.Key())

@@ -79,7 +79,7 @@ const AttrCacheHit = "cache_hit"
 
 // AttrPlanWorkers is the numeric attribute set on KPlan spans when the
 // root-parallel MCTS search fanned out: the number of OS threads the shards
-// ran on, at most the run's Parallelism and the shard count. Absent on serial
+// ran on, at most GOMAXPROCS and the shard count. Absent on serial
 // searches (mirroring the engine operators' "workers" attribute), and
 // irrelevant to the chosen plan — every worker count picks byte-identical
 // plans.
