@@ -151,6 +151,44 @@ func TestRowLifetime(t *testing.T) {
 			}
 		}
 	}
+
+	// A streaming join's batch lives until the next Next and no longer:
+	// when that Next outgrows the header buffer the batch sits in, the
+	// buffer goes back to the free list at once, poisoned, in a process
+	// that releases, as the Release calls above made this one. L's first
+	// row matches one row of R and its second a hundred, so at one worker
+	// the first pull emits one row into a header buffer of one, and the
+	// second outgrows it.
+	runtime.GOMAXPROCS(1)
+	rkeys := []value.Value{value.Int(1)}
+	for range 100 {
+		rkeys = append(rkeys, value.Int(2))
+	}
+	lr := table.NewCatalog()
+	lr.Put(keyedRows("L", []value.Value{value.Int(1), value.Int(2)}))
+	lr.Put(keyedRows("R", rkeys))
+	ql := query.NewBuilder("lr").Rel("l", "L").Rel("r", "R").
+		Join(expr.Identity("l.k"), expr.Identity("r.k")).MustBuild()
+	ex := New(lr).NewExec(ExecConfig{testBatch: 1})
+	res := &ExecResult{Counts: map[string]float64{}, Times: map[string]time.Duration{}}
+	it, _, err := ex.open(ql, plan.NewJoin(leaf("l"), leaf("r")), &Budget{}, res, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := it.Next()
+	if err != nil || len(first) != 1 || !value.Identical(first[0][0], value.Int(1)) {
+		t.Fatalf("streaming join's first batch: %v, %v; want the one row of key 1", first, err)
+	}
+	if second, err := it.Next(); err != nil || len(second) != 100 {
+		t.Fatalf("streaming join's second batch: %d rows, %v; want 100", len(second), err)
+	}
+	for j, v := range first[0] {
+		if !value.Identical(v, poisonValue) {
+			t.Errorf("the first batch, read after the second Next outgrew its header buffer: column %d reads %v, not the poison", j, v)
+		}
+	}
+	it.Close(nil)
+	ex.Release()
 }
 
 // TestMaxTuplesTripsOnTheSameTuple: with one worker a tuple budget stops
@@ -189,6 +227,103 @@ func TestMaxTuplesTripsOnTheSameTuple(t *testing.T) {
 			}
 			if got := b.Produced(); got != tc.want {
 				t.Errorf("%s BatchSize %d: stopped at Produced() = %v, want %v", tc.name, batch, got, tc.want)
+			}
+		}
+	}
+}
+
+// chargeCatalog holds tables whose kernels emit more rows than runMargin: N
+// has 100,000 rows whose k cycles through 0..999 and whose c is 0, M has
+// 1,000 rows keyed 0..999, P has 300 keyed 0..299.
+func chargeCatalog() *table.Catalog {
+	cat := table.NewCatalog()
+	for _, tc := range []struct {
+		name string
+		rows int
+		mod  int64
+	}{{"N", 100_000, 1000}, {"M", 1000, 1000}, {"P", 300, 300}} {
+		b := table.NewBuilder(tc.name, table.NewSchema(
+			table.Column{Table: tc.name, Name: "k", Kind: value.KindInt},
+			table.Column{Table: tc.name, Name: "c", Kind: value.KindInt},
+		))
+		for i := 0; i < tc.rows; i++ {
+			b.Add(value.Int(int64(i)%tc.mod), value.Int(0))
+		}
+		cat.Put(b.Build())
+	}
+	return cat
+}
+
+// TestChargeRunsStayExact: kernels charge the rows they emit in runs, and
+// that changes no total and no trip point. Each of the four kernels that
+// charge per row starts under a MaxTuples more than runMargin above what the
+// tree has charged so far, so it opens runs, and emits past the bound, so it
+// hands over to charging row by row on the way: at one worker Produced()
+// must still stop at exactly MaxTuples + 1. And a clean run charges exactly
+// the objects its operators produced, at GOMAXPROCS 1, 2 and 7, with no
+// tuple bound and with the bound set to that very total.
+func TestChargeRunsStayExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cat := chargeCatalog()
+	id := expr.Identity
+	sel := query.NewBuilder("sel").Rel("n", "N").Select(id("n.c"), value.Int(0)).MustBuild()
+	mn := query.NewBuilder("mn").Rel("m", "M").Rel("n", "N").Join(id("m.k"), id("n.k")).MustBuild()
+	pq := query.NewBuilder("pq").Rel("p", "P").Rel("q", "P").MustBuild()
+	mnp := query.NewBuilder("mnp").Rel("m", "M").Rel("n", "N").Rel("p", "P").
+		Join(id("m.k"), id("n.k")).Join(id("n.k"), id("p.k")).MustBuild()
+	cases := []struct {
+		name       string
+		q          *query.Query
+		tree       *plan.Node
+		start, max float64 // charged when the kernel starts; the bound, 0 for a clean run only
+	}{
+		// 100,000 rows kept.
+		{"filter scan", sel, leaf("n"), 0, 70_000},
+		// The build side's 100,000 and the probe side's 1,000, then 100,000
+		// joined rows.
+		{"hash probe", mn, plan.NewJoin(leaf("m"), leaf("n")), 101_000, 170_000},
+		// 300 and 300 scanned, then 90,000 pairs, every one emitted.
+		{"nested loop", pq, plan.NewJoin(leaf("p"), leaf("q")), 600, 70_000},
+		// 100,000 scanned, then the Σ pass over them.
+		{"sigma pass", mn, leaf("n").WithSigma(), 100_000, 170_000},
+		{"streaming probe", mnp, plan.NewJoin(plan.NewJoin(leaf("m"), leaf("n")), leaf("p")), 0, 0},
+	}
+	for _, tc := range cases {
+		if tc.max == 0 {
+			continue
+		}
+		if tc.start+runMargin > tc.max {
+			t.Fatalf("%s: the kernel starts within runMargin of the bound and never opens a run", tc.name)
+		}
+		b := &Budget{MaxTuples: tc.max}
+		_, _, err := New(cat).NewExec(ExecConfig{}).ExecTree(tc.q, tc.tree, b)
+		if !errors.Is(err, ErrBudget) {
+			t.Errorf("%s: err = %v, want ErrBudget", tc.name, err)
+		}
+		if got := b.Produced(); got != tc.max+1 {
+			t.Errorf("%s: stopped at Produced() = %v, want %v", tc.name, got, tc.max+1)
+		}
+	}
+	for _, tc := range cases {
+		var want float64
+		for _, par := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(par)
+			for _, bound := range []bool{false, true} {
+				b := &Budget{}
+				if bound {
+					b.MaxTuples = want
+				}
+				_, res, err := New(cat).NewExec(ExecConfig{}).ExecTree(tc.q, tc.tree, b)
+				if err != nil {
+					t.Fatalf("%s GOMAXPROCS %d MaxTuples %v: %v", tc.name, par, b.MaxTuples, err)
+				}
+				if want == 0 {
+					want = res.Produced
+				}
+				if b.Produced() != res.Produced || res.Produced != want {
+					t.Errorf("%s GOMAXPROCS %d MaxTuples %v: charged %v for %v objects produced, want %v",
+						tc.name, par, b.MaxTuples, b.Produced(), res.Produced, want)
+				}
 			}
 		}
 	}

@@ -37,8 +37,9 @@ var ErrBudget = errors.New("engine: execution budget exhausted")
 // Budget bounds one query execution. Zero values disable a bound. A single
 // Budget is shared across every EXECUTE step of a multi-step query, and —
 // since the engine's partitionable operators charge it from worker
-// goroutines — its accounting is atomic. Deadline and MaxTuples must be set
-// before execution starts and not mutated afterwards.
+// goroutines, in runs of rows (tally) — its accounting is atomic. Deadline
+// and MaxTuples must be set before execution starts and not mutated
+// afterwards.
 type Budget struct {
 	Deadline  time.Time
 	MaxTuples float64
@@ -62,8 +63,8 @@ const pollStride = 64
 // exceeded. Safe for concurrent use. It is one atomic add: the tuple bound is
 // checked against the sum the add returns, so it trips on exactly the tuple
 // that exceeds it, and the deadline is read only when that sum crosses a
-// multiple of 1,024 — on every 1,024th charge of a single row, and on every
-// charge of a slab that large.
+// multiple of 1,024 — on every 16th run a kernel charges (tally), every
+// 1,024th single row, and every charge of a slab that large.
 func (b *Budget) Charge(n int) error {
 	if b == nil {
 		return nil
@@ -121,6 +122,62 @@ func (p *pacer) tick(b *Budget) error {
 }
 
 func (p *pacer) done(b *Budget) error { return b.poll(p.n) }
+
+// chargeRun is how many emitted rows a kernel counts before it charges them;
+// see tally.
+const chargeRun = 64
+
+// runMargin is how far below MaxTuples the charged total must stand for a
+// kernel to open a run of chargeRun rows: room for the open runs of 1,024
+// workers at once. Nearer the bound every row is charged as it is emitted.
+const runMargin = chargeRun << 10
+
+// tally keeps a kernel's tuple charges off its per-row path. count counts one
+// emitted row and charges a whole run at once when the row closes it: one
+// atomic add on the counter every worker of a fan-out shares per chargeRun
+// rows, not per row. flush charges the open rest when the kernel returns, on
+// every path, so nothing is owed between two kernel calls and a clean run
+// charges the totals of charging row by row. A run opens only while the
+// charged total is runMargin below MaxTuples, where no worker's open run can
+// cross it; nearer, each row is a run of one, so with one worker the bound
+// still trips on exactly the tuple that exceeds it. Charge reads the deadline
+// whenever the charged sum crosses a multiple of 1,024, in a run or not.
+type tally struct {
+	n, run int // rows counted and not yet charged; the open run's length
+}
+
+func (t *tally) count(b *Budget) error {
+	if t.n == 0 {
+		t.run = b.runLen()
+	}
+	if t.n++; t.n < t.run {
+		return nil
+	}
+	t.n = 0
+	return b.Charge(t.run)
+}
+
+// flush charges the rows counted since the last charge. A kernel defers it;
+// a charge that fails becomes the kernel's error unless it has one already.
+func (t *tally) flush(b *Budget, err *error) {
+	if t.n == 0 {
+		return
+	}
+	n := t.n
+	t.n = 0
+	if cerr := b.Charge(n); *err == nil {
+		*err = cerr
+	}
+}
+
+// runLen is the length of the run a kernel opens: chargeRun, or 1 once the
+// charged total is within runMargin of MaxTuples.
+func (b *Budget) runLen() int {
+	if b != nil && b.MaxTuples > 0 && float64(b.produced.Load()+runMargin) > b.MaxTuples {
+		return 1
+	}
+	return chargeRun
+}
 
 // Produced reports the tuples charged so far.
 func (b *Budget) Produced() float64 {
@@ -261,6 +318,8 @@ func (e *Exec) ExecTree(q *query.Query, n *plan.Node, budget *Budget) (*table.Re
 		if b == nil {
 			break
 		}
+		// out is this loop's own buffer, listed on held only below: an
+		// outgrown step of it has no reader left.
 		out = append(growRows(out, len(b)), b...)
 	}
 	it.Close(nil)

@@ -349,7 +349,7 @@ func TestBudgetDeadline(t *testing.T) {
 	q := rstQuery()
 	e := New(fixture()).NewExec(ExecConfig{})
 	b := &Budget{Deadline: time.Now().Add(-time.Second)}
-	// The deadline is polled every 4096 charges; a 500-output join fits under
+	// The deadline is polled every 1,024 charges; a 500-output join fits under
 	// one poll, so use the bigger three-way join.
 	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
 	_, _, err := e.ExecTree(q, tree, b)

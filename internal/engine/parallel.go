@@ -167,6 +167,8 @@ func stitch(dst *[]table.Row, w int, buf func(worker int) []table.Row) []table.R
 	for i := 0; i < w; i++ {
 		total += len(buf(i))
 	}
+	// The outgrown buffer held the batch the last stitch returned, which
+	// the rowIter contract ended with the Next call this stitch serves.
 	out := growRows((*dst)[:0], total)
 	for i := 0; i < w; i++ {
 		out = append(out, buf(i)...)
@@ -185,6 +187,7 @@ type boundSel struct {
 type filterState struct {
 	bound []boundSel
 	out   []table.Row
+	runs  tally
 }
 
 func newFilterState(sels []*query.SelPred, s *table.Schema) (*filterState, error) {
@@ -211,21 +214,25 @@ func (st *filterState) keep(row table.Row) bool {
 // filterRows leaves in st.out the rows that pass every selection, charging
 // one tuple per kept row. On a budget error st.out holds what was kept so
 // far, the row that tripped the budget included.
-func (st *filterState) filterRows(rows []table.Row, budget *Budget) error {
+func (st *filterState) filterRows(rows []table.Row, budget *Budget) (err error) {
+	defer st.runs.flush(budget, &err)
 	if st.out == nil {
 		st.out = freeRows.take(len(rows)/4 + 1)
 	}
 	out := st.out[:0]
-	var err error
 	for _, row := range rows {
 		if !st.keep(row) {
 			continue
 		}
 		if len(out) == cap(out) {
+			// What the outgrown buffer held is copied into the grown one.
+			// Nobody else reads it: it is also the batch that the scan's
+			// last Next returned, if that Next ran one worker, and the
+			// rowIter contract ended that batch when this Next was called.
 			out = growRows(out, 1)
 		}
 		out = append(out, row)
-		if err = budget.Charge(1); err != nil {
+		if err = st.runs.count(budget); err != nil {
 			break
 		}
 	}
@@ -319,6 +326,7 @@ type joinState struct {
 	spare     [][]value.Value // a streaming join's rewound slabs, for slot to reuse
 	out       []table.Row
 	in        int // left rows probed, or row pairs scanned, over the state's lifetime
+	runs      tally
 }
 
 // newJoinState binds one worker's predicates; the first call per join is
@@ -379,14 +387,19 @@ func (st *joinState) slot() table.Row {
 	return st.slab[:w:w]
 }
 
-// emit commits the slot just written as the next output row and charges it.
+// emit commits the slot just written as the next output row and counts it
+// toward the state's next charge.
 func (st *joinState) emit(row table.Row, budget *Budget) error {
 	st.slab = st.slab[st.width:]
 	if len(st.out) == cap(st.out) {
+		// What the outgrown buffer held is copied into the grown one.
+		// Nobody else reads it: it is also the batch that the join's last
+		// Next returned, if that Next ran one worker, and the rowIter
+		// contract ended that batch when this Next was called.
 		st.out = growRows(st.out, 1)
 	}
 	st.out = append(st.out, row)
-	return budget.Charge(1)
+	return st.runs.count(budget)
 }
 
 // probeRows joins each probe row with its matches in the hash table, in
@@ -397,7 +410,8 @@ func (st *joinState) emit(row table.Row, budget *Budget) error {
 // differs in a term the residuals demand equal, so they would have rejected
 // the pair. The pairs that survive are still put to every residual, so the
 // output is that of walking the whole chain.
-func (st *joinState) probeRows(probe, build []table.Row, ht *joinTable, budget *Budget) error {
+func (st *joinState) probeRows(probe, build []table.Row, ht *joinTable, budget *Budget) (err error) {
+	defer st.runs.flush(budget, &err)
 	st.out = st.out[:0]
 	var pace pacer
 	filter := ht.filter
@@ -449,7 +463,8 @@ func (st *joinState) probeRows(probe, build []table.Row, ht *joinTable, budget *
 
 // loopRows computes the filtered product of the outer rows with the whole
 // inner side, outer-major.
-func (st *joinState) loopRows(outer, inner []table.Row, budget *Budget) error {
+func (st *joinState) loopRows(outer, inner []table.Row, budget *Budget) (err error) {
+	defer st.runs.flush(budget, &err)
 	st.out = st.out[:0]
 	var pace pacer
 	for _, lrow := range outer {
@@ -480,8 +495,9 @@ func (st *joinState) loopRows(outer, inner []table.Row, budget *Budget) error {
 // sigmaState is one worker's side of the Σ pass: a binding and a sketch per
 // tracked term, in the pass's term order.
 type sigmaState struct {
-	bs []*expr.Binding
-	hs []*sketch.HLL
+	bs   []*expr.Binding
+	hs   []*sketch.HLL
+	runs tally
 }
 
 // hllPrecision is the Σ sketches' precision, the paper's 14 (2^14 registers).
@@ -498,9 +514,10 @@ func newSigmaState(terms []*query.Term, s *table.Schema) *sigmaState {
 
 // sigmaRows charges every row (the extra pass, §4.4) and feeds each term's
 // non-NULL value to its sketch.
-func (st *sigmaState) sigmaRows(rows []table.Row, budget *Budget) error {
+func (st *sigmaState) sigmaRows(rows []table.Row, budget *Budget) (err error) {
+	defer st.runs.flush(budget, &err)
 	for _, row := range rows {
-		if err := budget.Charge(1); err != nil {
+		if err := st.runs.count(budget); err != nil {
 			return err
 		}
 		for i, b := range st.bs {
@@ -655,7 +672,17 @@ func (e *Exec) build(op *obs.Span, rows []table.Row, keyOf func() keyFn, filterO
 	if err != nil {
 		return nil, inserted, err
 	}
+	// The merge adds at most every later table's entries to the first, so
+	// the first takes room for all of them from the free list before it
+	// starts, and no add reallocates its entries.
 	merged := parts[0].t
+	total := 0
+	for _, p := range parts {
+		total += len(p.t.entries)
+	}
+	if total > cap(merged.entries) {
+		merged.entries = freeEntries.grow(merged.entries, total, poisonEntries)
+	}
 	for _, p := range parts[1:] {
 		for _, en := range p.t.entries {
 			merged.add(en.hash, en.key, en.head, en.tail, next)

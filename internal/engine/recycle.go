@@ -1,10 +1,17 @@
 // Buffer recycling. The engine's large buffers — join slabs, join tables,
-// row-header buffers — come from process-wide free lists, and go back to them
-// only through Exec.Release: the scope lists every such buffer its executions
-// keep (held), and Release, called by whoever owns the scope once nothing
-// reads its rows any more, gives them all back at once. A buffer the engine
-// sees die earlier — an outgrown row-header buffer, the partial results of a
-// failed tree — is left to the collector, as it always was.
+// row-header buffers — come from process-wide free lists. Most go back to
+// them only through Exec.Release: the scope lists every such buffer its
+// executions keep (held), and Release, called by whoever owns the scope once
+// nothing reads its rows any more, gives them all back at once. Two kinds die
+// mid-query, and go back when they do: a row-header buffer outgrown by
+// growRows, and the entries a parallel build's merge outgrows
+// (freeList.grow). Neither has a reader left by then, which each caller of
+// growRows says in a comment. They go back only in a process that releases,
+// one whose list has been given a buffer: a process that never releases
+// keeps dropping them to the collector, so it allocates and holds what it did
+// before, where giving them back unconditionally raised a never-releasing
+// scan's peak RSS by 40–50 %. The partial results of a failed tree are
+// still left to the collector.
 //
 // A list files buffers by power-of-two size class, so a buffer one query gives
 // back serves any query that asks for a length of its class, not only another
@@ -104,12 +111,14 @@ func (f *freeList[T]) count() FreeListCount {
 
 // poisonReleased makes the engine overwrite a slab with poisonValue when it
 // declares the slab's rows dead — at Release, and when a streaming join
-// rewinds — and, at Release, point every row header at a row of poisonValue,
-// so a row read after that reads as garbage instead of as a plausible stale
-// row. The headers need it because a released header buffer goes on to
-// queries of any shape: a stale header read would see another query's live
-// rows. Builds with the race detector set it (poison_race.go); engine tests
-// set it around what they check.
+// rewinds — and point every row header at a row of poisonValue when a header
+// buffer goes back — at Release, and when growRows outgrows it — so a row
+// read after that reads as garbage instead of as a plausible stale row. The
+// headers need it because a header buffer that goes back goes on to queries
+// of any shape: a stale header read would see another query's live rows. An
+// outgrown join-table entries buffer gets keys of poisonValue. Builds with
+// the race detector set it (poison_race.go); engine tests set it around what
+// they check.
 var poisonReleased bool
 
 var poisonValue = value.String("engine: row read after its lifetime")
@@ -145,6 +154,15 @@ func poisonHeaders(bufs [][]table.Row) {
 		for i, r := range rows {
 			rows[i] = dead[:len(r):len(r)]
 		}
+	}
+}
+
+// poisonEntries gives every entry in es the key poisonValue and an empty
+// chain.
+func poisonEntries(es []entry) {
+	dead := entry{hash: poisonValue.Hash(), key: poisonValue, head: -1, tail: -1}
+	for i := range es {
+		es[i] = dead
 	}
 }
 
@@ -229,17 +247,32 @@ func (st *joinState) rewind() {
 	}
 }
 
+// grow returns a buffer of length n from the list holding buf's elements,
+// for a caller that has outgrown buf. buf has no reader left, so in a process
+// that releases (the list's given flag) it goes back at once, first handed in
+// full to dead when poisonReleased is set. Until then it is left to the
+// collector, as before the lists existed.
+func (f *freeList[T]) grow(buf []T, n int, dead func([]T)) []T {
+	grown := f.take(n)[:len(buf)]
+	copy(grown, buf)
+	if f.given.Load() {
+		if poisonReleased {
+			dead(buf[:cap(buf)])
+		}
+		f.put(buf)
+	}
+	return grown
+}
+
 // growRows returns buf with room for extra more rows: buf itself, or a buffer
 // from the free list as long as append would have made it, holding buf's
-// rows. The outgrown buffer is left to the collector.
+// rows (freeList.grow). Every caller's outgrown buffer has no reader left.
 func growRows(buf []table.Row, extra int) []table.Row {
 	n := len(buf) + extra
 	if n <= cap(buf) {
 		return buf
 	}
-	grown := freeRows.take(growCap(cap(buf), n))[:len(buf)]
-	copy(grown, buf)
-	return grown
+	return freeRows.grow(buf, growCap(cap(buf), n), func(dead []table.Row) { poisonHeaders([][]table.Row{dead}) })
 }
 
 // growCap is the capacity append gives a slice of capacity old that must

@@ -151,6 +151,8 @@ func (t *nodeIter) collect(h *held) ([]table.Row, error) {
 		if b == nil {
 			break
 		}
+		// rows is this loop's own buffer, listed on h only below: an
+		// outgrown step of it has no reader left.
 		rows = append(growRows(rows, len(b)), b...)
 	}
 	t.Close(nil)
