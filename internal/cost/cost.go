@@ -106,8 +106,10 @@ func (dv *Deriver) bind() { dv.St.Bind(dv.Q.Aliases()) }
 // following the §4.3 recursion, and records it in the store. It walks the
 // query's predicates in place, in query order, which is the order the §4.3
 // factors — and the Miss draws behind them — have always come in, over the
-// children's alias sets re-expressed in the query's universe (a plan built
-// from NewAliasSet leaves would otherwise pay a universe merge per predicate).
+// children's alias sets re-expressed in the query's universe, where each
+// predicate's NewAt and each term's SubsetOf is word arithmetic on the masks
+// Builder.Build fixed (a plan built from NewAliasSet leaves would otherwise
+// have every test translate its sets by name).
 func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 	dv.bind()
 	return dv.nodeCount(n)

@@ -38,7 +38,10 @@ type Action interface {
 // Model is the MDP simulator MCTS plans against.
 type Model interface {
 	// Legal enumerates the actions available in s; empty means terminal or
-	// stuck (treated as terminal).
+	// stuck (treated as terminal). The search calls it once per node it
+	// descends into, never for a node it only created, and the caller shares
+	// the list among goroutines: it must be deterministic per state, and the
+	// actions are never written.
 	Legal(s State) []Action
 	// Step simulates taking a in s. It must not mutate s. stochastic
 	// reports whether the transition sampled randomness (a chance node);
@@ -139,21 +142,25 @@ type edge struct {
 	kids map[string]*node
 }
 
+// node is a decision node. It lists its actions the first time the search
+// descends into it: most nodes only start a playout and are never entered,
+// and those cost no Legal call and no edge slice.
 type node struct {
 	state   State
 	actions []Action
 	edges   []*edge
 	visits  int
+	listed  bool
 }
 
-func (t *tree) newNode(m Model, s State) *node {
-	n := &node{state: s}
-	if !s.Terminal() {
-		n.actions = m.Legal(s)
-		n.edges = make([]*edge, len(n.actions))
-	}
+func (t *tree) newNode(s State) *node {
 	t.stats.Nodes++
-	return n
+	return &node{state: s}
+}
+
+// list gives n its legal actions, one unexpanded edge each.
+func (n *node) list(actions []Action) {
+	n.actions, n.edges, n.listed = actions, make([]*edge, len(actions)), true
 }
 
 // search runs the configured iteration budget from root.
@@ -197,7 +204,13 @@ func (t *tree) simulate(m Model, n *node, depth, iter int) float64 {
 	if depth > t.stats.MaxDepth {
 		t.stats.MaxDepth = depth
 	}
-	if n.state.Terminal() || len(n.actions) == 0 || depth >= t.cfg.MaxDepth {
+	if n.state.Terminal() || depth >= t.cfg.MaxDepth {
+		return 0
+	}
+	if !n.listed {
+		n.list(m.Legal(n.state))
+	}
+	if len(n.actions) == 0 {
 		return 0
 	}
 	idx := t.selectEdge(n, iter)
@@ -212,14 +225,14 @@ func (t *tree) simulate(m Model, n *node, depth, iter int) float64 {
 		next, r, stochastic := m.Step(n.state, e.action)
 		reward = r
 		if !stochastic {
-			child = t.newNode(m, next)
+			child = t.newNode(next)
 			e.only, e.reward = child, r
 		} else {
 			// The lookup reads the buffer in place; only a new child's key
 			// becomes a string.
 			t.key = next.AppendOutcomeKey(t.key[:0])
 			if child = e.kids[string(t.key)]; child == nil {
-				child = t.newNode(m, next)
+				child = t.newNode(next)
 				if e.kids == nil {
 					e.kids = make(map[string]*node)
 				}

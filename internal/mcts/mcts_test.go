@@ -2,7 +2,9 @@ package mcts
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"monsoon/internal/randx"
@@ -42,7 +44,10 @@ func uniformPlayout(m Model, s State, rng *rand.Rand, steps int) float64 {
 // would report for it.
 func treePlan(cfg Config, rng *rand.Rand, m Model, root State) (Action, PlanStats) {
 	t := &tree{cfg: cfg.withDefaults(), rng: rng}
-	n := t.newNode(m, root)
+	n := t.newNode(root)
+	if !root.Terminal() {
+		n.list(m.Legal(root))
+	}
 	t.search(m, n)
 	st := t.stats
 	st.RootActions, st.Workers = len(n.actions), 1
@@ -332,5 +337,104 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("same seed must give the same plan")
+	}
+}
+
+// --- lazy listing ------------------------------------------------------------
+
+// countState is a state of countGame that counts how often Legal listed it.
+type countState struct {
+	depth, coin int
+	listed      int
+}
+
+func (s *countState) Terminal() bool { return s.depth >= 4 }
+func (s *countState) AppendOutcomeKey(b []byte) []byte {
+	return strconv.AppendInt(b, int64(s.coin), 10)
+}
+func (s *countState) CloneForSearch() State { return &countState{depth: s.depth, coin: s.coin} }
+
+// countGame is a four-step game of deterministic guesses and a stochastic
+// probe that draws a coin of three faces. It counts its Legal calls in legal,
+// which its forks share, and its playouts never call Legal.
+type countGame struct {
+	rng   *rand.Rand
+	legal *atomic.Int64
+}
+
+func (g *countGame) Legal(s State) []Action {
+	cs := s.(*countState)
+	cs.listed++
+	g.legal.Add(1)
+	if cs.Terminal() {
+		return nil
+	}
+	return []Action{probeAction("low"), probeAction("high"), probeAction("probe")}
+}
+
+func (g *countGame) Step(s State, a Action) (State, float64, bool) {
+	cs := s.(*countState)
+	next := &countState{depth: cs.depth + 1, coin: cs.coin}
+	switch a.(probeAction) {
+	case "probe":
+		next.coin = g.rng.Intn(3)
+		return next, -0.5, true
+	case "low":
+		return next, -float64(cs.coin), false
+	default:
+		return next, -float64(2 - cs.coin), false
+	}
+}
+
+func (g *countGame) Fork(seed int64) Model { return &countGame{rng: randx.New(seed), legal: g.legal} }
+func (g *countGame) Playout(s State, rng *rand.Rand, steps int) float64 {
+	return stepPlayout(g, func(State, *rand.Rand) Action { return probeAction("low") }, s, rng, steps)
+}
+
+// walk calls visit on n and every node below it.
+func walk(n *node, visit func(*node)) {
+	visit(n)
+	for _, e := range n.edges {
+		if e == nil {
+			continue
+		}
+		if e.only != nil {
+			walk(e.only, visit)
+		}
+		for _, k := range e.kids {
+			walk(k, visit)
+		}
+	}
+}
+
+// TestLegalOncePerEnteredNode: the search lists a node's actions when it
+// first descends into it, once, and never lists a node it only created — the
+// start of a playout, or a terminal state. PlanStats.Nodes still counts every
+// node created.
+func TestLegalOncePerEnteredNode(t *testing.T) {
+	for _, strat := range []Strategy{UCT, EpsGreedy} {
+		g := &countGame{rng: randx.New(3), legal: new(atomic.Int64)}
+		tr := &tree{cfg: Config{Strategy: strat, Iterations: 300}.withDefaults(), rng: randx.New(4)}
+		root := tr.newNode(&countState{})
+		tr.search(g, root)
+		nodes, entered := 0, 0
+		walk(root, func(n *node) {
+			nodes++
+			// An entered node of this game always expands an edge.
+			in := slices.ContainsFunc(n.edges, func(e *edge) bool { return e != nil })
+			want := 0
+			if in {
+				entered, want = entered+1, 1
+			}
+			if got := n.state.(*countState).listed; got != want {
+				t.Errorf("strategy %d: a node at depth %d entered=%v was listed %d times", strat, n.state.(*countState).depth, in, got)
+			}
+		})
+		if nodes != tr.stats.Nodes {
+			t.Errorf("strategy %d: PlanStats.Nodes %d, the tree holds %d", strat, tr.stats.Nodes, nodes)
+		}
+		if got := int(g.legal.Load()); got != entered || entered >= nodes {
+			t.Errorf("strategy %d: %d Legal calls for %d entered of %d nodes", strat, got, entered, nodes)
+		}
 	}
 }

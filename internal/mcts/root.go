@@ -1,14 +1,16 @@
 // Root-parallel MCTS (§5.1 under a wall-clock budget): the rollout budget is
 // pre-partitioned over a fixed set of logical workers ("shards"). Every shard
 // gets a pre-assigned quota and its own RNG seeded from the planner seed, the
-// caller's call index and the shard index, searches an independent tree from
-// its own clone of the root, and the shard trees are merged in shard-index
-// order — visits and totals summed per root action, chance children unioned
-// by outcome key, recursively. Because the decomposition (shard count,
-// quotas, seeds) is a function of the configuration and the call index only —
-// never of GOMAXPROCS, which caps the threads the shards run on — the merged
-// visit counts and values are bit-identical at any width, including fully
-// serial execution. Threads trade wall time, nothing else.
+// caller's call index and the shard index, and searches an independent tree
+// from its own clone of the root, which starts from the root's action list
+// the caller computed once. The pick reads only the root's edges, so only the
+// roots are merged: per root action, visits and totals are summed in
+// shard-index order, and the shard trees below are dropped. Because the
+// decomposition (shard count, quotas, seeds) is a function of the
+// configuration and the call index only — never of GOMAXPROCS, which caps the
+// threads the shards run on — the merged visit counts and values are
+// bit-identical at any width, including fully serial execution. Threads trade
+// wall time, nothing else.
 package mcts
 
 import (
@@ -81,8 +83,8 @@ func shardSeed(base int64, call, shard int, stream string) int64 {
 }
 
 // Plan runs every shard's quota (concurrently up to GOMAXPROCS), merges
-// the shard trees in shard-index order, and returns the action with the best
-// average return over the merged tree, or nil if root is terminal/stuck,
+// the shard roots in shard-index order, and returns the action with the best
+// average return over the merged root, or nil if root is terminal/stuck,
 // with the statistics of the search aggregated across shards (rollouts and
 // nodes sum, depth is the max). call numbers the caller's planning calls
 // from 1: every (call, shard) pair draws from its own derived RNG streams,
@@ -92,22 +94,25 @@ func shardSeed(base int64, call, shard int, stream string) int64 {
 // the configuration alone, so shard-span counts are machine-independent. A
 // nil tracer switches shard spans off.
 func (p *Planner) Plan(m Model, root State, call int, tr *obs.Tracer, parent *obs.Span) (Action, PlanStats) {
-	ps := PlanStats{Workers: 1}
 	// Root fast paths: no search, no RNG draws, one (root) node on the books.
 	var actions []Action
 	if !root.Terminal() {
 		actions = m.Legal(root)
 	}
-	ps.RootActions = len(actions)
 	if len(actions) <= 1 {
-		ps.FastPath = true
-		ps.Nodes = 1
+		ps := PlanStats{RootActions: len(actions), FastPath: true, Nodes: 1, Workers: 1}
 		if len(actions) == 0 {
 			return nil, ps
 		}
 		return actions[0], ps
 	}
+	merged, ps := p.search(m, root, actions, call, tr, parent)
+	return settle(merged), ps
+}
 
+// search runs the shards from root, whose legal actions are actions, and
+// returns their merged root and the aggregated statistics.
+func (p *Planner) search(m Model, root State, actions []Action, call int, tr *obs.Tracer, parent *obs.Span) (*node, PlanStats) {
 	quotas := shardQuotas(p.cfg.Iterations, p.cfg.Shards)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(quotas) {
@@ -139,7 +144,9 @@ func (p *Planner) Plan(m Model, root State, call int, tr *obs.Tracer, parent *ob
 		sm := m.Fork(shardSeed(p.seed, call, i, "model"))
 		t := &tree{cfg: p.cfg, rng: randx.New(shardSeed(p.seed, call, i, "rng"))}
 		t.cfg.Iterations = quotas[i]
-		roots[i] = t.newNode(sm, shardRoots[i])
+		// Every shard root shares the one action list, which nothing writes.
+		roots[i] = t.newNode(shardRoots[i])
+		roots[i].list(actions)
 		t.search(sm, roots[i])
 		stats[i] = t.stats
 	}
@@ -172,50 +179,28 @@ func (p *Planner) Plan(m Model, root State, call int, tr *obs.Tracer, parent *ob
 			EndIn(elapsed[i])
 	}
 
+	// Only the root edges are merged, in shard-index order, so the float
+	// accumulation order — and with it every average and tie-break — is fixed
+	// whichever OS thread ran which shard. The roots share one action list,
+	// so their edges align by index.
 	merged := roots[0]
-	ps.Rollouts, ps.Nodes, ps.MaxDepth = stats[0].Rollouts, stats[0].Nodes, stats[0].MaxDepth
-	for i := 1; i < len(roots); i++ {
-		mergeNode(merged, roots[i])
-		ps.Rollouts += stats[i].Rollouts
-		ps.Nodes += stats[i].Nodes
-		if stats[i].MaxDepth > ps.MaxDepth {
-			ps.MaxDepth = stats[i].MaxDepth
-		}
-	}
-	ps.Workers = workers
-	return settle(merged), ps
-}
-
-// mergeNode folds src into dst: per-action edge visits and totals are summed
-// (actions align by index — Legal is deterministic per state) and chance
-// children are unioned by outcome key, recursively. Called in shard-index
-// order, so the float accumulation order — and with it every average and
-// tie-break — is fixed regardless of which OS thread ran which shard.
-func mergeNode(dst, src *node) {
-	dst.visits += src.visits
-	if len(src.edges) != len(dst.edges) {
-		return // defensive: nondeterministic Legal would desync indices
-	}
-	for i, se := range src.edges {
-		if se == nil {
-			continue
-		}
-		de := dst.edges[i]
-		if de == nil {
-			dst.edges[i] = se
-			continue
-		}
-		de.visits += se.visits
-		de.total += se.total
-		if de.only != nil && se.only != nil {
-			mergeNode(de.only, se.only)
-		}
-		for key, sk := range se.kids {
-			if dk, ok := de.kids[key]; ok {
-				mergeNode(dk, sk)
-			} else {
-				de.kids[key] = sk
+	for _, r := range roots[1:] {
+		for j, se := range r.edges {
+			switch de := merged.edges[j]; {
+			case se == nil:
+			case de == nil:
+				merged.edges[j] = se
+			default:
+				de.visits += se.visits
+				de.total += se.total
 			}
 		}
 	}
+	ps := PlanStats{RootActions: len(actions), Workers: workers}
+	for _, st := range stats {
+		ps.Rollouts += st.Rollouts
+		ps.Nodes += st.Nodes
+		ps.MaxDepth = max(ps.MaxDepth, st.MaxDepth)
+	}
+	return merged, ps
 }

@@ -1,9 +1,11 @@
 package mcts
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"monsoon/internal/randx"
@@ -220,6 +222,97 @@ func TestDerivedShardCount(t *testing.T) {
 		rp := New(Config{Iterations: c.iters}, 1)
 		if rp.cfg.Shards != c.want {
 			t.Errorf("iterations=%d derived %d shards, want %d", c.iters, rp.cfg.Shards, c.want)
+		}
+	}
+}
+
+// mergeNodeRef is the recursive merge the planner once ran over whole shard
+// trees: per-action edge visits and totals summed, chance children unioned by
+// outcome key, all the way down. It is kept as the reference for the
+// root-only merge.
+func mergeNodeRef(dst, src *node) {
+	dst.visits += src.visits
+	if len(src.edges) != len(dst.edges) {
+		return
+	}
+	for i, se := range src.edges {
+		if se == nil {
+			continue
+		}
+		de := dst.edges[i]
+		if de == nil {
+			dst.edges[i] = se
+			continue
+		}
+		de.visits += se.visits
+		de.total += se.total
+		if de.only != nil && se.only != nil {
+			mergeNodeRef(de.only, se.only)
+		}
+		for key, sk := range se.kids {
+			if dk, ok := de.kids[key]; ok {
+				mergeNodeRef(dk, sk)
+			} else {
+				de.kids[key] = sk
+			}
+		}
+	}
+}
+
+// TestRootMergeMatchesRecursive runs a Plan call's shards one by one, merges
+// their trees recursively, and holds the planner's root-only merge to it: the
+// same pick, and the same visits and totals, bit for bit, on every root edge.
+// The planner lists the root once and every other node only when a shard
+// enters it, and counts every node the shards created.
+func TestRootMergeMatchesRecursive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, strat := range []Strategy{UCT, EpsGreedy} {
+		p := New(Config{Strategy: strat, Iterations: 600, Shards: 4}, 21)
+		const call = 2
+		root := &countState{}
+		game := func() *countGame { return &countGame{rng: randx.New(0), legal: new(atomic.Int64)} }
+
+		ref := game()
+		actions := ref.Legal(root)
+		var merged *node
+		nodes, entered := 0, 0
+		for i, q := range shardQuotas(p.cfg.Iterations, p.cfg.Shards) {
+			sm := ref.Fork(shardSeed(p.seed, call, i, "model"))
+			tr := &tree{cfg: p.cfg, rng: randx.New(shardSeed(p.seed, call, i, "rng"))}
+			tr.cfg.Iterations = q
+			n := tr.newNode(root.CloneForSearch())
+			n.list(actions)
+			tr.search(sm, n)
+			walk(n, func(n *node) {
+				nodes++
+				entered += n.state.(*countState).listed
+			})
+			if merged == nil {
+				merged = n
+			} else {
+				mergeNodeRef(merged, n)
+			}
+		}
+
+		g := game()
+		a, st := p.Plan(g, &countState{}, call, nil, nil)
+		if want := settle(merged); a.Key() != want.Key() {
+			t.Errorf("strategy %d: Plan picked %q, the recursive merge %q", strat, a.Key(), want.Key())
+		}
+		if st.Nodes != nodes {
+			t.Errorf("strategy %d: PlanStats.Nodes %d, the shards created %d", strat, st.Nodes, nodes)
+		}
+		// One listing of the root, one of each node a shard entered.
+		if got := int(g.legal.Load()); got != 1+entered || got >= nodes {
+			t.Errorf("strategy %d: %d Legal calls, want %d of %d nodes", strat, got, 1+entered, nodes)
+		}
+
+		got, _ := p.search(game(), &countState{}, actions, call, nil, nil)
+		for i, e := range got.edges {
+			w := merged.edges[i]
+			if (e == nil) != (w == nil) || e != nil && (e.visits != w.visits || math.Float64bits(e.total) != math.Float64bits(w.total)) {
+				t.Errorf("strategy %d: root edge %d is %+v, the recursive merge's %+v", strat, i, e, w)
+			}
 		}
 	}
 }

@@ -106,10 +106,19 @@ func NewAliasSet(names ...string) AliasSet {
 }
 
 // bitsIn translates s into universe u: the bits of the members u knows, and
-// whether that was all of them.
-func (s AliasSet) bitsIn(u *universe) (b uint64, all bool) {
-	if s.u == u || s.bits == 0 {
-		return s.bits, true
+// whether that was all of them. A set of u's own — every set a built query
+// hands out — takes the first line, which callers inline.
+func (s AliasSet) bitsIn(u *universe) (uint64, bool) {
+	if s.u != u {
+		return s.translate(u)
+	}
+	return s.bits, true
+}
+
+// translate is bitsIn across universes: member by member, by name.
+func (s AliasSet) translate(u *universe) (b uint64, all bool) {
+	if s.bits == 0 {
+		return 0, true
 	}
 	if u == nil {
 		return 0, false

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"monsoon/internal/expr"
+	"monsoon/internal/value"
 )
 
 // refSet is the sorted-[]string AliasSet the bitset replaced, kept here as
@@ -216,5 +218,107 @@ func TestWideQueryLimit(t *testing.T) {
 	}
 	if err := hand.Validate(); !errors.As(err, &tooMany) {
 		t.Fatalf("Validate on a hand-built wide query: err = %v, want a *TooManyRelationsError", err)
+	}
+}
+
+// TestPredicateMasksMatchSetAlgebra builds random queries of up to 64
+// aliases, with predicate sides over one alias or two, and holds the
+// predicates' word tests — JoinPred.NewAt, ApplicableAt and Aliases,
+// SelPred.NewAt, Query.Connected — to the set algebra they replaced, done on
+// the sorted-slice reference, on random pairs of sets: shared ones, and
+// NewAliasSet ones that may name aliases the query lacks.
+func TestPredicateMasksMatchSetAlgebra(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, n := range []int{2, 3, 7, 20, MaxAliases} {
+		names := make([]string, n)
+		b := NewBuilder(fmt.Sprintf("masks%d", n))
+		for i := range names {
+			names[i] = fmt.Sprintf("r%02d", i)
+			b.Rel(names[i], "T")
+		}
+		// side draws one or two distinct aliases outside avoid.
+		side := func(avoid []string) (*expr.UDF, []string) {
+			for {
+				a := names[rng.Intn(n)]
+				if slices.Contains(avoid, a) {
+					continue
+				}
+				if c := names[rng.Intn(n)]; n > 2 && c != a && !slices.Contains(avoid, c) && rng.Intn(2) == 0 {
+					return expr.ConcatKey(a+".k", c+".k"), []string{a, c}
+				}
+				return expr.Identity(a + ".k"), []string{a}
+			}
+		}
+		type refPred struct{ l, r refSet }
+		var joins []refPred
+		var sels []refSet
+		for i := 0; i < n; i++ {
+			lf, l := side(nil)
+			rf, r := side(l)
+			b.Join(lf, rf)
+			joins = append(joins, refPred{newRef(l...), newRef(r...)})
+			if rng.Intn(3) == 0 {
+				sf, s := side(nil)
+				b.Select(sf, value.Int(1))
+				sels = append(sels, newRef(s...))
+			}
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		applicable := func(p refPred, s refSet) bool { return p.l.subsetOf(s) && p.r.subsetOf(s) }
+		newAt := func(a, l, r refSet) bool {
+			return a.subsetOf(l.union(r)) && !a.subsetOf(l) && !a.subsetOf(r)
+		}
+		draw := func() (AliasSet, refSet) {
+			var in []string
+			for _, a := range names {
+				if rng.Intn(3) == 0 {
+					in = append(in, a)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				var w uint64
+				for _, a := range in {
+					w |= 1 << uint(slices.Index(names, a))
+				}
+				return q.Aliases().Subset(w), newRef(in...)
+			}
+			if rng.Intn(3) == 0 {
+				in = append(in, "zz") // in no query universe
+			}
+			return NewAliasSet(in...), newRef(in...)
+		}
+
+		for trial := 0; trial < 300; trial++ {
+			l, rl := draw()
+			r, rr := draw()
+			label := fmt.Sprintf("n=%d trial %d: l=%v r=%v", n, trial, rl, rr)
+			connected := false
+			for i, p := range q.Joins {
+				ref := joins[i]
+				if got := p.Aliases().Key(); got != ref.l.union(ref.r).key() {
+					t.Fatalf("%s: join %d Aliases = %q, want %q", label, i, got, ref.l.union(ref.r).key())
+				}
+				if got, want := p.ApplicableAt(l), applicable(ref, rl); got != want {
+					t.Fatalf("%s: join %d ApplicableAt(l) = %v, want %v", label, i, got, want)
+				}
+				want := applicable(ref, rl.union(rr)) && !applicable(ref, rl) && !applicable(ref, rr)
+				if got := p.NewAt(l, r); got != want {
+					t.Fatalf("%s: join %d NewAt = %v, want %v", label, i, got, want)
+				}
+				connected = connected || want ||
+					len(ref.l) > 1 && newAt(ref.l, rl, rr) || len(ref.r) > 1 && newAt(ref.r, rl, rr)
+			}
+			for i, p := range q.Sels {
+				if got, want := p.NewAt(l, r), newAt(sels[i], rl, rr); got != want {
+					t.Fatalf("%s: selection %d NewAt = %v, want %v", label, i, got, want)
+				}
+			}
+			if got := q.Connected(l, r); got != connected {
+				t.Fatalf("%s: Connected = %v, want %v", label, got, connected)
+			}
+		}
 	}
 }

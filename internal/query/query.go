@@ -24,27 +24,39 @@ func (t *Term) String() string { return t.Fn.String() }
 // alias sets are disjoint. When either side spans more than one alias it is a
 // multi-table obscured predicate: no statistic for that side can exist until
 // an expression covering the side has been materialized.
+//
+// Its tests are word arithmetic on alias masks that Builder.Build fixes: each
+// term's Aliases and the predicate's union of both, all over the query's
+// universe. Every predicate lies within that universe, so a set from another
+// universe is tested by the members the query knows, which answers alike.
 type JoinPred struct {
 	ID   int
 	L, R *Term
+	// aliases is L's aliases and R's, set by Build.
+	aliases AliasSet
 }
 
 // Aliases returns the union of both sides' aliases.
-func (p *JoinPred) Aliases() AliasSet { return p.L.Aliases.Union(p.R.Aliases) }
+func (p *JoinPred) Aliases() AliasSet { return p.aliases }
 
 // NewAt reports whether the predicate becomes applicable exactly at the join
 // of left and right: over their union but over neither side alone.
-func (p *JoinPred) NewAt(left, right AliasSet) bool { return p.newAt(left, right, left.Union(right)) }
-
-func (p *JoinPred) newAt(left, right, union AliasSet) bool {
-	return p.ApplicableAt(union) && !p.ApplicableAt(left) && !p.ApplicableAt(right)
+func (p *JoinPred) NewAt(left, right AliasSet) bool {
+	x, _ := left.bitsIn(p.aliases.u)
+	y, _ := right.bitsIn(p.aliases.u)
+	return newAt(p.aliases.bits, x, y)
 }
 
 // ApplicableAt reports whether the predicate can be evaluated over an
 // expression covering the given alias set.
 func (p *JoinPred) ApplicableAt(s AliasSet) bool {
-	return p.L.Aliases.SubsetOf(s) && p.R.Aliases.SubsetOf(s)
+	b, _ := s.bitsIn(p.aliases.u)
+	return p.aliases.bits&^b == 0
 }
+
+// newAt reports whether mask m lies within x|y but within neither x nor y:
+// the word form of every NewAt.
+func newAt(m, x, y uint64) bool { return m&^(x|y) == 0 && m&^x != 0 && m&^y != 0 }
 
 // String renders the predicate.
 func (p *JoinPred) String() string { return p.L.String() + " = " + p.R.String() }
@@ -64,8 +76,9 @@ func (p *SelPred) String() string { return p.T.String() + " = " + p.Const.String
 // NewAt reports whether the selection becomes applicable exactly at the join
 // of left and right: over their union but within neither side.
 func (p *SelPred) NewAt(left, right AliasSet) bool {
-	a := p.T.Aliases
-	return a.SubsetOf(left.Union(right)) && !a.SubsetOf(left) && !a.SubsetOf(right)
+	x, _ := left.bitsIn(p.T.Aliases.u)
+	y, _ := right.bitsIn(p.T.Aliases.u)
+	return newAt(p.T.Aliases.bits, x, y)
 }
 
 // AggKind selects the final aggregate computed over the completed join.
@@ -181,10 +194,9 @@ func (q *Query) JoinsApplicableAt(s AliasSet) []*JoinPred {
 // join of the two sides must evaluate.
 func (q *Query) PredsNewAt(left, right AliasSet) []*JoinPred {
 	left, right = q.Own(left), q.Own(right)
-	union := left.Union(right)
 	var out []*JoinPred
 	for _, p := range q.Joins {
-		if p.newAt(left, right, union) {
+		if p.NewAt(left, right) {
 			out = append(out, p)
 		}
 	}
@@ -221,16 +233,15 @@ func (q *Query) SelsAt(s AliasSet) []*SelPred {
 // predicate side evaluable (the multi-table-UDF case that can force a cross
 // product, e.g. F1(R,S) = F2(T) forces R×S before the predicate exists).
 func (q *Query) Connected(left, right AliasSet) bool {
-	left, right = q.Own(left), q.Own(right)
-	union := left.Union(right)
+	x, _ := left.bitsIn(q.u)
+	y, _ := right.bitsIn(q.u)
 	for _, p := range q.Joins {
-		if p.newAt(left, right, union) {
+		if newAt(p.aliases.bits, x, y) {
 			return true
 		}
 	}
 	newlyEvaluable := func(t *Term) bool {
-		return t.Aliases.Size() > 1 && t.Aliases.SubsetOf(union) &&
-			!t.Aliases.SubsetOf(left) && !t.Aliases.SubsetOf(right)
+		return t.Aliases.Size() > 1 && newAt(t.Aliases.bits, x, y)
 	}
 	for _, p := range q.Joins {
 		if newlyEvaluable(p.L) || newlyEvaluable(p.R) {
@@ -356,6 +367,9 @@ func (b *Builder) Build() (*Query, error) {
 			}
 			t.Aliases.bits |= 1 << uint(i)
 		}
+	}
+	for _, p := range q.Joins {
+		p.aliases = AliasSet{u: q.u, bits: p.L.Aliases.bits | p.R.Aliases.bits}
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -15,21 +15,38 @@ import (
 
 // HLL is a HyperLogLog distinct-value counter. It is not safe for concurrent
 // use; clone per goroutine and Merge afterwards.
+//
+// A sketch starts sparse: the registers it has touched are kept as
+// index<<8|rho entries in a small open-addressed table, a sixteenth of the
+// dense bytes, so a pass over few distinct values allocates and scans next to
+// nothing. Once the table is half full the sketch turns dense for good.
 type HLL struct {
 	p         uint8 // precision: number of index bits
 	m         int   // number of registers, 1<<p
 	registers []uint8
+	// sparse is the table of touched registers while registers is nil, slot
+	// index&(len-1) first, 0 marking an empty slot; n counts its entries.
+	sparse []uint32
+	n      int
 }
 
 // NewHLL creates a HyperLogLog sketch with 2^p registers. Valid p is 4..18;
-// p=14 gives ~0.8% relative error in ~16 KiB and is the default used by the
-// engine's Σ operator.
+// p=14 gives ~0.8% relative error in ~16 KiB once dense and is the default
+// used by the engine's Σ operator.
 func NewHLL(p uint8) *HLL {
 	if p < 4 || p > 18 {
 		panic(fmt.Sprintf("sketch: HLL precision %d out of range [4,18]", p))
 	}
 	m := 1 << p
-	return &HLL{p: p, m: m, registers: make([]uint8, m)}
+	h := &HLL{p: p, m: m}
+	// 4-byte entries in m/64 slots take m/16 bytes; below 16 slots the table
+	// would turn dense within a few adds anyway.
+	if slots := m / 64; slots >= 16 {
+		h.sparse = make([]uint32, slots)
+	} else {
+		h.registers = make([]uint8, m)
+	}
+	return h
 }
 
 // fmix64 is the MurmurHash3 finalizer; it decorrelates the register index
@@ -49,16 +66,68 @@ func (h *HLL) Add(hash uint64) {
 	idx := hash >> (64 - h.p)
 	rest := hash<<h.p | 1<<(h.p-1) // guarantee a set bit to bound rho
 	rho := uint8(bits.LeadingZeros64(rest)) + 1
-	if rho > h.registers[idx] {
-		h.registers[idx] = rho
+	if h.registers != nil {
+		if rho > h.registers[idx] {
+			h.registers[idx] = rho
+		}
+		return
+	}
+	h.raise(uint32(idx), rho)
+}
+
+// raise lifts register idx to at least rho, in whichever form h is.
+func (h *HLL) raise(idx uint32, rho uint8) {
+	if h.registers != nil {
+		h.registers[idx] = max(h.registers[idx], rho)
+		return
+	}
+	mask := uint32(len(h.sparse) - 1)
+	for i := idx & mask; ; i = (i + 1) & mask {
+		switch e := h.sparse[i]; {
+		case e == 0:
+			h.sparse[i] = idx<<8 | uint32(rho)
+			if h.n++; 2*h.n > len(h.sparse) {
+				h.densify()
+			}
+			return
+		case e>>8 == idx:
+			if rho > uint8(e) {
+				h.sparse[i] = idx<<8 | uint32(rho)
+			}
+			return
+		}
 	}
 }
 
-// Merge folds another sketch of identical precision into h.
+// densify turns a sparse sketch dense.
+func (h *HLL) densify() {
+	if h.registers != nil {
+		return
+	}
+	h.registers = make([]uint8, h.m)
+	for _, e := range h.sparse {
+		if e != 0 {
+			h.registers[e>>8] = uint8(e)
+		}
+	}
+	h.sparse, h.n = nil, 0
+}
+
+// Merge folds another sketch of identical precision into h: o's touched
+// registers one by one while o is sparse, register-wise once both are dense.
 func (h *HLL) Merge(o *HLL) {
 	if h.p != o.p {
 		panic("sketch: cannot merge HLLs of different precision")
 	}
+	if o.registers == nil {
+		for _, e := range o.sparse {
+			if e != 0 {
+				h.raise(e>>8, uint8(e))
+			}
+		}
+		return
+	}
+	h.densify()
 	for i, v := range o.registers {
 		if v > h.registers[i] {
 			h.registers[i] = v
@@ -68,6 +137,14 @@ func (h *HLL) Merge(o *HLL) {
 
 // Estimate returns the estimated number of distinct items added.
 func (h *HLL) Estimate() float64 {
+	m := float64(h.m)
+	if h.registers == nil {
+		// At most m/128 registers are touched, so the register weights sum to
+		// more than (1 − 1/128)·m however they round, the raw estimate stays
+		// below 0.73·m, and the dense loop below would take the linear
+		// counting branch on the same count of empty registers.
+		return m * math.Log(m/float64(h.m-h.n))
+	}
 	sum := 0.0
 	zeros := 0
 	for _, v := range h.registers {
@@ -76,7 +153,6 @@ func (h *HLL) Estimate() float64 {
 			zeros++
 		}
 	}
-	m := float64(h.m)
 	est := alpha(h.m) * m * m / sum
 	// Small-range correction: fall back to linear counting while registers
 	// remain empty (the regime where raw HLL is biased high).

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -177,7 +178,8 @@ func TestBlockSampleZeroBlockSize(t *testing.T) {
 // the formula it replaced, 1/float64(1<<v) per register summed in register
 // order, bit for bit, on random fills at every precision: sparse fills that
 // take the linear-counting branch, full ones that do not, and registers at
-// the largest value Add can write.
+// the largest value Add can write. The fills write the registers directly, so
+// each sketch is made dense first.
 func TestHLLEstimateMatchesFormula(t *testing.T) {
 	formula := func(h *HLL) float64 {
 		sum, zeros := 0.0, 0
@@ -199,6 +201,7 @@ func TestHLLEstimateMatchesFormula(t *testing.T) {
 		top := 65 - int(p) // the largest rho Add can record
 		for _, fill := range []int{1, 10, 50, 100} {
 			h := NewHLL(p)
+			h.densify()
 			for i := range h.registers {
 				if rng.Intn(100) < fill {
 					h.registers[i] = uint8(1 + rng.Intn(top))
@@ -210,4 +213,87 @@ func TestHLLEstimateMatchesFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHLLSparseMatchesDense holds the sparse form to the dense one: the same
+// adds and merges, sparse or dense on either side, give the same estimate bit
+// for bit at every precision, on sketches that stay sparse, turn dense
+// midway or end far past the linear-counting range, with registers raised
+// repeatedly while sparse, and with registers above 53 − p.
+func TestHLLSparseMatchesDense(t *testing.T) {
+	dense := func(p uint8) *HLL {
+		h := NewHLL(p)
+		h.densify()
+		return h
+	}
+	sparse := 0 // estimates taken of a sketch still sparse
+	same := func(t *testing.T, what string, got, want *HLL) {
+		t.Helper()
+		if got.registers == nil {
+			sparse++
+		}
+		if g, w := got.Estimate(), want.Estimate(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: estimate %v (%#x), dense %v (%#x)", what, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	rng := randx.New(50)
+	for p := uint8(4); p <= 18; p++ {
+		m := 1 << p
+		for _, adds := range []int{1, m / 256, m / 64, 4 * m} {
+			for _, high := range []bool{false, true} {
+				// a and b are what the merge folds; sa and sb start sparse,
+				// da and db dense, and they see the same adds.
+				sa, sb, da, db := NewHLL(p), NewHLL(p), dense(p), dense(p)
+				for i := 0; i < 16; i++ {
+					// Registers raised again and again while the sketch is
+					// sparse; a raw estimate, past 4·m adds, reads them.
+					idx, rho := uint32(rng.Intn(4)), uint8(1+rng.Intn(20))
+					sa.raise(idx, rho)
+					da.raise(idx, rho)
+				}
+				for i := 0; i < adds; i++ {
+					x, y := rng.Uint64(), rng.Uint64()
+					sa.Add(x)
+					da.Add(x)
+					sb.Add(y)
+					db.Add(y)
+				}
+				for i := 0; high && i < 8; i++ {
+					// Just above 53 − p and at the lowest indices: the
+					// index-order sum keeps these weights exactly, where a
+					// sum in any other order could round them away.
+					sb.raise(uint32(i), uint8(54-p))
+					db.raise(uint32(i), uint8(54-p))
+				}
+				what := fmt.Sprintf("p=%d adds=%d high=%v", p, adds, high)
+				same(t, what+" a", sa, da)
+				same(t, what+" b", sb, db)
+				for _, c := range []struct {
+					name string
+					into *HLL
+					from *HLL
+				}{
+					{"sparse←sparse", clone(sa), clone(sb)},
+					{"sparse←dense", clone(sa), clone(db)},
+					{"dense←sparse", clone(da), clone(sb)},
+				} {
+					want := clone(da)
+					want.Merge(db)
+					c.into.Merge(c.from)
+					same(t, what+" "+c.name, c.into, want)
+				}
+			}
+		}
+	}
+	if sparse == 0 {
+		t.Error("no estimate read a sparse sketch")
+	}
+}
+
+// clone copies h, sparse or dense as it is.
+func clone(h *HLL) *HLL {
+	c := *h
+	c.registers = append([]uint8(nil), h.registers...)
+	c.sparse = append([]uint32(nil), h.sparse...)
+	return &c
 }
