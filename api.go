@@ -252,7 +252,6 @@ type runConfig struct {
 	trace    func(string)
 	timeout  time.Duration
 	maxTuple float64
-	shards   int
 	known    []knownStat
 }
 
@@ -290,17 +289,6 @@ func WithEventSink(sink EventSink) RunOption { return func(c *runConfig) { c.cor
 // EXECUTE rounds, Σ operators, planning latency, per-join q-error) into reg,
 // which may be shared across runs.
 func WithMetrics(reg *MetricsRegistry) RunOption { return func(c *runConfig) { c.core.Metrics = reg } }
-
-// WithShards lays the run's catalog out as n deterministic hash shards over
-// every stored table's first column: a layout the planner prices, not a
-// second engine. The optimizer charges a hash build whose child is not
-// co-partitioned with the join key for moving its rows, and the engine runs
-// the same operators at every count, reporting that exchange in its build
-// spans and exchange counters. Every shard count returns the bit-identical
-// query answer. The catalog itself carries the layout, so it persists across
-// runs until changed: 1 clears it, and n <= 0 (the default) keeps whatever
-// layout the catalog has.
-func WithShards(n int) RunOption { return func(c *runConfig) { c.shards = n } }
 
 // WithPlanCache memoizes each planning pick in c and takes it again on
 // repeats: before each MCTS call the run consults c, keyed by the query's
@@ -378,9 +366,6 @@ func Run(q *Query, cat *Catalog, opts ...RunOption) (*Report, error) {
 			}
 		}
 		cfg.core.Stats = st
-	}
-	if cfg.shards > 0 && cat.ShardCount() != cfg.shards {
-		cat.Shard(cfg.shards)
 	}
 	cfg.core.Sink = obs.Multi(cfg.core.Sink, obs.MessageSink(cfg.trace))
 	res, err := core.Run(q, engine.New(cat), budget, cfg.core)

@@ -141,49 +141,6 @@ func TestReportOutputOutlivesRelease(t *testing.T) {
 	}
 }
 
-// TestWithShardsDeterministic pins the sharding guarantee at the public API:
-// every shard count returns the same query answer, and within one layout a
-// repeated run reproduces the exact output rows.
-func TestWithShardsDeterministic(t *testing.T) {
-	run := func(shards int) *Report {
-		rep, err := Run(buildQuery(), buildWorld(), WithSeed(5), WithIterations(150), WithShards(shards))
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		return rep
-	}
-	unsharded := run(1)
-	for _, s := range []int{1, 2, 4, 16} {
-		ref := run(s)
-		if ref.Rows != unsharded.Rows || ref.Value != unsharded.Value {
-			t.Errorf("shards %d: rows/value %d/%g, unsharded %d/%g",
-				s, ref.Rows, ref.Value, unsharded.Rows, unsharded.Value)
-		}
-		rep := run(s)
-		if rep.Rows != ref.Rows || rep.Value != ref.Value || rep.Produced != ref.Produced {
-			t.Errorf("shards %d repeat: rows/value/produced %d/%g/%g, want %d/%g/%g",
-				s, rep.Rows, rep.Value, rep.Produced, ref.Rows, ref.Value, ref.Produced)
-		}
-		if !table.IdenticalRows(rep.Output.Rows, ref.Output.Rows) {
-			t.Errorf("shards %d: output rows differ within the same layout", s)
-		}
-	}
-}
-
-// TestWithShardsLayoutPersists pins WithShards on a catalog reused across
-// runs: the layout persists, n <= 0 keeps it, and 1 clears it.
-func TestWithShardsLayoutPersists(t *testing.T) {
-	cat := buildWorld()
-	for _, step := range []struct{ n, want int }{{4, 4}, {0, 4}, {-1, 4}, {1, 1}} {
-		if _, err := Run(buildQuery(), cat, WithSeed(5), WithIterations(150), WithShards(step.n)); err != nil {
-			t.Fatalf("WithShards(%d): %v", step.n, err)
-		}
-		if got := cat.ShardCount(); got != step.want {
-			t.Errorf("after WithShards(%d): ShardCount() = %d, want %d", step.n, got, step.want)
-		}
-	}
-}
-
 func TestRunBudgets(t *testing.T) {
 	cat := buildWorld()
 	if _, err := Run(buildQuery(), cat, WithSeed(2), WithMaxTuples(10)); !errors.Is(err, ErrBudget) {

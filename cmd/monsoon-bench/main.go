@@ -7,7 +7,6 @@
 //	monsoon-bench [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus]
 //	              [-v] [-obs-linger DUR] [-cpuprofile FILE] [-memprofile FILE]
 //	              [-scale tiny|small|medium] [-seed N]
-//	              [-shards N]
 //	              [-calibration-file FILE] [-replan-threshold Q]
 //	              [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
@@ -49,7 +48,7 @@ type options struct {
 
 // bindFlags registers monsoon-bench's flags on fs.
 func bindFlags(fs *flag.FlagSet) *options {
-	o := &options{shared: harness.BindFlags(fs, "small", harness.EngineFlags|harness.CostFlags|harness.TelemetryFlags)}
+	o := &options{shared: harness.BindFlags(fs, "small", harness.CostFlags|harness.TelemetryFlags)}
 	fs.StringVar(&o.exp, "exp", "all", "experiment: all, table1..table8, figure1..figure3, ablation, estimates, tracecorpus")
 	fs.BoolVar(&o.verbose, "v", false, "print per-query progress to stderr")
 	fs.DurationVar(&o.obsLinger, "obs-linger", 0, "keep the -obs-addr server up this long after the campaign finishes (for scraping in CI)")

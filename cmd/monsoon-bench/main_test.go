@@ -23,7 +23,6 @@ func TestFlagSurface(t *testing.T) {
 		"replan-threshold": "0",
 		"scale":            "small",
 		"seed":             "1",
-		"shards":           "0",
 		"trace-json":       "",
 		"v":                "false",
 	}

@@ -10,7 +10,6 @@
 //	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
 //	            [-prior NAME] [-explain] [-repeat N]
 //	            [-scale tiny|small|medium] [-seed N]
-//	            [-shards N]
 //	            [-calibration-file FILE] [-replan-threshold Q]
 //	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
@@ -47,7 +46,7 @@ type options struct {
 
 // bindFlags registers monsoon-cli's flags on fs.
 func bindFlags(fs *flag.FlagSet) *options {
-	o := &options{shared: harness.BindFlags(fs, "tiny", harness.EngineFlags|harness.CostFlags|harness.TelemetryFlags)}
+	o := &options{shared: harness.BindFlags(fs, "tiny", harness.CostFlags|harness.TelemetryFlags)}
 	fs.StringVar(&o.bench, "bench", "tpch", "benchmark: tpch, imdb, ott, or udf")
 	fs.StringVar(&o.query, "query", "", "query name (empty lists the options)")
 	fs.StringVar(&o.opt, "opt", "monsoon", "optimizer option: monsoon, postgres, defaults, greedy, ondemand, sampling, skinner, lec, handwritten (ott only)")

@@ -25,7 +25,6 @@ func TestFlagSurface(t *testing.T) {
 		"replan-threshold": "0",
 		"scale":            "tiny",
 		"seed":             "1",
-		"shards":           "0",
 		"trace-json":       "",
 	}
 	got := map[string]string{}

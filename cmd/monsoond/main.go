@@ -26,7 +26,6 @@
 //	         [-max-concurrent N] [-timeout D] [-max-tuples N] [-cache-cap N]
 //	         [-harden-stats] [-drain-timeout D]
 //	         [-scale tiny|small|medium] [-seed N]
-//	         [-shards N]
 //	         [-calibration-file FILE] [-replan-threshold Q]
 //
 // The flags from -scale on are bound by harness.BindFlags, as in the other
@@ -58,7 +57,7 @@ type options struct {
 
 // bindFlags registers monsoond's flags on fs.
 func bindFlags(fs *flag.FlagSet) *options {
-	o := &options{shared: harness.BindFlags(fs, "tiny", harness.EngineFlags|harness.CostFlags)}
+	o := &options{shared: harness.BindFlags(fs, "tiny", harness.CostFlags)}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.bench, "bench", "tpch", "benchmark to serve: tpch, imdb, ott, or udf")
 	fs.IntVar(&o.iterations, "iterations", 0, "MCTS rollout budget per planning call: 0 = the scale's default")

@@ -24,7 +24,6 @@ func TestFlagSurface(t *testing.T) {
 		"replan-threshold": "0",
 		"scale":            "tiny",
 		"seed":             "1",
-		"shards":           "0",
 		"timeout":          "0s",
 	}
 	got := map[string]string{}

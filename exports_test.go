@@ -19,10 +19,10 @@ import (
 var internalExportAllowList = map[string]string{
 	"mcts.UCT":                 "the zero Strategy, so the default: callers get it without naming it",
 	"obs.SpanNode.MarshalJSON": "encoding/json calls it",
-	"obs.Tracer.TraceID":       "claimed by per-request trace ids in the daemon (ROADMAP)",
-	"opt.PlanCostOf":           "claimed by the true-cardinality regret report (ROADMAP)",
-	"sketch.NewSpaceSaving":    "claimed by the heavy-hitter skew sketch (ROADMAP)",
-	"sketch.SpaceSaving.Top":   "claimed by the heavy-hitter skew sketch (ROADMAP)",
+	"obs.Tracer.TraceID":       "claimed by per-request trace ids in the daemon (ROADMAP item 4)",
+	"opt.PlanCostOf":           "claimed by the true-cardinality regret report (ROADMAP item 2)",
+	"sketch.NewSpaceSaving":    "claimed by the heavy-hitter skew sketch (ROADMAP item 14)",
+	"sketch.SpaceSaving.Top":   "claimed by the heavy-hitter skew sketch (ROADMAP item 14)",
 	"stats.Store.Measured":     "the string-keyed read the stats, opt and core tests share",
 	"table.IdenticalRows":      "the row comparison the table, engine and root tests share",
 }

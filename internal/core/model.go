@@ -31,11 +31,6 @@ type Model struct {
 	// policy's greedy join ordering still compares cardinalities, which the
 	// calibration leaves untouched.
 	Profile *cost.CostProfile
-	// Shards exposes the catalog's shard layout to EXECUTE's cost deriver, so
-	// the search prices a reshuffled hash build above a co-partitioned one and
-	// the reshuffle-vs-local choice becomes a real action trade-off. Nil (or
-	// an unsharded layout) keeps simulation bit-identical to pre-sharding.
-	Shards cost.ShardLayout
 
 	// sample and mean are the model's two cost.MissFns, made at first use:
 	// see priorMiss and meanMiss.
@@ -90,7 +85,7 @@ var _ mcts.Model = (*Model)(nil)
 // concurrently without touching each other's sample streams.
 func (m *Model) Fork(seed int64) mcts.Model {
 	return &Model{Q: m.Q, Prior: m.Prior, Rng: randx.New(seed),
-		UniformRollout: m.UniformRollout, Profile: m.Profile, Shards: m.Shards}
+		UniformRollout: m.UniformRollout, Profile: m.Profile}
 }
 
 // Legal implements mcts.Model. The actions are handed out as pointers into
@@ -151,7 +146,7 @@ func (m *Model) execute(s *State, nodes *plan.Arena) float64 {
 // deriver sets the model's one deriver up over st: the simulation derives a
 // step at a time, so a deriver per step would only be garbage.
 func (m *Model) deriver(st *stats.Store, miss cost.MissFn) *cost.Deriver {
-	m.sim.dv = cost.Deriver{Q: m.Q, St: st, Miss: miss, Profile: m.Profile, Layout: m.Shards}
+	m.sim.dv = cost.Deriver{Q: m.Q, St: st, Miss: miss, Profile: m.Profile}
 	return &m.sim.dv
 }
 

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"monsoon/internal/engine"
 	"monsoon/internal/expr"
 	"monsoon/internal/obs"
+	"monsoon/internal/plancache"
 	"monsoon/internal/query"
 	"monsoon/internal/table"
 	"monsoon/internal/value"
@@ -198,5 +201,103 @@ func TestPlanSpansCarryStats(t *testing.T) {
 		if sp.Num["root_actions"] < 1 {
 			t.Errorf("plan span %d: root_actions = %v, want >= 1", i, sp.Num["root_actions"])
 		}
+	}
+}
+
+// renderSpanTree renders the span forest as indented "kind name" lines,
+// pruning the fan-out kind whose presence depends on the machine (KWorker)
+// rather than on the plan. What remains is the plan-shaped operator skeleton
+// that must not move with the worker count.
+func renderSpanTree(spans []*obs.Span) string {
+	children := map[int][]*obs.Span{}
+	byID := map[int]*obs.Span{}
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+		children[sp.Parent] = append(children[sp.Parent], sp)
+	}
+	var b strings.Builder
+	var walk func(sp *obs.Span, depth int)
+	walk = func(sp *obs.Span, depth int) {
+		if sp.Kind == obs.KWorker {
+			return
+		}
+		fmt.Fprintf(&b, "%s%s %s\n", strings.Repeat("  ", depth), sp.Kind, sp.Name)
+		for _, c := range children[sp.ID] {
+			walk(c, depth+1)
+		}
+	}
+	for _, sp := range spans {
+		if _, ok := byID[sp.Parent]; !ok {
+			walk(sp, 0)
+		}
+	}
+	return b.String()
+}
+
+// TestShardedRunDeterminism is the session-level determinism golden: the
+// worker count perturbs NOTHING — rows, aggregate, produced charge, the
+// action trace and the operator span skeleton (pruned of the machine-dependent
+// KWorker fan-out spans) are all byte-identical, and a repeated run
+// reproduces itself exactly.
+func TestShardedRunDeterminism(t *testing.T) {
+	type golden struct {
+		rows     int
+		value    float64
+		produced float64
+		trace    string
+		spans    string
+	}
+	run := func(par int) golden {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		cat, q := fixture()
+		eng := engine.New(cat)
+		col := &obs.Collector{}
+		var lines []string
+		res, err := Run(q, eng, &engine.Budget{}, Config{
+			Seed: 7, Iterations: 300,
+			Sink: obs.Multi(col, obs.MessageSink(func(l string) { lines = append(lines, l) })),
+		})
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		return golden{res.Rows, res.Value, res.Produced,
+			strings.Join(lines, "\n"), renderSpanTree(col.Spans)}
+	}
+	ref := run(0)
+	for _, par := range []int{0, 1, 4} {
+		if got := run(par); got != ref {
+			t.Errorf("par=%d diverged from the default width:\n"+
+				"rows/value/produced: %d/%v/%v vs %d/%v/%v\ntrace equal: %t, spans equal: %t",
+				par, got.rows, got.value, got.produced, ref.rows, ref.value, ref.produced,
+				got.trace == ref.trace, got.spans == ref.spans)
+		}
+	}
+}
+
+// TestShardedWarmCacheReplaysExactly: a warm plan cache must replay the cold
+// run's choices bit-identically.
+func TestShardedWarmCacheReplaysExactly(t *testing.T) {
+	cache := plancache.New(0)
+	run := func() (float64, int, int, int) {
+		cat, q := fixture()
+		eng := engine.New(cat)
+		res, err := Run(q, eng, &engine.Budget{}, Config{
+			Seed: 7, Iterations: 300, Cache: cache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Produced, res.Rows, res.CacheHits, res.CacheMisses
+	}
+	coldP, coldR, _, coldMiss := run()
+	warmP, warmR, warmHits, _ := run()
+	if coldMiss == 0 {
+		t.Error("cold run must miss the cache")
+	}
+	if warmHits == 0 {
+		t.Error("warm run must hit the cache")
+	}
+	if coldP != warmP || coldR != warmR {
+		t.Errorf("warm replay (%v, %d) != cold (%v, %d)", warmP, warmR, coldP, coldR)
 	}
 }

@@ -78,40 +78,34 @@ type playoutCase struct {
 }
 
 // playoutCorpus is every query of the TPC-H and UDF suites at tiny scale,
-// greedy and uniform, with and without a calibrated profile, over an
-// unsharded and a 4-shard layout.
+// greedy and uniform, with and without a calibrated profile.
 func playoutCorpus() []playoutCase {
 	profile := &cost.CostProfile{
 		Scan: cost.Rate{SecondsPerObject: 2e-9}, Reuse: cost.Rate{SecondsPerObject: 1e-9},
 		HashBuild: cost.Rate{SecondsPerObject: 5e-9}, HashProbe: cost.Rate{SecondsPerObject: 3e-9},
 		NestedLoop: cost.Rate{SecondsPerObject: 7e-9}, Sigma: cost.Rate{SecondsPerObject: 4e-9},
-		Materialize: cost.Rate{SecondsPerObject: 1e-9}, Exchange: cost.Rate{SecondsPerObject: 6e-9},
+		Materialize: cost.Rate{SecondsPerObject: 1e-9},
+	}
+	type bound struct {
+		q   *query.Query
+		cat *table.Catalog
+	}
+	var qs []bound
+	tcat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 1})
+	for _, q := range tpch.Queries() {
+		qs = append(qs, bound{q, tcat})
+	}
+	for _, qc := range udf.Generate(udf.Config{Titles: 150, ScaleFactor: 0.001, Seed: 1}).All() {
+		qs = append(qs, bound{qc.Query, qc.Cat})
 	}
 	var out []playoutCase
-	for _, shards := range []int{1, 4} {
-		type bound struct {
-			q   *query.Query
-			cat *table.Catalog
-		}
-		var qs []bound
-		tcat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 1})
-		for _, q := range tpch.Queries() {
-			qs = append(qs, bound{q, tcat})
-		}
-		for _, qc := range udf.Generate(udf.Config{Titles: 150, ScaleFactor: 0.001, Seed: 1}).All() {
-			qs = append(qs, bound{qc.Query, qc.Cat})
-		}
-		for _, b := range qs {
-			if shards > 1 {
-				b.cat.Shard(shards) // idempotent: catalogs are shared by queries
-			}
-			for _, uniform := range []bool{false, true} {
-				for _, prof := range []*cost.CostProfile{nil, profile} {
-					out = append(out, playoutCase{
-						label: fmt.Sprintf("%s S=%d uniform=%t profiled=%t", b.q.Name, shards, uniform, prof != nil),
-						q:     b.q, cat: b.cat, uniform: uniform, profile: prof,
-					})
-				}
+	for _, b := range qs {
+		for _, uniform := range []bool{false, true} {
+			for _, prof := range []*cost.CostProfile{nil, profile} {
+				out = append(out, playoutCase{
+					label: fmt.Sprintf("%s uniform=%t profiled=%t", b.q.Name, uniform, prof != nil),
+					q:     b.q, cat: b.cat, uniform: uniform, profile: prof,
+				})
 			}
 		}
 	}
@@ -122,7 +116,7 @@ func playoutCorpus() []playoutCase {
 func (c playoutCase) model(seed int64) (*Model, *countingPrior) {
 	cp := &countingPrior{Prior: prior.Default()}
 	return &Model{Q: c.q, Prior: cp, Rng: randx.New(seed), UniformRollout: c.uniform,
-		Profile: c.profile, Shards: c.cat}, cp
+		Profile: c.profile}, cp
 }
 
 // starts walks from the root by uniformly random legal actions, stepped by

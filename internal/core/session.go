@@ -13,7 +13,6 @@ import (
 	"monsoon/internal/query"
 	"monsoon/internal/randx"
 	"monsoon/internal/stats"
-	"monsoon/internal/table"
 )
 
 // Session is the driver's §5.3 loop made explicit: it owns the long-lived
@@ -99,8 +98,7 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s.state = NewInitialState(q, st)
 
 	s.tr = obs.NewTracer(cfg.Sink)
-	// cfg.Metrics also receives the engine's exchange counters.
-	s.ex = eng.NewExec(engine.ExecConfig{Obs: s.tr, Metrics: cfg.Metrics})
+	s.ex = eng.NewExec(engine.ExecConfig{Obs: s.tr})
 	s.res.ex = s.ex
 
 	s.model = &Model{
@@ -108,7 +106,6 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 		Rng:            randx.New(randx.Derive(cfg.Seed, "sim")),
 		UniformRollout: cfg.UniformRollout,
 		Profile:        cfg.Profile,
-		Shards:         eng.Cat,
 	}
 	if cfg.ReplanThreshold > 0 && cfg.Metrics != nil {
 		// Materialize the replan counters at zero so an armed session always
@@ -124,7 +121,7 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s.planner = mcts.New(mcts.Config{Strategy: cfg.Strategy, Iterations: cfg.Iterations}, randx.Derive(cfg.Seed, "mcts"))
 
 	if cfg.Cache != nil {
-		s.shape = canonicalShape(q, cfg, eng.Cat)
+		s.shape = canonicalShape(q, cfg)
 	}
 	s.qsp = s.tr.Start(obs.KQuery, q.Name)
 	return s
@@ -461,7 +458,7 @@ func writeQueryShape(b *strings.Builder, q *query.Query) {
 // that influence plan choice, as the cache-key prefix. Two queries with the
 // same shape, knobs, frontier, and bucketed statistics are planning-
 // equivalent, which is exactly when memoized picks may be shared.
-func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
+func canonicalShape(q *query.Query, cfg Config) string {
 	var b strings.Builder
 	writeQueryShape(&b, q)
 	fmt.Fprintf(&b, "|seed=%d;it=%d;strat=%d;uni=%t;prior=%s",
@@ -472,13 +469,6 @@ func canonicalShape(q *query.Query, cfg Config, cat *table.Catalog) string {
 		// calibrated from a different corpus). Nil profiles append nothing,
 		// preserving every pre-calibration cache key byte-for-byte.
 		fmt.Fprintf(&b, ";prof=%s", cfg.Profile.Fingerprint())
-	}
-	if cat != nil && cat.ShardCount() > 1 {
-		// Sharded sessions price exchanges into EXECUTE, so memoized picks
-		// only transfer between engines with the same shard layout. Unsharded
-		// catalogs append nothing, keeping S=1 keys byte-identical to every
-		// pre-sharding key.
-		fmt.Fprintf(&b, ";shards=%s", cat.LayoutFingerprint())
 	}
 	return b.String()
 }

@@ -53,22 +53,6 @@ type Deriver struct {
 	// seconds. Nil = the unit profile: the historical flat object-count
 	// model, bit-identical to every pinned golden.
 	Profile *CostProfile
-	// Layout, when set to a sharded layout (ShardCount > 1), adds the
-	// exchange movement term: a hash build whose child is not co-partitioned
-	// with the storage layout reshuffles every build row, priced at the
-	// Exchange rate (1 per moved object under the unit profile). A nil or
-	// unsharded layout changes nothing, so every pre-sharding cost stays
-	// bit-identical.
-	Layout ShardLayout
-}
-
-// ShardLayout is the planner's read-only view of the storage layer's hash
-// shard layout. *table.Catalog implements it; the interface keeps the cost
-// model decoupled from storage and lets tests fake layouts directly.
-type ShardLayout interface {
-	// ShardCount reports the layout width; 1 (or less) means unsharded.
-	ShardCount() int
-	plan.ShardKeys
 }
 
 // Distinct resolves d(term, expr | partner): measured over the expression
@@ -191,10 +175,9 @@ func (dv *Deriver) leafCount(leaf query.AliasSet) float64 {
 // weighted by the Profile rate of the physical operator the engine will run
 // on it — scan or reuse at a leaf; at a join, a hash probe plus the build of
 // the right child when plan.Node.LeadKey finds a key predicate, else a nested
-// loop, plus the build rows an exchange moves — then the Σ extra pass and the
-// root materialization. The unit profile (a nil Profile) makes this the flat
-// object count: each node's count, plus the moved rows, plus one more pass of
-// the root under Σ.
+// loop — then the Σ extra pass and the root materialization. The unit profile
+// (a nil Profile) makes this the flat object count: each node's count, plus
+// one more pass of the root under Σ.
 func (dv *Deriver) PlanCost(n *plan.Node) float64 {
 	dv.bind()
 	p := dv.Profile
@@ -212,9 +195,8 @@ func (dv *Deriver) PlanCost(n *plan.Node) float64 {
 // unit profile's sums in the order of the historical flat model, so its costs
 // stay bit-identical. Counts are derived in that model's order too (a child's
 // count can be missing under a hardened parent, and each Miss draw advances
-// the prior): the node, the rows an exchange moves, then the children. The
-// build count a calibrated profile prices is read after the right subtree,
-// which has derived it.
+// the prior): the node, then the children. The build count a calibrated
+// profile prices is read after the right subtree, which has derived it.
 func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
 	cnt := dv.nodeCount(n)
 	if n.IsLeaf() {
@@ -224,14 +206,10 @@ func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
 		return p.Scan.of(cnt)
 	}
 	bt := dv.leadKey(p, n)
-	var moved float64
-	if bt != nil && dv.reshuffles(n.Right, bt) {
-		moved = dv.nodeCount(n.Right)
-	}
 	left, right := dv.nodeCost(p, n.Left), dv.nodeCost(p, n.Right)
 	var c float64
 	if bt != nil {
-		c = p.HashProbe.of(cnt) + p.HashBuild.of(dv.nodeCount(n.Right)) + p.Exchange.of(moved)
+		c = p.HashProbe.of(cnt) + p.HashBuild.of(dv.nodeCount(n.Right))
 	} else {
 		c = p.NestedLoop.of(cnt)
 	}
@@ -239,33 +217,15 @@ func (dv *Deriver) nodeCost(p *CostProfile, n *plan.Node) float64 {
 }
 
 // leadKey is plan.Node.LeadKey's build term where the answer is priced: the
-// profile rates a hash join apart from a nested loop, or a sharded layout may
-// move the build. Otherwise both joins cost the same (the unit profile over an
-// unsharded layout) and the walk over the query's predicates is skipped.
+// profile rates a hash join apart from a nested loop. Otherwise both joins
+// cost the same (the unit profile) and the walk over the query's predicates
+// is skipped.
 func (dv *Deriver) leadKey(p *CostProfile, n *plan.Node) *query.Term {
-	if p.HashProbe.SecondsPerObject == p.NestedLoop.SecondsPerObject && p.HashBuild.SecondsPerObject == 0 && !dv.sharded() {
+	if p.HashProbe.SecondsPerObject == p.NestedLoop.SecondsPerObject && p.HashBuild.SecondsPerObject == 0 {
 		return nil
 	}
 	bt, _ := n.LeadKey(dv.Q)
 	return bt
-}
-
-func (dv *Deriver) sharded() bool {
-	return dv.Layout != nil && dv.Layout.ShardCount() > 1
-}
-
-// reshuffles reports whether a hash build over child b moves its rows across
-// shard boundaries: the layout is sharded and does not serve b on the build
-// term (plan.Node.ShardLocal). One known imprecision: the model cannot see
-// the engine's materialized-intermediate store, so a single-alias leaf the
-// engine will serve from the reuse path (and therefore reshuffle) is still
-// priced shard-local here.
-func (dv *Deriver) reshuffles(b *plan.Node, bt *query.Term) bool {
-	if !dv.sharded() {
-		return false
-	}
-	_, local := b.ShardLocal(dv.Q, bt, dv.Layout)
-	return !local
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -47,8 +47,8 @@ type Rate struct {
 }
 
 // of prices objects at the rate. A zero rate contributes exactly 0, never
-// 0 × +Inf = NaN: a wide cross product can overflow a count, and a profile
-// written before sharding carries a zero Exchange rate.
+// 0 × +Inf = NaN: a wide cross product can overflow a count, and the unit
+// profile rates hash builds and the root materialization at zero.
 func (r Rate) of(objects float64) float64 {
 	if r.SecondsPerObject == 0 {
 		return 0
@@ -69,22 +69,15 @@ type CostProfile struct {
 	NestedLoop  Rate `json:"nested_loop"`
 	Sigma       Rate `json:"sigma"`
 	Materialize Rate `json:"materialize"`
-	// Exchange prices one row moved across shard boundaries by a reshuffled
-	// hash build. No span kind measures exchanges directly (routing happens
-	// inside the build), so the calibrator falls back to the hash-build rate
-	// when unobserved; profile JSONs written before sharding deserialize to a
-	// zero rate, making movement free until recalibrated.
-	Exchange Rate `json:"exchange"`
 }
 
 // unitProfile is what a Deriver with a nil Profile prices with: every object
-// a scan, reuse, probe, nested loop, Σ pass or exchange produces counts 1,
-// and a build or the root materialization adds nothing — the flat §4.4
-// object count.
+// a scan, reuse, probe, nested loop or Σ pass produces counts 1, and a build
+// or the root materialization adds nothing — the flat §4.4 object count.
 var unitProfile = &CostProfile{
 	Scan: Rate{SecondsPerObject: 1}, Reuse: Rate{SecondsPerObject: 1},
 	HashProbe: Rate{SecondsPerObject: 1}, NestedLoop: Rate{SecondsPerObject: 1},
-	Sigma: Rate{SecondsPerObject: 1}, Exchange: Rate{SecondsPerObject: 1},
+	Sigma: Rate{SecondsPerObject: 1},
 }
 
 // profileKinds orders the profile's fields for deterministic rendering; the
@@ -100,7 +93,7 @@ func (p *CostProfile) kinds() []struct {
 		{obs.KScan, &p.Scan}, {obs.KReuse, &p.Reuse},
 		{obs.KHashBuild, &p.HashBuild}, {obs.KHashProbe, &p.HashProbe},
 		{obs.KNestedLoop, &p.NestedLoop}, {obs.KSigma, &p.Sigma},
-		{obs.KMaterialize, &p.Materialize}, {"exchange", &p.Exchange},
+		{obs.KMaterialize, &p.Materialize},
 	}
 }
 
@@ -261,12 +254,6 @@ func (c *Calibrator) Profile() (*CostProfile, error) {
 		if k.R.Objects == 0 {
 			k.R.SecondsPerObject = mean
 		}
-	}
-	// Exchanges are never directly observed (no span kind covers them): a
-	// reshuffle routes rows inside the hash build, so its per-row cost tracks
-	// the build's. Prefer that over the all-kinds mean.
-	if p.Exchange.Objects == 0 && p.HashBuild.SecondsPerObject > 0 {
-		p.Exchange.SecondsPerObject = p.HashBuild.SecondsPerObject
 	}
 	return p, nil
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,4 +248,138 @@ func TestProfiledSingleAliasLeafIsScan(t *testing.T) {
 	if got := dv.PlanCost(leaf("R")); got != want {
 		t.Errorf("single-alias leaf cost = %v, want scan-rated %v", got, want)
 	}
+}
+
+// pricedExchangeJSON is testProfile as WriteJSON rendered it while the
+// planner still priced a shard exchange: with an "exchange" rate beside the
+// seven operator kinds. bareJSON is the same profile without that key.
+const (
+	pricedExchangeJSON = `{
+  "scan": {"seconds_per_object": 1, "seconds": 2, "objects": 2, "spans": 1},
+  "reuse": {"seconds_per_object": 2, "seconds": 0, "objects": 0, "spans": 0},
+  "hash_build": {"seconds_per_object": 3, "seconds": 3, "objects": 1, "spans": 1},
+  "hash_probe": {"seconds_per_object": 5, "seconds": 5, "objects": 1, "spans": 1},
+  "nested_loop": {"seconds_per_object": 7, "seconds": 7, "objects": 1, "spans": 1},
+  "sigma": {"seconds_per_object": 11, "seconds": 11, "objects": 1, "spans": 1},
+  "materialize": {"seconds_per_object": 13, "seconds": 13, "objects": 1, "spans": 1},
+  "exchange": {"seconds_per_object": 17, "seconds": 0, "objects": 0, "spans": 0}
+}`
+	bareJSON = `{
+  "scan": {"seconds_per_object": 1, "seconds": 2, "objects": 2, "spans": 1},
+  "reuse": {"seconds_per_object": 2, "seconds": 0, "objects": 0, "spans": 0},
+  "hash_build": {"seconds_per_object": 3, "seconds": 3, "objects": 1, "spans": 1},
+  "hash_probe": {"seconds_per_object": 5, "seconds": 5, "objects": 1, "spans": 1},
+  "nested_loop": {"seconds_per_object": 7, "seconds": 7, "objects": 1, "spans": 1},
+  "sigma": {"seconds_per_object": 11, "seconds": 11, "objects": 1, "spans": 1},
+  "materialize": {"seconds_per_object": 13, "seconds": 13, "objects": 1, "spans": 1}
+}`
+)
+
+// loadProfileText writes a profile JSON to a file and loads it.
+func loadProfileText(t testing.TB, text string) (*CostProfile, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.json")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadProfile(path)
+}
+
+// TestProfiledCostExchangeTerm: a profile that still carries the retired
+// "exchange" rate loads, and prices every plan exactly as the same profile
+// without it — no join is charged a moved row.
+func TestProfiledCostExchangeTerm(t *testing.T) {
+	old, err := loadProfileText(t, pricedExchangeJSON)
+	if err != nil {
+		t.Fatalf("profile with an exchange rate: %v", err)
+	}
+	bare, err := loadProfileText(t, bareJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Fingerprint() != bare.Fingerprint() || *old != *bare {
+		t.Errorf("the exchange key changed the profile: %+v vs %+v", old, bare)
+	}
+	rs, rt := plan.NewJoin(leaf("R"), leaf("S")), plan.NewJoin(leaf("R"), leaf("T"))
+	for _, tree := range []*plan.Node{rs, rt, plan.NewJoin(leaf("S"), leaf("T")),
+		plan.NewJoin(rs, leaf("T")), plan.NewJoin(leaf("T"), rs).WithSigma()} {
+		q, st := sec23(t, 10000, 10000)
+		got := (&Deriver{Q: q, St: st.Clone(), Miss: PanicMiss(), Profile: old}).PlanCost(tree)
+		want := (&Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: bare}).PlanCost(tree)
+		if got != want {
+			t.Errorf("%s: %v with the exchange key, %v without", tree, got, want)
+		}
+	}
+	// R⋈T is the sum of its operators and nothing more: scans (1e6+1e4)·1,
+	// probe 1e6·5, build 1e4·3, materialize 1e6·13.
+	q, st := sec23(t, 10000, 10000)
+	want := 1*(1e6+1e4) + 5*1e6 + 3*1e4 + 13*1e6
+	if got := (&Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: old}).PlanCost(rt); got != want {
+		t.Errorf("R⋈T = %v, want the operator sum %v", got, want)
+	}
+}
+
+// TestFlatCostNoExchangeForNestedLoop: the flat model prices a nested loop at
+// the objects its plan produces — both scans and the product — and nothing
+// more.
+func TestFlatCostNoExchangeForNestedLoop(t *testing.T) {
+	q, st := sec23(t, 10000, 10000)
+	cross := plan.NewJoin(leaf("S"), leaf("T")) // no predicate binds S to T
+	if got := (&Deriver{Q: q, St: st, Miss: PanicMiss()}).PlanCost(cross); got != 1e4+1e4+1e8 {
+		t.Errorf("nested-loop cost = %v, want %v", got, 1e4+1e4+1e8)
+	}
+}
+
+// TestZeroRateInfiniteCountIsNotNaN: a wide cross product can overflow a
+// count to +Inf, and the unit profile rates a hash build and the root
+// materialization at zero. A zero rate must contribute exactly 0, not
+// 0 × +Inf = NaN, which would poison every average the planner takes over the
+// cost.
+func TestZeroRateInfiniteCountIsNotNaN(t *testing.T) {
+	zeroBuild := testProfile()
+	zeroBuild.HashBuild = Rate{}
+	for _, p := range []*CostProfile{nil, zeroBuild} {
+		q, st := sec23(t, 10000, 10000)
+		st.SetCount("T", math.Inf(1))
+		dv := &Deriver{Q: q, St: st, Miss: PanicMiss(), Profile: p}
+		got := dv.PlanCost(plan.NewJoin(leaf("R"), leaf("T"))) // builds over T
+		if math.IsNaN(got) {
+			t.Fatalf("profile %+v: PlanCost = NaN, want +Inf", p)
+		}
+		if !math.IsInf(got, 1) {
+			t.Errorf("profile %+v: PlanCost = %v, want +Inf", p, got)
+		}
+	}
+}
+
+// FuzzLoadProfile: whatever bytes a profile file holds, LoadProfile either
+// refuses them or returns a profile whose every rate is non-negative and that
+// survives WriteJSON → LoadProfile with its Fingerprint.
+func FuzzLoadProfile(f *testing.F) {
+	f.Add(pricedExchangeJSON)
+	f.Add(bareJSON)
+	f.Add(`{"hash_probe":{"seconds_per_object":-0.5}}`)
+	f.Add(bareJSON[:len(bareJSON)/2])
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := loadProfileText(t, text)
+		if err != nil {
+			return
+		}
+		for _, k := range p.kinds() {
+			if !(k.R.SecondsPerObject >= 0) {
+				t.Fatalf("loaded a %v rate for %s", k.R.SecondsPerObject, k.Kind)
+			}
+		}
+		js, err := p.WriteJSON()
+		if err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		again, err := loadProfileText(t, string(js))
+		if err != nil {
+			t.Fatalf("reloading what WriteJSON wrote: %v\n%s", err, js)
+		}
+		if again.Fingerprint() != p.Fingerprint() {
+			t.Errorf("fingerprint %s after the round trip, %s before", again.Fingerprint(), p.Fingerprint())
+		}
+	})
 }

@@ -60,9 +60,7 @@ type Config struct {
 	// every query alike; its zero value defaults to harness.Tiny(). Seed is
 	// the base seed — per-query seeds derive from it by query name, so a
 	// query's result is identical no matter which client asks or when.
-	// Shards lays every served catalog out as hash shards the planner prices
-	// (answers are identical at any count). MCTSIterations is the
-	// per-planning-call rollout budget. Each query's engine and planner run
+	// MCTSIterations is the per-planning-call rollout budget. Each query's engine and planner run
 	// on up to GOMAXPROCS threads (a pure wall-time setting under the
 	// determinism contracts).
 	Scale harness.Scale
@@ -203,12 +201,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/queries", s.handleQueries)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		shards := s.cfg.Scale.Shards
-		if shards < 1 {
-			shards = 1
-		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_ms\":%d,\"shards\":%d}\n", time.Since(s.started).Milliseconds(), shards)
+		fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_ms\":%d}\n", time.Since(s.started).Milliseconds())
 	})
 	return mux
 }

@@ -55,7 +55,7 @@ func checkTightRows(t *testing.T, at string, rows []table.Row) {
 func TestRowLifetime(t *testing.T) {
 	defer func(was bool) { poisonReleased = was }(poisonReleased)
 	poisonReleased = true
-	cat := matrixCatalog(1, 1)
+	cat := matrixCatalog(1)
 	q := query.NewBuilder("abc").Rel("a", "A").Rel("b", "B").Rel("c", "C").
 		Join(expr.Identity("a.k"), expr.Identity("b.k")).
 		Join(expr.Identity("c.k"), expr.Identity("a.k")).

@@ -213,18 +213,14 @@ type ExecResult struct {
 
 // ExecConfig is the per-execution observation state. Every Session (and
 // every daemon request) carries its own copy inside an Exec scope, so
-// concurrent Sessions on one shared engine cannot clobber each other's tracer
-// and registry; the engine's catalog stays shared. The partitionable
-// operators' width is runtime.GOMAXPROCS(0), read per operator.
+// concurrent Sessions on one shared engine cannot clobber each other's
+// tracer; the engine's catalog stays shared. The partitionable operators'
+// width is runtime.GOMAXPROCS(0), read per operator.
 type ExecConfig struct {
 	// Obs, when non-nil, receives one span per operator (scan, reuse,
 	// hash-build/probe, nested loop, Σ pass) with rows-in/rows-out and wall
 	// time. Nil (the default) costs nothing: every tracer call no-ops.
 	Obs *obs.Tracer
-	// Metrics, when non-nil, receives the engine's exchange counters:
-	// monsoon.exchange.joins.local/reshuffle and monsoon.exchange.rows,
-	// counted only on a sharded catalog. Nil (the default) skips them.
-	Metrics *obs.Registry
 	// testBatch, when positive, replaces the pipeline batch (batchRows) so
 	// this package's tests can cross batch boundaries on small data. It is
 	// a test seam, not an option: nothing outside the package can set it.

@@ -3,8 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -26,7 +27,6 @@ var (
 	matrixSeeds   = []int64{1, 42}
 	matrixBatches = []int{1, 7, 4096, 1 << 30}
 	matrixWorkers = []int{1, 2, 7}
-	matrixShards  = []int{1, 2, 4, 16}
 )
 
 // matrixCatalog generates four tables whose first column is a join key drawn
@@ -35,7 +35,7 @@ var (
 // and a build over it does even after the selection f = 0, which keeps seven
 // rows in ten — B large enough that a build over it does, C and D small
 // enough to cross.
-func matrixCatalog(seed int64, shards int) *table.Catalog {
+func matrixCatalog(seed int64) *table.Catalog {
 	rng := rand.New(rand.NewSource(seed))
 	cat := table.NewCatalog()
 	for _, spec := range []struct {
@@ -65,7 +65,6 @@ func matrixCatalog(seed int64, shards int) *table.Catalog {
 		}
 		cat.Put(b.Build())
 	}
-	cat.Shard(shards)
 	return cat
 }
 
@@ -103,20 +102,18 @@ func matrixCases() []matrixCase {
 		MustBuild()
 	return []matrixCase{
 		// Hash join with a second key predicate under a Σ root; b is an
-		// unfiltered build leaf, its stored rows handed over without a drain
-		// on every layout (co-partitioned, local, at S > 1).
+		// unfiltered build leaf, its stored rows handed over without a drain.
 		{"residual-sigma", ab, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b")).WithSigma()}},
 		// Two key predicates with the table keyed on the one whose chains are
 		// some 90 rows long: the probe passes over nearly all of each chain
-		// on the other's filter hash (key_terms = 2 in every cell), and the
-		// build, keyed on a UDF, is a reshuffle at S > 1.
+		// on the other's filter hash (key_terms = 2 in every cell); the build
+		// is keyed on a UDF.
 		{"long-chains", abLong, []*plan.Node{plan.NewJoin(leaf("a"), leaf("b"))}},
-		// A pushed-down selection on the co-partitioned build leaf.
+		// A pushed-down selection on the build leaf.
 		{"filtered-build", baSel, []*plan.Node{plan.NewJoin(leaf("b"), leaf("a"))}},
 		// No predicate separates d and c: a nested loop with a residual.
 		{"nested-loop", dc, []*plan.Node{plan.NewJoin(leaf("d"), leaf("c"))}},
-		// b is materialized first and then reused as the build side, which
-		// the storage layout no longer serves: a reshuffle at S > 1.
+		// b is materialized first and then reused as the build side.
 		{"reuse", ab, []*plan.Node{leaf("b"), plan.NewJoin(leaf("a"), leaf("b"))}},
 		// The build side is itself a join, probed by a small table.
 		{"right-deep", abc, []*plan.Node{plan.NewJoin(leaf("c"), plan.NewJoin(leaf("a"), leaf("b")))}},
@@ -145,13 +142,11 @@ type spanSig struct {
 }
 
 // configAttrs are the span attributes that describe how an operator's loop
-// was spread over workers and shards, not what it computed.
-var configAttrs = map[string]bool{
-	"workers": true, "worker_spans": true, "shards": true, "local": true, "exchange_rows": true,
-}
+// was spread over workers, not what it computed.
+var configAttrs = map[string]bool{"workers": true, "worker_spans": true}
 
 // spanSigs reduces a span stream, in emission order, to the part that must
-// not depend on batch size, worker count or shard layout: everything but the
+// not depend on batch size or worker count: everything but the
 // KWorker spans and the configAttrs.
 func spanSigs(spans []*obs.Span) []spanSig {
 	return sigsOf(spans, func(sp *obs.Span) bool { return sp.Kind != obs.KWorker }, configAttrs)
@@ -233,9 +228,9 @@ func runMatrixCase(t *testing.T, cat *table.Catalog, mc matrixCase, batch, par i
 }
 
 // TestEngineConfigMatrix is the engine's one-path guarantee: how an
-// operator's loop is spread over batches, workers and shard layouts changes
-// nothing an optimizer or a client can observe. Every cell of testBatch ×
-// GOMAXPROCS × shard count must equal the (1 << 30, 1, 1) reference in rows
+// operator's loop is spread over batches and workers changes nothing an
+// optimizer or a client can observe. Every cell of testBatch × GOMAXPROCS
+// must equal the (1 << 30, 1) reference in rows
 // and their order, Produced, Counts, Σ observations, the budget total and the
 // span stream (less the configuration-dependent spans and attributes), and a
 // tuple budget that trips mid-tree must abort every cell the same way.
@@ -247,30 +242,25 @@ func TestEngineConfigMatrix(t *testing.T) {
 	}
 	fanned := false
 	for _, seed := range seeds {
-		cats := make(map[int]*table.Catalog)
-		for _, s := range matrixShards {
-			cats[s] = matrixCatalog(seed, s)
-		}
+		cat := matrixCatalog(seed)
 		for _, mc := range matrixCases() {
-			ref, _ := runMatrixCase(t, cats[1], mc, 1<<30, 1)
+			ref, _ := runMatrixCase(t, cat, mc, 1<<30, 1)
 			if n := len(ref.Rows[len(ref.Rows)-1]); n == 0 {
 				t.Fatalf("seed %d %s: empty reference answer proves nothing", seed, mc.name)
 			}
-			for _, s := range matrixShards {
-				for _, batch := range matrixBatches {
-					for _, par := range matrixWorkers {
-						cell := fmt.Sprintf("seed %d %s S=%d batch=%d par=%d", seed, mc.name, s, batch, par)
-						got, wide := runMatrixCase(t, cats[s], mc, batch, par)
-						fanned = fanned || wide
-						if !reflect.DeepEqual(got.Spans, ref.Spans) {
-							t.Errorf("%s: span stream differs from the reference\n got %+v\nwant %+v", cell, got.Spans, ref.Spans)
-							got.Spans = ref.Spans
-						}
-						if !got.same(ref) {
-							t.Errorf("%s: rows, Produced, Counts, Σ or budget total differ from the reference", cell)
-						}
-						checkBudgetAbort(t, cell, cats[s], mc, batch, par, ref)
+			for _, batch := range matrixBatches {
+				for _, par := range matrixWorkers {
+					cell := fmt.Sprintf("seed %d %s batch=%d par=%d", seed, mc.name, batch, par)
+					got, wide := runMatrixCase(t, cat, mc, batch, par)
+					fanned = fanned || wide
+					if !reflect.DeepEqual(got.Spans, ref.Spans) {
+						t.Errorf("%s: span stream differs from the reference\n got %+v\nwant %+v", cell, got.Spans, ref.Spans)
+						got.Spans = ref.Spans
 					}
+					if !got.same(ref) {
+						t.Errorf("%s: rows, Produced, Counts, Σ or budget total differ from the reference", cell)
+					}
+					checkBudgetAbort(t, cell, cat, mc, batch, par, ref)
 				}
 			}
 		}
@@ -289,26 +279,24 @@ func TestMatrixAfterRelease(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer func(was bool) { poisonReleased = was }(poisonReleased)
 	poisonReleased = true
-	for _, s := range []int{1, 4} {
-		cat := matrixCatalog(matrixSeeds[0], s)
-		for _, batch := range matrixBatches {
-			for _, par := range matrixWorkers {
-				ex := New(cat).NewExec(ExecConfig{testBatch: batch})
-				for _, mc := range matrixCases() {
-					fresh, _ := runMatrixCase(t, cat, mc, batch, par)
-					runtime.GOMAXPROCS(par)
-					for ti, tree := range mc.trees {
-						rel, _, err := ex.ExecTree(mc.q, tree, &Budget{})
-						if err != nil {
-							t.Fatalf("S=%d batch=%d par=%d %s %s: %v", s, batch, par, mc.name, tree, err)
-						}
-						if !table.IdenticalRows(rel.Rows, fresh.Rows[ti]) {
-							t.Errorf("S=%d batch=%d par=%d %s %s: %d rows after a release, %d on a fresh scope, or another order",
-								s, batch, par, mc.name, tree, len(rel.Rows), len(fresh.Rows[ti]))
-						}
+	cat := matrixCatalog(matrixSeeds[0])
+	for _, batch := range matrixBatches {
+		for _, par := range matrixWorkers {
+			ex := New(cat).NewExec(ExecConfig{testBatch: batch})
+			for _, mc := range matrixCases() {
+				fresh, _ := runMatrixCase(t, cat, mc, batch, par)
+				runtime.GOMAXPROCS(par)
+				for ti, tree := range mc.trees {
+					rel, _, err := ex.ExecTree(mc.q, tree, &Budget{})
+					if err != nil {
+						t.Fatalf("batch=%d par=%d %s %s: %v", batch, par, mc.name, tree, err)
 					}
-					ex.Release()
+					if !table.IdenticalRows(rel.Rows, fresh.Rows[ti]) {
+						t.Errorf("batch=%d par=%d %s %s: %d rows after a release, %d on a fresh scope, or another order",
+							batch, par, mc.name, tree, len(rel.Rows), len(fresh.Rows[ti]))
+					}
 				}
+				ex.Release()
 			}
 		}
 	}
@@ -351,9 +339,9 @@ func checkBudgetAbort(t *testing.T, cell string, cat *table.Catalog, mc matrixCa
 }
 
 // matrixBadColumn: a predicate over a column that does not exist is a
-// per-query error, the same one on every shard layout — whether it is a
-// residual at the join (where the co-partitioned build leaf has already
-// opened) or a selection pushed down to that leaf.
+// per-query error, the same one at every worker count — whether it is a
+// residual at the join (where the build leaf has already opened) or a
+// selection pushed down to that leaf.
 func matrixBadColumn(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	queries := map[string]*query.Query{
@@ -369,23 +357,21 @@ func matrixBadColumn(t *testing.T) {
 	tree := plan.NewJoin(leaf("a"), leaf("b"))
 	for name, q := range queries {
 		var want string
-		for _, s := range []int{1, 4} {
-			for _, par := range matrixWorkers {
-				runtime.GOMAXPROCS(par)
-				ex := New(matrixCatalog(1, s)).NewExec(ExecConfig{})
-				_, res, err := ex.ExecTree(q, tree, &Budget{})
-				if err == nil {
-					t.Fatalf("%s S=%d par=%d: no error", name, s, par)
-				}
-				if want == "" {
-					want = err.Error()
-				}
-				if err.Error() != want {
-					t.Errorf("%s S=%d par=%d: error %q, want %q", name, s, par, err, want)
-				}
-				if len(res.Counts) != 0 {
-					t.Errorf("%s S=%d par=%d: failed open recorded cardinalities %v", name, s, par, res.Counts)
-				}
+		for _, par := range matrixWorkers {
+			runtime.GOMAXPROCS(par)
+			ex := New(matrixCatalog(1)).NewExec(ExecConfig{})
+			_, res, err := ex.ExecTree(q, tree, &Budget{})
+			if err == nil {
+				t.Fatalf("%s par=%d: no error", name, par)
+			}
+			if want == "" {
+				want = err.Error()
+			}
+			if err.Error() != want {
+				t.Errorf("%s par=%d: error %q, want %q", name, par, err, want)
+			}
+			if len(res.Counts) != 0 {
+				t.Errorf("%s par=%d: failed open recorded cardinalities %v", name, par, res.Counts)
 			}
 		}
 	}
@@ -399,7 +385,7 @@ func matrixBadColumn(t *testing.T) {
 // first matrix seed only.
 func TestMatrixReferenceMatchesOracle(t *testing.T) {
 	seed := matrixSeeds[0]
-	cat := matrixCatalog(seed, 1)
+	cat := matrixCatalog(seed)
 	memo := map[string][]table.Row{}
 	for _, mc := range matrixCases() {
 		ref, _ := runMatrixCase(t, cat, mc, 1<<30, 1)
@@ -572,88 +558,123 @@ func sameMultiset(a, b []table.Row) bool {
 	return true
 }
 
-// TestEngineCostAgreement: for every matrix tree at S ∈ {1, 4}, the join the
-// engine runs is the join the cost model prices. A join is a hash build
-// exactly where plan.Node.LeadKey finds a key predicate; the span's key_terms
-// and residuals are what cost.ExplainAnalyze prints; and a sharded build is
-// local exactly when the Deriver prices no exchange for it. One divergence is
-// pinned as expected: a single-alias leaf reused from a materialized
-// intermediate, which the engine reshuffles and the Deriver, blind to the
-// engine's store, prices shard-local. A fix shows up here as a changed case.
+// TestEngineCostAgreement: for every matrix tree, the join the engine runs is
+// the join the cost model prices. A join is a hash build exactly where
+// plan.Node.LeadKey finds a key predicate, and the span's key_terms and
+// residuals are what cost.ExplainAnalyze prints.
 func TestEngineCostAgreement(t *testing.T) {
-	pinned := 0
-	for _, s := range []int{1, 4} {
-		cat := matrixCatalog(1, s)
+	cat := matrixCatalog(1)
+	for _, mc := range matrixCases() {
+		col := &obs.Collector{}
+		ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
+		for _, tree := range mc.trees {
+			if _, _, err := ex.ExecTree(mc.q, tree, &Budget{}); err != nil {
+				t.Fatalf("%s %s: %v", mc.name, tree, err)
+			}
+		}
+		spans := map[string]*obs.Span{}
+		for _, sp := range col.Spans {
+			if sp.Kind == obs.KHashBuild || sp.Kind == obs.KNestedLoop {
+				spans[sp.Name] = sp
+			}
+		}
+		for _, tree := range mc.trees {
+			explain := cost.ExplainAnalyze(mc.q, tree, nil, nil, nil, nil)
+			var walk func(n *plan.Node)
+			walk = func(n *plan.Node) {
+				if n.IsLeaf() {
+					return
+				}
+				walk(n.Left)
+				walk(n.Right)
+				cell := fmt.Sprintf("%s %s", mc.name, n.Key())
+				sp := spans[n.Key()]
+				if sp == nil {
+					t.Fatalf("%s: no hash-build or nested-loop span", cell)
+				}
+				if bt, _ := n.LeadKey(mc.q); (sp.Kind == obs.KHashBuild) != (bt != nil) {
+					t.Errorf("%s: the engine ran %s, the join rule's lead key is %v", cell, sp.Kind, bt)
+				}
+				shape := fmt.Sprintf(" residuals=%v ", sp.Num["residuals"])
+				if k, ok := sp.Num["key_terms"]; ok {
+					shape = fmt.Sprintf(" key_terms=%v", k) + shape
+				}
+				if !strings.Contains(explain, "⋈ ["+n.Key()+"]") || !strings.Contains(explainLine(explain, n.Key()), shape) {
+					t.Errorf("%s: the span says%s, EXPLAIN ANALYZE prints %q", cell, shape, explainLine(explain, n.Key()))
+				}
+			}
+			walk(tree)
+		}
+	}
+}
+
+// matrixTreeStores runs every matrix case at both matrix seeds and yields,
+// for each tree, a store seeded with the base statistics and the tree's own
+// executed counts, beside what the engine reported for it.
+func matrixTreeStores(t *testing.T, each func(cell string, q *query.Query, tree *plan.Node, st *stats.Store, res *ExecResult)) {
+	t.Helper()
+	for _, seed := range matrixSeeds {
+		cat := matrixCatalog(seed)
 		for _, mc := range matrixCases() {
-			col := &obs.Collector{}
-			ex := New(cat).NewExec(ExecConfig{Obs: obs.NewTracer(col)})
+			ex := New(cat).NewExec(ExecConfig{})
 			for _, tree := range mc.trees {
-				if _, _, err := ex.ExecTree(mc.q, tree, &Budget{}); err != nil {
-					t.Fatalf("S=%d %s %s: %v", s, mc.name, tree, err)
+				_, res, err := ex.ExecTree(mc.q, tree, &Budget{})
+				if err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, mc.name, tree, err)
 				}
-			}
-			spans := map[string]*obs.Span{}
-			for _, sp := range col.Spans {
-				if sp.Kind == obs.KHashBuild || sp.Kind == obs.KNestedLoop {
-					spans[sp.Name] = sp
+				st := stats.New()
+				ex.Engine().SeedBaseStats(mc.q, st)
+				for key, n := range res.Counts {
+					st.SetCount(key, n)
 				}
-			}
-			st := stats.New()
-			ex.Engine().SeedBaseStats(mc.q, st)
-			// Exchange is the only priced kind, so a subtree's cost is the
-			// rows its joins move.
-			dv := &cost.Deriver{Q: mc.q, St: st, Miss: cost.DefaultMiss(0.1), Layout: cat,
-				Profile: &cost.CostProfile{Exchange: cost.Rate{SecondsPerObject: 1}}}
-			reused := map[string]bool{}
-			for _, tree := range mc.trees {
-				explain := cost.ExplainAnalyze(mc.q, tree, nil, nil, nil, nil)
-				var walk func(n *plan.Node)
-				walk = func(n *plan.Node) {
-					if n.IsLeaf() {
-						return
-					}
-					walk(n.Left)
-					walk(n.Right)
-					cell := fmt.Sprintf("S=%d %s %s", s, mc.name, n.Key())
-					sp := spans[n.Key()]
-					if sp == nil {
-						t.Fatalf("%s: no hash-build or nested-loop span", cell)
-					}
-					if bt, _ := n.LeadKey(mc.q); (sp.Kind == obs.KHashBuild) != (bt != nil) {
-						t.Errorf("%s: the engine ran %s, the join rule's lead key is %v", cell, sp.Kind, bt)
-					}
-					shape := fmt.Sprintf(" residuals=%v ", sp.Num["residuals"])
-					if k, ok := sp.Num["key_terms"]; ok {
-						shape = fmt.Sprintf(" key_terms=%v", k) + shape
-					}
-					if !strings.Contains(explain, "⋈ ["+n.Key()+"]") || !strings.Contains(explainLine(explain, n.Key()), shape) {
-						t.Errorf("%s: the span says%s, EXPLAIN ANALYZE prints %q", cell, shape, explainLine(explain, n.Key()))
-					}
-					pc := dv.PlanCost(n)
-					priced := pc-dv.PlanCost(n.Left)-dv.PlanCost(n.Right) > 1e-9*math.Max(pc, 1)
-					local, has := sp.Num["local"]
-					switch {
-					case sp.Kind == obs.KNestedLoop || s == 1:
-						if has || priced {
-							t.Errorf("%s: local attribute %v (%v), exchange priced %v; want neither", cell, local, has, priced)
-						}
-					case n.Right.IsLeaf() && n.Right.Leaf.Size() == 1 && reused[n.Right.Key()]: // the pinned divergence
-						pinned++
-						if local != 0 || priced {
-							t.Errorf("%s: reused build leaf local=%v, exchange priced %v; want the pinned local=0, unpriced", cell, local, priced)
-						}
-					case (local == 1) == priced:
-						t.Errorf("%s: the engine's build local=%v, the Deriver prices an exchange: %v", cell, local, priced)
-					}
-				}
-				walk(tree)
-				reused[tree.Key()] = true
+				each(fmt.Sprintf("seed %d %s %s", seed, mc.name, tree), mc.q, tree, st, res)
 			}
 		}
 	}
-	if pinned == 0 {
-		t.Error("no matrix tree builds on a reused single-alias leaf: the pinned divergence is untested")
+}
+
+// TestFlatCostIsProducedObjects: the paper's cost (§4.4) is the number of
+// objects a plan produces, and the planner's flat cost is that number. With
+// every node's count known — the counts the engine hardened for the tree —
+// the unit-profile PlanCost of every matrix tree equals ExecResult.Produced
+// exactly.
+func TestFlatCostIsProducedObjects(t *testing.T) {
+	matrixTreeStores(t, func(cell string, q *query.Query, tree *plan.Node, st *stats.Store, res *ExecResult) {
+		dv := &cost.Deriver{Q: q, St: st, Miss: cost.PanicMiss()}
+		if got := dv.PlanCost(tree); got != res.Produced {
+			t.Errorf("%s: PlanCost %v, Produced %v", cell, got, res.Produced)
+		}
+	})
+}
+
+// TestProfileRetiredExchangeKey: a cost profile written while the planner
+// still priced a shard exchange carries an "exchange" rate. It loads, and it
+// prices every matrix tree exactly as the same profile without that key.
+func TestProfileRetiredExchangeKey(t *testing.T) {
+	const rates = `"scan": {"seconds_per_object": 2e-9}, "reuse": {"seconds_per_object": 1e-9},
+  "hash_build": {"seconds_per_object": 5e-9}, "hash_probe": {"seconds_per_object": 3e-9},
+  "nested_loop": {"seconds_per_object": 7e-9}, "sigma": {"seconds_per_object": 4e-9},
+  "materialize": {"seconds_per_object": 1e-9}`
+	load := func(text string) *cost.CostProfile {
+		path := filepath.Join(t.TempDir(), "profile.json")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := cost.LoadProfile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		return p
 	}
+	old := load(`{` + rates + `, "exchange": {"seconds_per_object": 6e-9}}`)
+	bare := load(`{` + rates + `}`)
+	matrixTreeStores(t, func(cell string, q *query.Query, tree *plan.Node, st *stats.Store, _ *ExecResult) {
+		got := (&cost.Deriver{Q: q, St: st.Clone(), Miss: cost.PanicMiss(), Profile: old}).PlanCost(tree)
+		want := (&cost.Deriver{Q: q, St: st, Miss: cost.PanicMiss(), Profile: bare}).PlanCost(tree)
+		if got != want {
+			t.Errorf("%s: %v with the exchange key, %v without", cell, got, want)
+		}
+	})
 }
 
 // explainLine returns the EXPLAIN ANALYZE line of the join over key.

@@ -281,12 +281,11 @@ type joinSpec struct {
 // rule the cost model prices too, into key predicates and the rest, plain
 // residuals evaluated over the concatenated row. The first key predicate is
 // the hash predicate: the table holds one entry per distinct value of its
-// build term, and that term alone decides whether the build is co-partitioned
-// with the storage layout. The further key predicates stay in the
-// residual list as well, so they are still decided by Equal on the joined
-// row; what being a key predicate adds is one hash per build row and per
-// probe row (keyFilter) that lets the chain walk pass over a pair the
-// residual was going to reject, before it is copied.
+// build term. The further key predicates stay in the residual list as well,
+// so they are still decided by Equal on the joined row; what being a key
+// predicate adds is one hash per build row and per probe row (keyFilter) that
+// lets the chain walk pass over a pair the residual was going to reject,
+// before it is copied.
 func (j *joinSpec) pickHash(preds []*query.JoinPred) {
 	j.preds = preds
 	for i, p := range preds {

@@ -13,9 +13,9 @@ import (
 	"monsoon/internal/value"
 )
 
-// benchCatalog builds a co-partitioned join in miniature: a probe table
-// P and a build table B whose first column is the join key (so sharding
-// co-partitions the join), with buildPerKey build rows per distinct key.
+// benchCatalog builds a key join in miniature: a probe table P and a build
+// table B whose first column is the join key, with buildRows/keys build rows
+// per distinct key.
 func benchCatalog(probeRows, buildRows, keys int) *table.Catalog {
 	cat := table.NewCatalog()
 	ps := table.NewSchema(
@@ -46,29 +46,22 @@ func benchQuery() *query.Query {
 		MustBuild()
 }
 
-// BenchmarkCopartHashJoin times the full ExecTree drain of a co-partitioned
-// hash join (build key = shard column) across shard counts. Every count runs
-// the same operators; S > 1 adds only the build's exchange attributes.
+// BenchmarkCopartHashJoin times the full ExecTree drain of a hash join whose
+// build key is the build table's first column.
 func BenchmarkCopartHashJoin(b *testing.B) {
 	cat := benchCatalog(150_000, 600_000, 150_000)
 	q := benchQuery()
 	tree := plan.NewJoin(leaf("P"), leaf("B"))
-	for _, s := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			cat.Shard(s)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := New(cat).NewExec(ExecConfig{})
-				if _, _, err := e.ExecTree(q, tree, &Budget{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New(cat).NewExec(ExecConfig{})
+		if _, _, err := e.ExecTree(q, tree, &Budget{}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	cat.Shard(1)
 }
 
-// BenchmarkBuildOnly isolates the hash build of the copart join's build side
+// BenchmarkBuildOnly isolates the hash build of that join's build side
 // at one worker (one sequential pass) and at eight (chunks, then the
 // splice-merge).
 func BenchmarkBuildOnly(b *testing.B) {

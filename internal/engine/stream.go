@@ -11,17 +11,16 @@
 // plan cache key the full relation). The Σ pass runs over that materialized
 // root.
 //
-// Determinism contract: a run is bit-identical at every batch size, worker
-// count and shard layout — same output rows in the same order, same budget
-// totals, same span kinds with the same rows/produced accounting. Batches
-// preserve input order (each output batch is the join of a run of
-// consecutive input rows, emitted in input order; fan-outs stitch per-worker
-// buffers in partition order), and operator spans open in one fixed order — a
+// Determinism contract: a run is bit-identical at every batch size and
+// worker count — same output rows in the same order, same budget totals,
+// same span kinds with the same rows/produced accounting. Batches preserve
+// input order (each output batch is the join of a run of consecutive input
+// rows, emitted in input order; fan-outs stitch per-worker buffers in
+// partition order), and operator spans open in one fixed order — a
 // join's umbrella, its left subtree, its right subtree, then its build and
 // probe — accumulating rows across batches. The only telemetry that varies is
 // the number of KWorker spans (one fan-out per large-enough batch), the one
-// configuration-dependent span kind. A shard layout moves no operator: it
-// only adds the exchange attributes of a hash build (noteExchange).
+// configuration-dependent span kind.
 package engine
 
 import (
@@ -408,7 +407,6 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 		bsp.SetStr("err", err.Error()).End()
 		return fail(err, left)
 	}
-	e.noteExchange(bsp, q, n.Right, spec.buildTerm, inserted)
 	bsp.SetNum("residuals", residuals).End()
 	it.ht = ht
 	if keys := len(ht.entries); keys > 0 {
@@ -416,34 +414,6 @@ func (e *Exec) openJoin(q *query.Query, n *plan.Node, budget *Budget, res *ExecR
 	}
 	it.sp = e.Obs.StartChild(jsp, obs.KHashProbe, n.Key())
 	return it, spec.out, nil
-}
-
-// noteExchange records the exchange a hash build implies on a sharded
-// catalog, which is what the cost model prices: nothing when the build child
-// is co-partitioned with the join key (local), otherwise every inserted row,
-// hash-routed across the exchange. The engine runs the same operators either
-// way; the layout is a property of the plan, not a second execution path.
-func (e *Exec) noteExchange(bsp *obs.Span, q *query.Query, build *plan.Node, term *query.Term, inserted int) {
-	shards := e.eng.Cat.ShardCount()
-	if shards == 1 {
-		return
-	}
-	local := e.coPartitioned(q, build, term)
-	bsp.SetNum("shards", float64(shards))
-	if local {
-		bsp.SetNum("local", 1)
-	} else {
-		bsp.SetNum("local", 0).SetNum("exchange_rows", float64(inserted))
-	}
-	if e.Metrics == nil {
-		return
-	}
-	if local {
-		e.Metrics.Counter("monsoon.exchange.joins.local").Inc()
-	} else {
-		e.Metrics.Counter("monsoon.exchange.joins.reshuffle").Inc()
-		e.Metrics.Counter("monsoon.exchange.rows").Add(int64(inserted))
-	}
 }
 
 // joinIter joins the rows pulled from the left child with the collected
@@ -579,18 +549,4 @@ func (j *joinIter) Close(err error) {
 	}
 	j.sp.SetProduced(float64(j.emitted)).End()
 	j.jsp.SetRows(0, j.emitted).End()
-}
-
-// coPartitioned reports whether the storage layout serves a join's build
-// child directly: the child must be a leaf plan.Node.ShardLocal accepts, not
-// reused from a materialized intermediate, whose rows are not the stored
-// table's. Equal join keys then never span storage shards (the shard column
-// IS the join key and routing is by its hash), so the layout implies no
-// exchange for the build.
-func (e *Exec) coPartitioned(q *query.Query, n *plan.Node, buildTerm *query.Term) bool {
-	if _, mat := e.mats[n.Key()]; mat {
-		return false
-	}
-	_, ok := n.ShardLocal(q, buildTerm, e.eng.Cat)
-	return ok
 }

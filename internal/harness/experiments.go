@@ -18,7 +18,6 @@ import (
 	"monsoon/internal/prior"
 	"monsoon/internal/query"
 	"monsoon/internal/stats"
-	"monsoon/internal/table"
 )
 
 // Scale bundles every knob of an experiment campaign. The paper ran on a
@@ -39,23 +38,6 @@ type Scale struct {
 	MaxTuples      float64
 	MCTSIterations int
 	Seed           int64
-	// Shards lays every generated catalog out as that many deterministic
-	// hash shards (first-column layout), which the planner prices as
-	// exchange cost for every run of the campaign: 0 or 1 keeps the catalog
-	// unsharded. The engine runs the same operators at every setting and
-	// query answers are bit-identical; only plan choice and the exchange
-	// telemetry change.
-	Shards int
-}
-
-// shardCat applies the campaign's shard layout to a freshly generated
-// catalog; every experiment's catalog passes through here so -shards covers
-// the whole harness uniformly.
-func (sc Scale) shardCat(cat *table.Catalog) *table.Catalog {
-	if sc.Shards > 1 {
-		cat.Shard(sc.Shards)
-	}
-	return cat
 }
 
 // Apply returns cfg with the scale's MCTS iteration budget and seed copied in.
@@ -65,8 +47,8 @@ func (sc Scale) Apply(cfg core.Config) core.Config {
 }
 
 // Specs generates one benchmark's data — tpch, imdb, ott or udf — from the
-// scale's generator settings and seed, binds the benchmark's queries to it,
-// and applies the scale's shard layout once per distinct catalog.
+// scale's generator settings and seed, and binds the benchmark's queries to
+// it.
 func Specs(bench string, sc Scale) ([]QuerySpec, error) {
 	var specs []QuerySpec
 	switch bench {
@@ -92,13 +74,6 @@ func Specs(bench string, sc Scale) ([]QuerySpec, error) {
 		}
 	default:
 		return nil, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	sharded := map[*table.Catalog]bool{}
-	for _, s := range specs {
-		if !sharded[s.Cat] {
-			sc.shardCat(s.Cat)
-			sharded[s.Cat] = true
-		}
 	}
 	return specs, nil
 }
@@ -263,7 +238,7 @@ func (r *Runner) Table2(w io.Writer) error {
 	}
 	for _, ds := range datasets {
 		r.log("Table 2: generating %s dataset...", ds.label)
-		cat := sc.shardCat(tpch.Generate(ds.cfg))
+		cat := tpch.Generate(ds.cfg)
 		specs := make([]QuerySpec, len(queries))
 		for i, q := range queries {
 			specs[i] = QuerySpec{Q: q, Cat: cat}

@@ -17,10 +17,8 @@ import (
 type FlagGroup uint
 
 const (
-	// EngineFlags: -shards.
-	EngineFlags FlagGroup = 1 << iota
 	// CostFlags: -calibration-file -replan-threshold.
-	CostFlags
+	CostFlags FlagGroup = 1 << iota
 	// TelemetryFlags: -plan-cache -metrics -obs-addr -trace-json.
 	TelemetryFlags
 )
@@ -32,7 +30,6 @@ const (
 type Flags struct {
 	scale              string
 	seed               int64
-	shards             int
 	calibrationFile    string
 	replanThreshold    float64
 	planCache, metrics bool
@@ -47,9 +44,6 @@ func BindFlags(fs *flag.FlagSet, defaultScale string, groups FlagGroup) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.scale, "scale", defaultScale, "data scale: tiny, small, or medium")
 	fs.Int64Var(&f.seed, "seed", 1, "master seed: the generated data and every per-query seed derive from it")
-	if groups&EngineFlags != 0 {
-		fs.IntVar(&f.shards, "shards", 0, "lay every generated catalog out as N hash shards, a layout the planner prices as exchange cost: 0 or 1 = unsharded (the engine runs the same operators and results are identical at any count)")
-	}
 	if groups&CostFlags != 0 {
 		fs.StringVar(&f.calibrationFile, "calibration-file", "", "price Monsoon's MCTS simulations with this calibrated cost profile (JSON from monsoon-trace calibrate)")
 		fs.Float64Var(&f.replanThreshold, "replan-threshold", 0, "q-error at which a Monsoon EXECUTE round forces a mid-query replan with hardened statistics (0 disables)")
@@ -63,15 +57,13 @@ func BindFlags(fs *flag.FlagSet, defaultScale string, groups FlagGroup) *Flags {
 	return f
 }
 
-// Scale returns the scale -scale names, with -seed and the engine flags
-// applied.
+// Scale returns the scale -scale names, with -seed applied.
 func (f *Flags) Scale() (Scale, error) {
 	sc, err := ScaleNamed(f.scale)
 	if err != nil {
 		return Scale{}, err
 	}
 	sc.Seed = f.seed
-	sc.Shards = f.shards
 	return sc, nil
 }
 

@@ -66,8 +66,8 @@ const (
 	KPlanShard = "plan-shard"
 	// KWorker is one worker of a parallel operator fan-out, parented to the
 	// operator span. Worker counts depend on GOMAXPROCS, so — unlike every
-	// other kind, the catalog's -shards layout included — KWorker span counts
-	// are machine-dependent; trace-diff tooling excludes them by default.
+	// other kind, KPlanShard included — KWorker span counts are
+	// machine-dependent; trace-diff tooling excludes them by default.
 	KWorker = "worker"
 )
 

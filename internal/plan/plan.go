@@ -191,33 +191,6 @@ func (n *Node) LeadKey(q *query.Query) (build *query.Term, keys int) {
 	return build, keys
 }
 
-// ShardKeys is the storage layout as the join rule reads it: the bare column
-// (no table qualifier) a stored table is hash-sharded on, or false when the
-// layout does not cover the table.
-type ShardKeys interface {
-	ShardKey(table string) (col string, ok bool)
-}
-
-// ShardLocal is the join rule for a hash build's exchange: build leaf n is
-// served by the storage layout, and builds shard-local with no row moved,
-// when it is a single-alias leaf whose build term is id(alias.col) for the
-// column its table is sharded on. It returns the leaf's table. Whether the
-// leaf is really scanned from storage, rather than reused from a
-// materialized intermediate, is for the caller to know.
-func (n *Node) ShardLocal(q *query.Query, build *query.Term, layout ShardKeys) (string, bool) {
-	if !n.IsLeaf() || n.Leaf.Size() != 1 {
-		return "", false
-	}
-	alias := n.Leaf.Names()[0]
-	tbl, ok := q.TableOf(alias)
-	if !ok {
-		return "", false
-	}
-	col, ok := layout.ShardKey(tbl)
-	fn := build.Fn
-	return tbl, ok && fn.Name == "id" && len(fn.Args) == 1 && fn.Args[0] == alias+"."+col
-}
-
 // Equal reports structural equality, including Σ markers.
 func (n *Node) Equal(o *Node) bool {
 	if n == nil || o == nil {

@@ -147,17 +147,9 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-type shardCols map[string]string
-
-func (s shardCols) ShardKey(table string) (string, bool) {
-	c, ok := s[table]
-	return c, ok
-}
-
 // TestKeyTermsRule pins the physical-join rule: a predicate whose terms bind
 // on opposite children is a key predicate, probed from the left and built on
-// the right whichever way it is written; the first leads; and a build leaf is
-// shard-local only on the identity of its table's shard column.
+// the right whichever way it is written; and the first leads.
 func TestKeyTermsRule(t *testing.T) {
 	q := query.NewBuilder("rule").Rel("r", "R").Rel("s", "S").Rel("u", "U").
 		Join(expr.SumMod("r.a", "u.a", 3), expr.Identity("s.a")). // reads both children of (r ⋈ s) ⋈ u
@@ -177,22 +169,5 @@ func TestKeyTermsRule(t *testing.T) {
 	}
 	if b, keys := NewJoin(l("s"), l("u")).LeadKey(q); b != nil || keys != 0 {
 		t.Errorf("LeadKey(s ⋈ u) = %v, %d; want a nested loop", b, keys)
-	}
-	layout := shardCols{"S": "k", "R": "k"}
-	if tbl, ok := l("s").ShardLocal(q, q.Joins[1].L, layout); !ok || tbl != "S" {
-		t.Errorf("id(s.k) over s sharded on k: %q, %v; want S, local", tbl, ok)
-	}
-	for _, c := range []struct {
-		leaf  *Node
-		build *query.Term
-	}{
-		{l("s"), q.Joins[2].R},      // id(s.b), not the shard column
-		{l("r"), q.Joins[2].L},      // a UDF of the shard table, not its identity
-		{l("r", "s"), q.Joins[1].L}, // a multi-alias leaf is materialized
-		{l("u"), q.Joins[0].R},      // U is not in the layout
-	} {
-		if _, ok := c.leaf.ShardLocal(q, c.build, layout); ok {
-			t.Errorf("%s on %s: shard-local, want a reshuffle", c.build, c.leaf)
-		}
 	}
 }

@@ -205,6 +205,24 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// TestShardClearAndUnsharded: Shard, at any count and cleared again, leaves
+// the catalog as it was: the same tables holding the same rows.
+func TestShardClearAndUnsharded(t *testing.T) {
+	c := NewCatalog()
+	b := NewBuilder("r", NewSchema(intCol("r", "k"), intCol("r", "v")))
+	for i := 0; i < 100; i++ {
+		b.Add(value.Int(int64(i)), value.Int(int64(i*10)))
+	}
+	r := b.Build()
+	c.Put(r)
+	was := append([]Row(nil), r.Rows...)
+	c.Shard(4)
+	c.Shard(1)
+	if got := c.MustGet("r"); got != r || !IdenticalRows(got.Rows, was) || len(c.Names()) != 1 {
+		t.Error("Shard changed the catalog")
+	}
+}
+
 func TestCatalogMustGetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -330,8 +330,7 @@ const (
 // sketches. Numerically equal ints and floats hash identically. It is FNV-1a
 // over a kind tag followed by the payload's little-endian bytes, written out
 // as a loop so that hashing allocates nothing; the values are those hash/fnv
-// yields over the same bytes, which Σ estimates, shard routing and every
-// golden depend on.
+// yields over the same bytes, which Σ estimates and every golden depend on.
 func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindBool, KindInt:
