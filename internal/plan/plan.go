@@ -161,7 +161,7 @@ func LeftDeep(leaves []query.AliasSet) *Node {
 // which streams: its cardinality is unknown until drained. A predicate that
 // does not separate the children reports false; it is a residual, decided on
 // the joined row. Of the key predicates new at a join, the first in query
-// order leads: the table is keyed, routed and co-partitioned on it (LeadKey).
+// order leads: the table is keyed on it (LeadKey).
 // With none the join is a nested loop.
 func (n *Node) KeyTerms(p *query.JoinPred) (probe, build *query.Term, ok bool) {
 	l, r := n.Left.Aliases(), n.Right.Aliases()
