@@ -309,16 +309,6 @@ func WithCostProfile(p *CostProfile) RunOption {
 	return func(c *runConfig) { c.core.Profile = p }
 }
 
-// WithReplanThreshold arms mid-query re-optimization: after each EXECUTE
-// round, if the q-error between a materialized tree's estimated and actual
-// root cardinality reaches t (misses — one side empty — always qualify), the
-// run invalidates the query's memoized plan-cache picks and forces the next
-// planning round to re-run MCTS with the statistics execution just hardened.
-// Zero (the default) disables the trigger.
-func WithReplanThreshold(t float64) RunOption {
-	return func(c *runConfig) { c.core.ReplanThreshold = t }
-}
-
 // WithEpsilonGreedy switches MCTS from UCT to the adaptive ε-greedy
 // selection strategy (§5.1).
 func WithEpsilonGreedy() RunOption {

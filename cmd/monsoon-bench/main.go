@@ -7,7 +7,7 @@
 //	monsoon-bench [-exp all|table1|figure1|figure2|table2|table3|table4|table5|table6|table7|figure3|table8|ablation|estimates|tracecorpus]
 //	              [-v] [-obs-linger DUR] [-cpuprofile FILE] [-memprofile FILE]
 //	              [-scale tiny|small|medium] [-seed N]
-//	              [-calibration-file FILE] [-replan-threshold Q]
+//	              [-calibration-file FILE]
 //	              [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
 // The flags from -scale on are bound by harness.BindFlags, as in the other

@@ -20,7 +20,6 @@ func TestFlagSurface(t *testing.T) {
 		"obs-addr":         "",
 		"obs-linger":       "0s",
 		"plan-cache":       "false",
-		"replan-threshold": "0",
 		"scale":            "small",
 		"seed":             "1",
 		"trace-json":       "",

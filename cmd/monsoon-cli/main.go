@@ -10,7 +10,7 @@
 //	            [-opt monsoon|postgres|defaults|greedy|ondemand|sampling|skinner|lec|handwritten]
 //	            [-prior NAME] [-explain] [-repeat N]
 //	            [-scale tiny|small|medium] [-seed N]
-//	            [-calibration-file FILE] [-replan-threshold Q]
+//	            [-calibration-file FILE]
 //	            [-plan-cache] [-metrics] [-obs-addr ADDR] [-trace-json FILE]
 //
 // The flags from -scale on are bound by harness.BindFlags, as in the other
@@ -179,10 +179,6 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, cfg core.Config,
 	fmt.Printf("rounds: %d EXECUTEs, %d actions, %d Σ operators\n", res.Executes, res.Actions, res.SigmaOps)
 	fmt.Printf("breakdown: MCTS %v, Σ %v, execution %v; %.0f objects produced\n",
 		res.PlanTime, res.SigmaTime, res.ExecTime, res.Produced)
-	if cfg.ReplanThreshold > 0 {
-		fmt.Printf("replans: %d triggered (threshold %g), %d cache invalidations\n",
-			res.Replans, cfg.ReplanThreshold, res.ReplanInvalidations)
-	}
 	if cfg.Cache != nil {
 		s := cfg.Cache.Stats()
 		fmt.Printf("plan cache: %d hits, %d misses, %d entries\n", s.Hits, s.Misses, s.Entries)

@@ -22,7 +22,6 @@ func TestFlagSurface(t *testing.T) {
 		"prior":            "Spike and Slab",
 		"query":            "",
 		"repeat":           "1",
-		"replan-threshold": "0",
 		"scale":            "tiny",
 		"seed":             "1",
 		"trace-json":       "",

@@ -21,7 +21,6 @@ func TestFlagSurface(t *testing.T) {
 		"iterations":       "0",
 		"max-concurrent":   "8",
 		"max-tuples":       "0",
-		"replan-threshold": "0",
 		"scale":            "tiny",
 		"seed":             "1",
 		"timeout":          "0s",

@@ -63,14 +63,6 @@ type Config struct {
 	// share memoized picks. Nil (the default) keeps the deterministic
 	// uncalibrated model — bit-identical to every pinned golden.
 	Profile *cost.CostProfile
-	// ReplanThreshold, when > 0, arms mid-query re-optimization: after an
-	// EXECUTE, if the q-error between a materialized tree's estimated and
-	// actual root cardinality reaches the threshold (misses — one side
-	// empty — always trigger), the session invalidates this query's
-	// plan-cache entries and forces the next PlanRound to re-run MCTS with
-	// the hardened statistics instead of taking picks memoized under the
-	// misestimate. Zero disables the trigger entirely.
-	ReplanThreshold float64
 }
 
 // Result reports a completed (or timed-out) Monsoon run, including the
@@ -98,13 +90,13 @@ type Result struct {
 	Executed []*plan.Node
 	// CacheHits and CacheMisses count plan-cache consultations for this
 	// run, one per pick: a fully warm run has CacheHits == Actions. Both
-	// are zero when no cache is configured, and a forced replan's picks
-	// count as neither.
+	// are zero when no cache is configured.
 	CacheHits, CacheMisses int
-	// Replans counts the EXECUTE rounds whose observed q-error armed a
-	// forced replan (Config.ReplanThreshold); ReplanInvalidations is the
-	// total number of plan-cache entries those triggers evicted.
-	Replans, ReplanInvalidations int
+	// Replans is always 0: no session re-optimizes mid-query, because the
+	// plan-cache key carries the hardened statistics a replan would wait
+	// for. It stays only because the benchmark's core.replans layer metric
+	// reads it; ROADMAP item 17 retires both.
+	Replans int
 	// Output is the materialized full join result, set by Finalize. Each
 	// session materializes into its own scope (never the shared engine), so
 	// callers that need the result rows read them here, until Release.

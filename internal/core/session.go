@@ -39,7 +39,9 @@ import (
 // MCTS — once applying it shows it still applies; a miss runs MCTS and
 // memoizes the action it picks. Because hardening that moves any statistic
 // across a log₂ bucket boundary changes the key, entries recorded under
-// stale statistics are never served (invalidation is embedded in the key).
+// stale statistics are never served. That is the one invalidation rule: after
+// an EXECUTE the next pick's key carries the statistics the round hardened,
+// so it can only hit a pick MCTS made from the same facts.
 // Each search draws from RNG streams numbered by the actions taken so far,
 // so a repeated (query, seed, statistics) run makes the same plan choices
 // with and without the cache, however much of it is warm.
@@ -69,11 +71,6 @@ type Session struct {
 	// execPending is set between a PlanRound that picked EXECUTE and the
 	// ExecuteRound that performs it.
 	execPending bool
-	// replanPending is set by ExecuteRound when an observed q-error crossed
-	// cfg.ReplanThreshold: the next PlanRound must re-run MCTS with the
-	// hardened statistics instead of taking picks memoized under the
-	// misestimate. Cleared once that round completes.
-	replanPending bool
 }
 
 // NewSession seeds the statistics store, builds the initial MDP state, and
@@ -106,12 +103,6 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 		Rng:            randx.New(randx.Derive(cfg.Seed, "sim")),
 		UniformRollout: cfg.UniformRollout,
 		Profile:        cfg.Profile,
-	}
-	if cfg.ReplanThreshold > 0 && cfg.Metrics != nil {
-		// Materialize the replan counters at zero so an armed session always
-		// exposes them on /metrics, replanned or not.
-		cfg.Metrics.Counter("monsoon.replan.triggered")
-		cfg.Metrics.Counter("monsoon.replan.cache_invalidations")
 	}
 	// Planning is root-parallel: the rollout budget is pre-split into shards
 	// whose count, quotas, and RNG seeds depend only on (seed, iterations),
@@ -195,9 +186,6 @@ func (s *Session) PlanRound() (bool, error) {
 		}
 		if act.Kind == ActExecute {
 			s.execPending = true
-			// The forced round has been replanned in full; later rounds may
-			// trust the cache again.
-			s.replanPending = false
 			break
 		}
 		asp := s.tr.Start(obs.KAction, act.Key())
@@ -225,25 +213,17 @@ func (s *Session) pick() (Action, *State, error) {
 	var key string
 	if s.cfg.Cache != nil {
 		key = s.cacheKey()
-		// A forced replan skips the lookup entirely: every memoized pick for
-		// this query was recorded under the misestimate the last ExecuteRound
-		// observed, so the only acceptable plan is a fresh MCTS search against
-		// the hardened statistics. Its picks are still memoized below,
-		// repopulating the cache with plans the corrected statistics stand
-		// behind.
-		if !s.replanPending {
-			if act, next, ok := s.cached(key); ok {
-				s.res.CacheHits++
-				s.cfg.Metrics.Counter("monsoon.plancache.hits").Inc()
-				s.tr.Start(obs.KPlan, "mcts").SetNum("rollouts", 0).SetStr(obs.AttrCacheHit, "true").End()
-				elapsed := time.Since(t0)
-				s.res.PlanTime += elapsed
-				s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(elapsed)
-				return act, next, nil
-			}
-			s.res.CacheMisses++
-			s.cfg.Metrics.Counter("monsoon.plancache.misses").Inc()
+		if act, next, ok := s.cached(key); ok {
+			s.res.CacheHits++
+			s.cfg.Metrics.Counter("monsoon.plancache.hits").Inc()
+			s.tr.Start(obs.KPlan, "mcts").SetNum("rollouts", 0).SetStr(obs.AttrCacheHit, "true").End()
+			elapsed := time.Since(t0)
+			s.res.PlanTime += elapsed
+			s.cfg.Metrics.Histogram("monsoon.plan.time").ObserveDuration(elapsed)
+			return act, next, nil
 		}
+		s.res.CacheMisses++
+		s.cfg.Metrics.Counter("monsoon.plancache.misses").Inc()
 	}
 	psp := s.tr.Start(obs.KPlan, "mcts")
 	// Shard spans of this search (if it fans out) parent to psp.
@@ -265,9 +245,6 @@ func (s *Session) pick() (Action, *State, error) {
 	}
 	if s.cfg.Cache != nil {
 		psp.SetStr(obs.AttrCacheHit, "false")
-	}
-	if s.replanPending {
-		psp.SetStr("replan", "true")
 	}
 	psp.End()
 	s.res.PlanTime += planElapsed
@@ -322,7 +299,7 @@ func (s *Session) ExecuteRound() error {
 	// the predictions perturbs neither the statistics set nor the RNG
 	// stream — traced and untraced runs stay bit-identical.
 	var ests map[string]float64
-	if s.tr.Active() || s.cfg.Metrics != nil || s.cfg.ReplanThreshold > 0 {
+	if s.tr.Active() || s.cfg.Metrics != nil {
 		dv := &cost.Deriver{Q: s.q, St: ns.St.Overlay(), Miss: s.model.meanMiss()}
 		ests = make(map[string]float64)
 		for _, t := range ns.Planned {
@@ -361,9 +338,6 @@ func (s *Session) ExecuteRound() error {
 		}
 		s.res.Executed = append(s.res.Executed, t.Tree)
 		reportEstimates(s.tr, s.cfg.Metrics, t.Tree, ests, er.Counts, er.Times, round)
-		if s.cfg.ReplanThreshold > 0 {
-			s.maybeReplan(asp, t.Tree.Key(), ests, er.Counts)
-		}
 		if s.tr.Active() {
 			s.tr.Message(fmt.Sprintf("  materialized %s (%.0f objects produced)", t.Tree, er.Produced))
 		}
@@ -375,35 +349,6 @@ func (s *Session) ExecuteRound() error {
 	s.cfg.Metrics.Counter("monsoon.executes").Inc()
 	asp.SetNum("trees", float64(len(ns.Planned))).SetProduced(roundProduced).End()
 	return nil
-}
-
-// maybeReplan closes the q-error loop: compare the materialized tree's root
-// cardinality against what the optimizer predicted and, when the q-error
-// reaches cfg.ReplanThreshold (misses — one side empty — always qualify), arm
-// a forced replan. The next PlanRound then skips the plan cache and re-runs
-// MCTS against the statistics this round just hardened; every memoized pick
-// for this query's shape is evicted, since each was recorded under the
-// misestimate that just surfaced.
-func (s *Session) maybeReplan(asp *obs.Span, key string, ests map[string]float64, actuals map[string]float64) {
-	est, okE := ests[key]
-	actual, okA := actuals[key]
-	if !okE || !okA {
-		return
-	}
-	qe := obs.QError(est, actual)
-	if !obs.QErrorIsMiss(qe) && qe < s.cfg.ReplanThreshold {
-		return
-	}
-	s.replanPending = true
-	s.res.Replans++
-	s.cfg.Metrics.Counter("monsoon.replan.triggered").Inc()
-	asp.SetStr("replan", "true")
-	if s.cfg.Cache != nil {
-		prefix := s.shape + "\x00"
-		n := s.cfg.Cache.Invalidate(func(k string) bool { return strings.HasPrefix(k, prefix) })
-		s.res.ReplanInvalidations += n
-		s.cfg.Metrics.Counter("monsoon.replan.cache_invalidations").Add(int64(n))
-	}
 }
 
 // Finalize computes the query's final aggregate from the materialized full

@@ -217,125 +217,6 @@ func TestSessionManualDrive(t *testing.T) {
 	}
 }
 
-// TestReplanTriggerEndToEnd closes the loop on the fixture's forced
-// misestimate: the R⋈T join is empty while the optimizer's prior predicts
-// matches, so the final round's q-error is a miss — which must arm the replan
-// trigger, evict this query's memoized picks, bump the counters, and stamp
-// the execute span, all without perturbing the pinned golden trajectory
-// (every round before the trigger plans exactly as an unarmed run does).
-func TestReplanTriggerEndToEnd(t *testing.T) {
-	g := goldenFixtureRuns[0] // seed 7
-	cache := plancache.New(0)
-	reg := obs.NewRegistry()
-	col := &obs.Collector{}
-	cat, q := fixture()
-	res, err := Run(q, engine.New(cat), &engine.Budget{}, Config{
-		Seed: g.seed, Iterations: g.iterations,
-		Cache: cache, Metrics: reg, Sink: col, ReplanThreshold: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "replan-armed", g, res)
-	if res.Replans < 1 {
-		t.Fatalf("replans = %d, want ≥ 1 (empty join is a q-error miss)", res.Replans)
-	}
-	if res.ReplanInvalidations < 1 {
-		t.Errorf("invalidations = %d, want ≥ 1 (memoized picks recorded under the misestimate)",
-			res.ReplanInvalidations)
-	}
-	if got := reg.Counter("monsoon.replan.triggered").Value(); got != int64(res.Replans) {
-		t.Errorf("replan.triggered counter = %d, want %d", got, res.Replans)
-	}
-	if got := reg.Counter("monsoon.replan.cache_invalidations").Value(); got != int64(res.ReplanInvalidations) {
-		t.Errorf("replan.cache_invalidations counter = %d, want %d", got, res.ReplanInvalidations)
-	}
-	var stamped bool
-	for _, sp := range col.SpansOf(obs.KAction) {
-		if sp.Str["replan"] == "true" {
-			stamped = true
-		}
-	}
-	if !stamped {
-		t.Error("no execute span carries replan=true")
-	}
-}
-
-// TestReplanCountersMaterializedAtZero: arming the threshold materializes the
-// replan counters in the registry even when no trigger ever fires, so
-// /metrics scrapes see an explicit zero instead of an absent series.
-func TestReplanCountersMaterializedAtZero(t *testing.T) {
-	reg := obs.NewRegistry()
-	cat, q := fixture()
-	s := NewSession(q, engine.New(cat), &engine.Budget{}, Config{
-		Seed: 7, Iterations: 300, Metrics: reg, ReplanThreshold: 1e18,
-	})
-	s.Close()
-	found := false
-	for _, e := range reg.Snapshot() {
-		if e.Name == "monsoon.replan.triggered" {
-			found = true
-			if e.Value != 0 {
-				t.Errorf("untriggered replan counter = %v, want 0", e.Value)
-			}
-		}
-	}
-	if !found {
-		t.Error("monsoon.replan.triggered not materialized in the registry")
-	}
-}
-
-// TestForcedReplanSkipsCache drives the forced-replan contract directly: with
-// replanPending armed, PlanRound must not consult the plan cache at all — no
-// hits, no miss accounting (a forced replan is not a lookup failure) — must
-// stamp its searching plan spans replan=true, and must clear the flag once
-// the forced round reaches EXECUTE so later rounds trust the cache again.
-func TestForcedReplanSkipsCache(t *testing.T) {
-	cache := plancache.New(0)
-	cat, q := fixture()
-	if _, err := Run(q, engine.New(cat), &engine.Budget{}, Config{
-		Seed: 11, Iterations: 300, Cache: cache,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	before := cache.Stats()
-
-	cat2, q2 := fixture()
-	col := &obs.Collector{}
-	s := NewSession(q2, engine.New(cat2), &engine.Budget{}, Config{
-		Seed: 11, Iterations: 300, Cache: cache, Sink: col, ReplanThreshold: 4,
-	})
-	defer s.Close()
-	s.replanPending = true // as if the previous round's q-error crossed the threshold
-	execute, err := s.PlanRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !execute {
-		t.Fatal("forced round must still reach EXECUTE")
-	}
-	after := cache.Stats()
-	if after.Hits != before.Hits {
-		t.Errorf("cache hits %d → %d: forced replan consulted the cache", before.Hits, after.Hits)
-	}
-	if after.Misses != before.Misses || s.res.CacheMisses != 0 {
-		t.Errorf("miss accounting moved (%d → %d cache, %d session): a forced replan is not a lookup failure",
-			before.Misses, after.Misses, s.res.CacheMisses)
-	}
-	if s.replanPending {
-		t.Error("replanPending must clear when the forced round reaches EXECUTE")
-	}
-	plans := col.SpansOf(obs.KPlan)
-	if len(plans) == 0 {
-		t.Fatal("forced round emitted no plan spans")
-	}
-	for _, sp := range plans {
-		if sp.Str["replan"] != "true" || sp.Str[obs.AttrCacheHit] != "false" {
-			t.Errorf("forced plan span attrs = %v, want replan=true cache_hit=false", sp.Str)
-		}
-	}
-}
-
 // TestExecuteRoundWithoutPlan: ExecuteRound demands a pending EXECUTE.
 func TestExecuteRoundWithoutPlan(t *testing.T) {
 	cat, q := fixture()

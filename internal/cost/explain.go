@@ -10,20 +10,29 @@ import (
 	"monsoon/internal/query"
 )
 
-// Explain renders a plan tree, EXPLAIN-style: one node per line, indented by
-// depth, with the predicates applied at each join, the deriver's cardinality
-// estimate, and — when an actuals map from an engine run is supplied — the
-// observed count and the q-error of the estimate.
+// Explain renders a plan tree, EXPLAIN-style, through ExplainAnalyze with the
+// deriver's cardinality estimate of every node: one node per line, indented
+// by depth, with the predicates applied at each join, the estimate, and —
+// when an actuals map from an engine run is supplied — the observed count and
+// the q-error of the estimate (obs.QError, so a miss reads +Inf).
 //
-//	⋈ [R+S+T] preds{F3(R.b)=id(T.k)} est=1e+06 actual=964412 q=1.04
-//	  ⋈ [R+S] preds{F1(R.a)=id(S.k)} est=1e+07 actual=1.2e+07 q=1.20
-//	    scan R est=1e+06
-//	    scan S est=10000
-//	  scan T est=10000
+//	⋈ [R+S+T] preds{F3(R.b)=id(T.k)} key_terms=1 residuals=0 est=1e+06 actual=964412 q=1.04
+//	  ⋈ [R+S] preds{F1(R.a)=id(S.k)} key_terms=1 residuals=0 est=1e+07 actual=1.2e+07 q=1.20
+//	    scan R est=1e+06 actual=1e+06 q=1.00
+//	    scan S est=10000 actual=10000 q=1.00
+//	  scan T est=10000 actual=10000 q=1.00
 func Explain(dv *Deriver, tree *plan.Node, actuals map[string]float64) string {
-	var b strings.Builder
-	explainNode(&b, dv, tree, actuals, 0, true)
-	return b.String()
+	ests := make(map[string]float64)
+	var walk func(n *plan.Node)
+	walk = func(n *plan.Node) {
+		ests[n.Key()] = dv.NodeCount(n)
+		if !n.IsLeaf() {
+			walk(n.Left)
+			walk(n.Right)
+		}
+	}
+	walk(tree)
+	return ExplainAnalyze(dv.Q, tree, ests, actuals, nil, nil)
 }
 
 // nodeLabel renders the operator part of one explain line: the Σ marker (root
@@ -57,28 +66,6 @@ func nodeLabel(q *query.Query, n *plan.Node, root bool) string {
 	return b.String()
 }
 
-func explainNode(b *strings.Builder, dv *Deriver, n *plan.Node, actuals map[string]float64, depth int, root bool) {
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(nodeLabel(dv.Q, n, root))
-	est := dv.NodeCount(n)
-	fmt.Fprintf(b, " est=%.4g", est)
-	if actual, ok := actuals[n.Key()]; ok {
-		q := 1.0
-		if actual > 0 && est > 0 {
-			q = est / actual
-			if q < 1 {
-				q = 1 / q
-			}
-		}
-		fmt.Fprintf(b, " actual=%.4g q=%.2f", actual, q)
-	}
-	b.WriteByte('\n')
-	if !n.IsLeaf() {
-		explainNode(b, dv, n.Left, actuals, depth+1, false)
-		explainNode(b, dv, n.Right, actuals, depth+1, false)
-	}
-}
-
 // ExplainAnalyze renders an executed plan tree with the optimizer's estimated
 // cardinality, the observed cardinality, the per-node q-error, and — when the
 // engine reported per-node timings — the inclusive wall time of each operator.
@@ -97,8 +84,8 @@ func explainNode(b *strings.Builder, dv *Deriver, n *plan.Node, actuals map[stri
 // Unlike Explain it does not need a Deriver: estimates and actuals both come
 // as maps keyed by plan.Node.Key, so callers can render from recorded trace
 // events long after the run (the CLI's --explain analyze path does exactly
-// that). Nodes missing from a map render "?" for that column; a nil selfs map
-// omits the self column entirely.
+// that). Nodes missing from a map render "?" for that column; a nil actuals
+// map omits the actual and q columns, and a nil selfs map the self column.
 func ExplainAnalyze(q *query.Query, tree *plan.Node, ests, actuals map[string]float64, times, selfs map[string]time.Duration) string {
 	var b strings.Builder
 	analyzeNode(&b, q, tree, ests, actuals, times, selfs, 0, true)
@@ -135,7 +122,7 @@ func analyzeNode(b *strings.Builder, q *query.Query, n *plan.Node, ests, actuals
 	}
 	if haveActual {
 		fmt.Fprintf(b, " actual=%.4g", actual)
-	} else {
+	} else if actuals != nil {
 		b.WriteString(" actual=?")
 	}
 	if haveEst && haveActual {

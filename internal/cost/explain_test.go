@@ -39,12 +39,19 @@ func TestExplainWithActuals(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
 	tree := plan.NewJoin(leaf("R"), leaf("S"))
-	out := Explain(dv, tree, map[string]float64{"R+S": 2e6})
-	if !strings.Contains(out, "actual=2e+06") {
-		t.Errorf("actuals missing:\n%s", out)
-	}
-	if !strings.Contains(out, "q=2.00") {
-		t.Errorf("q-error missing (est 1e6 vs actual 2e6 → 2.00):\n%s", out)
+	for _, c := range []struct {
+		actual float64
+		want   string
+	}{
+		{2e6, "est=1e+06 actual=2e+06 q=2.00"},
+		// An estimate above 0 against an empty actual is a miss, the worst
+		// q-error there is (obs.QError), never a perfect 1.00.
+		{0, "est=1e+06 actual=0 q=+Inf"},
+	} {
+		out := Explain(dv, tree, map[string]float64{"R+S": c.actual})
+		if !strings.Contains(out, c.want) {
+			t.Errorf("actual %g: want %q in:\n%s", c.actual, c.want, out)
+		}
 	}
 }
 

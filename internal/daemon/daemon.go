@@ -83,9 +83,8 @@ type Config struct {
 	// guarantee is traded away. Off by default.
 	HardenStats bool
 	// Session is what every query's session starts from: its Prior,
-	// Strategy, UniformRollout, ReplanThreshold and cost Profile (loaded
-	// from monsoon-trace calibrate output, fixed for the daemon's life)
-	// apply as they are. Scale is applied over it (harness.Scale.Apply),
+	// Strategy, UniformRollout and cost Profile (loaded from monsoon-trace
+	// calibrate output, fixed for the daemon's life) apply as they are. Scale is applied over it (harness.Scale.Apply),
 	// and the daemon sets Seed, Stats, Sink, Metrics and Cache itself.
 	Session core.Config
 }
@@ -264,10 +263,6 @@ type QueryResponse struct {
 	ExecMS      float64 `json:"exec_ms"`
 	CacheHits   int     `json:"cache_hits"`
 	CacheMisses int     `json:"cache_misses"`
-	// Replans counts EXECUTE rounds whose observed q-error forced a
-	// mid-query replan; always 0 unless the daemon runs with a replan
-	// threshold.
-	Replans int `json:"replans"`
 	// ResultHash is an FNV-1a digest over the result rows' rendered values,
 	// in row order. Clients use it to verify cross-client determinism
 	// without shipping result sets around.
@@ -422,7 +417,6 @@ func (s *Server) run(q *query.Query, eng *engine.Engine, req QueryRequest) (*Que
 		ExecMS:      float64(res.ExecTime) / float64(time.Millisecond),
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
-		Replans:     res.Replans,
 		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 		Seed:        seed,
 	}

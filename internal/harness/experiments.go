@@ -130,10 +130,9 @@ type Runner struct {
 	Scale    Scale
 	Progress io.Writer
 	// Config is what every Monsoon run of the campaign starts from, with the
-	// scale applied over it (Scale.Apply): its Sink, Metrics, Cache, Profile
-	// and ReplanThreshold are monsoon-bench's -trace-json, -metrics/-obs-addr,
-	// -plan-cache, -calibration-file and -replan-threshold (Flags.Config). A
-	// shared Sink must lock internally (obs.NewJSONL does). A shared Cache is
+	// scale applied over it (Scale.Apply): its Sink, Metrics, Cache and
+	// Profile are monsoon-bench's -trace-json, -metrics/-obs-addr, -plan-cache
+	// and -calibration-file (Flags.Config). A shared Sink must lock internally (obs.NewJSONL does). A shared Cache is
 	// safe across priors and ablation variants: its key carries both.
 	Config core.Config
 
@@ -244,9 +243,9 @@ func (r *Runner) Table2(w io.Writer) error {
 			specs[i] = QuerySpec{Q: q, Cat: cat}
 		}
 		for _, p := range prior.All() {
-			// The runner's campaign knobs (shared cache, cost profile, replan
-			// threshold) apply to every prior variant alike, so the sweep
-			// compares priors, not configurations.
+			// The runner's campaign knobs (shared cache, cost profile) apply
+			// to every prior variant alike, so the sweep compares priors, not
+			// configurations.
 			opt := r.monsoon()
 			opt.Prior = p
 			br, err := RunBenchmark(specs, []Option{opt}, sc, nil)

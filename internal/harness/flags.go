@@ -17,7 +17,7 @@ import (
 type FlagGroup uint
 
 const (
-	// CostFlags: -calibration-file -replan-threshold.
+	// CostFlags: -calibration-file.
 	CostFlags FlagGroup = 1 << iota
 	// TelemetryFlags: -plan-cache -metrics -obs-addr -trace-json.
 	TelemetryFlags
@@ -31,7 +31,6 @@ type Flags struct {
 	scale              string
 	seed               int64
 	calibrationFile    string
-	replanThreshold    float64
 	planCache, metrics bool
 	obsAddr, traceJSON string
 
@@ -46,7 +45,6 @@ func BindFlags(fs *flag.FlagSet, defaultScale string, groups FlagGroup) *Flags {
 	fs.Int64Var(&f.seed, "seed", 1, "master seed: the generated data and every per-query seed derive from it")
 	if groups&CostFlags != 0 {
 		fs.StringVar(&f.calibrationFile, "calibration-file", "", "price Monsoon's MCTS simulations with this calibrated cost profile (JSON from monsoon-trace calibrate)")
-		fs.Float64Var(&f.replanThreshold, "replan-threshold", 0, "q-error at which a Monsoon EXECUTE round forces a mid-query replan with hardened statistics (0 disables)")
 	}
 	if groups&TelemetryFlags != 0 {
 		fs.BoolVar(&f.planCache, "plan-cache", false, "plan every Monsoon run through one shared plan cache (hit rates in -metrics)")
@@ -68,8 +66,7 @@ func (f *Flags) Scale() (Scale, error) {
 }
 
 // Config returns the core.Config the cost and telemetry flags describe: the
-// -calibration-file profile loaded, the -replan-threshold, a fresh plan cache
-// under -plan-cache, a metrics registry under -metrics or -obs-addr, a
+// -calibration-file profile loaded, a fresh plan cache under -plan-cache, a metrics registry under -metrics or -obs-addr, a
 // JSON-lines sink writing the -trace-json file, and the -obs-addr telemetry
 // server started with its trace ring on the sink. The cleanup it returns
 // dumps the registry to stderr under -metrics, stops the server and closes
@@ -94,7 +91,6 @@ func (f *Flags) Config() (core.Config, func(), error) {
 		}
 		cfg.Profile = p
 	}
-	cfg.ReplanThreshold = f.replanThreshold
 	if f.planCache {
 		cfg.Cache = plancache.New(0)
 	}

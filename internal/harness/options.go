@@ -61,9 +61,6 @@ type Outcome struct {
 	// CacheHits and CacheMisses count plan-cache consultations (Monsoon
 	// with a cache attached only; zero otherwise).
 	CacheHits, CacheMisses int
-	// Replans counts mid-query re-optimizations (Monsoon with a replan
-	// threshold configured only; zero otherwise).
-	Replans int
 	// Err carries non-budget failures (always a bug: surfaced, not hidden).
 	Err error
 }
@@ -310,7 +307,7 @@ func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, s
 		Rows: res.Rows, Value: res.Value,
 		MCTSTime: res.PlanTime, SigmaTime: res.SigmaTime, ExecTime: res.ExecTime,
 		QErrJoins: qs.n, QErrGeo: qs.geo(), QErrMax: qs.max, QErrMisses: qs.misses,
-		CacheHits: res.CacheHits, CacheMisses: res.CacheMisses, Replans: res.Replans,
+		CacheHits: res.CacheHits, CacheMisses: res.CacheMisses,
 	}
 	return finish(start, b, err, out)
 }

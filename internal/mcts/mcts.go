@@ -69,10 +69,11 @@ const (
 )
 
 // The selection rules' constants: UCT's exploration weight w and the ε-greedy
-// floor.
+// floor; and maxDepth, the safety net that caps a simulation's length.
 const (
 	uctWeight = math.Sqrt2
 	epsMin    = 0.1
+	maxDepth  = 200
 )
 
 // Config parameterizes a Planner.
@@ -81,18 +82,9 @@ type Config struct {
 	Strategy Strategy
 	// Iterations is the rollout budget per planning call.
 	Iterations int
-	// MaxDepth caps simulation length as a safety net; default 200.
-	MaxDepth int
 	// Shards fixes the logical worker count — the unit of determinism. 0
 	// derives it from the budget: max(1, min(DefaultShards, Iterations/minShardQuota)).
 	Shards int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 200
-	}
-	return c
 }
 
 // PlanStats describes the search behind one Plan call, for
@@ -204,7 +196,7 @@ func (t *tree) simulate(m Model, n *node, depth, iter int) float64 {
 	if depth > t.stats.MaxDepth {
 		t.stats.MaxDepth = depth
 	}
-	if n.state.Terminal() || depth >= t.cfg.MaxDepth {
+	if n.state.Terminal() || depth >= maxDepth {
 		return 0
 	}
 	if !n.listed {
@@ -243,8 +235,8 @@ func (t *tree) simulate(m Model, n *node, depth, iter int) float64 {
 	var ret float64
 	if freshlyExpanded {
 		// The model plays the default policy to a terminal state, within the
-		// transitions MaxDepth leaves below the child.
-		ret = reward + m.Playout(child.state, t.rng, t.cfg.MaxDepth-depth-1)
+		// transitions maxDepth leaves below the child.
+		ret = reward + m.Playout(child.state, t.rng, maxDepth-depth-1)
 	} else {
 		ret = reward + t.simulate(m, child, depth+1, iter)
 	}

@@ -43,7 +43,7 @@ func uniformPlayout(m Model, s State, rng *rand.Rand, steps int) float64 {
 // on its shard's streams — and returns the action and the statistics Plan
 // would report for it.
 func treePlan(cfg Config, rng *rand.Rand, m Model, root State) (Action, PlanStats) {
-	t := &tree{cfg: cfg.withDefaults(), rng: rng}
+	t := &tree{cfg: cfg, rng: rng}
 	n := t.newNode(root)
 	if !root.Terminal() {
 		n.list(m.Legal(root))
@@ -284,16 +284,15 @@ func (g *playChain) Playout(s State, _ *rand.Rand, steps int) float64 {
 
 // TestPlayoutModelTakesTheRollout: the model's Playout plays the whole
 // default-policy phase, once per iteration — the planner steps no rollout
-// itself — with the transitions MaxDepth leaves below the rollout's start.
+// itself — with the transitions maxDepth leaves below the rollout's start.
 func TestPlayoutModelTakesTheRollout(t *testing.T) {
-	const maxDepth = 20
 	g := &playChain{chainGame: chainGame{depth: 1 << 30}}
 	g.budget = func(pos, steps int) {
 		if steps != maxDepth-pos {
 			t.Errorf("playout from depth %d got %d steps, want %d", pos, steps, maxDepth-pos)
 		}
 	}
-	treePlan(Config{Iterations: 50, MaxDepth: maxDepth}, randx.New(5), g, chainState{depth: 1 << 30})
+	treePlan(Config{Iterations: 50}, randx.New(5), g, chainState{depth: 1 << 30})
 	if g.plays != 50 {
 		t.Errorf("%d playouts for 50 iterations", g.plays)
 	}
@@ -303,15 +302,15 @@ func TestPlayoutModelTakesTheRollout(t *testing.T) {
 }
 
 func TestMaxDepthStopsRunawayRollouts(t *testing.T) {
-	// depth larger than MaxDepth: the planner must still return.
+	// depth larger than maxDepth: the planner must still return.
 	g := &chainGame{depth: 1 << 30}
-	if a, _ := treePlan(Config{Iterations: 50, MaxDepth: 20}, randx.New(5), g, chainState{depth: 1 << 30}); a == nil {
+	if a, _ := treePlan(Config{Iterations: 50}, randx.New(5), g, chainState{depth: 1 << 30}); a == nil {
 		t.Error("Plan must return despite unreachable terminal")
 	}
 }
 
 func TestNormalizeDegenerate(t *testing.T) {
-	p := &tree{cfg: Config{}.withDefaults(), rng: randx.New(1)}
+	p := &tree{rng: randx.New(1)}
 	if v := p.normalize(5); v != 0.5 {
 		t.Errorf("normalize before observations = %v, want 0.5", v)
 	}
@@ -414,7 +413,7 @@ func walk(n *node, visit func(*node)) {
 func TestLegalOncePerEnteredNode(t *testing.T) {
 	for _, strat := range []Strategy{UCT, EpsGreedy} {
 		g := &countGame{rng: randx.New(3), legal: new(atomic.Int64)}
-		tr := &tree{cfg: Config{Strategy: strat, Iterations: 300}.withDefaults(), rng: randx.New(4)}
+		tr := &tree{cfg: Config{Strategy: strat, Iterations: 300}, rng: randx.New(4)}
 		root := tr.newNode(&countState{})
 		tr.search(g, root)
 		nodes, entered := 0, 0

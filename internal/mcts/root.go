@@ -49,7 +49,6 @@ type Planner struct {
 // streams are derived from it, the call index, and the shard index, so equal
 // (config, seed) planners replay identically.
 func New(cfg Config, seed int64) *Planner {
-	cfg = cfg.withDefaults()
 	if cfg.Shards <= 0 {
 		s := cfg.Iterations / minShardQuota
 		if s < 1 {

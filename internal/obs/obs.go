@@ -235,9 +235,9 @@ func (sp *Span) endWith(d time.Duration) {
 // QErrorMissThreshold is the single cutoff past which a q-error stops being a
 // graded estimate and becomes a miss — an empty-vs-nonempty disagreement or an
 // error so large only its existence is informative. Every consumer shares it:
-// the harness Miss column, the monsoon.qerror.misses counter, `monsoon-trace
-// report`'s rollup, and the mid-query replan trigger, so trace-derived and
-// harness-derived tallies agree record for record.
+// the harness Miss column, the monsoon.qerror.misses counter and `monsoon-trace
+// report`'s rollup, so trace-derived and harness-derived tallies agree record
+// for record.
 const QErrorMissThreshold = 1e12
 
 // QErrorIsMiss reports whether a q-error counts as a miss: non-finite (one

@@ -111,32 +111,6 @@ func (c *Cache) Put(key string, val any) {
 	}
 }
 
-// Invalidate removes every entry whose key satisfies pred and returns the
-// number removed. Unlike the passive key-embedded invalidation (stale entries
-// aging out because no state re-derives their key), Invalidate is the active
-// form mid-query re-optimization needs: when an executed round's observed
-// q-error reveals the statistics a query's memoized picks were recorded
-// under to be badly wrong, the session evicts that query's entire key space
-// at once instead of waiting for the LRU to cycle them out. Eviction counts
-// are not charged — these are deliberate removals, not capacity pressure.
-// Nil-safe (zero).
-func (c *Cache) Invalidate(pred func(key string) bool) int {
-	if c == nil || pred == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key, el := range c.entries {
-		if pred(key) {
-			c.ll.Remove(el)
-			delete(c.entries, key)
-			n++
-		}
-	}
-	return n
-}
-
 // Len reports the current number of entries. Nil-safe (zero).
 func (c *Cache) Len() int {
 	if c == nil {

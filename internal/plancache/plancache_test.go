@@ -2,7 +2,6 @@ package plancache
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -74,52 +73,6 @@ func TestNilCacheIsOff(t *testing.T) {
 	c.Reset()
 	if Stats.HitRate(Stats{}) != 0 {
 		t.Error("zero-lookup hit rate must be 0")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New(8)
-	c.Put("q1\x00round0", 1)
-	c.Put("q1\x00round1", 2)
-	c.Put("q2\x00round0", 3)
-	n := c.Invalidate(func(k string) bool { return strings.HasPrefix(k, "q1\x00") })
-	if n != 2 {
-		t.Errorf("invalidated %d entries, want 2", n)
-	}
-	if _, ok := c.Get("q1\x00round0"); ok {
-		t.Error("matching entry survived invalidation")
-	}
-	if _, ok := c.Get("q1\x00round1"); ok {
-		t.Error("matching entry survived invalidation")
-	}
-	if v, ok := c.Get("q2\x00round0"); !ok || v != 3 {
-		t.Error("non-matching entry must survive")
-	}
-	if got := c.Len(); got != 1 {
-		t.Errorf("len = %d, want 1", got)
-	}
-	// Removal is active invalidation, not capacity pressure: evictions stay 0.
-	if s := c.Stats(); s.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0 (invalidations are not evictions)", s.Evictions)
-	}
-	// No-match predicate is a no-op returning 0.
-	if n := c.Invalidate(func(string) bool { return false }); n != 0 {
-		t.Errorf("no-match invalidate = %d, want 0", n)
-	}
-}
-
-func TestInvalidateNilSafe(t *testing.T) {
-	var c *Cache
-	if n := c.Invalidate(func(string) bool { return true }); n != 0 {
-		t.Errorf("nil cache invalidate = %d, want 0", n)
-	}
-	c = New(2)
-	c.Put("a", 1)
-	if n := c.Invalidate(nil); n != 0 {
-		t.Errorf("nil predicate invalidate = %d, want 0", n)
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("nil predicate must not drop entries")
 	}
 }
 
