@@ -342,10 +342,7 @@ func Run(q *Query, cat *Catalog, opts ...RunOption) (*Report, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	budget := &engine.Budget{MaxTuples: cfg.maxTuple}
-	if cfg.timeout > 0 {
-		budget.Deadline = time.Now().Add(cfg.timeout)
-	}
+	budget := engine.NewBudget(cfg.timeout, cfg.maxTuple)
 	if len(cfg.known) > 0 {
 		st := stats.New()
 		for _, k := range cfg.known {

@@ -2,7 +2,10 @@
 // and prints what happened — including, for Monsoon, the full trace of MDP
 // actions (plan edits, Σ statistics collections, EXECUTE rounds), an EXPLAIN
 // ANALYZE rendering of every tree the EXECUTE rounds materialized, and
-// optionally a JSONL span trace and a metrics dump.
+// optionally a metrics dump. Every option streams its spans to -trace-json;
+// -explain prints the plan of any option that commits to one (every option
+// but monsoon, which prints its EXPLAIN ANALYZE anyway, and skinner, which
+// learns its join order while it runs).
 //
 // Usage:
 //
@@ -30,10 +33,7 @@ import (
 	"monsoon/internal/engine"
 	"monsoon/internal/harness"
 	"monsoon/internal/obs"
-	"monsoon/internal/opt"
-	"monsoon/internal/plan"
 	"monsoon/internal/prior"
-	"monsoon/internal/stats"
 )
 
 // options are monsoon-cli's flags.
@@ -51,7 +51,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.query, "query", "", "query name (empty lists the options)")
 	fs.StringVar(&o.opt, "opt", "monsoon", "optimizer option: monsoon, postgres, defaults, greedy, ondemand, sampling, skinner, lec, handwritten (ott only)")
 	fs.StringVar(&o.prior, "prior", "Spike and Slab", "Monsoon prior (Table 2 names)")
-	fs.BoolVar(&o.explain, "explain", false, "print the chosen plan with estimates and actuals (postgres, defaults, greedy)")
+	fs.BoolVar(&o.explain, "explain", false, "print the chosen plan with estimates and actuals (postgres, defaults, greedy, ondemand, sampling, lec, handwritten)")
 	fs.IntVar(&o.repeat, "repeat", 1, "run the query N times on fresh engines; with -plan-cache, later runs take cached picks")
 	return o
 }
@@ -106,17 +106,17 @@ func run(o *options) error {
 		}
 		return runMonsoonTraced(*spec, sc, sc.Apply(cfg), o.repeat)
 	}
-	if o.explain {
-		return runExplained(*spec, sc, o.opt, cfg.Sink)
-	}
-	option, err := pickOption(o.opt, cfg.Sink)
+	option, err := pickOption(o.opt)
 	if err != nil {
 		return err
 	}
-	return report(option.Name(), option.Run(*spec, sc.Timeout, sc.MaxTuples, sc.Seed))
+	if o.explain {
+		return runExplained(*spec, sc, o.opt, option, cfg.Sink)
+	}
+	return report(option.Name(), option.Run(*spec, sc.Timeout, sc.MaxTuples, sc.Seed, cfg.Sink))
 }
 
-func pickOption(name string, sink obs.EventSink) (harness.Option, error) {
+func pickOption(name string) (harness.Option, error) {
 	switch name {
 	case "postgres":
 		return harness.Postgres{}, nil
@@ -125,9 +125,9 @@ func pickOption(name string, sink obs.EventSink) (harness.Option, error) {
 	case "greedy":
 		return harness.Greedy{}, nil
 	case "ondemand":
-		return harness.OnDemand{Sink: sink}, nil
+		return harness.OnDemand{}, nil
 	case "sampling":
-		return harness.Sampling{Sink: sink}, nil
+		return harness.Sampling{}, nil
 	case "skinner":
 		return harness.Skinner{}, nil
 	case "lec":
@@ -153,7 +153,7 @@ func runMonsoonTraced(spec harness.QuerySpec, sc harness.Scale, cfg core.Config,
 	// plan cache, when enabled — carries over; the full trace and EXPLAIN
 	// ANALYZE come from the first run.
 	for i := 0; i < repeat; i++ {
-		budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
+		budget := engine.NewBudget(sc.Timeout, sc.MaxTuples)
 		cfg.Sink = nil
 		if i == 0 {
 			col = &obs.Collector{}
@@ -225,32 +225,19 @@ func report(name string, out harness.Outcome) error {
 	return nil
 }
 
-// runExplained plans with the named classical option, prints the EXPLAIN
-// tree (estimates first, then actuals after execution), and reports the run.
-func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, sink obs.EventSink) error {
+// runExplained plans with a single-plan option, prints the EXPLAIN tree
+// (estimates first, then actuals after execution), and reports the run.
+func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, option harness.Option, sink obs.EventSink) error {
+	p, ok := option.(harness.Planner)
+	if !ok {
+		return fmt.Errorf("-explain needs an option that commits to one plan; %s learns its join order while it runs", option.Name())
+	}
 	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(sink)})
-	var st *stats.Store
-	switch optName {
-	case "postgres":
-		st = opt.CollectFullStats(spec.Q, spec.Cat)
-	case "defaults", "greedy":
-		st = stats.New()
-		ex.Engine().SeedBaseStats(spec.Q, st)
-	default:
-		return fmt.Errorf("-explain supports postgres, defaults, and greedy (got %q)", optName)
-	}
-	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
-	var tree *plan.Node
-	var err error
-	if optName == "greedy" {
-		tree, err = opt.GreedyPlan(spec.Q, st)
-	} else {
-		tree, err = opt.BestPlan(spec.Q, dv)
-	}
+	budget := engine.NewBudget(sc.Timeout, sc.MaxTuples)
+	tree, dv, err := p.Plan(spec, ex, budget, sc.Seed)
 	if err != nil {
 		return fmt.Errorf("planning failed: %v", err)
 	}
-	budget := &engine.Budget{MaxTuples: sc.MaxTuples, Deadline: time.Now().Add(sc.Timeout)}
 	rel, er, execErr := ex.ExecTree(spec.Q, tree, budget)
 	fmt.Printf("%s plan for %s:\n%s", optName, spec.Q.Name, cost.Explain(dv, tree, er.Counts))
 	if execErr != nil {
@@ -260,6 +247,6 @@ func runExplained(spec harness.QuerySpec, sc harness.Scale, optName string, sink
 	if err != nil {
 		return err
 	}
-	fmt.Printf("result: %d rows (aggregate %.6g); %.0f objects produced\n", rel.Count(), v, er.Produced)
+	fmt.Printf("result: %d rows (aggregate %.6g); %.0f objects produced\n", rel.Count(), v, budget.Produced())
 	return nil
 }

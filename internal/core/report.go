@@ -3,20 +3,9 @@ package core
 import (
 	"time"
 
-	"monsoon/internal/cost"
 	"monsoon/internal/obs"
 	"monsoon/internal/plan"
 )
-
-// estimateTree records the deriver's predicted cardinality for every node of
-// one planned tree, keyed by plan.Node.Key.
-func estimateTree(dv *cost.Deriver, n *plan.Node, out map[string]float64) {
-	out[n.Key()] = dv.NodeCount(n)
-	if !n.IsLeaf() {
-		estimateTree(dv, n.Left, out)
-		estimateTree(dv, n.Right, out)
-	}
-}
 
 // reportEstimates emits one estimate-vs-actual record per executed node whose
 // cardinality the engine observed, and feeds join q-errors into the metrics

@@ -98,12 +98,10 @@ func NewSession(q *query.Query, eng *engine.Engine, budget *engine.Budget, cfg C
 	s.ex = eng.NewExec(engine.ExecConfig{Obs: s.tr})
 	s.res.ex = s.ex
 
-	s.model = &Model{
-		Q: q, Prior: cfg.Prior,
-		Rng:            randx.New(randx.Derive(cfg.Seed, "sim")),
-		UniformRollout: cfg.UniformRollout,
-		Profile:        cfg.Profile,
-	}
+	// The session's model only lists the root's actions and lends its mean
+	// rule to ExecuteRound's estimates; the search samples on forks, each with
+	// its own RNG, so this one needs none.
+	s.model = &Model{Q: q, Prior: cfg.Prior, UniformRollout: cfg.UniformRollout, Profile: cfg.Profile}
 	// Planning is root-parallel: the rollout budget is pre-split into shards
 	// whose count, quotas, and RNG seeds depend only on (seed, iterations),
 	// never on GOMAXPROCS — so the thread count trades planning wall time
@@ -303,7 +301,7 @@ func (s *Session) ExecuteRound() error {
 		dv := &cost.Deriver{Q: s.q, St: ns.St.Overlay(), Miss: s.model.meanMiss()}
 		ests = make(map[string]float64)
 		for _, t := range ns.Planned {
-			estimateTree(dv, t.Tree, ests)
+			dv.NodeCounts(t.Tree, ests)
 		}
 	}
 	roundProduced := 0.0

@@ -99,6 +99,17 @@ func (dv *Deriver) NodeCount(n *plan.Node) float64 {
 	return dv.nodeCount(n)
 }
 
+// NodeCounts records NodeCount of every node of tree in out, keyed by
+// plan.Node.Key: the estimates an EXPLAIN or an estimate-vs-actual report
+// sets beside the engine's observed counts.
+func (dv *Deriver) NodeCounts(tree *plan.Node, out map[string]float64) {
+	out[tree.Key()] = dv.NodeCount(tree)
+	if !tree.IsLeaf() {
+		dv.NodeCounts(tree.Left, out)
+		dv.NodeCounts(tree.Right, out)
+	}
+}
+
 func (dv *Deriver) nodeCount(n *plan.Node) float64 {
 	e := dv.Q.Own(n.Aliases())
 	if c, ok := dv.St.CountOf(e); ok {

@@ -23,15 +23,7 @@ import (
 //	  scan T est=10000 actual=10000 q=1.00
 func Explain(dv *Deriver, tree *plan.Node, actuals map[string]float64) string {
 	ests := make(map[string]float64)
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		ests[n.Key()] = dv.NodeCount(n)
-		if !n.IsLeaf() {
-			walk(n.Left)
-			walk(n.Right)
-		}
-	}
-	walk(tree)
+	dv.NodeCounts(tree, ests)
 	return ExplainAnalyze(dv.Q, tree, ests, actuals, nil, nil)
 }
 

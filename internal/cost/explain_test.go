@@ -35,6 +35,26 @@ func TestExplainRendersTree(t *testing.T) {
 	}
 }
 
+// TestNodeCounts: one walk records every node of the tree, leaves and
+// inner joins alike, under its key and with NodeCount's value, and nothing
+// else.
+func TestNodeCounts(t *testing.T) {
+	q, st := sec23(t, 10000, 10000)
+	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}
+	tree := plan.NewJoin(plan.NewJoin(leaf("R"), leaf("S")), leaf("T"))
+	got := map[string]float64{}
+	dv.NodeCounts(tree, got)
+	want := map[string]*plan.Node{"R+S+T": tree, "R+S": tree.Left, "R": tree.Left.Left, "S": tree.Left.Right, "T": tree.Right}
+	if len(got) != len(want) {
+		t.Errorf("recorded %d nodes, want %d: %v", len(got), len(want), got)
+	}
+	for key, n := range want {
+		if c, ok := got[key]; !ok || c != dv.NodeCount(n) {
+			t.Errorf("%s: recorded %v,%v, want %v", key, c, ok, dv.NodeCount(n))
+		}
+	}
+}
+
 func TestExplainWithActuals(t *testing.T) {
 	q, st := sec23(t, 10000, 10000)
 	dv := &Deriver{Q: q, St: st, Miss: PanicMiss()}

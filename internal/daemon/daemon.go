@@ -377,11 +377,7 @@ func (s *Server) budgetFor(req QueryRequest) *engine.Budget {
 	if req.MaxTuples > 0 && (maxTuples == 0 || req.MaxTuples < maxTuples) {
 		maxTuples = req.MaxTuples
 	}
-	b := &engine.Budget{MaxTuples: maxTuples}
-	if timeout > 0 {
-		b.Deadline = time.Now().Add(timeout)
-	}
-	return b
+	return engine.NewBudget(timeout, maxTuples)
 }
 
 // run executes one admitted query through a fresh Session against the shared

@@ -50,6 +50,16 @@ type Budget struct {
 	work atomic.Int64
 }
 
+// NewBudget starts a budget whose deadline lies timeout from now and whose
+// tuple cap is maxTuples; 0 disables either bound.
+func NewBudget(timeout time.Duration, maxTuples float64) *Budget {
+	b := &Budget{MaxTuples: maxTuples}
+	if timeout > 0 {
+		b.Deadline = time.Now().Add(timeout)
+	}
+	return b
+}
+
 // pollQuantum is how many units — tuples charged, or rows polled — pass
 // between two looks at the clock, as a shift: the deadline is read when a
 // counter crosses a multiple of 1<<pollQuantum.

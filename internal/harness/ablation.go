@@ -5,41 +5,39 @@ import (
 	"io"
 	"time"
 
+	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/mcts"
+	"monsoon/internal/obs"
 	"monsoon/internal/opt"
+	"monsoon/internal/plan"
 	"monsoon/internal/prior"
+	"monsoon/internal/query"
 	"monsoon/internal/randx"
 )
 
 // LEC is the least-expected-cost ablation: the same prior Monsoon uses, but
 // one up-front plan with no statistics collection and no re-planning. §2.3
 // argues this is the closest classical alternative — and why it falls short.
-type LEC struct {
-	Prior  prior.Prior
-	Worlds int
-}
+type LEC struct{}
 
 // Name implements Option.
 func (LEC) Name() string { return "LEC" }
 
 // Run implements Option.
-func (l LEC) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
-	p := l.Prior
-	if p == nil {
-		p = prior.Default()
+func (l LEC) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(l.Plan, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner. EXPLAIN prices the plan at the prior's
+// expectation.
+func (LEC) Plan(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, seed int64) (*plan.Node, *cost.Deriver, error) {
+	p, st := prior.Default(), baseStats(spec)
+	tree, err := opt.LECPlan(spec.Q, st, p, randx.New(randx.Derive(seed, "lec")))
+	mean := func(_ *query.Term, _, _ query.AliasSet, cExpr, cPartner float64) float64 {
+		return p.Mean(cExpr, cPartner)
 	}
-	worlds := l.Worlds
-	if worlds == 0 {
-		worlds = 32
-	}
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	tree, err := opt.LECPlan(spec.Q, baseStats(spec), p, worlds, randx.New(randx.Derive(seed, "lec")))
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), tree, start, b)
+	return tree, &cost.Deriver{Q: spec.Q, St: st, Miss: mean, Obs: ex.Obs}, err
 }
 
 // Ablation runs the design-choice study DESIGN.md calls out, on the UDF

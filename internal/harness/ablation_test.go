@@ -18,7 +18,7 @@ import (
 
 func TestLECOptionRuns(t *testing.T) {
 	specs := tinySpecs(t)
-	br, err := RunBenchmark(specs, []Option{LEC{Worlds: 8}, Defaults{}}, Scale{Timeout: 5 * time.Second, MaxTuples: 5e6, Seed: 1}, nil)
+	br, err := RunBenchmark(specs, []Option{LEC{}, Defaults{}}, Scale{Timeout: 5 * time.Second, MaxTuples: 5e6, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMonsoonVariantKnobs(t *testing.T) {
 		{Label: "eps", Config: core.Config{Strategy: mcts.EpsGreedy, Iterations: 60}},
 		{Label: "uniform", Config: core.Config{UniformRollout: true, Iterations: 60}},
 	} {
-		out := v.Run(spec, 5*time.Second, 5e6, 3)
+		out := v.Run(spec, 5*time.Second, 5e6, 3, nil)
 		if out.Err != nil {
 			t.Fatalf("%s: %v", v.Label, out.Err)
 		}

@@ -22,7 +22,7 @@ func TestCampaignDeterminism(t *testing.T) {
 		specs := tinySpecs(t)
 		options := []Option{
 			Postgres{}, Defaults{}, Greedy{}, Monsoon{Config: core.Config{Iterations: 120}},
-			OnDemand{}, Sampling{}, Skinner{}, LEC{Worlds: 8},
+			OnDemand{}, Sampling{}, Skinner{}, LEC{},
 		}
 		br, err := RunBenchmark(specs, options, Scale{Timeout: time.Minute, MaxTuples: 2e6, Seed: 77}, nil)
 		if err != nil {

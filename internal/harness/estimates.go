@@ -9,7 +9,6 @@ import (
 	"monsoon/internal/cost"
 	"monsoon/internal/engine"
 	"monsoon/internal/opt"
-	"monsoon/internal/plan"
 	"monsoon/internal/randx"
 	"monsoon/internal/stats"
 )
@@ -42,8 +41,7 @@ func (r *Runner) Estimates(w io.Writer) error {
 			return opt.CollectOnDemand(spec.Q, ex, &engine.Budget{})
 		}},
 		{"Sampling", func(spec QuerySpec, ex *engine.Exec) (*stats.Store, error) {
-			return opt.CollectSampling(spec.Q, ex, &engine.Budget{}, opt.SamplingConfig{},
-				randx.New(randx.Derive(sc.Seed, "est-sampling")))
+			return opt.CollectSampling(spec.Q, ex, &engine.Budget{}, randx.New(randx.Derive(sc.Seed, "est-sampling")))
 		}},
 		{"Defaults", func(spec QuerySpec, _ *engine.Exec) (*stats.Store, error) {
 			return baseStats(spec), nil
@@ -69,16 +67,13 @@ func (r *Runner) Estimates(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			est := &cost.Deriver{Q: q, St: st, Miss: cost.DefaultMiss(0.1)}
-			for key, truth := range truths {
+			ests := map[string]float64{}
+			(&cost.Deriver{Q: q, St: st, Miss: cost.DefaultMiss(0.1)}).NodeCounts(tree, ests)
+			for key, e := range ests {
+				truth := truths[key]
 				if truth <= 0 {
 					continue
 				}
-				node := nodeFor(tree, key)
-				if node == nil {
-					continue
-				}
-				e := est.NodeCount(node)
 				if e <= 0 {
 					e = 1
 				}
@@ -111,18 +106,4 @@ func quantile(sorted []float64, p float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// nodeFor finds the subtree whose result key matches.
-func nodeFor(tree *plan.Node, key string) *plan.Node {
-	if tree.Key() == key {
-		return tree
-	}
-	if tree.IsLeaf() {
-		return nil
-	}
-	if n := nodeFor(tree.Left, key); n != nil {
-		return n
-	}
-	return nodeFor(tree.Right, key)
 }

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"monsoon/internal/plan"
-	"monsoon/internal/query"
 )
 
 func TestEstimatesExperiment(t *testing.T) {
@@ -40,20 +37,5 @@ func TestQuantile(t *testing.T) {
 	}
 	if q := quantile([]float64{42}, 0.5); q != 42 {
 		t.Errorf("singleton quantile = %v", q)
-	}
-}
-
-func TestNodeFor(t *testing.T) {
-	tree := plan.NewJoin(plan.NewJoin(
-		plan.NewLeaf(query.NewAliasSet("a")), plan.NewLeaf(query.NewAliasSet("b"))),
-		plan.NewLeaf(query.NewAliasSet("c")))
-	if n := nodeFor(tree, "a+b"); n == nil || n.Key() != "a+b" {
-		t.Error("nodeFor missed an inner node")
-	}
-	if n := nodeFor(tree, "b"); n == nil || !n.IsLeaf() {
-		t.Error("nodeFor missed a leaf")
-	}
-	if nodeFor(tree, "zz") != nil {
-		t.Error("nodeFor invented a node")
 	}
 }

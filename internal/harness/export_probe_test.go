@@ -19,7 +19,7 @@ func TestIMDBResultSizes(t *testing.T) {
 	cat := imdb.Generate(imdb.Config{Titles: sc.IMDBTitles, Bootstrap: sc.IMDBBootstrap, Seed: sc.Seed})
 	var produced []float64
 	for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, 0, 3e7, 1)
+		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, 0, 3e7, 1, nil)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

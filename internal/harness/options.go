@@ -6,6 +6,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -69,17 +70,39 @@ type Outcome struct {
 type Option interface {
 	Name() string
 	// Run optimizes and executes the query, honoring timeout and maxTuples
-	// (0 disables either bound).
-	Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome
+	// (0 disables either bound). sink, when non-nil, receives the run's
+	// spans.
+	Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome
 }
 
-// newBudget starts the measured window.
-func newBudget(timeout time.Duration, maxTuples float64) *engine.Budget {
-	b := &engine.Budget{MaxTuples: maxTuples}
-	if timeout > 0 {
-		b.Deadline = time.Now().Add(timeout)
+// Planner is an Option that commits to one plan before executing it. Plan
+// gathers the statistics the option plans from, charging what that costs to
+// budget and tracing it to ex, and picks the plan. The Deriver it returns
+// prices the plan's nodes for EXPLAIN.
+type Planner interface {
+	Option
+	Plan(spec QuerySpec, ex *engine.Exec, budget *engine.Budget, seed int64) (*plan.Node, *cost.Deriver, error)
+}
+
+// planFunc is Planner.Plan's shape.
+type planFunc func(spec QuerySpec, ex *engine.Exec, budget *engine.Budget, seed int64) (*plan.Node, *cost.Deriver, error)
+
+// runPlanned is the measured window of a single-plan option: a budget, an
+// execution scope traced to sink, then plan, execute and aggregate.
+func runPlanned(planFn planFunc, spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	start := time.Now()
+	b := engine.NewBudget(timeout, maxTuples)
+	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(sink)})
+	tree, _, err := planFn(spec, ex, b, seed)
+	if err != nil {
+		return finish(start, b, err, Outcome{})
 	}
-	return b
+	rel, _, err := ex.ExecTree(spec.Q, tree, b)
+	if err != nil {
+		return finish(start, b, err, Outcome{})
+	}
+	v, err := engine.FinalAggregate(spec.Q, rel)
+	return finish(start, b, err, Outcome{Rows: rel.Count(), Value: v})
 }
 
 func finish(start time.Time, b *engine.Budget, err error, out Outcome) Outcome {
@@ -103,26 +126,18 @@ func baseStats(spec QuerySpec) *stats.Store {
 	return st
 }
 
-// planAndExec is the shared tail of the cost-based options. It plans and
-// executes in ex, so ex's tracer covers both the optimize span and the
-// execution operators.
-func planAndExec(spec QuerySpec, ex *engine.Exec, st *stats.Store, start time.Time, b *engine.Budget) Outcome {
-	dv := &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
-	tree, err := opt.BestPlan(spec.Q, dv)
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	return execPlan(spec, ex, tree, start, b)
+// defaultsDeriver prices spec's plans on st, resolving what st lacks with the
+// magic constant d = 0.1·c.
+func defaultsDeriver(spec QuerySpec, ex *engine.Exec, st *stats.Store) *cost.Deriver {
+	return &cost.Deriver{Q: spec.Q, St: st, Miss: cost.DefaultMiss(0.1), Obs: ex.Obs}
 }
 
-// execPlan executes one fixed plan in ex and aggregates its result.
-func execPlan(spec QuerySpec, ex *engine.Exec, tree *plan.Node, start time.Time, b *engine.Budget) Outcome {
-	rel, _, err := ex.ExecTree(spec.Q, tree, b)
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	v, err := engine.FinalAggregate(spec.Q, rel)
-	return finish(start, b, err, Outcome{Rows: rel.Count(), Value: v})
+// bestPlan is the cost-based options' planner: the DP over st, priced by
+// defaultsDeriver, its optimize span traced to ex.
+func bestPlan(spec QuerySpec, ex *engine.Exec, st *stats.Store) (*plan.Node, *cost.Deriver, error) {
+	dv := defaultsDeriver(spec, ex, st)
+	tree, err := opt.BestPlan(spec.Q, dv)
+	return tree, dv, err
 }
 
 // Postgres is the full-statistics baseline (option 7): exact statistics
@@ -132,12 +147,18 @@ type Postgres struct{}
 // Name implements Option.
 func (Postgres) Name() string { return "Postgres" }
 
-// Run implements Option.
-func (Postgres) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
-	st := opt.CollectFullStats(spec.Q, spec.Cat) // offline, untimed
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	return planAndExec(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), st, start, b)
+// Run implements Option. The statistics are collected before the measured
+// window opens.
+func (Postgres) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	st := opt.CollectFullStats(spec.Q, spec.Cat)
+	return runPlanned(func(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
+		return bestPlan(spec, ex, st)
+	}, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner.
+func (Postgres) Plan(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
+	return bestPlan(spec, ex, opt.CollectFullStats(spec.Q, spec.Cat))
 }
 
 // Defaults optimizes with the magic constant d = 0.1·c (option 4).
@@ -147,10 +168,13 @@ type Defaults struct{}
 func (Defaults) Name() string { return "Defaults" }
 
 // Run implements Option.
-func (Defaults) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	return planAndExec(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), baseStats(spec), start, b)
+func (d Defaults) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(d.Plan, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner.
+func (Defaults) Plan(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
+	return bestPlan(spec, ex, baseStats(spec))
 }
 
 // Greedy is the size-only left-deep heuristic (option 3).
@@ -160,77 +184,72 @@ type Greedy struct{}
 func (Greedy) Name() string { return "Greedy" }
 
 // Run implements Option.
-func (Greedy) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	tree, err := opt.GreedyPlan(spec.Q, baseStats(spec))
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), tree, start, b)
+func (g Greedy) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(g.Plan, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner. The heuristic reads only table sizes; EXPLAIN
+// prices its plan as Defaults would.
+func (Greedy) Plan(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
+	st := baseStats(spec)
+	tree, err := opt.GreedyPlan(spec.Q, st)
+	return tree, defaultsDeriver(spec, ex, st), err
 }
 
 // OnDemand computes HLL statistics after the query is issued (option 1),
 // paying the scan before optimizing.
-type OnDemand struct {
-	// Sink, when non-nil, receives the run's spans: the collection pass, the
-	// optimize call and the engine operators.
-	Sink obs.EventSink
-}
+type OnDemand struct{}
 
 // Name implements Option.
 func (OnDemand) Name() string { return "On Demand" }
 
 // Run implements Option.
-func (o OnDemand) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(o.Sink)})
+func (o OnDemand) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(o.Plan, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner.
+func (OnDemand) Plan(spec QuerySpec, ex *engine.Exec, b *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
 	st, err := opt.CollectOnDemand(spec.Q, ex, b)
 	if err != nil {
-		return finish(start, b, err, Outcome{})
+		return nil, nil, err
 	}
-	return planAndExec(spec, ex, st, start, b)
+	return bestPlan(spec, ex, st)
 }
 
 // Sampling is the block-sampling + GEE option (option 2).
-type Sampling struct {
-	Cfg opt.SamplingConfig
-	// Sink, when non-nil, receives the run's spans: the sampling pass, the
-	// optimize call and the engine operators.
-	Sink obs.EventSink
-}
+type Sampling struct{}
 
 // Name implements Option.
 func (Sampling) Name() string { return "Sampling" }
 
 // Run implements Option.
-func (s Sampling) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(s.Sink)})
-	st, err := opt.CollectSampling(spec.Q, ex, b, s.Cfg, randx.New(randx.Derive(seed, "sampling")))
-	if err != nil {
-		return finish(start, b, err, Outcome{})
-	}
-	return planAndExec(spec, ex, st, start, b)
+func (s Sampling) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(s.Plan, spec, timeout, maxTuples, seed, sink)
 }
 
-// Skinner is the Skinner-G stand-in (option 5).
-type Skinner struct {
-	Cfg skinner.Config
+// Plan implements Planner.
+func (Sampling) Plan(spec QuerySpec, ex *engine.Exec, b *engine.Budget, seed int64) (*plan.Node, *cost.Deriver, error) {
+	st, err := opt.CollectSampling(spec.Q, ex, b, randx.New(randx.Derive(seed, "sampling")))
+	if err != nil {
+		return nil, nil, err
+	}
+	return bestPlan(spec, ex, st)
 }
+
+// Skinner is the Skinner-G stand-in (option 5). It learns its join order
+// over episodes, so it is no Planner.
+type Skinner struct{}
 
 // Name implements Option.
 func (Skinner) Name() string { return "SkinnerDB" }
 
 // Run implements Option.
-func (s Skinner) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (Skinner) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
 	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	cfg := s.Cfg
-	cfg.Seed = seed
-	res, err := skinner.Run(spec.Q, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), b, cfg)
+	b := engine.NewBudget(timeout, maxTuples)
+	ex := engine.New(spec.Cat).NewExec(engine.ExecConfig{Obs: obs.NewTracer(sink)})
+	res, err := skinner.Run(spec.Q, ex, b, seed)
 	return finish(start, b, err, Outcome{Rows: res.Rows, Value: res.Value})
 }
 
@@ -277,8 +296,9 @@ type Monsoon struct {
 	// Label, when set, is the option's name.
 	Label string
 	// Config is what every run starts from. Run sets its Seed from its
-	// arguments and tees its Sink into the q-error summary the Outcome
-	// reports, so the summary is collected whether or not a Sink is set.
+	// arguments and tees its Sink and the run's sink into the q-error
+	// summary the Outcome reports, so the summary is collected whether or
+	// not either is set.
 	core.Config
 }
 
@@ -295,13 +315,13 @@ func (m Monsoon) Name() string {
 
 // Run implements Option. Each session opens its own execution scopes, whose
 // tracer and registry are Sink's and Metrics'.
-func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64) Outcome {
+func (m Monsoon) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
 	start := time.Now()
-	b := newBudget(timeout, maxTuples)
+	b := engine.NewBudget(timeout, maxTuples)
 	qs := &qerrSink{}
 	cfg := m.Config
 	cfg.Seed = seed
-	cfg.Sink = obs.Multi(m.Sink, qs)
+	cfg.Sink = obs.Multi(m.Sink, sink, qs)
 	res, err := core.Run(spec.Q, engine.New(spec.Cat), b, cfg)
 	out := Outcome{
 		Rows: res.Rows, Value: res.Value,
@@ -319,8 +339,15 @@ type HandWritten struct{}
 func (HandWritten) Name() string { return "Hand-written" }
 
 // Run implements Option.
-func (HandWritten) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, _ int64) Outcome {
-	start := time.Now()
-	b := newBudget(timeout, maxTuples)
-	return execPlan(spec, engine.New(spec.Cat).NewExec(engine.ExecConfig{}), spec.Hand, start, b)
+func (h HandWritten) Run(spec QuerySpec, timeout time.Duration, maxTuples float64, seed int64, sink obs.EventSink) Outcome {
+	return runPlanned(h.Plan, spec, timeout, maxTuples, seed, sink)
+}
+
+// Plan implements Planner. A hand-written plan comes with no estimates;
+// EXPLAIN prices it as Defaults would.
+func (HandWritten) Plan(spec QuerySpec, ex *engine.Exec, _ *engine.Budget, _ int64) (*plan.Node, *cost.Deriver, error) {
+	if spec.Hand == nil {
+		return nil, nil, fmt.Errorf("harness: %s has no hand-written plan", spec.Q.Name)
+	}
+	return spec.Hand, defaultsDeriver(spec, ex, baseStats(spec)), nil
 }

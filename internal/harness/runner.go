@@ -34,7 +34,7 @@ func RunBenchmark(specs []QuerySpec, options []Option, sc Scale, progress io.Wri
 	for _, o := range options {
 		for qi, spec := range specs {
 			qseed := randx.Derive(sc.Seed, o.Name()+"/"+spec.Q.Name)
-			out := o.Run(spec, sc.Timeout, sc.MaxTuples, qseed)
+			out := o.Run(spec, sc.Timeout, sc.MaxTuples, qseed, nil)
 			if out.Err != nil {
 				return br, fmt.Errorf("harness: %s on %s: %w", o.Name(), spec.Q.Name, out.Err)
 			}

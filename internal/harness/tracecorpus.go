@@ -24,7 +24,7 @@ func (r *Runner) TraceCorpus(w io.Writer) error {
 	}
 	opt := r.monsoon()
 	for _, spec := range specs {
-		out := opt.Run(spec, 0, sc.MaxTuples, sc.Seed)
+		out := opt.Run(spec, 0, sc.MaxTuples, sc.Seed, nil)
 		if out.Err != nil {
 			return fmt.Errorf("%s: %w", spec.Q.Name, out.Err)
 		}

@@ -20,7 +20,7 @@ func TestTuneIMDBProbe(t *testing.T) {
 	to := 0
 	var worst float64
 	for _, q := range imdb.Queries(sc.IMDBQueryCount, sc.Seed) {
-		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, sc.Timeout, sc.MaxTuples, 1)
+		out := (Postgres{}).Run(QuerySpec{Q: q, Cat: cat}, sc.Timeout, sc.MaxTuples, 1, nil)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

@@ -103,41 +103,28 @@ func CollectOnDemand(q *query.Query, ex *engine.Exec, budget *engine.Budget) (*s
 	return st, nil
 }
 
-// SamplingConfig parameterizes CollectSampling. Zero values take the paper's
-// settings: 2% block samples capped at 200,000 tuples per table, and at most
-// one million materialized tuples from the product of subsamples per
-// multi-table term.
-type SamplingConfig struct {
-	Fraction  float64
-	SampleCap int
-	BlockSize int
-	CrossCap  int
-}
-
-func (c SamplingConfig) withDefaults() SamplingConfig {
-	if c.Fraction == 0 {
-		c.Fraction = 0.02
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 200000
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 64
-	}
-	if c.CrossCap == 0 {
-		c.CrossCap = 1000000
-	}
-	return c
-}
+// The paper's sampling settings: 2% block samples of 64-row blocks, capped
+// at 200,000 tuples per table, and at most one million materialized tuples
+// from the product of subsamples per multi-table term.
+const (
+	sampleFraction  = 0.02
+	sampleCap       = 200000
+	sampleBlockSize = 64
+	sampleCrossCap  = 1000000
+)
 
 // CollectSampling implements the "Sampling" option (§6.2.2 option 2), after
 // DYNO's pilot runs: block-sample each base table, estimate single-alias
 // distinct counts with the Charikar et al. GEE estimator, and for multi-table
 // UDFs materialize a capped product of the subsamples and estimate from that.
 // Sampled and materialized tuples are charged to the budget.
-func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget,
-	cfg SamplingConfig, rng *rand.Rand) (*stats.Store, error) {
-	cfg = cfg.withDefaults()
+func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget, rng *rand.Rand) (*stats.Store, error) {
+	return collectSampling(q, ex, budget, rng, sampleCrossCap)
+}
+
+// collectSampling is CollectSampling with the cross cap as a parameter, so a
+// test can reach the cap on tables far smaller than a million-tuple product.
+func collectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget, rng *rand.Rand, crossCap int) (*stats.Store, error) {
 	st := stats.New()
 	eng := ex.Engine()
 	eng.SeedBaseStats(q, st)
@@ -151,14 +138,14 @@ func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget,
 	samples := make(map[string]*table.Relation) // alias → sampled rows
 	for _, r := range q.Rels {
 		base := eng.Cat.MustGet(r.Table).Renamed(r.Alias)
-		target := int(cfg.Fraction * float64(base.Count()))
+		target := int(sampleFraction * float64(base.Count()))
 		if target < 1 {
 			target = 1
 		}
-		if target > cfg.SampleCap {
-			target = cfg.SampleCap
+		if target > sampleCap {
+			target = sampleCap
 		}
-		idx := sketch.BlockSample(base.Count(), cfg.BlockSize, target, rng)
+		idx := sketch.BlockSample(base.Count(), sampleBlockSize, target, rng)
 		rows := make([]table.Row, len(idx))
 		for i, j := range idx {
 			rows[i] = base.Rows[j]
@@ -208,7 +195,7 @@ func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget,
 		row := make(table.Row, len(schemas.Cols))
 		var iterate func(level, offset int) error
 		iterate = func(level, offset int) error {
-			if emitted >= cfg.CrossCap {
+			if emitted >= crossCap {
 				return nil
 			}
 			if level == len(names) {
@@ -230,7 +217,7 @@ func CollectSampling(q *query.Query, ex *engine.Exec, budget *engine.Budget,
 				if err := iterate(level+1, offset+width); err != nil {
 					return err
 				}
-				if emitted >= cfg.CrossCap {
+				if emitted >= crossCap {
 					return nil
 				}
 			}

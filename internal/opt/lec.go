@@ -12,24 +12,24 @@ import (
 	"monsoon/internal/stats"
 )
 
+// lecWorlds is how many worlds LECPlan samples from the prior.
+const lecWorlds = 32
+
 // LECPlan implements least-expected-cost optimization (Chu et al., the
 // "classical notion" §2.3 contrasts Monsoon against): model the unknown
 // distinct counts with the same prior Monsoon uses, but commit — once, up
 // front, with no statistics collection and no re-planning — to the single
 // plan whose *expected* cost under the prior is minimal.
 //
-// The expectation is estimated by Monte Carlo: `worlds` complete statistic
+// The expectation is estimated by Monte Carlo: lecWorlds complete statistic
 // assignments are sampled from the prior; each world's DP-optimal plan
 // enters the candidate set; every candidate is then costed in every world
 // and the lowest-mean candidate wins. §2.3 explains why this can be
 // arbitrarily worse than multi-step execution: when two plans have equal
 // expected cost but opposite worst cases, LEC cannot hedge by measuring.
-func LECPlan(q *query.Query, base *stats.Store, p prior.Prior, worlds int, rng *rand.Rand) (*plan.Node, error) {
-	if worlds <= 0 {
-		worlds = 32
-	}
+func LECPlan(q *query.Query, base *stats.Store, p prior.Prior, rng *rand.Rand) (*plan.Node, error) {
 	type world struct{ st *stats.Store }
-	ws := make([]world, worlds)
+	ws := make([]world, lecWorlds)
 	candidates := map[string]*plan.Node{}
 	for i := range ws {
 		// Sampling through the Deriver records every draw in the world's
@@ -52,7 +52,7 @@ func LECPlan(q *query.Query, base *stats.Store, p prior.Prior, worlds int, rng *
 			dv := &cost.Deriver{Q: q, St: w.st, Miss: priorMiss(p, rng)}
 			total += dv.PlanCost(cand)
 		}
-		if mean := total / float64(worlds); mean < bestMean {
+		if mean := total / lecWorlds; mean < bestMean {
 			bestMean = mean
 			best = cand
 		}

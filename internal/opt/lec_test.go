@@ -14,7 +14,7 @@ func TestLECProducesValidPlan(t *testing.T) {
 	eng := engine.New(cat)
 	st := stats.New()
 	eng.SeedBaseStats(q, st)
-	tree, err := LECPlan(q, st, prior.Default(), 16, randx.New(3))
+	tree, err := LECPlan(q, st, prior.Default(), randx.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestLECDeterministicGivenSeed(t *testing.T) {
 	eng := engine.New(cat)
 	st := stats.New()
 	eng.SeedBaseStats(q, st)
-	a, err := LECPlan(q, st, prior.Default(), 16, randx.New(9))
+	a, err := LECPlan(q, st, prior.Default(), randx.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LECPlan(q, st, prior.Default(), 16, randx.New(9))
+	b, err := LECPlan(q, st, prior.Default(), randx.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,22 +47,12 @@ func TestLECDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestLECDefaultWorlds(t *testing.T) {
-	cat, q := fixture()
-	eng := engine.New(cat)
-	st := stats.New()
-	eng.SeedBaseStats(q, st)
-	if _, err := LECPlan(q, st, prior.Uniform{}, 0, randx.New(1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLECExploitsMeasuredStats: with the truth already in the store, LEC's
 // worlds all agree and it must pick the known-optimal order (R⋈T first).
 func TestLECExploitsMeasuredStats(t *testing.T) {
 	cat, q := fixture()
 	st := CollectFullStats(q, cat)
-	tree, err := LECPlan(q, st, prior.Default(), 8, randx.New(5))
+	tree, err := LECPlan(q, st, prior.Default(), randx.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

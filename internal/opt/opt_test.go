@@ -232,8 +232,7 @@ func TestCollectOnDemandBudgetAbort(t *testing.T) {
 func TestCollectSamplingSingleTable(t *testing.T) {
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
-	st, err := CollectSampling(q, ex, &engine.Budget{},
-		SamplingConfig{Fraction: 0.2}, randx.New(21))
+	st, err := CollectSampling(q, ex, &engine.Budget{}, randx.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +255,7 @@ func TestCollectSamplingMultiTable(t *testing.T) {
 		MustBuild()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{}
-	st, err := CollectSampling(q, ex, b,
-		SamplingConfig{Fraction: 0.5, CrossCap: 500}, randx.New(23))
+	st, err := collectSampling(q, ex, b, randx.New(23), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestCollectSamplingBudgetAbort(t *testing.T) {
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{MaxTuples: 3}
-	if _, err := CollectSampling(q, ex, b, SamplingConfig{}, randx.New(1)); err == nil {
+	if _, err := CollectSampling(q, ex, b, randx.New(1)); err == nil {
 		t.Error("tiny budget must abort sampling")
 	}
 }

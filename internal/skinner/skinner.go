@@ -19,37 +19,18 @@ import (
 	"monsoon/internal/randx"
 )
 
-// Config parameterizes a Skinner-G run.
-type Config struct {
-	// Seed makes the run reproducible.
-	Seed int64
-	// InitialBudget is the first episode's tuple budget; default 1000.
-	InitialBudget float64
-	// Growth multiplies the episode budget after every EpisodesPerBudget
-	// failures; default 2.
-	Growth float64
-	// EpisodesPerBudget is how many episodes run at each budget level;
-	// default 3.
-	EpisodesPerBudget int
-	// UCTWeight is the exploration weight; default √2.
-	UCTWeight float64
+// schedule is the episode budget schedule: the first episode's tuple
+// budget, and the factor it grows by after every perBudget failed episodes.
+type schedule struct {
+	initial, growth float64
+	perBudget       int
 }
 
-func (c Config) withDefaults() Config {
-	if c.InitialBudget == 0 {
-		c.InitialBudget = 1000
-	}
-	if c.Growth == 0 {
-		c.Growth = 2
-	}
-	if c.EpisodesPerBudget == 0 {
-		c.EpisodesPerBudget = 3
-	}
-	if c.UCTWeight == 0 {
-		c.UCTWeight = math.Sqrt2
-	}
-	return c
-}
+// paperSchedule starts at 1,000 tuples and doubles after every 3 failures.
+var paperSchedule = schedule{initial: 1000, growth: 2, perBudget: 3}
+
+// uctWeight is the UCB1 exploration weight.
+const uctWeight = math.Sqrt2
 
 // Result reports a Skinner-G run.
 type Result struct {
@@ -75,21 +56,26 @@ type uctStats struct {
 	total  float64
 }
 
-// Run learns a join order online and executes q. The overall budget bounds
-// the whole run (its deadline and tuple cap include discarded episode work).
-func Run(q *query.Query, ex *engine.Exec, budget *engine.Budget, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	rng := randx.New(randx.Derive(cfg.Seed, "skinner"))
+// Run learns a join order online and executes q; seed makes the run
+// reproducible. The overall budget bounds the whole run (its deadline and
+// tuple cap include discarded episode work).
+func Run(q *query.Query, ex *engine.Exec, budget *engine.Budget, seed int64) (*Result, error) {
+	return run(q, ex, budget, seed, paperSchedule)
+}
+
+// run is Run under the episode schedule sched.
+func run(q *query.Query, ex *engine.Exec, budget *engine.Budget, seed int64, sched schedule) (*Result, error) {
+	rng := randx.New(randx.Derive(seed, "skinner"))
 	res := &Result{}
 	prefixes := map[string]*uctNode{}
-	epBudget := cfg.InitialBudget
+	epBudget := sched.initial
 	failures := 0
 
 	for {
 		if budget != nil && !budget.Deadline.IsZero() && time.Now().After(budget.Deadline) {
 			return res, engine.ErrBudget
 		}
-		order := chooseOrder(q, prefixes, cfg.UCTWeight, rng)
+		order := chooseOrder(q, prefixes, uctWeight, rng)
 		tree := leftDeep(order)
 		// The episode budget shares the run's deadline and counts toward its
 		// global tuple cap through res.Produced accounting below.
@@ -131,8 +117,8 @@ func Run(q *query.Query, ex *engine.Exec, budget *engine.Budget, cfg Config) (*R
 			return res, err
 		}
 		failures++
-		if failures%cfg.EpisodesPerBudget == 0 {
-			epBudget *= cfg.Growth
+		if failures%sched.perBudget == 0 {
+			epBudget *= sched.growth
 		}
 	}
 }

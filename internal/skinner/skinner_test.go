@@ -62,7 +62,7 @@ func TestSkinnerCompletes(t *testing.T) {
 	want := referenceRows(t)
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
-	res, err := Run(q, ex, &engine.Budget{}, Config{Seed: 1})
+	res, err := Run(q, ex, &engine.Budget{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,14 @@ func TestSkinnerCompletes(t *testing.T) {
 
 func TestSkinnerWastesWorkAcrossEpisodes(t *testing.T) {
 	// The good order finishes within ~2.3k tuples; Skinner's early episodes
-	// at small budgets plus discarded bad-order work should cost strictly
-	// more than one clean run unless it got lucky on the first draw.
+	// at budgets below that plus discarded bad-order work should cost
+	// strictly more than one clean run.
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	multi := 0
 	for seed := int64(0); seed < 6; seed++ {
 		ex.Release()
-		res, err := Run(q, ex, &engine.Budget{}, Config{Seed: seed, InitialBudget: 500})
+		res, err := Run(q, ex, &engine.Budget{}, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -100,7 +100,7 @@ func TestSkinnerRespectsDeadline(t *testing.T) {
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{Deadline: time.Now().Add(-time.Second)}
-	_, err := Run(q, ex, b, Config{Seed: 2})
+	_, err := Run(q, ex, b, 2)
 	if !errors.Is(err, engine.ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -110,24 +110,23 @@ func TestSkinnerRespectsGlobalTupleCap(t *testing.T) {
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
 	b := &engine.Budget{MaxTuples: 300}
-	_, err := Run(q, ex, b, Config{Seed: 3, InitialBudget: 100})
+	_, err := Run(q, ex, b, 3)
 	if !errors.Is(err, engine.ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
 }
 
 func TestSkinnerBudgetGrowth(t *testing.T) {
-	// With a tiny initial budget the run must still finish by growing it.
+	// The first episode's 1,000 tuples are below the ~2.2k the best order
+	// needs, so the run must still finish by growing the budget.
 	cat, q := fixture()
 	ex := engine.New(cat).NewExec(engine.ExecConfig{})
-	res, err := Run(q, ex, &engine.Budget{}, Config{
-		Seed: 4, InitialBudget: 10, Growth: 4, EpisodesPerBudget: 2,
-	})
+	res, err := Run(q, ex, &engine.Budget{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Episodes < 3 {
-		t.Errorf("expected several episodes with a tiny budget, got %d", res.Episodes)
+		t.Errorf("expected several episodes below the best order's cost, got %d", res.Episodes)
 	}
 }
 
@@ -140,9 +139,7 @@ func TestSkinnerLearnsAcrossEpisodes(t *testing.T) {
 	// The good order (T first: R⋈T empty) costs ~2.2k; R⋈S-first costs 202k.
 	// Freeze the budget below the bad orders' cost so only learning finishes
 	// the query (no growth).
-	res, err := Run(q, ex, &engine.Budget{}, Config{
-		Seed: 5, InitialBudget: 5000, Growth: 1.0001, EpisodesPerBudget: 1000,
-	})
+	res, err := run(q, ex, &engine.Budget{}, 5, schedule{initial: 5000, growth: 1, perBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
